@@ -20,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf, workprec
 
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
@@ -319,16 +318,18 @@ def fit_error_exponent(samples) -> FitResult:
         raise InsufficientSamples("samples must span at least two decades of n")
     if any(p[1] == 0.0 for p in pts):
         raise ExactMatch("residuals are exactly zero; no exponent to fit")
-    x = np.log([p[0] for p in pts])
-    y = np.log([abs(p[1]) for p in pts])
-    coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    yhat = slope * x + intercept
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    x = [math.log(p[0]) for p in pts]
+    y = [math.log(abs(p[1])) for p in pts]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    denom = math.fsum(a * a for a in dx)
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / denom
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    ss_tot = math.fsum(b * b for b in dy)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     dof = len(pts) - 2
-    denom = float(np.sum((x - np.mean(x)) ** 2))
     stderr = math.sqrt(ss_res / dof / denom) if dof > 0 and denom > 0 else 0.0
     return FitResult(slope, intercept, stderr, r2, len(pts))
 

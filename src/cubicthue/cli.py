@@ -67,6 +67,8 @@ def parse_grid(spec: str):
         raise ValueError(f"bad grid {spec!r}: start > stop")
     rule = parts[2] if len(parts) == 3 else "1"
     if rule == "log10":
+        if lo < 1:
+            raise ValueError(f"bad grid {spec!r}: a log10 grid must start at >= 1")
         vals, v = [], lo
         while v <= hi:
             vals.append(v)

@@ -1,34 +1,56 @@
 """Bounded search for f(x, y) = +-1, solution typing, and unit decomposition.
 
-Search strategy: any solution with |f| = 1 of type j satisfies
+Write f(x, y) = prod_j (x - alpha_j y), where alpha_1, alpha_2, alpha_3 are
+the three real roots of g(z) = f(z, 1) = z^3 + A z^2 + B z - 1.  Solutions
+come in pairs (x, y), (-x, -y) with opposite values, y = 0 gives (+-1, 0), so
+the search runs over y >= 1.  A solution is of type j when |x - alpha_j y| is
+its smallest factor.  For i != j the triangle inequality gives
+|x - alpha_i y| >= |alpha_j - alpha_i| y / 2, and the factors multiply to 1, so
 
-    |x - alpha_j y| <= 4 / (y^2 * G_j),    G_j = prod_{i != j} |alpha_j - alpha_i|
+    |x - alpha_j y| <= 4 / (G_j y^2),    G_j = prod_{i != j} |alpha_j - alpha_i|.
 
-(triangle inequality applied to the two large factors, then the product of
-the three factors is 1).  So for each y only integers within that radius of
-alpha_j * y can solve the equation.  Once the radius is below 3/2 the
-candidates are covered by round(alpha_j * y) + d, d in {-1, 0, 1}; smaller y
-fall back to an exhaustive x scan.  Float screening is advisory only:
-membership in the output is decided by exact integer evaluation.
+Candidate generation is complete by the following argument.
+
+* Brackets.  Each alpha_j is replaced by a rational bracket lo < alpha_j < hi
+  taken from its numeric value.  A bracket is accepted only if g changes sign
+  across it, by exact integer evaluation of f at its endpoints, and the three
+  brackets are pairwise disjoint; g has three roots, so each bracket then
+  holds exactly one.  The distances between the brackets give a rational
+  lower bound G on G_j.
+* Large y.  For y > 8 / G the bound above gives |alpha_j - x/y| < 1/(2 y^2).
+  A common divisor d of x and y has d^3 | f(x, y) = +-1, so x/y is in lowest
+  terms, and by Legendre's theorem it is a convergent of alpha_j.  The
+  partial quotients shared by every real number in (lo, hi), the common
+  prefix of the continued fractions of lo and hi, are those of alpha_j.
+  Where the prefix stops, the next partial quotient is still at least the
+  floor of the lower end; if that does not carry the next denominator past
+  y_bound, the precision is doubled and the brackets are rebuilt, and after
+  the last attempt PrecisionExhausted is raised.
+* Small y.  For 1 <= y <= 8 / G every integer x in [lo y - r, hi y + r] with
+  r = 4 / (G y^2) is tried.
+
+This is the reduction step of Tzanakis and de Weger, "On the practical
+solution of the Thue equation", J. Number Theory 31 (1989).  Membership in
+the output is decided by exact integer evaluation of f at every candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-import numpy as np
 from mpmath import mp, workprec
 
 from . import exact_field as ef
 from .asymptotics import compute_proof_quantities
-from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
+from .errors import DegenerateTwist, NotReducible, PrecisionExhausted, RoundingAmbiguous
 from .forms import build_form, eval_form
 from .roots import AlphaTriple, alpha_precision, compute_alphas, compute_roots
 
-_CANDIDATE_RADIUS = 1.4  # beyond this the +-1 window around round() may be too narrow
-_SCREEN_FUZZ = 1e-9
+_MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
+_PRECISION_ATTEMPTS = 4  # the precision doubles between attempts
 
 
 @dataclass(frozen=True)
@@ -61,92 +83,118 @@ def _validate_st(s: int, t: int):
         raise DegenerateTwist(f"(s, t) = {(s, t)} is outside the solver's domain")
 
 
-def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
-    """Index j minimising |x - alpha_j y|; ties go to the smallest index."""
+def _betas(x: int, y: int, alphas: AlphaTriple):
+    """(|x - alpha_j y| for j = 1, 2, 3; the j minimising it, ties to the smallest)."""
     wp = alpha_precision(alphas.n, alphas.s, alphas.t, alphas.precision_bits)
     with workprec(wp):
-        betas = [abs(x - a * y) for a in alphas.alphas]
-    best = 0
-    for i in (1, 2):
-        if betas[i] < betas[best]:
-            best = i
-    return best + 1
+        betas = tuple(abs(x - a * y) for a in alphas.alphas)
+    return betas, min(range(3), key=betas.__getitem__) + 1
+
+
+def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
+    """Index j minimising |x - alpha_j y|; ties go to the smallest index."""
+    return _betas(x, y, alphas)[1]
 
 
 def _make_record(n, s, t, x, y, value, alphas) -> SolutionRecord:
-    wp = alpha_precision(n, s, t, alphas.precision_bits)
-    with workprec(wp):
-        betas = tuple(abs(x - a * y) for a in alphas.alphas)
-    best = 0
-    for i in (1, 2):
-        if betas[i] < betas[best]:
-            best = i
-    return SolutionRecord(n, s, t, x, y, value, best + 1,
+    betas, type_j = _betas(x, y, alphas)
+    return SolutionRecord(n, s, t, x, y, value, type_j,
                           tuple(float(b) for b in betas), abs(y) <= 1)
+
+
+def _brackets(form, tri: AlphaTriple):
+    """Certified disjoint brackets (lo, hi), one around each root of g; None if not certified."""
+    out = []
+    for a in tri.alphas:
+        # a has relative error below 2^-precision_bits, far inside the +-2^(1-k) bracket
+        k = max(0, tri.precision_bits - 4 - int(mp.mag(a)))
+        m = int(mp.ldexp(a, k))
+        out.append((Fraction(m - 2, 1 << k), Fraction(m + 2, 1 << k)))
+    for lo, hi in out:
+        if eval_form(form, lo.numerator, lo.denominator) * \
+                eval_form(form, hi.numerator, hi.denominator) >= 0:
+            return None
+    ordered = sorted(out)
+    if any(ordered[i][1] >= ordered[i + 1][0] for i in range(2)):
+        return None
+    return out
+
+
+def _convergents(lo: Fraction, hi: Fraction, q_max: int):
+    """Convergents (p, q) with q <= q_max of every real number in (lo, hi).
+
+    None if the bracket is too wide to decide them all.
+    """
+    out = []
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    # the complete quotient lies in (a/b, c/d); d == 0 stands for an infinite c/d
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    while True:
+        m = a // b
+        if d == 0 or c // d != m:
+            # the next partial quotient is at least m, its denominator at least m q + q_prev
+            return out if m * q + q_prev > q_max else None
+        p, q, p_prev, q_prev = m * p + p_prev, m * q + q_prev, p, q
+        if q > q_max:
+            return out
+        out.append((p, q))
+        a, b, c, d = d, c - m * d, b, a - m * b
+
+
+def _candidates(form, tri: AlphaTriple, y_bound: int):
+    """Candidate pairs (x, y), y >= 1, that contain every solution; None if precision is short."""
+    brackets = _brackets(form, tri)
+    if brackets is None:
+        return None
+    out = set()
+    for j, (lo, hi) in enumerate(brackets):
+        g = Fraction(1)  # lower bound on G_j from the gaps between the brackets
+        for i, (lo_i, hi_i) in enumerate(brackets):
+            if i != j:
+                g *= max(lo_i - hi, lo - hi_i)
+        convergents = _convergents(lo, hi, y_bound)
+        if convergents is None:
+            return None
+        out.update((p, q) for p, q in convergents if q * g > 8)
+        for y in range(1, min(y_bound, math.floor(8 / g)) + 1):
+            r = 4 / (g * y * y)
+            out.update((x, y) for x in range(math.ceil(lo * y - r), math.floor(hi * y + r) + 1))
+    return out
 
 
 def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = 160):
     """All solutions of f(x, y) = +-1 with |y| <= y_bound, exactly verified.
 
     Returns SolutionRecord objects sorted by (|y|, y, x).  Trivial solutions
-    (|y| <= 1) are included and flagged.
+    (|y| <= 1) are included and flagged.  precision_bits is the least
+    precision of the conjugates; more is used as y_bound requires.  Raises
+    PrecisionExhausted if the candidates stay undecided after the last
+    precision doubling.
     """
     _validate_st(s, t)
     if y_bound < 1:
         raise ValueError("y_bound must be >= 1")
     form = build_form(n, s, t)
 
-    # enough bits that round(alpha*y) is unambiguous at every y in the box
-    growth = (abs(s) + abs(t)) * math.log2(n + 2) + math.log2(y_bound + 2)
-    pb = max(precision_bits, 96 + int(growth))
-    tri = compute_alphas(n, s, t, pb)
-    wp = alpha_precision(n, s, t, pb)
-
-    with workprec(wp):
-        a = tri.alphas
-        gaps = [abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2])]
-        big_g = [gaps[0] * gaps[1], gaps[0] * gaps[2], gaps[1] * gaps[2]]
-        floors = [int(mp.floor(x)) for x in a]
-        fracs = [float(x - mp.floor(x)) for x in a]
-        max_abs = max(float(abs(x)) for x in a)
-        g_float = [float(min(g, mp.mpf("1e300"))) for g in big_g]
-
-    g_min = min(g_float)
-    y_exhaustive = int(math.sqrt(4.0 / (_CANDIDATE_RADIUS * g_min))) if g_min > 0 else y_bound
-    while 4.0 / (g_min * (y_exhaustive + 1) ** 2) >= _CANDIDATE_RADIUS:
-        y_exhaustive += 1
-    y_exhaustive = min(y_exhaustive, y_bound)
+    # (|s| + |t|) log2(n + 2) bounds log2 max|alpha|
+    bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + _MARGIN_BITS
+    pb = max(precision_bits, int(bits))
+    for _ in range(_PRECISION_ATTEMPTS):
+        tri = compute_alphas(n, s, t, pb)
+        candidates = _candidates(form, tri, y_bound)
+        if candidates is not None:
+            break
+        pb *= 2
+    else:
+        raise PrecisionExhausted(
+            f"solver candidates for (n,s,t)={(n, s, t)} undecided at {pb // 2} bits")
 
     found = {}
-
-    def consider(x, y):
+    for x, y in candidates | {(1, 0)}:
         v = eval_form(form, x, y)
         if v == 1 or v == -1:
             found[(x, y)] = v
             found[(-x, -y)] = -v
-
-    consider(1, 0)
-    consider(-1, 0)
-
-    for y in range(1, y_exhaustive + 1):
-        limit = int(math.ceil(max_abs * y)) + 1
-        for x in range(-limit, limit + 1):
-            consider(x, y)
-
-    if y_exhaustive < y_bound:
-        ys = np.arange(y_exhaustive + 1, y_bound + 1, dtype=np.float64)
-        fuzz = _SCREEN_FUZZ + 1e-15 * ys
-        for j in range(3):
-            z = fracs[j] * ys
-            k = np.rint(z)
-            dist = np.abs(z - k)
-            tau = 4.0 / (g_float[j] * ys * ys)
-            hits = np.nonzero(dist <= tau + fuzz)[0]
-            for i in hits:
-                y = int(ys[i])
-                x0 = floors[j] * y + int(k[i])
-                for d in (-1, 0, 1):
-                    consider(x0 + d, y)
 
     records = [_make_record(n, s, t, x, y, v, tri) for (x, y), v in found.items()]
     records.sort(key=lambda r: (abs(r.y), r.y, r.x))

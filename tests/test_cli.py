@@ -120,6 +120,23 @@ def test_parse_grid():
         parse_grid("200:100")
     with pytest.raises(ValueError):
         parse_grid("1:2:3:4")
+    for spec in ("0:100:log10", "-5:100:log10"):
+        with pytest.raises(ValueError):
+            parse_grid(spec)
+
+
+def test_log10_grid_from_zero_exits_two(capsys):
+    code, _, err = run(capsys, ["lemma", "regulator", "--n", "0:1000:log10"])
+    assert code == 2
+    assert "log10" in err
+
+
+def test_solve_huge_ybound(capsys):
+    code, huge, _ = run(capsys, ["solve", "0", "1", "0", "--ybound", str(10**100)])
+    assert code == 0
+    _, small, _ = run(capsys, ["solve", "0", "1", "0", "--ybound", "10000"])
+    # the first line names the bound; the solution lines must agree
+    assert huge.splitlines()[1:] == small.splitlines()[1:]
 
 
 def test_env_override_precision(capsys, monkeypatch):

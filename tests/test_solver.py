@@ -1,9 +1,16 @@
 """Bounded solver: ground truth, oracle equivalence, typing, unit decomposition."""
 
+import dataclasses
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_force_solutions
-from cubicthue.errors import DegenerateTwist
+from cubicthue import cli, solver
+from cubicthue.asymptotics import st_box
+from cubicthue.errors import DegenerateTwist, PrecisionExhausted
 from cubicthue.forms import build_form, eval_form
 from cubicthue.roots import compute_alphas
 from cubicthue.solver import classify_type, decompose_unit, reduce_to_type1, solve_box
@@ -66,6 +73,84 @@ def test_oracle_equivalence_sample(n, s, t):
     candidate = solution_set(solve_box(n, s, t, y_bound))
     oracle = brute_force_solutions(n, s, t, y_bound)
     assert candidate == oracle
+
+
+# The oracle scans about max|alpha| * y_bound^2 points; each draw's y_bound is
+# capped to stay below this, and draws whose y_bound = 1 alone exceeds it are skipped.
+ORACLE_POINTS = 2 * 10**6
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 60), st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+       y_bound=st.integers(1, 150))
+def test_oracle_equivalence_random(n, st_pair, y_bound):
+    s, t = st_pair
+    max_alpha = max(abs(float(a)) for a in compute_alphas(n, s, t, 128).alphas)
+    y_bound = min(y_bound, math.isqrt(int(ORACLE_POINTS / max_alpha)))
+    assume(y_bound >= 1)
+    assert solution_set(solve_box(n, s, t, y_bound)) == brute_force_solutions(n, s, t, y_bound)
+
+
+def convergents_of(x):
+    """Convergents of the rational x from its Euclidean continued fraction."""
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    num, den = x.numerator, x.denominator
+    while den:
+        m, num, den = num // den, den, num % den
+        p, q, p_prev, q_prev = m * p + p_prev, m * q + q_prev, p, q
+        yield p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.fractions(-50, 50, max_denominator=10**6),
+       width=st.fractions(0, 1, max_denominator=10**12).filter(lambda w: w > 0),
+       cut=st.fractions(0, 1, max_denominator=10**6).filter(lambda c: 0 < c < 1),
+       q_max=st.integers(1, 10**4))
+def test_convergents_are_shared_by_the_bracket(lo, width, cut, q_max):
+    # whatever it returns holds for every number strictly inside the bracket
+    got = solver._convergents(lo, lo + width, q_max)
+    if got is not None:
+        x = lo + cut * width
+        assert got == [(p, q) for p, q in convergents_of(x) if q <= q_max]
+
+
+def test_convergents_of_narrow_brackets():
+    # the lower end's remainder is 0: every number above 3 but near it has next q >= 10^9
+    assert solver._convergents(Fraction(3), 3 + Fraction(1, 10**9), 1000) == [(3, 1)]
+    # sqrt(2) = [1; 2, 2, ...]: the Pell convergents
+    eps = Fraction(1, 10**30)
+    root2 = Fraction(math.isqrt(2 * 10**60), 10**30)
+    got = solver._convergents(root2 - eps, root2 + eps, 10**6)
+    assert got[:5] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
+    assert all(p * p - 2 * q * q in (1, -1) for p, q in got)
+    assert got[-1][1] <= 10**6 < 2 * got[-1][1] + got[-2][1]
+
+
+def test_candidates_grow_with_log_y_bound(monkeypatch):
+    calls = []
+
+    def counting(form, x, y):
+        calls.append((x, y))
+        return eval_form(form, x, y)
+
+    monkeypatch.setattr(solver, "eval_form", counting)
+    huge = solution_set(solve_box(0, 1, 0, 10**60))
+    assert len(calls) < 2000
+    assert huge == solution_set(solve_box(0, 1, 0, 10**4))
+
+
+def test_uncertified_conjugates_raise(monkeypatch, capsys):
+    real = solver.compute_alphas
+
+    def shifted(n, s, t, precision_bits):
+        tri = real(n, s, t, precision_bits)
+        return dataclasses.replace(tri, alpha1=tri.alpha1 + 1)
+
+    monkeypatch.setattr(solver, "compute_alphas", shifted)
+    with pytest.raises(PrecisionExhausted):
+        solve_box(5, 1, 1, 100)
+    assert cli.main(["solve", "5", "1", "1"]) == 3
+    assert "precision exhausted" in capsys.readouterr().err
 
 
 def test_classify_tie_breaking():
