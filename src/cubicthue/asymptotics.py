@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workprec
 
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from .roots import alpha_precision, compute_alphas, compute_roots
+from .roots import compute_alphas, compute_roots
 
 DEFAULT_EPSILON = 0.25
 
@@ -189,9 +189,8 @@ def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences."""
     if s * t == 0:
         raise DegenerateTwist("conjugate differences need s*t != 0")
-    wp = _diff_precision(n, s, t, precision_bits)
-    tri = compute_alphas(n, s, t, wp)
-    with workprec(alpha_precision(n, s, t, wp)):
+    tri = compute_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
+    with workprec(tri.roots.precision_bits):
         d12 = tri.alpha1 - tri.alpha2
         d13 = tri.alpha1 - tri.alpha3
         return mp.log(abs(d12)), mp.log(abs(d13)), d12, d13
@@ -271,8 +270,9 @@ class ProofQuantities:
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
+    # the roots the conjugate differences were taken from, so one root set serves both
     wp = _diff_precision(n, s, t, precision_bits)
-    roots = compute_roots(n, wp)
+    roots = compute_alphas(n, s, t, wp).roots
     l12, l13, d12, d13 = true_logdiffs(n, s, t, precision_bits)
     la0, la1, la2 = roots.log_abs_lambda
     with workprec(wp):

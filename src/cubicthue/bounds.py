@@ -25,7 +25,7 @@ from typing import Optional
 
 from mpmath import mp, mpf, workprec
 
-from .asymptotics import compute_proof_quantities
+from .asymptotics import compute_proof_quantities, st_box
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import build_form, height, is_reducible
 from .roots import compute_roots
@@ -40,13 +40,17 @@ def c3_constant(degree: int, rank: int) -> int:
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
     """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf."""
+    return _upper_bound(build_form(n, s, t), b_abs, precision_bits)
+
+
+def _upper_bound(form, b_abs: int, precision_bits: int):
+    """bg_upper_bound for a form that is already built."""
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
-    form = build_form(n, s, t)
     if is_reducible(form):
-        raise ReducibleForm(f"form for (n,s,t)=({n},{s},{t}) has a rational root")
+        raise ReducibleForm(f"form for (n,s,t)=({form.n},{form.s},{form.t}) has a rational root")
     h = height(form)  # already floored at 3
-    rs = compute_roots(n, precision_bits)
+    rs = compute_roots(form.n, precision_bits)
     c3 = c3_constant(3, 2)
     with workprec(precision_bits + 16):
         reg = rs.regulator
@@ -103,7 +107,8 @@ class BoundReport:
 
 
 def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192) -> BoundReport:
-    upper = bg_upper_bound(n, s, t, b_abs, precision_bits)
+    form = build_form(n, s, t)
+    upper = _upper_bound(form, b_abs, precision_bits)
     lower = None
     failure = ""
     crossover = False
@@ -113,7 +118,6 @@ def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 1
         crossover = bool(lower_mpf > upper)
     except ChainPreconditionFailed as exc:
         failure = exc.inequality
-    form = build_form(n, s, t)
     return BoundReport(n, s, t, c3_constant(3, 2), height(form), float(upper),
                        lower, crossover, failure, precision_bits)
 
@@ -126,11 +130,7 @@ class StPolicy:
     cap: int = 2
 
     def pairs(self, n: int, epsilon: float):
-        bound = min(self.cap, int(math.floor(n ** (0.5 - epsilon))))
-        return [(s, t)
-                for s in range(-bound, bound + 1)
-                for t in range(-bound, bound + 1)
-                if s * t != 0]
+        return st_box(min(self.cap, int(math.floor(n ** (0.5 - epsilon)))))
 
 
 @dataclass

@@ -167,7 +167,7 @@ def cmd_lemma(args) -> int:
     if args.name == "logdiff":
         kwargs["epsilon"] = args.epsilon
         if args.smax:
-            kwargs["pairs"] = [p for p in asymptotics.st_box(args.smax)]
+            kwargs["pairs"] = asymptotics.st_box(args.smax)
     elif args.name in ("errorbound", "vbar", "wbar") and args.smax:
         kwargs["st_bound"] = args.smax
     result = runner(**kwargs)

@@ -152,12 +152,12 @@ def invert_unit(a: FieldInt) -> FieldInt:
     the determinant, which is +-1 for units.
     """
     m = multiplication_matrix(a)
-    d = norm(a)
-    if d not in (1, -1):
-        raise NotAUnit(f"norm is {d}, not +-1")
     c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
     c01 = -(m[1][0] * m[2][2] - m[1][2] * m[2][0])
     c02 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
+    d = m[0][0] * c00 + m[0][1] * c01 + m[0][2] * c02
+    if d not in (1, -1):
+        raise NotAUnit(f"norm is {d}, not +-1")
     return FieldInt(a.n, c00 * d, c01 * d, c02 * d)
 
 

@@ -1,17 +1,19 @@
 """Certified arbitrary-precision values of the three roots and the regulator.
 
-Roots of f(x) = x^3 - (n-1)x^2 - (n+2)x - 1 are bracketed with exact integer
-sign evaluations at rational endpoints, then polished with a safeguarded
-Newton iteration.  The final approximation is re-certified by an exact sign
-change across [x - delta, x + delta], so the reported error bound does not
-depend on floating-point luck.
+The largest root lam0 of f(x) = x^3 - (n-1)x^2 - (n+2)x - 1 lies in the
+bracket (n, n+2) for every n >= 0, since
 
-All three roots are real for n >= 0:
+    f(n) = -2n - 1 < 0 < 2(n+2)^2 - 1 = f(n+2),
 
-    lam0 in (0, n+2),   lam1 in (-1, 0),   lam2 in (-2, -1).
+and a safeguarded Newton iteration polishes it there.  The field is cyclic
+(Shanks' simplest cubic fields), so the Galois action gives the other two
+roots exactly from lam0:
 
-For n >= 10 tighter starting brackets come from the two-term root expansions
-with +-3/n^2 padding, which makes Newton converge in a handful of steps.
+    lam1 = -1/(lam0 + 1) in (-1, 0),    lam2 = -(lam0 + 1)/lam0 in (-2, -1).
+
+Each of the three values is re-certified by an exact sign change across
+[x - delta, x + delta], so the reported error bound does not depend on
+floating-point luck.
 """
 
 from __future__ import annotations
@@ -45,7 +47,11 @@ class RootSet:
 
 @dataclass(frozen=True)
 class AlphaTriple:
-    """The twisted conjugates alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t."""
+    """The twisted conjugates alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t.
+
+    roots is the RootSet they were powered from; its precision_bits is the
+    working precision for arithmetic on the conjugates.
+    """
 
     n: int
     s: int
@@ -54,6 +60,7 @@ class AlphaTriple:
     alpha1: object
     alpha2: object
     alpha3: object
+    roots: RootSet
 
     @property
     def alphas(self):
@@ -77,29 +84,8 @@ def _mpf_to_fraction(x) -> Fraction:
     return Fraction(m, 1 << -exp)
 
 
-def _initial_brackets(n: int):
-    """Three disjoint rational brackets, each certified by an exact sign change."""
-    if n >= 10:
-        pad = Fraction(3, n * n)
-        centers = [
-            Fraction(n) + Fraction(2, n),
-            Fraction(-1, n) + Fraction(1, n * n),
-            Fraction(-1) - Fraction(1, n),
-        ]
-        brackets = [(c - pad, c + pad) for c in centers]
-        if all(_poly_sign_exact(n, lo) * _poly_sign_exact(n, hi) < 0 for lo, hi in brackets):
-            return brackets
-    # Universal fallback: f(-2) = -2n-1 < 0, f(-1) = 1, f(0) = -1, f(n+2) = 2(n+2)^2 - 1 > 0.
-    return [
-        (Fraction(0), Fraction(n + 2)),
-        (Fraction(-1), Fraction(0)),
-        (Fraction(-2), Fraction(-1)),
-    ]
-
-
-def _newton_refine(n: int, lo: Fraction, hi: Fraction, wp: int):
-    """Safeguarded Newton inside a certified bracket, at working precision wp."""
-    s_lo = _poly_sign_exact(n, lo)
+def _newton_refine(n: int, wp: int):
+    """Safeguarded Newton for lam0 inside (n, n+2), where f changes sign from - to +."""
 
     def f(x):
         return x**3 - (n - 1) * x * x - (n + 2) * x - 1
@@ -108,7 +94,7 @@ def _newton_refine(n: int, lo: Fraction, hi: Fraction, wp: int):
         return 3 * x * x - 2 * (n - 1) * x - (n + 2)
 
     with workprec(wp):
-        a, b = mpf(lo.numerator) / lo.denominator, mpf(hi.numerator) / hi.denominator
+        a, b = mpf(n), mpf(n + 2)
         x = (a + b) / 2
         tol = mpf(2) ** (4 - wp)
         for _ in range(_NEWTON_MAX_ITER):
@@ -116,7 +102,7 @@ def _newton_refine(n: int, lo: Fraction, hi: Fraction, wp: int):
             if fx == 0:
                 return x
             # keep the bracket shrinking so a bad Newton step cannot escape
-            if (fx > 0) == (s_lo > 0):
+            if fx < 0:
                 a = x
             else:
                 b = x
@@ -126,8 +112,7 @@ def _newton_refine(n: int, lo: Fraction, hi: Fraction, wp: int):
                 x_new = (a + b) / 2
             delta = abs(x_new - x)
             x = x_new
-            scale = max(abs(x), mpf(1))
-            if delta <= tol * scale or b - a <= tol * scale:
+            if delta <= tol * x or b - a <= tol * x:
                 return x
         raise PrecisionExhausted(f"Newton did not converge at {wp} bits for n={n}")
 
@@ -156,15 +141,14 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     wp = precision_bits + 32
-    brackets = _initial_brackets(n)
-    vals = [_newton_refine(n, lo, hi, wp) for lo, hi in brackets]
-    for v in vals:
-        _certify(n, v, precision_bits - 8)
-    l0, l1, l2 = vals
+    l0 = _newton_refine(n, wp)
     with workprec(wp):
-        logs = (mp.log(abs(l0)), mp.log(abs(l1)), mp.log(abs(l2)))
+        lams = (l0, -1 / (l0 + 1), -(l0 + 1) / l0)
+        logs = tuple(mp.log(abs(v)) for v in lams)
         reg = abs(logs[1] * logs[0] - logs[2] * logs[2])
-    return RootSet(n, precision_bits, l0, l1, l2, logs, reg)
+    for v in lams:
+        _certify(n, v, precision_bits - 8)
+    return RootSet(n, precision_bits, *lams, logs, reg)
 
 
 def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
@@ -186,4 +170,4 @@ def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTr
         a1 = rs.lambda0**s * rs.lambda1**t
         a2 = rs.lambda1**s * rs.lambda2**t
         a3 = rs.lambda2**s * rs.lambda0**t
-    return AlphaTriple(n, s, t, precision_bits, a1, a2, a3)
+    return AlphaTriple(n, s, t, precision_bits, a1, a2, a3, rs)

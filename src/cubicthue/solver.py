@@ -47,7 +47,7 @@ from . import exact_field as ef
 from .asymptotics import compute_proof_quantities
 from .errors import DegenerateTwist, NotReducible, PrecisionExhausted, RoundingAmbiguous
 from .forms import build_form, eval_form
-from .roots import AlphaTriple, alpha_precision, compute_alphas, compute_roots
+from .roots import AlphaTriple, compute_alphas
 
 _MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
 _PRECISION_ATTEMPTS = 4  # the precision doubles between attempts
@@ -85,8 +85,7 @@ def _validate_st(s: int, t: int):
 
 def _betas(x: int, y: int, alphas: AlphaTriple):
     """(|x - alpha_j y| for j = 1, 2, 3; the j minimising it, ties to the smallest)."""
-    wp = alpha_precision(alphas.n, alphas.s, alphas.t, alphas.precision_bits)
-    with workprec(wp):
+    with workprec(alphas.roots.precision_bits):
         betas = tuple(abs(x - a * y) for a in alphas.alphas)
     return betas, min(range(3), key=betas.__getitem__) + 1
 
@@ -229,7 +228,7 @@ def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord, precision_bits:
     return new_st, True
 
 
-def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord, roots=None,
+def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
                    precision_bits: int = 192, with_b_bar: bool = True) -> UnitDecomposition:
     """Exponents (b1, b2) with x - alpha1*y = sign * lam0^b1 * lam1^b2, verified exactly.
 
@@ -244,11 +243,9 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord, roots=None,
 
     pb = precision_bits
     for _ in range(4):
-        rs = roots if roots is not None and roots.precision_bits >= pb else compute_roots(n, pb)
         tri = compute_alphas(n, s, t, pb)
-        wp = alpha_precision(n, s, t, pb)
-        with workprec(wp):
-            la0, la1, la2 = rs.log_abs_lambda
+        with workprec(tri.roots.precision_bits):
+            la0, la1, la2 = tri.roots.log_abs_lambda
             lb2 = mp.log(abs(x - tri.alpha2 * y))
             lb3 = mp.log(abs(x - tri.alpha3 * y))
             det = la1 * la0 - la2 * la2

@@ -20,7 +20,7 @@ from cubicthue.asymptotics import (
     true_logdiffs,
 )
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from cubicthue.roots import compute_roots
+from cubicthue.roots import compute_alphas, compute_roots
 
 # Pairs on which the gap-product bounds and the w_bar absorption genuinely
 # fail at every n (the doubled branches with |s| or |t| too small); measured,
@@ -177,6 +177,14 @@ def test_proof_quantities_definitions():
         assert abs(q.w_bar + q.w1 + q.w2) < mpf(2) ** -150 * abs(q.w_bar)
         assert abs(q.v_bar - (q.b0 * q.regulator - q.v1 - q.v2)) < mpf(2) ** -100
         assert 0 < q.v_bar < q.regulator
+
+
+def test_cold_proof_quantities_compute_one_root_set():
+    # the logs and the regulator come from the root set the conjugates were powered from
+    compute_roots.cache_clear()
+    compute_alphas.cache_clear()
+    compute_proof_quantities(10**5, 3, -2)
+    assert compute_roots.cache_info().misses == 1
 
 
 def test_ubar_limit():

@@ -4,7 +4,8 @@ import pytest
 from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
-from cubicthue.roots import compute_alphas, compute_roots
+import cubicthue.roots as roots
+from cubicthue.roots import alpha_precision, compute_alphas, compute_roots
 
 
 def test_localisation_brackets():
@@ -16,7 +17,7 @@ def test_localisation_brackets():
 
 
 def test_symmetric_function_identities():
-    for n in (0, 1, 7, 250):
+    for n in (0, 1, 7, 9, 10, 250, 10**64):
         rs = compute_roots(n, 160)
         with workprec(192):
             eps = mpf(2) ** -140
@@ -74,6 +75,28 @@ def test_precision_doubling_shrinks_residual():
 
     r_lo, r_hi = residual(96), residual(192)
     assert r_hi < r_lo / mpf(2) ** 92 or r_hi == 0
+
+
+def test_one_newton_per_root_set(monkeypatch):
+    calls = []
+    real = roots._newton_refine
+
+    def counting(n, wp):
+        calls.append(n)
+        return real(n, wp)
+
+    monkeypatch.setattr(roots, "_newton_refine", counting)
+    compute_roots.cache_clear()
+    for n in (0, 9, 10, 10**64):
+        compute_roots(n, 128)
+    assert calls == [0, 9, 10, 10**64]
+
+
+def test_alphas_carry_their_root_set():
+    for (n, s, t, bits) in [(10, 2, -1, 192), (10**6, 3, 3, 160), (0, -1, 1, 128)]:
+        tri = compute_alphas(n, s, t, bits)
+        assert tri.roots.n == n
+        assert tri.roots.precision_bits == alpha_precision(n, s, t, bits)
 
 
 def test_compute_alphas_identity_twist():
