@@ -185,14 +185,22 @@ def _diff_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     return precision_bits + extra
 
 
-def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
-    """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences."""
+def _signed_diffs(n: int, s: int, t: int, precision_bits: int):
+    """alpha1 - alpha2, alpha1 - alpha3 and the AlphaTriple they come from.
+
+    The triple's precision_bits is _diff_precision(n, s, t, precision_bits).
+    """
     if s * t == 0:
         raise DegenerateTwist("conjugate differences need s*t != 0")
     tri = compute_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
     with workprec(tri.roots.precision_bits):
-        d12 = tri.alpha1 - tri.alpha2
-        d13 = tri.alpha1 - tri.alpha3
+        return tri.alpha1 - tri.alpha2, tri.alpha1 - tri.alpha3, tri
+
+
+def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
+    """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences."""
+    d12, d13, tri = _signed_diffs(n, s, t, precision_bits)
+    with workprec(tri.roots.precision_bits):
         return mp.log(abs(d12)), mp.log(abs(d13)), d12, d13
 
 
@@ -220,7 +228,7 @@ class ErrorProductReport:
 def check_error_products(n: int, s: int, t: int, precision_bits: int = 192) -> ErrorProductReport:
     if s * t == 0:
         raise DegenerateTwist("error products need s*t != 0")
-    _, _, d12, d13 = true_logdiffs(n, s, t, precision_bits)
+    d12, d13, _ = _signed_diffs(n, s, t, precision_bits)
     with workprec(precision_bits + 16):
         a12, a13 = abs(d12), abs(d13)
         product = a12 * a13
@@ -270,13 +278,13 @@ class ProofQuantities:
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
-    # the roots the conjugate differences were taken from, so one root set serves both
-    wp = _diff_precision(n, s, t, precision_bits)
-    roots = compute_alphas(n, s, t, wp).roots
-    l12, l13, d12, d13 = true_logdiffs(n, s, t, precision_bits)
-    la0, la1, la2 = roots.log_abs_lambda
-    with workprec(wp):
-        reg = roots.regulator
+    d12, d13, tri = _signed_diffs(n, s, t, precision_bits)
+    with workprec(tri.roots.precision_bits):
+        l12, l13 = mp.log(abs(d12)), mp.log(abs(d13))
+    # the logs of the roots the differences were taken from, so one root set serves both
+    la0, la1, la2 = tri.roots.log_abs_lambda
+    with workprec(tri.precision_bits):
+        reg = tri.roots.regulator
         u1 = la0 - la2
         u2 = la1 - la2
         v1 = l12 * la0 - la2 * l13

@@ -107,7 +107,12 @@ class BoundReport:
 
 
 def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192) -> BoundReport:
-    form = build_form(n, s, t)
+    return _bound_report(build_form(n, s, t), b_abs, precision_bits)
+
+
+def _bound_report(form, b_abs: int, precision_bits: int) -> BoundReport:
+    """bound_report for a form that is already built."""
+    n, s, t = form.n, form.s, form.t
     upper = _upper_bound(form, b_abs, precision_bits)
     lower = None
     failure = ""

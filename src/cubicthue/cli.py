@@ -218,9 +218,9 @@ def cmd_bound(args) -> int:
 def _scan_cell(cell):
     n, s, t, y_bound, precision_bits = cell
     form = build_form(n, s, t)
-    records = solver.solve_box(n, s, t, y_bound, precision_bits=max(160, precision_bits))
+    records = solver._solve_form(form, y_bound, max(160, precision_bits))
     nontrivial = sum(1 for r in records if not r.trivial)
-    rep = bounds.bound_report(n, s, t, b_abs=1, precision_bits=precision_bits)
+    rep = bounds._bound_report(form, 1, precision_bits)
     margin = (rep.lower_chain / rep.B_rhs) if rep.lower_chain else None
     return {"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
             "solutions": len(records), "nontrivial": nontrivial,

@@ -6,12 +6,22 @@ through
     lam0^3 = (n-1)*lam0^2 + (n+2)*lam0 + 1.
 
 Elements are integer coordinate triples in the basis (1, lam0, lam0^2) and
-carry their family parameter n.  The other two roots are units of this order:
+carry their family parameter n.  The other two roots are units of this order,
+and the units the twists are built from have closed forms, each checked by
+multiplying out with the relation above:
 
-    lam1 = -1/(lam0 + 1),     lam2 = -(lam0 + 1)/lam0,
+    lam1 = -1/(lam0 + 1)     = lam0^2 - n*lam0 - 2,
+    lam2 = -(lam0 + 1)/lam0  = -lam0^2 + (n-1)*lam0 + (n+1),
+    1/lam0                   = lam0^2 - (n-1)*lam0 - (n+2),
+    1/lam1                   = -(lam0 + 1).
 
-and both have exact coordinates here (the order contains 1/lam0 and
-1/(lam0+1) because lam0 and lam0+1 have norm +-1).
+The trace is linear, so it is fixed by the traces of the basis, the power
+sums of the three roots:
+
+    Tr(c0 + c1*lam0 + c2*lam0^2) = 3*c0 + (n-1)*c1 + ((n-1)^2 + 2(n+2))*c2.
+
+The multiplication matrix, the norm and the adjugate inverse are the general
+path for any element, and the oracle the closed forms are tested against.
 
 Everything is immutable; all operations return fresh values.
 """
@@ -90,13 +100,23 @@ def lam0(n: int) -> FieldInt:
 
 
 def lam1(n: int) -> FieldInt:
-    """lam1 = -1/(lam0 + 1), exactly in the basis."""
-    return -invert_unit(lam0(n) + 1)
+    """lam1 = -1/(lam0 + 1) = lam0^2 - n*lam0 - 2."""
+    return FieldInt(n, -2, -n, 1)
 
 
 def lam2(n: int) -> FieldInt:
     """lam2 = -(lam0 + 1)/lam0 = -lam0^2 + (n-1)*lam0 + (n+1)."""
     return FieldInt(n, n + 1, n - 1, -1)
+
+
+def inv_lam0(n: int) -> FieldInt:
+    """1/lam0 = lam0^2 - (n-1)*lam0 - (n+2)."""
+    return FieldInt(n, -(n + 2), 1 - n, 1)
+
+
+def inv_lam1(n: int) -> FieldInt:
+    """1/lam1 = -(lam0 + 1)."""
+    return FieldInt(n, -1, -1, 0)
 
 
 def reduce_mul(a: FieldInt, b: FieldInt) -> FieldInt:
@@ -130,9 +150,9 @@ def multiplication_matrix(a: FieldInt):
 
 
 def trace(a: FieldInt) -> int:
-    """Sum of the three conjugates = trace of the multiplication-by-a matrix."""
-    m = multiplication_matrix(a)
-    return m[0][0] + m[1][1] + m[2][2]
+    """Sum of the three conjugates, from the traces 3, n-1, (n-1)^2 + 2(n+2) of the basis."""
+    p = a.n - 1
+    return 3 * a.c0 + p * a.c1 + (p * p + 2 * (a.n + 2)) * a.c2
 
 
 def norm(a: FieldInt) -> int:
@@ -181,5 +201,10 @@ def unit_power(a: FieldInt, k: int) -> FieldInt:
 
 
 def alpha_element(n: int, s: int, t: int) -> FieldInt:
-    """The twist unit lam0^s * lam1^t as an exact element of Z[lam0]."""
-    return reduce_mul(unit_power(lam0(n), s), unit_power(lam1(n), t))
+    """The twist unit lam0^s * lam1^t as an exact element of Z[lam0].
+
+    Negative exponents power the closed-form inverses.
+    """
+    b0 = lam0(n) if s >= 0 else inv_lam0(n)
+    b1 = lam1(n) if t >= 0 else inv_lam1(n)
+    return reduce_mul(unit_power(b0, abs(s)), unit_power(b1, abs(t)))

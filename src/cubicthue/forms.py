@@ -5,10 +5,11 @@ the cubic order, so the leading coefficient is 1 and the constant one is -1
 for every parameter triple (n, s, t).  The middle coefficients come from
 exact traces:
 
-    A = -Tr(alpha),    B = Tr(alpha^-1)
+    A = -Tr(alpha),    B = Tr(alpha^-1) = (Tr(alpha)^2 - Tr(alpha^2)) / 2
 
 (the second elementary symmetric function of the conjugates of a norm-1 unit
-equals the trace of its inverse).
+equals the trace of its inverse, and Newton's identity gives it from the
+first two power sums).
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ def build_form(n: int, s: int, t: int) -> BinaryCubicForm:
     if n < 0:
         raise ValueError("family parameter n must be nonnegative")
     alpha = ef.alpha_element(n, s, t)
-    a = -ef.trace(alpha)
-    b = ef.trace(ef.invert_unit(alpha))
-    return BinaryCubicForm(n, s, t, a, b)
+    tr = ef.trace(alpha)
+    b = (tr * tr - ef.trace(ef.reduce_mul(alpha, alpha))) // 2
+    return BinaryCubicForm(n, s, t, -tr, b)
 
 
 def eval_form(form: BinaryCubicForm, x: int, y: int) -> int:

@@ -171,10 +171,14 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = 160):
     precision doubling.
     """
     _validate_st(s, t)
+    return _solve_form(build_form(n, s, t), y_bound, precision_bits)
+
+
+def _solve_form(form, y_bound: int, precision_bits: int):
+    """solve_box for a form that is already built from a valid (s, t)."""
     if y_bound < 1:
         raise ValueError("y_bound must be >= 1")
-    form = build_form(n, s, t)
-
+    n, s, t = form.n, form.s, form.t
     # (|s| + |t|) log2(n + 2) bounds log2 max|alpha|
     bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + _MARGIN_BITS
     pb = max(precision_bits, int(bits))

@@ -139,6 +139,32 @@ def test_solve_huge_ybound(capsys):
     assert huge.splitlines()[1:] == small.splitlines()[1:]
 
 
+def test_solve_huge_n(capsys):
+    n = 10**400
+    code, out, _ = run(capsys, ["--format", "csv", "solve", str(n), "1", "1",
+                                "--ybound", "10000"])
+    assert code == 0
+    pairs = {tuple(map(int, line.split(",")[3:5])) for line in out.splitlines()[1:]}
+    assert pairs == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
+
+
+def test_scan_builds_one_form_per_cell(capsys, monkeypatch):
+    from cubicthue import bounds, cli, forms, solver
+
+    calls = []
+
+    def counting(n, s, t):
+        calls.append((n, s, t))
+        return forms.build_form(n, s, t)
+
+    for mod in (cli, solver, bounds):
+        monkeypatch.setattr(mod, "build_form", counting)
+    code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "20:21", "--smax", "1",
+                              "--ybound", "100"])
+    assert code == 0
+    assert len(calls) == 8 == len(set(calls))
+
+
 def test_env_override_precision(capsys, monkeypatch):
     monkeypatch.setenv("CUBICTHUE_PRECISION_BITS", "128")
     code, out, _ = run(capsys, ["--format", "json", "solve", "3", "1", "0",

@@ -69,6 +69,28 @@ def test_invert_one():
     assert ef.invert_unit(ef.one(4)) == ef.one(4)
 
 
+def test_closed_forms_match_the_matrix_inverse():
+    for n in (0, 1, 2, 6, 97, 10**6, 10**64):
+        assert ef.lam1(n) == -ef.invert_unit(ef.lam0(n) + 1)
+        assert ef.inv_lam0(n) == ef.invert_unit(ef.lam0(n))
+        assert ef.inv_lam1(n) == ef.invert_unit(ef.lam1(n))
+        for s in range(-4, 5):
+            for t in range(-4, 5):
+                # unit_power inverts a negative power's base through the matrix
+                oracle = ef.reduce_mul(ef.unit_power(ef.lam0(n), s),
+                                       ef.unit_power(ef.lam1(n), t))
+                assert ef.alpha_element(n, s, t) == oracle
+
+
+@given(n=st.one_of(small_n, st.integers(min_value=0, max_value=10**70)),
+       a=st.tuples(small_ints, small_ints, small_ints))
+@settings(max_examples=200, deadline=None)
+def test_trace_is_the_matrix_diagonal(n, a):
+    x = elem(n, *a)
+    m = ef.multiplication_matrix(x)
+    assert ef.trace(x) == m[0][0] + m[1][1] + m[2][2]
+
+
 def test_invert_lam0_plus_one_is_minus_lam1():
     n = 6
     inv = ef.invert_unit(ef.lam0(n) + 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, workprec
 
+import cubicthue.exact_field as ef
 from cubicthue.forms import (
     build_form, discriminant, eval_form, height, is_reducible, phi_transform,
 )
@@ -20,6 +21,18 @@ def test_double_twist_coefficients():
     for n in (1, 5, 33):
         f = build_form(n, 1, 1)
         assert (f.A, f.B) == (n + 2, n - 1)
+
+
+def test_coefficients_match_the_matrix_oracle():
+    for n in (0, 1, 9, 10**6, 10**64):
+        for s in range(-3, 4):
+            for t in range(-3, 4):
+                alpha = ef.alpha_element(n, s, t)
+                m = ef.multiplication_matrix(alpha)
+                f = build_form(n, s, t)
+                assert f.A == -(m[0][0] + m[1][1] + m[2][2])
+                assert f.B == sum(ef.multiplication_matrix(ef.invert_unit(alpha))[i][i]
+                                  for i in range(3))
 
 
 def test_conjugate_twist_same_form():

@@ -1,10 +1,14 @@
 """Certified roots: localisation, algebraic identities, precision behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
 import cubicthue.roots as roots
+from cubicthue.asymptotics import st_box
+from cubicthue.errors import PrecisionExhausted
+from cubicthue.forms import build_form, discriminant
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots
 
 
@@ -79,17 +83,71 @@ def test_precision_doubling_shrinks_residual():
 
 def test_one_newton_per_root_set(monkeypatch):
     calls = []
-    real = roots._newton_refine
+    real = roots._lam0_floor
 
-    def counting(n, wp):
+    def counting(n, k):
         calls.append(n)
-        return real(n, wp)
+        return real(n, k)
 
-    monkeypatch.setattr(roots, "_newton_refine", counting)
+    monkeypatch.setattr(roots, "_lam0_floor", counting)
     compute_roots.cache_clear()
     for n in (0, 9, 10, 10**64):
         compute_roots(n, 128)
     assert calls == [0, 9, 10, 10**64]
+
+
+@given(n=st.one_of(st.integers(min_value=0, max_value=10**70), st.just(10**400)),
+       k=st.integers(min_value=8, max_value=3000))
+@settings(max_examples=300, deadline=None)
+def test_lam0_floor_is_the_exact_bracket(n, k):
+    def scaled_f(x):  # 2^(3k) f(x / 2^k), written out independently of the kernel
+        return x**3 - (n - 1) * x * x * 2**k - (n + 2) * x * 4**k - 8**k
+
+    x = roots._lam0_floor(n, k)
+    assert scaled_f(x) <= 0 < scaled_f(x + 1)
+    assert n << k <= x < (n + 2) << k
+
+
+def test_certificate_is_relative():
+    # lam1 ~ -1/n: an absolute +-2^-152 window would contain 0 and accept this value
+    n = 10**64
+    rs = compute_roots(n, 160)
+    roots._certify(n, rs.lambda1, 152)
+    with workprec(256):
+        off = rs.lambda1 * (1 + mpf(2) ** -140)
+    with pytest.raises(PrecisionExhausted):
+        roots._certify(n, off, 152)
+
+
+def test_huge_n_certifies():
+    n = 10**400
+    rs = compute_roots(n, 192)
+    with workprec(1600):
+        # lam0 = n + 2/n + ..., so to 192 bits the three roots are n, -1/n and -1
+        eps = mpf(2) ** -190
+        assert abs(rs.lambda0 / n - 1) < eps
+        assert abs(rs.lambda1 * n + 1) < eps
+        assert abs(rs.lambda2 + 1) < eps
+
+
+@pytest.mark.parametrize("n", [0, 1, 10**6, 10**64])
+def test_alpha_triple_exact_self_checks(n):
+    # each identity to relative 2^-(precision_bits-16), relative to the size of
+    # its terms, which is what an error of 2^-precision_bits per conjugate allows
+    bits = 160
+    for s, t in st_box(3):
+        tri = compute_alphas(n, s, t, bits)
+        form = build_form(n, s, t)
+        a1, a2, a3 = tri.alphas
+        with workprec(tri.roots.precision_bits):
+            eps = mpf(2) ** (16 - bits)
+            assert abs(a1 + a2 + a3 + form.A) <= eps * (abs(a1) + abs(a2) + abs(a3))
+            assert abs(1 / a1 + 1 / a2 + 1 / a3 - form.B) <= \
+                eps * (1 / abs(a1) + 1 / abs(a2) + 1 / abs(a3))
+            assert abs(a1 * a2 * a3 - 1) <= eps
+            disc = ((a1 - a2) * (a1 - a3) * (a2 - a3)) ** 2
+            scale = ((abs(a1) + abs(a2)) * (abs(a1) + abs(a3)) * (abs(a2) + abs(a3))) ** 2
+            assert abs(disc - discriminant(form)) <= eps * scale
 
 
 def test_alphas_carry_their_root_set():
