@@ -280,7 +280,8 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
         raise DegenerateTwist("proof quantities need s*t != 0")
     d12, d13, tri = _signed_diffs(n, s, t, precision_bits)
     with workprec(tri.roots.precision_bits):
-        l12, l13 = mp.log(abs(d12)), mp.log(abs(d13))
+        a12, a13 = abs(d12), abs(d13)
+        l12, l13 = mp.log(a12), mp.log(a13)
     # the logs of the roots the differences were taken from, so one root set serves both
     la0, la1, la2 = tri.roots.log_abs_lambda
     with workprec(tri.precision_bits):
@@ -299,7 +300,7 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
         n, s, t, precision_bits,
         u1, u2, v1, v2, w1, w2,
         u_bar, v_bar, w_bar, b0, reg,
-        l12, l13, abs(d12), abs(d13),
+        l12, l13, a12, a13,
     )
 
 

@@ -110,10 +110,15 @@ def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 1
     return _bound_report(build_form(n, s, t), b_abs, precision_bits)
 
 
-def _bound_report(form, b_abs: int, precision_bits: int) -> BoundReport:
-    """bound_report for a form that is already built."""
+def _bound_report(form, b_abs: int, precision_bits: int, upper=None) -> BoundReport:
+    """bound_report for a form that is already built.
+
+    upper, if given, is _upper_bound(form, b_abs, precision_bits), computed
+    once for all the parameter pairs that share the form.
+    """
     n, s, t = form.n, form.s, form.t
-    upper = _upper_bound(form, b_abs, precision_bits)
+    if upper is None:
+        upper = _upper_bound(form, b_abs, precision_bits)
     lower = None
     failure = ""
     crossover = False

@@ -8,9 +8,17 @@ Subcommands
     scan                  solver + bounds over an (n, s, t) grid, CSV-friendly
 
 Grids are written start:stop[:step] where step is an integer stride or the
-word log10 (multiply by 10 each step).  Formats: human (default), json, csv.
+word log10 (multiply by 10 each step).  A grid of more than MAX_GRID_POINTS
+points, or a scan of more than MAX_GRID_POINTS cells, is refused before any
+work starts.  Formats: human (default), json, csv.
 Exit codes: 0 ok, 1 a verification check failed, 2 usage error, 3 precision
 exhausted.  Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS.
+
+The scan works one n at a time, and --jobs hands whole n values to the
+workers, so each worker computes the roots of its n once.  Within an n, the
+cells (s, t) and phi(s, t) = (-s + t, -s) have the same form, so each distinct
+form (A, B) is solved once and its upper bound computed once; the
+lower-bound chain depends on the order of the conjugates and runs per cell.
 
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count.
@@ -47,6 +55,9 @@ SOLUTION_COLUMNS = ["n", "s", "t", "x", "y", "value", "type", "trivial"]
 SCAN_COLUMNS = ["n", "s", "t", "A", "B", "solutions", "nontrivial", "upper",
                 "lower", "margin", "chain_failure", "crossover", "precision_bits"]
 
+# most points a grid, and most (n, s, t) cells a scan, may have
+MAX_GRID_POINTS = 10**6
+
 
 def _env_int(name, fallback):
     try:
@@ -79,6 +90,9 @@ def parse_grid(spec: str):
     step = int(rule)
     if step < 1:
         raise ValueError(f"bad grid step in {spec!r}")
+    points = -(-(hi - lo) // step) + 1  # the stride points, and hi if off the stride
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} has {points} points, more than {MAX_GRID_POINTS}")
     vals = list(range(lo, hi + 1, step))
     if vals[-1] != hi:
         vals.append(hi)
@@ -215,33 +229,51 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _scan_cell(cell):
-    n, s, t, y_bound, precision_bits = cell
-    form = build_form(n, s, t)
-    records = solver._solve_form(form, y_bound, max(160, precision_bits))
-    nontrivial = sum(1 for r in records if not r.trivial)
-    rep = bounds._bound_report(form, 1, precision_bits)
-    margin = (rep.lower_chain / rep.B_rhs) if rep.lower_chain else None
-    return {"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
-            "solutions": len(records), "nontrivial": nontrivial,
-            "upper": rep.B_rhs, "lower": rep.lower_chain, "margin": margin,
-            "chain_failure": rep.chain_failure, "crossover": rep.crossover,
-            "precision_bits": precision_bits}
+def _scan_n(job):
+    """The scan rows of one n, in the order of pairs.
+
+    Cells with the same form (A, B) share one solution map and one upper
+    bound.  (s, t) -> (-s, -t) is not used: it swaps x and y, so it does not
+    keep the box |y| <= y_bound.
+    """
+    n, pairs, y_bound, precision_bits = job
+    shared = {}
+    rows = []
+    for s, t in pairs:
+        form = build_form(n, s, t)
+        key = (form.A, form.B)
+        if key not in shared:
+            found, _ = solver._solve_form(form, y_bound, max(160, precision_bits))
+            shared[key] = (len(found), sum(1 for _, y in found if abs(y) > 1),
+                           bounds._upper_bound(form, 1, precision_bits))
+        solutions, nontrivial, upper = shared[key]
+        rep = bounds._bound_report(form, 1, precision_bits, upper)
+        margin = (rep.lower_chain / rep.B_rhs) if rep.lower_chain else None
+        rows.append({"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
+                     "solutions": solutions, "nontrivial": nontrivial,
+                     "upper": rep.B_rhs, "lower": rep.lower_chain, "margin": margin,
+                     "chain_failure": rep.chain_failure, "crossover": rep.crossover,
+                     "precision_bits": precision_bits})
+    return rows
 
 
 def cmd_scan(args) -> int:
     n_grid = parse_grid(args.n_grid)
-    pairs = asymptotics.st_box(args.smax)
-    cells = [(n, s, t, args.ybound, args.precision_bits)
-             for n in n_grid for (s, t) in pairs]
+    cells = len(n_grid) * 4 * max(args.smax, 0) ** 2  # |st_box(smax)| = 4 smax^2
+    if cells > MAX_GRID_POINTS:
+        raise ValueError(f"scan has {cells} cells ({len(n_grid)} n values, smax {args.smax}), "
+                         f"more than {MAX_GRID_POINTS}")
     if not cells:
         raise EmptyGrid("scan grid is empty")
+    pairs = asymptotics.st_box(args.smax)
+    jobs = [(n, pairs, args.ybound, args.precision_bits) for n in n_grid]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scan_cell, cells, chunksize=8))
+            per_n = list(pool.map(_scan_n, jobs))
     else:
-        rows = [_scan_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r["n"], r["s"], r["t"]))
+        per_n = [_scan_n(job) for job in jobs]
+    # n_grid and st_box are both ascending, so the rows come out in (n, s, t) order
+    rows = [r for rows_n in per_n for r in rows_n]
 
     if args.format == "json":
         _emit(args, _json_dump({"config": {"n_grid": n_grid, "smax": args.smax,

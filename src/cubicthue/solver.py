@@ -171,11 +171,15 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = 160):
     precision doubling.
     """
     _validate_st(s, t)
-    return _solve_form(build_form(n, s, t), y_bound, precision_bits)
+    found, tri = _solve_form(build_form(n, s, t), y_bound, precision_bits)
+    records = [_make_record(n, s, t, x, y, v, tri) for (x, y), v in found.items()]
+    records.sort(key=lambda r: (abs(r.y), r.y, r.x))
+    return records
 
 
 def _solve_form(form, y_bound: int, precision_bits: int):
-    """solve_box for a form that is already built from a valid (s, t)."""
+    """The exact solution map {(x, y): f(x, y)} with |y| <= y_bound, for a form
+    already built from a valid (s, t), and the AlphaTriple that certified it."""
     if y_bound < 1:
         raise ValueError("y_bound must be >= 1")
     n, s, t = form.n, form.s, form.t
@@ -198,10 +202,7 @@ def _solve_form(form, y_bound: int, precision_bits: int):
         if v == 1 or v == -1:
             found[(x, y)] = v
             found[(-x, -y)] = -v
-
-    records = [_make_record(n, s, t, x, y, v, tri) for (x, y), v in found.items()]
-    records.sort(key=lambda r: (abs(r.y), r.y, r.x))
-    return records
+    return found, tri
 
 
 def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord, precision_bits: int = 192):

@@ -7,6 +7,7 @@ from mpmath import mp, mpf, workprec
 
 from cubicthue.asymptotics import (
     Branch,
+    _signed_diffs,
     check_error_products,
     classify_case,
     compute_proof_quantities,
@@ -177,6 +178,15 @@ def test_proof_quantities_definitions():
         assert abs(q.w_bar + q.w1 + q.w2) < mpf(2) ** -150 * abs(q.w_bar)
         assert abs(q.v_bar - (q.b0 * q.regulator - q.v1 - q.v2)) < mpf(2) ** -100
         assert 0 < q.v_bar < q.regulator
+
+
+def test_proof_quantities_keep_the_precision_of_the_differences():
+    # |d12| and |d13| feed the w_bar absorption test, so they must not round to 53 bits
+    d12, d13, tri = _signed_diffs(10**4, 2, 1, 192)
+    q = compute_proof_quantities(10**4, 2, 1)
+    for d, a in ((d12, q.diff12_abs), (d13, q.diff13_abs)):
+        assert a._mpf_[0] == 0 and a._mpf_[1:] == d._mpf_[1:]
+        assert a._mpf_[3] > tri.precision_bits - 8 > 53
 
 
 def test_cold_proof_quantities_compute_one_root_set():

@@ -1,10 +1,11 @@
 """CLI behaviour: formats, exit codes, grids, determinism."""
 
+import io
 import json
 
 import pytest
 
-from cubicthue.cli import main, parse_grid
+from cubicthue.cli import MAX_GRID_POINTS, main, parse_grid
 
 
 def run(capsys, argv):
@@ -86,15 +87,17 @@ def test_bound_human(capsys):
 
 
 def test_scan_deterministic_across_jobs(capsys, tmp_path):
-    args = ["--format", "csv", "scan", "--n", "50:52", "--smax", "1",
-            "--ybound", "200"]
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["--output", str(p1), "--jobs", "1"] + args[0:2] + args[2:]) == 0
-    assert main(["--output", str(p2), "--jobs", "2"] + args[0:2] + args[2:]) == 0
-    capsys.readouterr()
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header.startswith("n,s,t,A,B,solutions,nontrivial")
+    # st_box(3) holds phi-orbits, whose cells share one solve; st_box(1) holds none
+    for grid, smax in (("50:52", 1), ("50:55", 3)):
+        args = ["--format", "csv", "scan", "--n", grid, "--smax", str(smax), "--ybound", "200"]
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["--output", str(p1), "--jobs", "1"] + args) == 0
+        assert main(["--output", str(p2), "--jobs", "2"] + args) == 0
+        capsys.readouterr()
+        assert p1.read_bytes() == p2.read_bytes()
+        lines = p1.read_text().splitlines()
+        assert lines[0].startswith("n,s,t,A,B,solutions,nontrivial")
+        assert len(lines) == 1 + len(parse_grid(grid)) * 4 * smax * smax
 
 
 def test_scan_rerun_byte_identical(capsys, tmp_path):
@@ -163,6 +166,79 @@ def test_scan_builds_one_form_per_cell(capsys, monkeypatch):
                               "--ybound", "100"])
     assert code == 0
     assert len(calls) == 8 == len(set(calls))
+
+
+def test_scan_rows_equal_cell_by_cell_public_calls(capsys):
+    # a phi-orbit shares its solution map and upper bound; that must change no byte
+    from cubicthue import bounds, cli, solver
+    from cubicthue.asymptotics import st_box
+    from cubicthue.forms import build_form
+
+    code, out, _ = run(capsys, ["--format", "csv", "scan", "--n", "50:53", "--smax", "3",
+                                "--ybound", "2000"])
+    assert code == 0
+    rows = []
+    for n in range(50, 54):
+        for s, t in st_box(3):
+            form = build_form(n, s, t)
+            records = solver.solve_box(n, s, t, 2000, precision_bits=192)
+            rep = bounds.bound_report(n, s, t)
+            rows.append({"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
+                         "solutions": len(records),
+                         "nontrivial": sum(1 for r in records if abs(r.y) > 1),
+                         "upper": rep.B_rhs, "lower": rep.lower_chain,
+                         "margin": rep.lower_chain / rep.B_rhs if rep.lower_chain else None,
+                         "chain_failure": rep.chain_failure, "crossover": rep.crossover,
+                         "precision_bits": 192})
+    buf = io.StringIO()
+    cli._write_csv(buf, cli.SCAN_COLUMNS, rows)
+    assert out == buf.getvalue()
+
+
+def test_scan_solves_and_bounds_each_distinct_form_once(capsys, monkeypatch):
+    from cubicthue import bounds, solver
+
+    calls = {"solve": 0, "upper": 0}
+    real_solve, real_upper = solver._solve_form, bounds._upper_bound
+
+    def solve(*args):
+        calls["solve"] += 1
+        return real_solve(*args)
+
+    def upper(*args):
+        calls["upper"] += 1
+        return real_upper(*args)
+
+    def no_records(*args):
+        raise AssertionError("the scan built a solution record")
+
+    monkeypatch.setattr(solver, "_solve_form", solve)
+    monkeypatch.setattr(bounds, "_upper_bound", upper)
+    monkeypatch.setattr(solver, "_make_record", no_records)
+    monkeypatch.setattr(solver, "_betas", no_records)
+    code, out, _ = run(capsys, ["--format", "csv", "scan", "--n", "100", "--smax", "3",
+                                "--ybound", "1000"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 36
+    assert len({(r[3], r[4]) for r in rows}) == 24
+    assert calls == {"solve": 24, "upper": 24}
+
+
+def test_grid_size_is_bounded_before_any_work(capsys):
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    for spec in (f"0:{MAX_GRID_POINTS}", f"0:{2 * MAX_GRID_POINTS - 1}:2"):
+        with pytest.raises(ValueError, match="points"):
+            parse_grid(spec)
+    code, _, err = run(capsys, ["scan", "--n", "0:1000000000000"])
+    assert code == 2
+    assert "1000000000001 points" in err
+    code, _, err = run(capsys, ["scan", "--n", "100", "--smax", "100000"])
+    assert code == 2
+    assert "40000000000 cells" in err
+    code, _, err = run(capsys, ["scan", "--n", f"1:{MAX_GRID_POINTS // 4 + 1}", "--smax", "1"])
+    assert code == 2
+    assert "cells" in err
 
 
 def test_env_override_precision(capsys, monkeypatch):
