@@ -38,25 +38,54 @@ def c3_constant(degree: int, rank: int) -> int:
     return 3 ** (rank + 27) * (rank + 1) ** (7 * rank + 19) * degree ** (2 * degree + 6 * rank + 14)
 
 
-def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
-    """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf."""
-    return _upper_bound(build_form(n, s, t), b_abs, precision_bits)
+@dataclass(frozen=True)
+class _NConstants:
+    """The parts of the upper bound and of the lower-bound chain that depend on n
+    (and b_abs) alone, at precision_bits + 16 bits.
+
+    upper_factor is c3 * R * max(log R, 1), log_b is log max(b_abs, e) and
+    absorb_rhs is (3/4) log(n) / n (None at n = 0, where it is undefined).
+    Built once per n, they are bit-identical to the values each call of the
+    public functions computes for itself.
+    """
+
+    precision_bits: int
+    regulator: object
+    upper_factor: object
+    log_b: object
+    absorb_rhs: object
 
 
-def _upper_bound(form, b_abs: int, precision_bits: int):
-    """bg_upper_bound for a form that is already built."""
+def _n_constants(n: int, b_abs: int, precision_bits: int) -> _NConstants:
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
+    reg = compute_roots(n, precision_bits).regulator
+    with workprec(precision_bits + 16):
+        log_b = mp.log(max(mpf(b_abs), mp.e))
+        factor = c3_constant(3, 2) * reg * max(mp.log(reg), mpf(1))
+    return _NConstants(precision_bits, reg, factor, log_b, _absorb_rhs(n, precision_bits + 16))
+
+
+def _absorb_rhs(n: int, wp: int):
+    """(3/4) log(n) / n at wp bits; None at n = 0."""
+    if n == 0:
+        return None
+    with workprec(wp):
+        return mpf(3) / 4 * mp.log(n) / n
+
+
+def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
+    """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf."""
+    return _upper_bound(build_form(n, s, t), _n_constants(n, b_abs, precision_bits))
+
+
+def _upper_bound(form, const: _NConstants):
+    """bg_upper_bound for a form that is already built, from the constants of its n."""
     if is_reducible(form):
         raise ReducibleForm(f"form for (n,s,t)=({form.n},{form.s},{form.t}) has a rational root")
-    h = height(form)  # already floored at 3
-    rs = compute_roots(form.n, precision_bits)
-    c3 = c3_constant(3, 2)
-    with workprec(precision_bits + 16):
-        reg = rs.regulator
-        b = max(mpf(b_abs), mp.e)
-        log_hb = mp.log(h) + mp.log(b)
-        return c3 * reg * max(mp.log(reg), mpf(1)) * (reg + log_hb)
+    with workprec(const.precision_bits + 16):
+        # height is already floored at 3
+        return const.upper_factor * (const.regulator + (mp.log(height(form)) + const.log_b))
 
 
 def lower_bound_chain(n: int, s: int, t: int, quantities=None, precision_bits: int = 192):
@@ -68,17 +97,23 @@ def lower_bound_chain(n: int, s: int, t: int, quantities=None, precision_bits: i
     """
     q = quantities or compute_proof_quantities(n, s, t, precision_bits)
     wp = max(precision_bits + 16, q.precision_bits)
+    return _chain(n, q, _absorb_rhs(n, wp), wp)
+
+
+def _chain(n: int, q, absorb_rhs, wp: int):
+    """lower_bound_chain for the quantities q, given (3/4) log(n) / n at wp bits."""
     with workprec(wp):
-        ln = mp.log(n)
         if q.u_bar <= 0:
             raise ChainPreconditionFailed("u_bar > 0", f"u_bar = {float(q.u_bar):.3g}")
         if not (0 < q.v_bar < q.regulator):
             raise ChainPreconditionFailed("0 < v_bar < R", f"v_bar = {float(q.v_bar):.3g}")
+        if absorb_rhs is None:
+            raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
         absorb_lhs = abs(q.w_bar) / (2 * q.diff12_abs * q.diff13_abs)
-        absorb_rhs = mpf(3) / 4 * ln / n
         if absorb_lhs > absorb_rhs:
             raise ChainPreconditionFailed(
-                "w_bar absorption", f"lhs/rhs = {float(absorb_lhs / absorb_rhs):.3g}")
+                "w_bar absorption",
+                f"lhs = {float(absorb_lhs):.3g}, rhs = {float(absorb_rhs):.3g}")
         value = (q.regulator - q.v_bar - absorb_rhs) * n / 3
         if value <= 0:
             raise ChainPreconditionFailed(
@@ -107,29 +142,31 @@ class BoundReport:
 
 
 def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192) -> BoundReport:
-    return _bound_report(build_form(n, s, t), b_abs, precision_bits)
+    return _bound_report(build_form(n, s, t), _n_constants(n, b_abs, precision_bits))
 
 
-def _bound_report(form, b_abs: int, precision_bits: int, upper=None) -> BoundReport:
-    """bound_report for a form that is already built.
+def _bound_report(form, const: _NConstants, upper=None) -> BoundReport:
+    """bound_report for a form that is already built, from the constants of its n.
 
-    upper, if given, is _upper_bound(form, b_abs, precision_bits), computed
-    once for all the parameter pairs that share the form.
+    upper, if given, is _upper_bound(form, const), computed once for all the
+    parameter pairs that share the form.
     """
     n, s, t = form.n, form.s, form.t
     if upper is None:
-        upper = _upper_bound(form, b_abs, precision_bits)
+        upper = _upper_bound(form, const)
     lower = None
     failure = ""
     crossover = False
     try:
-        lower_mpf = lower_bound_chain(n, s, t, precision_bits=precision_bits)
+        # compute_proof_quantities keeps precision_bits, so the chain runs at the constants' bits
+        q = compute_proof_quantities(n, s, t, const.precision_bits)
+        lower_mpf = _chain(n, q, const.absorb_rhs, const.precision_bits + 16)
         lower = float(lower_mpf)
         crossover = bool(lower_mpf > upper)
     except ChainPreconditionFailed as exc:
         failure = exc.inequality
     return BoundReport(n, s, t, c3_constant(3, 2), height(form), float(upper),
-                       lower, crossover, failure, precision_bits)
+                       lower, crossover, failure, const.precision_bits)
 
 
 @dataclass(frozen=True)
@@ -173,8 +210,9 @@ def n0_scan(epsilon: float, n_grid, st_policy=None, precision_bits: int = 192) -
     rows = []
     by_pair = {}
     for n in n_grid:
+        const = _n_constants(n, 1, precision_bits)
         for (s, t) in st_policy.pairs(n, epsilon):
-            rep = bound_report(n, s, t, b_abs=1, precision_bits=precision_bits)
+            rep = _bound_report(build_form(n, s, t), const)
             margin = (rep.lower_chain / rep.B_rhs) if rep.lower_chain else None
             rows.append({"n": n, "s": s, "t": t, "upper": rep.B_rhs,
                          "lower": rep.lower_chain, "margin": margin,

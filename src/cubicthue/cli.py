@@ -8,9 +8,11 @@ Subcommands
     scan                  solver + bounds over an (n, s, t) grid, CSV-friendly
 
 Grids are written start:stop[:step] where step is an integer stride or the
-word log10 (multiply by 10 each step).  A grid of more than MAX_GRID_POINTS
-points, or a scan of more than MAX_GRID_POINTS cells, is refused before any
-work starts.  Formats: human (default), json, csv.
+word log10 (multiply by 10 each step).  Inputs whose work has no bound are
+refused with exit code 2 before any work starts: a grid value of more than
+MAX_VALUE_DIGITS digits, a grid of more than MAX_GRID_POINTS points, a scan or
+a lemma box of more than MAX_GRID_POINTS (n, s, t) cells, and a precision
+above MAX_PRECISION_BITS.  Formats: human (default), json, csv.
 Exit codes: 0 ok, 1 a verification check failed, 2 usage error, 3 precision
 exhausted.  Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS.
 
@@ -33,7 +35,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from . import asymptotics, bounds, solver
 from .errors import DegenerateTwist, EmptyGrid, PrecisionExhausted
@@ -55,8 +57,12 @@ SOLUTION_COLUMNS = ["n", "s", "t", "x", "y", "value", "type", "trivial"]
 SCAN_COLUMNS = ["n", "s", "t", "A", "B", "solutions", "nontrivial", "upper",
                 "lower", "margin", "chain_failure", "crossover", "precision_bits"]
 
-# most points a grid, and most (n, s, t) cells a scan, may have
+# most points a grid, and most (n, s, t) cells a scan or a lemma box, may have
 MAX_GRID_POINTS = 10**6
+# most digits of a grid value: the limit Python applies to int() of a string,
+# so to the positional N arguments
+MAX_VALUE_DIGITS = 4300
+MAX_PRECISION_BITS = 2**16
 
 
 def _env_int(name, fallback):
@@ -66,14 +72,28 @@ def _env_int(name, fallback):
         return fallback
 
 
+def _grid_value(text: str) -> int:
+    """int(Decimal(text)); ValueError, before any conversion to int, unless text is
+    a finite number of at most MAX_VALUE_DIGITS digits."""
+    shown = repr(text) if len(text) <= 40 else repr(text[:20]) + "..."
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"bad grid value {shown}") from None
+    if not d.is_finite() or d.adjusted() >= MAX_VALUE_DIGITS:
+        raise ValueError(f"grid value {shown} is not finite or has more than "
+                         f"{MAX_VALUE_DIGITS} digits")
+    return int(d)
+
+
 def parse_grid(spec: str):
     """start:stop[:step] with integer stride or log10; a single value is allowed."""
     parts = spec.split(":")
     if len(parts) == 1:
-        return [int(Decimal(parts[0]))]
+        return [_grid_value(parts[0])]
     if len(parts) not in (2, 3):
         raise ValueError(f"bad grid {spec!r}")
-    lo, hi = int(Decimal(parts[0])), int(Decimal(parts[1]))
+    lo, hi = _grid_value(parts[0]), _grid_value(parts[1])
     if lo > hi:
         raise ValueError(f"bad grid {spec!r}: start > stop")
     rule = parts[2] if len(parts) == 3 else "1"
@@ -97,6 +117,16 @@ def parse_grid(spec: str):
     if vals[-1] != hi:
         vals.append(hi)
     return vals
+
+
+def _check_cells(what: str, n_points: int, smax: int) -> int:
+    """The (n, s, t) cells of n_points n values times st_box(smax), which has
+    4 smax^2 pairs; ValueError if more than MAX_GRID_POINTS."""
+    cells = n_points * 4 * max(smax, 0) ** 2
+    if cells > MAX_GRID_POINTS:
+        raise ValueError(f"{what} has {cells} cells ({n_points} n values, smax {smax}), "
+                         f"more than {MAX_GRID_POINTS}")
+    return cells
 
 
 def _fmt(v):
@@ -178,6 +208,10 @@ def cmd_lemma(args) -> int:
     kwargs = {"precision_bits": args.precision_bits}
     if args.n_grid:
         kwargs["n_grid"] = parse_grid(args.n_grid)
+    if args.smax and args.name in ("logdiff", "errorbound", "vbar", "wbar"):
+        # a runner's own default grid has a handful of points; it counts as one
+        n_points = len(kwargs["n_grid"]) if "n_grid" in kwargs else 1
+        _check_cells("lemma box", n_points, args.smax)
     if args.name == "logdiff":
         kwargs["epsilon"] = args.epsilon
         if args.smax:
@@ -232,11 +266,13 @@ def cmd_bound(args) -> int:
 def _scan_n(job):
     """The scan rows of one n, in the order of pairs.
 
+    The constants of the two bounds that depend on n alone are computed once.
     Cells with the same form (A, B) share one solution map and one upper
     bound.  (s, t) -> (-s, -t) is not used: it swaps x and y, so it does not
     keep the box |y| <= y_bound.
     """
     n, pairs, y_bound, precision_bits = job
+    const = bounds._n_constants(n, 1, precision_bits)
     shared = {}
     rows = []
     for s, t in pairs:
@@ -245,9 +281,9 @@ def _scan_n(job):
         if key not in shared:
             found, _ = solver._solve_form(form, y_bound, max(160, precision_bits))
             shared[key] = (len(found), sum(1 for _, y in found if abs(y) > 1),
-                           bounds._upper_bound(form, 1, precision_bits))
+                           bounds._upper_bound(form, const))
         solutions, nontrivial, upper = shared[key]
-        rep = bounds._bound_report(form, 1, precision_bits, upper)
+        rep = bounds._bound_report(form, const, upper)
         margin = (rep.lower_chain / rep.B_rhs) if rep.lower_chain else None
         rows.append({"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
                      "solutions": solutions, "nontrivial": nontrivial,
@@ -259,11 +295,7 @@ def _scan_n(job):
 
 def cmd_scan(args) -> int:
     n_grid = parse_grid(args.n_grid)
-    cells = len(n_grid) * 4 * max(args.smax, 0) ** 2  # |st_box(smax)| = 4 smax^2
-    if cells > MAX_GRID_POINTS:
-        raise ValueError(f"scan has {cells} cells ({len(n_grid)} n values, smax {args.smax}), "
-                         f"more than {MAX_GRID_POINTS}")
-    if not cells:
+    if not _check_cells("scan", len(n_grid), args.smax):
         raise EmptyGrid("scan grid is empty")
     pairs = asymptotics.st_box(args.smax)
     jobs = [(n, pairs, args.ybound, args.precision_bits) for n in n_grid]
@@ -354,8 +386,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 0 < args.epsilon < 0.5:
         parser.exit(2, "epsilon must lie in (0, 1/2)\n")
-    if args.precision_bits < 64:
-        parser.exit(2, "precision-bits must be >= 64\n")
+    if not 64 <= args.precision_bits <= MAX_PRECISION_BITS:
+        parser.exit(2, f"precision-bits must lie in [64, {MAX_PRECISION_BITS}]\n")
     if args.jobs < 1:
         parser.exit(2, "jobs must be >= 1\n")
     try:

@@ -9,25 +9,32 @@ its smallest factor.  For i != j the triangle inequality gives
 
     |x - alpha_j y| <= 4 / (G_j y^2),    G_j = prod_{i != j} |alpha_j - alpha_i|.
 
-Candidate generation is complete by the following argument.
+Candidate generation is complete by the following argument.  It runs in
+integers only.
 
-* Brackets.  Each alpha_j is replaced by a rational bracket lo < alpha_j < hi
-  taken from its numeric value.  A bracket is accepted only if g changes sign
-  across it, by exact integer evaluation of f at its endpoints, and the three
-  brackets are pairwise disjoint; g has three roots, so each bracket then
-  holds exactly one.  The distances between the brackets give a rational
-  lower bound G on G_j.
-* Large y.  For y > 8 / G the bound above gives |alpha_j - x/y| < 1/(2 y^2).
-  A common divisor d of x and y has d^3 | f(x, y) = +-1, so x/y is in lowest
-  terms, and by Legendre's theorem it is a convergent of alpha_j.  The
-  partial quotients shared by every real number in (lo, hi), the common
-  prefix of the continued fractions of lo and hi, are those of alpha_j.
+* Brackets.  Each alpha_j is replaced by the bracket from (m_j - 2) / 2^k_j
+  to (m_j + 2) / 2^k_j, where m_j / 2^k_j is its numeric value, and the
+  three are put over the largest denominator, D = 2^k, as integer numerators
+  lo_j < hi_j.  A bracket is accepted only if f(lo_j, D) and f(hi_j, D)
+  differ in sign; f is homogeneous of degree 3 and D > 0, so these are the
+  signs of g at lo_j / D and hi_j / D.  The three brackets must also be
+  pairwise disjoint; g has three roots, so each bracket then holds exactly
+  one.  The distances between the brackets give an integer g_j with
+  G_j >= g_j / D^2.
+* Large y.  For y > 8 / G_j the bound above gives |alpha_j - x/y| < 1/(2 y^2),
+  and y g_j > 8 D^2 ensures y > 8 / G_j.  A common divisor d of x and y has
+  d^3 | f(x, y) = +-1, so x/y is in lowest terms, and by Legendre's theorem
+  it is a convergent of alpha_j.  The partial quotients shared by every real
+  number in (lo_j / D, hi_j / D), the common prefix of the continued
+  fractions of the two ends, are those of alpha_j; the continued fraction
+  walk runs on the integers lo_j, hi_j and D.
   Where the prefix stops, the next partial quotient is still at least the
   floor of the lower end; if that does not carry the next denominator past
   y_bound, the precision is doubled and the brackets are rebuilt, and after
   the last attempt PrecisionExhausted is raised.
-* Small y.  For 1 <= y <= 8 / G every integer x in [lo y - r, hi y + r] with
-  r = 4 / (G y^2) is tried.
+* Small y.  For 1 <= y <= 8 D^2 / g_j, which covers every y <= 8 / G_j, every
+  integer x in [lo_j y / D - r, hi_j y / D + r] with r = 4 D^2 / (g_j y^2) >=
+  4 / (G_j y^2) is tried; the ends are exact integer floors and ceilings.
 
 This is the reduction step of Tzanakis and de Weger, "On the practical
 solution of the Thue equation", J. Number Theory 31 (1989).  Membership in
@@ -38,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from mpmath import mp, workprec
@@ -102,32 +108,38 @@ def _make_record(n, s, t, x, y, value, alphas) -> SolutionRecord:
 
 
 def _brackets(form, tri: AlphaTriple):
-    """Certified disjoint brackets (lo, hi), one around each root of g; None if not certified."""
-    out = []
+    """Certified disjoint brackets around the roots of g, over one denominator.
+
+    Returns ([(lo_j, hi_j) for j = 1, 2, 3], den) with den = 2^k and
+    lo_j / den < alpha_j < hi_j / den, or None if they are not certified.
+    """
+    scaled = []
     for a in tri.alphas:
-        # a has relative error below 2^-precision_bits, far inside the +-2^(1-k) bracket
-        k = max(0, tri.precision_bits - 4 - int(mp.mag(a)))
-        m = int(mp.ldexp(a, k))
-        out.append((Fraction(m - 2, 1 << k), Fraction(m + 2, 1 << k)))
+        # a has relative error below 2^-precision_bits, far inside the +-2^(1-k_j) bracket
+        k_j = max(0, tri.precision_bits - 4 - int(mp.mag(a)))
+        scaled.append((int(mp.ldexp(a, k_j)), k_j))
+    k = max(k_j for _, k_j in scaled)
+    out = [((m - 2) << (k - k_j), (m + 2) << (k - k_j)) for m, k_j in scaled]
+    den = 1 << k
     for lo, hi in out:
-        if eval_form(form, lo.numerator, lo.denominator) * \
-                eval_form(form, hi.numerator, hi.denominator) >= 0:
+        # f is homogeneous of degree 3 and den > 0: f(lo, den) has the sign of g(lo / den)
+        if eval_form(form, lo, den) * eval_form(form, hi, den) >= 0:
             return None
     ordered = sorted(out)
     if any(ordered[i][1] >= ordered[i + 1][0] for i in range(2)):
         return None
-    return out
+    return out, den
 
 
-def _convergents(lo: Fraction, hi: Fraction, q_max: int):
-    """Convergents (p, q) with q <= q_max of every real number in (lo, hi).
+def _convergents(lo: int, hi: int, den: int, q_max: int):
+    """Convergents (p, q) with q <= q_max of every real number in (lo/den, hi/den), den > 0.
 
     None if the bracket is too wide to decide them all.
     """
     out = []
     p, q, p_prev, q_prev = 1, 0, 0, 1
     # the complete quotient lies in (a/b, c/d); d == 0 stands for an infinite c/d
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    a, b, c, d = lo, den, hi, den
     while True:
         m = a // b
         if d == 0 or c // d != m:
@@ -142,22 +154,27 @@ def _convergents(lo: Fraction, hi: Fraction, q_max: int):
 
 def _candidates(form, tri: AlphaTriple, y_bound: int):
     """Candidate pairs (x, y), y >= 1, that contain every solution; None if precision is short."""
-    brackets = _brackets(form, tri)
-    if brackets is None:
+    got = _brackets(form, tri)
+    if got is None:
         return None
+    brackets, den = got
+    limit = 8 * den * den  # q g > limit gives q G_j > 8
+    radius = 4 * den ** 3  # 4 / (G_j y^2) <= 4 den^2 / (g y^2) = radius / (den g y^2)
     out = set()
     for j, (lo, hi) in enumerate(brackets):
-        g = Fraction(1)  # lower bound on G_j from the gaps between the brackets
+        g = 1  # G_j >= g / den^2, from the gaps between the brackets
         for i, (lo_i, hi_i) in enumerate(brackets):
             if i != j:
                 g *= max(lo_i - hi, lo - hi_i)
-        convergents = _convergents(lo, hi, y_bound)
+        convergents = _convergents(lo, hi, den, y_bound)
         if convergents is None:
             return None
-        out.update((p, q) for p, q in convergents if q * g > 8)
-        for y in range(1, min(y_bound, math.floor(8 / g)) + 1):
-            r = 4 / (g * y * y)
-            out.update((x, y) for x in range(math.ceil(lo * y - r), math.floor(hi * y + r) + 1))
+        out.update((p, q) for p, q in convergents if q * g > limit)
+        for y in range(1, min(y_bound, limit // g) + 1):
+            # x in [lo y / den - r, hi y / den + r] with r = radius / (den g y^2)
+            gy3, w = g * y ** 3, den * g * y * y
+            out.update((x, y) for x in range(-((radius - lo * gy3) // w),
+                                             (hi * gy3 + radius) // w + 1))
     return out
 
 

@@ -5,11 +5,14 @@ import math
 import pytest
 from mpmath import mp, mpf, workprec
 
-from cubicthue.asymptotics import ProofQuantities, compute_proof_quantities
+from cubicthue import bounds
+from cubicthue.asymptotics import ProofQuantities, compute_proof_quantities, st_box
 from cubicthue.bounds import (
     StPolicy, bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan,
 )
 from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
+from cubicthue.forms import build_form, height
+from cubicthue.roots import compute_roots
 from cubicthue.solver import solve_box
 
 
@@ -61,6 +64,50 @@ def test_upper_bound_monotone_in_b():
 def test_upper_bound_rejects_reducible():
     with pytest.raises(ReducibleForm):
         bg_upper_bound(10, 0, 0)
+
+
+def formula_upper(n, s, t, precision_bits=192):
+    """The upper bound of the module docstring at b_abs = 1, evaluated term by term."""
+    reg = compute_roots(n, precision_bits).regulator
+    with workprec(precision_bits + 16):
+        log_hb = mp.log(height(build_form(n, s, t))) + mp.log(max(mpf(1), mp.e))
+        return c3_constant(3, 2) * reg * max(mp.log(reg), mpf(1)) * (reg + log_hb)
+
+
+def formula_chain(n, q, precision_bits=192):
+    """The chain value of the module docstring, evaluated term by term."""
+    with workprec(precision_bits + 16):
+        absorb_rhs = mpf(3) / 4 * mp.log(n) / n
+        return (q.regulator - q.v_bar - absorb_rhs) * n / 3
+
+
+@pytest.mark.parametrize("n", [60, 4999, 10**6, 10**64])
+def test_per_n_constants_give_bit_identical_bounds(n):
+    # the scan's path, constants once per n, against the public per-call functions
+    const = bounds._n_constants(n, 1, 192)
+    applicable = 0
+    for s, t in st_box(3):
+        form = build_form(n, s, t)
+        upper = bounds._upper_bound(form, const)
+        assert upper == bg_upper_bound(n, s, t) == formula_upper(n, s, t)
+        assert bounds._bound_report(form, const) == bound_report(n, s, t)
+        q = compute_proof_quantities(n, s, t, 192)
+        try:
+            public = lower_bound_chain(n, s, t)
+        except ChainPreconditionFailed as exc:
+            with pytest.raises(ChainPreconditionFailed) as per_n:
+                bounds._chain(n, q, const.absorb_rhs, 208)
+            assert per_n.value.inequality == exc.inequality
+            continue
+        applicable += 1
+        assert bounds._chain(n, q, const.absorb_rhs, 208) == public == formula_chain(n, q)
+    assert applicable > 0
+
+
+def test_chain_at_tiny_n_is_a_named_failure():
+    # (3/4) log(n)/n is undefined at n = 0 and 0 at n = 1: named failures, not ZeroDivisionError
+    assert {bound_report(0, s, t).chain_failure for s, t in st_box(2)} == {"n >= 1"}
+    assert {bound_report(1, s, t).chain_failure for s, t in st_box(2)} == {"w_bar absorption"}
 
 
 def test_chain_value_scale():

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from cubicthue.cli import MAX_GRID_POINTS, main, parse_grid
+from cubicthue.cli import (
+    MAX_GRID_POINTS, MAX_PRECISION_BITS, MAX_VALUE_DIGITS, main, parse_grid,
+)
 
 
 def run(capsys, argv):
@@ -239,6 +241,63 @@ def test_grid_size_is_bounded_before_any_work(capsys):
     code, _, err = run(capsys, ["scan", "--n", f"1:{MAX_GRID_POINTS // 4 + 1}", "--smax", "1"])
     assert code == 2
     assert "cells" in err
+
+
+def test_huge_grid_values_exit_two_before_conversion(capsys):
+    # 10^(10^9) as an int would take about 400 MB and minutes to build
+    code, _, err = run(capsys, ["scan", "--n", "1e1000000000"])
+    assert code == 2
+    assert f"more than {MAX_VALUE_DIGITS} digits" in err
+    code, _, err = run(capsys, ["lemma", "regulator", "--n", f"1:1e{MAX_VALUE_DIGITS}"])
+    assert code == 2
+    assert parse_grid("9" * MAX_VALUE_DIGITS) == [int("9" * MAX_VALUE_DIGITS)]
+    for spec in ("abc", "inf", "nan:5", "1e99999999999999999999999"):
+        code, _, err = run(capsys, ["lemma", "regulator", "--n", spec])
+        assert code == 2 and "grid value" in err
+
+
+def test_lemma_box_is_bounded_before_any_work(capsys, monkeypatch):
+    from cubicthue import asymptotics
+
+    def no_box(smax):
+        raise AssertionError("st_box was built")
+
+    monkeypatch.setattr(asymptotics, "st_box", no_box)
+    code, _, err = run(capsys, ["lemma", "vbar", "--smax", "100000"])
+    assert code == 2
+    assert "40000000000 cells" in err
+    code, _, err = run(capsys, ["lemma", "logdiff", "--n", "1:1000", "--smax", "20"])
+    assert code == 2
+    assert "1600000 cells" in err
+
+
+def test_precision_bits_upper_limit(capsys):
+    for bits in (MAX_PRECISION_BITS + 1, 10**9):
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision-bits", str(bits), "form", "5", "1", "0"])
+        assert exc.value.code == 2
+    assert f"[64, {MAX_PRECISION_BITS}]" in capsys.readouterr().err
+    assert main(["--precision-bits", str(MAX_PRECISION_BITS), "form", "5", "1", "0"]) == 0
+    for bits in ("1024", "2048"):
+        code, out, _ = run(capsys, ["--precision-bits", bits, "bound", "100", "2", "1"])
+        assert code == 0 and "crossover: no" in out
+
+
+def test_scan_computes_the_bound_constants_once_per_n(capsys, monkeypatch):
+    from cubicthue import bounds
+
+    calls = []
+    real = bounds._n_constants
+
+    def counting(n, b_abs, precision_bits):
+        calls.append(n)
+        return real(n, b_abs, precision_bits)
+
+    monkeypatch.setattr(bounds, "_n_constants", counting)
+    code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3",
+                              "--ybound", "100"])
+    assert code == 0
+    assert calls == [100, 101]
 
 
 def test_env_override_precision(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
 
 from conftest import brute_force_solutions
 from cubicthue import cli, solver
@@ -91,6 +92,12 @@ def test_oracle_equivalence_random(n, st_pair, y_bound):
     assert solution_set(solve_box(n, s, t, y_bound)) == brute_force_solutions(n, s, t, y_bound)
 
 
+def convergents(lo, hi, q_max):
+    """solver._convergents on the bracket (lo, hi) of Fractions, put over one denominator."""
+    return solver._convergents(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                               lo.denominator * hi.denominator, q_max)
+
+
 def convergents_of(x):
     """Convergents of the rational x from its Euclidean continued fraction."""
     p, q, p_prev, q_prev = 1, 0, 0, 1
@@ -108,7 +115,7 @@ def convergents_of(x):
        q_max=st.integers(1, 10**4))
 def test_convergents_are_shared_by_the_bracket(lo, width, cut, q_max):
     # whatever it returns holds for every number strictly inside the bracket
-    got = solver._convergents(lo, lo + width, q_max)
+    got = convergents(lo, lo + width, q_max)
     if got is not None:
         x = lo + cut * width
         assert got == [(p, q) for p, q in convergents_of(x) if q <= q_max]
@@ -116,14 +123,82 @@ def test_convergents_are_shared_by_the_bracket(lo, width, cut, q_max):
 
 def test_convergents_of_narrow_brackets():
     # the lower end's remainder is 0: every number above 3 but near it has next q >= 10^9
-    assert solver._convergents(Fraction(3), 3 + Fraction(1, 10**9), 1000) == [(3, 1)]
+    assert convergents(Fraction(3), 3 + Fraction(1, 10**9), 1000) == [(3, 1)]
     # sqrt(2) = [1; 2, 2, ...]: the Pell convergents
     eps = Fraction(1, 10**30)
     root2 = Fraction(math.isqrt(2 * 10**60), 10**30)
-    got = solver._convergents(root2 - eps, root2 + eps, 10**6)
+    got = convergents(root2 - eps, root2 + eps, 10**6)
     assert got[:5] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
     assert all(p * p - 2 * q * q in (1, -1) for p, q in got)
     assert got[-1][1] <= 10**6 < 2 * got[-1][1] + got[-2][1]
+
+
+# The solver's candidate generation as it was first written, in Fraction
+# arithmetic: the reference for the integer kernel, which must agree exactly.
+
+def oracle_brackets(form, tri):
+    out = []
+    for a in tri.alphas:
+        k = max(0, tri.precision_bits - 4 - int(mp.mag(a)))
+        m = int(mp.ldexp(a, k))
+        out.append((Fraction(m - 2, 1 << k), Fraction(m + 2, 1 << k)))
+    for lo, hi in out:
+        if eval_form(form, lo.numerator, lo.denominator) * \
+                eval_form(form, hi.numerator, hi.denominator) >= 0:
+            return None
+    ordered = sorted(out)
+    if any(ordered[i][1] >= ordered[i + 1][0] for i in range(2)):
+        return None
+    return out
+
+
+def oracle_convergents(lo, hi, q_max):
+    out = []
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    while True:
+        m = a // b
+        if d == 0 or c // d != m:
+            return out if m * q + q_prev > q_max else None
+        p, q, p_prev, q_prev = m * p + p_prev, m * q + q_prev, p, q
+        if q > q_max:
+            return out
+        out.append((p, q))
+        a, b, c, d = d, c - m * d, b, a - m * b
+
+
+def oracle_candidates(form, tri, y_bound):
+    brackets = oracle_brackets(form, tri)
+    if brackets is None:
+        return None
+    out = set()
+    for j, (lo, hi) in enumerate(brackets):
+        g = Fraction(1)
+        for i, (lo_i, hi_i) in enumerate(brackets):
+            if i != j:
+                g *= max(lo_i - hi, lo - hi_i)
+        convergents = oracle_convergents(lo, hi, y_bound)
+        if convergents is None:
+            return None
+        out.update((p, q) for p, q in convergents if q * g > 8)
+        for y in range(1, min(y_bound, math.floor(8 / g)) + 1):
+            r = 4 / (g * y * y)
+            out.update((x, y) for x in range(math.ceil(lo * y - r), math.floor(hi * y + r) + 1))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.one_of(st.integers(0, 30), st.integers(0, 10**6), st.just(10**64)),
+       st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+       y_bound=st.one_of(st.integers(1, 300), st.integers(1, 10**60)),
+       extra_bits=st.integers(-48, 64))
+def test_candidates_match_the_fraction_oracle(n, st_pair, y_bound, extra_bits):
+    # around the solver's first precision, so that both outcomes, a set and None, occur
+    s, t = st_pair
+    bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + extra_bits
+    tri = compute_alphas(n, s, t, max(64, int(bits)))
+    form = build_form(n, s, t)
+    assert solver._candidates(form, tri, y_bound) == oracle_candidates(form, tri, y_bound)
 
 
 def test_candidates_grow_with_log_y_bound(monkeypatch):
