@@ -357,6 +357,29 @@ class LemmaResult:
     notes: str = ""
 
 
+def _require_least_n(name: str, n_grid, least: int):
+    """ValueError unless every n of the grid is at least `least`, the smallest n at
+    which the harness's formulas neither divide by zero nor take the log of zero."""
+    low = min(n_grid)
+    if low < least:
+        raise ValueError(f"lemma {name} needs n >= {least}, got n = {low}")
+
+
+def float_power(n: int, exponent: float) -> float:
+    """n ** exponent for an integer n >= 0 of any size; math.inf beyond float range.
+
+    Where n ** exponent is a float it is returned as it is; for an n beyond
+    float range the power is taken through math.log, which accepts any int.
+    """
+    try:
+        return n ** exponent
+    except OverflowError:
+        try:
+            return math.exp(exponent * math.log(n))
+        except OverflowError:
+            return math.inf
+
+
 def log_grid(lo: int, hi: int, per_decade: int = 2):
     """Deterministic log-spaced integer grid from lo to hi inclusive."""
     if lo <= 0 or hi < lo:
@@ -433,6 +456,7 @@ def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
 def run_lpowers(n_grid=None, exponents=(1, 2, 3, -1, -2), precision_bits: int = 192) -> LemmaResult:
     """Two-term power expansions: relative residual slopes."""
     n_grid = n_grid or log_grid(100, 10**6)
+    _require_least_n("lpowers", n_grid, 1)
     rows = []
     series = {}
     for n in n_grid:
@@ -462,6 +486,7 @@ def run_lpowers(n_grid=None, exponents=(1, 2, 3, -1, -2), precision_bits: int = 
 def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Regulator expansion: slope of (R - (log n)^2 - log(n)/n) / log n is -2 +- 0.3."""
     n_grid = n_grid or log_grid(100, 10**6)
+    _require_least_n("regulator", n_grid, 2)
     rows, samples = [], []
     for n in n_grid:
         rs = compute_roots(n, precision_bits)
@@ -493,11 +518,15 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
     """12-branch table: residual * n^(1+2eps) must not grow (slope <= 0.3)."""
     n_grid = n_grid or log_grid(1000, 10**6)
     pairs = pairs or logdiff_representatives()
+    _require_least_n("logdiff", n_grid, 1)
+    if float_power(max(n_grid), 1 + 2 * epsilon) == math.inf:
+        raise ValueError(f"lemma logdiff scales residuals by n^(1+2 epsilon), "
+                         f"which is beyond float range at n ~ 10^{len(str(max(n_grid))) - 1}")
     rows = []
     series = {}
     seen = set()
     for n in n_grid:
-        bound = n ** (0.5 - epsilon)
+        bound = float_power(n, 0.5 - epsilon)
         for (s, t) in pairs:
             if max(abs(s), abs(t)) > bound:
                 continue
@@ -533,6 +562,7 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
 def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
     """Gap-product bounds with margins; first bound exempts (1,1) and (-1,-1)."""
     n_grid = n_grid or [10**3, 10**4, 10**5, 10**6]
+    _require_least_n("errorbound", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
         for (s, t) in st_box(st_bound):
@@ -556,6 +586,7 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192,
              growth_floor: float = 0.05) -> LemmaResult:
     """Window and growth of v_bar = b0*R - v1 - v2."""
     n_grid = n_grid or [10**4, 10**5, 10**6]
+    _require_least_n("vbar", n_grid, 2)
     rows = []
     window_ok = True
     ratio_ok = True
@@ -602,6 +633,7 @@ def run_ubar(n_grid=None, st=(2, 1), precision_bits: int = 192) -> LemmaResult:
 def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> LemmaResult:
     """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n."""
     n_grid = n_grid or [10**4, 10**5, 10**6]
+    _require_least_n("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
         for (s, t) in st_box(st_bound):

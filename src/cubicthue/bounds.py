@@ -25,7 +25,7 @@ from typing import Optional
 
 from mpmath import mp, mpf, workprec
 
-from .asymptotics import compute_proof_quantities, st_box
+from .asymptotics import compute_proof_quantities, float_power, st_box
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import build_form, height, is_reducible
 from .roots import compute_roots
@@ -177,7 +177,7 @@ class StPolicy:
     cap: int = 2
 
     def pairs(self, n: int, epsilon: float):
-        return st_box(min(self.cap, int(math.floor(n ** (0.5 - epsilon)))))
+        return st_box(int(math.floor(min(self.cap, float_power(n, 0.5 - epsilon)))))
 
 
 @dataclass

@@ -205,6 +205,8 @@ def cmd_solve(args) -> int:
 
 def cmd_lemma(args) -> int:
     runner = LEMMA_RUNNERS[args.name]
+    if args.smax is not None and args.smax < 1:
+        raise ValueError(f"--smax must be >= 1, got {args.smax}")
     kwargs = {"precision_bits": args.precision_bits}
     if args.n_grid:
         kwargs["n_grid"] = parse_grid(args.n_grid)

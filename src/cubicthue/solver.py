@@ -250,21 +250,21 @@ def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord, precision_bits:
     return new_st, True
 
 
-def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
-                   precision_bits: int = 192, with_b_bar: bool = True) -> UnitDecomposition:
-    """Exponents (b1, b2) with x - alpha1*y = sign * lam0^b1 * lam1^b2, verified exactly.
+def _exponent_guesses(n: int, s: int, t: int, x: int, y: int, precision_bits: int):
+    """Candidate (b1, b2) for x - alpha1*y, in the order decompose_unit tries them.
 
-    The real solution of the 2x2 log-linear system is rounded to integers and
-    the claimed identity re-checked in the exact order; on ambiguous rounding
-    the precision is raised and the solve retried.
+    First the pair the record's shape fixes, if it has one: x - alpha1*y is x
+    when y = 0 and -y * lam0^s * lam1^t when x = 0.  Then the rounded real
+    solution of the 2x2 log-linear system at precision_bits, 2 precision_bits,
+    and so on; a rounding that is not clear-cut yields no guess at that
+    precision.
     """
-    if abs(rec.value) != 1:
-        raise ValueError("record is not a unit solution")
-    x, y = rec.x, rec.y
-    beta_exact = ef.FieldInt(n, x, 0, 0) - ef.alpha_element(n, s, t) * y
-
+    if y == 0:
+        yield 0, 0
+    elif x == 0:
+        yield s, t
     pb = precision_bits
-    for _ in range(4):
+    for _ in range(_PRECISION_ATTEMPTS):
         tri = compute_alphas(n, s, t, pb)
         with workprec(tri.roots.precision_bits):
             la0, la1, la2 = tri.roots.log_abs_lambda
@@ -276,19 +276,49 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
             b1, b2 = int(mp.nint(b1_real)), int(mp.nint(b2_real))
             ambiguous = max(abs(b1_real - b1), abs(b2_real - b2)) > 0.25
         if not ambiguous:
-            power = ef.alpha_element(n, b1, b2)
-            if beta_exact == power:
-                sign = 1
-            elif beta_exact == -power:
-                sign = -1
-            else:
-                pb *= 2
-                continue
-            b_bar = None
-            if with_b_bar and s * t != 0:
-                b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 - b1 - b2
-            return UnitDecomposition(b1, b2, sign, b_bar)
+            yield b1, b2
         pb *= 2
+
+
+def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
+                   precision_bits: int = 192, with_b_bar: bool = True) -> UnitDecomposition:
+    """Exponents (b1, b2) with x - alpha1*y = sign * lam0^b1 * lam1^b2, verified exactly.
+
+    The guesses of _exponent_guesses are tried in order: first the pair the
+    record's shape fixes, (0, 0) when y = 0 and (s, t) when x = 0, then the
+    rounded solutions of the log-linear system at doubling precision.  The
+    first guess for which x - alpha1*y equals +-lam0^b1 * lam1^b2 in the exact
+    order Z[lam0] is returned; RoundingAmbiguous is raised if none does.
+
+    A guess that passes the exact test is the answer: lam0 and lam1 are
+    multiplicatively independent (E. Thomas, J. reine angew. Math. 310, 1979),
+    and +-1 are the only roots of unity in a real field, so x - alpha1*y has
+    one sign and one exponent pair.  So a shape guess that passes returns what
+    the log solve returns whenever that succeeds, without computing it.
+    """
+    if abs(rec.value) != 1:
+        raise ValueError("record is not a unit solution")
+    x, y = rec.x, rec.y
+    alpha = ef.alpha_element(n, s, t)
+    beta_exact = ef.FieldInt(n, x, 0, 0) - alpha * y
+    for b1, b2 in _exponent_guesses(n, s, t, x, y, precision_bits):
+        if (b1, b2) == (s, t):
+            power = alpha
+        elif (b1, b2) == (0, 0):
+            power = ef.one(n)
+        else:
+            power = ef.alpha_element(n, b1, b2)
+        if beta_exact == power:
+            sign = 1
+        elif beta_exact == -power:
+            sign = -1
+        else:
+            continue
+        b_bar = None
+        if with_b_bar and s * t != 0:
+            b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 - b1 - b2
+        return UnitDecomposition(b1, b2, sign, b_bar)
     raise RoundingAmbiguous(
-        f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to {pb} bits"
+        f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to "
+        f"{precision_bits << _PRECISION_ATTEMPTS} bits"
     )

@@ -165,3 +165,15 @@ def test_st_policy_respects_epsilon_cap():
     pairs = pol.pairs(20, 0.25)       # 20^0.25 ~ 2.1 -> bound 2
     assert max(max(abs(s), abs(t)) for s, t in pairs) == 2
     assert all(s * t != 0 for s, t in pairs)
+
+
+def test_st_policy_beyond_float_range():
+    # below float range the pairs are those of the float power, as before
+    for n in [0, 1, 15, 16, 80, 81, 10**6, 10**299]:
+        for eps in (0.01, 0.25, 0.4999):
+            bound = min(2, int(math.floor(n ** (0.5 - eps))))
+            assert StPolicy().pairs(n, eps) == st_box(bound)
+    assert StPolicy().pairs(10**400, 0.25) == st_box(2)
+    assert StPolicy(cap=7).pairs(10**5000, 0.499) == st_box(7)
+    rep = n0_scan(0.25, [10**400], st_policy=1)
+    assert [(r["s"], r["t"]) for r in rep.rows] == st_box(1)

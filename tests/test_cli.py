@@ -271,6 +271,29 @@ def test_lemma_box_is_bounded_before_any_work(capsys, monkeypatch):
     assert "1600000 cells" in err
 
 
+@pytest.mark.parametrize("name,n,least", [
+    ("lpowers", 0, 1), ("errorbound", 0, 1), ("wbar", 0, 1), ("logdiff", 0, 1),
+    ("regulator", 0, 2), ("regulator", 1, 2), ("vbar", 0, 2), ("vbar", 1, 2),
+])
+def test_lemma_at_tiny_n_names_the_least_n(capsys, name, n, least):
+    code, _, err = run(capsys, ["lemma", name, "--n", str(n)])
+    assert code == 2
+    assert f"lemma {name} needs n >= {least}, got n = {n}" in err
+
+
+@pytest.mark.parametrize("smax", ["0", "-2"])
+def test_lemma_smax_below_one_exits_two(capsys, smax):
+    code, out, err = run(capsys, ["lemma", "errorbound", "--n", "1000", "--smax", smax])
+    assert code == 2 and out == ""
+    assert "--smax must be >= 1" in err
+
+
+def test_lemma_logdiff_beyond_float_range_exits_two(capsys):
+    code, _, err = run(capsys, ["lemma", "logdiff", "--n", "1e400"])
+    assert code == 2
+    assert "beyond float range at n ~ 10^400" in err
+
+
 def test_precision_bits_upper_limit(capsys):
     for bits in (MAX_PRECISION_BITS + 1, 10**9):
         with pytest.raises(SystemExit) as exc:

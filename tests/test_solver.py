@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import mp
+from mpmath import mp, workprec
 
 from conftest import brute_force_solutions
 from cubicthue import cli, solver
-from cubicthue.asymptotics import st_box
-from cubicthue.errors import DegenerateTwist, PrecisionExhausted
+from cubicthue.asymptotics import compute_proof_quantities, st_box
+from cubicthue.errors import DegenerateTwist, PrecisionExhausted, RoundingAmbiguous
 from cubicthue.forms import build_form, eval_form
 from cubicthue.roots import compute_alphas
 from cubicthue.solver import classify_type, decompose_unit, reduce_to_type1, solve_box
@@ -289,3 +289,92 @@ def test_decompose_twisted_has_b_bar():
     d = decompose_unit(n, s, t, rec)
     assert (d.b1, d.b2, d.sign) == (s, t, -1)     # beta = -alpha1
     assert d.b_bar is not None and isinstance(d.b_bar, int)
+
+
+# decompose_unit as it was first written, the log solve alone: the reference for
+# the exact-first version, which must return the same decomposition.
+
+def oracle_decompose(n, s, t, rec, precision_bits=192, with_b_bar=True):
+    x, y = rec.x, rec.y
+    beta_exact = ef.FieldInt(n, x, 0, 0) - ef.alpha_element(n, s, t) * y
+    pb = precision_bits
+    for _ in range(4):
+        tri = compute_alphas(n, s, t, pb)
+        with workprec(tri.roots.precision_bits):
+            la0, la1, la2 = tri.roots.log_abs_lambda
+            lb2 = mp.log(abs(x - tri.alpha2 * y))
+            lb3 = mp.log(abs(x - tri.alpha3 * y))
+            det = la1 * la0 - la2 * la2
+            b1_real = (lb2 * la0 - la2 * lb3) / det
+            b2_real = (la1 * lb3 - lb2 * la2) / det
+            b1, b2 = int(mp.nint(b1_real)), int(mp.nint(b2_real))
+            ambiguous = max(abs(b1_real - b1), abs(b2_real - b2)) > 0.25
+        if not ambiguous:
+            power = ef.alpha_element(n, b1, b2)
+            if beta_exact == power:
+                sign = 1
+            elif beta_exact == -power:
+                sign = -1
+            else:
+                pb *= 2
+                continue
+            b_bar = None
+            if with_b_bar and s * t != 0:
+                b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 - b1 - b2
+            return solver.UnitDecomposition(b1, b2, sign, b_bar)
+        pb *= 2
+    raise RoundingAmbiguous(f"unit exponents for (x,y)=({x},{y}) stayed ambiguous")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 60), st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+       y_bound=st.integers(1, 100), with_b_bar=st.booleans())
+def test_decompose_matches_the_log_solve_oracle(n, st_pair, y_bound, with_b_bar):
+    s, t = st_pair
+    for rec in solve_box(n, s, t, y_bound):
+        assert decompose_unit(n, s, t, rec, with_b_bar=with_b_bar) == \
+            oracle_decompose(n, s, t, rec, with_b_bar=with_b_bar)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10**6, 10**64])
+def test_records_with_x_or_y_zero_skip_the_log_solve(n, monkeypatch):
+    pairs = st_box(3) + [(1, 0), (0, 1)]
+    records = {(s, t): [r for r in solve_box(n, s, t, 1) if r.x * r.y == 0] for s, t in pairs}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the log solve ran")
+
+    monkeypatch.setattr(solver, "compute_alphas", refused)
+    monkeypatch.setattr(mp, "log", refused)
+    for (s, t), recs in records.items():
+        assert len(recs) == 4
+        for rec in recs:
+            d = decompose_unit(n, s, t, rec, with_b_bar=False)
+            if rec.y == 0:
+                assert (d.b1, d.b2, d.sign) == (0, 0, rec.x)   # beta = x
+            else:
+                assert (d.b1, d.b2, d.sign) == (s, t, -rec.y)  # beta = -alpha1 y
+
+
+def test_every_guess_is_checked_exactly(monkeypatch):
+    # a wrong guess ahead of the real ones is passed over, and all wrong is an error
+    real = solver._exponent_guesses
+
+    def wrong_first(n, s, t, x, y, precision_bits):
+        yield t, s
+        yield from real(n, s, t, x, y, precision_bits)
+
+    n, s, t = 0, 2, 1
+    records = solve_box(n, s, t, 20)
+    expected = [decompose_unit(n, s, t, r) for r in records]
+    monkeypatch.setattr(solver, "_exponent_guesses", wrong_first)
+    assert [decompose_unit(n, s, t, r) for r in records] == expected
+
+    def all_wrong(n, s, t, x, y, precision_bits):
+        for b1, b2 in real(n, s, t, x, y, precision_bits):
+            yield b1 + 1, b2
+
+    monkeypatch.setattr(solver, "_exponent_guesses", all_wrong)
+    for rec in records:
+        with pytest.raises(RoundingAmbiguous):
+            decompose_unit(n, s, t, rec)
