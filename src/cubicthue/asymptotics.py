@@ -12,6 +12,24 @@ numerics: every branch has residual O(n^-2) for fixed (s, t), measured as a
 clean -2 slope on log-log grids.  Several printed forms of this table in
 circulation contain sign/parity slips; the versions here are the measured
 ones (see the per-branch comments).
+
+The proof quantities are computed in the fixed point of roots.py: integers
+over 2^K, each with an integer error radius in units of 2^-K.  The
+conjugates come from compute_alphas as numerators with radii, so
+alpha1 - alpha2 and alpha1 - alpha3 are integer differences whose radii add.
+The logs of the two differences are the only mpf work left per (n, s, t);
+their radius is the relative error of the difference (radius over
+|numerator| - radius), four ulps of mpmath's log and the floor.  The root
+logs and the regulator carry the radii the root set gave them, and
+v1 + v2 = log|d12| u1 + log|d13| u2 is a sum of fixed-point products whose
+radius follows from those.  b0 and the window 0 < v_bar < R are decided only
+when (v1 + v2) mod R lies farther than that radius (plus b0 times the
+regulator's) from 0 and from R; otherwise the conjugates are recomputed at
+twice the bits, at most PRECISION_ATTEMPTS times, before PrecisionExhausted.
+So a b0 this module reports is the true one, whatever the cancellation in
+v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
+(u_bar > 0, the w_bar absorption) are made on the same integers, without a
+division (see bounds._chain); they are not certified.
 """
 
 from __future__ import annotations
@@ -22,8 +40,8 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
-from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from .roots import compute_alphas, compute_roots
+from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
+from .roots import PRECISION_ATTEMPTS, compute_alphas, compute_roots, fixed_log, fixed_mul, fixed_view
 
 DEFAULT_EPSILON = 0.25
 
@@ -185,16 +203,25 @@ def _diff_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     return precision_bits + extra
 
 
+def _fixed_diffs(n: int, s: int, t: int, diff_bits: int):
+    """alpha1 - alpha2 and alpha1 - alpha3 as (numerator, radius) pairs over
+    2^K, and the AlphaTriple at diff_bits they come from."""
+    tri = compute_alphas(n, s, t, diff_bits)
+    (a1, a2, a3), (r1, r2, r3) = tri.numerators, tri.radii
+    return (a1 - a2, r1 + r2), (a1 - a3, r1 + r3), tri
+
+
 def _signed_diffs(n: int, s: int, t: int, precision_bits: int):
     """alpha1 - alpha2, alpha1 - alpha3 and the AlphaTriple they come from.
 
-    The triple's precision_bits is _diff_precision(n, s, t, precision_bits).
+    The triple's precision_bits is _diff_precision(n, s, t, precision_bits);
+    the differences are the exact mpf views of its fixed-point numerators.
     """
     if s * t == 0:
         raise DegenerateTwist("conjugate differences need s*t != 0")
-    tri = compute_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
-    with workprec(tri.roots.precision_bits):
-        return tri.alpha1 - tri.alpha2, tri.alpha1 - tri.alpha3, tri
+    d12, d13, tri = _fixed_diffs(n, s, t, _diff_precision(n, s, t, precision_bits))
+    K = tri.frac_bits
+    return fixed_view(d12[0], K), fixed_view(d13[0], K), tri
 
 
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
@@ -202,6 +229,14 @@ def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     d12, d13, tri = _signed_diffs(n, s, t, precision_bits)
     with workprec(tri.roots.precision_bits):
         return mp.log(abs(d12)), mp.log(abs(d13)), d12, d13
+
+
+def ratio_float(num: int, den: int) -> float:
+    """num / den for integers, correctly rounded to a float; +-inf beyond float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
 @dataclass(frozen=True)
@@ -226,24 +261,24 @@ class ErrorProductReport:
 
 
 def check_error_products(n: int, s: int, t: int, precision_bits: int = 192) -> ErrorProductReport:
+    """The gap products of |alpha1 - alpha2| and |alpha1 - alpha3|, as integer
+    ratios over powers of 2^K, each rounded once to a float."""
     if s * t == 0:
         raise DegenerateTwist("error products need s*t != 0")
-    d12, d13, _ = _signed_diffs(n, s, t, precision_bits)
-    with workprec(precision_bits + 16):
-        a12, a13 = abs(d12), abs(d13)
-        product = a12 * a13
-        mixed1 = a12 * a12 * a13
-        mixed2 = a12 * a13 * a13
-        mn, mx = min(mixed1, mixed2), max(mixed1, mixed2)
-        two_thirds = mpf(2) / 3
-        return ErrorProductReport(
-            n, s, t,
-            float(product), float(mn), float(mx),
-            float(product / (two_thirds * n * n)),
-            float(mn / (two_thirds * n)),
-            float(mx / (two_thirds * n * n)),
-            (s, t) in ((1, 1), (-1, -1)),
-        )
+    d12, d13, tri = _fixed_diffs(n, s, t, _diff_precision(n, s, t, precision_bits))
+    K = tri.frac_bits
+    a12, a13 = abs(d12[0]), abs(d13[0])
+    product = a12 * a13                       # over 2^(2K)
+    mixed = sorted((product * a12, product * a13))   # over 2^(3K)
+    one2, one3 = 1 << 2 * K, 1 << 3 * K
+    return ErrorProductReport(
+        n, s, t,
+        ratio_float(product, one2), ratio_float(mixed[0], one3), ratio_float(mixed[1], one3),
+        ratio_float(3 * product, 2 * n * n * one2),
+        ratio_float(3 * mixed[0], 2 * n * one3),
+        ratio_float(3 * mixed[1], 2 * n * n * one3),
+        (s, t) in ((1, 1), (-1, -1)),
+    )
 
 
 @dataclass(frozen=True)
@@ -252,56 +287,133 @@ class ProofQuantities:
 
     u_bar = -u1 - u2, w_bar = -w1 - w2, and b0 is the unique integer placing
     v_bar = b0*R - v1 - v2 inside the window (0, R).
+
+    The fields ending in _num are the quantities in fixed point: integers
+    over 2^frac_bits (diff12_num and diff13_num are the signed differences
+    alpha1 - alpha2 and alpha1 - alpha3).  The names of the quantities
+    themselves (u1, ..., v_bar, regulator, logdiff12, diff12_abs, ...) read
+    them as exact mpf views; w1, w2 and w_bar, which divide by the
+    differences, are evaluated from those views at frac_bits bits.
     """
 
     n: int
     s: int
     t: int
     precision_bits: int
-    u1: object
-    u2: object
-    v1: object
-    v2: object
-    w1: object
-    w2: object
-    u_bar: object
-    v_bar: object
-    w_bar: object
+    frac_bits: int
     b0: int
-    regulator: object
-    logdiff12: object
-    logdiff13: object
-    diff12_abs: object
-    diff13_abs: object
+    u1_num: int
+    u2_num: int
+    v1_num: int
+    v2_num: int
+    v_bar_num: int
+    regulator_num: int
+    logdiff12_num: int
+    logdiff13_num: int
+    diff12_num: int
+    diff13_num: int
+
+    def _view(self, num):
+        return fixed_view(num, self.frac_bits)
+
+    u1 = property(lambda self: self._view(self.u1_num))
+    u2 = property(lambda self: self._view(self.u2_num))
+    v1 = property(lambda self: self._view(self.v1_num))
+    v2 = property(lambda self: self._view(self.v2_num))
+    v_bar = property(lambda self: self._view(self.v_bar_num))
+    regulator = property(lambda self: self._view(self.regulator_num))
+    logdiff12 = property(lambda self: self._view(self.logdiff12_num))
+    logdiff13 = property(lambda self: self._view(self.logdiff13_num))
+    diff12_abs = property(lambda self: self._view(abs(self.diff12_num)))
+    diff13_abs = property(lambda self: self._view(abs(self.diff13_num)))
+
+    @property
+    def u_bar_num(self) -> int:
+        return -self.u1_num - self.u2_num
+
+    @property
+    def u_bar(self):
+        return self._view(self.u_bar_num)
+
+    def _w(self):
+        # u1 = la0 - la2, u2 = la1 - la2 and la0 + la1 + la2 = 0 give the root logs back
+        la2 = -(self.u1_num + self.u2_num) // 3
+        la0, la1 = self.u1_num + la2, self.u2_num + la2
+        la0, la1, la2 = (self._view(v) for v in (la0, la1, la2))
+        d12, d13 = self._view(self.diff12_num), self._view(self.diff13_num)
+        with workprec(self.frac_bits):
+            return la0 / d12 - la2 / d13, la1 / d13 - la2 / d12
+
+    w1 = property(lambda self: self._w()[0])
+    w2 = property(lambda self: self._w()[1])
+
+    @property
+    def w_bar(self):
+        w1, w2 = self._w()
+        with workprec(self.frac_bits):
+            return -w1 - w2
+
+    def absorb_ratio(self):
+        """|w_bar| / (2 |d12| |d13|) as (numerator, denominator), integers.
+
+        |w_bar| = |u1 d13 + u2 d12| / |d12 d13|, so over 2^K the ratio is
+        |U1 D13 + U2 D12| 2^(2K) / (2 (D12 D13)^2).
+        """
+        w = abs(self.u1_num * self.diff13_num + self.u2_num * self.diff12_num)
+        return w << 2 * self.frac_bits, 2 * (self.diff12_num * self.diff13_num) ** 2
+
+
+def _certified_quantities(n: int, s: int, t: int, precision_bits: int, diff_bits: int):
+    """ProofQuantities from the conjugates at diff_bits, or None where the
+    radii leave b0 undecided.
+
+    v1 + v2 = V and R are known as integers over 2^K with radii r_V and r_R.
+    With m = floor(V / R) and rem = V - m R, the true value of v1 + v2 lies
+    strictly between m R and (m + 1) R, for the true R, when
+
+        rem > r_V + |m| r_R    and    R - rem > r_V + |m + 1| r_R.
+
+    Then b0 = m + 1 and v_bar = R - rem lies in (0, R).  The differences
+    themselves must be known to be nonzero before their logs are taken.
+    """
+    d12, d13, tri = _fixed_diffs(n, s, t, diff_bits)
+    if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
+        return None
+    rs, K = tri.roots, tri.frac_bits
+    l12, l13 = fixed_log(d12, K), fixed_log(d13, K)
+    g0, g1, g2 = rs.log_fixed
+    p1, p2 = fixed_mul(l12, g0, K), fixed_mul(g2, l13, K)
+    p3, p4 = fixed_mul(g1, l13, K), fixed_mul(l12, g2, K)
+    v1, v2 = p1[0] - p2[0], p3[0] - p4[0]
+    r_v = p1[1] + p2[1] + p3[1] + p4[1]
+    reg, r_reg = rs.reg_fixed
+    m, rem = divmod(v1 + v2, reg)
+    if rem <= r_v + abs(m) * r_reg or reg - rem <= r_v + abs(m + 1) * r_reg:
+        return None
+    return ProofQuantities(
+        n, s, t, precision_bits, K, m + 1,
+        g0[0] - g2[0], g1[0] - g2[0], v1, v2, reg - rem, reg,
+        l12[0], l13[0], d12[0], d13[0],
+    )
 
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
+    """The proof quantities of (n, s, t), with b0 and the window certified.
+
+    The conjugates are taken at _diff_precision(n, s, t, precision_bits)
+    bits; where the error radii leave b0 undecided the precision doubles, at
+    most PRECISION_ATTEMPTS times, and then PrecisionExhausted is raised.
+    """
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
-    d12, d13, tri = _signed_diffs(n, s, t, precision_bits)
-    with workprec(tri.roots.precision_bits):
-        a12, a13 = abs(d12), abs(d13)
-        l12, l13 = mp.log(a12), mp.log(a13)
-    # the logs of the roots the differences were taken from, so one root set serves both
-    la0, la1, la2 = tri.roots.log_abs_lambda
-    with workprec(tri.precision_bits):
-        reg = tri.roots.regulator
-        u1 = la0 - la2
-        u2 = la1 - la2
-        v1 = l12 * la0 - la2 * l13
-        v2 = la1 * l13 - l12 * la2
-        w1 = la0 / d12 - la2 / d13
-        w2 = la1 / d13 - la2 / d12
-        u_bar = -u1 - u2
-        w_bar = -w1 - w2
-        b0 = int(mp.floor((v1 + v2) / reg)) + 1
-        v_bar = b0 * reg - v1 - v2
-    return ProofQuantities(
-        n, s, t, precision_bits,
-        u1, u2, v1, v2, w1, w2,
-        u_bar, v_bar, w_bar, b0, reg,
-        l12, l13, a12, a13,
-    )
+    bits = _diff_precision(n, s, t, precision_bits)
+    for _ in range(PRECISION_ATTEMPTS):
+        q = _certified_quantities(n, s, t, precision_bits, bits)
+        if q is not None:
+            return q
+        bits *= 2
+    raise PrecisionExhausted(
+        f"b0 for (n,s,t)={(n, s, t)} undecided with the conjugates at {bits // 2} bits")
 
 
 @dataclass(frozen=True)

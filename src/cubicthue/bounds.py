@@ -24,11 +24,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, round_nearest
 
-from .asymptotics import compute_proof_quantities, float_power, st_box
+from .asymptotics import compute_proof_quantities, float_power, ratio_float, st_box
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import build_form, height, is_reducible
 from .roots import compute_roots
+
+
+_THREE = from_int(3)
 
 
 def c3_constant(degree: int, rank: int) -> int:
@@ -101,24 +105,42 @@ def lower_bound_chain(n: int, s: int, t: int, quantities=None, precision_bits: i
 
 
 def _chain(n: int, q, absorb_rhs, wp: int):
-    """lower_bound_chain for the quantities q, given (3/4) log(n) / n at wp bits."""
-    with workprec(wp):
-        if q.u_bar <= 0:
-            raise ChainPreconditionFailed("u_bar > 0", f"u_bar = {float(q.u_bar):.3g}")
-        if not (0 < q.v_bar < q.regulator):
-            raise ChainPreconditionFailed("0 < v_bar < R", f"v_bar = {float(q.v_bar):.3g}")
-        if absorb_rhs is None:
-            raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
-        absorb_lhs = abs(q.w_bar) / (2 * q.diff12_abs * q.diff13_abs)
-        if absorb_lhs > absorb_rhs:
-            raise ChainPreconditionFailed(
-                "w_bar absorption",
-                f"lhs = {float(absorb_lhs):.3g}, rhs = {float(absorb_rhs):.3g}")
-        value = (q.regulator - q.v_bar - absorb_rhs) * n / 3
-        if value <= 0:
-            raise ChainPreconditionFailed(
-                "R - v_bar > (3/4) log(n)/n", f"slack = {float(value):.3g}")
-        return value
+    """lower_bound_chain for the quantities q, given (3/4) log(n) / n at wp bits.
+
+    u_bar > 0, the window and the w_bar absorption are decided on the integers
+    of q over 2^K; the value, and the test that it is positive, are the mpf
+    expression of the module docstring at wp bits.
+    """
+    if q.u_bar_num <= 0:
+        raise ChainPreconditionFailed("u_bar > 0", f"u_bar = {float(q.u_bar):.3g}")
+    if not 0 < q.v_bar_num < q.regulator_num:
+        raise ChainPreconditionFailed("0 < v_bar < R", f"v_bar = {float(q.v_bar):.3g}")
+    if absorb_rhs is None:
+        raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
+    # |w_bar| / (2 |d12| |d13|) = num / den <= absorb_rhs = man 2^exp, cross-multiplied
+    num, den = q.absorb_ratio()
+    _, man, exp, _ = absorb_rhs._mpf_
+    absorbed = num <= (den * man) << exp if exp >= 0 else num << -exp <= den * man
+    if not absorbed:
+        raise ChainPreconditionFailed(
+            "w_bar absorption",
+            f"lhs = {ratio_float(num, den):.3g}, rhs = {float(absorb_rhs):.3g}")
+    # (R - v_bar - absorb_rhs) * n / 3 at wp bits, each step rounded to nearest as
+    # the mpf operators round it, on the exact views of q's integers
+    K = q.frac_bits
+    r_minus_v = from_man_exp(q.regulator_num - q.v_bar_num, -K, wp, round_nearest)
+    slack = mpf_sub(r_minus_v, absorb_rhs._mpf_, wp, round_nearest)
+    value = mp.make_mpf(mpf_div(mpf_mul_int(slack, n, wp, round_nearest), _THREE, wp, round_nearest))
+    if value <= 0:
+        raise ChainPreconditionFailed(
+            "R - v_bar > (3/4) log(n)/n", f"slack = {float(value):.3g}")
+    return value
+
+
+def _finite_float(x):
+    """float(x) for an mpf x, or x itself where the float would overflow to +-inf."""
+    f = float(x)
+    return x if math.isinf(f) else f
 
 
 @dataclass(frozen=True)
@@ -129,10 +151,20 @@ class BoundReport:
     c3: int
     H: int
     B_rhs: float               # upper-bound exponent
-    lower_chain: Optional[float]
+    lower_chain: Optional[object]  # a float, or an mpf beyond float range
     crossover: bool
     chain_failure: str = ""    # named precondition if the chain does not apply
     precision_bits: int = 192
+
+    @property
+    def margin(self):
+        """lower_chain / B_rhs (None where the chain does not apply), a float
+        wherever it is finite."""
+        if not self.lower_chain:
+            return None
+        if isinstance(self.lower_chain, float):
+            return self.lower_chain / self.B_rhs
+        return _finite_float(self.lower_chain / self.B_rhs)
 
     def as_record(self) -> dict:
         return {"n": self.n, "s": self.s, "t": self.t, "c3": str(self.c3),
@@ -161,7 +193,7 @@ def _bound_report(form, const: _NConstants, upper=None) -> BoundReport:
         # compute_proof_quantities keeps precision_bits, so the chain runs at the constants' bits
         q = compute_proof_quantities(n, s, t, const.precision_bits)
         lower_mpf = _chain(n, q, const.absorb_rhs, const.precision_bits + 16)
-        lower = float(lower_mpf)
+        lower = _finite_float(lower_mpf)
         crossover = bool(lower_mpf > upper)
     except ChainPreconditionFailed as exc:
         failure = exc.inequality
@@ -213,9 +245,8 @@ def n0_scan(epsilon: float, n_grid, st_policy=None, precision_bits: int = 192) -
         const = _n_constants(n, 1, precision_bits)
         for (s, t) in st_policy.pairs(n, epsilon):
             rep = _bound_report(build_form(n, s, t), const)
-            margin = (rep.lower_chain / rep.B_rhs) if rep.lower_chain else None
             rows.append({"n": n, "s": s, "t": t, "upper": rep.B_rhs,
-                         "lower": rep.lower_chain, "margin": margin,
+                         "lower": rep.lower_chain, "margin": rep.margin,
                          "crossover": rep.crossover, "chain_failure": rep.chain_failure,
                          "precision_bits": precision_bits})
             by_pair.setdefault((s, t), []).append(rows[-1])

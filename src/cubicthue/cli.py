@@ -37,6 +37,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
 
+from mpmath import mp, mpf
+
 from . import asymptotics, bounds, solver
 from .errors import DegenerateTwist, EmptyGrid, PrecisionExhausted
 from .forms import build_form
@@ -136,7 +138,15 @@ def _fmt(v):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, mpf):
+        # a value beyond float range, with the 17 digits a float's repr has at most
+        return mp.nstr(v, 17)
     return str(v)
+
+
+def _sig(v, digits: int) -> str:
+    """v to `digits` significant digits, a float or an mpf beyond float range."""
+    return f"{v:.{digits}g}" if isinstance(v, float) else mp.nstr(v, digits)
 
 
 def _write_csv(out, columns, rows):
@@ -257,7 +267,7 @@ def cmd_bound(args) -> int:
         lines = [f"bounds at n={rep.n} s={rep.s} t={rep.t}  (c3 = 3^94, H = {rep.H})",
                  f"  upper bound exponent: {rep.B_rhs:.6g}"]
         if rep.lower_chain is not None:
-            lines.append(f"  lower-bound chain:    {rep.lower_chain:.6g}")
+            lines.append(f"  lower-bound chain:    {_sig(rep.lower_chain, 6)}")
             lines.append(f"  crossover: {'yes' if rep.crossover else 'no'}")
         else:
             lines.append(f"  lower-bound chain inapplicable: {rep.chain_failure}")
@@ -286,10 +296,9 @@ def _scan_n(job):
                            bounds._upper_bound(form, const))
         solutions, nontrivial, upper = shared[key]
         rep = bounds._bound_report(form, const, upper)
-        margin = (rep.lower_chain / rep.B_rhs) if rep.lower_chain else None
         rows.append({"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
                      "solutions": solutions, "nontrivial": nontrivial,
-                     "upper": rep.B_rhs, "lower": rep.lower_chain, "margin": margin,
+                     "upper": rep.B_rhs, "lower": rep.lower_chain, "margin": rep.margin,
                      "chain_failure": rep.chain_failure, "crossover": rep.crossover,
                      "precision_bits": precision_bits})
     return rows

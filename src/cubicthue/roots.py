@@ -35,6 +35,35 @@ log|lam2| = -log|lam0| - log|lam1|.  Each of the three root values x is
 re-certified by an exact sign change of f across x(1 - 2^-b) and
 x(1 + 2^-b), evaluated as F on the integer mantissa of the mpf, so the
 reported relative error bound does not depend on floating-point luck.
+
+Fixed point.  The twisted conjugates, and everything the proof quantities
+decide, are carried as integers over one power of two: a real x is held as
+a numerator N with a radius r, both integers, such that
+
+    |x - N / 2^K| <= r / 2^K.
+
+The root set's K is k + bitlen(n), so lam0 is X * 2^(K - k) with radius
+2^(K - k).  No fixed-point division by a small value is made: lam1 and lam2
+come from one division each by a value of size about n (lam0 + 1 and lam0),
+
+    lam1 = -1/(lam0 + 1),    lam2 = -1 - 1/lam0,
+
+and the inverses from the Galois closed forms, which are additions:
+
+    1/lam1 = -(lam0 + 1),    1/lam2 = -(lam1 + 1),    1/lam0 = -(lam2 + 1).
+
+A product of N_a and N_b is floor(N_a N_b / 2^K), with radius
+floor((|N_a| r_b + |N_b| r_a + r_a r_b) / 2^K) + 2: one unit for the floor
+of the bound, one for the floor of the product.  A quotient M / D of an exact
+M by D with radius r_D < D is floor(M / D), with radius
+floor(M r_D / (D (D - r_D))) + 2.  The logarithms of the roots are the mpf
+logs above, floored to 2^-K; their radius adds the floor of X (2^K / X
+units), the rounding of lam0 and lam0 + 1 to wp bits, four ulps of mpmath's
+log and the final floor.  So every radius is an integer bound that a test
+can check against a computation at twice the precision, and the conjugates
+alpha_j come out as N_j / 2^K with |alpha_j - N_j / 2^K| <= r_j / 2^K.  The
+mpf values alpha1, alpha2 and alpha3 of an AlphaTriple are the exact views
+N_j / 2^K of its numerators.
 """
 
 from __future__ import annotations
@@ -44,11 +73,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp, mpf_log, round_nearest
 
 from .errors import PrecisionExhausted
 
 _BASE_BITS = 32   # Newton runs to convergence at this precision, then doubles it
 _GUARD_BITS = 4   # kept in hand at each doubling, so the rounding of a step cannot compound
+_LOG_ULPS = 4     # ulps of mpmath's log allowed in a radius
+PRECISION_ATTEMPTS = 4  # certify-or-double loops try this many precisions, doubling between them
 
 
 @dataclass(frozen=True)
@@ -60,6 +92,12 @@ class RootSet:
     lambda2: object
     log_abs_lambda: tuple
     regulator: object
+    # the fixed point of the module docstring: (numerator, radius) pairs over 2^frac_bits
+    frac_bits: int
+    lam_fixed: tuple        # lam0, lam1, lam2; lam0's numerator is the Newton floor X times 2^(K - k)
+    inv_fixed: tuple        # 1/lam0, 1/lam1, 1/lam2
+    log_fixed: tuple        # log|lam0|, log|lam1|, log|lam2|
+    reg_fixed: tuple        # the regulator
 
     @property
     def lambdas(self):
@@ -71,7 +109,9 @@ class AlphaTriple:
     """The twisted conjugates alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t.
 
     roots is the RootSet they were powered from; its precision_bits is the
-    working precision for arithmetic on the conjugates.
+    working precision for arithmetic on the conjugates.  numerators and radii
+    are the fixed-point values over 2^frac_bits, and alpha1..3 their exact
+    mpf views.
     """
 
     n: int
@@ -82,10 +122,98 @@ class AlphaTriple:
     alpha2: object
     alpha3: object
     roots: RootSet
+    numerators: tuple
+    radii: tuple
 
     @property
     def alphas(self):
         return (self.alpha1, self.alpha2, self.alpha3)
+
+    @property
+    def frac_bits(self) -> int:
+        return self.roots.frac_bits
+
+
+def fixed_view(num: int, frac_bits: int):
+    """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
+    return mp.make_mpf(from_man_exp(num, -frac_bits))
+
+
+def _to_fixed(raw, frac_bits: int) -> int:
+    """floor(x * 2^frac_bits), exactly, for the raw tuple of an mpf x."""
+    sign, man, exp, _ = raw
+    e = exp + frac_bits
+    man = -man if sign else man
+    return man << e if e >= 0 else man >> -e   # >> floors negative values too
+
+
+def fixed_mul(a, b, frac_bits: int):
+    """The product of two (numerator, radius) pairs over 2^frac_bits."""
+    (x, rx), (y, ry) = a, b
+    return ((x * y) >> frac_bits,
+            ((abs(x) * ry + abs(y) * rx + rx * ry) >> frac_bits) + 2)
+
+
+def _fixed_quotient(m: int, d, frac_bits: int):
+    """m / D over 2^frac_bits, for an exact m >= 0 and d = (D, r) with D > r >= 0."""
+    den, r = d
+    return m // den, (m * r) // (den * (den - r)) + 2
+
+
+def _fixed_power(base, inverse, e: int, frac_bits: int):
+    """lam^e from the pairs of lam and 1/lam: positive powers of one or the other."""
+    b = base if e >= 0 else inverse
+    e = abs(e)
+    acc = None
+    while e:
+        if e & 1:
+            acc = b if acc is None else fixed_mul(acc, b, frac_bits)
+        e >>= 1
+        if e:
+            b = fixed_mul(b, b, frac_bits)
+    return acc if acc is not None else (1 << frac_bits, 0)
+
+
+def _log_to_fixed(x, wp: int, input_units: int, frac_bits: int):
+    """(floor(x * 2^K), radius) for an mpf log x computed at wp bits, whose
+    argument was off by input_units / 2^K relative."""
+    mag = x._mpf_[2] + x._mpf_[3]
+    ulps = 1 << max(mag - wp + frac_bits, 0)
+    return _to_fixed(x._mpf_, frac_bits), input_units + _LOG_ULPS * ulps + 1
+
+
+def fixed_log(d, frac_bits: int):
+    """log|x| over 2^K with its radius, for x = (numerator, radius) with |numerator| > radius.
+
+    Sources of the radius: the relative error radius / (|numerator| - radius)
+    of x, _LOG_ULPS ulps of mpmath's log at frac_bits bits, and the floor.
+    """
+    num, r = abs(d[0]), d[1]
+    x = mpf_log(from_man_exp(num, -frac_bits), frac_bits, round_nearest)
+    return (_to_fixed(x, frac_bits),
+            (r << frac_bits) // (num - r) + 2 + (_LOG_ULPS << max(x[2] + x[3], 0)))
+
+
+def _fixed_roots(n: int, x0: int, k: int, wp: int, log0, log1):
+    """The fixed-point part of a RootSet: K, roots, inverses, logs and regulator."""
+    K = k + n.bit_length()
+    one = 1 << K
+    lam0 = (x0 << (K - k), 1 << (K - k))
+    lam0_plus_1 = (lam0[0] + one, lam0[1])
+    q1, r1 = _fixed_quotient(one << K, lam0_plus_1, K)
+    inv0 = _fixed_quotient(one << K, lam0, K)
+    lam1 = (-q1, r1)
+    lam2 = (-(one + inv0[0]), inv0[1])
+    inv1 = (-lam0_plus_1[0], lam0_plus_1[1])
+    inv2 = (-(lam1[0] + one), lam1[1])
+    # log of X / 2^k instead of lam0 (below 1/X relative), lam0 and lam0 + 1 rounded to wp bits
+    input_units = (one // x0 + 1) + (1 << max(K - wp + 1, 0))
+    g0 = _log_to_fixed(log0, wp, input_units, K)
+    g1 = _log_to_fixed(log1, wp, input_units, K)
+    g2 = (-g0[0] - g1[0], g0[1] + g1[1])
+    p, q = fixed_mul(g1, g0, K), fixed_mul(g2, g2, K)
+    reg = (abs(p[0] - q[0]), p[1] + q[1])
+    return K, (lam0, lam1, lam2), (inv0, inv1, inv2), (g0, g1, g2), reg
 
 
 def _scaled_f(n: int, x: int, k: int) -> int:
@@ -153,15 +281,17 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
         raise ValueError("precision_bits must be at least 64")
     wp = precision_bits + 32
     k = max(wp - n.bit_length(), 0)  # floor(lam0 * 2^k) then has about wp bits
+    x0 = _lam0_floor(n, k)
     with workprec(wp):
-        l0 = mpf((_lam0_floor(n, k), -k))
+        l0 = mpf((x0, -k))
         lams = (l0, -1 / (l0 + 1), -(l0 + 1) / l0)
         log0, log1 = mp.log(l0), -mp.log(l0 + 1)
         log2 = -log0 - log1
         reg = abs(log1 * log0 - log2 * log2)
     for v in lams:
         _certify(n, v, precision_bits - 8)
-    return RootSet(n, precision_bits, *lams, (log0, log1, log2), reg)
+    return RootSet(n, precision_bits, *lams, (log0, log1, log2), reg,
+                   *_fixed_roots(n, x0, k, wp, log0, log1))
 
 
 def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
@@ -176,11 +306,17 @@ def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
 
 @lru_cache(maxsize=4096)
 def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTriple:
-    """The three twisted conjugate values with relative error < 2^-precision_bits."""
-    wp = alpha_precision(n, s, t, precision_bits)
-    rs = compute_roots(n, wp)
-    with workprec(wp + 16):
-        a1 = rs.lambda0**s * rs.lambda1**t
-        a2 = rs.lambda1**s * rs.lambda2**t
-        a3 = rs.lambda2**s * rs.lambda0**t
-    return AlphaTriple(n, s, t, precision_bits, a1, a2, a3, rs)
+    """The three twisted conjugate values with relative error < 2^-precision_bits.
+
+    They are powered in fixed point from the root set at
+    alpha_precision(n, s, t, precision_bits) bits, each with its radius.
+    """
+    rs = compute_roots(n, alpha_precision(n, s, t, precision_bits))
+    K = rs.frac_bits
+    powers = [(_fixed_power(lam, inv, s, K), _fixed_power(lam, inv, t, K))
+              for lam, inv in zip(rs.lam_fixed, rs.inv_fixed)]
+    # alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t
+    alphas = [fixed_mul(powers[j][0], powers[(j + 1) % 3][1], K) for j in range(3)]
+    nums = tuple(a for a, _ in alphas)
+    return AlphaTriple(n, s, t, precision_bits, *(fixed_view(a, K) for a in nums), rs,
+                       nums, tuple(r for _, r in alphas))

@@ -53,10 +53,9 @@ from . import exact_field as ef
 from .asymptotics import compute_proof_quantities
 from .errors import DegenerateTwist, NotReducible, PrecisionExhausted, RoundingAmbiguous
 from .forms import build_form, eval_form
-from .roots import AlphaTriple, compute_alphas
+from .roots import PRECISION_ATTEMPTS, AlphaTriple, compute_alphas
 
 _MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
-_PRECISION_ATTEMPTS = 4  # the precision doubles between attempts
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def _solve_form(form, y_bound: int, precision_bits: int):
     # (|s| + |t|) log2(n + 2) bounds log2 max|alpha|
     bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + _MARGIN_BITS
     pb = max(precision_bits, int(bits))
-    for _ in range(_PRECISION_ATTEMPTS):
+    for _ in range(PRECISION_ATTEMPTS):
         tri = compute_alphas(n, s, t, pb)
         candidates = _candidates(form, tri, y_bound)
         if candidates is not None:
@@ -264,7 +263,7 @@ def _exponent_guesses(n: int, s: int, t: int, x: int, y: int, precision_bits: in
     elif x == 0:
         yield s, t
     pb = precision_bits
-    for _ in range(_PRECISION_ATTEMPTS):
+    for _ in range(PRECISION_ATTEMPTS):
         tri = compute_alphas(n, s, t, pb)
         with workprec(tri.roots.precision_bits):
             la0, la1, la2 = tri.roots.log_abs_lambda
@@ -320,5 +319,5 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
         return UnitDecomposition(b1, b2, sign, b_bar)
     raise RoundingAmbiguous(
         f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to "
-        f"{precision_bits << _PRECISION_ATTEMPTS} bits"
+        f"{precision_bits << PRECISION_ATTEMPTS} bits"
     )

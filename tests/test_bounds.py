@@ -1,12 +1,13 @@
 """Bound constant, upper bound, lower-bound chain, crossover scan."""
 
+import dataclasses
 import math
 
 import pytest
 from mpmath import mp, mpf, workprec
 
 from cubicthue import bounds
-from cubicthue.asymptotics import ProofQuantities, compute_proof_quantities, st_box
+from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.bounds import (
     StPolicy, bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan,
 )
@@ -118,10 +119,7 @@ def test_chain_value_scale():
 
 def test_chain_guard_vbar_window():
     q = compute_proof_quantities(10**4, 2, 1)
-    doctored = ProofQuantities(
-        q.n, q.s, q.t, q.precision_bits, q.u1, q.u2, q.v1, q.v2, q.w1, q.w2,
-        q.u_bar, q.regulator * 2, q.w_bar, q.b0, q.regulator,
-        q.logdiff12, q.logdiff13, q.diff12_abs, q.diff13_abs)
+    doctored = dataclasses.replace(q, v_bar_num=q.regulator_num * 2)
     with pytest.raises(ChainPreconditionFailed) as exc:
         lower_bound_chain(10**4, 2, 1, quantities=doctored)
     assert "v_bar" in str(exc.value)

@@ -1,0 +1,210 @@
+"""The fixed-point kernel against the mpf code it replaced, and its certificates.
+
+The oracle below is the mpf implementation of compute_alphas, _signed_diffs,
+compute_proof_quantities and the lower-bound chain as they were before the
+conjugates and the proof quantities moved to integers over 2^K.  It runs at
+twice the bits the kernel worked at, so it is the more accurate of the two.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf, workprec
+
+from cubicthue import asymptotics, bounds, roots
+from cubicthue.asymptotics import (
+    _diff_precision, check_error_products, compute_proof_quantities, run_vbar, st_box,
+)
+from cubicthue.cli import main
+from cubicthue.errors import ChainPreconditionFailed, PrecisionExhausted
+from cubicthue.roots import alpha_precision, compute_alphas, compute_roots
+
+
+# ---------------------------------------------------------------------------
+# the mpf oracle
+# ---------------------------------------------------------------------------
+
+def oracle_alphas(n, s, t, precision_bits):
+    """alpha1, alpha2, alpha3 by mpf powers of the roots, and the root set."""
+    wp = alpha_precision(n, s, t, precision_bits)
+    rs = compute_roots(n, wp)
+    with workprec(wp + 16):
+        return (rs.lambda0**s * rs.lambda1**t, rs.lambda1**s * rs.lambda2**t,
+                rs.lambda2**s * rs.lambda0**t, rs)
+
+
+def oracle_signed_diffs(n, s, t, precision_bits):
+    a1, a2, a3, rs = oracle_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
+    with workprec(rs.precision_bits):
+        return a1 - a2, a1 - a3, rs
+
+
+def oracle_quantities(n, s, t, precision_bits):
+    d12, d13, rs = oracle_signed_diffs(n, s, t, precision_bits)
+    with workprec(rs.precision_bits):
+        a12, a13 = abs(d12), abs(d13)
+        l12, l13 = mp.log(a12), mp.log(a13)
+    la0, la1, la2 = rs.log_abs_lambda
+    with workprec(_diff_precision(n, s, t, precision_bits)):
+        reg = rs.regulator
+        u1, u2 = la0 - la2, la1 - la2
+        v1 = l12 * la0 - la2 * l13
+        v2 = la1 * l13 - l12 * la2
+        w1 = la0 / d12 - la2 / d13
+        w2 = la1 / d13 - la2 / d12
+        b0 = int(mp.floor((v1 + v2) / reg)) + 1
+        return SimpleNamespace(u_bar=-u1 - u2, v_bar=b0 * reg - v1 - v2, w_bar=-w1 - w2,
+                               b0=b0, regulator=reg, diff12_abs=a12, diff13_abs=a13)
+
+
+def oracle_chain(n, q, absorb_rhs, wp):
+    with workprec(wp):
+        if q.u_bar <= 0:
+            raise ChainPreconditionFailed("u_bar > 0")
+        if not (0 < q.v_bar < q.regulator):
+            raise ChainPreconditionFailed("0 < v_bar < R")
+        if absorb_rhs is None:
+            raise ChainPreconditionFailed("n >= 1")
+        if abs(q.w_bar) / (2 * q.diff12_abs * q.diff13_abs) > absorb_rhs:
+            raise ChainPreconditionFailed("w_bar absorption")
+        value = (q.regulator - q.v_bar - absorb_rhs) * n / 3
+        if value <= 0:
+            raise ChainPreconditionFailed("R - v_bar > (3/4) log(n)/n")
+        return value
+
+
+def chain_outcome(chain, n, q, precision_bits):
+    """(failure name, lower as a float, crossover) of the chain on q."""
+    const = bounds._n_constants(n, 1, precision_bits)
+    upper = bounds.bg_upper_bound(n, *q.st, precision_bits=precision_bits)
+    try:
+        value = chain(n, q.quantities, const.absorb_rhs, precision_bits + 16)
+    except ChainPreconditionFailed as exc:
+        return exc.inequality, None, False
+    return "", float(value), bool(value > upper)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the oracle
+# ---------------------------------------------------------------------------
+
+LARGE_N = [10**12, 10**32, 10**64]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(2, 10**6), st.sampled_from(LARGE_N)),
+       st_pair=st.sampled_from(st_box(5)))
+def test_kernel_matches_the_mpf_oracle_at_twice_the_bits(n, st_pair):
+    s, t = st_pair
+    pb = 192
+    try:
+        q = compute_proof_quantities(n, s, t, pb)
+    except PrecisionExhausted:
+        # an undecided b0 may only end this way where the cancellation is deep
+        assert n >= 10**32
+        return
+    oracle_pb = 2 * q.frac_bits
+    ref = oracle_quantities(n, s, t, oracle_pb)
+    assert q.b0 == ref.b0
+
+    # the conjugates: within their radius over 2^K, and relatively within 2^-precision_bits
+    tri = compute_alphas(n, s, t, pb)
+    K = tri.frac_bits
+    *exact, _ = oracle_alphas(n, s, t, 2 * K)
+    with workprec(4 * K):
+        for num, radius, view, a in zip(tri.numerators, tri.radii, tri.alphas, exact):
+            assert abs(a * 2**K - num) <= radius
+            assert abs(view - a) < abs(a) * mpf(2) ** -pb
+
+    mine = chain_outcome(bounds._chain, n, SimpleNamespace(quantities=q, st=(s, t)), pb)
+    theirs = chain_outcome(oracle_chain, n, SimpleNamespace(quantities=ref, st=(s, t)), pb)
+    assert mine == theirs
+
+    if n <= 10**6:
+        d12, d13, _ = oracle_signed_diffs(n, s, t, oracle_pb)
+        with workprec(oracle_pb + 16):
+            a12, a13 = abs(d12), abs(d13)
+            margins = (a12 * a13 / (mpf(2) / 3 * n * n),
+                       min(a12 * a12 * a13, a12 * a13 * a13) / (mpf(2) / 3 * n),
+                       max(a12 * a12 * a13, a12 * a13 * a13) / (mpf(2) / 3 * n * n))
+        exempt = (s, t) in ((1, 1), (-1, -1))
+        passed = (exempt or margins[0] >= 1) and margins[1] >= 1 and margins[2] >= 1
+        assert check_error_products(n, s, t, pb).passed == passed
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10**6, 10**64, 10**400])
+def test_root_set_radii_hold(n):
+    # every fixed-point value of a root set lies within its radius of the true value
+    rs = compute_roots(n, 128)
+    K = rs.frac_bits
+    # 32 guard bits beyond the requested precision, the bits the mpf roots were taken at
+    assert K == max(128 + 32, n.bit_length())
+    ref = compute_roots(n, 2 * K + 64)
+    with workprec(2 * K + 64):
+        lams = ref.lambdas
+        pairs = list(zip(rs.lam_fixed, lams)) + list(zip(rs.inv_fixed, (1 / v for v in lams)))
+        pairs += list(zip(rs.log_fixed, ref.log_abs_lambda)) + [(rs.reg_fixed, ref.regulator)]
+        for (num, radius), exact in pairs:
+            assert abs(exact * 2**K - num) <= radius
+    # lam0 is the exact Newton floor, floor(lam0 * 2^k) * 2^(K - k) with k = K - bitlen(n)
+    shift = n.bit_length()
+    assert rs.lam_fixed[0] == (roots._lam0_floor(n, K - shift) << shift, 1 << shift)
+
+
+# ---------------------------------------------------------------------------
+# b0 and the window are certified
+# ---------------------------------------------------------------------------
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, s, t", [(10**64, -5, 4), (10**64, -4, 5), (10**32, -5, 5)])
+def test_bound_at_default_precision_gives_the_1024_bit_answer(capsys, n, s, t):
+    # at 192 bits these cells once reported "0 < v_bar < R"; the answer at 1024 bits
+    # is the one a certified b0 must give, or else exit 3
+    code, out = _cli(capsys, "bound", str(n), str(s), str(t))
+    want = _cli(capsys, "--precision-bits", "1024", "bound", str(n), str(s), str(t))
+    assert code == 3 or (code, out) == want
+    assert "0 < v_bar < R" not in want[1]
+
+
+def test_vbar_lemma_at_1e64_gives_the_1024_bit_answer():
+    try:
+        rows = run_vbar(n_grid=[10**64]).rows
+    except PrecisionExhausted:
+        return
+    want = run_vbar(n_grid=[10**64], precision_bits=1024).rows
+    assert [(r["b0"], r["in_window"]) for r in rows] == [(r["b0"], r["in_window"]) for r in want]
+    assert all(r["in_window"] for r in rows)
+
+
+def test_undecided_b0_doubles_then_exhausts(monkeypatch):
+    # with radii that never shrink, b0 is never certified: four attempts, then exit 3
+    attempts = []
+
+    def never(n, s, t, precision_bits, diff_bits):
+        attempts.append(diff_bits)
+
+    monkeypatch.setattr(asymptotics, "_certified_quantities", never)
+    with pytest.raises(PrecisionExhausted):
+        compute_proof_quantities(10**4, 2, 1)
+    first = _diff_precision(10**4, 2, 1, 192)
+    assert attempts == [first, 2 * first, 4 * first, 8 * first]
+    assert main(["bound", "10000", "2", "1"]) == 3
+
+
+def test_chain_beyond_float_range_is_carried_as_mpf(capsys):
+    # the chain value near n/3 overflows a float at n = 10^400; it is rendered, not inf
+    rep = bounds.bound_report(10**400, 2, 1)
+    assert not isinstance(rep.lower_chain, float) and rep.crossover
+    assert rep.lower_chain > 10**405 and isinstance(rep.margin, mpf)
+    code, out = _cli(capsys, "bound", str(10**400), "2", "1")
+    assert code == 0 and "inf" not in out and "lower-bound chain:    2.82555e+405" in out
+    rows = bounds.n0_scan(0.25, [10**400], st_policy=1).rows
+    assert not any(mp.isinf(r[k]) for r in rows for k in ("lower", "margin") if r[k] is not None)
+    # finite values stay the floats they are
+    rep = bounds.bound_report(10**6, 2, 1)
+    assert isinstance(rep.lower_chain, float) and rep.margin == rep.lower_chain / rep.B_rhs
