@@ -30,6 +30,15 @@ So a b0 this module reports is the true one, whatever the cancellation in
 v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
 (u_bar > 0, the w_bar absorption) are made on the same integers, without a
 division (see bounds._chain); they are not certified.
+
+The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
+one orbit have the same three conjugates in a cyclic order: those of
+phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
+their differences are the three alpha_i - alpha_j of one triple, up to sign,
+and _quantities takes the triple, the shift of a cell and a memo of the
+logs |alpha_i - alpha_j|, one per pair of indices.  compute_proof_quantities
+is the shift-0 case with a fresh memo; the scans of bounds and cli evaluate a
+whole orbit on one triple, three logs in all.
 """
 
 from __future__ import annotations
@@ -203,12 +212,23 @@ def _diff_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     return precision_bits + extra
 
 
+def _order(shift: int):
+    """The indices of tri's conjugates that are alpha1, alpha2, alpha3 of a cell."""
+    return shift, (shift + 1) % 3, (shift + 2) % 3
+
+
+def _ordered_diffs(tri, shift: int):
+    """alpha1 - alpha2 and alpha1 - alpha3, as (numerator, radius) pairs over 2^K,
+    of the cell whose conjugates are those of tri from index shift on."""
+    (i, j, k), nums, radii = _order(shift), tri.numerators, tri.radii
+    return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
+
+
 def _fixed_diffs(n: int, s: int, t: int, diff_bits: int):
     """alpha1 - alpha2 and alpha1 - alpha3 as (numerator, radius) pairs over
     2^K, and the AlphaTriple at diff_bits they come from."""
     tri = compute_alphas(n, s, t, diff_bits)
-    (a1, a2, a3), (r1, r2, r3) = tri.numerators, tri.radii
-    return (a1 - a2, r1 + r2), (a1 - a3, r1 + r3), tri
+    return (*_ordered_diffs(tri, 0), tri)
 
 
 def _signed_diffs(n: int, s: int, t: int, precision_bits: int):
@@ -363,24 +383,27 @@ class ProofQuantities:
         return w << 2 * self.frac_bits, 2 * (self.diff12_num * self.diff13_num) ** 2
 
 
-def _certified_quantities(n: int, s: int, t: int, precision_bits: int, diff_bits: int):
-    """ProofQuantities from the conjugates at diff_bits, or None where the
-    radii leave b0 undecided.
+def _quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
+    """ProofQuantities of the cell (s, t) whose conjugates are those of tri from
+    index shift on, or None where the radii leave b0 undecided.
 
-    v1 + v2 = V and R are known as integers over 2^K with radii r_V and r_R.
-    With m = floor(V / R) and rem = V - m R, the true value of v1 + v2 lies
-    strictly between m R and (m + 1) R, for the true R, when
+    logs maps a pair i < j of tri's indices to log|alpha_i - alpha_j| over 2^K;
+    a log it lacks is taken and stored.  v1 + v2 = V and R are known as
+    integers over 2^K with radii r_V and r_R.  With m = floor(V / R) and
+    rem = V - m R, the true value of v1 + v2 lies strictly between m R and
+    (m + 1) R, for the true R, when
 
         rem > r_V + |m| r_R    and    R - rem > r_V + |m + 1| r_R.
 
     Then b0 = m + 1 and v_bar = R - rem lies in (0, R).  The differences
     themselves must be known to be nonzero before their logs are taken.
     """
-    d12, d13, tri = _fixed_diffs(n, s, t, diff_bits)
+    d12, d13 = _ordered_diffs(tri, shift)
     if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
         return None
     rs, K = tri.roots, tri.frac_bits
-    l12, l13 = fixed_log(d12, K), fixed_log(d13, K)
+    i, j, k = _order(shift)
+    l12, l13 = _memo_log(logs, i, j, d12, K), _memo_log(logs, i, k, d13, K)
     g0, g1, g2 = rs.log_fixed
     p1, p2 = fixed_mul(l12, g0, K), fixed_mul(g2, l13, K)
     p3, p4 = fixed_mul(g1, l13, K), fixed_mul(l12, g2, K)
@@ -391,10 +414,34 @@ def _certified_quantities(n: int, s: int, t: int, precision_bits: int, diff_bits
     if rem <= r_v + abs(m) * r_reg or reg - rem <= r_v + abs(m + 1) * r_reg:
         return None
     return ProofQuantities(
-        n, s, t, precision_bits, K, m + 1,
+        tri.n, s, t, precision_bits, K, m + 1,
         g0[0] - g2[0], g1[0] - g2[0], v1, v2, reg - rem, reg,
         l12[0], l13[0], d12[0], d13[0],
     )
+
+
+def _memo_log(logs: dict, i: int, j: int, d, frac_bits: int):
+    """log|alpha_i - alpha_j| over 2^K from the memo, taken from d if it is not there."""
+    key = (min(i, j), max(i, j))
+    if key not in logs:
+        logs[key] = fixed_log(d, frac_bits)
+    return logs[key]
+
+
+def _certified_quantities(n: int, s: int, t: int, precision_bits: int, diff_bits: int):
+    """ProofQuantities from the conjugates of (n, s, t) at diff_bits, or None
+    where the radii leave b0 undecided."""
+    return _quantities(compute_alphas(n, s, t, diff_bits), 0, {}, s, t, precision_bits)
+
+
+def cell_quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
+    """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
+
+    Where tri's radii leave b0 undecided, the cell goes to the certify-or-double
+    loop of compute_proof_quantities.
+    """
+    q = _quantities(tri, shift, logs, s, t, precision_bits)
+    return q if q is not None else compute_proof_quantities(tri.n, s, t, precision_bits)
 
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:

@@ -26,10 +26,12 @@ from typing import Optional
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, round_nearest
 
-from .asymptotics import compute_proof_quantities, float_power, ratio_float, st_box
+from .asymptotics import (
+    _diff_precision, cell_quantities, compute_proof_quantities, float_power, ratio_float, st_box,
+)
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
-from .forms import build_form, height, is_reducible
-from .roots import compute_roots
+from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform
+from .roots import alpha_precision, compute_roots, power_alphas, root_frac_bits, shift_roots
 
 
 _THREE = from_int(3)
@@ -177,21 +179,22 @@ def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 1
     return _bound_report(build_form(n, s, t), _n_constants(n, b_abs, precision_bits))
 
 
-def _bound_report(form, const: _NConstants, upper=None) -> BoundReport:
+def _bound_report(form, const: _NConstants, upper=None, q=None) -> BoundReport:
     """bound_report for a form that is already built, from the constants of its n.
 
     upper, if given, is _upper_bound(form, const), computed once for all the
-    parameter pairs that share the form.
+    parameter pairs that share the form; q, if given, is the cell's
+    ProofQuantities at const.precision_bits.
     """
     n, s, t = form.n, form.s, form.t
     if upper is None:
         upper = _upper_bound(form, const)
+    if q is None:
+        q = compute_proof_quantities(n, s, t, const.precision_bits)
     lower = None
     failure = ""
     crossover = False
     try:
-        # compute_proof_quantities keeps precision_bits, so the chain runs at the constants' bits
-        q = compute_proof_quantities(n, s, t, const.precision_bits)
         lower_mpf = _chain(n, q, const.absorb_rhs, const.precision_bits + 16)
         lower = _finite_float(lower_mpf)
         crossover = bool(lower_mpf > upper)
@@ -199,6 +202,51 @@ def _bound_report(form, const: _NConstants, upper=None) -> BoundReport:
         failure = exc.inequality
     return BoundReport(n, s, t, c3_constant(3, 2), height(form), float(upper),
                        lower, crossover, failure, const.precision_bits)
+
+
+def orbit_cells(n: int, pairs, precision_bits: int, solver_bits=None):
+    """Yield (s, t, form, tri, shift, logs) for each (s, t) of pairs, in order,
+    evaluated by phi-orbit on one root set.
+
+    The cells of pairs that phi maps into each other share one form and one
+    AlphaTriple, powered at the first such cell, the orbit's representative;
+    a cell's conjugates are tri's from index shift on (see
+    asymptotics._quantities), and logs is the orbit's memo of difference logs.
+    The triple takes the fraction bits the cells' proof quantities each asked
+    for (alpha_precision of _diff_precision) and, if solver_bits is given,
+    those of the representative's solver attempt at solver_bits(s, t) bits.
+    The roots are computed once, at the largest of these, and every triple
+    is powered from them shifted down to its own bits.  A form carries the
+    (s, t) of the cell it is yielded for.
+    """
+    in_box = set(pairs)
+    cells = {}     # cell -> (representative, shift)
+    orbits = {}    # representative -> its precision request (roots bits, triple bits)
+    for rep in pairs:
+        if rep in cells:
+            continue
+        once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
+        members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
+        asks = [(c, _diff_precision(n, *c, precision_bits)) for c, _ in members]
+        if solver_bits is not None:
+            asks.append((rep, solver_bits(*rep)))
+        orbits[rep] = (max(alpha_precision(n, *c, bits) for c, bits in asks),
+                       max(bits for _, bits in asks))
+        cells.update((c, (rep, shift)) for c, shift in members)
+    if not orbits:
+        return
+    rs = compute_roots(n, max(wp for wp, _ in orbits.values()))
+    built = {}
+    for s, t in pairs:
+        rep, shift = cells[(s, t)]
+        if rep not in built:
+            wp, bits = orbits[rep]
+            tri = power_alphas(shift_roots(rs, root_frac_bits(n, wp)), *rep, bits)
+            built[rep] = (build_form(n, *rep), tri, {})
+        form, tri, logs = built[rep]
+        if shift:
+            form = BinaryCubicForm(n, s, t, form.A, form.B)
+        yield s, t, form, tri, shift, logs
 
 
 @dataclass(frozen=True)
@@ -243,8 +291,14 @@ def n0_scan(epsilon: float, n_grid, st_policy=None, precision_bits: int = 192) -
     by_pair = {}
     for n in n_grid:
         const = _n_constants(n, 1, precision_bits)
-        for (s, t) in st_policy.pairs(n, epsilon):
-            rep = _bound_report(build_form(n, s, t), const)
+        uppers = {}
+        for s, t, form, tri, shift, logs in orbit_cells(n, st_policy.pairs(n, epsilon),
+                                                        precision_bits):
+            key = (form.A, form.B)
+            if key not in uppers:
+                uppers[key] = _upper_bound(form, const)
+            q = cell_quantities(tri, shift, logs, s, t, precision_bits)
+            rep = _bound_report(form, const, uppers[key], q)
             rows.append({"n": n, "s": s, "t": t, "upper": rep.B_rhs,
                          "lower": rep.lower_chain, "margin": rep.margin,
                          "crossover": rep.crossover, "chain_failure": rep.chain_failure,

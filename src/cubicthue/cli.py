@@ -17,10 +17,14 @@ Exit codes: 0 ok, 1 a verification check failed, 2 usage error, 3 precision
 exhausted.  Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS.
 
 The scan works one n at a time, and --jobs hands whole n values to the
-workers, so each worker computes the roots of its n once.  Within an n, the
-cells (s, t) and phi(s, t) = (-s + t, -s) have the same form, so each distinct
-form (A, B) is solved once and its upper bound computed once; the
-lower-bound chain depends on the order of the conjugates and runs per cell.
+workers.  Within an n, the cells (s, t) and phi(s, t) = (-s + t, -s) have the
+same form, with the conjugates in a cyclic order, so the scan goes by
+phi-orbit (bounds.orbit_cells): the roots of n are computed once, at the most
+bits any cell needs, and each distinct form (A, B) is built once, powered into
+one conjugate triple at its own bits (a floor shift of that root set), solved
+once and its upper bound computed once.  The lower-bound chain depends on the
+order of the conjugates and runs per cell, on the form's triple in that
+cell's order, so the three difference logs of an orbit are taken once.
 
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -72,6 +77,12 @@ def _env_int(name, fallback):
         return int(os.environ.get(name, ""))
     except ValueError:
         return fallback
+
+
+def _env_defaults() -> dict:
+    """The defaults of the global options the environment overrides, as it is now."""
+    return {"precision_bits": _env_int("CUBICTHUE_PRECISION_BITS", 192),
+            "jobs": _env_int("CUBICTHUE_JOBS", 1)}
 
 
 def _grid_value(text: str) -> int:
@@ -279,23 +290,27 @@ def _scan_n(job):
     """The scan rows of one n, in the order of pairs.
 
     The constants of the two bounds that depend on n alone are computed once.
-    Cells with the same form (A, B) share one solution map and one upper
-    bound.  (s, t) -> (-s, -t) is not used: it swaps x and y, so it does not
+    The cells of one phi-orbit share one form, one conjugate triple, one
+    solution map and one upper bound; the triple is also the solver's first
+    attempt.  (s, t) -> (-s, -t) is not used: it swaps x and y, so it does not
     keep the box |y| <= y_bound.
     """
     n, pairs, y_bound, precision_bits = job
     const = bounds._n_constants(n, 1, precision_bits)
+    solve_bits = max(160, precision_bits)
     shared = {}
     rows = []
-    for s, t in pairs:
-        form = build_form(n, s, t)
+    for s, t, form, tri, shift, logs in bounds.orbit_cells(
+            n, pairs, precision_bits,
+            lambda s, t: solver._first_bits(n, s, t, y_bound, solve_bits)):
         key = (form.A, form.B)
         if key not in shared:
-            found, _ = solver._solve_form(form, y_bound, max(160, precision_bits))
+            found, _ = solver._solve_form(form, y_bound, solve_bits, tri)
             shared[key] = (len(found), sum(1 for _, y in found if abs(y) > 1),
                            bounds._upper_bound(form, const))
         solutions, nontrivial, upper = shared[key]
-        rep = bounds._bound_report(form, const, upper)
+        q = asymptotics.cell_quantities(tri, shift, logs, s, t, precision_bits)
+        rep = bounds._bound_report(form, const, upper, q)
         rows.append({"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
                      "solutions": solutions, "nontrivial": nontrivial,
                      "upper": rep.B_rhs, "lower": rep.lower_chain, "margin": rep.margin,
@@ -347,10 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cubicthue",
         description="Twisted cubic Thue equations: exact forms, bounded solving, "
                     "asymptotic verification, bound comparison.")
-    p.add_argument("--precision-bits", type=int,
-                   default=_env_int("CUBICTHUE_PRECISION_BITS", 192),
-                   dest="precision_bits")
-    p.add_argument("--jobs", type=int, default=_env_int("CUBICTHUE_JOBS", 1))
+    p.add_argument("--precision-bits", type=int, dest="precision_bits")
+    p.add_argument("--jobs", type=int)
+    p.set_defaults(**_env_defaults())
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--epsilon", type=float, default=0.25)
@@ -392,8 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first main call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
+    # the parser outlives this call, so the environment is read again
+    parser.set_defaults(**_env_defaults())
     args = parser.parse_args(argv)
     if not 0 < args.epsilon < 0.5:
         parser.exit(2, "epsilon must lie in (0, 1/2)\n")

@@ -63,14 +63,19 @@ log and the final floor.  So every radius is an integer bound that a test
 can check against a computation at twice the precision, and the conjugates
 alpha_j come out as N_j / 2^K with |alpha_j - N_j / 2^K| <= r_j / 2^K.  The
 mpf values alpha1, alpha2 and alpha3 of an AlphaTriple are the exact views
-N_j / 2^K of its numerators.
+N_j / 2^K of its numerators, made when they are first read.
+
+A root set at K serves every K' < K by a floor shift, with no second Newton
+run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
+floor moves the value by less than one unit of 2^-K', and the true value is
+within r / 2^K = (r / 2^d) / 2^K' of N / 2^K, so r' bounds the sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_log, round_nearest
@@ -118,16 +123,17 @@ class AlphaTriple:
     s: int
     t: int
     precision_bits: int
-    alpha1: object
-    alpha2: object
-    alpha3: object
     roots: RootSet
     numerators: tuple
     radii: tuple
 
-    @property
+    @cached_property
     def alphas(self):
-        return (self.alpha1, self.alpha2, self.alpha3)
+        return tuple(fixed_view(num, self.frac_bits) for num in self.numerators)
+
+    alpha1 = property(lambda self: self.alphas[0])
+    alpha2 = property(lambda self: self.alphas[1])
+    alpha3 = property(lambda self: self.alphas[2])
 
     @property
     def frac_bits(self) -> int:
@@ -268,6 +274,30 @@ def _certify(n: int, x, out_bits: int):
     )
 
 
+def root_frac_bits(n: int, precision_bits: int) -> int:
+    """K of compute_roots(n, precision_bits): 32 guard bits beyond precision_bits,
+    and at least the bits of n."""
+    return max(precision_bits + 32, n.bit_length())
+
+
+def shift_roots(rs: RootSet, frac_bits: int) -> RootSet:
+    """The root set rs at frac_bits <= rs.frac_bits, by the floor shift of the module
+    docstring; its precision_bits drops by the bits shifted out."""
+    d = rs.frac_bits - frac_bits
+    if d < 0:
+        raise ValueError("a root set shifts only to fewer fraction bits")
+    if d == 0:
+        return rs
+
+    def shift(pairs):
+        return tuple((num >> d, -(-r >> d) + 1) for num, r in pairs)
+
+    reg, = shift([rs.reg_fixed])
+    return replace(rs, precision_bits=rs.precision_bits - d, frac_bits=frac_bits,
+                   lam_fixed=shift(rs.lam_fixed), inv_fixed=shift(rs.inv_fixed),
+                   log_fixed=shift(rs.log_fixed), reg_fixed=reg)
+
+
 @lru_cache(maxsize=512)
 def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
     """Certified roots, their log-absolute-values and the regulator.
@@ -280,7 +310,7 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     wp = precision_bits + 32
-    k = max(wp - n.bit_length(), 0)  # floor(lam0 * 2^k) then has about wp bits
+    k = root_frac_bits(n, precision_bits) - n.bit_length()  # floor(lam0 * 2^k) has about wp bits
     x0 = _lam0_floor(n, k)
     with workprec(wp):
         l0 = mpf((x0, -k))
@@ -304,6 +334,21 @@ def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     return ((wp + 63) // 64) * 64
 
 
+def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int) -> AlphaTriple:
+    """The twisted conjugates of (s, t), powered in fixed point from the root set rs.
+
+    precision_bits is recorded as the triple's precision; rs must hold enough
+    fraction bits for it (compute_alphas picks them by alpha_precision).
+    """
+    K = rs.frac_bits
+    powers = [(_fixed_power(lam, inv, s, K), _fixed_power(lam, inv, t, K))
+              for lam, inv in zip(rs.lam_fixed, rs.inv_fixed)]
+    # alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t
+    alphas = [fixed_mul(powers[j][0], powers[(j + 1) % 3][1], K) for j in range(3)]
+    return AlphaTriple(rs.n, s, t, precision_bits, rs,
+                       tuple(a for a, _ in alphas), tuple(r for _, r in alphas))
+
+
 @lru_cache(maxsize=4096)
 def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTriple:
     """The three twisted conjugate values with relative error < 2^-precision_bits.
@@ -311,12 +356,5 @@ def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTr
     They are powered in fixed point from the root set at
     alpha_precision(n, s, t, precision_bits) bits, each with its radius.
     """
-    rs = compute_roots(n, alpha_precision(n, s, t, precision_bits))
-    K = rs.frac_bits
-    powers = [(_fixed_power(lam, inv, s, K), _fixed_power(lam, inv, t, K))
-              for lam, inv in zip(rs.lam_fixed, rs.inv_fixed)]
-    # alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t
-    alphas = [fixed_mul(powers[j][0], powers[(j + 1) % 3][1], K) for j in range(3)]
-    nums = tuple(a for a, _ in alphas)
-    return AlphaTriple(n, s, t, precision_bits, *(fixed_view(a, K) for a in nums), rs,
-                       nums, tuple(r for _, r in alphas))
+    return power_alphas(compute_roots(n, alpha_precision(n, s, t, precision_bits)),
+                        s, t, precision_bits)

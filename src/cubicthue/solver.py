@@ -12,15 +12,15 @@ its smallest factor.  For i != j the triangle inequality gives
 Candidate generation is complete by the following argument.  It runs in
 integers only.
 
-* Brackets.  Each alpha_j is replaced by the bracket from (m_j - 2) / 2^k_j
-  to (m_j + 2) / 2^k_j, where m_j / 2^k_j is its numeric value, and the
-  three are put over the largest denominator, D = 2^k, as integer numerators
-  lo_j < hi_j.  A bracket is accepted only if f(lo_j, D) and f(hi_j, D)
-  differ in sign; f is homogeneous of degree 3 and D > 0, so these are the
-  signs of g at lo_j / D and hi_j / D.  The three brackets must also be
-  pairwise disjoint; g has three roots, so each bracket then holds exactly
-  one.  The distances between the brackets give an integer g_j with
-  G_j >= g_j / D^2.
+* Brackets.  Each alpha_j is replaced by the bracket from (N_j - r_j - 1) / D
+  to (N_j + r_j + 1) / D, where N_j / D with D = 2^K is its fixed-point value
+  and r_j its radius (roots.py), so the integer numerators lo_j < hi_j hold
+  alpha_j strictly between them.  A bracket is accepted only if f(lo_j, D)
+  and f(hi_j, D) differ in sign; f is homogeneous of degree 3 and D > 0, so
+  these are the signs of g at lo_j / D and hi_j / D.  The three brackets
+  must also be pairwise disjoint; g has three roots, so each bracket then
+  holds exactly one.  The distances between the brackets give an integer g_j
+  with G_j >= g_j / D^2.
 * Large y.  For y > 8 / G_j the bound above gives |alpha_j - x/y| < 1/(2 y^2),
   and y g_j > 8 D^2 ensures y > 8 / G_j.  A common divisor d of x and y has
   d^3 | f(x, y) = +-1, so x/y is in lowest terms, and by Legendre's theorem
@@ -109,17 +109,11 @@ def _make_record(n, s, t, x, y, value, alphas) -> SolutionRecord:
 def _brackets(form, tri: AlphaTriple):
     """Certified disjoint brackets around the roots of g, over one denominator.
 
-    Returns ([(lo_j, hi_j) for j = 1, 2, 3], den) with den = 2^k and
+    Returns ([(lo_j, hi_j) for j = 1, 2, 3], den) with den = 2^K and
     lo_j / den < alpha_j < hi_j / den, or None if they are not certified.
     """
-    scaled = []
-    for a in tri.alphas:
-        # a has relative error below 2^-precision_bits, far inside the +-2^(1-k_j) bracket
-        k_j = max(0, tri.precision_bits - 4 - int(mp.mag(a)))
-        scaled.append((int(mp.ldexp(a, k_j)), k_j))
-    k = max(k_j for _, k_j in scaled)
-    out = [((m - 2) << (k - k_j), (m + 2) << (k - k_j)) for m, k_j in scaled]
-    den = 1 << k
+    out = [(num - r - 1, num + r + 1) for num, r in zip(tri.numerators, tri.radii)]
+    den = 1 << tri.frac_bits
     for lo, hi in out:
         # f is homogeneous of degree 3 and den > 0: f(lo, den) has the sign of g(lo / den)
         if eval_form(form, lo, den) * eval_form(form, hi, den) >= 0:
@@ -193,21 +187,33 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = 160):
     return records
 
 
-def _solve_form(form, y_bound: int, precision_bits: int):
+def _first_bits(n: int, s: int, t: int, y_bound: int, precision_bits: int) -> int:
+    """The precision of the solver's first attempt: at least precision_bits, and
+    the bits the convergents up to y_bound need."""
+    # (|s| + |t|) log2(n + 2) bounds log2 max|alpha|
+    bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + _MARGIN_BITS
+    return max(precision_bits, int(bits))
+
+
+def _solve_form(form, y_bound: int, precision_bits: int, tri: Optional[AlphaTriple] = None):
     """The exact solution map {(x, y): f(x, y)} with |y| <= y_bound, for a form
-    already built from a valid (s, t), and the AlphaTriple that certified it."""
+    already built from a valid (s, t), and the AlphaTriple that certified it.
+
+    tri, if given, holds the conjugates of the form and is the first attempt;
+    later attempts double the precision from _first_bits.
+    """
     if y_bound < 1:
         raise ValueError("y_bound must be >= 1")
     n, s, t = form.n, form.s, form.t
-    # (|s| + |t|) log2(n + 2) bounds log2 max|alpha|
-    bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + _MARGIN_BITS
-    pb = max(precision_bits, int(bits))
+    pb = _first_bits(n, s, t, y_bound, precision_bits)
     for _ in range(PRECISION_ATTEMPTS):
-        tri = compute_alphas(n, s, t, pb)
+        if tri is None:
+            tri = compute_alphas(n, s, t, pb)
         candidates = _candidates(form, tri, y_bound)
         if candidates is not None:
             break
         pb *= 2
+        tri = None
     else:
         raise PrecisionExhausted(
             f"solver candidates for (n,s,t)={(n, s, t)} undecided at {pb // 2} bits")

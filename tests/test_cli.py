@@ -227,6 +227,36 @@ def test_scan_solves_and_bounds_each_distinct_form_once(capsys, monkeypatch):
     assert calls == {"solve": 24, "upper": 24}
 
 
+def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
+    # st_box(3) holds 24 phi-orbits: 6 with all three cells in the box, 18 with one
+    from cubicthue import asymptotics, bounds, cli, roots, solver
+
+    counts = {"triples": 0, "logs": 0, "forms": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        return wrapper
+
+    powering = counting("triples", roots.power_alphas)
+    monkeypatch.setattr(roots, "power_alphas", powering)
+    monkeypatch.setattr(bounds, "power_alphas", powering)
+    monkeypatch.setattr(asymptotics, "fixed_log", counting("logs", roots.fixed_log))
+    forming = counting("forms", bounds.build_form)
+    for mod in (bounds, cli, solver):
+        monkeypatch.setattr(mod, "build_form", forming)
+    roots.compute_roots.cache_clear()
+    roots.compute_alphas.cache_clear()
+    code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3"])
+    assert code == 0
+    # two n values: per n, one triple and one form per orbit, three logs per orbit
+    # with two or three cells in the box and two for the others
+    assert counts == {"triples": 2 * 24, "logs": 2 * 54, "forms": 2 * 24}
+    # per n, the orbit's root set and the bound constants' 192-bit one
+    assert roots.compute_roots.cache_info().misses <= 2 * 2
+
+
 def test_grid_size_is_bounded_before_any_work(capsys):
     assert len(parse_grid(f"1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
     for spec in (f"0:{MAX_GRID_POINTS}", f"0:{2 * MAX_GRID_POINTS - 1}:2"):
@@ -329,6 +359,40 @@ def test_env_override_precision(capsys, monkeypatch):
                                 "--ybound", "1"])
     assert code == 0
     assert json.loads(out)["config"]["precision_bits"] == 128
+
+
+def test_parser_is_built_once_and_reads_the_env_on_every_call(capsys, monkeypatch):
+    from cubicthue import cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        seen = []
+        for bits in ("128", "256"):
+            monkeypatch.setenv("CUBICTHUE_PRECISION_BITS", bits)
+            code, out, _ = run(capsys, ["--format", "json", "solve", "3", "1", "0",
+                                        "--ybound", "1"])
+            assert code == 0
+            seen.append(json.loads(out)["config"]["precision_bits"])
+        monkeypatch.delenv("CUBICTHUE_PRECISION_BITS")
+        code, out, _ = run(capsys, ["--format", "json", "solve", "3", "1", "0", "--ybound", "1"])
+        seen.append(json.loads(out)["config"]["precision_bits"])
+        assert seen == [128, 256, 192]
+        monkeypatch.setenv("CUBICTHUE_JOBS", "0")
+        with pytest.raises(SystemExit) as exc:
+            main(["form", "5", "1", "0"])
+        assert exc.value.code == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_epsilon_validation():

@@ -6,6 +6,7 @@ conjugates and the proof quantities moved to integers over 2^K.  It runs at
 twice the bits the kernel worked at, so it is the more accurate of the two.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -150,6 +151,109 @@ def test_root_set_radii_hold(n):
     # lam0 is the exact Newton floor, floor(lam0 * 2^k) * 2^(K - k) with k = K - bitlen(n)
     shift = n.bit_length()
     assert rs.lam_fixed[0] == (roots._lam0_floor(n, K - shift) << shift, 1 << shift)
+
+
+def _exact_values(n, bits):
+    """lam0..2, their inverses, their log-absolute-values and the regulator, from
+    the root set at `bits` bits, as mpf values at the working precision."""
+    ref = compute_roots(n, bits)
+    lams = ref.lambdas
+    return list(lams) + [1 / v for v in lams] + list(ref.log_abs_lambda) + [ref.regulator]
+
+
+def _pairs(rs):
+    return [*rs.lam_fixed, *rs.inv_fixed, *rs.log_fixed, rs.reg_fixed]
+
+
+@pytest.mark.parametrize("n", [0, 5, 100, 10**6, 10**64, 10**400])
+def test_shifted_root_set_holds_the_values(n):
+    rs = compute_roots(n, 256)
+    K = rs.frac_bits
+    for d in (1, 2, 7, 64, 100):
+        low = roots.shift_roots(rs, K - d)
+        k2 = low.frac_bits
+        assert k2 == K - d and low.precision_bits == rs.precision_bits - d
+        # where compute_roots has K - d bits too, its interval meets the shifted one
+        fresh = None
+        if k2 >= 96 and roots.root_frac_bits(n, k2 - 32) == k2:
+            fresh = _pairs(compute_roots(n, k2 - 32))
+        with workprec(2 * K + 64):
+            exact = _exact_values(n, 2 * K + 64)
+            for i, ((num, r), x) in enumerate(zip(_pairs(low), exact)):
+                assert abs(x * 2**k2 - num) <= r
+                if fresh:
+                    assert abs(num - fresh[i][0]) <= r + fresh[i][1]
+    with pytest.raises(ValueError):
+        roots.shift_roots(rs, K + 1)
+
+
+@pytest.mark.parametrize("n", [5, 10**6])
+def test_shift_radius_covers_values_at_the_edge_of_their_radius(n):
+    # a valid root set whose every value lies just below the top of a radius of
+    # 2^d units: the floor shift by d moves it up to 2 - 2^-d units of 2^-(K - d)
+    # from the new numerator, so the radius must be ceil(r / 2^d) + 1, not less
+    rs = compute_roots(n, 128)
+    K = rs.frac_bits
+    with workprec(2 * K + 64):
+        exact = _exact_values(n, 2 * K + 64)
+        for d in (2, 5, 9):
+            edge = [(int(mp.floor(x * 2**K)) - (1 << d) + 1, 1 << d) for x in exact]
+            for (num, r), x in zip(edge, exact):
+                assert abs(x * 2**K - num) <= r
+            doctored = dataclasses.replace(rs, lam_fixed=tuple(edge[0:3]),
+                                           inv_fixed=tuple(edge[3:6]),
+                                           log_fixed=tuple(edge[6:9]), reg_fixed=edge[9])
+            low = roots.shift_roots(doctored, K - d)
+            for (num, r), x in zip(_pairs(low), exact):
+                assert abs(x * 2**(K - d) - num) <= r
+
+
+# ---------------------------------------------------------------------------
+# the orbit path of the scans
+# ---------------------------------------------------------------------------
+
+def _scaled(pair, frac_bits, to_bits):
+    return pair[0] << (to_bits - frac_bits), pair[1] << (to_bits - frac_bits)
+
+
+@pytest.mark.parametrize("n", [5, 100, 5000, 10**6, 10**64])
+def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
+    const = bounds._n_constants(n, 1, 192)
+    cells = 0
+    for s, t, form, tri, shift, logs in bounds.orbit_cells(n, st_box(3), 192):
+        cells += 1
+        assert (form.s, form.t) == (s, t)
+        q = asymptotics.cell_quantities(tri, shift, logs, s, t, 192)
+        ref = compute_proof_quantities(n, s, t, 192)
+        assert (q.n, q.s, q.t, q.b0) == (ref.n, ref.s, ref.t, ref.b0)
+        # the cell's conjugates are tri's from index shift on
+        own = compute_alphas(n, s, t, _diff_precision(n, s, t, 192))
+        top = max(tri.frac_bits, own.frac_bits)
+        for j in range(3):
+            a = _scaled((tri.numerators[(j + shift) % 3], tri.radii[(j + shift) % 3]),
+                        tri.frac_bits, top)
+            b = _scaled((own.numerators[j], own.radii[j]), own.frac_bits, top)
+            assert abs(a[0] - b[0]) <= a[1] + b[1]
+        # the same chain verdict
+        verdicts = []
+        for quantities in (q, ref):
+            try:
+                bounds._chain(n, quantities, const.absorb_rhs, 208)
+                verdicts.append("")
+            except ChainPreconditionFailed as exc:
+                verdicts.append(exc.inequality)
+        assert verdicts[0] == verdicts[1]
+    assert cells == 36
+
+
+def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop():
+    # radii wider than the differences leave the orbit's triple undecided
+    n = 10**4
+    for s, t, form, tri, shift, logs in bounds.orbit_cells(n, st_box(2), 192):
+        wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
+        assert asymptotics._quantities(wide, shift, {}, s, t, 192) is None
+        q = asymptotics.cell_quantities(wide, shift, {}, s, t, 192)
+        assert q == compute_proof_quantities(n, s, t, 192)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from cubicthue import cli, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.errors import DegenerateTwist, PrecisionExhausted, RoundingAmbiguous
 from cubicthue.forms import build_form, eval_form
-from cubicthue.roots import compute_alphas
+from cubicthue.roots import compute_alphas, power_alphas, shift_roots
 from cubicthue.solver import classify_type, decompose_unit, reduce_to_type1, solve_box
 
 import cubicthue.exact_field as ef
@@ -134,14 +134,13 @@ def test_convergents_of_narrow_brackets():
 
 
 # The solver's candidate generation as it was first written, in Fraction
-# arithmetic: the reference for the integer kernel, which must agree exactly.
+# arithmetic, on the brackets (N - r - 1, N + r + 1) / 2^K of the triple's
+# numerators: the reference for the integer kernel, which must agree exactly.
 
 def oracle_brackets(form, tri):
-    out = []
-    for a in tri.alphas:
-        k = max(0, tri.precision_bits - 4 - int(mp.mag(a)))
-        m = int(mp.ldexp(a, k))
-        out.append((Fraction(m - 2, 1 << k), Fraction(m + 2, 1 << k)))
+    den = 1 << tri.frac_bits
+    out = [(Fraction(num - r - 1, den), Fraction(num + r + 1, den))
+           for num, r in zip(tri.numerators, tri.radii)]
     for lo, hi in out:
         if eval_form(form, lo.numerator, lo.denominator) * \
                 eval_form(form, hi.numerator, hi.denominator) >= 0:
@@ -193,10 +192,12 @@ def oracle_candidates(form, tri, y_bound):
        y_bound=st.one_of(st.integers(1, 300), st.integers(1, 10**60)),
        extra_bits=st.integers(-48, 64))
 def test_candidates_match_the_fraction_oracle(n, st_pair, y_bound, extra_bits):
-    # around the solver's first precision, so that both outcomes, a set and None, occur
+    # conjugates at fraction bits around what the convergents need, so that both
+    # outcomes, a set and None, occur
     s, t = st_pair
-    bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + extra_bits
-    tri = compute_alphas(n, s, t, max(64, int(bits)))
+    bits = int((abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1))
+    top = compute_alphas(n, s, t, max(64, bits + 64))
+    tri = power_alphas(shift_roots(top.roots, max(0, bits + extra_bits)), s, t, 64)
     form = build_form(n, s, t)
     assert solver._candidates(form, tri, y_bound) == oracle_candidates(form, tri, y_bound)
 
@@ -219,7 +220,8 @@ def test_uncertified_conjugates_raise(monkeypatch, capsys):
 
     def shifted(n, s, t, precision_bits):
         tri = real(n, s, t, precision_bits)
-        return dataclasses.replace(tri, alpha1=tri.alpha1 + 1)
+        nums = tri.numerators
+        return dataclasses.replace(tri, numerators=(nums[0] + (1 << tri.frac_bits), *nums[1:]))
 
     monkeypatch.setattr(solver, "compute_alphas", shifted)
     with pytest.raises(PrecisionExhausted):
