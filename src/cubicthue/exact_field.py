@@ -185,19 +185,23 @@ def unit_power(a: FieldInt, k: int) -> FieldInt:
     """a**k by binary powering; negative k inverts the base once, then powers.
 
     Inverting the base first (rather than the final power) keeps intermediate
-    coordinate growth linear in |k|.
+    coordinate growth linear in |k|.  The power starts from the base, not from
+    one, and nothing is squared after the top bit, so k >= 1 costs
+    bitlen(k) + popcount(k) - 2 products.
     """
+    if k == 0:
+        return one(a.n)
     if k < 0:
         a = invert_unit(a)
         k = -k
-    acc = one(a.n)
-    base = a
-    while k:
+    acc = None
+    while True:
         if k & 1:
-            acc = reduce_mul(acc, base)
-        base = reduce_mul(base, base)
+            acc = a if acc is None else reduce_mul(acc, a)
         k >>= 1
-    return acc
+        if not k:
+            return acc
+        a = reduce_mul(a, a)
 
 
 def alpha_element(n: int, s: int, t: int) -> FieldInt:

@@ -39,9 +39,14 @@ class BinaryCubicForm:
 
 
 def build_form(n: int, s: int, t: int) -> BinaryCubicForm:
+    return form_of_unit(ef.alpha_element(n, s, t), s, t)
+
+
+def form_of_unit(alpha: ef.FieldInt, s: int, t: int) -> BinaryCubicForm:
+    """The form of (alpha.n, s, t), from its unit alpha = lam0^s lam1^t, already powered."""
+    n = alpha.n
     if n < 0:
         raise ValueError("family parameter n must be nonnegative")
-    alpha = ef.alpha_element(n, s, t)
     tr = ef.trace(alpha)
     b = (tr * tr - ef.trace(ef.reduce_mul(alpha, alpha))) // 2
     return BinaryCubicForm(n, s, t, -tr, b)

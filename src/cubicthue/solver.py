@@ -39,21 +39,37 @@ integers only.
 This is the reduction step of Tzanakis and de Weger, "On the practical
 solution of the Thue equation", J. Number Theory 31 (1989).  Membership in
 the output is decided by exact integer evaluation of f at every candidate.
+
+Typing.  Each record keeps its certificate: the exact unit alpha =
+lam0^s lam1^t, powered once by solve_box, and the AlphaTriple that certified
+the candidates.  The type is decided on the triple's numerators, in integers:
+B_j = |x 2^K - N_j y| is |x - alpha_j y| 2^K to within e_j = r_j |y|, so j
+is the type when B_j + e_j < B_i - e_i for both i != j.  Otherwise the
+precision is doubled, and after the last attempt PrecisionExhausted is
+raised.  A true tie happens only at y = 0, where every factor is x and the
+type is 1: with y != 0, |x - alpha_i y| = |x - alpha_j y| for i != j would
+make alpha_i + alpha_j = 2 x / y rational, hence alpha_k = -A - alpha_i -
+alpha_j rational too, but alpha is not +-1 (lam0 and lam1 are
+multiplicatively independent), so it generates the cubic field and its
+conjugates are irrational.  reduce_to_type1 re-types on a triple powered
+from the record's root set, and decompose_unit takes the record's unit and
+starts its log solve on the record's triple, so a solve and the steps after
+it compute the roots of n once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp, workprec
 
 from . import exact_field as ef
-from .asymptotics import compute_proof_quantities
+from .asymptotics import compute_proof_quantities, ratio_float
 from .errors import DegenerateTwist, NotReducible, PrecisionExhausted, RoundingAmbiguous
-from .forms import build_form, eval_form
-from .roots import PRECISION_ATTEMPTS, AlphaTriple, compute_alphas
+from .forms import build_form, eval_form, form_of_unit
+from .roots import PRECISION_ATTEMPTS, AlphaTriple, compute_alphas, power_alphas
 
 _MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
 
@@ -69,6 +85,9 @@ class SolutionRecord:
     type_j: int
     beta_abs: tuple
     trivial: bool
+    # the certificate (Typing in the module docstring): made only by solve_box
+    unit: ef.FieldInt = field(compare=False, repr=False)
+    alphas: AlphaTriple = field(compare=False, repr=False)
 
     def as_record(self) -> dict:
         return {"n": self.n, "s": self.s, "t": self.t, "x": self.x, "y": self.y,
@@ -88,11 +107,30 @@ def _validate_st(s: int, t: int):
         raise DegenerateTwist(f"(s, t) = {(s, t)} is outside the solver's domain")
 
 
+def _check_record(n: int, s: int, t: int, rec: SolutionRecord):
+    if (rec.n, rec.s, rec.t) != (n, s, t):
+        raise ValueError(f"record of (n,s,t)={(rec.n, rec.s, rec.t)}, not {(n, s, t)}")
+
+
 def _betas(x: int, y: int, alphas: AlphaTriple):
-    """(|x - alpha_j y| for j = 1, 2, 3; the j minimising it, ties to the smallest)."""
-    with workprec(alphas.roots.precision_bits):
-        betas = tuple(abs(x - a * y) for a in alphas.alphas)
-    return betas, min(range(3), key=betas.__getitem__) + 1
+    """(|x - alpha_j y| for j = 1, 2, 3 as floats; the type j), decided in integers.
+
+    See Typing in the module docstring; y = 0 is type 1.  Raises
+    PrecisionExhausted if the type is still undecided at the last precision.
+    """
+    tri = alphas
+    for attempt in range(PRECISION_ATTEMPTS):
+        if attempt:
+            tri = compute_alphas(alphas.n, alphas.s, alphas.t, alphas.precision_bits << attempt)
+        den = 1 << tri.frac_bits
+        b = [abs(x * den - num * y) for num in tri.numerators]
+        e = [r * abs(y) for r in tri.radii]
+        j = min(range(3), key=b.__getitem__)
+        if y == 0 or all(b[j] + e[j] < b[i] - e[i] for i in range(3) if i != j):
+            return tuple(ratio_float(v, den) for v in b), j + 1
+    raise PrecisionExhausted(
+        f"type of (x,y)=({x},{y}) for (n,s,t)={(alphas.n, alphas.s, alphas.t)} undecided "
+        f"at {tri.precision_bits} bits")
 
 
 def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
@@ -100,10 +138,9 @@ def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
     return _betas(x, y, alphas)[1]
 
 
-def _make_record(n, s, t, x, y, value, alphas) -> SolutionRecord:
+def _make_record(n, s, t, x, y, value, alphas, unit) -> SolutionRecord:
     betas, type_j = _betas(x, y, alphas)
-    return SolutionRecord(n, s, t, x, y, value, type_j,
-                          tuple(float(b) for b in betas), abs(y) <= 1)
+    return SolutionRecord(n, s, t, x, y, value, type_j, betas, abs(y) <= 1, unit, alphas)
 
 
 def _brackets(form, tri: AlphaTriple):
@@ -177,12 +214,14 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = 160):
     Returns SolutionRecord objects sorted by (|y|, y, x).  Trivial solutions
     (|y| <= 1) are included and flagged.  precision_bits is the least
     precision of the conjugates; more is used as y_bound requires.  Raises
-    PrecisionExhausted if the candidates stay undecided after the last
-    precision doubling.
+    PrecisionExhausted if the candidates or a type stay undecided after the
+    last precision doubling.  Each record carries the unit and the triple
+    that certified it.
     """
     _validate_st(s, t)
-    found, tri = _solve_form(build_form(n, s, t), y_bound, precision_bits)
-    records = [_make_record(n, s, t, x, y, v, tri) for (x, y), v in found.items()]
+    unit = ef.alpha_element(n, s, t)
+    found, tri = _solve_form(form_of_unit(unit, s, t), y_bound, precision_bits)
+    records = [_make_record(n, s, t, x, y, v, tri, unit) for (x, y), v in found.items()]
     records.sort(key=lambda r: (abs(r.y), r.y, r.x))
     return records
 
@@ -227,15 +266,20 @@ def _solve_form(form, y_bound: int, precision_bits: int, tri: Optional[AlphaTrip
     return found, tri
 
 
-def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord, precision_bits: int = 192):
+def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord):
     """Map a type-2/3 record to the parameter pair under which it is type 1.
 
     The conjugate permutation (s, t) -> (-s+t, -s) relabels alpha3 as the
     first conjugate, so type-3 records reduce through it; applying it twice,
     (s, t) -> (-t, s-t), relabels alpha2 first and handles type 2.  The form
     itself is unchanged by either map (the linear factors are permuted), so
-    (x, y) stays a solution; we re-classify and demand type 1.
+    (x, y) stays a solution.  All three are checked: the new form, built by
+    exact powering, equals the one of the record's unit; it takes the
+    record's value at (x, y); and the record re-types as 1 on the new
+    conjugates, powered from the record's root set on their own (not
+    rotated from its triple), so that the orbit identity is checked too.
     """
+    _check_record(n, s, t, rec)
     if rec.type_j not in (2, 3):
         raise ValueError("only type-2/3 records can be reduced")
     if rec.type_j == 2:
@@ -243,34 +287,35 @@ def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord, precision_bits:
     else:
         new_st = (-s + t, -s)
     s2, t2 = new_st
-    f_old = build_form(n, s, t)
+    f_old = form_of_unit(rec.unit, s, t)
     f_new = build_form(n, s2, t2)
     if (f_new.A, f_new.B) != (f_old.A, f_old.B):
         raise NotReducible(f"transformed form differs at (n,s,t)={(n, s, t)}")
     if eval_form(f_new, rec.x, rec.y) != rec.value:
         raise NotReducible("record does not solve the transformed equation")
-    tri = compute_alphas(n, s2, t2, precision_bits)
+    tri = power_alphas(rec.alphas.roots, s2, t2, rec.alphas.precision_bits)
     if classify_type(rec.x, rec.y, tri) != 1:
         raise NotReducible(f"record did not re-classify as type 1 under {new_st}")
     return new_st, True
 
 
-def _exponent_guesses(n: int, s: int, t: int, x: int, y: int, precision_bits: int):
+def _exponent_guesses(n: int, s: int, t: int, x: int, y: int, first: AlphaTriple):
     """Candidate (b1, b2) for x - alpha1*y, in the order decompose_unit tries them.
 
     First the pair the record's shape fixes, if it has one: x - alpha1*y is x
     when y = 0 and -y * lam0^s * lam1^t when x = 0.  Then the rounded real
-    solution of the 2x2 log-linear system at precision_bits, 2 precision_bits,
-    and so on; a rounding that is not clear-cut yields no guess at that
-    precision.
+    solution of the 2x2 log-linear system on the triple first, then at twice
+    its precision, and so on; a rounding that is not clear-cut yields no
+    guess at that precision.
     """
     if y == 0:
         yield 0, 0
     elif x == 0:
         yield s, t
-    pb = precision_bits
-    for _ in range(PRECISION_ATTEMPTS):
-        tri = compute_alphas(n, s, t, pb)
+    tri = first
+    for attempt in range(PRECISION_ATTEMPTS):
+        if attempt:
+            tri = compute_alphas(n, s, t, first.precision_bits << attempt)
         with workprec(tri.roots.precision_bits):
             la0, la1, la2 = tri.roots.log_abs_lambda
             lb2 = mp.log(abs(x - tri.alpha2 * y))
@@ -282,7 +327,6 @@ def _exponent_guesses(n: int, s: int, t: int, x: int, y: int, precision_bits: in
             ambiguous = max(abs(b1_real - b1), abs(b2_real - b2)) > 0.25
         if not ambiguous:
             yield b1, b2
-        pb *= 2
 
 
 def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
@@ -291,9 +335,11 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
 
     The guesses of _exponent_guesses are tried in order: first the pair the
     record's shape fixes, (0, 0) when y = 0 and (s, t) when x = 0, then the
-    rounded solutions of the log-linear system at doubling precision.  The
-    first guess for which x - alpha1*y equals +-lam0^b1 * lam1^b2 in the exact
-    order Z[lam0] is returned; RoundingAmbiguous is raised if none does.
+    rounded solutions of the log-linear system, on the record's own triple
+    and then at doubling precision.  The first guess for which x - alpha1*y
+    equals +-lam0^b1 * lam1^b2 in the exact order Z[lam0] is returned, alpha1
+    being the record's unit; RoundingAmbiguous is raised if none does.
+    precision_bits is the precision of the proof quantities b_bar comes from.
 
     A guess that passes the exact test is the answer: lam0 and lam1 are
     multiplicatively independent (E. Thomas, J. reine angew. Math. 310, 1979),
@@ -301,12 +347,13 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     one sign and one exponent pair.  So a shape guess that passes returns what
     the log solve returns whenever that succeeds, without computing it.
     """
+    _check_record(n, s, t, rec)
     if abs(rec.value) != 1:
         raise ValueError("record is not a unit solution")
     x, y = rec.x, rec.y
-    alpha = ef.alpha_element(n, s, t)
+    alpha = rec.unit
     beta_exact = ef.FieldInt(n, x, 0, 0) - alpha * y
-    for b1, b2 in _exponent_guesses(n, s, t, x, y, precision_bits):
+    for b1, b2 in _exponent_guesses(n, s, t, x, y, rec.alphas):
         if (b1, b2) == (s, t):
             power = alpha
         elif (b1, b2) == (0, 0):
@@ -325,5 +372,5 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
         return UnitDecomposition(b1, b2, sign, b_bar)
     raise RoundingAmbiguous(
         f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to "
-        f"{precision_bits << PRECISION_ATTEMPTS} bits"
+        f"{rec.alphas.precision_bits << (PRECISION_ATTEMPTS - 1)} bits"
     )

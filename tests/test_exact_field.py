@@ -149,6 +149,27 @@ def test_unit_power_inverse_roundtrip(n):
             assert ef.reduce_mul(ef.invert_unit(u), u) == ef.one(n)
 
 
+def test_unit_power_products(monkeypatch):
+    # k >= 1 costs bitlen(k) + popcount(k) - 2 products, k = 0 costs none
+    calls = []
+    real = ef.reduce_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    n = 7
+    base = ef.lam0(n)
+    naive = ef.one(n)
+    monkeypatch.setattr(ef, "reduce_mul", counting)
+    assert ef.unit_power(base, 0) == ef.one(n) and not calls
+    for k in range(1, 70):
+        naive = real(naive, base)
+        calls.clear()
+        assert ef.unit_power(base, k) == naive
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 2
+
+
 def test_embedded_alpha_matches_numeric_power():
     n, s, t = 10, 2, -1
     rs = compute_roots(n, 160)

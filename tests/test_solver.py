@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, workprec
 
 from conftest import brute_force_solutions
-from cubicthue import cli, solver
+from cubicthue import cli, roots, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.errors import DegenerateTwist, PrecisionExhausted, RoundingAmbiguous
 from cubicthue.forms import build_form, eval_form
@@ -243,6 +243,65 @@ def test_classify_matches_nearest_conjugate():
     assert classify_type(10, 1, tri) == 1         # closest to lam0
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(0, 100), st.integers(0, 10**64)),
+       st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+       j=st.integers(0, 2), y=st.integers(-10**6, 10**6), dx=st.integers(-2, 2),
+       bits=st.sampled_from([64, 160, 256]))
+def test_integer_type_matches_the_mpf_argmin(n, st_pair, j, y, dx, bits):
+    # x near alpha_j y, where two factors are closest to a tie
+    s, t = st_pair
+    tri = compute_alphas(n, s, t, bits)
+    x = (tri.numerators[j] * y >> tri.frac_bits) + dx
+    fine = compute_alphas(n, s, t, 2 * bits)
+    with workprec(fine.roots.precision_bits):
+        betas = [abs(x - a * y) for a in fine.alphas]
+    assert classify_type(x, y, tri) == min(range(3), key=betas.__getitem__) + 1
+
+
+@pytest.mark.parametrize("wide", [1, 2])
+def test_undecided_type_escalates_then_exits_3(wide, monkeypatch, capsys):
+    # (0, 1) at (10, 1, 0) is type 2: |alpha2| ~ 0.09, |alpha3| ~ 1.10, |alpha1| ~ 10.2.
+    # A radius of 2 on alpha2, or on alpha3, leaves it undecided at every precision.
+    real_alphas, real_solve = solver.compute_alphas, solver._solve_form
+    asked = []
+
+    def doctor(tri):
+        radii = list(tri.radii)
+        radii[wide] = 2 << tri.frac_bits
+        return dataclasses.replace(tri, radii=tuple(radii))
+
+    def doctored_alphas(n, s, t, precision_bits):
+        asked.append(precision_bits)
+        return doctor(real_alphas(n, s, t, precision_bits))
+
+    tri = real_alphas(10, 1, 0, 160)
+    assert classify_type(0, 1, tri) == 2 and classify_type(1, 0, doctor(tri)) == 1
+    monkeypatch.setattr(solver, "compute_alphas", doctored_alphas)
+    with pytest.raises(PrecisionExhausted, match="undecided at 1280 bits"):
+        classify_type(0, 1, doctor(tri))
+    assert asked == [320, 640, 1280]
+
+    def doctored_solve(form, y_bound, precision_bits, tri=None):
+        # the candidates on the real conjugates, the records typed on doctored ones
+        bits = solver._first_bits(form.n, form.s, form.t, y_bound, precision_bits)
+        found, tri = real_solve(form, y_bound, precision_bits,
+                                real_alphas(form.n, form.s, form.t, bits))
+        return found, doctor(tri)
+
+    monkeypatch.setattr(solver, "_solve_form", doctored_solve)
+    assert cli.main(["solve", "10", "1", "0", "--ybound", "1"]) == 3
+    assert "precision exhausted" in capsys.readouterr().err
+
+
+def test_the_certificate_is_not_part_of_a_record():
+    rec = next(r for r in solve_box(10, 2, 1, 10) if (r.x, r.y) == (0, 1))
+    bare = dataclasses.replace(rec, unit=None, alphas=None)
+    assert rec == bare and hash(rec) == hash(bare) and repr(rec) == repr(bare)
+    assert rec.unit == ef.alpha_element(10, 2, 1)
+    assert list(rec.as_record()) == ["n", "s", "t", "x", "y", "value", "type", "trivial"]
+
+
 def test_reduce_type2_to_type1():
     n, s, t = 10, 1, 0
     rec = next(r for r in solve_box(n, s, t, 1) if (r.x, r.y) == (0, 1))
@@ -265,6 +324,27 @@ def test_reduce_rejects_type1():
     rec = next(r for r in solve_box(10, 1, 0, 1) if (r.x, r.y) == (1, 0))
     with pytest.raises(ValueError):
         reduce_to_type1(10, 1, 0, rec)
+
+
+def test_records_are_used_with_their_own_parameters():
+    rec = next(r for r in solve_box(10, 1, 0, 1) if (r.x, r.y) == (0, 1))
+    with pytest.raises(ValueError):
+        reduce_to_type1(11, 1, 0, rec)
+    with pytest.raises(ValueError):
+        decompose_unit(10, 0, 1, rec)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10**6])
+def test_a_solve_and_its_records_compute_one_root_set(n):
+    # the records carry the solver's triple: reduction and decomposition reuse its roots
+    for s, t in st_box(3):
+        roots.compute_roots.cache_clear()
+        roots.compute_alphas.cache_clear()
+        for rec in solve_box(n, s, t, 10**5):
+            if rec.type_j in (2, 3):
+                reduce_to_type1(n, s, t, rec)
+            decompose_unit(n, s, t, rec, with_b_bar=False)
+        assert (s, t, roots.compute_roots.cache_info().misses) == (s, t, 1)
 
 
 def test_decompose_trivial_records():
@@ -360,6 +440,7 @@ def test_records_with_x_or_y_zero_skip_the_log_solve(n, monkeypatch):
 
 def test_every_guess_is_checked_exactly(monkeypatch):
     # a wrong guess ahead of the real ones is passed over, and all wrong is an error
+    # that names the highest precision tried
     real = solver._exponent_guesses
 
     def wrong_first(n, s, t, x, y, precision_bits):
@@ -376,7 +457,17 @@ def test_every_guess_is_checked_exactly(monkeypatch):
         for b1, b2 in real(n, s, t, x, y, precision_bits):
             yield b1 + 1, b2
 
+    asked = []
+    real_alphas = solver.compute_alphas
+
+    def spy(n, s, t, precision_bits):
+        asked.append(precision_bits)
+        return real_alphas(n, s, t, precision_bits)
+
     monkeypatch.setattr(solver, "_exponent_guesses", all_wrong)
+    monkeypatch.setattr(solver, "compute_alphas", spy)
     for rec in records:
-        with pytest.raises(RoundingAmbiguous):
+        asked.clear()
+        with pytest.raises(RoundingAmbiguous) as err:
             decompose_unit(n, s, t, rec)
+        assert f"ambiguous up to {max(asked)} bits" in str(err.value)
