@@ -516,6 +516,24 @@ class LemmaResult:
     notes: str = ""
 
 
+def _fit_series(series: dict, names, claimed=None, two_sided: bool = False):
+    """(fits, all passed): one fit per series in sorted key order, a dict of the
+    key's fields (named by names), slope, claimed (if claimed(key) gives it),
+    stderr and ok.  A slope passes at most 0.3 above the claimed one (within 0.3
+    of it if two_sided), or at most 0.3 without one."""
+    fits = []
+    for key, samples in sorted(series.items()):
+        fit = fit_error_exponent(samples)
+        entry = {**dict(zip(names, key)), "slope": fit.slope}
+        if claimed is None:
+            ok = fit.slope <= 0.3
+        else:
+            want = entry["claimed"] = claimed(key)
+            ok = abs(fit.slope - want) <= 0.3 if two_sided else fit.slope <= want + 0.3
+        fits.append({**entry, "stderr": fit.stderr, "ok": ok})
+    return fits, all(f["ok"] for f in fits)
+
+
 def _require_least_n(name: str, n_grid, least: int):
     """ValueError unless every n of the grid is at least `least`, the smallest n at
     which the harness's formulas neither divide by zero nor take the log of zero."""
@@ -599,15 +617,9 @@ def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
                     "value_order": val_p.error_order, "log_order": log_p.error_order,
                     "precision_bits": precision_bits,
                 })
-    fits, ok = [], True
     claimed = {(0, "value"): -2.0, (1, "value"): -3.0, (2, "value"): -3.0,
                (0, "log"): -3.0, (1, "log"): -3.0, (2, "log"): -3.0}
-    for key, samples in sorted(series.items()):
-        fit = fit_error_exponent(samples)
-        tol_ok = fit.slope <= claimed[key] + 0.3
-        ok = ok and tol_ok
-        fits.append({"root": key[0], "kind": key[1], "slope": fit.slope,
-                     "claimed": claimed[key], "stderr": fit.stderr, "ok": tol_ok})
+    fits, ok = _fit_series(series, ("root", "kind"), claimed.__getitem__)
     return LemmaResult("lapprox", {"n_grid": n_grid, "precision_bits": precision_bits},
                        rows, fits, ok)
 
@@ -631,13 +643,7 @@ def run_lpowers(n_grid=None, exponents=(1, 2, 3, -1, -2), precision_bits: int = 
                                  "relative_residual": rel,
                                  "precision_bits": precision_bits})
     claimed_rel = {0: -2.5, 1: -1.5, 2: -1.5}  # claimed orders relative to the leading term
-    fits, ok = [], True
-    for key, samples in sorted(series.items()):
-        fit = fit_error_exponent(samples)
-        tol_ok = fit.slope <= claimed_rel[key[1]] + 0.3
-        ok = ok and tol_ok
-        fits.append({"a": key[0], "root": key[1], "slope": fit.slope,
-                     "claimed": claimed_rel[key[1]], "stderr": fit.stderr, "ok": tol_ok})
+    fits, ok = _fit_series(series, ("a", "root"), lambda key: claimed_rel[key[1]])
     return LemmaResult("lpowers", {"n_grid": n_grid, "exponents": list(exponents),
                                    "precision_bits": precision_bits}, rows, fits, ok)
 
@@ -655,10 +661,8 @@ def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
         samples.append((n, resid))
         rows.append({"n": n, "regulator": float(rs.regulator),
                      "scaled_residual": resid, "precision_bits": precision_bits})
-    fit = fit_error_exponent(samples)
-    ok = abs(fit.slope + 2.0) <= 0.3
-    fits = [{"kind": "regulator", "slope": fit.slope, "claimed": -2.0,
-             "stderr": fit.stderr, "ok": ok}]
+    fits, ok = _fit_series({("regulator",): samples}, ("kind",), lambda key: -2.0,
+                           two_sided=True)
     return LemmaResult("regulator", {"n_grid": n_grid, "precision_bits": precision_bits},
                        rows, fits, ok)
 
@@ -706,13 +710,8 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
                          "scaled12": r12 * scale, "scaled13": r13 * scale,
                          "precision_bits": precision_bits})
     covered = len(seen) == 12
-    fits, ok = [], covered
-    for key, samples in sorted(series.items()):
-        fit = fit_error_exponent(samples)
-        tol_ok = fit.slope <= 0.3
-        ok = ok and tol_ok
-        fits.append({"s": key[0], "t": key[1], "difference": key[2],
-                     "slope": fit.slope, "stderr": fit.stderr, "ok": tol_ok})
+    fits, ok = _fit_series(series, ("s", "t", "difference"))
+    ok = covered and ok
     notes = "all 12 branches exercised" if covered else "branch coverage incomplete"
     return LemmaResult("logdiff", {"n_grid": n_grid, "pairs": pairs, "epsilon": epsilon,
                                    "precision_bits": precision_bits}, rows, fits, ok, notes)

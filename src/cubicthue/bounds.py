@@ -174,6 +174,12 @@ class BoundReport:
                 "crossover": self.crossover, "chain_failure": self.chain_failure,
                 "precision_bits": self.precision_bits}
 
+    def row(self) -> dict:
+        """The bound fields of a scan row, in the scan's column order."""
+        return {"upper": self.B_rhs, "lower": self.lower_chain, "margin": self.margin,
+                "chain_failure": self.chain_failure, "crossover": self.crossover,
+                "precision_bits": self.precision_bits}
+
 
 def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192) -> BoundReport:
     return _bound_report(build_form(n, s, t), _n_constants(n, b_abs, precision_bits))
@@ -249,6 +255,25 @@ def orbit_cells(n: int, pairs, precision_bits: int, solver_bits=None):
         yield s, t, form, tri, shift, logs
 
 
+def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None):
+    """Yield (form, tri, BoundReport) for each (s, t) of pairs, in order.
+
+    The per-n path of both scans: the cells go by phi-orbit (orbit_cells,
+    which takes solver_bits), the constants of n are built once, the upper
+    bound once per distinct form (A, B), and the chain per cell on that
+    cell's proof quantities.  tri is the orbit's triple, in the order of the
+    first cell of the orbit.
+    """
+    const = _n_constants(n, 1, precision_bits)
+    uppers = {}
+    for s, t, form, tri, shift, logs in orbit_cells(n, pairs, precision_bits, solver_bits):
+        key = (form.A, form.B)
+        if key not in uppers:
+            uppers[key] = _upper_bound(form, const)
+        q = cell_quantities(tri, shift, logs, s, t, precision_bits)
+        yield form, tri, _bound_report(form, const, uppers[key], q)
+
+
 @dataclass(frozen=True)
 class StPolicy:
     """Which exponent pairs to test at a given n: all s*t != 0 with
@@ -290,20 +315,9 @@ def n0_scan(epsilon: float, n_grid, st_policy=None, precision_bits: int = 192) -
     rows = []
     by_pair = {}
     for n in n_grid:
-        const = _n_constants(n, 1, precision_bits)
-        uppers = {}
-        for s, t, form, tri, shift, logs in orbit_cells(n, st_policy.pairs(n, epsilon),
-                                                        precision_bits):
-            key = (form.A, form.B)
-            if key not in uppers:
-                uppers[key] = _upper_bound(form, const)
-            q = cell_quantities(tri, shift, logs, s, t, precision_bits)
-            rep = _bound_report(form, const, uppers[key], q)
-            rows.append({"n": n, "s": s, "t": t, "upper": rep.B_rhs,
-                         "lower": rep.lower_chain, "margin": rep.margin,
-                         "crossover": rep.crossover, "chain_failure": rep.chain_failure,
-                         "precision_bits": precision_bits})
-            by_pair.setdefault((s, t), []).append(rows[-1])
+        for _, _, rep in cell_reports(n, st_policy.pairs(n, epsilon), precision_bits):
+            rows.append({"n": n, "s": rep.s, "t": rep.t, **rep.row()})
+            by_pair.setdefault((rep.s, rep.t), []).append(rows[-1])
 
     n_top = n_grid[-1]
     inapplicable = sorted(

@@ -58,6 +58,9 @@ LEMMA_RUNNERS = {
     "ubar": asymptotics.run_ubar,
     "wbar": asymptotics.run_wbar,
 }
+# the runners that check a box of (s, t) pairs -> the keyword --smax sets the box by
+LEMMA_BOXES = {"logdiff": "pairs", "errorbound": "st_bound", "vbar": "st_bound",
+               "wbar": "st_bound"}
 
 # fixed column orders for the csv format
 SOLUTION_COLUMNS = ["n", "s", "t", "x", "y", "value", "type", "trivial"]
@@ -167,16 +170,22 @@ def _write_csv(out, columns, rows):
         w.writerow([_fmt(r.get(c)) for c in columns])
 
 
-def _emit(args, text: str):
+def _render(args, doc, columns, rows, human):
+    """Write one report in args.format to args.output, or to stdout: doc as
+    JSON, rows under columns as CSV, or the lines human() returns."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=1, default=_fmt) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        _write_csv(buf, columns, rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(human()) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=1, default=_fmt) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +196,10 @@ def cmd_form(args) -> int:
     f = build_form(args.n, args.s, args.t)
     rec = f.as_record()
     rec["degenerate"] = f.degenerate
-    if args.format == "json":
-        _emit(args, _json_dump(rec))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _write_csv(buf, ["n", "s", "t", "A", "B", "degenerate"], [rec])
-        _emit(args, buf.getvalue())
-    else:
-        warn = "  [degenerate: (s,t)=(0,0)]" if f.degenerate else ""
-        _emit(args, f"f(x,y) = x^3 + ({f.A})x^2y + ({f.B})xy^2 - y^3   "
-                    f"n={f.n} s={f.s} t={f.t}{warn}\n")
+    warn = "  [degenerate: (s,t)=(0,0)]" if f.degenerate else ""
+    _render(args, rec, ["n", "s", "t", "A", "B", "degenerate"], [rec],
+            lambda: [f"f(x,y) = x^3 + ({f.A})x^2y + ({f.B})xy^2 - y^3   "
+                     f"n={f.n} s={f.s} t={f.t}{warn}"])
     return 0
 
 
@@ -204,63 +207,51 @@ def cmd_solve(args) -> int:
     records = solver.solve_box(args.n, args.s, args.t, args.ybound,
                                precision_bits=args.precision_bits)
     rows = [r.as_record() for r in records]
-    if args.format == "json":
-        _emit(args, _json_dump({"config": {"n": args.n, "s": args.s, "t": args.t,
-                                           "y_bound": args.ybound,
-                                           "precision_bits": args.precision_bits},
-                                "solutions": rows}))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _write_csv(buf, SOLUTION_COLUMNS, rows)
-        _emit(args, buf.getvalue())
-    else:
+
+    def human():
         lines = [f"solutions of f_({args.n},{args.s},{args.t})(x,y) = +-1 with |y| <= {args.ybound}:"]
         for r in rows:
             tag = " (trivial)" if r["trivial"] else "  <-- NONTRIVIAL"
             lines.append(f"  ({r['x']}, {r['y']})  value {r['value']:+d}  type {r['type']}{tag}")
         nontrivial = sum(1 for r in rows if not r["trivial"])
-        lines.append(f"total {len(rows)}, nontrivial {nontrivial}")
-        _emit(args, "\n".join(lines) + "\n")
+        return lines + [f"total {len(rows)}, nontrivial {nontrivial}"]
+
+    _render(args, {"config": {"n": args.n, "s": args.s, "t": args.t, "y_bound": args.ybound,
+                              "precision_bits": args.precision_bits},
+                   "solutions": rows}, SOLUTION_COLUMNS, rows, human)
     return 0
 
 
 def cmd_lemma(args) -> int:
     runner = LEMMA_RUNNERS[args.name]
+    box = LEMMA_BOXES.get(args.name)
     if args.smax is not None and args.smax < 1:
         raise ValueError(f"--smax must be >= 1, got {args.smax}")
+    if args.smax is not None and box is None:
+        raise ValueError(f"lemma {args.name} takes no --smax: it checks no box of (s, t) pairs")
     kwargs = {"precision_bits": args.precision_bits}
     if args.n_grid:
         kwargs["n_grid"] = parse_grid(args.n_grid)
-    if args.smax and args.name in ("logdiff", "errorbound", "vbar", "wbar"):
+    if args.name == "logdiff":
+        kwargs["epsilon"] = args.epsilon
+    if args.smax:
         # a runner's own default grid has a handful of points; it counts as one
         n_points = len(kwargs["n_grid"]) if "n_grid" in kwargs else 1
         _check_cells("lemma box", n_points, args.smax)
-    if args.name == "logdiff":
-        kwargs["epsilon"] = args.epsilon
-        if args.smax:
-            kwargs["pairs"] = asymptotics.st_box(args.smax)
-    elif args.name in ("errorbound", "vbar", "wbar") and args.smax:
-        kwargs["st_bound"] = args.smax
+        kwargs[box] = asymptotics.st_box(args.smax) if box == "pairs" else args.smax
     result = runner(**kwargs)
 
-    if args.format == "json":
-        _emit(args, _json_dump({"lemma": result.name, "config": result.config,
-                                "rows": result.rows, "fits": result.fits,
-                                "passed": result.passed, "notes": result.notes}))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        cols = sorted({k for r in result.rows for k in r})
-        _write_csv(buf, cols, result.rows)
-        _emit(args, buf.getvalue())
-    else:
+    def human():
         lines = [f"check: {result.name}   points: {len(result.rows)}"]
-        for f in result.fits:
-            desc = " ".join(f"{k}={_fmt(v)}" for k, v in f.items())
-            lines.append(f"  fit: {desc}")
+        lines += [f"  fit: {' '.join(f'{k}={_fmt(v)}' for k, v in f.items())}"
+                  for f in result.fits]
         if result.notes:
             lines.append(f"  note: {result.notes}")
-        lines.append(f"  result: {'PASS' if result.passed else 'FAIL'}")
-        _emit(args, "\n".join(lines) + "\n")
+        return lines + [f"  result: {'PASS' if result.passed else 'FAIL'}"]
+
+    _render(args, {"lemma": result.name, "config": result.config, "rows": result.rows,
+                   "fits": result.fits, "passed": result.passed, "notes": result.notes},
+            sorted({k for r in result.rows for k in r}), result.rows, human)
     return 0 if result.passed else 1
 
 
@@ -268,54 +259,41 @@ def cmd_bound(args) -> int:
     rep = bounds.bound_report(args.n, args.s, args.t, b_abs=args.babs,
                               precision_bits=args.precision_bits)
     rec = rep.as_record()
-    if args.format == "json":
-        _emit(args, _json_dump(rec))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _write_csv(buf, list(rec), [rec])
-        _emit(args, buf.getvalue())
-    else:
+
+    def human():
         lines = [f"bounds at n={rep.n} s={rep.s} t={rep.t}  (c3 = 3^94, H = {rep.H})",
                  f"  upper bound exponent: {rep.B_rhs:.6g}"]
-        if rep.lower_chain is not None:
-            lines.append(f"  lower-bound chain:    {_sig(rep.lower_chain, 6)}")
-            lines.append(f"  crossover: {'yes' if rep.crossover else 'no'}")
-        else:
-            lines.append(f"  lower-bound chain inapplicable: {rep.chain_failure}")
-        _emit(args, "\n".join(lines) + "\n")
+        if rep.lower_chain is None:
+            return lines + [f"  lower-bound chain inapplicable: {rep.chain_failure}"]
+        return lines + [f"  lower-bound chain:    {_sig(rep.lower_chain, 6)}",
+                        f"  crossover: {'yes' if rep.crossover else 'no'}"]
+
+    _render(args, rec, list(rec), [rec], human)
     return 0
 
 
 def _scan_n(job):
     """The scan rows of one n, in the order of pairs.
 
-    The constants of the two bounds that depend on n alone are computed once.
-    The cells of one phi-orbit share one form, one conjugate triple, one
-    solution map and one upper bound; the triple is also the solver's first
-    attempt.  (s, t) -> (-s, -t) is not used: it swaps x and y, so it does not
-    keep the box |y| <= y_bound.
+    The cells and their bounds come from bounds.cell_reports.  The cells of
+    one phi-orbit share one form and one conjugate triple, so one solution
+    map; the triple is also the solver's first attempt.  (s, t) -> (-s, -t)
+    is not used: it swaps x and y, so it does not keep the box |y| <= y_bound.
     """
     n, pairs, y_bound, precision_bits = job
-    const = bounds._n_constants(n, 1, precision_bits)
     solve_bits = max(160, precision_bits)
-    shared = {}
+    solved = {}
     rows = []
-    for s, t, form, tri, shift, logs in bounds.orbit_cells(
+    for form, tri, rep in bounds.cell_reports(
             n, pairs, precision_bits,
             lambda s, t: solver._first_bits(n, s, t, y_bound, solve_bits)):
         key = (form.A, form.B)
-        if key not in shared:
+        if key not in solved:
             found, _ = solver._solve_form(form, y_bound, solve_bits, tri)
-            shared[key] = (len(found), sum(1 for _, y in found if abs(y) > 1),
-                           bounds._upper_bound(form, const))
-        solutions, nontrivial, upper = shared[key]
-        q = asymptotics.cell_quantities(tri, shift, logs, s, t, precision_bits)
-        rep = bounds._bound_report(form, const, upper, q)
-        rows.append({"n": n, "s": s, "t": t, "A": form.A, "B": form.B,
-                     "solutions": solutions, "nontrivial": nontrivial,
-                     "upper": rep.B_rhs, "lower": rep.lower_chain, "margin": rep.margin,
-                     "chain_failure": rep.chain_failure, "crossover": rep.crossover,
-                     "precision_bits": precision_bits})
+            solved[key] = (len(found), sum(1 for _, y in found if abs(y) > 1))
+        solutions, nontrivial = solved[key]
+        rows.append({"n": n, "s": rep.s, "t": rep.t, "A": form.A, "B": form.B,
+                     "solutions": solutions, "nontrivial": nontrivial, **rep.row()})
     return rows
 
 
@@ -333,27 +311,20 @@ def cmd_scan(args) -> int:
     # n_grid and st_box are both ascending, so the rows come out in (n, s, t) order
     rows = [r for rows_n in per_n for r in rows_n]
 
-    if args.format == "json":
-        _emit(args, _json_dump({"config": {"n_grid": n_grid, "smax": args.smax,
-                                           "y_bound": args.ybound, "jobs": args.jobs,
-                                           "precision_bits": args.precision_bits},
-                                "rows": rows}))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _write_csv(buf, SCAN_COLUMNS, rows)
-        _emit(args, buf.getvalue())
-    else:
+    def human():
         lines = []
-        total_nontrivial = 0
         for r in rows:
-            total_nontrivial += r["nontrivial"]
             cross = "X" if r["crossover"] else ("-" if not r["chain_failure"] else "!")
             lines.append(f"  n={r['n']:<8} (s,t)=({r['s']},{r['t']})  "
                          f"solutions={r['solutions']} nontrivial={r['nontrivial']}  "
                          f"margin={_fmt(r['margin'])} {cross}")
-        lines.append(f"scan done: {len(rows)} cells, nontrivial solutions: {total_nontrivial}"
-                     f" (crossover marks: X yes, - no, ! chain inapplicable)")
-        _emit(args, "\n".join(lines) + "\n")
+        total_nontrivial = sum(r["nontrivial"] for r in rows)
+        return lines + [f"scan done: {len(rows)} cells, nontrivial solutions: {total_nontrivial}"
+                        f" (crossover marks: X yes, - no, ! chain inapplicable)"]
+
+    _render(args, {"config": {"n_grid": n_grid, "smax": args.smax, "y_bound": args.ybound,
+                              "jobs": args.jobs, "precision_bits": args.precision_bits},
+                   "rows": rows}, SCAN_COLUMNS, rows, human)
     return 0
 
 

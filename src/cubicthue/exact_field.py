@@ -207,8 +207,13 @@ def unit_power(a: FieldInt, k: int) -> FieldInt:
 def alpha_element(n: int, s: int, t: int) -> FieldInt:
     """The twist unit lam0^s * lam1^t as an exact element of Z[lam0].
 
-    Negative exponents power the closed-form inverses.
+    Negative exponents power the closed-form inverses; a zero exponent costs
+    no product.
     """
     b0 = lam0(n) if s >= 0 else inv_lam0(n)
     b1 = lam1(n) if t >= 0 else inv_lam1(n)
+    if t == 0:
+        return unit_power(b0, abs(s))
+    if s == 0:
+        return unit_power(b1, abs(t))
     return reduce_mul(unit_power(b0, abs(s)), unit_power(b1, abs(t)))

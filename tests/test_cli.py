@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, grids, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -412,3 +413,70 @@ def test_precision_exhausted_exit_three(capsys, monkeypatch):
     code = cli.main(["lemma", "regulator"])
     assert code == 3
     assert "precision exhausted" in capsys.readouterr().err
+
+
+# command -> its exit code, and the sha256 of its stdout in each format
+OUTPUT_PINS = {
+    "form 5 1 1": (0, {
+        "human": "e241862fd7793c5ee3e5d5ee9b82cdbaf4352d03e3ac14a92694c56dbc29f5fe",
+        "json": "750c7118fcb5477f8d18a17f457de75a502e78a2cca5c6704fdc4370c03b8db2",
+        "csv": "c2c1914b76f97871a4826a3b22e51808af7c18bc54dc80a96889d7fd831f64b3",
+    }),
+    "form 5 0 0": (0, {
+        "human": "00ea86b55b498e824d9e5b13308113b7284ce1eae8fdf75c846db0e7a0b16e38",
+        "json": "ce30f8d2924445e01309fe53a1b3bb6adf5a798b90a6e68ad03f68ffbb5bfcb3",
+        "csv": "f78a8567b3f545589e7518d4ffa77a239b5a8f525e09d368e78a39dd318197a9",
+    }),
+    "solve 1000 -1 3 --ybound 100000": (0, {
+        "human": "8e1fc51d39e2da7da805a858b6973d36bf8ea2feaae6b73ef0f1fb10e42416ce",
+        "json": "0de2e6ae5e89a533d36c6a173c41c76cd439cbc072472df89fa2ead7e0c09e20",
+        "csv": "009d7ca58608b524f2ffa9e9fdc0787ed9215528da89158b8dfa8c7cfe9406e9",
+    }),
+    "lemma regulator --n 100:1000000:log10": (0, {
+        "human": "759ec525051973ba207e3b213a01f2b1c13b5cb8ecff8f7c991d0c02dae7c27d",
+        "json": "cde0e91f5837b8480951b3167e2364c17d6d054e613c491eb1f5d7605112e977",
+        "csv": "9a887a39f314df6dbb8cde95a25ffcae220c3f3fe57e1a1be6cf3ed5afc6fada",
+    }),
+    "lemma errorbound --n 1000 --smax 2": (1, {
+        "human": "a144b45b727a06de653386cc71b3cc78485b87efbdc8d55f9e3c4e6a2c74ad1f",
+        "json": "b4be2d37be2254f86645b873f4832863f212002d846ff92c5956054f667e9b87",
+        "csv": "10535f4ba5343d0a7c096dc1f8dcb3d2dd5f41367ea67ccfc20b4e6d6abb006d",
+    }),
+    "bound 100 2 1": (0, {
+        "human": "f9456ee7cda0552689327e33400e6fb43cbb9e1c2468c6c3698108d87297e0f5",
+        "json": "4a525d0b6099f5d8c75165826311810f6aed3ac9602a4454bef4b46435a7dad4",
+        "csv": "e2e4ef9f68272d09727e70be4cd43748cf181f329540bb834c30df6508af0622",
+    }),
+    "bound 100 1 2": (0, {
+        "human": "52c985c9fdd4933bf2ded23695092b50048453b71e04175519d681991bc4eeae",
+        "json": "768e0253b9e24e4d406b1297ad69664dcf7ef92b486781953e5ccd09d7ac8645",
+        "csv": "46d0184bd21488eb3bf19a2e0a4d5dd3508c9fa17c8993bf2399461c0fd740fb",
+    }),
+    "scan --n 50:53 --smax 2 --ybound 1000": (0, {
+        "human": "c6d23919591191db8b4c628b4281663626054ecc41dc2739c0ea845b57a17be9",
+        "json": "12ac8f6c04ec8fdadda0209cf031b193236b17d47f144542e4582a4fe6fdd92e",
+        "csv": "4629af1b0f0cd5862ec1095efd99a56dbcd4b1572195df091619a8264da00bc5",
+    }),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("command", list(OUTPUT_PINS))
+def test_subcommand_output_bytes(capsys, command, fmt):
+    exit_code, sha256 = OUTPUT_PINS[command]
+    code, out, _ = run(capsys, ["--format", fmt, *command.split()])
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256[fmt]
+
+
+@pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])
+def test_lemma_smax_on_a_lemma_without_a_box_exits_two(capsys, monkeypatch, name):
+    from cubicthue import cli
+
+    def never(**kwargs):
+        raise AssertionError("the lemma ran")
+
+    monkeypatch.setitem(cli.LEMMA_RUNNERS, name, never)
+    code, out, err = run(capsys, ["lemma", name, "--smax", "3"])
+    assert code == 2 and out == ""
+    assert f"lemma {name} takes no --smax" in err

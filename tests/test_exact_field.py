@@ -170,6 +170,26 @@ def test_unit_power_products(monkeypatch):
         assert len(calls) == k.bit_length() + bin(k).count("1") - 2
 
 
+def test_alpha_element_products(monkeypatch):
+    # a zero exponent costs no product; two nonzero ones, one more than their powers
+    calls = []
+    real = ef.reduce_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    n = 10
+    products = {(0, 0): 0, (1, 0): 0, (0, 1): 0, (3, 0): 2, (0, -3): 2, (1, 1): 1, (3, -2): 4}
+    want = {(s, t): real(ef.unit_power(ef.lam0(n), s), ef.unit_power(ef.lam1(n), t))
+            for s, t in products}
+    monkeypatch.setattr(ef, "reduce_mul", counting)
+    for (s, t), count in products.items():
+        calls.clear()
+        assert ef.alpha_element(n, s, t) == want[s, t]
+        assert len(calls) == count
+
+
 def test_embedded_alpha_matches_numeric_power():
     n, s, t = 10, 2, -1
     rs = compute_roots(n, 160)
