@@ -37,7 +37,7 @@ from .asymptotics import (
     predict_root_expansion,
 )
 from .solver import SolutionRecord, UnitDecomposition, classify_type, decompose_unit, reduce_to_type1, solve_box
-from .bounds import BoundReport, StPolicy, bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan
+from .bounds import BoundReport, bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "FieldInt", "InsufficientSamples", "MismatchedParameters", "NotAUnit",
     "NotReducible", "Prediction", "PrecisionExhausted", "ProofQuantities",
     "ReducibleForm", "RootSet", "RoundingAmbiguous", "SolutionRecord",
-    "StPolicy", "UnitDecomposition",
+    "UnitDecomposition",
     "alpha_element", "bg_upper_bound", "bound_report", "build_form",
     "c3_constant", "check_error_products", "classify_case", "classify_type",
     "compute_alphas", "compute_proof_quantities", "compute_roots",

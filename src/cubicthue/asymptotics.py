@@ -24,8 +24,8 @@ logs and the regulator carry the radii the root set gave them, and
 v1 + v2 = log|d12| u1 + log|d13| u2 is a sum of fixed-point products whose
 radius follows from those.  b0 and the window 0 < v_bar < R are decided only
 when (v1 + v2) mod R lies farther than that radius (plus b0 times the
-regulator's) from 0 and from R; otherwise the conjugates are recomputed at
-twice the bits, at most PRECISION_ATTEMPTS times, before PrecisionExhausted.
+regulator's) from 0 and from R; otherwise compute_proof_quantities retries
+at more bits by the precision policy of roots.py (its "Precision" paragraph).
 So a b0 this module reports is the true one, whatever the cancellation in
 v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
 (u_bar > 0, the w_bar absorption) are made on the same integers, without a
@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
-from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
-from .roots import PRECISION_ATTEMPTS, compute_alphas, compute_roots, fixed_log, fixed_mul, fixed_view
+from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
+from .roots import compute_alphas, compute_roots, escalate, fixed_log, fixed_mul, fixed_view
 
 DEFAULT_EPSILON = 0.25
 
@@ -311,7 +311,7 @@ class ProofQuantities:
     The fields ending in _num are the quantities in fixed point: integers
     over 2^frac_bits (diff12_num and diff13_num are the signed differences
     alpha1 - alpha2 and alpha1 - alpha3).  The names of the quantities
-    themselves (u1, ..., v_bar, regulator, logdiff12, diff12_abs, ...) read
+    themselves (u1, ..., v_bar, regulator, diff12_abs, ...) read
     them as exact mpf views; w1, w2 and w_bar, which divide by the
     differences, are evaluated from those views at frac_bits bits.
     """
@@ -328,8 +328,6 @@ class ProofQuantities:
     v2_num: int
     v_bar_num: int
     regulator_num: int
-    logdiff12_num: int
-    logdiff13_num: int
     diff12_num: int
     diff13_num: int
 
@@ -342,8 +340,6 @@ class ProofQuantities:
     v2 = property(lambda self: self._view(self.v2_num))
     v_bar = property(lambda self: self._view(self.v_bar_num))
     regulator = property(lambda self: self._view(self.regulator_num))
-    logdiff12 = property(lambda self: self._view(self.logdiff12_num))
-    logdiff13 = property(lambda self: self._view(self.logdiff13_num))
     diff12_abs = property(lambda self: self._view(abs(self.diff12_num)))
     diff13_abs = property(lambda self: self._view(abs(self.diff13_num)))
 
@@ -415,8 +411,7 @@ def _quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int
         return None
     return ProofQuantities(
         tri.n, s, t, precision_bits, K, m + 1,
-        g0[0] - g2[0], g1[0] - g2[0], v1, v2, reg - rem, reg,
-        l12[0], l13[0], d12[0], d13[0],
+        g0[0] - g2[0], g1[0] - g2[0], v1, v2, reg - rem, reg, d12[0], d13[0],
     )
 
 
@@ -437,8 +432,8 @@ def _certified_quantities(n: int, s: int, t: int, precision_bits: int, diff_bits
 def cell_quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
     """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
 
-    Where tri's radii leave b0 undecided, the cell goes to the certify-or-double
-    loop of compute_proof_quantities.
+    Where tri's radii leave b0 undecided, the cell goes to
+    compute_proof_quantities, which escalates.
     """
     q = _quantities(tri, shift, logs, s, t, precision_bits)
     return q if q is not None else compute_proof_quantities(tri.n, s, t, precision_bits)
@@ -448,19 +443,13 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
     """The proof quantities of (n, s, t), with b0 and the window certified.
 
     The conjugates are taken at _diff_precision(n, s, t, precision_bits)
-    bits; where the error radii leave b0 undecided the precision doubles, at
-    most PRECISION_ATTEMPTS times, and then PrecisionExhausted is raised.
+    bits and escalated where the error radii leave b0 undecided (see
+    "Precision" in roots.py).
     """
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
-    bits = _diff_precision(n, s, t, precision_bits)
-    for _ in range(PRECISION_ATTEMPTS):
-        q = _certified_quantities(n, s, t, precision_bits, bits)
-        if q is not None:
-            return q
-        bits *= 2
-    raise PrecisionExhausted(
-        f"b0 for (n,s,t)={(n, s, t)} undecided with the conjugates at {bits // 2} bits")
+    return escalate(f"b0 for (n,s,t)={(n, s, t)}", _diff_precision(n, s, t, precision_bits),
+                    lambda bits: _certified_quantities(n, s, t, precision_bits, bits))
 
 
 @dataclass(frozen=True)

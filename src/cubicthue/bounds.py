@@ -31,7 +31,7 @@ from .asymptotics import (
 )
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform
-from .roots import alpha_precision, compute_roots, power_alphas, root_frac_bits, shift_roots
+from .roots import compute_roots, plan_triples
 
 
 _THREE = from_int(3)
@@ -215,44 +215,36 @@ def orbit_cells(n: int, pairs, precision_bits: int, solver_bits=None):
     evaluated by phi-orbit on one root set.
 
     The cells of pairs that phi maps into each other share one form and one
-    AlphaTriple, powered at the first such cell, the orbit's representative;
+    AlphaTriple, powered for the first such cell, the orbit's representative;
     a cell's conjugates are tri's from index shift on (see
     asymptotics._quantities), and logs is the orbit's memo of difference logs.
-    The triple takes the fraction bits the cells' proof quantities each asked
-    for (alpha_precision of _diff_precision) and, if solver_bits is given,
-    those of the representative's solver attempt at solver_bits(s, t) bits.
-    The roots are computed once, at the largest of these, and every triple
-    is powered from them shifted down to its own bits.  A form carries the
-    (s, t) of the cell it is yielded for.
+    The triple serves the proof quantities of each of the orbit's cells (at
+    _diff_precision) and, if solver_bits is given, the representative's
+    solver attempt at solver_bits(s, t) bits; roots.plan_triples powers all
+    the triples of n from one root set.  A form carries the (s, t) of the
+    cell it is yielded for.
     """
     in_box = set(pairs)
     cells = {}     # cell -> (representative, shift)
-    orbits = {}    # representative -> its precision request (roots bits, triple bits)
+    asks = {}      # representative -> the (s, t, bits) its triple must serve
     for rep in pairs:
         if rep in cells:
             continue
         once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
         members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
-        asks = [(c, _diff_precision(n, *c, precision_bits)) for c, _ in members]
+        asks[rep] = [(*c, _diff_precision(n, *c, precision_bits)) for c, _ in members]
         if solver_bits is not None:
-            asks.append((rep, solver_bits(*rep)))
-        orbits[rep] = (max(alpha_precision(n, *c, bits) for c, bits in asks),
-                       max(bits for _, bits in asks))
+            asks[rep].append((*rep, solver_bits(*rep)))
         cells.update((c, (rep, shift)) for c, shift in members)
-    if not orbits:
-        return
-    rs = compute_roots(n, max(wp for wp, _ in orbits.values()))
-    built = {}
+    triples = plan_triples(n, asks)
+    forms = {rep: build_form(n, *rep) for rep in asks}
+    logs = {rep: {} for rep in asks}
     for s, t in pairs:
         rep, shift = cells[(s, t)]
-        if rep not in built:
-            wp, bits = orbits[rep]
-            tri = power_alphas(shift_roots(rs, root_frac_bits(n, wp)), *rep, bits)
-            built[rep] = (build_form(n, *rep), tri, {})
-        form, tri, logs = built[rep]
+        form = forms[rep]
         if shift:
             form = BinaryCubicForm(n, s, t, form.A, form.B)
-        yield s, t, form, tri, shift, logs
+        yield s, t, form, triples[rep], shift, logs[rep]
 
 
 def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None):
@@ -274,17 +266,6 @@ def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None):
         yield form, tri, _bound_report(form, const, uppers[key], q)
 
 
-@dataclass(frozen=True)
-class StPolicy:
-    """Which exponent pairs to test at a given n: all s*t != 0 with
-    max(|s|, |t|) <= min(cap, floor(n^(1/2 - epsilon)))."""
-
-    cap: int = 2
-
-    def pairs(self, n: int, epsilon: float):
-        return st_box(int(math.floor(min(self.cap, float_power(n, 0.5 - epsilon)))))
-
-
 @dataclass
 class N0ScanReport:
     epsilon: float
@@ -295,10 +276,12 @@ class N0ScanReport:
     margin_curve: list = field(default_factory=list)  # (n, min margin over applicable pairs)
 
 
-def n0_scan(epsilon: float, n_grid, st_policy=None, precision_bits: int = 192) -> N0ScanReport:
+def n0_scan(epsilon: float, n_grid, st_policy: int = 2, precision_bits: int = 192) -> N0ScanReport:
     """Compare the lower-bound chain against the upper bound across a grid.
 
-    The reported threshold is empirical: it is the least grid n beyond which
+    At each n the tested pairs are all (s, t) with s*t != 0 and
+    max(|s|, |t|) <= min(st_policy, floor(n^(1/2 - epsilon))).  The
+    reported threshold is empirical: it is the least grid n beyond which
     lower > upper holds at every tested (s, t) for which the chain applies.
     Pairs whose chain preconditions fail even at the largest n are reported
     separately rather than silently dropped.
@@ -308,14 +291,12 @@ def n0_scan(epsilon: float, n_grid, st_policy=None, precision_bits: int = 192) -
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid:
         raise EmptyGrid("n0 scan needs a nonempty n grid")
-    if isinstance(st_policy, int):
-        st_policy = StPolicy(st_policy)
-    st_policy = st_policy or StPolicy()
 
     rows = []
     by_pair = {}
     for n in n_grid:
-        for _, _, rep in cell_reports(n, st_policy.pairs(n, epsilon), precision_bits):
+        pairs = st_box(int(math.floor(min(st_policy, float_power(n, 0.5 - epsilon)))))
+        for _, _, rep in cell_reports(n, pairs, precision_bits):
             rows.append({"n": n, "s": rep.s, "t": rep.t, **rep.row()})
             by_pair.setdefault((rep.s, rep.t), []).append(rows[-1])
 

@@ -281,7 +281,7 @@ def _scan_n(job):
     is not used: it swaps x and y, so it does not keep the box |y| <= y_bound.
     """
     n, pairs, y_bound, precision_bits = job
-    solve_bits = max(160, precision_bits)
+    solve_bits = max(solver.SOLVER_FLOOR_BITS, precision_bits)
     solved = {}
     rows = []
     for form, tri, rep in bounds.cell_reports(

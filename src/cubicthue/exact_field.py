@@ -67,9 +67,6 @@ class FieldInt:
     def __pow__(self, k: int):
         return unit_power(self, k)
 
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
-
     def coords(self):
         return (self.c0, self.c1, self.c2)
 

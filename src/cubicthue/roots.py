@@ -69,6 +69,15 @@ A root set at K serves every K' < K by a floor shift, with no second Newton
 run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
 floor moves the value by less than one unit of 2^-K', and the true value is
 within r / 2^K = (r / 2^d) / 2^K' of N / 2^K, so r' bounds the sum.
+
+Precision.  A decision the radii can leave open (the solver's candidates, a
+solution's type, b0, a unit's exponents) starts at the bits its caller derives
+from (n, s, t): solver._first_bits or asymptotics._diff_precision, with the
+roots at alpha_precision of those bits.  The triples of one n asked for in one
+batch (a scan's, by phi-orbit) share one root set, at the batch's largest
+alpha_precision (plan_triples; compute_alphas is a batch of one).  An open
+decision escalates: the bits double, PRECISION_ATTEMPTS precisions in all,
+then PrecisionExhausted, which the command line reports with exit code 3.
 """
 
 from __future__ import annotations
@@ -85,7 +94,7 @@ from .errors import PrecisionExhausted
 _BASE_BITS = 32   # Newton runs to convergence at this precision, then doubles it
 _GUARD_BITS = 4   # kept in hand at each doubling, so the rounding of a step cannot compound
 _LOG_ULPS = 4     # ulps of mpmath's log allowed in a radius
-PRECISION_ATTEMPTS = 4  # certify-or-double loops try this many precisions, doubling between them
+PRECISION_ATTEMPTS = 4  # escalate tries this many precisions, doubling between them
 
 
 @dataclass(frozen=True)
@@ -338,7 +347,7 @@ def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int) -> AlphaTripl
     """The twisted conjugates of (s, t), powered in fixed point from the root set rs.
 
     precision_bits is recorded as the triple's precision; rs must hold enough
-    fraction bits for it (compute_alphas picks them by alpha_precision).
+    fraction bits for it (plan_triples picks them by alpha_precision).
     """
     K = rs.frac_bits
     powers = [(_fixed_power(lam, inv, s, K), _fixed_power(lam, inv, t, K))
@@ -349,12 +358,41 @@ def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int) -> AlphaTripl
                        tuple(a for a, _ in alphas), tuple(r for _, r in alphas))
 
 
+def plan_triples(n: int, requests: dict) -> dict:
+    """{(s, t): AlphaTriple} for requests {(s, t): [(s', t', bits), ...]}, from one root set.
+
+    A triple serves each of its asks: the conjugates of (s', t') at bits, in
+    another order for an (s', t') of its phi-orbit.  The roots are computed
+    once, at the largest alpha_precision of any ask; each triple is powered
+    from them floor-shifted to its own root_frac_bits, at its asks' most bits.
+    """
+    plans = {st: (max(alpha_precision(n, s, t, bits) for s, t, bits in asks),
+                  max(bits for _, _, bits in asks))
+             for st, asks in requests.items()}
+    if not plans:
+        return {}
+    rs = compute_roots(n, max(wp for wp, _ in plans.values()))
+    return {st: power_alphas(shift_roots(rs, root_frac_bits(n, wp)), *st, bits)
+            for st, (wp, bits) in plans.items()}
+
+
 @lru_cache(maxsize=4096)
 def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTriple:
-    """The three twisted conjugate values with relative error < 2^-precision_bits.
+    """The three twisted conjugate values with relative error < 2^-precision_bits,
+    each with its radius: plan_triples for the one ask (s, t, precision_bits)."""
+    return plan_triples(n, {(s, t): [(s, t, precision_bits)]})[(s, t)]
 
-    They are powered in fixed point from the root set at
-    alpha_precision(n, s, t, precision_bits) bits, each with its radius.
-    """
-    return power_alphas(compute_roots(n, alpha_precision(n, s, t, precision_bits)),
-                        s, t, precision_bits)
+
+def doublings(first_bits: int) -> list:
+    """The bits escalate tries: first_bits, then PRECISION_ATTEMPTS - 1 doublings."""
+    return [first_bits << k for k in range(PRECISION_ATTEMPTS)]
+
+
+def escalate(what: str, first_bits: int, attempt):
+    """The first result of attempt(bits) that is not None (a decision made at bits),
+    over doublings(first_bits); else PrecisionExhausted naming what and the last bits."""
+    for bits in doublings(first_bits):
+        result = attempt(bits)
+        if result is not None:
+            return result
+    raise PrecisionExhausted(f"{what} undecided at {bits} bits")

@@ -30,8 +30,8 @@ integers only.
   walk runs on the integers lo_j, hi_j and D.
   Where the prefix stops, the next partial quotient is still at least the
   floor of the lower end; if that does not carry the next denominator past
-  y_bound, the precision is doubled and the brackets are rebuilt, and after
-  the last attempt PrecisionExhausted is raised.
+  y_bound, the candidates are undecided at this precision, and the brackets
+  are rebuilt at more bits (see "Precision" in roots.py).
 * Small y.  For 1 <= y <= 8 D^2 / g_j, which covers every y <= 8 / G_j, every
   integer x in [lo_j y / D - r, hi_j y / D + r] with r = 4 D^2 / (g_j y^2) >=
   4 / (G_j y^2) is tried; the ends are exact integer floors and ceilings.
@@ -45,8 +45,8 @@ lam0^s lam1^t, powered once by solve_box, and the AlphaTriple that certified
 the candidates.  The type is decided on the triple's numerators, in integers:
 B_j = |x 2^K - N_j y| is |x - alpha_j y| 2^K to within e_j = r_j |y|, so j
 is the type when B_j + e_j < B_i - e_i for both i != j.  Otherwise the
-precision is doubled, and after the last attempt PrecisionExhausted is
-raised.  A true tie happens only at y = 0, where every factor is x and the
+type is undecided at this precision, and escalates as the candidates do.
+A true tie happens only at y = 0, where every factor is x and the
 type is 1: with y != 0, |x - alpha_i y| = |x - alpha_j y| for i != j would
 make alpha_i + alpha_j = 2 x / y rational, hence alpha_k = -A - alpha_i -
 alpha_j rational too, but alpha is not +-1 (lam0 and lam1 are
@@ -67,11 +67,12 @@ from mpmath import mp, workprec
 
 from . import exact_field as ef
 from .asymptotics import compute_proof_quantities, ratio_float
-from .errors import DegenerateTwist, NotReducible, PrecisionExhausted, RoundingAmbiguous
+from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
 from .forms import build_form, eval_form, form_of_unit
-from .roots import PRECISION_ATTEMPTS, AlphaTriple, compute_alphas, power_alphas
+from .roots import AlphaTriple, compute_alphas, doublings, escalate, power_alphas
 
 _MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
+SOLVER_FLOOR_BITS = 160  # the least precision of the solver's conjugates
 
 
 @dataclass(frozen=True)
@@ -115,22 +116,22 @@ def _check_record(n: int, s: int, t: int, rec: SolutionRecord):
 def _betas(x: int, y: int, alphas: AlphaTriple):
     """(|x - alpha_j y| for j = 1, 2, 3 as floats; the type j), decided in integers.
 
-    See Typing in the module docstring; y = 0 is type 1.  Raises
-    PrecisionExhausted if the type is still undecided at the last precision.
+    See Typing in the module docstring; y = 0 is type 1.  alphas serves the
+    first attempt.
     """
-    tri = alphas
-    for attempt in range(PRECISION_ATTEMPTS):
-        if attempt:
-            tri = compute_alphas(alphas.n, alphas.s, alphas.t, alphas.precision_bits << attempt)
+    key = (alphas.n, alphas.s, alphas.t)
+
+    def attempt(bits):
+        tri = alphas if bits == alphas.precision_bits else compute_alphas(*key, bits)
         den = 1 << tri.frac_bits
         b = [abs(x * den - num * y) for num in tri.numerators]
         e = [r * abs(y) for r in tri.radii]
         j = min(range(3), key=b.__getitem__)
         if y == 0 or all(b[j] + e[j] < b[i] - e[i] for i in range(3) if i != j):
             return tuple(ratio_float(v, den) for v in b), j + 1
-    raise PrecisionExhausted(
-        f"type of (x,y)=({x},{y}) for (n,s,t)={(alphas.n, alphas.s, alphas.t)} undecided "
-        f"at {tri.precision_bits} bits")
+        return None
+
+    return escalate(f"type of (x,y)=({x},{y}) for (n,s,t)={key}", alphas.precision_bits, attempt)
 
 
 def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
@@ -208,15 +209,14 @@ def _candidates(form, tri: AlphaTriple, y_bound: int):
     return out
 
 
-def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = 160):
+def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER_FLOOR_BITS):
     """All solutions of f(x, y) = +-1 with |y| <= y_bound, exactly verified.
 
     Returns SolutionRecord objects sorted by (|y|, y, x).  Trivial solutions
     (|y| <= 1) are included and flagged.  precision_bits is the least
-    precision of the conjugates; more is used as y_bound requires.  Raises
-    PrecisionExhausted if the candidates or a type stay undecided after the
-    last precision doubling.  Each record carries the unit and the triple
-    that certified it.
+    precision of the conjugates; more is used as y_bound requires, and where
+    the candidates or a type stay undecided (see "Precision" in roots.py).
+    Each record carries the unit and the triple that certified it.
     """
     _validate_st(s, t)
     unit = ef.alpha_element(n, s, t)
@@ -238,24 +238,20 @@ def _solve_form(form, y_bound: int, precision_bits: int, tri: Optional[AlphaTrip
     """The exact solution map {(x, y): f(x, y)} with |y| <= y_bound, for a form
     already built from a valid (s, t), and the AlphaTriple that certified it.
 
-    tri, if given, holds the conjugates of the form and is the first attempt;
-    later attempts double the precision from _first_bits.
+    tri, if given, holds the conjugates of the form and serves the first
+    attempt, at _first_bits; the later ones escalate from there.
     """
     if y_bound < 1:
         raise ValueError("y_bound must be >= 1")
     n, s, t = form.n, form.s, form.t
-    pb = _first_bits(n, s, t, y_bound, precision_bits)
-    for _ in range(PRECISION_ATTEMPTS):
-        if tri is None:
-            tri = compute_alphas(n, s, t, pb)
-        candidates = _candidates(form, tri, y_bound)
-        if candidates is not None:
-            break
-        pb *= 2
-        tri = None
-    else:
-        raise PrecisionExhausted(
-            f"solver candidates for (n,s,t)={(n, s, t)} undecided at {pb // 2} bits")
+    first = _first_bits(n, s, t, y_bound, precision_bits)
+
+    def attempt(bits):
+        cur = tri if tri is not None and bits == first else compute_alphas(n, s, t, bits)
+        candidates = _candidates(form, cur, y_bound)
+        return None if candidates is None else (candidates, cur)
+
+    candidates, tri = escalate(f"solver candidates for (n,s,t)={(n, s, t)}", first, attempt)
 
     found = {}
     for x, y in candidates | {(1, 0)}:
@@ -304,18 +300,16 @@ def _exponent_guesses(n: int, s: int, t: int, x: int, y: int, first: AlphaTriple
 
     First the pair the record's shape fixes, if it has one: x - alpha1*y is x
     when y = 0 and -y * lam0^s * lam1^t when x = 0.  Then the rounded real
-    solution of the 2x2 log-linear system on the triple first, then at twice
-    its precision, and so on; a rounding that is not clear-cut yields no
-    guess at that precision.
+    solution of the 2x2 log-linear system on the triple first, then at the
+    doublings of its precision (roots.doublings); a rounding that is not
+    clear-cut yields no guess at that precision.
     """
     if y == 0:
         yield 0, 0
     elif x == 0:
         yield s, t
-    tri = first
-    for attempt in range(PRECISION_ATTEMPTS):
-        if attempt:
-            tri = compute_alphas(n, s, t, first.precision_bits << attempt)
+    for bits in doublings(first.precision_bits):
+        tri = first if bits == first.precision_bits else compute_alphas(n, s, t, bits)
         with workprec(tri.roots.precision_bits):
             la0, la1, la2 = tri.roots.log_abs_lambda
             lb2 = mp.log(abs(x - tri.alpha2 * y))
@@ -372,5 +366,5 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
         return UnitDecomposition(b1, b2, sign, b_bar)
     raise RoundingAmbiguous(
         f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to "
-        f"{rec.alphas.precision_bits << (PRECISION_ATTEMPTS - 1)} bits"
+        f"{doublings(rec.alphas.precision_bits)[-1]} bits"
     )

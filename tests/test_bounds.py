@@ -8,9 +8,7 @@ from mpmath import mp, mpf, workprec
 
 from cubicthue import bounds
 from cubicthue.asymptotics import compute_proof_quantities, st_box
-from cubicthue.bounds import (
-    StPolicy, bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan,
-)
+from cubicthue.bounds import bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan
 from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from cubicthue.forms import build_form, height
 from cubicthue.roots import compute_roots
@@ -158,20 +156,33 @@ def test_n0_scan_empty_grid():
         n0_scan(0.7, [100])
 
 
-def test_st_policy_respects_epsilon_cap():
-    pol = StPolicy(cap=5)
-    pairs = pol.pairs(20, 0.25)       # 20^0.25 ~ 2.1 -> bound 2
+def _scan_pairs(monkeypatch, n, epsilon, cap=2):
+    """The pairs n0_scan tests at n, read off its call of cell_reports."""
+    seen = []
+
+    def spy(n, pairs, precision_bits):
+        seen.append(pairs)
+        return iter(())
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "cell_reports", spy)
+        n0_scan(epsilon, [n], st_policy=cap)
+    return seen[0]
+
+
+def test_st_policy_respects_epsilon_cap(monkeypatch):
+    pairs = _scan_pairs(monkeypatch, 20, 0.25, cap=5)   # 20^0.25 ~ 2.1 -> bound 2
     assert max(max(abs(s), abs(t)) for s, t in pairs) == 2
     assert all(s * t != 0 for s, t in pairs)
 
 
-def test_st_policy_beyond_float_range():
+def test_st_policy_beyond_float_range(monkeypatch):
     # below float range the pairs are those of the float power, as before
     for n in [0, 1, 15, 16, 80, 81, 10**6, 10**299]:
         for eps in (0.01, 0.25, 0.4999):
             bound = min(2, int(math.floor(n ** (0.5 - eps))))
-            assert StPolicy().pairs(n, eps) == st_box(bound)
-    assert StPolicy().pairs(10**400, 0.25) == st_box(2)
-    assert StPolicy(cap=7).pairs(10**5000, 0.499) == st_box(7)
+            assert _scan_pairs(monkeypatch, n, eps) == st_box(bound)
+    assert _scan_pairs(monkeypatch, 10**400, 0.25) == st_box(2)
+    assert _scan_pairs(monkeypatch, 10**5000, 0.499, cap=7) == st_box(7)
     rep = n0_scan(0.25, [10**400], st_policy=1)
     assert [(r["s"], r["t"]) for r in rep.rows] == st_box(1)

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, grids, determinism."""
 
+import functools
 import hashlib
 import io
 import json
@@ -242,7 +243,6 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
 
     powering = counting("triples", roots.power_alphas)
     monkeypatch.setattr(roots, "power_alphas", powering)
-    monkeypatch.setattr(bounds, "power_alphas", powering)
     monkeypatch.setattr(asymptotics, "fixed_log", counting("logs", roots.fixed_log))
     forming = counting("forms", bounds.build_form)
     for mod in (bounds, cli, solver):
@@ -256,6 +256,45 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     assert counts == {"triples": 2 * 24, "logs": 2 * 54, "forms": 2 * 24}
     # per n, the orbit's root set and the bound constants' 192-bit one
     assert roots.compute_roots.cache_info().misses <= 2 * 2
+
+
+# scan --n 100 --smax 3: (s, t, precision_bits, frac_bits) of each triple powered,
+# one per phi-orbit, and the precision of each root set computed
+SCAN_100_TRIPLES = [
+    (-3, -3, 278, 416), (-3, -2, 271, 416), (-3, -1, 271, 416), (-3, 1, 265, 416),
+    (-3, 2, 271, 416), (-3, 3, 278, 416), (-2, -3, 271, 416), (-2, -2, 265, 416),
+    (-2, -1, 258, 352), (-2, 1, 271, 416), (-2, 2, 265, 416), (-2, 3, 271, 416),
+    (-1, -2, 258, 352), (-1, -1, 251, 352), (-1, 3, 265, 416), (1, -3, 265, 416),
+    (1, 1, 251, 352), (2, -3, 271, 416), (2, -2, 265, 416), (2, 2, 265, 416),
+    (3, -3, 278, 416), (3, -2, 271, 416), (3, -1, 265, 416), (3, 3, 278, 416),
+]
+SCAN_100_ROOT_BITS = [192, 384]
+
+
+def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
+    from cubicthue import asymptotics, bounds, roots
+
+    powered, computed = [], []
+    real_power, raw_roots = roots.power_alphas, roots.compute_roots.__wrapped__
+
+    def power(rs, s, t, precision_bits):
+        powered.append((rs.n, s, t, precision_bits, rs.frac_bits))
+        return real_power(rs, s, t, precision_bits)
+
+    @functools.lru_cache(maxsize=None)
+    def compute(n, precision_bits=192):
+        computed.append((n, precision_bits))
+        return raw_roots(n, precision_bits)
+
+    monkeypatch.setattr(roots, "power_alphas", power)
+    for mod in (roots, asymptotics, bounds):
+        monkeypatch.setattr(mod, "compute_roots", compute)
+    roots.compute_alphas.cache_clear()
+    code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100", "--smax", "3"])
+    roots.compute_alphas.cache_clear()
+    assert code == 0
+    assert sorted(powered) == [(100, *p) for p in SCAN_100_TRIPLES]
+    assert sorted(computed) == [(100, bits) for bits in SCAN_100_ROOT_BITS]
 
 
 def test_grid_size_is_bounded_before_any_work(capsys):
@@ -451,6 +490,16 @@ OUTPUT_PINS = {
         "human": "52c985c9fdd4933bf2ded23695092b50048453b71e04175519d681991bc4eeae",
         "json": "768e0253b9e24e4d406b1297ad69664dcf7ef92b486781953e5ccd09d7ac8645",
         "csv": "46d0184bd21488eb3bf19a2e0a4d5dd3508c9fa17c8993bf2399461c0fd740fb",
+    }),
+    "lemma vbar --n 10000:1000000:log10 --smax 2": (1, {
+        "human": "0dfcbd27069fc1d7eb81dcee07b2f800805bdb984a76e977ee4cc6cd02e93f14",
+        "json": "5b3a2df4b05f00d856f2bf3915a7066dd22cf99c3ad7091cb71a6793eacf7a9f",
+        "csv": "fd971cb8caf64c2595f0874fcd98956f6b6c76c542dfa2c399d46665bacaa192",
+    }),
+    "lemma wbar --n 10000:1000000:log10 --smax 2": (1, {
+        "human": "b93f0990b5761840e6229ec720a8c3c8d614e99c501c9ca5d77bb963d09adf1a",
+        "json": "e11e7bb8b7f73cfe24706c28faf367770b0ff727222b1c50bb5390bd40490125",
+        "csv": "b94ec1d98214d71caf4b001d7cddc6fac1e3dcbbff7b7a9ba6c3dc9ffd5241b0",
     }),
     "scan --n 50:53 --smax 2 --ybound 1000": (0, {
         "human": "c6d23919591191db8b4c628b4281663626054ecc41dc2739c0ea845b57a17be9",

@@ -217,15 +217,21 @@ def test_candidates_grow_with_log_y_bound(monkeypatch):
 
 def test_uncertified_conjugates_raise(monkeypatch, capsys):
     real = solver.compute_alphas
+    asked = []
 
     def shifted(n, s, t, precision_bits):
+        asked.append(precision_bits)
         tri = real(n, s, t, precision_bits)
         nums = tri.numerators
         return dataclasses.replace(tri, numerators=(nums[0] + (1 << tri.frac_bits), *nums[1:]))
 
     monkeypatch.setattr(solver, "compute_alphas", shifted)
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted) as err:
         solve_box(5, 1, 1, 100)
+    # the candidate attempts double from the first bits, and the message names the last
+    first = solver._first_bits(5, 1, 1, 100, solver.SOLVER_FLOOR_BITS)
+    assert asked == [first, 2 * first, 4 * first, 8 * first]
+    assert f"undecided at {8 * first} bits" in str(err.value)
     assert cli.main(["solve", "5", "1", "1"]) == 3
     assert "precision exhausted" in capsys.readouterr().err
 
