@@ -448,7 +448,8 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
     """
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
-    return escalate(f"b0 for (n,s,t)={(n, s, t)}", _diff_precision(n, s, t, precision_bits),
+    return escalate(lambda: f"b0 for (n,s,t)={(n, s, t)}",
+                    _diff_precision(n, s, t, precision_bits),
                     lambda bits: _certified_quantities(n, s, t, precision_bits, bits))
 
 

@@ -51,8 +51,9 @@ class _NConstants:
 
     upper_factor is c3 * R * max(log R, 1), log_b is log max(b_abs, e) and
     absorb_rhs is (3/4) log(n) / n (None at n = 0, where it is undefined).
-    Built once per n, they are bit-identical to the values each call of the
-    public functions computes for itself.
+    R is the view of the given root set's regulator: from compute_roots(n,
+    precision_bits), as the public functions take it, they are bit-identical
+    to theirs; a scan gives the root set of its triples.
     """
 
     precision_bits: int
@@ -62,14 +63,14 @@ class _NConstants:
     absorb_rhs: object
 
 
-def _n_constants(n: int, b_abs: int, precision_bits: int) -> _NConstants:
+def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
-    reg = compute_roots(n, precision_bits).regulator
+    reg = rs.regulator
     with workprec(precision_bits + 16):
         log_b = mp.log(max(mpf(b_abs), mp.e))
         factor = c3_constant(3, 2) * reg * max(mp.log(reg), mpf(1))
-    return _NConstants(precision_bits, reg, factor, log_b, _absorb_rhs(n, precision_bits + 16))
+    return _NConstants(precision_bits, reg, factor, log_b, _absorb_rhs(rs.n, precision_bits + 16))
 
 
 def _absorb_rhs(n: int, wp: int):
@@ -82,7 +83,8 @@ def _absorb_rhs(n: int, wp: int):
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
     """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf."""
-    return _upper_bound(build_form(n, s, t), _n_constants(n, b_abs, precision_bits))
+    return _upper_bound(build_form(n, s, t),
+                        _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits))
 
 
 def _upper_bound(form, const: _NConstants):
@@ -182,7 +184,8 @@ class BoundReport:
 
 
 def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192) -> BoundReport:
-    return _bound_report(build_form(n, s, t), _n_constants(n, b_abs, precision_bits))
+    return _bound_report(build_form(n, s, t),
+                         _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits))
 
 
 def _bound_report(form, const: _NConstants, upper=None, q=None) -> BoundReport:
@@ -251,14 +254,15 @@ def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None):
     """Yield (form, tri, BoundReport) for each (s, t) of pairs, in order.
 
     The per-n path of both scans: the cells go by phi-orbit (orbit_cells,
-    which takes solver_bits), the constants of n are built once, the upper
-    bound once per distinct form (A, B), and the chain per cell on that
-    cell's proof quantities.  tri is the orbit's triple, in the order of the
-    first cell of the orbit.
+    which takes solver_bits), the constants of n are built once, from the
+    first triple's root set, the upper bound once per distinct form (A, B),
+    and the chain per cell on that cell's proof quantities.  tri is the
+    orbit's triple, in the order of the first cell of the orbit.
     """
-    const = _n_constants(n, 1, precision_bits)
+    const = None
     uppers = {}
     for s, t, form, tri, shift, logs in orbit_cells(n, pairs, precision_bits, solver_bits):
+        const = const or _n_constants(tri.roots, 1, precision_bits)
         key = (form.A, form.B)
         if key not in uppers:
             uppers[key] = _upper_bound(form, const)

@@ -31,10 +31,7 @@ gives the other two roots exactly from lam0:
     lam1 = -1/(lam0 + 1) in (-1, 0),    lam2 = -(lam0 + 1)/lam0 in (-2, -1),
 
 and two logarithms give all three: log|lam1| = -log(lam0 + 1) and
-log|lam2| = -log|lam0| - log|lam1|.  Each of the three root values x is
-re-certified by an exact sign change of f across x(1 - 2^-b) and
-x(1 + 2^-b), evaluated as F on the integer mantissa of the mpf, so the
-reported relative error bound does not depend on floating-point luck.
+log|lam2| = -log|lam0| - log|lam1|.
 
 Fixed point.  The twisted conjugates, and everything the proof quantities
 decide, are carried as integers over one power of two: a real x is held as
@@ -61,9 +58,13 @@ logs above, floored to 2^-K; their radius adds the floor of X (2^K / X
 units), the rounding of lam0 and lam0 + 1 to wp bits, four ulps of mpmath's
 log and the final floor.  So every radius is an integer bound that a test
 can check against a computation at twice the precision, and the conjugates
-alpha_j come out as N_j / 2^K with |alpha_j - N_j / 2^K| <= r_j / 2^K.  The
-mpf values alpha1, alpha2 and alpha3 of an AlphaTriple are the exact views
-N_j / 2^K of its numerators, made when they are first read.
+alpha_j come out as N_j / 2^K with |alpha_j - N_j / 2^K| <= r_j / 2^K.
+lam0 is certified by its exact bracket, and lam1 and lam2 by an exact sign
+change of F between (N_j - r_j) / 2^K and (N_j + r_j) / 2^K.  The fixed point
+is all a RootSet or an AlphaTriple stores; their mpf values are views made
+when first read: N / 2^K exactly, except lam1 and lam2, which are 1/x of the
+views of their inverses (of size at least 1), so that lam1 ~ -1/n keeps its
+relative accuracy where it is below one unit of 2^-K.
 
 A root set at K serves every K' < K by a floor shift, with no second Newton
 run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
@@ -86,8 +87,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_log, round_nearest
+from mpmath import mp
+from mpmath.libmp import fone, from_man_exp, mpf_add, mpf_div, mpf_log, mpf_neg, round_nearest
 
 from .errors import PrecisionExhausted
 
@@ -99,13 +100,10 @@ PRECISION_ATTEMPTS = 4  # escalate tries this many precisions, doubling between 
 
 @dataclass(frozen=True)
 class RootSet:
+    """The fixed point of the module docstring, and its mpf views (made when first read)."""
+
     n: int
     precision_bits: int
-    lambda0: object
-    lambda1: object
-    lambda2: object
-    log_abs_lambda: tuple
-    regulator: object
     # the fixed point of the module docstring: (numerator, radius) pairs over 2^frac_bits
     frac_bits: int
     lam_fixed: tuple        # lam0, lam1, lam2; lam0's numerator is the Newton floor X times 2^(K - k)
@@ -113,9 +111,24 @@ class RootSet:
     log_fixed: tuple        # log|lam0|, log|lam1|, log|lam2|
     reg_fixed: tuple        # the regulator
 
-    @property
+    @cached_property
     def lambdas(self):
-        return (self.lambda0, self.lambda1, self.lambda2)
+        K, prec = self.frac_bits, self.precision_bits + 32
+        return (fixed_view(self.lam_fixed[0][0], K),
+                *(mp.make_mpf(mpf_div(fone, from_man_exp(num, -K), prec, round_nearest))
+                  for num, _ in self.inv_fixed[1:]))
+
+    lambda0 = property(lambda self: self.lambdas[0])
+    lambda1 = property(lambda self: self.lambdas[1])
+    lambda2 = property(lambda self: self.lambdas[2])
+
+    @cached_property
+    def log_abs_lambda(self):
+        return tuple(fixed_view(num, self.frac_bits) for num, _ in self.log_fixed)
+
+    @cached_property
+    def regulator(self):
+        return fixed_view(self.reg_fixed[0], self.frac_bits)
 
 
 @dataclass(frozen=True)
@@ -189,14 +202,6 @@ def _fixed_power(base, inverse, e: int, frac_bits: int):
     return acc if acc is not None else (1 << frac_bits, 0)
 
 
-def _log_to_fixed(x, wp: int, input_units: int, frac_bits: int):
-    """(floor(x * 2^K), radius) for an mpf log x computed at wp bits, whose
-    argument was off by input_units / 2^K relative."""
-    mag = x._mpf_[2] + x._mpf_[3]
-    ulps = 1 << max(mag - wp + frac_bits, 0)
-    return _to_fixed(x._mpf_, frac_bits), input_units + _LOG_ULPS * ulps + 1
-
-
 def fixed_log(d, frac_bits: int):
     """log|x| over 2^K with its radius, for x = (numerator, radius) with |numerator| > radius.
 
@@ -207,28 +212,6 @@ def fixed_log(d, frac_bits: int):
     x = mpf_log(from_man_exp(num, -frac_bits), frac_bits, round_nearest)
     return (_to_fixed(x, frac_bits),
             (r << frac_bits) // (num - r) + 2 + (_LOG_ULPS << max(x[2] + x[3], 0)))
-
-
-def _fixed_roots(n: int, x0: int, k: int, wp: int, log0, log1):
-    """The fixed-point part of a RootSet: K, roots, inverses, logs and regulator."""
-    K = k + n.bit_length()
-    one = 1 << K
-    lam0 = (x0 << (K - k), 1 << (K - k))
-    lam0_plus_1 = (lam0[0] + one, lam0[1])
-    q1, r1 = _fixed_quotient(one << K, lam0_plus_1, K)
-    inv0 = _fixed_quotient(one << K, lam0, K)
-    lam1 = (-q1, r1)
-    lam2 = (-(one + inv0[0]), inv0[1])
-    inv1 = (-lam0_plus_1[0], lam0_plus_1[1])
-    inv2 = (-(lam1[0] + one), lam1[1])
-    # log of X / 2^k instead of lam0 (below 1/X relative), lam0 and lam0 + 1 rounded to wp bits
-    input_units = (one // x0 + 1) + (1 << max(K - wp + 1, 0))
-    g0 = _log_to_fixed(log0, wp, input_units, K)
-    g1 = _log_to_fixed(log1, wp, input_units, K)
-    g2 = (-g0[0] - g1[0], g0[1] + g1[1])
-    p, q = fixed_mul(g1, g0, K), fixed_mul(g2, g2, K)
-    reg = (abs(p[0] - q[0]), p[1] + q[1])
-    return K, (lam0, lam1, lam2), (inv0, inv1, inv2), (g0, g1, g2), reg
 
 
 def _scaled_f(n: int, x: int, k: int) -> int:
@@ -267,20 +250,12 @@ def _lam0_floor(n: int, k: int) -> int:
     return x
 
 
-def _certify(n: int, x, out_bits: int):
-    """Exact sign change of f across x * (1 -+ 2^-out_bits)."""
-    sign, man, exp, _ = x._mpf_
-    m = -man if sign else man
-    # the two ends are m * (2^out_bits -+ 1) * 2^e
-    e = exp - out_bits
-    k, shift = max(-e, 0), max(e, 0)
-    f_lo = _scaled_f(n, ((m << out_bits) - m) << shift, k)
-    f_hi = _scaled_f(n, ((m << out_bits) + m) << shift, k)
-    if f_lo * f_hi < 0:
+def _certify_root(n: int, pair, frac_bits: int, j: int):
+    """Exact sign change of F between the ends of the radius of the pair of lam_j."""
+    num, r = pair
+    if _scaled_f(n, num - r, frac_bits) * _scaled_f(n, num + r, frac_bits) < 0:
         return
-    raise PrecisionExhausted(
-        f"could not certify root of f_{n} within relative 2^-{out_bits} of computed value"
-    )
+    raise PrecisionExhausted(f"could not certify lam{j} of f_{n} within its radius over 2^{frac_bits}")
 
 
 def root_frac_bits(n: int, precision_bits: int) -> int:
@@ -309,28 +284,44 @@ def shift_roots(rs: RootSet, frac_bits: int) -> RootSet:
 
 @lru_cache(maxsize=512)
 def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
-    """Certified roots, their log-absolute-values and the regulator.
+    """The root set of n over 2^K, K = root_frac_bits(n, precision_bits).
 
-    Raises PrecisionExhausted if any root cannot be certified to within
-    2^-(precision_bits-8) relative error.
+    Every value lies within its radius over 2^K; lam0 is certified by its
+    Newton bracket, lam1 and lam2 by a sign change (PrecisionExhausted if
+    not).  The views lambda0..2 and the regulator have relative error, and
+    the logs absolute error, below 2^-precision_bits.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     wp = precision_bits + 32
-    k = root_frac_bits(n, precision_bits) - n.bit_length()  # floor(lam0 * 2^k) has about wp bits
+    K = root_frac_bits(n, precision_bits)
+    k = K - n.bit_length()  # floor(lam0 * 2^k) has about wp bits
     x0 = _lam0_floor(n, k)
-    with workprec(wp):
-        l0 = mpf((x0, -k))
-        lams = (l0, -1 / (l0 + 1), -(l0 + 1) / l0)
-        log0, log1 = mp.log(l0), -mp.log(l0 + 1)
-        log2 = -log0 - log1
-        reg = abs(log1 * log0 - log2 * log2)
-    for v in lams:
-        _certify(n, v, precision_bits - 8)
-    return RootSet(n, precision_bits, *lams, (log0, log1, log2), reg,
-                   *_fixed_roots(n, x0, k, wp, log0, log1))
+    one = 1 << K
+    lam0 = (x0 << (K - k), 1 << (K - k))
+    lam0_plus_1 = (lam0[0] + one, lam0[1])
+    q1, r1 = _fixed_quotient(one << K, lam0_plus_1, K)
+    inv0 = _fixed_quotient(one << K, lam0, K)
+    lam1 = (-q1, r1)
+    lam2 = (-(one + inv0[0]), inv0[1])
+    inv1 = (-lam0_plus_1[0], lam0_plus_1[1])
+    inv2 = (-(lam1[0] + one), lam1[1])
+    _certify_root(n, lam1, K, 1)
+    _certify_root(n, lam2, K, 2)
+    # the logs above at wp bits, floored to 2^-K, with the radius of the module docstring
+    l0 = from_man_exp(x0, -k, wp, round_nearest)
+    logs = (mpf_log(l0, wp, round_nearest),
+            mpf_neg(mpf_log(mpf_add(l0, fone, wp, round_nearest), wp, round_nearest)))
+    input_units = (one // x0 + 1) + (1 << max(K - wp + 1, 0))
+    g0, g1 = ((_to_fixed(x, K), input_units + (_LOG_ULPS << max(x[2] + x[3] - wp + K, 0)) + 1)
+              for x in logs)
+    g2 = (-g0[0] - g1[0], g0[1] + g1[1])
+    p, q = fixed_mul(g1, g0, K), fixed_mul(g2, g2, K)
+    reg = (abs(p[0] - q[0]), p[1] + q[1])
+    return RootSet(n, precision_bits, K, (lam0, lam1, lam2), (inv0, inv1, inv2),
+                   (g0, g1, g2), reg)
 
 
 def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
@@ -388,11 +379,12 @@ def doublings(first_bits: int) -> list:
     return [first_bits << k for k in range(PRECISION_ATTEMPTS)]
 
 
-def escalate(what: str, first_bits: int, attempt):
+def escalate(what, first_bits: int, attempt):
     """The first result of attempt(bits) that is not None (a decision made at bits),
-    over doublings(first_bits); else PrecisionExhausted naming what and the last bits."""
+    over doublings(first_bits); else PrecisionExhausted naming what() (called only
+    then) and the last bits."""
     for bits in doublings(first_bits):
         result = attempt(bits)
         if result is not None:
             return result
-    raise PrecisionExhausted(f"{what} undecided at {bits} bits")
+    raise PrecisionExhausted(f"{what()} undecided at {bits} bits")

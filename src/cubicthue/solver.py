@@ -131,7 +131,8 @@ def _betas(x: int, y: int, alphas: AlphaTriple):
             return tuple(ratio_float(v, den) for v in b), j + 1
         return None
 
-    return escalate(f"type of (x,y)=({x},{y}) for (n,s,t)={key}", alphas.precision_bits, attempt)
+    return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}",
+                    alphas.precision_bits, attempt)
 
 
 def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
@@ -251,7 +252,8 @@ def _solve_form(form, y_bound: int, precision_bits: int, tri: Optional[AlphaTrip
         candidates = _candidates(form, cur, y_bound)
         return None if candidates is None else (candidates, cur)
 
-    candidates, tri = escalate(f"solver candidates for (n,s,t)={(n, s, t)}", first, attempt)
+    candidates, tri = escalate(lambda: f"solver candidates for (n,s,t)={(n, s, t)}",
+                               first, attempt)
 
     found = {}
     for x, y in candidates | {(1, 0)}:

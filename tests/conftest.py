@@ -1,8 +1,9 @@
-"""Shared test helpers: the independent brute-force solution oracle."""
+"""Shared test helpers: independent oracles for the roots and for the solutions."""
 
 import math
 
 import numpy as np
+from mpmath import mp
 
 from cubicthue.forms import build_form, eval_form
 from cubicthue.roots import compute_alphas
@@ -41,3 +42,15 @@ def brute_force_solutions(n, s, t, y_bound):
         for i in np.nonzero(np.abs(prod) < 2.0)[0]:
             confirm(int(xs[i]), y)
     return out
+
+
+def exact_roots(n):
+    """((lam0, lam1, lam2), their log-absolute-values, the regulator) at the
+    working precision, independently of compute_roots: lam0 by mp.findroot
+    started at n + 1, lam1 = -1/(lam0 + 1) and lam2 = -(lam0 + 1)/lam0 by the
+    Galois maps, and the logs by mp.log."""
+    lam0 = mp.findroot(lambda x: ((x - (n - 1)) * x - (n + 2)) * x - 1, mp.mpf(n + 1),
+                       verify=False)
+    lams = (lam0, -1 / (lam0 + 1), -(lam0 + 1) / lam0)
+    logs = tuple(mp.log(abs(v)) for v in lams)
+    return lams, logs, abs(logs[1] * logs[0] - logs[2] * logs[2])

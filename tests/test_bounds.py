@@ -82,8 +82,8 @@ def formula_chain(n, q, precision_bits=192):
 
 @pytest.mark.parametrize("n", [60, 4999, 10**6, 10**64])
 def test_per_n_constants_give_bit_identical_bounds(n):
-    # the scan's path, constants once per n, against the public per-call functions
-    const = bounds._n_constants(n, 1, 192)
+    # constants once per n on the public functions' root set, against those functions
+    const = bounds._n_constants(compute_roots(n, 192), 1, 192)
     applicable = 0
     for s, t in st_box(3):
         form = build_form(n, s, t)

@@ -254,8 +254,8 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     # two n values: per n, one triple and one form per orbit, three logs per orbit
     # with two or three cells in the box and two for the others
     assert counts == {"triples": 2 * 24, "logs": 2 * 54, "forms": 2 * 24}
-    # per n, the orbit's root set and the bound constants' 192-bit one
-    assert roots.compute_roots.cache_info().misses <= 2 * 2
+    # per n, one root set: the orbits' triples and the bound constants share it
+    assert roots.compute_roots.cache_info().misses == 2
 
 
 # scan --n 100 --smax 3: (s, t, precision_bits, frac_bits) of each triple powered,
@@ -268,7 +268,7 @@ SCAN_100_TRIPLES = [
     (1, 1, 251, 352), (2, -3, 271, 416), (2, -2, 265, 416), (2, 2, 265, 416),
     (3, -3, 278, 416), (3, -2, 271, 416), (3, -1, 265, 416), (3, 3, 278, 416),
 ]
-SCAN_100_ROOT_BITS = [192, 384]
+SCAN_100_ROOT_BITS = [384]
 
 
 def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
@@ -382,9 +382,9 @@ def test_scan_computes_the_bound_constants_once_per_n(capsys, monkeypatch):
     calls = []
     real = bounds._n_constants
 
-    def counting(n, b_abs, precision_bits):
-        calls.append(n)
-        return real(n, b_abs, precision_bits)
+    def counting(rs, b_abs, precision_bits):
+        calls.append(rs.n)
+        return real(rs, b_abs, precision_bits)
 
     monkeypatch.setattr(bounds, "_n_constants", counting)
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3",
@@ -475,6 +475,16 @@ OUTPUT_PINS = {
         "human": "759ec525051973ba207e3b213a01f2b1c13b5cb8ecff8f7c991d0c02dae7c27d",
         "json": "cde0e91f5837b8480951b3167e2364c17d6d054e613c491eb1f5d7605112e977",
         "csv": "9a887a39f314df6dbb8cde95a25ffcae220c3f3fe57e1a1be6cf3ed5afc6fada",
+    }),
+    "lemma lapprox": (0, {
+        "human": "2a5124a8fa38bc8e21716084552472731de34239657369de82eac5333fd1ba0b",
+        "json": "05d0f638be83a25c2987acea5e951617998e56c1fe5cf1166e248cec6de52057",
+        "csv": "92da4424b61bd435a5464829389c07f4a25675123dd68ee3460230d7fb431d17",
+    }),
+    "lemma lpowers": (0, {
+        "human": "3d037777597630ad94cbeb8749fdd36dc55555c041157be3c2b772672a1812a3",
+        "json": "98fa8cac10772e3f5a41fdf066b164c291788143ea7b755ebf87e2e22fe79de6",
+        "csv": "d32ea28c67f7e7ea1b56d4f114bbd9e39de8ac0cb066a60482faf830cd79925d",
     }),
     "lemma errorbound --n 1000 --smax 2": (1, {
         "human": "a144b45b727a06de653386cc71b3cc78485b87efbdc8d55f9e3c4e6a2c74ad1f",

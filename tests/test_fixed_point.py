@@ -20,6 +20,7 @@ from cubicthue.asymptotics import (
 from cubicthue.cli import main
 from cubicthue.errors import ChainPreconditionFailed, PrecisionExhausted
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots
+from conftest import exact_roots
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +78,10 @@ def oracle_chain(n, q, absorb_rhs, wp):
 
 def chain_outcome(chain, n, q, precision_bits):
     """(failure name, lower as a float, crossover) of the chain on q."""
-    const = bounds._n_constants(n, 1, precision_bits)
+    absorb_rhs = bounds._absorb_rhs(n, precision_bits + 16)
     upper = bounds.bg_upper_bound(n, *q.st, precision_bits=precision_bits)
     try:
-        value = chain(n, q.quantities, const.absorb_rhs, precision_bits + 16)
+        value = chain(n, q.quantities, absorb_rhs, precision_bits + 16)
     except ChainPreconditionFailed as exc:
         return exc.inequality, None, False
     return "", float(value), bool(value > upper)
@@ -139,13 +140,12 @@ def test_root_set_radii_hold(n):
     # every fixed-point value of a root set lies within its radius of the true value
     rs = compute_roots(n, 128)
     K = rs.frac_bits
-    # 32 guard bits beyond the requested precision, the bits the mpf roots were taken at
+    # 32 guard bits beyond the requested precision, the bits the logs are taken at
     assert K == max(128 + 32, n.bit_length())
-    ref = compute_roots(n, 2 * K + 64)
     with workprec(2 * K + 64):
-        lams = ref.lambdas
+        lams, logs, reg = exact_roots(n)
         pairs = list(zip(rs.lam_fixed, lams)) + list(zip(rs.inv_fixed, (1 / v for v in lams)))
-        pairs += list(zip(rs.log_fixed, ref.log_abs_lambda)) + [(rs.reg_fixed, ref.regulator)]
+        pairs += list(zip(rs.log_fixed, logs)) + [(rs.reg_fixed, reg)]
         for (num, radius), exact in pairs:
             assert abs(exact * 2**K - num) <= radius
     # lam0 is the exact Newton floor, floor(lam0 * 2^k) * 2^(K - k) with k = K - bitlen(n)
@@ -153,12 +153,11 @@ def test_root_set_radii_hold(n):
     assert rs.lam_fixed[0] == (roots._lam0_floor(n, K - shift) << shift, 1 << shift)
 
 
-def _exact_values(n, bits):
-    """lam0..2, their inverses, their log-absolute-values and the regulator, from
-    the root set at `bits` bits, as mpf values at the working precision."""
-    ref = compute_roots(n, bits)
-    lams = ref.lambdas
-    return list(lams) + [1 / v for v in lams] + list(ref.log_abs_lambda) + [ref.regulator]
+def _exact_values(n):
+    """lam0..2, their inverses, their log-absolute-values and the regulator at the
+    working precision, from the oracle exact_roots."""
+    lams, logs, reg = exact_roots(n)
+    return list(lams) + [1 / v for v in lams] + list(logs) + [reg]
 
 
 def _pairs(rs):
@@ -178,7 +177,7 @@ def test_shifted_root_set_holds_the_values(n):
         if k2 >= 96 and roots.root_frac_bits(n, k2 - 32) == k2:
             fresh = _pairs(compute_roots(n, k2 - 32))
         with workprec(2 * K + 64):
-            exact = _exact_values(n, 2 * K + 64)
+            exact = _exact_values(n)
             for i, ((num, r), x) in enumerate(zip(_pairs(low), exact)):
                 assert abs(x * 2**k2 - num) <= r
                 if fresh:
@@ -195,7 +194,7 @@ def test_shift_radius_covers_values_at_the_edge_of_their_radius(n):
     rs = compute_roots(n, 128)
     K = rs.frac_bits
     with workprec(2 * K + 64):
-        exact = _exact_values(n, 2 * K + 64)
+        exact = _exact_values(n)
         for d in (2, 5, 9):
             edge = [(int(mp.floor(x * 2**K)) - (1 << d) + 1, 1 << d) for x in exact]
             for (num, r), x in zip(edge, exact):
@@ -218,7 +217,7 @@ def _scaled(pair, frac_bits, to_bits):
 
 @pytest.mark.parametrize("n", [5, 100, 5000, 10**6, 10**64])
 def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
-    const = bounds._n_constants(n, 1, 192)
+    absorb_rhs = bounds._absorb_rhs(n, 208)
     cells = 0
     for s, t, form, tri, shift, logs in bounds.orbit_cells(n, st_box(3), 192):
         cells += 1
@@ -238,7 +237,7 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
         verdicts = []
         for quantities in (q, ref):
             try:
-                bounds._chain(n, quantities, const.absorb_rhs, 208)
+                bounds._chain(n, quantities, absorb_rhs, 208)
                 verdicts.append("")
             except ChainPreconditionFailed as exc:
                 verdicts.append(exc.inequality)

@@ -1,5 +1,7 @@
 """Certified roots: localisation, algebraic identities, precision behaviour."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
@@ -9,7 +11,8 @@ import cubicthue.roots as roots
 from cubicthue.asymptotics import st_box
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.forms import build_form, discriminant
-from cubicthue.roots import alpha_precision, compute_alphas, compute_roots
+from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, fixed_view
+from conftest import exact_roots
 
 
 def test_localisation_brackets():
@@ -109,14 +112,21 @@ def test_lam0_floor_is_the_exact_bracket(n, k):
 
 
 def test_certificate_is_relative():
-    # lam1 ~ -1/n: an absolute +-2^-152 window would contain 0 and accept this value
+    # lam1 ~ -1/n is below one unit of 2^-K here: its pair is certified on the
+    # integers, and its view, taken from 1/lam1 ~ -n, stays relatively accurate
     n = 10**64
     rs = compute_roots(n, 160)
-    roots._certify(n, rs.lambda1, 152)
-    with workprec(256):
-        off = rs.lambda1 * (1 + mpf(2) ** -140)
+    K = rs.frac_bits
+    num, r = rs.lam_fixed[1]
+    roots._certify_root(n, (num, r), K, 1)
     with pytest.raises(PrecisionExhausted):
-        roots._certify(n, off, 152)
+        roots._certify_root(n, (num + 2 * r + 1, r), K, 1)
+    with pytest.raises(PrecisionExhausted):
+        roots._certify_root(n, (num - 2 * r - 1, r), K, 1)
+    with workprec(4 * K):
+        (_, lam1, _), _, _ = exact_roots(n)
+        assert abs(rs.lambda1 / lam1 - 1) < mpf(2) ** -160
+        assert abs(fixed_view(num, K) / lam1 - 1) > mpf(2) ** -8
 
 
 def test_huge_n_certifies():
@@ -128,6 +138,35 @@ def test_huge_n_certifies():
         assert abs(rs.lambda0 / n - 1) < eps
         assert abs(rs.lambda1 * n + 1) < eps
         assert abs(rs.lambda2 + 1) < eps
+
+
+# sha256 of repr((frac_bits, lam_fixed, inv_fixed, log_fixed, reg_fixed)) + newline,
+# over ROOT_PIN_N x ROOT_PIN_BITS in that order
+ROOT_PIN_N = [0, 1, 2, 5, 100, 4999, 10**6, 10**12, 10**64, 10**400]
+ROOT_PIN_BITS = [64, 128, 192, 384, 1024]
+ROOT_PIN = "65110df10b22cb45ea8172f5b69622b72f25e9f4e68ad13e08908cbd422db770"
+
+
+def test_fixed_point_numerators_are_pinned():
+    digest = hashlib.sha256()
+    for n in ROOT_PIN_N:
+        for bits in ROOT_PIN_BITS:
+            rs = compute_roots(n, bits)
+            fixed = (rs.frac_bits, rs.lam_fixed, rs.inv_fixed, rs.log_fixed, rs.reg_fixed)
+            digest.update(repr(fixed).encode() + b"\n")
+    assert digest.hexdigest() == ROOT_PIN
+
+
+def test_views_follow_the_shifted_bits():
+    # a shifted root set's mpf values are the views of its own numerators
+    rs = compute_roots(10**6, 256)
+    low = roots.shift_roots(rs, rs.frac_bits - 100)
+    K = low.frac_bits
+    assert low.lambda0 == fixed_view(low.lam_fixed[0][0], K) != rs.lambda0
+    assert low.log_abs_lambda == tuple(fixed_view(num, K) for num, _ in low.log_fixed)
+    assert low.regulator == fixed_view(low.reg_fixed[0], K)
+    with workprec(low.precision_bits + 32):
+        assert low.lambda1 == 1 / fixed_view(low.inv_fixed[1][0], K)
 
 
 @pytest.mark.parametrize("n", [0, 1, 10**6, 10**64])
@@ -188,3 +227,12 @@ def test_argument_validation():
         compute_roots(-1, 128)
     with pytest.raises(ValueError):
         compute_roots(5, 32)
+
+
+def test_escalate_formats_what_only_when_it_raises():
+    def what():
+        raise AssertionError("the message was built for a decided attempt")
+
+    assert roots.escalate(what, 64, lambda bits: bits) == 64
+    with pytest.raises(PrecisionExhausted, match=r"^the roots undecided at 512 bits$"):
+        roots.escalate(lambda: "the roots", 64, lambda bits: None)
