@@ -516,6 +516,27 @@ OUTPUT_PINS = {
         "json": "12ac8f6c04ec8fdadda0209cf031b193236b17d47f144542e4582a4fe6fdd92e",
         "csv": "4629af1b0f0cd5862ec1095efd99a56dbcd4b1572195df091619a8264da00bc5",
     }),
+    # the lemma harnesses on their default grids
+    "lemma logdiff": (0, {
+        "human": "cd0c95458edac5ca4de2a39c6e377ea00b716793a0ba2cc655ec699059a03bbb",
+        "json": "ec371b668459c56a7e91a988024a2162133b41101062808726e017189ce68e16",
+        "csv": "1d4ec672a2c246194cafee9ee9dee9d4856bb1d8f21b43d56d4f9407e0536251",
+    }),
+    "lemma ubar": (0, {
+        "human": "5ddd505c39eefbc9d3c46fb36c85f828571c302ac38a31b271f7368dace40430",
+        "json": "0b8299625941e5b82dab02cfc13f81fac3330f38552f953afe0c01cc6f9c79d9",
+        "csv": "010d96be3dd89f53d3eea592964c9114801d0e878aa0098cea6e184ae6bbb677",
+    }),
+    "lemma vbar": (1, {
+        "human": "903a817707a34369af5f4188c698fe472a6c3b1f5b1ff77fa4142fb95eadd091",
+        "json": "37b5f96435c4058f0a35efa15223322c3add8d4036b9e1dfbe49bfb747488cf9",
+        "csv": "9ab24aa6ecfdff905689c60c9bcd6e0d6c67385b120db1a9e1e680407904c662",
+    }),
+    "lemma errorbound": (1, {
+        "human": "953861708a4251d67d2a1c4366b215acfc21555abaf51e497ce872640ff4c73b",
+        "json": "a36ede20e5f6a13897c0e0e4994af35e2c12643801377330ba80171e9f6c819e",
+        "csv": "33a6e748154f711c1f2bbd1f2da80223b04366890013e074056d1444ad6b3d95",
+    }),
 }
 
 
