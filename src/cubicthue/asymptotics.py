@@ -15,12 +15,12 @@ ones (see the per-branch comments).
 
 The proof quantities are computed in the fixed point of roots.py: integers
 over 2^K, each with an integer error radius in units of 2^-K.  The
-conjugates come from compute_alphas as numerators with radii, so
-alpha1 - alpha2 and alpha1 - alpha3 are integer differences whose radii add.
-The logs of the two differences are the only mpf work left per (n, s, t);
-their radius is the relative error of the difference (radius over
-|numerator| - radius), four ulps of mpmath's log and the floor.  The root
-logs and the regulator carry the radii the root set gave them, and
+conjugates come from a triple of numerators with radii, so alpha1 - alpha2
+and alpha1 - alpha3 are integer differences whose radii add.  Their logs are
+taken in integers too, by roots.fixed_log, with the radius proved there: the
+relative error of the difference (radius over |numerator| - radius) and the
+kernel's floors, log-2 error and series tail.  The root logs and the
+regulator carry the radii the root set gave them, and
 v1 + v2 = log|d12| u1 + log|d13| u2 is a sum of fixed-point products whose
 radius follows from those.  b0 and the window 0 < v_bar < R are decided only
 when (v1 + v2) mod R lies farther than that radius (plus b0 times the
@@ -36,9 +36,13 @@ one orbit have the same three conjugates in a cyclic order: those of
 phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
 their differences are the three alpha_i - alpha_j of one triple, up to sign,
 and _quantities takes the triple, the shift of a cell and a memo of the
-logs |alpha_i - alpha_j|, one per pair of indices.  compute_proof_quantities
-is the shift-0 case with a fresh memo; the scans of bounds and cli evaluate a
-whole orbit on one triple, three logs in all.
+logs |alpha_i - alpha_j|, one per pair of indices.  orbit_triples plans a
+grid's cells this way: one root set per n, one triple and one memo per
+orbit, so an orbit takes three difference logs in all.  The harnesses
+run_logdiff, run_errorbound, run_vbar and run_wbar go through it, as do the
+scans of bounds and cli (bounds.orbit_cells adds the forms);
+true_logdiffs, check_error_products and compute_proof_quantities are the
+one-cell case, on compute_alphas's triple with a fresh memo.
 """
 
 from __future__ import annotations
@@ -49,8 +53,11 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
-from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from .roots import compute_alphas, compute_roots, escalate, fixed_log, fixed_mul, fixed_view
+from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
+from .forms import phi_transform
+from .roots import (
+    compute_alphas, compute_roots, escalate, fixed_log, fixed_mul, fixed_view, plan_triples,
+)
 
 DEFAULT_EPSILON = 0.25
 
@@ -224,31 +231,64 @@ def _ordered_diffs(tri, shift: int):
     return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
 
 
-def _fixed_diffs(n: int, s: int, t: int, diff_bits: int):
-    """alpha1 - alpha2 and alpha1 - alpha3 as (numerator, radius) pairs over
-    2^K, and the AlphaTriple at diff_bits they come from."""
-    tri = compute_alphas(n, s, t, diff_bits)
-    return (*_ordered_diffs(tri, 0), tri)
+def orbit_triples(n: int, pairs, precision_bits: int, solver_bits=None):
+    """Yield (s, t, rep, tri, shift, logs) for each (s, t) of pairs, in order,
+    evaluated by phi-orbit on one root set.
 
-
-def _signed_diffs(n: int, s: int, t: int, precision_bits: int):
-    """alpha1 - alpha2, alpha1 - alpha3 and the AlphaTriple they come from.
-
-    The triple's precision_bits is _diff_precision(n, s, t, precision_bits);
-    the differences are the exact mpf views of its fixed-point numerators.
+    The cells of pairs that phi maps into each other share one AlphaTriple,
+    powered for the first such cell, the orbit's representative rep; a
+    cell's conjugates are tri's from index shift on (see _quantities), and
+    logs is the orbit's memo of difference logs.  The triple serves the
+    proof quantities of each of the orbit's cells (at _diff_precision) and,
+    if solver_bits is given, the representative's solver attempt at
+    solver_bits(s, t) bits; roots.plan_triples powers all the triples of n
+    from one root set.
     """
+    in_box = set(pairs)
+    cells = {}     # cell -> (representative, shift)
+    asks = {}      # representative -> the (s, t, bits) its triple must serve
+    for rep in pairs:
+        if rep in cells:
+            continue
+        once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
+        members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
+        asks[rep] = [(*c, _diff_precision(n, *c, precision_bits)) for c, _ in members]
+        if solver_bits is not None:
+            asks[rep].append((*rep, solver_bits(*rep)))
+        cells.update((c, (rep, shift)) for c, shift in members)
+    triples = plan_triples(n, asks)
+    logs = {rep: {} for rep in asks}
+    for s, t in pairs:
+        rep, shift = cells[(s, t)]
+        yield s, t, rep, triples[rep], shift, logs[rep]
+
+
+def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
+    """The triple of (n, s, t) alone at _diff_precision bits, as orbit_triples
+    plans it for pairs [(s, t)] (compute_alphas is that one-ask plan, cached)."""
     if s * t == 0:
-        raise DegenerateTwist("conjugate differences need s*t != 0")
-    d12, d13, tri = _fixed_diffs(n, s, t, _diff_precision(n, s, t, precision_bits))
+        raise DegenerateTwist(f"{what} need s*t != 0")
+    return compute_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
+
+
+def _logdiffs(tri, shift: int, logs: dict):
+    """log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences of
+    the cell whose conjugates are those of tri from index shift on, as exact
+    mpf views of their numerators over 2^K; the logs come from the memo."""
+    d12, d13 = _ordered_diffs(tri, shift)
+    if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
+        raise PrecisionExhausted(f"a conjugate difference in the phi-orbit of (n,s,t)="
+                                 f"{(tri.n, tri.s, tri.t)} is not known to be nonzero "
+                                 f"over 2^{tri.frac_bits}")
+    i, j, k = _order(shift)
     K = tri.frac_bits
-    return fixed_view(d12[0], K), fixed_view(d13[0], K), tri
+    l12, l13 = _memo_log(logs, i, j, d12, K), _memo_log(logs, i, k, d13, K)
+    return tuple(fixed_view(num, K) for num in (l12[0], l13[0], d12[0], d13[0]))
 
 
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences."""
-    d12, d13, tri = _signed_diffs(n, s, t, precision_bits)
-    with workprec(tri.roots.precision_bits):
-        return mp.log(abs(d12)), mp.log(abs(d13)), d12, d13
+    return _logdiffs(_one_cell(n, s, t, precision_bits, "conjugate differences"), 0, {})
 
 
 def ratio_float(num: int, den: int) -> float:
@@ -283,10 +323,14 @@ class ErrorProductReport:
 def check_error_products(n: int, s: int, t: int, precision_bits: int = 192) -> ErrorProductReport:
     """The gap products of |alpha1 - alpha2| and |alpha1 - alpha3|, as integer
     ratios over powers of 2^K, each rounded once to a float."""
-    if s * t == 0:
-        raise DegenerateTwist("error products need s*t != 0")
-    d12, d13, tri = _fixed_diffs(n, s, t, _diff_precision(n, s, t, precision_bits))
-    K = tri.frac_bits
+    return _error_products(_one_cell(n, s, t, precision_bits, "error products"), 0, s, t)
+
+
+def _error_products(tri, shift: int, s: int, t: int) -> ErrorProductReport:
+    """check_error_products for the cell (s, t) whose conjugates are those of tri
+    from index shift on."""
+    d12, d13 = _ordered_diffs(tri, shift)
+    K, n = tri.frac_bits, tri.n
     a12, a13 = abs(d12[0]), abs(d13[0])
     product = a12 * a13                       # over 2^(2K)
     mixed = sorted((product * a12, product * a13))   # over 2^(3K)
@@ -423,12 +467,6 @@ def _memo_log(logs: dict, i: int, j: int, d, frac_bits: int):
     return logs[key]
 
 
-def _certified_quantities(n: int, s: int, t: int, precision_bits: int, diff_bits: int):
-    """ProofQuantities from the conjugates of (n, s, t) at diff_bits, or None
-    where the radii leave b0 undecided."""
-    return _quantities(compute_alphas(n, s, t, diff_bits), 0, {}, s, t, precision_bits)
-
-
 def cell_quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
     """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
 
@@ -450,7 +488,8 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
         raise DegenerateTwist("proof quantities need s*t != 0")
     return escalate(lambda: f"b0 for (n,s,t)={(n, s, t)}",
                     _diff_precision(n, s, t, precision_bits),
-                    lambda bits: _certified_quantities(n, s, t, precision_bits, bits))
+                    lambda bits: _quantities(compute_alphas(n, s, t, bits), 0, {},
+                                             s, t, precision_bits))
 
 
 @dataclass(frozen=True)
@@ -680,13 +719,12 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
     seen = set()
     for n in n_grid:
         bound = float_power(n, 0.5 - epsilon)
-        for (s, t) in pairs:
-            if max(abs(s), abs(t)) > bound:
-                continue
+        cells = [(s, t) for s, t in pairs if max(abs(s), abs(t)) <= bound]
+        for s, t, _, tri, shift, logs in orbit_triples(n, cells, precision_bits):
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
             seen.add(lab13)
-            l12, l13, _, _ = true_logdiffs(n, s, t, precision_bits)
+            l12, l13, _, _ = _logdiffs(tri, shift, logs)
             with workprec(precision_bits + 16):
                 p12, p13 = predict_logdiff(n, s, t, epsilon)
                 r12 = float(l12 - p12.value)
@@ -713,8 +751,8 @@ def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) ->
     _require_least_n("errorbound", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
-        for (s, t) in st_box(st_bound):
-            rep = check_error_products(n, s, t, precision_bits)
+        for s, t, _, tri, shift, _ in orbit_triples(n, st_box(st_bound), precision_bits):
+            rep = _error_products(tri, shift, s, t)
             rows.append({"n": n, "s": s, "t": t,
                          "margin_product": rep.margin_product,
                          "margin_min": rep.margin_min,
@@ -741,8 +779,8 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192,
     growth_ok = True
     for n in n_grid:
         ln = math.log(n)
-        for (s, t) in st_box(st_bound):
-            q = compute_proof_quantities(n, s, t, precision_bits)
+        for s, t, _, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
+            q = cell_quantities(tri, shift, logs, s, t, precision_bits)
             in_window = 0 < q.v_bar < q.regulator
             ratio = float(q.v_bar * n / ln)
             growth = float((q.regulator - q.v_bar) / ln)
@@ -784,8 +822,8 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
     _require_least_n("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
-        for (s, t) in st_box(st_bound):
-            q = compute_proof_quantities(n, s, t, precision_bits)
+        for s, t, _, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
+            q = cell_quantities(tri, shift, logs, s, t, precision_bits)
             with workprec(precision_bits + 16):
                 lhs = abs(q.w_bar) / (2 * q.diff12_abs * q.diff13_abs)
                 rhs = mpf(3) / 4 * mp.log(n) / n

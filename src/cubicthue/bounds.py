@@ -27,11 +27,11 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, round_nearest
 
 from .asymptotics import (
-    _diff_precision, cell_quantities, compute_proof_quantities, float_power, ratio_float, st_box,
+    cell_quantities, compute_proof_quantities, float_power, orbit_triples, ratio_float, st_box,
 )
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
-from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform
-from .roots import compute_roots, plan_triples
+from .forms import BinaryCubicForm, build_form, height, is_reducible
+from .roots import compute_roots
 
 
 _THREE = from_int(3)
@@ -214,40 +214,20 @@ def _bound_report(form, const: _NConstants, upper=None, q=None) -> BoundReport:
 
 
 def orbit_cells(n: int, pairs, precision_bits: int, solver_bits=None):
-    """Yield (s, t, form, tri, shift, logs) for each (s, t) of pairs, in order,
-    evaluated by phi-orbit on one root set.
+    """Yield (s, t, form, tri, shift, logs) for each (s, t) of pairs, in order:
+    the cells of asymptotics.orbit_triples, each with its form.
 
-    The cells of pairs that phi maps into each other share one form and one
-    AlphaTriple, powered for the first such cell, the orbit's representative;
-    a cell's conjugates are tri's from index shift on (see
-    asymptotics._quantities), and logs is the orbit's memo of difference logs.
-    The triple serves the proof quantities of each of the orbit's cells (at
-    _diff_precision) and, if solver_bits is given, the representative's
-    solver attempt at solver_bits(s, t) bits; roots.plan_triples powers all
-    the triples of n from one root set.  A form carries the (s, t) of the
-    cell it is yielded for.
+    The cells of one phi-orbit share the form of its representative, built
+    once; a form carries the (s, t) of the cell it is yielded for.
     """
-    in_box = set(pairs)
-    cells = {}     # cell -> (representative, shift)
-    asks = {}      # representative -> the (s, t, bits) its triple must serve
-    for rep in pairs:
-        if rep in cells:
-            continue
-        once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
-        members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
-        asks[rep] = [(*c, _diff_precision(n, *c, precision_bits)) for c, _ in members]
-        if solver_bits is not None:
-            asks[rep].append((*rep, solver_bits(*rep)))
-        cells.update((c, (rep, shift)) for c, shift in members)
-    triples = plan_triples(n, asks)
-    forms = {rep: build_form(n, *rep) for rep in asks}
-    logs = {rep: {} for rep in asks}
-    for s, t in pairs:
-        rep, shift = cells[(s, t)]
+    forms = {}
+    for s, t, rep, tri, shift, logs in orbit_triples(n, pairs, precision_bits, solver_bits):
+        if rep not in forms:
+            forms[rep] = build_form(n, *rep)
         form = forms[rep]
         if shift:
             form = BinaryCubicForm(n, s, t, form.A, form.B)
-        yield s, t, form, triples[rep], shift, logs[rep]
+        yield s, t, form, tri, shift, logs
 
 
 def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None):

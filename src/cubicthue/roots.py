@@ -56,10 +56,14 @@ M by D with radius r_D < D is floor(M / D), with radius
 floor(M r_D / (D (D - r_D))) + 2.  The logarithms of the roots are the mpf
 logs above, floored to 2^-K; their radius adds the floor of X (2^K / X
 units), the rounding of lam0 and lam0 + 1 to wp bits, four ulps of mpmath's
-log and the final floor.  So every radius is an integer bound that a test
-can check against a computation at twice the precision, and the conjugates
-alpha_j come out as N_j / 2^K with |alpha_j - N_j / 2^K| <= r_j / 2^K.
-lam0 is certified by its exact bracket, and lam1 and lam2 by an exact sign
+log and the final floor.  Every other log of a fixed-point value (the
+conjugate differences' logs of asymptotics) is taken in integers by
+fixed_log, whose radius is the lemma in its docstring: the radius of the
+argument relative to its size, every floor of the kernel, |e| times the
+error of its log 2 and the tail of its series.  So every radius is an
+integer bound that a test can check against a computation at more bits,
+and the conjugates alpha_j come out as N_j / 2^K with
+|alpha_j - N_j / 2^K| <= r_j / 2^K.  lam0 is certified by its exact bracket, and lam1 and lam2 by an exact sign
 change of F between (N_j - r_j) / 2^K and (N_j + r_j) / 2^K.  The fixed point
 is all a RootSet or an AlphaTriple stores; their mpf values are views made
 when first read: N / 2^K exactly, except lam1 and lam2, which are 1/x of the
@@ -75,8 +79,9 @@ Precision.  A decision the radii can leave open (the solver's candidates, a
 solution's type, b0, a unit's exponents) starts at the bits its caller derives
 from (n, s, t): solver._first_bits or asymptotics._diff_precision, with the
 roots at alpha_precision of those bits.  The triples of one n asked for in one
-batch (a scan's, by phi-orbit) share one root set, at the batch's largest
-alpha_precision (plan_triples; compute_alphas is a batch of one).  An open
+batch (a scan's or a lemma harness's, by phi-orbit) share one root set, at the
+batch's largest alpha_precision (plan_triples; compute_alphas is a batch of
+one, computed directly, as its root set needs no shift).  An open
 decision escalates: the bits double, PRECISION_ATTEMPTS precisions in all,
 then PrecisionExhausted, which the command line reports with exit code 3.
 """
@@ -94,7 +99,8 @@ from .errors import PrecisionExhausted
 
 _BASE_BITS = 32   # Newton runs to convergence at this precision, then doubles it
 _GUARD_BITS = 4   # kept in hand at each doubling, so the rounding of a step cannot compound
-_LOG_ULPS = 4     # ulps of mpmath's log allowed in a radius
+_LOG_ULPS = 4     # ulps of mpmath's log allowed in the radii of the root logs
+_LOG_GUARD = 8    # fixed_log works 8 bits below the unit of its result
 PRECISION_ATTEMPTS = 4  # escalate tries this many precisions, doubling between them
 
 
@@ -202,16 +208,120 @@ def _fixed_power(base, inverse, e: int, frac_bits: int):
     return acc if acc is not None else (1 << frac_bits, 0)
 
 
+def _atanh_inverse(q: int, bits: int) -> int:
+    """atanh(1/q) over 2^bits for an integer q >= 3, summed in floors: below the true
+    value by less than (number of nonzero terms) + 9/8 units of 2^-bits."""
+    term, q2, total, k = (1 << bits) // q, q * q, 0, 1
+    while term:
+        total += term // k   # floor(2^bits / (k q^k)), since term = floor(2^bits / q^k)
+        term //= q2
+        k += 2
+    return total
+
+
+def _log_reach(bits: int) -> int:
+    """J, the last j whose factor (1 - 2^-j) fixed_log's reduction uses at bits."""
+    return math.isqrt(2 * bits)
+
+
+@lru_cache(maxsize=4)
+def _log_master(top: int) -> tuple:
+    """-log(1 - 2^-j) = 2 atanh(1/(2^(j+1) - 1)) for j = 1 .. _log_reach(top) (log 2
+    first), over 2^B with B = top + bitlen(top) + 2."""
+    bits = top + top.bit_length() + 2
+    return tuple(2 * _atanh_inverse((2 << j) - 1, bits) for j in range(1, _log_reach(top) + 1))
+
+
+@lru_cache(maxsize=64)
+def _log_table(bits: int) -> tuple:
+    """_log_master's first _log_reach(bits) values floored to 2^-bits; each lies below
+    the true value by less than two units of 2^-bits (fixed_log's lemma, (iii)).
+    The master is that of the least power of two top >= max(bits, 1024)."""
+    top = 1 << max(bits - 1, 1023).bit_length()
+    shift = top.bit_length() + 2 + top - bits
+    return tuple(v >> shift for v in _log_master(top)[:_log_reach(bits)])
+
+
 def fixed_log(d, frac_bits: int):
     """log|x| over 2^K with its radius, for x = (numerator, radius) with |numerator| > radius.
 
-    Sources of the radius: the relative error radius / (|numerator| - radius)
-    of x, _LOG_ULPS ulps of mpmath's log at frac_bits bits, and the floor.
+    The kernel is the argument reduction and series of Brent (J. ACM 23, 1976)
+    in integers over 2^W, W = K + _LOG_GUARD.  With N = |numerator| =
+    2^(b-1) m, m in [1, 2), and e = b - 1 - K, log(N / 2^K) = e log 2 + log m.
+    M = floor(m 2^W).  For j = 2, 3, ..., J = isqrt(2W) in turn, while
+    M' = M - floor(M / 2^j) >= 2^W, M becomes M' and l_j is added, the table
+    value of T_j = -log(1 - 2^-j) = 2 atanh(1 / (2^(j+1) - 1)); l_1 is log 2.
+    Then M (1 - 2^-J) < 2^W, so log(M / 2^W) = 2 atanh(z) with
+    z = (M - 2^W) / (M + 2^W) < 2^-J <= 1/8.  Its series is summed in floors:
+    Z = floor(z 2^W), Z2 = floor(Z^2 / 2^W), P_0 = Z,
+    P_k = floor(P_(k-1) Z2 / 2^W), and 2 floor(P_k / (2k + 1)) is added for
+    k = 0 .. T - 1, T the first k with P_k < 2^(W-K), one unit of 2^-K.
+    The sum V = e l_1 + sum l_j + 2 sum floor(P_k / (2k + 1)) is floored to
+    L = floor(V / 2^(W-K)).
+
+    Lemma.  With r the radius of x, s the number of reduction steps, and
+        E = [b - 1 > W] + 2|e| + 2s + 6T + ceil(3 (P_T + 2) / (2T + 1)),
+    the value log|x| lies within R = ceil(r 2^K / (N - r)) + ceil(E / 2^(W-K)) + 1
+    units of 2^-K of L.
+
+    Proof, in units u = 2^-W.
+    (i) x is within r / 2^K of N / 2^K, so log|x| is within
+        -log(1 - r/N) <= r / (N - r) of log(N / 2^K): the first term of R.
+    (ii) 0 <= m 2^W - M < 1 and M >= 2^W, so log m - log(M / 2^W) lies in [0, 1u),
+        and is 0 when b - 1 <= W, as M = m 2^W then.
+    (iii) Each l_j lies in (T_j - 2u, T_j]: _atanh_inverse at B bits is below
+        atanh(1/q) by less than B/3 + 3 units of 2^-B (its terms fall by
+        q^2 >= 9), and twice that is below 4 top < 2^(bitlen(top) + 2) <=
+        2^(B-W) of them, so below 1u; the floor to 2^-W loses less than 1u more.
+        So e l_1 is within 2|e| u of e log 2.
+    (iv) A step has M' = M (1 - 2^-j) + theta, 0 <= theta < 1, so
+        log(M / 2^W) = log(M' / 2^W) + T_j - log(1 + theta / (M (1 - 2^-j))),
+        and the last term lies in [0, 1 / (2^W - 1)) < 2u, as M (1 - 2^-j) >
+        M' - 1 >= 2^W - 1.  Taking l_j for T_j and dropping that term moves
+        the sum by less than 2u either way.
+    (v) Let y_k = z^(2k+1) 2^W, the true k-th power.  Every floor is of a
+        product of values at or below the true ones, so P_k <= y_k; and
+        y_0 - Z < 1, z^2 2^W - Z2 < 1 + 2z, y_k - P_k < 1 + z (1 + 2z) +
+        z^2 (y_(k-1) - P_(k-1)) < 2 by induction, using z <= 1/8.  So each
+        summed term floor(P_k / (2k + 1)) is below y_k / (2k + 1) by less than
+        3u, and 2 sum of them below 2 atanh(z)'s first T terms by less than 6T u.
+        The omitted terms start with y_T / (2T + 1) < (P_T + 2) / (2T + 1) and
+        fall by z^2 <= 1/64, so twice their sum is below 3 (P_T + 2) / (2T + 1) u:
+        the series tail.
+    (vi) By (ii)-(v), |log(N / 2^K) - V u| < E u, and the floor to 2^-K takes
+        less than one unit more: |2^K log(N / 2^K) - L| < E / 2^(W-K) + 1.
     """
     num, r = abs(d[0]), d[1]
-    x = mpf_log(from_man_exp(num, -frac_bits), frac_bits, round_nearest)
-    return (_to_fixed(x, frac_bits),
-            (r << frac_bits) // (num - r) + 2 + (_LOG_ULPS << max(x[2] + x[3], 0)))
+    wide = frac_bits + _LOG_GUARD
+    table = _log_table(wide)
+    b = num.bit_length()
+    e = b - 1 - frac_bits
+    # D = M - 2^W; a step is M' - 2^W = D - floor(D / 2^j) - 2^(W-j)
+    frac = (num << (wide - b + 1) if wide >= b - 1 else num >> (b - 1 - wide)) - (1 << wide)
+    err = (wide < b - 1) + 2 * abs(e)
+    total = e * table[0]
+    # no step at j with D < 2^(W-j), so j starts, and resumes, at the leading bit of D
+    j, reach = wide + 1 - frac.bit_length(), len(table)
+    while j <= reach:
+        step = frac - (frac >> j) - (1 << (wide - j))
+        if step < 0:
+            j += 1
+            continue
+        frac = step
+        total += table[j - 1]
+        err += 2
+        j = max(j, wide + 1 - frac.bit_length())
+    # the series of 2 atanh(z), z = D / (D + 2^(W+1)), down to one unit of 2^-K
+    z = (frac << wide) // (frac + (2 << wide))
+    z2 = (z * z) >> wide
+    power, k, unit = z, 1, 1 << _LOG_GUARD
+    while power >= unit:
+        total += 2 * (power // k)
+        power = (power * z2) >> wide
+        k += 2
+    err += 3 * (k - 1) - (-3 * (power + 2) // k)
+    return (total >> _LOG_GUARD,
+            -(-(r << frac_bits) // (num - r)) - (-err >> _LOG_GUARD) + 1)
 
 
 def _scaled_f(n: int, x: int, k: int) -> int:
@@ -370,8 +480,10 @@ def plan_triples(n: int, requests: dict) -> dict:
 @lru_cache(maxsize=4096)
 def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTriple:
     """The three twisted conjugate values with relative error < 2^-precision_bits,
-    each with its radius: plan_triples for the one ask (s, t, precision_bits)."""
-    return plan_triples(n, {(s, t): [(s, t, precision_bits)]})[(s, t)]
+    each with its radius: what plan_triples gives for the one ask (s, t, precision_bits),
+    whose root set needs no shift."""
+    return power_alphas(compute_roots(n, alpha_precision(n, s, t, precision_bits)),
+                        s, t, precision_bits)
 
 
 def doublings(first_bits: int) -> list:

@@ -7,7 +7,7 @@ from mpmath import mp, mpf, workprec
 
 from cubicthue.asymptotics import (
     Branch,
-    _signed_diffs,
+    _diff_precision,
     check_error_products,
     classify_case,
     compute_proof_quantities,
@@ -15,7 +15,10 @@ from cubicthue.asymptotics import (
     predict_logdiff,
     predict_power,
     predict_root_expansion,
+    run_errorbound,
+    run_logdiff,
     run_ubar,
+    run_vbar,
     run_wbar,
     st_box,
     true_logdiffs,
@@ -182,7 +185,8 @@ def test_proof_quantities_definitions():
 
 def test_proof_quantities_keep_the_precision_of_the_differences():
     # |d12| and |d13| feed the w_bar absorption test, so they must not round to 53 bits
-    d12, d13, tri = _signed_diffs(10**4, 2, 1, 192)
+    _, _, d12, d13 = true_logdiffs(10**4, 2, 1, 192)
+    tri = compute_alphas(10**4, 2, 1, _diff_precision(10**4, 2, 1, 192))
     q = compute_proof_quantities(10**4, 2, 1)
     for d, a in ((d12, q.diff12_abs), (d13, q.diff13_abs)):
         assert a._mpf_[0] == 0 and a._mpf_[1:] == d._mpf_[1:]
@@ -195,6 +199,16 @@ def test_cold_proof_quantities_compute_one_root_set():
     compute_alphas.cache_clear()
     compute_proof_quantities(10**5, 3, -2)
     assert compute_roots.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("harness", [run_vbar, run_wbar, run_errorbound, run_logdiff])
+def test_lemma_harness_computes_one_root_set_per_grid_n(harness):
+    # on its default grid, from cold caches: one root set per n, shared by its phi-orbits
+    compute_roots.cache_clear()
+    compute_alphas.cache_clear()
+    res = harness()
+    assert compute_roots.cache_info().misses == len(res.config["n_grid"])
+    assert compute_alphas.cache_info().misses == 0
 
 
 def test_ubar_limit():

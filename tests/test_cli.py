@@ -4,6 +4,9 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -547,6 +550,16 @@ def test_subcommand_output_bytes(capsys, command, fmt):
     code, out, _ = run(capsys, ["--format", fmt, *command.split()])
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256[fmt]
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "cubicthue", "--format", "csv", "form", "5", "1", "1"],
+                          capture_output=True, env=env, timeout=60)
+    exit_code, sha256 = OUTPUT_PINS["form 5 1 1"]
+    assert proc.returncode == exit_code
+    assert hashlib.sha256(proc.stdout).hexdigest() == sha256["csv"]
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])

@@ -288,10 +288,10 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
     # with radii that never shrink, b0 is never certified: four attempts, then exit 3
     attempts = []
 
-    def never(n, s, t, precision_bits, diff_bits):
-        attempts.append(diff_bits)
+    def never(tri, shift, logs, s, t, precision_bits):
+        attempts.append(tri.precision_bits)
 
-    monkeypatch.setattr(asymptotics, "_certified_quantities", never)
+    monkeypatch.setattr(asymptotics, "_quantities", never)
     with pytest.raises(PrecisionExhausted):
         compute_proof_quantities(10**4, 2, 1)
     first = _diff_precision(10**4, 2, 1, 192)

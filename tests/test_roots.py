@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
@@ -220,6 +220,42 @@ def test_alpha_matches_exact_field_embedding():
     with workprec(256):
         exact = ef.alpha_element(n, s, t).embed(rs.lambda0)
         assert abs(tri.alpha1 - exact) < mpf(2) ** -150 * abs(exact)
+
+
+@pytest.mark.parametrize("n", [0, 5, 1000, 10**6, 10**32])
+def test_compute_alphas_is_the_one_ask_plan(n):
+    # the direct body gives the numerators and radii plan_triples gives for the one ask
+    for s, t in st_box(3):
+        for bits in (64, 192, 333):
+            direct = compute_alphas(n, s, t, bits)
+            planned = roots.plan_triples(n, {(s, t): [(s, t, bits)]})[(s, t)]
+            assert (direct.numerators, direct.radii, direct.frac_bits, direct.precision_bits) == \
+                (planned.numerators, planned.radii, planned.frac_bits, planned.precision_bits)
+
+
+@st.composite
+def log_arguments(draw):
+    """(K, numerator, radius): x = numerator / 2^K with |log2 |x|| up to 4096 either way,
+    |numerator| > radius."""
+    K = draw(st.integers(64, 4096))
+    e = draw(st.integers(max(-4096, 17 - K), 4096))      # |x| = 2^e m with m in [1, 2)
+    num = (1 << (K + e)) + draw(st.integers(0, (1 << (K + e)) - 1))
+    r = draw(st.integers(0, 1 << 16))
+    return K, draw(st.sampled_from([num, -num])), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_arguments())
+@example((1024, 2**1024 + 2, 0))              # log(1 + 2^-1023): the whole series is tail
+@example((96, 2**(96 + 3000), 0))             # e = 3000: |e| times the error of log 2
+@example((4096, -(2**(4096 - 4000) + 1), 7))  # e = -4000
+def test_fixed_log_radius_holds_against_mp_log(case):
+    # every x within the radius of the argument: the radius covers both ends
+    K, num, r = case
+    value, radius = roots.fixed_log((num, r), K)
+    with workprec(K + 64):
+        for end in (abs(num) - r, abs(num) + r):
+            assert abs(mp.log(mpf(end) / 2**K) * 2**K - value) <= radius
 
 
 def test_argument_validation():
