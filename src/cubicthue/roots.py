@@ -226,11 +226,21 @@ def _log_reach(bits: int) -> int:
 
 @lru_cache(maxsize=4)
 def _log_master(top: int) -> tuple:
-    """fixed_log's table for every W <= top: -log(1 - 2^-j) = 2 atanh(1/(2^(j+1) - 1))
-    for j = 1 .. _log_reach(top) (log 2 first), over 2^B with B = top + bitlen(top) + 2.
-    A value is floored to 2^-W where it is used (the lemma of fixed_log, (iii))."""
+    """-log(1 - 2^-j) = 2 atanh(1/(2^(j+1) - 1)) for j = 1 .. _log_reach(top) (log 2
+    first), over 2^B with B = top + bitlen(top) + 2: the source of _log_table for
+    every W <= top."""
     bits = top + top.bit_length() + 2
     return tuple(2 * _atanh_inverse((2 << j) - 1, bits) for j in range(1, _log_reach(top) + 1))
+
+
+@lru_cache(maxsize=16)
+def _log_table(bits: int) -> tuple:
+    """fixed_log's table at W = bits: _log_master's first _log_reach(bits) values,
+    floored to 2^-bits (its lemma, (iii)), from the master of the least power of two
+    top >= max(bits, 1024)."""
+    top = 1 << max(bits - 1, 1023).bit_length()
+    shift = top.bit_length() + 2 + top - bits
+    return tuple(v >> shift for v in _log_master(top)[:_log_reach(bits)])
 
 
 def fixed_log(d, frac_bits: int):
@@ -260,7 +270,7 @@ def fixed_log(d, frac_bits: int):
         -log(1 - r/N) <= r / (N - r) of log(N / 2^K): the first term of R.
     (ii) 0 <= m 2^W - M < 1 and M >= 2^W, so log m - log(M / 2^W) lies in [0, 1u),
         and is 0 when b - 1 <= W, as M = m 2^W then.
-    (iii) Each l_j, _log_master's value floored to 2^-W, lies in
+    (iii) Each l_j (_log_table's, from _log_master's value at B bits) lies in
         (T_j - 2u, T_j]: _atanh_inverse at B bits is below
         atanh(1/q) by less than B/3 + 3 units of 2^-B (its terms fall by
         q^2 >= 9), and twice that is below 4 top < 2^(bitlen(top) + 2) <=
@@ -285,25 +295,26 @@ def fixed_log(d, frac_bits: int):
     """
     num, r = abs(d[0]), d[1]
     wide = frac_bits + _LOG_GUARD
-    top = 1 << max(wide - 1, 1023).bit_length()   # the least power of two >= max(W, 1024)
-    table, shift = _log_master(top), top.bit_length() + 2 + top - wide
+    table = _log_table(wide)
     b = num.bit_length()
     e = b - 1 - frac_bits
     # D = M - 2^W; a step is M' - 2^W = D - floor(D / 2^j) - 2^(W-j)
     frac = (num << (wide - b + 1) if wide >= b - 1 else num >> (b - 1 - wide)) - (1 << wide)
     err = (wide < b - 1) + 2 * abs(e)
-    total = e * (table[0] >> shift)
+    total = e * table[0]
     # no step at j with D < 2^(W-j), so j starts, and resumes, at the leading bit of D
-    j, reach = wide + 1 - frac.bit_length(), _log_reach(wide)
+    j, reach = wide + 1 - frac.bit_length(), len(table)
     while j <= reach:
         step = frac - (frac >> j) - (1 << (wide - j))
         if step < 0:
             j += 1
             continue
         frac = step
-        total += table[j - 1] >> shift
+        total += table[j - 1]
         err += 2
-        j = max(j, wide + 1 - frac.bit_length())
+        lead = wide + 1 - frac.bit_length()
+        if lead > j:
+            j = lead
     # the series of 2 atanh(z), z = D / (D + 2^(W+1)), down to one unit of 2^-K
     z = (frac << wide) // (frac + (2 << wide))
     z2 = (z * z) >> wide

@@ -1,8 +1,9 @@
 """The fixed-point kernel against the mpf code it replaced, and its certificates.
 
-The oracle below is the mpf implementation of compute_alphas, _signed_diffs,
-compute_proof_quantities and the lower-bound chain as they were before the
-conjugates and the proof quantities moved to integers over 2^K.  It runs at
+The oracle below is the mpf implementation of compute_alphas, the conjugate
+differences and their logs, compute_proof_quantities and the lower-bound
+chain as they were before the conjugates, the proof quantities and the
+difference logs moved to integers over 2^K.  It runs at
 twice the bits the kernel worked at, so it is the more accurate of the two.
 """
 
