@@ -232,12 +232,12 @@ def _ordered_diffs(tri, shift: int):
 
 
 def orbit_triples(n: int, pairs, precision_bits: int, solver_bits=None):
-    """Yield (s, t, rep, tri, shift, logs) for each (s, t) of pairs, in order,
+    """Yield (s, t, tri, shift, logs) for each (s, t) of pairs, in order,
     evaluated by phi-orbit on one root set.
 
     The cells of pairs that phi maps into each other share one AlphaTriple,
-    powered for the first such cell, the orbit's representative rep; a
-    cell's conjugates are tri's from index shift on (see _quantities), and
+    powered for the first such cell, the orbit's representative (tri.s,
+    tri.t); a cell's conjugates are tri's from index shift on (see _quantities), and
     logs is the orbit's memo of difference logs.  The triple serves the
     proof quantities of each of the orbit's cells (at _diff_precision) and,
     if solver_bits is given, the representative's solver attempt at
@@ -260,7 +260,7 @@ def orbit_triples(n: int, pairs, precision_bits: int, solver_bits=None):
     logs = {rep: {} for rep in asks}
     for s, t in pairs:
         rep, shift = cells[(s, t)]
-        yield s, t, rep, triples[rep], shift, logs[rep]
+        yield s, t, triples[rep], shift, logs[rep]
 
 
 def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
@@ -720,7 +720,7 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
     for n in n_grid:
         bound = float_power(n, 0.5 - epsilon)
         cells = [(s, t) for s, t in pairs if max(abs(s), abs(t)) <= bound]
-        for s, t, _, tri, shift, logs in orbit_triples(n, cells, precision_bits):
+        for s, t, tri, shift, logs in orbit_triples(n, cells, precision_bits):
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
             seen.add(lab13)
@@ -751,7 +751,7 @@ def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) ->
     _require_least_n("errorbound", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
-        for s, t, _, tri, shift, _ in orbit_triples(n, st_box(st_bound), precision_bits):
+        for s, t, tri, shift, _ in orbit_triples(n, st_box(st_bound), precision_bits):
             rep = _error_products(tri, shift, s, t)
             rows.append({"n": n, "s": s, "t": t,
                          "margin_product": rep.margin_product,
@@ -779,7 +779,7 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192,
     growth_ok = True
     for n in n_grid:
         ln = math.log(n)
-        for s, t, _, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
+        for s, t, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, logs, s, t, precision_bits)
             in_window = 0 < q.v_bar < q.regulator
             ratio = float(q.v_bar * n / ln)
@@ -822,7 +822,7 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
     _require_least_n("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
-        for s, t, _, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
+        for s, t, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, logs, s, t, precision_bits)
             with workprec(precision_bits + 16):
                 lhs = abs(q.w_bar) / (2 * q.diff12_abs * q.diff13_abs)

@@ -221,7 +221,8 @@ def orbit_cells(n: int, pairs, precision_bits: int, solver_bits=None):
     once; a form carries the (s, t) of the cell it is yielded for.
     """
     forms = {}
-    for s, t, rep, tri, shift, logs in orbit_triples(n, pairs, precision_bits, solver_bits):
+    for s, t, tri, shift, logs in orbit_triples(n, pairs, precision_bits, solver_bits):
+        rep = (tri.s, tri.t)
         if rep not in forms:
             forms[rep] = build_form(n, *rep)
         form = forms[rep]
