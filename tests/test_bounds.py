@@ -1,6 +1,7 @@
 """Bound constant, upper bound, lower-bound chain, crossover scan."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -147,6 +148,19 @@ def test_n0_scan_small_grid_no_crossover():
     rep = n0_scan(0.25, [10], st_policy=1)
     assert rep.threshold is None
     assert all(not r["crossover"] for r in rep.rows)
+
+
+# sha256 of repr of the rows of n0_scan(0.25, [10^4, 10^8, ..., 10^64], 2), each as
+# (n, s, t, upper, lower, margin, chain_failure, crossover)
+N0_SCAN_ROWS_PIN = "0bb736c2310c4d7febdfca8ea6d1075625c550d67078f520e6f39a41dc1ada9e"
+
+
+def test_n0_scan_rows_are_pinned():
+    rows = n0_scan(0.25, [10**k for k in range(4, 65, 4)], 2).rows
+    fields = ("n", "s", "t", "upper", "lower", "margin", "chain_failure", "crossover")
+    assert len(rows) == 256
+    digest = hashlib.sha256(repr([tuple(r[f] for f in fields) for r in rows]).encode())
+    assert digest.hexdigest() == N0_SCAN_ROWS_PIN
 
 
 def test_n0_scan_empty_grid():

@@ -540,6 +540,22 @@ OUTPUT_PINS = {
         "json": "a36ede20e5f6a13897c0e0e4994af35e2c12643801377330ba80171e9f6c819e",
         "csv": "33a6e748154f711c1f2bbd1f2da80223b04366890013e074056d1444ad6b3d95",
     }),
+    "lemma wbar": (1, {
+        "human": "0a77e4aad8c619a7b49ec5a261387eb2be1905e39ba59233e7cae9db2adb2193",
+        "json": "225b3b76341381287d69ace5718f8f2c3c9edc83b0ba454d2195d68b38fd92bf",
+        "csv": "d014c9b8a8305c1daac26e04cdf4304d310e25d6d89c6fb7a19da8af0793f460",
+    }),
+    # huge n, where the difference logs are taken at K of about 2,400 bits
+    "lemma vbar --n 1e16:1e64:log10 --smax 3": (1, {
+        "human": "e54a01ae918a9de67d71d2a9220beb1def36af7f8d5e38fd7f639bfb265c7577",
+        "json": "2fb43edfad24140f70e76cc53d6316548e6df09e2e1f57b3f1f2a6c968cf3c70",
+        "csv": "1449ef7b6f29a9184d437aea52af957e4662f8d23ad3eaad4012a3291c0a2d75",
+    }),
+    "lemma wbar --n 1e16:1e64:log10 --smax 2": (1, {
+        "human": "549ac0757673354c8b46f39c17eea4c2bb7d4adc99d944f621578c7f9cf36598",
+        "json": "792f11245fec11c9d041cc4f8b479b2f218e710b406a9f70b1eca104360eb2f8",
+        "csv": "340187fdbdf7d753dd84f6db3a7c83a5a1b598878cdb4068d3175b4385b43fc3",
+    }),
 }
 
 
