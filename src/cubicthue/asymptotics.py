@@ -43,6 +43,18 @@ run_logdiff, run_errorbound, run_vbar and run_wbar go through it, as do the
 scans of bounds and cli (bounds.orbit_cells adds the forms);
 true_logdiffs, check_error_products and compute_proof_quantities are the
 one-cell case, on compute_alphas's triple with a fresh memo.
+
+The orbit of (-s, -t) mirrors that of (s, t): alpha_j(-s, -t) =
+1/alpha_j(s, t), so its triple T' holds the inverses of the triple T of
+(s, t) in a cyclic order, and log|T'[a] - T'[b]| = log|T[i] - T[j]| -
+log|T[i]| - log|T[j]| for the matching indices i, j (_LogMemo).  The logs
+|T[k]| are s g_k + t g_(k+1) in the root logs g, so a mirrored log is an
+integer combination whose radius adds those of its terms, and a pair of
+mirrored orbits takes three difference logs, not six.  orbit_triples links
+the memos of two mirrored orbits only where both triples have the same
+frac_bits (one shift of the root set); a memo whose mirror's difference is
+not known to be nonzero takes its own log, as do an orbit without its
+mirror among the cells (the logdiff representatives) and the one-cell case.
 """
 
 from __future__ import annotations
@@ -172,11 +184,16 @@ def predict_logdiff(n: int, s: int, t: int, epsilon: float = DEFAULT_EPSILON):
     Claimed error order is -(1 + 2*epsilon) for exponents up to n^(1/2-epsilon);
     for fixed (s, t) the measured residuals decay like n^-2.
     """
+    nn = mpf(n)
+    return _predict_logdiff(nn, mp.log(nn), s, t, epsilon)
+
+
+def _predict_logdiff(nn, L, s: int, t: int, epsilon: float):
+    """predict_logdiff from nn = mpf(n) and L = log(nn), which depend on n alone, at the
+    working precision."""
     if s * t == 0:
         raise DegenerateTwist("log-difference expansions need s*t != 0")
     lab12, lab13 = classify_case(s, t)
-    nn = mpf(n)
-    L = mp.log(nn)
     err = -(1 + 2 * epsilon)
 
     b = lab12.branch
@@ -238,7 +255,10 @@ def orbit_triples(n: int, pairs, precision_bits: int, solver_bits=None):
     The cells of pairs that phi maps into each other share one AlphaTriple,
     powered for the first such cell, the orbit's representative (tri.s,
     tri.t); a cell's conjugates are tri's from index shift on (see _quantities), and
-    logs is the orbit's memo of difference logs.  The triple serves the
+    logs is the orbit's memo of difference logs.  Of two mirrored orbits
+    (those of (s, t) and (-s, -t)) whose triples have one frac_bits, the
+    memo of the later one is linked to that of the first (see _LogMemo).
+    The triple serves the
     proof quantities of each of the orbit's cells (at _diff_precision) and,
     if solver_bits is given, the representative's solver attempt at
     solver_bits(s, t) bits; roots.plan_triples powers all the triples of n
@@ -257,7 +277,15 @@ def orbit_triples(n: int, pairs, precision_bits: int, solver_bits=None):
             asks[rep].append((*rep, solver_bits(*rep)))
         cells.update((c, (rep, shift)) for c, shift in members)
     triples = plan_triples(n, asks)
-    logs = {rep: {} for rep in asks}
+    logs = {rep: _LogMemo() for rep in asks}
+    for rep, memo in logs.items():
+        # the cell (-s, -t) of the representative (s, t): the triple of its orbit
+        # holds the inverses of rep's triple, in the order its shift gives; one
+        # link per pair, so that no two memos refer to each other
+        partner, shift = cells.get((-rep[0], -rep[1]), (rep, 0))
+        if (memo.mirror is None and partner != rep
+                and triples[partner].frac_bits == triples[rep].frac_bits):
+            logs[partner].mirror = (triples[rep], shift, memo)
     for s, t in pairs:
         rep, shift = cells[(s, t)]
         yield s, t, triples[rep], shift, logs[rep]
@@ -459,11 +487,58 @@ def _quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int
     )
 
 
+class _LogMemo(dict):
+    """An orbit's memo {(i, j): log|T[i] - T[j]|} over 2^K, i < j, for its triple T,
+    and its mirror: None, or (T', shift, memo of T') for the triple T' of the
+    mirror orbit at the same K, with T[a] = 1/T'[(a - shift) mod 3].
+
+    The mirror orbit is that of (-s, -t), and alpha_j(-s, -t) = 1/alpha_j(s, t),
+    so if the cell (-s', -t') of the representative (s', t') of T' has the
+    conjugates of T from index shift on, then T[a] = 1/T'[(a - shift) mod 3].
+    With i = (a - shift) mod 3 and j = (b - shift) mod 3,
+
+        T[a] - T[b] = (T'[j] - T'[i]) / (T'[i] T'[j]),
+        log|T[a] - T[b]| = log|T'[i] - T'[j]| - lam'_i - lam'_j,
+
+    where lam'_k = log|T'[k]| = s' g_k + t' g_(k+1) (indices mod 3) for the
+    representative (s', t') of T' and the root logs g of their root set: an
+    integer combination of a memo entry L'_ij of T' and root logs, whose radius
+    is the sum of theirs, r(L'_ij) + |s'| (r_i + r_j) + |t'| (r_(i+1) + r_(j+1))
+    with r_k the radius of g_k.  The memo of T' has no mirror: it takes its
+    logs itself, and both orbits read them, so neither memo refers back and
+    both are freed with their triples, without a reference cycle.
+    """
+
+    mirror = None
+
+
+def _mirror_log(tri, shift: int, logs: dict, a: int, b: int):
+    """log|T[a] - T[b]| over 2^K from the mirror (tri, shift, logs) of T's memo (see
+    _LogMemo), taking tri's log into logs if it is not there; None where tri's
+    difference is not known to be nonzero."""
+    i, j = sorted(((a - shift) % 3, (b - shift) % 3))
+    if (i, j) not in logs:
+        num, r = tri.numerators[i] - tri.numerators[j], tri.radii[i] + tri.radii[j]
+        if abs(num) <= r:
+            return None
+        logs[(i, j)] = fixed_log((num, r), tri.frac_bits)
+    num, r = logs[(i, j)]
+    g, s, t = tri.roots.log_fixed, tri.s, tri.t
+    for k in (i, j):
+        (gk, rk), (gn, rn) = g[k], g[(k + 1) % 3]
+        num -= s * gk + t * gn
+        r += abs(s) * rk + abs(t) * rn
+    return num, r
+
+
 def _memo_log(logs: dict, i: int, j: int, d, frac_bits: int):
-    """log|alpha_i - alpha_j| over 2^K from the memo, taken from d if it is not there."""
+    """log|alpha_i - alpha_j| over 2^K from the memo; if it is not there, from the
+    memo's mirror where that has one (_mirror_log), else taken from d."""
     key = (min(i, j), max(i, j))
     if key not in logs:
-        logs[key] = fixed_log(d, frac_bits)
+        mirror = getattr(logs, "mirror", None)
+        derived = _mirror_log(*mirror, *key) if mirror else None
+        logs[key] = derived or fixed_log(d, frac_bits)
     return logs[key]
 
 
@@ -720,13 +795,16 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
     for n in n_grid:
         bound = float_power(n, 0.5 - epsilon)
         cells = [(s, t) for s, t in pairs if max(abs(s), abs(t)) <= bound]
+        with workprec(precision_bits + 16):
+            nn = mpf(n)
+            L = mp.log(nn)
         for s, t, tri, shift, logs in orbit_triples(n, cells, precision_bits):
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
             seen.add(lab13)
             l12, l13, _, _ = _logdiffs(tri, shift, logs)
             with workprec(precision_bits + 16):
-                p12, p13 = predict_logdiff(n, s, t, epsilon)
+                p12, p13 = _predict_logdiff(nn, L, s, t, epsilon)
                 r12 = float(l12 - p12.value)
                 r13 = float(l13 - p13.value)
             scale = float(n ** (1 + 2 * epsilon))
@@ -822,11 +900,12 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
     _require_least_n("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
+        with workprec(precision_bits + 16):
+            rhs = mpf(3) / 4 * mp.log(n) / n
         for s, t, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, logs, s, t, precision_bits)
             with workprec(precision_bits + 16):
                 lhs = abs(q.w_bar) / (2 * q.diff12_abs * q.diff13_abs)
-                rhs = mpf(3) / 4 * mp.log(n) / n
                 margin = float(rhs / lhs) if lhs > 0 else math.inf
             ok_pt = margin >= 1.0
             if not ok_pt:

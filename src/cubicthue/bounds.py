@@ -236,15 +236,19 @@ def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None):
 
     The per-n path of both scans: the cells go by phi-orbit (orbit_cells,
     which takes solver_bits), the constants of n are built once, from the
-    first triple's root set, the upper bound once per distinct form (A, B),
+    first triple's root set, the upper bound once per mirrored pair of forms,
     and the chain per cell on that cell's proof quantities.  tri is the
     orbit's triple, in the order of the first cell of the orbit.
+
+    The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
+    (-B, -A), as its conjugates are the inverses: its height and its
+    is_reducible answer are the same, so is its upper bound.
     """
     const = None
     uppers = {}
     for s, t, form, tri, shift, logs in orbit_cells(n, pairs, precision_bits, solver_bits):
         const = const or _n_constants(tri.roots, 1, precision_bits)
-        key = (form.A, form.B)
+        key = min((form.A, form.B), (-form.B, -form.A))
         if key not in uppers:
             uppers[key] = _upper_bound(form, const)
         q = cell_quantities(tri, shift, logs, s, t, precision_bits)

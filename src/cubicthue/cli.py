@@ -21,10 +21,12 @@ workers.  Within an n, the cells (s, t) and phi(s, t) = (-s + t, -s) have the
 same form, with the conjugates in a cyclic order, so the scan goes by
 phi-orbit (bounds.orbit_cells): the roots of n are computed once, at the most
 bits any cell needs, and each distinct form (A, B) is built once, powered into
-one conjugate triple at its own bits (a floor shift of that root set), solved
-once and its upper bound computed once.  The lower-bound chain depends on the
-order of the conjugates and runs per cell, on the form's triple in that
-cell's order, so the three difference logs of an orbit are taken once.
+one conjugate triple at its own bits (a floor shift of that root set) and
+solved once; the form of (-s, -t) is its reverse, (A, B) -> (-B, -A), and
+the two share one upper bound.  The lower-bound chain depends on the order
+of the conjugates and runs per cell, on the form's triple in that cell's
+order, so the three difference logs of an orbit are taken once, and only for
+one orbit of each mirrored pair (asymptotics._LogMemo).
 
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count.

@@ -53,18 +53,22 @@ A product of N_a and N_b is floor(N_a N_b / 2^K), with radius
 floor((|N_a| r_b + |N_b| r_a + r_a r_b) / 2^K) + 2: one unit for the floor
 of the bound, one for the floor of the product.  A quotient M / D of an exact
 M by D with radius r_D < D is floor(M / D), with radius
-floor(M r_D / (D (D - r_D))) + 2.  The logarithms of the roots are the mpf
-logs above, floored to 2^-K; their radius adds the floor of X (2^K / X
-units), the rounding of lam0 and lam0 + 1 to wp bits, four ulps of mpmath's
-log and the final floor.  Every other log of a fixed-point value (the
-conjugate differences' logs of asymptotics) is taken in integers by
-fixed_log, whose radius is the lemma in its docstring: the radius of the
-argument relative to its size, every floor of the kernel, |e| times the
-error of its log 2 and the tail of its series.  So every radius is an
+floor(M r_D / (D (D - r_D))) + 2.  Every log of a fixed-point value is
+taken in integers by fixed_log, whose radius is the lemma in its docstring:
+the radius of the argument relative to its size, every floor of the kernel,
+|e| times the error of its log 2 and the tail of its series.  The logs of
+the roots are fixed_log of the pairs of lam0 and lam0 + 1 (the second
+negated), and log|lam2| = -log|lam0| - log|lam1| adds their radii; the
+conjugate differences' logs of asymptotics are fixed_log too, or integer
+combinations of such logs and the root logs.  So every radius is an
 integer bound that a test can check against a computation at more bits,
-and the conjugates alpha_j come out as N_j / 2^K with
-|alpha_j - N_j / 2^K| <= r_j / 2^K.  lam0 is certified by its exact bracket, and lam1 and lam2 by an exact sign
-change of F between (N_j - r_j) / 2^K and (N_j + r_j) / 2^K.  The fixed point
+and no radius trusts a library's log.  The conjugates alpha_j come out as
+N_j / 2^K with |alpha_j - N_j / 2^K| <= r_j / 2^K: products of powers
+lam_j^e, each powered by squaring (of lam_j for e > 0, of 1/lam_j for
+e < 0) once per root set (RootSet.power), so the triples powered from one
+root set share them.  lam0 is certified by its exact bracket, and lam1 and
+lam2 by an exact sign change of F between (N_j - r_j) / 2^K and
+(N_j + r_j) / 2^K.  The fixed point
 is all a RootSet or an AlphaTriple stores; their mpf values are views made
 when first read: N / 2^K exactly, except lam1 and lam2, which are 1/x of the
 views of their inverses (of size at least 1), so that lam1 ~ -1/n keeps its
@@ -80,8 +84,9 @@ solution's type, b0, a unit's exponents) starts at the bits its caller derives
 from (n, s, t): solver._first_bits or asymptotics._diff_precision, with the
 roots at alpha_precision of those bits.  The triples of one n asked for in one
 batch (a scan's or a lemma harness's, by phi-orbit) share one root set, at the
-batch's largest alpha_precision (plan_triples; compute_alphas is a batch of
-one, computed directly, as its root set needs no shift).  An open
+batch's largest alpha_precision, floor-shifted once to each root_frac_bits
+its triples need (plan_triples; compute_alphas is a batch of one, computed
+directly, as its root set needs no shift).  An open
 decision escalates: the bits double, PRECISION_ATTEMPTS precisions in all,
 then PrecisionExhausted, which the command line reports with exit code 3.
 """
@@ -93,13 +98,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from mpmath import mp
-from mpmath.libmp import fone, from_man_exp, mpf_add, mpf_div, mpf_log, mpf_neg, round_nearest
+from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
 from .errors import PrecisionExhausted
 
 _BASE_BITS = 32   # Newton runs to convergence at this precision, then doubles it
 _GUARD_BITS = 4   # kept in hand at each doubling, so the rounding of a step cannot compound
-_LOG_ULPS = 4     # ulps of mpmath's log allowed in the radii of the root logs
 _LOG_GUARD = 8    # fixed_log works 8 bits below the unit of its result
 PRECISION_ATTEMPTS = 4  # escalate tries this many precisions, doubling between them
 
@@ -136,6 +140,17 @@ class RootSet:
     def regulator(self):
         return fixed_view(self.reg_fixed[0], self.frac_bits)
 
+    @cached_property
+    def _powers(self):
+        return {}
+
+    def power(self, j: int, e: int):
+        """lam_j^e as a pair over 2^frac_bits, powered once per (j, e) for this root set."""
+        if (j, e) not in self._powers:
+            self._powers[(j, e)] = _fixed_power(self.lam_fixed[j], self.inv_fixed[j], e,
+                                                self.frac_bits)
+        return self._powers[(j, e)]
+
 
 @dataclass(frozen=True)
 class AlphaTriple:
@@ -171,14 +186,6 @@ class AlphaTriple:
 def fixed_view(num: int, frac_bits: int):
     """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
     return mp.make_mpf(from_man_exp(num, -frac_bits))
-
-
-def _to_fixed(raw, frac_bits: int) -> int:
-    """floor(x * 2^frac_bits), exactly, for the raw tuple of an mpf x."""
-    sign, man, exp, _ = raw
-    e = exp + frac_bits
-    man = -man if sign else man
-    return man << e if e >= 0 else man >> -e   # >> floors negative values too
 
 
 def fixed_mul(a, b, frac_bits: int):
@@ -409,9 +416,8 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
         raise ValueError("n must be nonnegative")
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
-    wp = precision_bits + 32
     K = root_frac_bits(n, precision_bits)
-    k = K - n.bit_length()  # floor(lam0 * 2^k) has about wp bits
+    k = K - n.bit_length()  # floor(lam0 * 2^k) has about K bits
     x0 = _lam0_floor(n, k)
     one = 1 << K
     lam0 = (x0 << (K - k), 1 << (K - k))
@@ -424,13 +430,10 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
     inv2 = (-(lam1[0] + one), lam1[1])
     _certify_root(n, lam1, K, 1)
     _certify_root(n, lam2, K, 2)
-    # the logs above at wp bits, floored to 2^-K, with the radius of the module docstring
-    l0 = from_man_exp(x0, -k, wp, round_nearest)
-    logs = (mpf_log(l0, wp, round_nearest),
-            mpf_neg(mpf_log(mpf_add(l0, fone, wp, round_nearest), wp, round_nearest)))
-    input_units = (one // x0 + 1) + (1 << max(K - wp + 1, 0))
-    g0, g1 = ((_to_fixed(x, K), input_units + (_LOG_ULPS << max(x[2] + x[3] - wp + K, 0)) + 1)
-              for x in logs)
+    # log|lam0| and log|lam1| = -log(lam0 + 1) by fixed_log, with its radius
+    g0 = fixed_log(lam0, K)
+    log_plus_1, r_plus_1 = fixed_log(lam0_plus_1, K)
+    g1 = (-log_plus_1, r_plus_1)
     g2 = (-g0[0] - g1[0], g0[1] + g1[1])
     p, q = fixed_mul(g1, g0, K), fixed_mul(g2, g2, K)
     reg = (abs(p[0] - q[0]), p[1] + q[1])
@@ -455,8 +458,7 @@ def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int) -> AlphaTripl
     fraction bits for it (plan_triples picks them by alpha_precision).
     """
     K = rs.frac_bits
-    powers = [(_fixed_power(lam, inv, s, K), _fixed_power(lam, inv, t, K))
-              for lam, inv in zip(rs.lam_fixed, rs.inv_fixed)]
+    powers = [(rs.power(j, s), rs.power(j, t)) for j in range(3)]
     # alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t
     alphas = [fixed_mul(powers[j][0], powers[(j + 1) % 3][1], K) for j in range(3)]
     return AlphaTriple(rs.n, s, t, precision_bits, rs,
@@ -468,8 +470,10 @@ def plan_triples(n: int, requests: dict) -> dict:
 
     A triple serves each of its asks: the conjugates of (s', t') at bits, in
     another order for an (s', t') of its phi-orbit.  The roots are computed
-    once, at the largest alpha_precision of any ask; each triple is powered
-    from them floor-shifted to its own root_frac_bits, at its asks' most bits.
+    once, at the largest alpha_precision of any ask, and floor-shifted once to
+    each root_frac_bits the triples need; each triple is powered from the shift
+    at its own root_frac_bits, at its asks' most bits, so the triples of one
+    shift share its powers of the roots (RootSet.power).
     """
     plans = {st: (max(alpha_precision(n, s, t, bits) for s, t, bits in asks),
                   max(bits for _, _, bits in asks))
@@ -477,7 +481,8 @@ def plan_triples(n: int, requests: dict) -> dict:
     if not plans:
         return {}
     rs = compute_roots(n, max(wp for wp, _ in plans.values()))
-    return {st: power_alphas(shift_roots(rs, root_frac_bits(n, wp)), *st, bits)
+    shifted = {K: shift_roots(rs, K) for K in {root_frac_bits(n, wp) for wp, _ in plans.values()}}
+    return {st: power_alphas(shifted[root_frac_bits(n, wp)], *st, bits)
             for st, (wp, bits) in plans.items()}
 
 

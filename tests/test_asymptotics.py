@@ -1,10 +1,14 @@
 """Predictors vs certified numerics: expansions, the 12-branch table, proof quantities."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 from mpmath import mp, mpf, workprec
 
+from cubicthue import asymptotics
 from cubicthue.asymptotics import (
     Branch,
     _diff_precision,
@@ -12,6 +16,7 @@ from cubicthue.asymptotics import (
     classify_case,
     compute_proof_quantities,
     fit_error_exponent,
+    logdiff_representatives,
     predict_logdiff,
     predict_power,
     predict_root_expansion,
@@ -24,7 +29,8 @@ from cubicthue.asymptotics import (
     true_logdiffs,
 )
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from cubicthue.roots import compute_alphas, compute_roots
+from cubicthue.roots import compute_alphas, compute_roots, fixed_log
+from conftest import exact_roots
 
 # Pairs on which the gap-product bounds and the w_bar absorption genuinely
 # fail at every n (the doubled branches with |s| or |t| too small); measured,
@@ -271,3 +277,138 @@ def test_proof_quantities_reject_degenerate():
 def test_st_box_order_and_content():
     box = st_box(1)
     assert box == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# Difference logs derived from the mirror orbit (asymptotics._LogMemo)
+# ---------------------------------------------------------------------------
+
+INDEX_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _exact_conjugates(n, s, t):
+    """The conjugates T[0..2] of the triple of (s, t), from the oracle's roots at the
+    working precision."""
+    lam0, lam1, lam2 = exact_roots(n)[0]
+    return lam0**s * lam1**t, lam1**s * lam2**t, lam2**s * lam0**t
+
+
+def _assert_log_within_radius(pair, exact_difference, K):
+    num, radius = pair
+    assert abs(mp.log(abs(exact_difference)) * 2**K - num) <= radius
+
+
+@pytest.mark.parametrize("n", [5, 100, 4999, 10**6, 10**20, 10**64])
+def test_mirrored_logs_lie_within_their_radius(n):
+    derived, orbits = 0, set()
+    for s, t, tri, shift, logs in asymptotics.orbit_triples(n, st_box(4), 192):
+        orbits.add((tri.s, tri.t))
+        if shift or logs.mirror is None:
+            continue
+        K = tri.frac_bits
+        with workprec(2 * K + 64):
+            exact = _exact_conjugates(n, s, t)
+            for a, b in INDEX_PAIRS:
+                pair = asymptotics._mirror_log(*logs.mirror, a, b)
+                _assert_log_within_radius(pair, exact[a] - exact[b], K)
+                derived += 1
+    # the 40 orbits of the box form 20 mirrored pairs at the same bits, and one
+    # orbit of each pair derives its logs from the other's
+    assert len(orbits) == 40 and derived == 3 * 20
+
+
+def _edge(pair, width):
+    """pair moved by width, its radius widened by width: still valid, the true value
+    now near the edge of the radius."""
+    return pair[0] + width, pair[1] + width
+
+
+def test_mirrored_log_radius_covers_logs_at_the_edge_of_their_radii():
+    # the root logs of the mirror triple (3, 2) moved up, and its difference logs
+    # down, so their errors add in log|T[a] - T[b]| = L'_ij - lam'_i - lam'_j for
+    # T = the triple of (-3, -2): the radius needs every one of its terms
+    n, bits, width = 10**6, 256, 1 << 20
+    mirror = compute_alphas(n, 3, 2, bits)
+    tri = compute_alphas(n, -3, -2, bits)
+    K = tri.frac_bits
+    assert mirror.frac_bits == K
+    roots_at_edge = dataclasses.replace(
+        mirror.roots, log_fixed=tuple(_edge(g, width) for g in mirror.roots.log_fixed))
+    mirror = dataclasses.replace(mirror, roots=roots_at_edge)
+    logs = {}
+    for i, j in INDEX_PAIRS:
+        d = (mirror.numerators[i] - mirror.numerators[j], mirror.radii[i] + mirror.radii[j])
+        num, radius = fixed_log(d, K)
+        logs[(i, j)] = (num - width, radius + width)
+    with workprec(2 * K + 64):
+        exact = _exact_conjugates(n, -3, -2)
+        for a, b in INDEX_PAIRS:
+            pair = asymptotics._mirror_log(mirror, 0, logs, a, b)
+            _assert_log_within_radius(pair, exact[a] - exact[b], K)
+
+
+def _direct_logs(tri):
+    """fixed_log of each difference of tri, as the memo of a lone orbit holds them."""
+    return {(i, j): fixed_log((tri.numerators[i] - tri.numerators[j],
+                               tri.radii[i] + tri.radii[j]), tri.frac_bits)
+            for i, j in INDEX_PAIRS}
+
+
+def _filled_logs(n, pairs, solver_bits=None):
+    """(tri, memo) of each orbit of pairs at n, after the proof quantities of every cell."""
+    orbits = {}
+    for s, t, tri, shift, logs in asymptotics.orbit_triples(n, pairs, 192, solver_bits):
+        asymptotics._quantities(tri, shift, logs, s, t, 192)
+        orbits[(tri.s, tri.t)] = (tri, logs)
+    return orbits.values()
+
+
+def test_orbits_without_a_mirror_take_their_logs_directly():
+    # no orbit of the logdiff representatives holds the negation of another
+    for tri, logs in _filled_logs(10**5, logdiff_representatives()):
+        assert logs.mirror is None
+        direct = _direct_logs(tri)
+        assert logs == {key: direct[key] for key in logs}
+
+
+def test_mirror_difference_not_known_to_be_nonzero_falls_back():
+    n, bits = 10**4, 256
+    tri, mirror = compute_alphas(n, -2, 1, bits), compute_alphas(n, 2, -1, bits)
+    blurred = dataclasses.replace(mirror, radii=tuple(abs(v) for v in mirror.numerators))
+    logs, mirror_logs = asymptotics._LogMemo(), {}
+    logs.mirror = (blurred, 0, mirror_logs)
+    d = (tri.numerators[0] - tri.numerators[1], tri.radii[0] + tri.radii[1])
+    assert asymptotics._memo_log(logs, 0, 1, d, tri.frac_bits) == fixed_log(d, tri.frac_bits)
+    assert mirror_logs == {}
+
+
+def test_mirrors_at_other_bits_take_their_logs_directly():
+    # the solver's first attempt at many more bits for s > 0 moves those triples
+    # to more fraction bits than their mirrors
+    orbits = {(tri.s, tri.t): (tri, logs)
+              for tri, logs in _filled_logs(10**5, st_box(2), lambda s, t: 2048 if s > 0 else 64)}
+    apart = 0
+    for (s, t), (tri, logs) in orbits.items():
+        if logs.mirror is not None:
+            assert logs.mirror[0].frac_bits == tri.frac_bits
+        elif (-s, -t) in orbits and orbits[(-s, -t)][0].frac_bits != tri.frac_bits:
+            apart += 1
+            assert orbits[(-s, -t)][1].mirror is None
+            direct = _direct_logs(tri)
+            assert logs == {key: direct[key] for key in logs}
+    assert apart >= 2
+
+
+def test_mirrored_memos_are_freed_without_the_cycle_collector():
+    # each mirrored pair links one way only, so an n's memos and triples go with
+    # their last reference, not at the next collection
+    gc.disable()
+    try:
+        memos = []
+        for s, t, tri, shift, logs in asymptotics.orbit_triples(10**4, st_box(3), 192):
+            asymptotics._quantities(tri, shift, logs, s, t, 192)
+            memos.append(weakref.ref(logs))
+        del logs, tri
+        assert sum(ref() is not None for ref in memos) == 0
+    finally:
+        gc.enable()

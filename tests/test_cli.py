@@ -229,7 +229,8 @@ def test_scan_solves_and_bounds_each_distinct_form_once(capsys, monkeypatch):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == 36
     assert len({(r[3], r[4]) for r in rows}) == 24
-    assert calls == {"solve": 24, "upper": 24}
+    # the forms of (s, t) and (-s, -t), (A, B) and (-B, -A), share one upper bound
+    assert calls == {"solve": 24, "upper": 12}
 
 
 def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
@@ -254,9 +255,10 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     roots.compute_alphas.cache_clear()
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3"])
     assert code == 0
-    # two n values: per n, one triple and one form per orbit, three logs per orbit
-    # with two or three cells in the box and two for the others
-    assert counts == {"triples": 2 * 24, "logs": 2 * 54, "forms": 2 * 24}
+    # two n values: per n, one triple and one form per orbit, and three logs per
+    # orbit with two or three cells in the box and two for the others, taken for
+    # one orbit of each mirrored pair (s, t), (-s, -t) and derived for the other
+    assert counts == {"triples": 2 * 24, "logs": 2 * 27, "forms": 2 * 24}
     # per n, one root set: the orbits' triples and the bound constants share it
     assert roots.compute_roots.cache_info().misses == 2
 
@@ -298,6 +300,26 @@ def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
     assert code == 0
     assert sorted(powered) == [(100, *p) for p in SCAN_100_TRIPLES]
     assert sorted(computed) == [(100, bits) for bits in SCAN_100_ROOT_BITS]
+
+
+def test_scan_powers_each_root_once_per_exponent_and_bits(capsys, monkeypatch):
+    # the 24 triples of scan --n 100 --smax 3 lie at frac_bits 352 and 416, and a
+    # root set shifted to each powers lam_j^e once per (j, e) for all its triples
+    from cubicthue import roots
+
+    calls = []
+    real = roots._fixed_power
+
+    def power(base, inverse, e, frac_bits):
+        calls.append((frac_bits, base, e))
+        return real(base, inverse, e, frac_bits)
+
+    monkeypatch.setattr(roots, "_fixed_power", power)
+    roots.compute_roots.cache_clear()
+    roots.compute_alphas.cache_clear()
+    code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100", "--smax", "3"])
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 27
 
 
 def test_grid_size_is_bounded_before_any_work(capsys):

@@ -144,7 +144,7 @@ def test_huge_n_certifies():
 # over ROOT_PIN_N x ROOT_PIN_BITS in that order
 ROOT_PIN_N = [0, 1, 2, 5, 100, 4999, 10**6, 10**12, 10**64, 10**400]
 ROOT_PIN_BITS = [64, 128, 192, 384, 1024]
-ROOT_PIN = "65110df10b22cb45ea8172f5b69622b72f25e9f4e68ad13e08908cbd422db770"
+ROOT_PIN = "c50d5d42743ca9bf4c944472d67ccc06afeae0ffaf652485a23a09026e4efc80"
 
 
 def test_fixed_point_numerators_are_pinned():
@@ -272,3 +272,23 @@ def test_escalate_formats_what_only_when_it_raises():
     assert roots.escalate(what, 64, lambda bits: bits) == 64
     with pytest.raises(PrecisionExhausted, match=r"^the roots undecided at 512 bits$"):
         roots.escalate(lambda: "the roots", 64, lambda bits: None)
+
+
+@pytest.mark.parametrize("n", [5, 10**6, 10**40])
+def test_planned_triples_are_powered_from_their_shift(n):
+    # asks at several bits, so the triples of one plan lie at several frac_bits
+    requests = {(s, t): [(s, t, 64 + 96 * ((3 * s + t) % 4))] for s, t in st_box(5)}
+    planned = roots.plan_triples(n, requests)
+    top = max(alpha_precision(n, s, t, bits) for (s, t, bits), in requests.values())
+    for (s, t, bits), in requests.values():
+        K = roots.root_frac_bits(n, alpha_precision(n, s, t, bits))
+        # a fresh root set, with no power taken yet
+        fresh = roots.compute_roots.__wrapped__(n, top)
+        want = roots.power_alphas(roots.shift_roots(fresh, K), s, t, bits)
+        got = planned[(s, t)]
+        assert (got.numerators, got.radii, got.frac_bits) == (want.numerators, want.radii, K)
+    # one shifted root set per frac_bits, shared by its triples
+    by_bits = {}
+    for tri in planned.values():
+        by_bits.setdefault(tri.frac_bits, set()).add(id(tri.roots))
+    assert len(by_bits) > 1 and all(len(ids) == 1 for ids in by_bits.values())
