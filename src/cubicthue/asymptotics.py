@@ -6,12 +6,17 @@ against certified numeric values and fit the actual decay exponent of the
 residual over a parameter grid.
 
 The twelve-branch table for log|alpha1 - alpha2| and log|alpha1 - alpha3|
-is the delicate part.  The branch formulas below were derived from the
-two-term power expansions of the roots and cross-checked against 400-bit
-numerics: every branch has residual O(n^-2) for fixed (s, t), measured as a
-clean -2 slope on log-log grids.  Several printed forms of this table in
-circulation contain sign/parity slips; the versions here are the measured
-ones (see the per-branch comments).
+is the delicate part.  Only its diff12 half is written out: six formulas,
+derived from the two-term power expansions of the roots and cross-checked
+against 400-bit numerics, each with residual O(n^-2) for fixed (s, t),
+measured as a clean -2 slope on log-log grids.  The diff13 half is derived
+from it.  phi(s, t) = (t - s, -s) rotates the conjugates (see below), so
+|alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t), and the
+diff13 branch of (s, t) is the mirror of the diff12 branch of phi(s, t):
+WIDE_ABOVE <-> WIDE_BELOW, EDGE_ABOVE <-> EDGE_BELOW, and each DOUBLED
+branch is its own mirror.  A sign or parity slip in one half therefore shows
+in the other; tests/test_asymptotics.py keeps the six diff13 formulas
+written out as the check.
 
 The proof quantities are computed in the fixed point of roots.py: integers
 over 2^K, each with an integer error radius in units of 2^-K.  The
@@ -193,41 +198,27 @@ def _predict_logdiff(nn, L, s: int, t: int, epsilon: float):
     working precision."""
     if s * t == 0:
         raise DegenerateTwist("log-difference expansions need s*t != 0")
-    lab12, lab13 = classify_case(s, t)
     err = -(1 + 2 * epsilon)
+    # |alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t) (module docstring)
+    return _predict12(nn, L, s, t, err), _predict12(nn, L, t - s, -s, err)
 
-    b = lab12.branch
+
+def _predict12(nn, L, s: int, t: int, err: float) -> Prediction:
+    """The diff12 prediction of predict_logdiff at (s, t), by its branch."""
+    b = _classify_one(2 * s, t, s)
     if b is Branch.WIDE_ABOVE:
-        p12 = Prediction((s - t) * L, mpf(-t) / nn, err)
-    elif b is Branch.EDGE_ABOVE:
-        p12 = Prediction((s - t) * L, mpf(-(t + _sgn_pow(s))) / nn, err)
-    elif b is Branch.DOUBLED_ODD:
+        return Prediction((s - t) * L, mpf(-t) / nn, err)
+    if b is Branch.EDGE_ABOVE:
+        return Prediction((s - t) * L, mpf(-(t + _sgn_pow(s))) / nn, err)
+    if b is Branch.DOUBLED_ODD:
         # |a1 - a2| = 2 n^(s-t) (1 + (s-t)/(2n) + ...)
-        p12 = Prediction((s - t) * L + mp.log(2), mpf(s - t) / (2 * nn), err)
-    elif b is Branch.DOUBLED_EVEN:
+        return Prediction((s - t) * L + mp.log(2), mpf(s - t) / (2 * nn), err)
+    if b is Branch.DOUBLED_EVEN:
         # leading coefficient |s + t| = 3|s|; next order -(s+1)/(2n)
-        p12 = Prediction((s - t - 1) * L + mp.log(abs(s + t)), mpf(-(s + 1)) / (2 * nn), err)
-    elif b is Branch.EDGE_BELOW:
-        p12 = Prediction((-s) * L, mpf(t - s - _sgn_pow(s)) / nn, err)
-    else:
-        p12 = Prediction((-s) * L, mpf(t - s) / nn, err)
-
-    b = lab13.branch
-    if b is Branch.WIDE_ABOVE:
-        p13 = Prediction((s - t) * L, mpf(-t) / nn, err)
-    elif b is Branch.EDGE_ABOVE:
-        p13 = Prediction((s - t) * L, mpf(-(t - _sgn_pow(t))) / nn, err)
-    elif b is Branch.DOUBLED_ODD:
-        p13 = Prediction(t * L + mp.log(2), mpf(s - t) / (2 * nn), err)
-    elif b is Branch.DOUBLED_EVEN:
-        # leading coefficient |s + t| = 3|t|; next order +(t-1)/(2n)
-        p13 = Prediction((t - 1) * L + mp.log(abs(s + t)), mpf(t - 1) / (2 * nn), err)
-    elif b is Branch.EDGE_BELOW:
-        p13 = Prediction(t * L, mpf(s + _sgn_pow(t)) / nn, err)
-    else:
-        p13 = Prediction(t * L, mpf(s) / nn, err)
-
-    return p12, p13
+        return Prediction((s - t - 1) * L + mp.log(abs(s + t)), mpf(-(s + 1)) / (2 * nn), err)
+    if b is Branch.EDGE_BELOW:
+        return Prediction((-s) * L, mpf(t - s - _sgn_pow(s)) / nn, err)
+    return Prediction((-s) * L, mpf(t - s) / nn, err)
 
 
 def _diff_precision(n: int, s: int, t: int, precision_bits: int) -> int:
@@ -382,10 +373,12 @@ class ProofQuantities:
 
     The fields ending in _num are the quantities in fixed point: integers
     over 2^frac_bits (diff12_num and diff13_num are the signed differences
-    alpha1 - alpha2 and alpha1 - alpha3).  The names of the quantities
-    themselves (u1, ..., v_bar, regulator, diff12_abs, ...) read
-    them as exact mpf views; w1, w2 and w_bar, which divide by the
-    differences, are evaluated from those views at frac_bits bits.
+    alpha1 - alpha2 and alpha1 - alpha3).  u_bar, v_bar and regulator read
+    u_bar_num, v_bar_num and regulator_num as exact mpf views; the other
+    quantities have no view.  w_bar enters the proof only through the
+    absorption ratio |w_bar| / (2 |d12| |d13|), which absorb_ratio gives as
+    a quotient of integers: bounds._chain decides the absorption on it, and
+    run_wbar reports it.
     """
 
     n: int
@@ -406,14 +399,8 @@ class ProofQuantities:
     def _view(self, num):
         return fixed_view(num, self.frac_bits)
 
-    u1 = property(lambda self: self._view(self.u1_num))
-    u2 = property(lambda self: self._view(self.u2_num))
-    v1 = property(lambda self: self._view(self.v1_num))
-    v2 = property(lambda self: self._view(self.v2_num))
     v_bar = property(lambda self: self._view(self.v_bar_num))
     regulator = property(lambda self: self._view(self.regulator_num))
-    diff12_abs = property(lambda self: self._view(abs(self.diff12_num)))
-    diff13_abs = property(lambda self: self._view(abs(self.diff13_num)))
 
     @property
     def u_bar_num(self) -> int:
@@ -423,24 +410,6 @@ class ProofQuantities:
     def u_bar(self):
         return self._view(self.u_bar_num)
 
-    def _w(self):
-        # u1 = la0 - la2, u2 = la1 - la2 and la0 + la1 + la2 = 0 give the root logs back
-        la2 = -(self.u1_num + self.u2_num) // 3
-        la0, la1 = self.u1_num + la2, self.u2_num + la2
-        la0, la1, la2 = (self._view(v) for v in (la0, la1, la2))
-        d12, d13 = self._view(self.diff12_num), self._view(self.diff13_num)
-        with workprec(self.frac_bits):
-            return la0 / d12 - la2 / d13, la1 / d13 - la2 / d12
-
-    w1 = property(lambda self: self._w()[0])
-    w2 = property(lambda self: self._w()[1])
-
-    @property
-    def w_bar(self):
-        w1, w2 = self._w()
-        with workprec(self.frac_bits):
-            return -w1 - w2
-
     def absorb_ratio(self):
         """|w_bar| / (2 |d12| |d13|) as (numerator, denominator), integers.
 
@@ -449,6 +418,14 @@ class ProofQuantities:
         """
         w = abs(self.u1_num * self.diff13_num + self.u2_num * self.diff12_num)
         return w << 2 * self.frac_bits, 2 * (self.diff12_num * self.diff13_num) ** 2
+
+
+def _absorb_rhs(n: int, wp: int):
+    """The absorption threshold (3/4) log(n) / n at wp bits; None at n = 0."""
+    if n == 0:
+        return None
+    with workprec(wp):
+        return mpf(3) / 4 * mp.log(n) / n
 
 
 def _quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
@@ -859,15 +836,16 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192,
         ln = math.log(n)
         for s, t, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, logs, s, t, precision_bits)
-            in_window = 0 < q.v_bar < q.regulator
-            ratio = float(q.v_bar * n / ln)
-            growth = float((q.regulator - q.v_bar) / ln)
+            v_bar, reg = q.v_bar, q.regulator
+            in_window = 0 < q.v_bar_num < q.regulator_num
+            ratio = float(v_bar * n / ln)
+            growth = float((reg - v_bar) / ln)
             window_ok = window_ok and in_window
             if n >= 10**4:
                 ratio_ok = ratio_ok and ratio >= 0.5
                 growth_ok = growth_ok and growth >= growth_floor
             rows.append({"n": n, "s": s, "t": t, "b0": q.b0,
-                         "v_bar": float(q.v_bar), "regulator": float(q.regulator),
+                         "v_bar": float(v_bar), "regulator": float(reg),
                          "v_bar_n_over_logn": ratio, "growth_over_logn": growth,
                          "in_window": in_window, "precision_bits": precision_bits})
     ok = window_ok and ratio_ok and growth_ok
@@ -900,12 +878,11 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
     _require_least_n("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
-        with workprec(precision_bits + 16):
-            rhs = mpf(3) / 4 * mp.log(n) / n
+        rhs = _absorb_rhs(n, precision_bits + 16)
         for s, t, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
-            q = cell_quantities(tri, shift, logs, s, t, precision_bits)
+            num, den = cell_quantities(tri, shift, logs, s, t, precision_bits).absorb_ratio()
             with workprec(precision_bits + 16):
-                lhs = abs(q.w_bar) / (2 * q.diff12_abs * q.diff13_abs)
+                lhs = mpf(num) / den
                 margin = float(rhs / lhs) if lhs > 0 else math.inf
             ok_pt = margin >= 1.0
             if not ok_pt:

@@ -27,7 +27,8 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, round_nearest
 
 from .asymptotics import (
-    cell_quantities, compute_proof_quantities, float_power, orbit_triples, ratio_float, st_box,
+    _absorb_rhs, cell_quantities, compute_proof_quantities, float_power, orbit_triples,
+    ratio_float, st_box,
 )
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import BinaryCubicForm, build_form, height, is_reducible
@@ -71,14 +72,6 @@ def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
         log_b = mp.log(max(mpf(b_abs), mp.e))
         factor = c3_constant(3, 2) * reg * max(mp.log(reg), mpf(1))
     return _NConstants(precision_bits, reg, factor, log_b, _absorb_rhs(rs.n, precision_bits + 16))
-
-
-def _absorb_rhs(n: int, wp: int):
-    """(3/4) log(n) / n at wp bits; None at n = 0."""
-    if n == 0:
-        return None
-    with workprec(wp):
-        return mpf(3) / 4 * mp.log(n) / n
 
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):

@@ -11,8 +11,9 @@ Grids are written start:stop[:step] where step is an integer stride or the
 word log10 (multiply by 10 each step).  Inputs whose work has no bound are
 refused with exit code 2 before any work starts: a grid value of more than
 MAX_VALUE_DIGITS digits, a grid of more than MAX_GRID_POINTS points, a scan or
-a lemma box of more than MAX_GRID_POINTS (n, s, t) cells, and a precision
-above MAX_PRECISION_BITS.  Formats: human (default), json, csv.
+a lemma box (the --smax box, or else the runner's default one) of more than
+MAX_GRID_POINTS (n, s, t) cells, and a precision above MAX_PRECISION_BITS.
+Formats: human (default), json, csv.
 Exit codes: 0 ok, 1 a verification check failed, 2 usage error, 3 precision
 exhausted.  Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import os
@@ -137,12 +139,12 @@ def parse_grid(spec: str):
     return vals
 
 
-def _check_cells(what: str, n_points: int, smax: int) -> int:
-    """The (n, s, t) cells of n_points n values times st_box(smax), which has
-    4 smax^2 pairs; ValueError if more than MAX_GRID_POINTS."""
-    cells = n_points * 4 * max(smax, 0) ** 2
+def _check_cells(what: str, n_points: int, pairs: int, box: str) -> int:
+    """The (n, s, t) cells of n_points n values times a box of that many (s, t)
+    pairs, which box describes; ValueError if more than MAX_GRID_POINTS."""
+    cells = n_points * pairs
     if cells > MAX_GRID_POINTS:
-        raise ValueError(f"{what} has {cells} cells ({n_points} n values, smax {smax}), "
+        raise ValueError(f"{what} has {cells} cells ({n_points} n values, {box}), "
                          f"more than {MAX_GRID_POINTS}")
     return cells
 
@@ -236,10 +238,17 @@ def cmd_lemma(args) -> int:
         kwargs["n_grid"] = parse_grid(args.n_grid)
     if args.name == "logdiff":
         kwargs["epsilon"] = args.epsilon
-    if args.smax:
+    if box is not None:
         # a runner's own default grid has a handful of points; it counts as one
         n_points = len(kwargs["n_grid"]) if "n_grid" in kwargs else 1
-        _check_cells("lemma box", n_points, args.smax)
+        # without --smax, the box the runner defaults to
+        smax = args.smax or inspect.signature(runner).parameters[box].default
+        if smax is None:   # run_logdiff's default pairs: its branch representatives
+            pairs = len(asymptotics.logdiff_representatives())
+            _check_cells("lemma box", n_points, pairs, f"{pairs} branch representatives")
+        else:
+            _check_cells("lemma box", n_points, 4 * smax**2, f"smax {smax}")
+    if args.smax:
         kwargs[box] = asymptotics.st_box(args.smax) if box == "pairs" else args.smax
     result = runner(**kwargs)
 
@@ -301,7 +310,7 @@ def _scan_n(job):
 
 def cmd_scan(args) -> int:
     n_grid = parse_grid(args.n_grid)
-    if not _check_cells("scan", len(n_grid), args.smax):
+    if not _check_cells("scan", len(n_grid), 4 * max(args.smax, 0) ** 2, f"smax {args.smax}"):
         raise EmptyGrid("scan grid is empty")
     pairs = asymptotics.st_box(args.smax)
     jobs = [(n, pairs, args.ybound, args.precision_bits) for n in n_grid]

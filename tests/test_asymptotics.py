@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workprec
@@ -11,6 +12,7 @@ from mpmath import mp, mpf, workprec
 from cubicthue import asymptotics
 from cubicthue.asymptotics import (
     Branch,
+    _absorb_rhs,
     _diff_precision,
     check_error_products,
     classify_case,
@@ -29,7 +31,7 @@ from cubicthue.asymptotics import (
     true_logdiffs,
 )
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from cubicthue.roots import compute_alphas, compute_roots, fixed_log
+from cubicthue.roots import compute_alphas, compute_roots, fixed_log, fixed_view
 from conftest import exact_roots
 
 # Pairs on which the gap-product bounds and the w_bar absorption genuinely
@@ -147,6 +149,39 @@ def test_logdiff_residuals_quadratic_decay(s, t):
         assert r12 < 20 and r13 < 20
 
 
+def reference_p13(n, s, t):
+    """(leading, correction) of log|alpha1 - alpha3| by the six diff13 branches written
+    out, the reference for predict_logdiff, which derives them from the diff12 ones."""
+    nn = mpf(n)
+    L = mp.log(nn)
+    sg = 1 if t % 2 == 0 else -1
+    b = classify_case(s, t)[1].branch
+    if b is Branch.WIDE_ABOVE:
+        return (s - t) * L, mpf(-t) / nn
+    if b is Branch.EDGE_ABOVE:
+        return (s - t) * L, mpf(-(t - sg)) / nn
+    if b is Branch.DOUBLED_ODD:
+        return t * L + mp.log(2), mpf(s - t) / (2 * nn)
+    if b is Branch.DOUBLED_EVEN:
+        # leading coefficient |s + t| = 3|t|; next order +(t-1)/(2n)
+        return (t - 1) * L + mp.log(abs(s + t)), mpf(t - 1) / (2 * nn)
+    if b is Branch.EDGE_BELOW:
+        return t * L, mpf(s + sg) / nn
+    return t * L, mpf(s) / nn
+
+
+@pytest.mark.parametrize("n", [10**3, 10**6, 10**20, 10**64])
+def test_diff13_predictions_match_the_written_out_branches_bit_for_bit(n):
+    branches = set()
+    with workprec(208):
+        for s, t in st_box(8):
+            _, p13 = predict_logdiff(n, s, t)
+            leading, correction = reference_p13(n, s, t)
+            assert (p13.leading._mpf_, p13.correction._mpf_) == (leading._mpf_, correction._mpf_)
+            branches.add(classify_case(s, t)[1].branch)
+    assert branches == set(Branch)
+
+
 def test_predict_logdiff_rejects_degenerate():
     with pytest.raises(DegenerateTwist):
         predict_logdiff(100, 0, 1)
@@ -182,21 +217,24 @@ def test_error_products_known_violators():
 
 def test_proof_quantities_definitions():
     q = compute_proof_quantities(10**4, 2, 1)
-    with workprec(400):
-        assert abs(q.u_bar + q.u1 + q.u2) < mpf(2) ** -150
-        assert abs(q.w_bar + q.w1 + q.w2) < mpf(2) ** -150 * abs(q.w_bar)
-        assert abs(q.v_bar - (q.b0 * q.regulator - q.v1 - q.v2)) < mpf(2) ** -100
-        assert 0 < q.v_bar < q.regulator
+    assert q.u_bar_num == -q.u1_num - q.u2_num
+    assert q.v_bar_num == q.b0 * q.regulator_num - q.v1_num - q.v2_num
+    assert 0 < q.v_bar_num < q.regulator_num
+    assert 0 < q.v_bar < q.regulator
 
 
 def test_proof_quantities_keep_the_precision_of_the_differences():
-    # |d12| and |d13| feed the w_bar absorption test, so they must not round to 53 bits
+    # d12 and d13 feed the w_bar absorption test, so they are the triple's exact
+    # differences over 2^K, with no rounding to 53 bits
     _, _, d12, d13 = true_logdiffs(10**4, 2, 1, 192)
     tri = compute_alphas(10**4, 2, 1, _diff_precision(10**4, 2, 1, 192))
     q = compute_proof_quantities(10**4, 2, 1)
-    for d, a in ((d12, q.diff12_abs), (d13, q.diff13_abs)):
-        assert a._mpf_[0] == 0 and a._mpf_[1:] == d._mpf_[1:]
-        assert a._mpf_[3] > tri.precision_bits - 8 > 53
+    a1, a2, a3 = tri.numerators
+    assert q.frac_bits == tri.frac_bits
+    assert (q.diff12_num, q.diff13_num) == (a1 - a2, a1 - a3)
+    for d, num in ((d12, q.diff12_num), (d13, q.diff13_num)):
+        assert d == fixed_view(num, q.frac_bits)
+        assert d._mpf_[3] > tri.precision_bits - 8 > 53
 
 
 def test_cold_proof_quantities_compute_one_root_set():
@@ -244,6 +282,23 @@ def test_vbar_collapse_pairs_documented():
     q = compute_proof_quantities(10**4, 1, 4)
     assert 0 < q.v_bar < q.regulator
     assert float(q.regulator - q.v_bar) / math.log(10**4) < 0.01
+
+
+@pytest.mark.parametrize("n_grid,st_bound", [
+    (None, 3), ([10**k for k in range(16, 65)], 2),
+])
+def test_wbar_rows_agree_with_the_exact_absorption_test(n_grid, st_bound):
+    # each row's ok, from its float margin, is the exact comparison num/den <= rhs
+    # that bounds._chain makes on the cell's proof quantities
+    res = run_wbar(n_grid=n_grid, st_bound=st_bound)
+    exact = []
+    for n in res.config["n_grid"]:
+        man, exp = _absorb_rhs(n, 208).man_exp
+        for s, t, tri, shift, logs in asymptotics.orbit_triples(n, st_box(st_bound), 192):
+            num, den = asymptotics.cell_quantities(tri, shift, logs, s, t, 192).absorb_ratio()
+            exact.append((n, s, t, Fraction(num, den) <= man * Fraction(2) ** exp))
+    assert [(r["n"], r["s"], r["t"], r["ok"]) for r in res.rows] == exact
+    assert any(ok for *_, ok in exact) and not all(ok for *_, ok in exact)
 
 
 def test_wbar_absorption_split():

@@ -366,6 +366,28 @@ def test_lemma_box_is_bounded_before_any_work(capsys, monkeypatch):
     assert "1600000 cells" in err
 
 
+@pytest.mark.parametrize("argv,cells", [
+    # the runners' default boxes: st_box(5) for errorbound and vbar, st_box(3) for
+    # wbar, and the 10 distinct branch representatives for logdiff
+    (["lemma", "errorbound", "--n", "1:20000"], 2000000),
+    (["lemma", "vbar", "--n", "2:1000000"], 99999900),
+    (["lemma", "wbar", "--n", "1:30000"], 1080000),
+    (["lemma", "logdiff", "--n", "1:100001"], 1000010),
+])
+def test_lemma_default_box_is_bounded_before_any_work(capsys, monkeypatch, argv, cells):
+    from cubicthue import asymptotics, roots
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for mod in (roots, asymptotics):
+        monkeypatch.setattr(mod, "compute_roots", refuse)
+    monkeypatch.setattr(asymptotics, "st_box", refuse)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"lemma box has {cells} cells" in err
+
+
 @pytest.mark.parametrize("name,n,least", [
     ("lpowers", 0, 1), ("errorbound", 0, 1), ("wbar", 0, 1), ("logdiff", 0, 1),
     ("regulator", 0, 2), ("regulator", 1, 2), ("vbar", 0, 2), ("vbar", 1, 2),
