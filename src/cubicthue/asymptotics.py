@@ -74,6 +74,7 @@ from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionE
 from .forms import phi_transform
 from .roots import (
     compute_alphas, compute_roots, escalate, fixed_log, fixed_mul, fixed_view, plan_triples,
+    working_bits,
 )
 
 DEFAULT_EPSILON = 0.25
@@ -222,9 +223,9 @@ def _predict12(nn, L, s: int, t: int, err: float) -> Prediction:
 
 
 def _diff_precision(n: int, s: int, t: int, precision_bits: int) -> int:
-    """Bits needed so the conjugate differences survive catastrophic cancellation."""
-    extra = int(math.ceil((abs(s) + abs(t) + 2) * math.log2(n + 2))) + 32
-    return precision_bits + extra
+    """Bits needed so the conjugate differences survive catastrophic cancellation
+    (see "Precision" in roots.py)."""
+    return working_bits(n, abs(s) + abs(t) + 2, precision_bits + 32)
 
 
 def _order(shift: int):
@@ -536,12 +537,9 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
     bits and escalated where the error radii leave b0 undecided (see
     "Precision" in roots.py).
     """
-    if s * t == 0:
-        raise DegenerateTwist("proof quantities need s*t != 0")
     return escalate(lambda: f"b0 for (n,s,t)={(n, s, t)}",
-                    _diff_precision(n, s, t, precision_bits),
-                    lambda bits: _quantities(compute_alphas(n, s, t, bits), 0, {},
-                                             s, t, precision_bits))
+                    _one_cell(n, s, t, precision_bits, "proof quantities"),
+                    lambda tri: _quantities(tri, 0, {}, s, t, precision_bits))
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,6 @@ class _NConstants:
 
 
 def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
-    if b_abs < 1:
-        raise ValueError("b_abs must be >= 1")
     reg = rs.regulator
     with workprec(precision_bits + 16):
         log_b = mp.log(max(mpf(b_abs), mp.e))
@@ -74,10 +72,16 @@ def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
     return _NConstants(precision_bits, reg, factor, log_b, _absorb_rhs(rs.n, precision_bits + 16))
 
 
+def _public_constants(n: int, b_abs: int, precision_bits: int) -> _NConstants:
+    """The constants of n on compute_roots(n, precision_bits), once b_abs >= 1 is checked."""
+    if b_abs < 1:
+        raise ValueError("b_abs must be >= 1")
+    return _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits)
+
+
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
     """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf."""
-    return _upper_bound(build_form(n, s, t),
-                        _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits))
+    return _upper_bound(build_form(n, s, t), _public_constants(n, b_abs, precision_bits))
 
 
 def _upper_bound(form, const: _NConstants):
@@ -177,8 +181,7 @@ class BoundReport:
 
 
 def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192) -> BoundReport:
-    return _bound_report(build_form(n, s, t),
-                         _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits))
+    return _bound_report(build_form(n, s, t), _public_constants(n, b_abs, precision_bits))
 
 
 def _bound_report(form, const: _NConstants, upper=None, q=None) -> BoundReport:

@@ -106,11 +106,16 @@ def _grid_value(text: str) -> int:
     return int(d)
 
 
-def parse_grid(spec: str):
-    """start:stop[:step] with integer stride or log10; a single value is allowed."""
+def parse_grid(spec: str, check=lambda points: None):
+    """start:stop[:step] with integer stride or log10; a single value is allowed.
+
+    check(points) is called with the number of points before their list is built.
+    """
     parts = spec.split(":")
     if len(parts) == 1:
-        return [_grid_value(parts[0])]
+        value = _grid_value(parts[0])
+        check(1)
+        return [value]
     if len(parts) not in (2, 3):
         raise ValueError(f"bad grid {spec!r}")
     lo, hi = _grid_value(parts[0]), _grid_value(parts[1])
@@ -126,6 +131,7 @@ def parse_grid(spec: str):
             v *= 10
         if vals[-1] != hi:
             vals.append(hi)
+        check(len(vals))   # at most MAX_VALUE_DIGITS + 1 of them
         return vals
     step = int(rule)
     if step < 1:
@@ -133,6 +139,7 @@ def parse_grid(spec: str):
     points = -(-(hi - lo) // step) + 1  # the stride points, and hi if off the stride
     if points > MAX_GRID_POINTS:
         raise ValueError(f"grid {spec!r} has {points} points, more than {MAX_GRID_POINTS}")
+    check(points)
     vals = list(range(lo, hi + 1, step))
     if vals[-1] != hi:
         vals.append(hi)
@@ -234,20 +241,25 @@ def cmd_lemma(args) -> int:
     if args.smax is not None and box is None:
         raise ValueError(f"lemma {args.name} takes no --smax: it checks no box of (s, t) pairs")
     kwargs = {"precision_bits": args.precision_bits}
-    if args.n_grid:
-        kwargs["n_grid"] = parse_grid(args.n_grid)
-    if args.name == "logdiff":
-        kwargs["epsilon"] = args.epsilon
     if box is not None:
-        # a runner's own default grid has a handful of points; it counts as one
-        n_points = len(kwargs["n_grid"]) if "n_grid" in kwargs else 1
         # without --smax, the box the runner defaults to
         smax = args.smax or inspect.signature(runner).parameters[box].default
         if smax is None:   # run_logdiff's default pairs: its branch representatives
             pairs = len(asymptotics.logdiff_representatives())
-            _check_cells("lemma box", n_points, pairs, f"{pairs} branch representatives")
+            described = f"{pairs} branch representatives"
         else:
-            _check_cells("lemma box", n_points, 4 * smax**2, f"smax {smax}")
+            pairs, described = 4 * smax**2, f"smax {smax}"
+
+    def check(points):
+        if box is not None:
+            _check_cells("lemma box", points, pairs, described)
+
+    if args.n_grid:
+        kwargs["n_grid"] = parse_grid(args.n_grid, check)
+    else:
+        check(1)   # a runner's own default grid has a handful of points; it counts as one
+    if args.name == "logdiff":
+        kwargs["epsilon"] = args.epsilon
     if args.smax:
         kwargs[box] = asymptotics.st_box(args.smax) if box == "pairs" else args.smax
     result = runner(**kwargs)
@@ -300,7 +312,7 @@ def _scan_n(job):
             lambda s, t: solver._first_bits(n, s, t, y_bound, solve_bits)):
         key = (form.A, form.B)
         if key not in solved:
-            found, _ = solver._solve_form(form, y_bound, solve_bits, tri)
+            found, _ = solver._solve_form(form, y_bound, tri)
             solved[key] = (len(found), sum(1 for _, y in found if abs(y) > 1))
         solutions, nontrivial = solved[key]
         rows.append({"n": n, "s": rep.s, "t": rep.t, "A": form.A, "B": form.B,
@@ -309,9 +321,13 @@ def _scan_n(job):
 
 
 def cmd_scan(args) -> int:
-    n_grid = parse_grid(args.n_grid)
-    if not _check_cells("scan", len(n_grid), 4 * max(args.smax, 0) ** 2, f"smax {args.smax}"):
-        raise EmptyGrid("scan grid is empty")
+    def check(points):
+        if not _check_cells("scan", points, 4 * max(args.smax, 0) ** 2, f"smax {args.smax}"):
+            raise EmptyGrid("scan grid is empty")
+
+    n_grid = parse_grid(args.n_grid, check)
+    if args.ybound < 1:
+        raise ValueError("y_bound must be >= 1")
     pairs = asymptotics.st_box(args.smax)
     jobs = [(n, pairs, args.ybound, args.precision_bits) for n in n_grid]
     if args.jobs > 1:

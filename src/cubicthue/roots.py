@@ -79,16 +79,31 @@ run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
 floor moves the value by less than one unit of 2^-K', and the true value is
 within r / 2^K = (r / 2^d) / 2^K' of N / 2^K, so r' bounds the sum.
 
-Precision.  A decision the radii can leave open (the solver's candidates, a
-solution's type, b0, a unit's exponents) starts at the bits its caller derives
-from (n, s, t): solver._first_bits or asymptotics._diff_precision, with the
-roots at alpha_precision of those bits.  The triples of one n asked for in one
-batch (a scan's or a lemma harness's, by phi-orbit) share one root set, at the
-batch's largest alpha_precision, floor-shifted once to each root_frac_bits
-its triples need (plan_triples; compute_alphas is a batch of one, computed
-directly, as its root set needs no shift).  An open
-decision escalates: the bits double, PRECISION_ATTEMPTS precisions in all,
-then PrecisionExhausted, which the command line reports with exit code 3.
+Precision.  This is the one precision policy of the package.  The roots and
+their inverses are below n + 3 in size, so log2 |alpha_j| is at most about
+|s| + |t| times the base-2 log of n + 2, and powering multiplies the relative
+error by about the exponent.  So every decision on the conjugates of (s, t)
+at n starts at working_bits(n, weight, need) bits: need, plus weight times
+the base-2 log of n + 2, rounded up.  For a caller that asks for b bits,
+
+  - the roots (alpha_precision) take weight |s| + |t| and need b + 32,
+    rounded up to a multiple of 64 so that nearby (s, t) share a root set;
+  - b0 and the window (asymptotics._diff_precision) take |s| + |t| + 2 and
+    b + 32, as the conjugate differences lose bits to cancellation;
+  - the candidates (solver._first_bits) take |s| + |t| and the bits of the
+    convergents, 2 log2(y_bound + 1) + 64, and at least b.
+
+The triples of one n asked for in one batch (a
+scan's or a lemma harness's, by phi-orbit) share one root set, at the batch's
+largest alpha_precision, floor-shifted once to each root_frac_bits its
+triples need (plan_triples; compute_alphas is a batch of one, computed
+directly, as its root set needs no shift).  A decision the radii can leave
+open (the solver's candidates, a solution's type, b0, a unit's exponents)
+goes over attempts(first): its first triple (the solve's, a scan orbit's, the
+one that certified a record's candidates, or _one_cell's), then
+compute_alphas at each doubling of that triple's bits, PRECISION_ATTEMPTS
+triples in all.  escalate takes the first decision, or raises
+PrecisionExhausted, which the command line reports with exit code 3.
 """
 
 from __future__ import annotations
@@ -441,14 +456,18 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
                    (g0, g1, g2), reg)
 
 
+def working_bits(n: int, weight: int, need) -> int:
+    """The bits a decision on conjugates at n starts at: need, plus weight (at least
+    |s| + |t|) times the log2 of n + 2, rounded up (see "Precision" above)."""
+    return math.ceil(need + weight * math.log2(n + 2))
+
+
 def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     """Internal bits for lam powers: powering multiplies relative error by ~|exponent|.
 
     Rounded up to a multiple of 64 so nearby (s, t) share one cached root set.
     """
-    growth = (abs(s) + abs(t)) * math.log2(n + 2)
-    wp = precision_bits + int(math.ceil(growth)) + 32
-    return ((wp + 63) // 64) * 64
+    return -(-working_bits(n, abs(s) + abs(t), precision_bits + 32) // 64) * 64
 
 
 def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int) -> AlphaTriple:
@@ -496,16 +515,24 @@ def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTr
 
 
 def doublings(first_bits: int) -> list:
-    """The bits escalate tries: first_bits, then PRECISION_ATTEMPTS - 1 doublings."""
+    """The bits of attempts: first_bits, then PRECISION_ATTEMPTS - 1 doublings."""
     return [first_bits << k for k in range(PRECISION_ATTEMPTS)]
 
 
-def escalate(what, first_bits: int, attempt):
-    """The first result of attempt(bits) that is not None (a decision made at bits),
-    over doublings(first_bits); else PrecisionExhausted naming what() (called only
+def attempts(first: AlphaTriple):
+    """The triples escalate tries: first, then the conjugates of its (n, s, t) at
+    each later bits of doublings(first.precision_bits)."""
+    yield first
+    for bits in doublings(first.precision_bits)[1:]:
+        yield compute_alphas(first.n, first.s, first.t, bits)
+
+
+def escalate(what, first: AlphaTriple, decide):
+    """The first result of decide(tri) that is not None (a decision made on tri),
+    over attempts(first); else PrecisionExhausted naming what() (called only
     then) and the last bits."""
-    for bits in doublings(first_bits):
-        result = attempt(bits)
+    for tri in attempts(first):
+        result = decide(tri)
         if result is not None:
             return result
-    raise PrecisionExhausted(f"{what()} undecided at {bits} bits")
+    raise PrecisionExhausted(f"{what()} undecided at {tri.precision_bits} bits")

@@ -69,7 +69,8 @@ from . import exact_field as ef
 from .asymptotics import compute_proof_quantities, ratio_float
 from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
 from .forms import build_form, eval_form, form_of_unit
-from .roots import AlphaTriple, compute_alphas, doublings, escalate, power_alphas
+from .roots import (AlphaTriple, attempts, compute_alphas, doublings, escalate, power_alphas,
+                    working_bits)
 
 _MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
 SOLVER_FLOOR_BITS = 160  # the least precision of the solver's conjugates
@@ -121,8 +122,7 @@ def _betas(x: int, y: int, alphas: AlphaTriple):
     """
     key = (alphas.n, alphas.s, alphas.t)
 
-    def attempt(bits):
-        tri = alphas if bits == alphas.precision_bits else compute_alphas(*key, bits)
+    def decide(tri):
         den = 1 << tri.frac_bits
         b = [abs(x * den - num * y) for num in tri.numerators]
         e = [r * abs(y) for r in tri.radii]
@@ -131,8 +131,7 @@ def _betas(x: int, y: int, alphas: AlphaTriple):
             return tuple(ratio_float(v, den) for v in b), j + 1
         return None
 
-    return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}",
-                    alphas.precision_bits, attempt)
+    return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}", alphas, decide)
 
 
 def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
@@ -220,8 +219,11 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     Each record carries the unit and the triple that certified it.
     """
     _validate_st(s, t)
+    if y_bound < 1:
+        raise ValueError("y_bound must be >= 1")
     unit = ef.alpha_element(n, s, t)
-    found, tri = _solve_form(form_of_unit(unit, s, t), y_bound, precision_bits)
+    tri = compute_alphas(n, s, t, _first_bits(n, s, t, y_bound, precision_bits))
+    found, tri = _solve_form(form_of_unit(unit, s, t), y_bound, tri)
     records = [_make_record(n, s, t, x, y, v, tri, unit) for (x, y), v in found.items()]
     records.sort(key=lambda r: (abs(r.y), r.y, r.x))
     return records
@@ -229,31 +231,22 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
 
 def _first_bits(n: int, s: int, t: int, y_bound: int, precision_bits: int) -> int:
     """The precision of the solver's first attempt: at least precision_bits, and
-    the bits the convergents up to y_bound need."""
-    # (|s| + |t|) log2(n + 2) bounds log2 max|alpha|
-    bits = (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + _MARGIN_BITS
-    return max(precision_bits, int(bits))
+    the bits the convergents up to y_bound need (see "Precision" in roots.py)."""
+    need = 2 * math.log2(y_bound + 1) + _MARGIN_BITS
+    return max(precision_bits, working_bits(n, abs(s) + abs(t), need))
 
 
-def _solve_form(form, y_bound: int, precision_bits: int, tri: Optional[AlphaTriple] = None):
+def _solve_form(form, y_bound: int, tri: AlphaTriple):
     """The exact solution map {(x, y): f(x, y)} with |y| <= y_bound, for a form
-    already built from a valid (s, t), and the AlphaTriple that certified it.
-
-    tri, if given, holds the conjugates of the form and serves the first
-    attempt, at _first_bits; the later ones escalate from there.
+    already built from a valid (s, t) and y_bound >= 1, and the AlphaTriple that
+    certified it: tri, the form's conjugates, or a later attempt (roots.attempts).
     """
-    if y_bound < 1:
-        raise ValueError("y_bound must be >= 1")
-    n, s, t = form.n, form.s, form.t
-    first = _first_bits(n, s, t, y_bound, precision_bits)
-
-    def attempt(bits):
-        cur = tri if tri is not None and bits == first else compute_alphas(n, s, t, bits)
+    def decide(cur):
         candidates = _candidates(form, cur, y_bound)
         return None if candidates is None else (candidates, cur)
 
-    candidates, tri = escalate(lambda: f"solver candidates for (n,s,t)={(n, s, t)}",
-                               first, attempt)
+    candidates, tri = escalate(
+        lambda: f"solver candidates for (n,s,t)={(form.n, form.s, form.t)}", tri, decide)
 
     found = {}
     for x, y in candidates | {(1, 0)}:
@@ -297,21 +290,19 @@ def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord):
     return new_st, True
 
 
-def _exponent_guesses(n: int, s: int, t: int, x: int, y: int, first: AlphaTriple):
+def _exponent_guesses(x: int, y: int, first: AlphaTriple):
     """Candidate (b1, b2) for x - alpha1*y, in the order decompose_unit tries them.
 
     First the pair the record's shape fixes, if it has one: x - alpha1*y is x
-    when y = 0 and -y * lam0^s * lam1^t when x = 0.  Then the rounded real
-    solution of the 2x2 log-linear system on the triple first, then at the
-    doublings of its precision (roots.doublings); a rounding that is not
-    clear-cut yields no guess at that precision.
+    when y = 0 and -y * lam0^s * lam1^t when x = 0, (s, t) being first's.  Then
+    the rounded real solution of the 2x2 log-linear system on each triple of
+    roots.attempts(first); a rounding that is not clear-cut yields no guess.
     """
     if y == 0:
         yield 0, 0
     elif x == 0:
-        yield s, t
-    for bits in doublings(first.precision_bits):
-        tri = first if bits == first.precision_bits else compute_alphas(n, s, t, bits)
+        yield first.s, first.t
+    for tri in attempts(first):
         with workprec(tri.roots.precision_bits):
             la0, la1, la2 = tri.roots.log_abs_lambda
             lb2 = mp.log(abs(x - tri.alpha2 * y))
@@ -349,7 +340,7 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     x, y = rec.x, rec.y
     alpha = rec.unit
     beta_exact = ef.FieldInt(n, x, 0, 0) - alpha * y
-    for b1, b2 in _exponent_guesses(n, s, t, x, y, rec.alphas):
+    for b1, b2 in _exponent_guesses(x, y, rec.alphas):
         if (b1, b2) == (s, t):
             power = alpha
         elif (b1, b2) == (0, 0):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -386,6 +387,38 @@ def test_lemma_default_box_is_bounded_before_any_work(capsys, monkeypatch, argv,
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert f"lemma box has {cells} cells" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--n", "1:999999"], "scan has 35999964 cells (999999 n values, smax 3)"),
+    (["lemma", "vbar", "--n", "2:1000000"], "lemma box has 99999900 cells"),
+])
+def test_refused_grid_is_counted_before_it_is_built(capsys, argv, message):
+    # the cell limit is checked on the number of points: no list of them is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and message in err
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--n", "50", "--ybound", "-3"], "y_bound must be >= 1"),
+    (["scan", "--n", "50", "--ybound", "0"], "y_bound must be >= 1"),
+    (["solve", "50", "1", "1", "--ybound", "-3"], "y_bound must be >= 1"),
+    (["solve", "50", "1", "1", "--ybound", "0"], "y_bound must be >= 1"),
+    (["bound", "50", "1", "1", "--babs", "0"], "b_abs must be >= 1"),
+])
+def test_bad_bounds_are_refused_before_any_root_set(capsys, argv, message):
+    from cubicthue import roots
+
+    roots.compute_roots.cache_clear()
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and message in err
+    assert roots.compute_roots.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("name,n,least", [

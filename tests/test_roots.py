@@ -1,6 +1,7 @@
 """Certified roots: localisation, algebraic identities, precision behaviour."""
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,8 @@ from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
 import cubicthue.roots as roots
-from cubicthue.asymptotics import st_box
+import cubicthue.solver as solver
+from cubicthue.asymptotics import _diff_precision, st_box
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.forms import build_form, discriminant
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, fixed_view
@@ -269,9 +271,39 @@ def test_escalate_formats_what_only_when_it_raises():
     def what():
         raise AssertionError("the message was built for a decided attempt")
 
-    assert roots.escalate(what, 64, lambda bits: bits) == 64
+    first = compute_alphas(5, 1, 1, 64)
+    assert roots.escalate(what, first, lambda tri: tri.precision_bits) == 64
     with pytest.raises(PrecisionExhausted, match=r"^the roots undecided at 512 bits$"):
-        roots.escalate(lambda: "the roots", 64, lambda bits: None)
+        roots.escalate(lambda: "the roots", first, lambda tri: None)
+
+
+# the three starting-bit formulas that roots.working_bits replaced, as they were written
+def written_alpha_precision(n, s, t, precision_bits):
+    growth = (abs(s) + abs(t)) * math.log2(n + 2)
+    wp = precision_bits + int(math.ceil(growth)) + 32
+    return ((wp + 63) // 64) * 64
+
+
+def written_diff_precision(n, s, t, precision_bits):
+    return precision_bits + int(math.ceil((abs(s) + abs(t) + 2) * math.log2(n + 2))) + 32
+
+
+def written_first_bits_sum(n, s, t, y_bound):
+    return (abs(s) + abs(t)) * math.log2(n + 2) + 2 * math.log2(y_bound + 1) + 64
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 10**6, 2**64 - 2, 10**64, 10**400],
+                         ids=["0", "1", "2", "6", "10^6", "2^64-2", "10^64", "10^400"])
+def test_working_bits_keeps_the_formulas_it_replaced(n):
+    # the roots' and the differences' bits are unchanged; the solver's first bits
+    # round the same sum up, where they took its floor
+    for s, t in st_box(8):
+        for bits in (64, 192, 1024):
+            assert alpha_precision(n, s, t, bits) == written_alpha_precision(n, s, t, bits)
+            assert _diff_precision(n, s, t, bits) == written_diff_precision(n, s, t, bits)
+            for y_bound in (1, 10**4, 10**5, 10**100):
+                assert solver._first_bits(n, s, t, y_bound, bits) == \
+                    max(bits, math.ceil(written_first_bits_sum(n, s, t, y_bound)))
 
 
 @pytest.mark.parametrize("n", [5, 10**6, 10**40])

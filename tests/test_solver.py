@@ -216,7 +216,7 @@ def test_candidates_grow_with_log_y_bound(monkeypatch):
 
 
 def test_uncertified_conjugates_raise(monkeypatch, capsys):
-    real = solver.compute_alphas
+    real = roots.compute_alphas
     asked = []
 
     def shifted(n, s, t, precision_bits):
@@ -225,7 +225,9 @@ def test_uncertified_conjugates_raise(monkeypatch, capsys):
         nums = tri.numerators
         return dataclasses.replace(tri, numerators=(nums[0] + (1 << tri.frac_bits), *nums[1:]))
 
-    monkeypatch.setattr(solver, "compute_alphas", shifted)
+    # the first triple is made by solve_box, the later ones by roots.attempts
+    for mod in (solver, roots):
+        monkeypatch.setattr(mod, "compute_alphas", shifted)
     with pytest.raises(PrecisionExhausted) as err:
         solve_box(5, 1, 1, 100)
     # the candidate attempts double from the first bits, and the message names the last
@@ -234,6 +236,33 @@ def test_uncertified_conjugates_raise(monkeypatch, capsys):
     assert f"undecided at {8 * first} bits" in str(err.value)
     assert cli.main(["solve", "5", "1", "1"]) == 3
     assert "precision exhausted" in capsys.readouterr().err
+
+
+def test_undecided_candidates_double_from_the_first_triple(monkeypatch, capsys):
+    # solve and scan try the same four precisions, from the bits of their first triple
+    tried, firsts = [], []
+    real_solve = solver._solve_form
+
+    def undecided(form, tri, y_bound):
+        tried.append(tri.precision_bits)
+
+    def solve(form, y_bound, tri):
+        firsts.append(tri.precision_bits)
+        return real_solve(form, y_bound, tri)
+
+    monkeypatch.setattr(solver, "_candidates", undecided)
+    monkeypatch.setattr(solver, "_solve_form", solve)
+    assert cli.main(["solve", "5", "1", "1", "--ybound", "100"]) == 3
+    first = solver._first_bits(5, 1, 1, 100, 192)   # the command line's default bits
+    assert firsts == [first] and tried == [first, 2 * first, 4 * first, 8 * first]
+    tried.clear()
+    firsts.clear()
+    assert cli.main(["scan", "--n", "5", "--smax", "1", "--ybound", "100"]) == 3
+    # the orbit triple's bits: more than the solver asked for, as the differences need more
+    first, = firsts
+    assert first > solver._first_bits(5, -1, -1, 100, 192)
+    assert tried == [first, 2 * first, 4 * first, 8 * first]
+    assert capsys.readouterr().err.count("precision exhausted") == 2
 
 
 def test_classify_tie_breaking():
@@ -269,7 +298,7 @@ def test_integer_type_matches_the_mpf_argmin(n, st_pair, j, y, dx, bits):
 def test_undecided_type_escalates_then_exits_3(wide, monkeypatch, capsys):
     # (0, 1) at (10, 1, 0) is type 2: |alpha2| ~ 0.09, |alpha3| ~ 1.10, |alpha1| ~ 10.2.
     # A radius of 2 on alpha2, or on alpha3, leaves it undecided at every precision.
-    real_alphas, real_solve = solver.compute_alphas, solver._solve_form
+    real_alphas, real_solve = roots.compute_alphas, solver._solve_form
     asked = []
 
     def doctor(tri):
@@ -283,16 +312,14 @@ def test_undecided_type_escalates_then_exits_3(wide, monkeypatch, capsys):
 
     tri = real_alphas(10, 1, 0, 160)
     assert classify_type(0, 1, tri) == 2 and classify_type(1, 0, doctor(tri)) == 1
-    monkeypatch.setattr(solver, "compute_alphas", doctored_alphas)
+    monkeypatch.setattr(roots, "compute_alphas", doctored_alphas)
     with pytest.raises(PrecisionExhausted, match="undecided at 1280 bits"):
         classify_type(0, 1, doctor(tri))
     assert asked == [320, 640, 1280]
 
-    def doctored_solve(form, y_bound, precision_bits, tri=None):
+    def doctored_solve(form, y_bound, tri):
         # the candidates on the real conjugates, the records typed on doctored ones
-        bits = solver._first_bits(form.n, form.s, form.t, y_bound, precision_bits)
-        found, tri = real_solve(form, y_bound, precision_bits,
-                                real_alphas(form.n, form.s, form.t, bits))
+        found, tri = real_solve(form, y_bound, tri)
         return found, doctor(tri)
 
     monkeypatch.setattr(solver, "_solve_form", doctored_solve)
@@ -432,7 +459,7 @@ def test_records_with_x_or_y_zero_skip_the_log_solve(n, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the log solve ran")
 
-    monkeypatch.setattr(solver, "compute_alphas", refused)
+    monkeypatch.setattr(roots, "compute_alphas", refused)
     monkeypatch.setattr(mp, "log", refused)
     for (s, t), recs in records.items():
         assert len(recs) == 4
@@ -449,9 +476,9 @@ def test_every_guess_is_checked_exactly(monkeypatch):
     # that names the highest precision tried
     real = solver._exponent_guesses
 
-    def wrong_first(n, s, t, x, y, precision_bits):
-        yield t, s
-        yield from real(n, s, t, x, y, precision_bits)
+    def wrong_first(x, y, first):
+        yield first.t, first.s
+        yield from real(x, y, first)
 
     n, s, t = 0, 2, 1
     records = solve_box(n, s, t, 20)
@@ -459,19 +486,19 @@ def test_every_guess_is_checked_exactly(monkeypatch):
     monkeypatch.setattr(solver, "_exponent_guesses", wrong_first)
     assert [decompose_unit(n, s, t, r) for r in records] == expected
 
-    def all_wrong(n, s, t, x, y, precision_bits):
-        for b1, b2 in real(n, s, t, x, y, precision_bits):
+    def all_wrong(x, y, first):
+        for b1, b2 in real(x, y, first):
             yield b1 + 1, b2
 
     asked = []
-    real_alphas = solver.compute_alphas
+    real_alphas = roots.compute_alphas
 
     def spy(n, s, t, precision_bits):
         asked.append(precision_bits)
         return real_alphas(n, s, t, precision_bits)
 
     monkeypatch.setattr(solver, "_exponent_guesses", all_wrong)
-    monkeypatch.setattr(solver, "compute_alphas", spy)
+    monkeypatch.setattr(roots, "compute_alphas", spy)
     for rec in records:
         asked.clear()
         with pytest.raises(RoundingAmbiguous) as err:
