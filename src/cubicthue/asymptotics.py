@@ -29,8 +29,8 @@ regulator carry the radii the root set gave them, and
 v1 + v2 = log|d12| u1 + log|d13| u2 is a sum of fixed-point products whose
 radius follows from those.  b0 and the window 0 < v_bar < R are decided only
 when (v1 + v2) mod R lies farther than that radius (plus b0 times the
-regulator's) from 0 and from R; otherwise compute_proof_quantities retries
-at more bits by the precision policy of roots.py (its "Precision" paragraph).
+regulator's) from 0 and from R; otherwise cell_quantities retries at more
+bits by the precision policy of roots.py (its "Precision" paragraph).
 So a b0 this module reports is the true one, whatever the cancellation in
 v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
 (u_bar > 0, the w_bar absorption) are made on the same integers, without a
@@ -44,8 +44,8 @@ and _quantities takes the triple, the shift of a cell and a memo of the
 logs |alpha_i - alpha_j|, one per pair of indices.  orbit_triples plans a
 grid's cells this way: one root set per n, one triple and one memo per
 orbit, so an orbit takes three difference logs in all.  The harnesses
-run_logdiff, run_errorbound, run_vbar and run_wbar go through it, as do the
-scans of bounds and cli (bounds.orbit_cells adds the forms);
+run_logdiff, run_errorbound, run_vbar and run_wbar go through it, as does
+bounds.cell_reports, the bound path of the bound command and the scans;
 true_logdiffs, check_error_products and compute_proof_quantities are the
 one-cell case, on compute_alphas's triple with a fresh memo.
 
@@ -523,23 +523,23 @@ def _memo_log(logs: dict, i: int, j: int, d, frac_bits: int):
 def cell_quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
     """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
 
-    Where tri's radii leave b0 undecided, the cell goes to
-    compute_proof_quantities, which escalates.
+    Where the radii leave b0 undecided, the cell escalates from tri over
+    roots.attempts(tri) (see "Precision" in roots.py): tri reads the orbit's
+    memo logs, each later triple a memo of its own.
     """
-    q = _quantities(tri, shift, logs, s, t, precision_bits)
-    return q if q is not None else compute_proof_quantities(tri.n, s, t, precision_bits)
+    if s * t == 0:
+        raise DegenerateTwist("proof quantities need s*t != 0")
+    return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", tri,
+                    lambda cur: _quantities(cur, shift, logs if cur is tri else {},
+                                            s, t, precision_bits))
 
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
-    """The proof quantities of (n, s, t), with b0 and the window certified.
-
-    The conjugates are taken at _diff_precision(n, s, t, precision_bits)
-    bits and escalated where the error radii leave b0 undecided (see
-    "Precision" in roots.py).
-    """
-    return escalate(lambda: f"b0 for (n,s,t)={(n, s, t)}",
-                    _one_cell(n, s, t, precision_bits, "proof quantities"),
-                    lambda tri: _quantities(tri, 0, {}, s, t, precision_bits))
+    """The proof quantities of (n, s, t), with b0 and the window certified:
+    cell_quantities on the one-cell triple, at _diff_precision(n, s, t,
+    precision_bits) bits."""
+    return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"),
+                           0, {}, s, t, precision_bits)
 
 
 @dataclass(frozen=True)

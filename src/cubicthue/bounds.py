@@ -52,9 +52,8 @@ class _NConstants:
 
     upper_factor is c3 * R * max(log R, 1), log_b is log max(b_abs, e) and
     absorb_rhs is (3/4) log(n) / n (None at n = 0, where it is undefined).
-    R is the view of the given root set's regulator: from compute_roots(n,
-    precision_bits), as the public functions take it, they are bit-identical
-    to theirs; a scan gives the root set of its triples.
+    R is the view of the given root set's regulator: bg_upper_bound gives
+    compute_roots(n, precision_bits), cell_reports the root set of its triples.
     """
 
     precision_bits: int
@@ -72,16 +71,12 @@ def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
     return _NConstants(precision_bits, reg, factor, log_b, _absorb_rhs(rs.n, precision_bits + 16))
 
 
-def _public_constants(n: int, b_abs: int, precision_bits: int) -> _NConstants:
-    """The constants of n on compute_roots(n, precision_bits), once b_abs >= 1 is checked."""
-    if b_abs < 1:
-        raise ValueError("b_abs must be >= 1")
-    return _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits)
-
-
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
     """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf."""
-    return _upper_bound(build_form(n, s, t), _public_constants(n, b_abs, precision_bits))
+    if b_abs < 1:
+        raise ValueError("b_abs must be >= 1")
+    const = _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits)
+    return _upper_bound(build_form(n, s, t), const)
 
 
 def _upper_bound(form, const: _NConstants):
@@ -181,74 +176,52 @@ class BoundReport:
 
 
 def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192) -> BoundReport:
-    return _bound_report(build_form(n, s, t), _public_constants(n, b_abs, precision_bits))
+    """The BoundReport of one cell: cell_reports for the pairs [(s, t)]."""
+    (_, _, rep), = cell_reports(n, [(s, t)], precision_bits, b_abs=b_abs)
+    return rep
 
 
-def _bound_report(form, const: _NConstants, upper=None, q=None) -> BoundReport:
-    """bound_report for a form that is already built, from the constants of its n.
-
-    upper, if given, is _upper_bound(form, const), computed once for all the
-    parameter pairs that share the form; q, if given, is the cell's
-    ProofQuantities at const.precision_bits.
-    """
-    n, s, t = form.n, form.s, form.t
-    if upper is None:
-        upper = _upper_bound(form, const)
-    if q is None:
-        q = compute_proof_quantities(n, s, t, const.precision_bits)
-    lower = None
-    failure = ""
-    crossover = False
-    try:
-        lower_mpf = _chain(n, q, const.absorb_rhs, const.precision_bits + 16)
-        lower = _finite_float(lower_mpf)
-        crossover = bool(lower_mpf > upper)
-    except ChainPreconditionFailed as exc:
-        failure = exc.inequality
-    return BoundReport(n, s, t, c3_constant(3, 2), height(form), float(upper),
-                       lower, crossover, failure, const.precision_bits)
-
-
-def orbit_cells(n: int, pairs, precision_bits: int, solver_bits=None):
-    """Yield (s, t, form, tri, shift, logs) for each (s, t) of pairs, in order:
-    the cells of asymptotics.orbit_triples, each with its form.
-
-    The cells of one phi-orbit share the form of its representative, built
-    once; a form carries the (s, t) of the cell it is yielded for.
-    """
-    forms = {}
-    for s, t, tri, shift, logs in orbit_triples(n, pairs, precision_bits, solver_bits):
-        rep = (tri.s, tri.t)
-        if rep not in forms:
-            forms[rep] = build_form(n, *rep)
-        form = forms[rep]
-        if shift:
-            form = BinaryCubicForm(n, s, t, form.A, form.B)
-        yield s, t, form, tri, shift, logs
-
-
-def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None):
+def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None, b_abs: int = 1):
     """Yield (form, tri, BoundReport) for each (s, t) of pairs, in order.
 
-    The per-n path of both scans: the cells go by phi-orbit (orbit_cells,
-    which takes solver_bits), the constants of n are built once, from the
-    first triple's root set, the upper bound once per mirrored pair of forms,
-    and the chain per cell on that cell's proof quantities.  tri is the
+    The one per-cell bound path: bound_report is a batch of one, the scans
+    batch the cells of an n.  b_abs >= 1 is checked before any root set.  The
+    cells go by phi-orbit (asymptotics.orbit_triples, which takes solver_bits)
+    and share the form of their orbit's representative, built once; a form
+    carries the (s, t) of its cell.  The constants of n are built once, from
+    the first triple's root set, the upper bound once per mirrored pair of
+    forms, and the chain per cell on that cell's proof quantities.  tri is the
     orbit's triple, in the order of the first cell of the orbit.
 
     The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
     (-B, -A), as its conjugates are the inverses: its height and its
     is_reducible answer are the same, so is its upper bound.
     """
+    if b_abs < 1:
+        raise ValueError("b_abs must be >= 1")
     const = None
-    uppers = {}
-    for s, t, form, tri, shift, logs in orbit_cells(n, pairs, precision_bits, solver_bits):
-        const = const or _n_constants(tri.roots, 1, precision_bits)
+    forms, uppers = {}, {}
+    for s, t, tri, shift, logs in orbit_triples(n, pairs, precision_bits, solver_bits):
+        const = const or _n_constants(tri.roots, b_abs, precision_bits)
+        orbit = (tri.s, tri.t)
+        if orbit not in forms:
+            forms[orbit] = build_form(n, *orbit)
+        form = forms[orbit]
+        if shift:
+            form = BinaryCubicForm(n, s, t, form.A, form.B)
         key = min((form.A, form.B), (-form.B, -form.A))
         if key not in uppers:
             uppers[key] = _upper_bound(form, const)
         q = cell_quantities(tri, shift, logs, s, t, precision_bits)
-        yield form, tri, _bound_report(form, const, uppers[key], q)
+        lower, failure, crossover = None, "", False
+        try:
+            lower_mpf = _chain(n, q, const.absorb_rhs, precision_bits + 16)
+            lower = _finite_float(lower_mpf)
+            crossover = bool(lower_mpf > uppers[key])
+        except ChainPreconditionFailed as exc:
+            failure = exc.inequality
+        yield form, tri, BoundReport(n, s, t, c3_constant(3, 2), height(form), float(uppers[key]),
+                                     lower, crossover, failure, precision_bits)
 
 
 @dataclass

@@ -20,7 +20,7 @@ exhausted.  Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS.
 The scan works one n at a time, and --jobs hands whole n values to the
 workers.  Within an n, the cells (s, t) and phi(s, t) = (-s + t, -s) have the
 same form, with the conjugates in a cyclic order, so the scan goes by
-phi-orbit (bounds.orbit_cells): the roots of n are computed once, at the most
+phi-orbit (bounds.cell_reports): the roots of n are computed once, at the most
 bits any cell needs, and each distinct form (A, B) is built once, powered into
 one conjugate triple at its own bits (a floor shift of that root set) and
 solved once; the form of (-s, -t) is its reverse, (A, B) -> (-B, -A), and
@@ -304,12 +304,11 @@ def _scan_n(job):
     is not used: it swaps x and y, so it does not keep the box |y| <= y_bound.
     """
     n, pairs, y_bound, precision_bits = job
-    solve_bits = max(solver.SOLVER_FLOOR_BITS, precision_bits)
     solved = {}
     rows = []
     for form, tri, rep in bounds.cell_reports(
             n, pairs, precision_bits,
-            lambda s, t: solver._first_bits(n, s, t, y_bound, solve_bits)):
+            lambda s, t: solver._first_bits(n, s, t, y_bound, precision_bits)):
         key = (form.A, form.B)
         if key not in solved:
             found, _ = solver._solve_form(form, y_bound, tri)

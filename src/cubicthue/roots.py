@@ -99,10 +99,11 @@ largest alpha_precision, floor-shifted once to each root_frac_bits its
 triples need (plan_triples; compute_alphas is a batch of one, computed
 directly, as its root set needs no shift).  A decision the radii can leave
 open (the solver's candidates, a solution's type, b0, a unit's exponents)
-goes over attempts(first): its first triple (the solve's, a scan orbit's, the
+goes over attempts(first): its first triple (the solve's, an orbit's, the
 one that certified a record's candidates, or _one_cell's), then
 compute_alphas at each doubling of that triple's bits, PRECISION_ATTEMPTS
-triples in all.  escalate takes the first decision, or raises
+triples in all.  So the b0 of an orbit's cell doubles from the orbit's
+triple, in the cell's order, and a one-cell b0 from _one_cell's.  escalate takes the first decision, or raises
 PrecisionExhausted, which the command line reports with exit code 3.
 """
 

@@ -66,14 +66,14 @@ from typing import Optional
 from mpmath import mp, workprec
 
 from . import exact_field as ef
-from .asymptotics import compute_proof_quantities, ratio_float
+from .asymptotics import compute_proof_quantities
 from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
 from .forms import build_form, eval_form, form_of_unit
 from .roots import (AlphaTriple, attempts, compute_alphas, doublings, escalate, power_alphas,
                     working_bits)
 
 _MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
-SOLVER_FLOOR_BITS = 160  # the least precision of the solver's conjugates
+SOLVER_FLOOR_BITS = 160  # solve_box's default least precision of the conjugates
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ class SolutionRecord:
     y: int
     value: int
     type_j: int
-    beta_abs: tuple
     trivial: bool
     # the certificate (Typing in the module docstring): made only by solve_box
     unit: ef.FieldInt = field(compare=False, repr=False)
@@ -114,8 +113,8 @@ def _check_record(n: int, s: int, t: int, rec: SolutionRecord):
         raise ValueError(f"record of (n,s,t)={(rec.n, rec.s, rec.t)}, not {(n, s, t)}")
 
 
-def _betas(x: int, y: int, alphas: AlphaTriple):
-    """(|x - alpha_j y| for j = 1, 2, 3 as floats; the type j), decided in integers.
+def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
+    """The type j of (x, y): the index minimising |x - alpha_j y|, decided in integers.
 
     See Typing in the module docstring; y = 0 is type 1.  alphas serves the
     first attempt.
@@ -128,20 +127,10 @@ def _betas(x: int, y: int, alphas: AlphaTriple):
         e = [r * abs(y) for r in tri.radii]
         j = min(range(3), key=b.__getitem__)
         if y == 0 or all(b[j] + e[j] < b[i] - e[i] for i in range(3) if i != j):
-            return tuple(ratio_float(v, den) for v in b), j + 1
+            return j + 1
         return None
 
     return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}", alphas, decide)
-
-
-def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
-    """Index j minimising |x - alpha_j y|; ties go to the smallest index."""
-    return _betas(x, y, alphas)[1]
-
-
-def _make_record(n, s, t, x, y, value, alphas, unit) -> SolutionRecord:
-    betas, type_j = _betas(x, y, alphas)
-    return SolutionRecord(n, s, t, x, y, value, type_j, betas, abs(y) <= 1, unit, alphas)
 
 
 def _brackets(form, tri: AlphaTriple):
@@ -224,7 +213,8 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     unit = ef.alpha_element(n, s, t)
     tri = compute_alphas(n, s, t, _first_bits(n, s, t, y_bound, precision_bits))
     found, tri = _solve_form(form_of_unit(unit, s, t), y_bound, tri)
-    records = [_make_record(n, s, t, x, y, v, tri, unit) for (x, y), v in found.items()]
+    records = [SolutionRecord(n, s, t, x, y, v, classify_type(x, y, tri), abs(y) <= 1, unit, tri)
+               for (x, y), v in found.items()]
     records.sort(key=lambda r: (abs(r.y), r.y, r.x))
     return records
 

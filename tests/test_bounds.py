@@ -83,14 +83,17 @@ def formula_chain(n, q, precision_bits=192):
 
 @pytest.mark.parametrize("n", [60, 4999, 10**6, 10**64])
 def test_per_n_constants_give_bit_identical_bounds(n):
-    # constants once per n on the public functions' root set, against those functions
+    # constants once per n on the public functions' root set, against those functions;
+    # bound_report, a batch of one, against the batch of the whole box
     const = bounds._n_constants(compute_roots(n, 192), 1, 192)
+    batch = {(rep.s, rep.t): rep for _, _, rep in bounds.cell_reports(n, st_box(3), 192)}
     applicable = 0
     for s, t in st_box(3):
         form = build_form(n, s, t)
         upper = bounds._upper_bound(form, const)
         assert upper == bg_upper_bound(n, s, t) == formula_upper(n, s, t)
-        assert bounds._bound_report(form, const) == bound_report(n, s, t)
+        assert batch[(s, t)] == bound_report(n, s, t)
+        assert batch[(s, t)].B_rhs == float(upper)
         q = compute_proof_quantities(n, s, t, 192)
         try:
             public = lower_bound_chain(n, s, t)

@@ -222,8 +222,7 @@ def test_scan_solves_and_bounds_each_distinct_form_once(capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "_solve_form", solve)
     monkeypatch.setattr(bounds, "_upper_bound", upper)
-    monkeypatch.setattr(solver, "_make_record", no_records)
-    monkeypatch.setattr(solver, "_betas", no_records)
+    monkeypatch.setattr(solver, "classify_type", no_records)
     code, out, _ = run(capsys, ["--format", "csv", "scan", "--n", "100", "--smax", "3",
                                 "--ybound", "1000"])
     assert code == 0
@@ -419,6 +418,36 @@ def test_bad_bounds_are_refused_before_any_root_set(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and message in err
     assert roots.compute_roots.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("n", ["0", "1000000", "1" + "0" * 400])
+def test_bound_computes_one_root_set(capsys, n):
+    # bound_report is the one-cell batch of cell_reports: one root set serves its
+    # upper bound and its proof quantities
+    from cubicthue import roots
+
+    roots.compute_roots.cache_clear()
+    code, out, _ = run(capsys, ["bound", n, "2", "1"])
+    assert code == 0 and "upper bound exponent" in out
+    assert roots.compute_roots.cache_info().misses == 1
+
+
+def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monkeypatch):
+    # solve and scan pass the same --precision-bits to solver._first_bits
+    from cubicthue import solver
+
+    asked = []
+    real = solver._first_bits
+
+    def spy(n, s, t, y_bound, precision_bits):
+        asked.append(precision_bits)
+        return real(n, s, t, y_bound, precision_bits)
+
+    monkeypatch.setattr(solver, "_first_bits", spy)
+    for command in (["solve", "100", "2", "1"], ["scan", "--n", "100", "--smax", "1"]):
+        asked.clear()
+        code, _, _ = run(capsys, ["--precision-bits", "64", *command])
+        assert code == 0 and asked and set(asked) == {64}
 
 
 @pytest.mark.parametrize("name,n,least", [
@@ -634,6 +663,47 @@ OUTPUT_PINS = {
         "csv": "340187fdbdf7d753dd84f6db3a7c83a5a1b598878cdb4068d3175b4385b43fc3",
     }),
 }
+
+
+# scan command -> the sha256 of its stdout, the same at one and two workers: the
+# README scan in two formats, and the wide scan at huge n, where the bits of the
+# forms of one n differ most, at the default precision and at 512 bits
+SCAN_PINS = {
+    "--format csv scan --n 50:200 --smax 3 --ybound 10000":
+        "8b6d94f98fe86cf3c37d6ee75394481d0f722e7cc867323329e92214d188e24a",
+    "--format human scan --n 50:200 --smax 3 --ybound 10000":
+        "43f6752abd56588da1beeac174c6d79c968fd187096607c4123e84ecf4be21a4",
+    "--format csv scan --n 1e16:1e64:log10 --smax 4 --ybound 100":
+        "79e1ad87064d99522ee352eec46f01b900ddd32832aa0ef259165b8a52efe0d7",
+    "--precision-bits 512 --format csv scan --n 1e16:1e64:log10 --smax 4 --ybound 100":
+        "52fae4a39aab390f25771b26661a2a64142cfea02c898e839e59ff14ce7f273b",
+}
+
+# solve N S T --ybound 100000 for records of types 1, 2 and 3, typed in integers on
+# the solver's triple -> the sha256 of their CSV outputs, concatenated
+SOLVE_PINS = (["0 1 0", "0 2 1", "5 1 1", "12 2 1", "1000 -1 3", "1000000 3 -2", "1000000 -3 -3"],
+              "9c14588391d73c27917658da014003cb018c3cc0779a3c301ca345042f3469ec")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", list(SCAN_PINS))
+def test_scan_output_bytes(capsys, monkeypatch, command, jobs):
+    monkeypatch.delenv("CUBICTHUE_PRECISION_BITS", raising=False)
+    code, out, _ = run(capsys, ["--jobs", jobs, *command.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_PINS[command]
+
+
+def test_solve_output_bytes(capsys, monkeypatch):
+    monkeypatch.delenv("CUBICTHUE_PRECISION_BITS", raising=False)
+    triples, sha256 = SOLVE_PINS
+    out = ""
+    for triple in triples:
+        code, text, _ = run(capsys, ["--format", "csv", "solve", *triple.split(),
+                                     "--ybound", "100000"])
+        assert code == 0
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])

@@ -19,7 +19,7 @@ from cubicthue.asymptotics import (
     _diff_precision, check_error_products, compute_proof_quantities, run_vbar, st_box,
 )
 from cubicthue.cli import main
-from cubicthue.errors import ChainPreconditionFailed, PrecisionExhausted
+from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, PrecisionExhausted
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots
 from conftest import exact_roots
 
@@ -220,9 +220,10 @@ def _scaled(pair, frac_bits, to_bits):
 def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
     absorb_rhs = bounds._absorb_rhs(n, 208)
     cells = 0
-    for s, t, form, tri, shift, logs in bounds.orbit_cells(n, st_box(3), 192):
+    orbit = asymptotics.orbit_triples(n, st_box(3), 192)
+    for (s, t, tri, shift, logs), (form, _, rep) in zip(orbit, bounds.cell_reports(n, st_box(3), 192)):
         cells += 1
-        assert (form.s, form.t) == (s, t)
+        assert (form.s, form.t) == (rep.s, rep.t) == (s, t)
         q = asymptotics.cell_quantities(tri, shift, logs, s, t, 192)
         ref = compute_proof_quantities(n, s, t, 192)
         assert (q.n, q.s, q.t, q.b0) == (ref.n, ref.s, ref.t, ref.b0)
@@ -234,7 +235,7 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
                         tri.frac_bits, top)
             b = _scaled((own.numerators[j], own.radii[j]), own.frac_bits, top)
             assert abs(a[0] - b[0]) <= a[1] + b[1]
-        # the same chain verdict
+        # the same chain verdict, which the cell's report records
         verdicts = []
         for quantities in (q, ref):
             try:
@@ -242,18 +243,44 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
                 verdicts.append("")
             except ChainPreconditionFailed as exc:
                 verdicts.append(exc.inequality)
-        assert verdicts[0] == verdicts[1]
+        assert verdicts[0] == verdicts[1] == rep.chain_failure
     assert cells == 36
 
 
-def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop():
-    # radii wider than the differences leave the orbit's triple undecided
+def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop(monkeypatch):
+    # radii wider than the differences leave the orbit's triple undecided: the cell
+    # escalates from that triple, for the representative's (s, t), at twice its bits
     n = 10**4
-    for s, t, form, tri, shift, logs in bounds.orbit_cells(n, st_box(2), 192):
+    asked = []
+    real = roots.compute_alphas
+
+    def spy(*args):
+        asked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(roots, "compute_alphas", spy)
+    for s, t, tri, shift, logs in asymptotics.orbit_triples(n, st_box(2), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
         assert asymptotics._quantities(wide, shift, {}, s, t, 192) is None
+        asked.clear()
         q = asymptotics.cell_quantities(wide, shift, {}, s, t, 192)
-        assert q == compute_proof_quantities(n, s, t, 192)
+        assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
+        ref = compute_proof_quantities(n, s, t, 192)
+        assert (q.n, q.s, q.t, q.precision_bits, q.b0) == (ref.n, ref.s, ref.t, 192, ref.b0)
+
+
+def test_cell_with_s_or_t_zero_is_refused(capsys):
+    tri = compute_alphas(100, 1, 0, 192)
+    with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
+        asymptotics.cell_quantities(tri, 0, {}, 1, 0, 192)
+    with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
+        compute_proof_quantities(100, 0, 1)
+    # the bound command refuses such a cell after its upper bound: (5, 0, 0) has a
+    # rational root, which is reported first
+    assert main(["bound", "5", "1", "0"]) == 2
+    assert "error: proof quantities need s*t != 0" in capsys.readouterr().err
+    assert main(["bound", "5", "0", "0"]) == 2
+    assert "error: form for (n,s,t)=(5,0,0) has a rational root" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,10 @@ def test_records_exactly_verified_and_sorted():
         assert eval_form(form, r.x, r.y) == r.value
         assert abs(r.value) == 1
         assert r.trivial == (abs(r.y) <= 1)
-        assert min(r.beta_abs) == r.beta_abs[r.type_j - 1]
+        # the type minimises |x - alpha_j y| on the views of the record's triple
+        with workprec(r.alphas.roots.precision_bits):
+            betas = [abs(r.x - a * r.y) for a in r.alphas.alphas]
+        assert min(betas) == betas[r.type_j - 1]
 
 
 def test_sign_symmetry():
