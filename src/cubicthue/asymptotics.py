@@ -110,9 +110,6 @@ class CaseLabel:
             Branch.WIDE_BELOW: f"{u} < {v}-1",
         }[self.branch]
 
-    def __str__(self):
-        return f"diff1{self.difference}:{self.condition()}"
-
 
 def _classify_one(u: int, v: int, parity_of: int) -> Branch:
     if u > v + 1:
@@ -326,12 +323,9 @@ class ErrorProductReport:
     n: int
     s: int
     t: int
-    product: float
-    min_mixed: float
-    max_mixed: float
-    margin_product: float  # product / ((2/3) n^2)
-    margin_min: float      # min_mixed / ((2/3) n)
-    margin_max: float      # max_mixed / ((2/3) n^2)
+    margin_product: float  # |d12 d13| / ((2/3) n^2)
+    margin_min: float      # the lesser of |d12 d13| |d12|, |d12 d13| |d13| over (2/3) n
+    margin_max: float      # the greater over (2/3) n^2
     exempt_first: bool     # (s,t) in {(1,1), (-1,-1)} skips the first bound
 
     @property
@@ -357,7 +351,6 @@ def _error_products(tri, shift: int, s: int, t: int) -> ErrorProductReport:
     one2, one3 = 1 << 2 * K, 1 << 3 * K
     return ErrorProductReport(
         n, s, t,
-        ratio_float(product, one2), ratio_float(mixed[0], one3), ratio_float(mixed[1], one3),
         ratio_float(3 * product, 2 * n * n * one2),
         ratio_float(3 * mixed[0], 2 * n * one3),
         ratio_float(3 * mixed[1], 2 * n * n * one3),
@@ -545,7 +538,6 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
 @dataclass(frozen=True)
 class FitResult:
     slope: float
-    intercept: float
     stderr: float
     r_squared: float
     count: int
@@ -572,13 +564,12 @@ def fit_error_exponent(samples) -> FitResult:
     dy = [v - y_mean for v in y]
     denom = math.fsum(a * a for a in dx)
     slope = math.fsum(a * b for a, b in zip(dx, dy)) / denom
-    intercept = y_mean - slope * x_mean
     ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
     ss_tot = math.fsum(b * b for b in dy)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     dof = len(pts) - 2
     stderr = math.sqrt(ss_res / dof / denom) if dof > 0 and denom > 0 else 0.0
-    return FitResult(slope, intercept, stderr, r2, len(pts))
+    return FitResult(slope, stderr, r2, len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +627,11 @@ def float_power(n: int, exponent: float) -> float:
             return math.inf
 
 
-def log_grid(lo: int, hi: int, per_decade: int = 2):
-    """Deterministic log-spaced integer grid from lo to hi inclusive."""
+def log_grid(lo: int, hi: int):
+    """Deterministic log-spaced integer grid from lo to hi inclusive, two points a decade."""
     if lo <= 0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
-    count = max(2, int(round(per_decade * math.log10(hi / lo))) + 1)
+    count = max(2, int(round(2 * math.log10(hi / lo))) + 1)
     vals = sorted({int(round(lo * (hi / lo) ** (i / (count - 1)))) for i in range(count)})
     return vals
 
@@ -703,7 +694,10 @@ def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
                        rows, fits, ok)
 
 
-def run_lpowers(n_grid=None, exponents=(1, 2, 3, -1, -2), precision_bits: int = 192) -> LemmaResult:
+LPOWERS_EXPONENTS = (1, 2, 3, -1, -2)
+
+
+def run_lpowers(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Two-term power expansions: relative residual slopes."""
     n_grid = n_grid or log_grid(100, 10**6)
     _require_least_n("lpowers", n_grid, 1)
@@ -712,7 +706,7 @@ def run_lpowers(n_grid=None, exponents=(1, 2, 3, -1, -2), precision_bits: int = 
     for n in n_grid:
         rs = compute_roots(n, precision_bits + 64)
         with workprec(precision_bits + 64):
-            for a in exponents:
+            for a in LPOWERS_EXPONENTS:
                 for which in (0, 1, 2):
                     pred = predict_power(n, a, which)
                     true = rs.lambdas[which] ** a
@@ -723,7 +717,7 @@ def run_lpowers(n_grid=None, exponents=(1, 2, 3, -1, -2), precision_bits: int = 
                                  "precision_bits": precision_bits})
     claimed_rel = {0: -2.5, 1: -1.5, 2: -1.5}  # claimed orders relative to the leading term
     fits, ok = _fit_series(series, ("a", "root"), lambda key: claimed_rel[key[1]])
-    return LemmaResult("lpowers", {"n_grid": n_grid, "exponents": list(exponents),
+    return LemmaResult("lpowers", {"n_grid": n_grid, "exponents": list(LPOWERS_EXPONENTS),
                                    "precision_bits": precision_bits}, rows, fits, ok)
 
 
@@ -821,9 +815,9 @@ def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) ->
                                       "precision_bits": precision_bits}, rows, [], ok, notes)
 
 
-def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192,
-             growth_floor: float = 0.05) -> LemmaResult:
-    """Window and growth of v_bar = b0*R - v1 - v2."""
+def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
+    """Window and growth of v_bar = b0*R - v1 - v2: for n >= 10^4,
+    v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05."""
     n_grid = n_grid or [10**4, 10**5, 10**6]
     _require_least_n("vbar", n_grid, 2)
     rows = []
@@ -841,7 +835,7 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192,
             window_ok = window_ok and in_window
             if n >= 10**4:
                 ratio_ok = ratio_ok and ratio >= 0.5
-                growth_ok = growth_ok and growth >= growth_floor
+                growth_ok = growth_ok and growth >= 0.05
             rows.append({"n": n, "s": s, "t": t, "b0": q.b0,
                          "v_bar": float(v_bar), "regulator": float(reg),
                          "v_bar_n_over_logn": ratio, "growth_over_logn": growth,
@@ -849,15 +843,16 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192,
     ok = window_ok and ratio_ok and growth_ok
     notes = (f"window {'100%' if window_ok else 'violated'}, "
              f"ratio>=0.5 {'ok' if ratio_ok else 'violated'}, "
-             f"growth>={growth_floor} {'ok' if growth_ok else 'violated'}")
+             f"growth>=0.05 {'ok' if growth_ok else 'violated'}")
     return LemmaResult("vbar", {"n_grid": n_grid, "st_bound": st_bound,
                                 "precision_bits": precision_bits}, rows, [], ok, notes)
 
 
-def run_ubar(n_grid=None, st=(2, 1), precision_bits: int = 192) -> LemmaResult:
-    """u_bar * n approaches 3; require within 0.1 at the largest grid point."""
+def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
+    """u_bar * n approaches 3 at (s, t) = (2, 1); require within 0.1 at the largest
+    grid point."""
     n_grid = n_grid or log_grid(100, 10**6)
-    s, t = st
+    s, t = 2, 1
     rows = []
     for n in n_grid:
         q = compute_proof_quantities(n, s, t, precision_bits)
@@ -865,7 +860,7 @@ def run_ubar(n_grid=None, st=(2, 1), precision_bits: int = 192) -> LemmaResult:
                      "precision_bits": precision_bits})
     final = rows[-1]["u_bar_times_n"]
     ok = abs(final - 3.0) <= 0.1
-    return LemmaResult("ubar", {"n_grid": n_grid, "st": list(st),
+    return LemmaResult("ubar", {"n_grid": n_grid, "st": [s, t],
                                 "precision_bits": precision_bits},
                        rows, [], ok, f"u_bar*n at n={n_grid[-1]}: {final:.6f}")
 

@@ -134,7 +134,7 @@ def _chain(n: int, q, absorb_rhs, wp: int):
 
 
 def _finite_float(x):
-    """float(x) for an mpf x, or x itself where the float would overflow to +-inf."""
+    """float(x) for a float or mpf x, or x itself where the float would be +-inf."""
     f = float(x)
     return x if math.isinf(f) else f
 
@@ -158,8 +158,6 @@ class BoundReport:
         wherever it is finite."""
         if not self.lower_chain:
             return None
-        if isinstance(self.lower_chain, float):
-            return self.lower_chain / self.B_rhs
         return _finite_float(self.lower_chain / self.B_rhs)
 
     def as_record(self) -> dict:

@@ -66,7 +66,7 @@ from typing import Optional
 from mpmath import mp, workprec
 
 from . import exact_field as ef
-from .asymptotics import compute_proof_quantities
+from .asymptotics import cell_quantities
 from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
 from .forms import build_form, eval_form, form_of_unit
 from .roots import (AlphaTriple, attempts, compute_alphas, doublings, escalate, power_alphas,
@@ -307,7 +307,7 @@ def _exponent_guesses(x: int, y: int, first: AlphaTriple):
 
 
 def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
-                   precision_bits: int = 192, with_b_bar: bool = True) -> UnitDecomposition:
+                   with_b_bar: bool = True) -> UnitDecomposition:
     """Exponents (b1, b2) with x - alpha1*y = sign * lam0^b1 * lam1^b2, verified exactly.
 
     The guesses of _exponent_guesses are tried in order: first the pair the
@@ -316,7 +316,8 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     and then at doubling precision.  The first guess for which x - alpha1*y
     equals +-lam0^b1 * lam1^b2 in the exact order Z[lam0] is returned, alpha1
     being the record's unit; RoundingAmbiguous is raised if none does.
-    precision_bits is the precision of the proof quantities b_bar comes from.
+    b_bar takes the certified b0 of cell_quantities on the record's triple,
+    so no second root set is computed.
 
     A guess that passes the exact test is the answer: lam0 and lam1 are
     multiplicatively independent (E. Thomas, J. reine angew. Math. 310, 1979),
@@ -345,7 +346,8 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
             continue
         b_bar = None
         if with_b_bar and s * t != 0:
-            b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 - b1 - b2
+            tri = rec.alphas
+            b_bar = cell_quantities(tri, 0, {}, s, t, tri.precision_bits).b0 - b1 - b2
         return UnitDecomposition(b1, b2, sign, b_bar)
     raise RoundingAmbiguous(
         f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to "

@@ -1,30 +1,23 @@
 """Shared test helpers: independent oracles for the roots and for the solutions."""
 
-import math
-
-import numpy as np
 from mpmath import mp
 
 from cubicthue.forms import build_form, eval_form
-from cubicthue.roots import compute_alphas
 
 
 def brute_force_solutions(n, s, t, y_bound):
     """Exhaustive oracle for f(x, y) = +-1 over |y| <= y_bound.
 
-    Independent of the candidate strategy under test: for each y >= 1 it
-    scans every x with |x| <= max|alpha|*y + 1 (beyond that every linear
-    factor exceeds 1 in absolute value, so |f| > 1), prescreens with the
-    float64 product of the three factors (such that any |f| = 1 point lands
-    far inside |prod| < 2), and confirms hits by exact integer evaluation.
+    Independent of the candidate strategy under test and of roots.py: the
+    three real roots alpha_j of g(z) = z^3 + A z^2 + B z - 1 come from
+    mp.polyroots, and for each y >= 1 every x within 2 of some alpha_j * y is
+    confirmed by exact integer evaluation.  This is exhaustive: f(x, y) =
+    prod_j (x - alpha_j y), so |f| = 1 forces min_j |x - alpha_j y| <= 1, and
+    the margin of 2 absorbs the error of the computed roots.
 
     Returns {(x, y): value} including mirrors and the y = 0 solutions.
     """
     form = build_form(n, s, t)
-    tri = compute_alphas(n, s, t, 128)
-    alpha_f = [float(a) for a in tri.alphas]
-    max_alpha = max(abs(a) for a in alpha_f)
-
     out = {}
 
     def confirm(x, y):
@@ -35,12 +28,12 @@ def brute_force_solutions(n, s, t, y_bound):
 
     confirm(1, 0)
     confirm(-1, 0)
-    for y in range(1, y_bound + 1):
-        limit = int(math.ceil(max_alpha * y)) + 1
-        xs = np.arange(-limit, limit + 1, dtype=np.float64)
-        prod = (xs - alpha_f[0] * y) * (xs - alpha_f[1] * y) * (xs - alpha_f[2] * y)
-        for i in np.nonzero(np.abs(prod) < 2.0)[0]:
-            confirm(int(xs[i]), y)
+    with mp.workdps(40):
+        alphas = [mp.re(z) for z in mp.polyroots([1, form.A, form.B, -1], maxsteps=200,
+                                                 extraprec=200)]
+        for y in range(1, y_bound + 1):
+            for x in {int(mp.floor(a * y)) + d for a in alphas for d in range(-2, 4)}:
+                confirm(x, y)
     return out
 
 

@@ -725,6 +725,22 @@ def test_python_dash_m_runs_the_command_line():
     assert hashlib.sha256(proc.stdout).hexdigest() == sha256["csv"]
 
 
+def test_package_namespace_is_its_modules():
+    # the API is the modules; import cubicthue loads the library, not the command line
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = ("import json, sys, cubicthue\n"
+             "print(json.dumps([sorted(m for m in sys.modules if m.startswith('cubicthue')),\n"
+             "                  sorted(k for k in vars(cubicthue) if not k.startswith('__')),\n"
+             "                  cubicthue.__version__]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    loaded, names, version = json.loads(proc.stdout)
+    modules = ["asymptotics", "bounds", "errors", "exact_field", "forms", "roots", "solver"]
+    assert loaded == ["cubicthue"] + [f"cubicthue.{m}" for m in modules]
+    assert names == modules
+    assert version == "0.1.0"
+
+
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])
 def test_lemma_smax_on_a_lemma_without_a_box_exits_two(capsys, monkeypatch, name):
     from cubicthue import cli

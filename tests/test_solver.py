@@ -383,6 +383,16 @@ def test_a_solve_and_its_records_compute_one_root_set(n):
         assert (s, t, roots.compute_roots.cache_info().misses) == (s, t, 1)
 
 
+@pytest.mark.parametrize("n,s,t", [(1000, -1, 3), (5, 1, 1), (10**6, 3, -2)])
+def test_b_bar_is_decided_on_the_solve_root_set(n, s, t):
+    # b0 comes from the record's own triple, not from a one-cell triple at other bits
+    roots.compute_roots.cache_clear()
+    roots.compute_alphas.cache_clear()
+    for rec in solve_box(n, s, t, 10**4):
+        assert decompose_unit(n, s, t, rec).b_bar is not None
+    assert roots.compute_roots.cache_info().misses == 1
+
+
 def test_decompose_trivial_records():
     n, s, t = 9, 1, 0
     recs = {(r.x, r.y): r for r in solve_box(n, s, t, 1)}
