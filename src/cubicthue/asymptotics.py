@@ -40,41 +40,36 @@ The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
 one orbit have the same three conjugates in a cyclic order: those of
 phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
 their differences are the three alpha_i - alpha_j of one triple, up to sign,
-and _quantities takes the triple, the shift of a cell and a memo of the
-logs |alpha_i - alpha_j|, one per pair of indices.  orbit_triples plans a
-grid's cells this way: one root set per n, one triple and one memo per
-orbit, so an orbit takes three difference logs in all.  The harnesses
-run_logdiff, run_errorbound, run_vbar and run_wbar go through it, as does
-bounds.cell_reports, the bound path of the bound command and the scans;
-true_logdiffs, check_error_products and compute_proof_quantities are the
-one-cell case, on compute_alphas's triple with a fresh memo.
+and _quantities takes the triple and the shift of a cell; the triple takes
+each log |alpha_i - alpha_j| once (roots.AlphaTriple.diff_log).
+orbit_triples plans a grid's cells this way: one root set per n and one
+triple per orbit, so an orbit takes three difference logs in all.  The
+harnesses run_logdiff, run_errorbound, run_vbar and run_wbar go through it,
+as does bounds.cell_reports, the bound path of the bound command and the
+scans; true_logdiffs, check_error_products and compute_proof_quantities are
+the one-cell case, on compute_alphas's triple.
 
-The orbit of (-s, -t) mirrors that of (s, t): alpha_j(-s, -t) =
-1/alpha_j(s, t), so its triple T' holds the inverses of the triple T of
-(s, t) in a cyclic order, and log|T'[a] - T'[b]| = log|T[i] - T[j]| -
-log|T[i]| - log|T[j]| for the matching indices i, j (_LogMemo).  The logs
-|T[k]| are s g_k + t g_(k+1) in the root logs g, so a mirrored log is an
-integer combination whose radius adds those of its terms, and a pair of
-mirrored orbits takes three difference logs, not six.  orbit_triples links
-the memos of two mirrored orbits only where both triples have the same
-frac_bits (one shift of the root set); a memo whose mirror's difference is
-not known to be nonzero takes its own log, as do an orbit without its
-mirror among the cells (the logdiff representatives) and the one-cell case.
+The orbit of (-s, -t) holds the inverse conjugates, so its difference logs
+follow from those of (s, t) and the root logs, and a mirrored pair of orbits
+takes three logs, not six: orbit_triples makes the first triple of each pair
+the mirror of the other where both have the same frac_bits.  An orbit without
+its mirror among the cells (the logdiff representatives) and the one-cell
+case take their own logs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp, mpf, workprec
 
-from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
+from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from .forms import phi_transform
 from .roots import (
-    compute_alphas, compute_roots, escalate, fixed_log, fixed_mul, fixed_view, plan_triples,
-    working_bits,
+    candidate_precision, compute_alphas, compute_roots, escalate, fixed_mul, fixed_view,
+    plan_triples, working_bits,
 )
 
 DEFAULT_EPSILON = 0.25
@@ -225,33 +220,24 @@ def _diff_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     return working_bits(n, abs(s) + abs(t) + 2, precision_bits + 32)
 
 
-def _order(shift: int):
-    """The indices of tri's conjugates that are alpha1, alpha2, alpha3 of a cell."""
-    return shift, (shift + 1) % 3, (shift + 2) % 3
-
-
 def _ordered_diffs(tri, shift: int):
     """alpha1 - alpha2 and alpha1 - alpha3, as (numerator, radius) pairs over 2^K,
     of the cell whose conjugates are those of tri from index shift on."""
-    (i, j, k), nums, radii = _order(shift), tri.numerators, tri.radii
+    i, j, k, nums, radii = shift, (shift + 1) % 3, (shift + 2) % 3, tri.numerators, tri.radii
     return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
 
 
-def orbit_triples(n: int, pairs, precision_bits: int, solver_bits=None):
-    """Yield (s, t, tri, shift, logs) for each (s, t) of pairs, in order,
-    evaluated by phi-orbit on one root set.
+def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
+    """Yield (s, t, tri, shift) for each (s, t) of pairs, in order, evaluated by
+    phi-orbit on one root set (roots.plan_triples).
 
     The cells of pairs that phi maps into each other share one AlphaTriple,
     powered for the first such cell, the orbit's representative (tri.s,
-    tri.t); a cell's conjugates are tri's from index shift on (see _quantities), and
-    logs is the orbit's memo of difference logs.  Of two mirrored orbits
-    (those of (s, t) and (-s, -t)) whose triples have one frac_bits, the
-    memo of the later one is linked to that of the first (see _LogMemo).
-    The triple serves the
-    proof quantities of each of the orbit's cells (at _diff_precision) and,
-    if solver_bits is given, the representative's solver attempt at
-    solver_bits(s, t) bits; roots.plan_triples powers all the triples of n
-    from one root set.
+    tri.t), at the bits of each cell's proof quantities (_diff_precision)
+    and, if y_bound is given, of tri's solver attempt (roots.candidate_precision);
+    a cell's conjugates are tri's from index shift on.  Of two mirrored orbits,
+    those of (s, t) and (-s, -t), whose triples have one frac_bits, the later
+    one's triple has the first's as its mirror (roots.AlphaTriple.diff_log).
     """
     in_box = set(pairs)
     cells = {}     # cell -> (representative, shift)
@@ -262,22 +248,21 @@ def orbit_triples(n: int, pairs, precision_bits: int, solver_bits=None):
         once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
         members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
         asks[rep] = [(*c, _diff_precision(n, *c, precision_bits)) for c, _ in members]
-        if solver_bits is not None:
-            asks[rep].append((*rep, solver_bits(*rep)))
+        if y_bound is not None:
+            asks[rep].append((*rep, candidate_precision(n, *rep, y_bound, precision_bits)))
         cells.update((c, (rep, shift)) for c, shift in members)
     triples = plan_triples(n, asks)
-    logs = {rep: _LogMemo() for rep in asks}
-    for rep, memo in logs.items():
+    for rep in asks:
         # the cell (-s, -t) of the representative (s, t): the triple of its orbit
         # holds the inverses of rep's triple, in the order its shift gives; one
-        # link per pair, so that no two memos refer to each other
+        # link per pair, so that no two triples refer to each other
         partner, shift = cells.get((-rep[0], -rep[1]), (rep, 0))
-        if (memo.mirror is None and partner != rep
+        if (triples[rep].mirror is None and partner != rep
                 and triples[partner].frac_bits == triples[rep].frac_bits):
-            logs[partner].mirror = (triples[rep], shift, memo)
+            triples[partner] = replace(triples[partner], mirror=(triples[rep], shift))
     for s, t in pairs:
         rep, shift = cells[(s, t)]
-        yield s, t, triples[rep], shift, logs[rep]
+        yield s, t, triples[rep], shift
 
 
 def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
@@ -288,24 +273,30 @@ def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
     return compute_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
 
 
-def _logdiffs(tri, shift: int, logs: dict):
-    """log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences of
-    the cell whose conjugates are those of tri from index shift on, as exact
-    mpf views of their numerators over 2^K; the logs come from the memo."""
+def _cell_logs(tri, shift: int):
+    """The logs and signed differences (l12, l13, d12, d13), as (numerator, radius)
+    pairs over 2^K, of the cell whose conjugates are tri's from index shift on;
+    None where a difference is not known to be nonzero."""
     d12, d13 = _ordered_diffs(tri, shift)
     if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
-        raise PrecisionExhausted(f"a conjugate difference in the phi-orbit of (n,s,t)="
-                                 f"{(tri.n, tri.s, tri.t)} is not known to be nonzero "
-                                 f"over 2^{tri.frac_bits}")
-    i, j, k = _order(shift)
-    K = tri.frac_bits
-    l12, l13 = _memo_log(logs, i, j, d12, K), _memo_log(logs, i, k, d13, K)
-    return tuple(fixed_view(num, K) for num in (l12[0], l13[0], d12[0], d13[0]))
+        return None
+    return tri.diff_log(shift, (shift + 1) % 3), tri.diff_log(shift, (shift + 2) % 3), d12, d13
+
+
+def _logdiffs(tri, shift: int):
+    """_cell_logs as exact mpf views of their numerators over 2^K, escalating
+    from tri where a difference is not known to be nonzero."""
+    def decide(cur):
+        got = _cell_logs(cur, shift)
+        return got and tuple(fixed_view(num, cur.frac_bits) for num, _ in got)
+
+    return escalate(lambda: f"the conjugate differences in the phi-orbit of (n,s,t)="
+                            f"{(tri.n, tri.s, tri.t)}", tri, decide)
 
 
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences."""
-    return _logdiffs(_one_cell(n, s, t, precision_bits, "conjugate differences"), 0, {})
+    return _logdiffs(_one_cell(n, s, t, precision_bits, "conjugate differences"), 0)
 
 
 def ratio_float(num: int, den: int) -> float:
@@ -422,27 +413,24 @@ def _absorb_rhs(n: int, wp: int):
         return mpf(3) / 4 * mp.log(n) / n
 
 
-def _quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
+def _quantities(tri, shift: int, s: int, t: int, precision_bits: int):
     """ProofQuantities of the cell (s, t) whose conjugates are those of tri from
-    index shift on, or None where the radii leave b0 undecided.
+    index shift on, or None where the radii leave a difference's sign (see
+    _cell_logs) or b0 undecided.
 
-    logs maps a pair i < j of tri's indices to log|alpha_i - alpha_j| over 2^K;
-    a log it lacks is taken and stored.  v1 + v2 = V and R are known as
-    integers over 2^K with radii r_V and r_R.  With m = floor(V / R) and
-    rem = V - m R, the true value of v1 + v2 lies strictly between m R and
-    (m + 1) R, for the true R, when
+    v1 + v2 = V and R are known as integers over 2^K with radii r_V and r_R.
+    With m = floor(V / R) and rem = V - m R, the true value of v1 + v2 lies
+    strictly between m R and (m + 1) R, for the true R, when
 
         rem > r_V + |m| r_R    and    R - rem > r_V + |m + 1| r_R.
 
-    Then b0 = m + 1 and v_bar = R - rem lies in (0, R).  The differences
-    themselves must be known to be nonzero before their logs are taken.
+    Then b0 = m + 1 and v_bar = R - rem lies in (0, R).
     """
-    d12, d13 = _ordered_diffs(tri, shift)
-    if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
+    got = _cell_logs(tri, shift)
+    if got is None:
         return None
+    l12, l13, d12, d13 = got
     rs, K = tri.roots, tri.frac_bits
-    i, j, k = _order(shift)
-    l12, l13 = _memo_log(logs, i, j, d12, K), _memo_log(logs, i, k, d13, K)
     g0, g1, g2 = rs.log_fixed
     p1, p2 = fixed_mul(l12, g0, K), fixed_mul(g2, l13, K)
     p3, p4 = fixed_mul(g1, l13, K), fixed_mul(l12, g2, K)
@@ -458,73 +446,16 @@ def _quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int
     )
 
 
-class _LogMemo(dict):
-    """An orbit's memo {(i, j): log|T[i] - T[j]|} over 2^K, i < j, for its triple T,
-    and its mirror: None, or (T', shift, memo of T') for the triple T' of the
-    mirror orbit at the same K, with T[a] = 1/T'[(a - shift) mod 3].
-
-    The mirror orbit is that of (-s, -t), and alpha_j(-s, -t) = 1/alpha_j(s, t),
-    so if the cell (-s', -t') of the representative (s', t') of T' has the
-    conjugates of T from index shift on, then T[a] = 1/T'[(a - shift) mod 3].
-    With i = (a - shift) mod 3 and j = (b - shift) mod 3,
-
-        T[a] - T[b] = (T'[j] - T'[i]) / (T'[i] T'[j]),
-        log|T[a] - T[b]| = log|T'[i] - T'[j]| - lam'_i - lam'_j,
-
-    where lam'_k = log|T'[k]| = s' g_k + t' g_(k+1) (indices mod 3) for the
-    representative (s', t') of T' and the root logs g of their root set: an
-    integer combination of a memo entry L'_ij of T' and root logs, whose radius
-    is the sum of theirs, r(L'_ij) + |s'| (r_i + r_j) + |t'| (r_(i+1) + r_(j+1))
-    with r_k the radius of g_k.  The memo of T' has no mirror: it takes its
-    logs itself, and both orbits read them, so neither memo refers back and
-    both are freed with their triples, without a reference cycle.
-    """
-
-    mirror = None
-
-
-def _mirror_log(tri, shift: int, logs: dict, a: int, b: int):
-    """log|T[a] - T[b]| over 2^K from the mirror (tri, shift, logs) of T's memo (see
-    _LogMemo), taking tri's log into logs if it is not there; None where tri's
-    difference is not known to be nonzero."""
-    i, j = sorted(((a - shift) % 3, (b - shift) % 3))
-    if (i, j) not in logs:
-        num, r = tri.numerators[i] - tri.numerators[j], tri.radii[i] + tri.radii[j]
-        if abs(num) <= r:
-            return None
-        logs[(i, j)] = fixed_log((num, r), tri.frac_bits)
-    num, r = logs[(i, j)]
-    g, s, t = tri.roots.log_fixed, tri.s, tri.t
-    for k in (i, j):
-        (gk, rk), (gn, rn) = g[k], g[(k + 1) % 3]
-        num -= s * gk + t * gn
-        r += abs(s) * rk + abs(t) * rn
-    return num, r
-
-
-def _memo_log(logs: dict, i: int, j: int, d, frac_bits: int):
-    """log|alpha_i - alpha_j| over 2^K from the memo; if it is not there, from the
-    memo's mirror where that has one (_mirror_log), else taken from d."""
-    key = (min(i, j), max(i, j))
-    if key not in logs:
-        mirror = getattr(logs, "mirror", None)
-        derived = _mirror_log(*mirror, *key) if mirror else None
-        logs[key] = derived or fixed_log(d, frac_bits)
-    return logs[key]
-
-
-def cell_quantities(tri, shift: int, logs: dict, s: int, t: int, precision_bits: int):
+def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
     """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
 
-    Where the radii leave b0 undecided, the cell escalates from tri over
-    roots.attempts(tri) (see "Precision" in roots.py): tri reads the orbit's
-    memo logs, each later triple a memo of its own.
+    Where the radii leave a difference's sign or b0 undecided, the cell
+    escalates from tri over roots.attempts(tri) (see "Precision" in roots.py).
     """
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
     return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", tri,
-                    lambda cur: _quantities(cur, shift, logs if cur is tri else {},
-                                            s, t, precision_bits))
+                    lambda cur: _quantities(cur, shift, s, t, precision_bits))
 
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
@@ -532,7 +463,7 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
     cell_quantities on the one-cell triple, at _diff_precision(n, s, t,
     precision_bits) bits."""
     return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"),
-                           0, {}, s, t, precision_bits)
+                           0, s, t, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -767,11 +698,11 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
         with workprec(precision_bits + 16):
             nn = mpf(n)
             L = mp.log(nn)
-        for s, t, tri, shift, logs in orbit_triples(n, cells, precision_bits):
+        for s, t, tri, shift in orbit_triples(n, cells, precision_bits):
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
             seen.add(lab13)
-            l12, l13, _, _ = _logdiffs(tri, shift, logs)
+            l12, l13, _, _ = _logdiffs(tri, shift)
             with workprec(precision_bits + 16):
                 p12, p13 = _predict_logdiff(nn, L, s, t, epsilon)
                 r12 = float(l12 - p12.value)
@@ -798,7 +729,7 @@ def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) ->
     _require_least_n("errorbound", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
-        for s, t, tri, shift, _ in orbit_triples(n, st_box(st_bound), precision_bits):
+        for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             rep = _error_products(tri, shift, s, t)
             rows.append({"n": n, "s": s, "t": t,
                          "margin_product": rep.margin_product,
@@ -826,8 +757,8 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> Lemma
     growth_ok = True
     for n in n_grid:
         ln = math.log(n)
-        for s, t, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
-            q = cell_quantities(tri, shift, logs, s, t, precision_bits)
+        for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
+            q = cell_quantities(tri, shift, s, t, precision_bits)
             v_bar, reg = q.v_bar, q.regulator
             in_window = 0 < q.v_bar_num < q.regulator_num
             ratio = float(v_bar * n / ln)
@@ -872,8 +803,8 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
     rows, failures = [], []
     for n in n_grid:
         rhs = _absorb_rhs(n, precision_bits + 16)
-        for s, t, tri, shift, logs in orbit_triples(n, st_box(st_bound), precision_bits):
-            num, den = cell_quantities(tri, shift, logs, s, t, precision_bits).absorb_ratio()
+        for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
+            num, den = cell_quantities(tri, shift, s, t, precision_bits).absorb_ratio()
             with workprec(precision_bits + 16):
                 lhs = mpf(num) / den
                 margin = float(rhs / lhs) if lhs > 0 else math.inf

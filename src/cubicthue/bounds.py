@@ -179,12 +179,12 @@ def bound_report(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 1
     return rep
 
 
-def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None, b_abs: int = 1):
+def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 1):
     """Yield (form, tri, BoundReport) for each (s, t) of pairs, in order.
 
     The one per-cell bound path: bound_report is a batch of one, the scans
     batch the cells of an n.  b_abs >= 1 is checked before any root set.  The
-    cells go by phi-orbit (asymptotics.orbit_triples, which takes solver_bits)
+    cells go by phi-orbit (asymptotics.orbit_triples, which takes y_bound)
     and share the form of their orbit's representative, built once; a form
     carries the (s, t) of its cell.  The constants of n are built once, from
     the first triple's root set, the upper bound once per mirrored pair of
@@ -199,7 +199,7 @@ def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None, b_abs: in
         raise ValueError("b_abs must be >= 1")
     const = None
     forms, uppers = {}, {}
-    for s, t, tri, shift, logs in orbit_triples(n, pairs, precision_bits, solver_bits):
+    for s, t, tri, shift in orbit_triples(n, pairs, precision_bits, y_bound):
         const = const or _n_constants(tri.roots, b_abs, precision_bits)
         orbit = (tri.s, tri.t)
         if orbit not in forms:
@@ -210,7 +210,7 @@ def cell_reports(n: int, pairs, precision_bits: int, solver_bits=None, b_abs: in
         key = min((form.A, form.B), (-form.B, -form.A))
         if key not in uppers:
             uppers[key] = _upper_bound(form, const)
-        q = cell_quantities(tri, shift, logs, s, t, precision_bits)
+        q = cell_quantities(tri, shift, s, t, precision_bits)
         lower, failure, crossover = None, "", False
         try:
             lower_mpf = _chain(n, q, const.absorb_rhs, precision_bits + 16)

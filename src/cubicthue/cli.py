@@ -12,22 +12,22 @@ word log10 (multiply by 10 each step).  Inputs whose work has no bound are
 refused with exit code 2 before any work starts: a grid value of more than
 MAX_VALUE_DIGITS digits, a grid of more than MAX_GRID_POINTS points, a scan or
 a lemma box (the --smax box, or else the runner's default one) of more than
-MAX_GRID_POINTS (n, s, t) cells, and a precision above MAX_PRECISION_BITS.
-Formats: human (default), json, csv.
+MAX_GRID_POINTS (n, s, t) cells, a precision above MAX_PRECISION_BITS, and a
+form, solve, bound or scan whose forms may have a coefficient of more than
+MAX_VALUE_DIGITS digits (_check_form_digits), which could not be printed.
+Only lemma logdiff reads --epsilon.  Formats: human (default), json, csv.
 Exit codes: 0 ok, 1 a verification check failed, 2 usage error, 3 precision
 exhausted.  Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS.
 
 The scan works one n at a time, and --jobs hands whole n values to the
 workers.  Within an n, the cells (s, t) and phi(s, t) = (-s + t, -s) have the
 same form, with the conjugates in a cyclic order, so the scan goes by
-phi-orbit (bounds.cell_reports): the roots of n are computed once, at the most
-bits any cell needs, and each distinct form (A, B) is built once, powered into
-one conjugate triple at its own bits (a floor shift of that root set) and
-solved once; the form of (-s, -t) is its reverse, (A, B) -> (-B, -A), and
-the two share one upper bound.  The lower-bound chain depends on the order
-of the conjugates and runs per cell, on the form's triple in that cell's
-order, so the three difference logs of an orbit are taken once, and only for
-one orbit of each mirrored pair (asymptotics._LogMemo).
+phi-orbit (bounds.cell_reports): the roots of n are computed once, and each
+distinct form (A, B) is built once, powered into one conjugate triple (a
+floor shift of that root set) and solved once; the form of (-s, -t),
+(-B, -A), shares its upper bound.  The lower-bound chain runs per cell, on
+the triple in the cell's order, which takes each of its three difference
+logs once, for one orbit of a mirrored pair (roots.AlphaTriple.diff_log).
 
 Reports are deterministic: the same configuration yields byte-identical
 output regardless of worker count.
@@ -41,6 +41,7 @@ import functools
 import inspect
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -92,16 +93,20 @@ def _env_defaults() -> dict:
             "jobs": _env_int("CUBICTHUE_JOBS", 1)}
 
 
+def _shown(text: str) -> str:
+    """text quoted for a message, cut short if it is long."""
+    return repr(text) if len(text) <= 40 else repr(text[:20]) + "..."
+
+
 def _grid_value(text: str) -> int:
     """int(Decimal(text)); ValueError, before any conversion to int, unless text is
     a finite number of at most MAX_VALUE_DIGITS digits."""
-    shown = repr(text) if len(text) <= 40 else repr(text[:20]) + "..."
     try:
         d = Decimal(text)
     except InvalidOperation:
-        raise ValueError(f"bad grid value {shown}") from None
+        raise ValueError(f"bad grid value {_shown(text)}") from None
     if not d.is_finite() or d.adjusted() >= MAX_VALUE_DIGITS:
-        raise ValueError(f"grid value {shown} is not finite or has more than "
+        raise ValueError(f"grid value {_shown(text)} is not finite or has more than "
                          f"{MAX_VALUE_DIGITS} digits")
     return int(d)
 
@@ -137,8 +142,8 @@ def parse_grid(spec: str, check=lambda points: None):
     if step < 1:
         raise ValueError(f"bad grid step in {spec!r}")
     points = -(-(hi - lo) // step) + 1  # the stride points, and hi if off the stride
-    if points > MAX_GRID_POINTS:
-        raise ValueError(f"grid {spec!r} has {points} points, more than {MAX_GRID_POINTS}")
+    if points > MAX_GRID_POINTS:   # a count of any size, so it is not printed
+        raise ValueError(f"grid {_shown(spec)} has more than {MAX_GRID_POINTS} points")
     check(points)
     vals = list(range(lo, hi + 1, step))
     if vals[-1] != hi:
@@ -150,10 +155,32 @@ def _check_cells(what: str, n_points: int, pairs: int, box: str) -> int:
     """The (n, s, t) cells of n_points n values times a box of that many (s, t)
     pairs, which box describes; ValueError if more than MAX_GRID_POINTS."""
     cells = n_points * pairs
-    if cells > MAX_GRID_POINTS:
-        raise ValueError(f"{what} has {cells} cells ({n_points} n values, {box}), "
-                         f"more than {MAX_GRID_POINTS}")
+    if cells > MAX_GRID_POINTS:   # a count of any size, so it is not printed
+        raise ValueError(f"{what} has more than {MAX_GRID_POINTS} cells "
+                         f"({n_points} n values, {box})")
     return cells
+
+
+def _check_form_digits(n: int, s: int, t: int):
+    """ValueError where 3 (n + 3)^D, D = max(|s|, |t|, |s - t|), may have more than
+    MAX_VALUE_DIGITS digits, the most Python prints: it bounds |A| and |B| of
+    every form of n whose D is at most that of (s, t).
+
+    A = -(alpha1 + alpha2 + alpha3), and B is the sum of their inverses, as the
+    alphas multiply to 1.  With a = log lam0 and b = log(lam0 + 1), 0 < a < b <
+    log(n + 3) (as 1 < lam0 < n + 2), log|lam1| = -b and log|lam2| = b - a, so
+    log|alpha_j| is s a - t b, (t - s) b - t a or s b + (t - s) a: linear on
+    the triangle 0 <= a <= b <= log(n + 3), so largest in size at a corner,
+    0 or log(n + 3) times one of +-s, +-t, +-(s - t), at most D log(n + 3).
+    Floats decide it, so a form within their rounding of the limit may be
+    refused too; a D past 3 MAX_VALUE_DIGITS is past it, and refused before
+    any float product.
+    """
+    d = max(abs(s), abs(t), abs(s - t))
+    if d > 3 * MAX_VALUE_DIGITS or (
+            math.log10(3) + d * math.log10(max(n, 0) + 3) >= MAX_VALUE_DIGITS):
+        raise ValueError(f"3 (n + 3)^D, D = max(|s|, |t|, |s - t|), may have more than "
+                         f"{MAX_VALUE_DIGITS} digits: a form's coefficient may not print")
 
 
 def _fmt(v):
@@ -204,6 +231,7 @@ def _render(args, doc, columns, rows, human):
 # ---------------------------------------------------------------------------
 
 def cmd_form(args) -> int:
+    _check_form_digits(args.n, args.s, args.t)
     f = build_form(args.n, args.s, args.t)
     rec = f.as_record()
     rec["degenerate"] = f.degenerate
@@ -215,6 +243,7 @@ def cmd_form(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_form_digits(args.n, args.s, args.t)
     records = solver.solve_box(args.n, args.s, args.t, args.ybound,
                                precision_bits=args.precision_bits)
     rows = [r.as_record() for r in records]
@@ -279,6 +308,7 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    _check_form_digits(args.n, args.s, args.t)
     rep = bounds.bound_report(args.n, args.s, args.t, b_abs=args.babs,
                               precision_bits=args.precision_bits)
     rec = rep.as_record()
@@ -306,9 +336,7 @@ def _scan_n(job):
     n, pairs, y_bound, precision_bits = job
     solved = {}
     rows = []
-    for form, tri, rep in bounds.cell_reports(
-            n, pairs, precision_bits,
-            lambda s, t: solver._first_bits(n, s, t, y_bound, precision_bits)):
+    for form, tri, rep in bounds.cell_reports(n, pairs, precision_bits, y_bound):
         key = (form.A, form.B)
         if key not in solved:
             found, _ = solver._solve_form(form, y_bound, tri)
@@ -325,6 +353,8 @@ def cmd_scan(args) -> int:
             raise EmptyGrid("scan grid is empty")
 
     n_grid = parse_grid(args.n_grid, check)
+    # the largest D of st_box(smax) is |s - t| = 2 smax, at s = smax, t = -smax
+    _check_form_digits(n_grid[-1], args.smax, -args.smax)
     if args.ybound < 1:
         raise ValueError("y_bound must be >= 1")
     pairs = asymptotics.st_box(args.smax)
@@ -364,42 +394,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(**_env_defaults())
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--output", default=None, help="write the report to this path")
-    p.add_argument("--epsilon", type=float, default=0.25)
+    p.add_argument("--epsilon", type=float, default=0.25,
+                   help="the epsilon of lemma logdiff; no other command reads it")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("form", help="construct a form exactly")
-    sp.add_argument("n", type=int)
-    sp.add_argument("s", type=int)
-    sp.add_argument("t", type=int)
-    sp.set_defaults(func=cmd_form)
+    def command(name, func, help_text, *positional):
+        sp = sub.add_parser(name, help=help_text)
+        for arg in positional:
+            sp.add_argument(arg, type=int)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("solve", help="bounded solution search")
-    sp.add_argument("n", type=int)
-    sp.add_argument("s", type=int)
-    sp.add_argument("t", type=int)
+    command("form", cmd_form, "construct a form exactly", "n", "s", "t")
+    sp = command("solve", cmd_solve, "bounded solution search", "n", "s", "t")
     sp.add_argument("--ybound", type=int, default=10**4)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("lemma", help="run a verification harness")
+    sp = command("lemma", cmd_lemma, "run a verification harness")
     sp.add_argument("name", choices=sorted(LEMMA_RUNNERS))
-    sp.add_argument("--n", dest="n_grid", default=None,
-                    help="grid start:stop[:step|log10]")
+    sp.add_argument("--n", dest="n_grid", default=None, help="grid start:stop[:step|log10]")
     sp.add_argument("--smax", type=int, default=None)
-    sp.set_defaults(func=cmd_lemma)
-
-    sp = sub.add_parser("bound", help="upper bound vs lower-bound chain")
-    sp.add_argument("n", type=int)
-    sp.add_argument("s", type=int)
-    sp.add_argument("t", type=int)
+    sp = command("bound", cmd_bound, "upper bound vs lower-bound chain", "n", "s", "t")
     sp.add_argument("--babs", type=int, default=1)
-    sp.set_defaults(func=cmd_bound)
-
-    sp = sub.add_parser("scan", help="solver + bounds over a grid")
-    sp.add_argument("--n", dest="n_grid", required=True,
-                    help="grid start:stop[:step|log10]")
+    sp = command("scan", cmd_scan, "solver + bounds over a grid")
+    sp.add_argument("--n", dest="n_grid", required=True, help="grid start:stop[:step|log10]")
     sp.add_argument("--smax", type=int, default=3)
     sp.add_argument("--ybound", type=int, default=10**4)
-    sp.set_defaults(func=cmd_scan)
     return p
 
 

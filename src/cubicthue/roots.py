@@ -58,9 +58,9 @@ taken in integers by fixed_log, whose radius is the lemma in its docstring:
 the radius of the argument relative to its size, every floor of the kernel,
 |e| times the error of its log 2 and the tail of its series.  The logs of
 the roots are fixed_log of the pairs of lam0 and lam0 + 1 (the second
-negated), and log|lam2| = -log|lam0| - log|lam1| adds their radii; the
-conjugate differences' logs of asymptotics are fixed_log too, or integer
-combinations of such logs and the root logs.  So every radius is an
+negated), and log|lam2| = -log|lam0| - log|lam1| adds their radii; the logs
+of the conjugate differences (AlphaTriple.diff_log) are fixed_log too, or
+integer combinations of such logs and the root logs.  So every radius is an
 integer bound that a test can check against a computation at more bits,
 and no radius trusts a library's log.  The conjugates alpha_j come out as
 N_j / 2^K with |alpha_j - N_j / 2^K| <= r_j / 2^K: products of powers
@@ -90,27 +90,25 @@ the base-2 log of n + 2, rounded up.  For a caller that asks for b bits,
     rounded up to a multiple of 64 so that nearby (s, t) share a root set;
   - b0 and the window (asymptotics._diff_precision) take |s| + |t| + 2 and
     b + 32, as the conjugate differences lose bits to cancellation;
-  - the candidates (solver._first_bits) take |s| + |t| and the bits of the
+  - the candidates (candidate_precision) take |s| + |t| and the bits of the
     convergents, 2 log2(y_bound + 1) + 64, and at least b.
 
-The triples of one n asked for in one batch (a
-scan's or a lemma harness's, by phi-orbit) share one root set, at the batch's
-largest alpha_precision, floor-shifted once to each root_frac_bits its
-triples need (plan_triples; compute_alphas is a batch of one, computed
-directly, as its root set needs no shift).  A decision the radii can leave
-open (the solver's candidates, a solution's type, b0, a unit's exponents)
-goes over attempts(first): its first triple (the solve's, an orbit's, the
-one that certified a record's candidates, or _one_cell's), then
-compute_alphas at each doubling of that triple's bits, PRECISION_ATTEMPTS
-triples in all.  So the b0 of an orbit's cell doubles from the orbit's
-triple, in the cell's order, and a one-cell b0 from _one_cell's.  escalate takes the first decision, or raises
-PrecisionExhausted, which the command line reports with exit code 3.
+The triples of one n asked for in one batch (a scan's or a lemma harness's,
+by phi-orbit) share one root set, at the batch's largest alpha_precision,
+floor-shifted once to each root_frac_bits its triples need (plan_triples;
+compute_alphas is a batch of one, whose root set needs no shift).  A decision
+the radii can leave open (the solver's candidates, a solution's type, a
+difference's sign, b0, a unit's exponents) goes over attempts(first): its
+first triple (the solve's, an orbit's in the cell's order, the one that
+certified a record's candidates, or _one_cell's), then compute_alphas at each
+doubling of that triple's bits, PRECISION_ATTEMPTS triples in all.  escalate
+takes the first decision, or raises PrecisionExhausted (exit code 3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 from mpmath import mp
@@ -122,6 +120,7 @@ _BASE_BITS = 32   # Newton runs to convergence at this precision, then doubles i
 _GUARD_BITS = 4   # kept in hand at each doubling, so the rounding of a step cannot compound
 _LOG_GUARD = 8    # fixed_log works 8 bits below the unit of its result
 PRECISION_ATTEMPTS = 4  # escalate tries this many precisions, doubling between them
+_MARGIN_BITS = 64       # the solver's first bits: beyond 2 log2(y_bound) + log2 max|alpha|
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,8 @@ class AlphaTriple:
     roots is the RootSet they were powered from; its precision_bits is the
     working precision for arithmetic on the conjugates.  numerators and radii
     are the fixed-point values over 2^frac_bits, and alpha1..3 their exact
-    mpf views.
+    mpf views.  mirror is None, or (T', shift) for the triple T' of the
+    mirror orbit at the same frac_bits, from which diff_log derives its logs.
     """
 
     n: int
@@ -185,6 +185,8 @@ class AlphaTriple:
     roots: RootSet
     numerators: tuple
     radii: tuple
+    mirror: tuple = field(default=None, compare=False, repr=False)
+    _diff_logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def alphas(self):
@@ -197,6 +199,50 @@ class AlphaTriple:
     @property
     def frac_bits(self) -> int:
         return self.roots.frac_bits
+
+    def diff_log(self, i: int, j: int):
+        """log|T[i] - T[j]| over 2^frac_bits with its radius, taken once per pair for
+        this triple T; None where the radii leave T[i] - T[j] not known to be nonzero.
+
+        The log is fixed_log of the difference, unless mirror = (T', shift)
+        gives it.  The mirror orbit is that of (-s, -t), and alpha_j(-s, -t) =
+        1/alpha_j(s, t), so if the cell (-s', -t') of the representative
+        (s', t') of T' has the conjugates of T from index shift on, then
+        T[a] = 1/T'[(a - shift) mod 3].  With i' = (i - shift) mod 3 and
+        j' = (j - shift) mod 3, T[i] - T[j] = (T'[j'] - T'[i']) / (T'[i'] T'[j']):
+
+            log|T[i] - T[j]| = log|T'[i'] - T'[j']| - lam'_i' - lam'_j',
+
+        where lam'_k = log|T'[k]| = s' g_k + t' g_(k+1) (indices mod 3) in the
+        root logs g of T': an integer combination of T''s diff_log and root
+        logs, whose radius is the sum of theirs, r(L'_i'j') + |s'| (r_i' + r_j')
+        + |t'| (r_(i'+1) + r_(j'+1)) with r_k the radius of g_k.  Where T'
+        leaves its difference open, T takes its own log.  T' has no mirror, so
+        no two triples refer to each other: both are freed without a cycle.
+        """
+        logs, key = self._diff_logs, (i, j) if i < j else (j, i)
+        if key not in logs:
+            num, r = self.numerators[i] - self.numerators[j], self.radii[i] + self.radii[j]
+            if abs(num) <= r:
+                return None
+            logs[key] = self._mirror_log(*key) or fixed_log((num, r), self.frac_bits)
+        return logs[key]
+
+    def _mirror_log(self, i: int, j: int):
+        """log|T[i] - T[j]| from the mirror (see diff_log), or None."""
+        if self.mirror is None:
+            return None
+        tri, shift = self.mirror
+        ends = ((i - shift) % 3, (j - shift) % 3)
+        log = tri.diff_log(*ends)
+        if log is None:
+            return None
+        (num, r), g = log, tri.roots.log_fixed
+        for k in ends:
+            (gk, rk), (gn, rn) = g[k], g[(k + 1) % 3]
+            num -= tri.s * gk + tri.t * gn
+            r += abs(tri.s) * rk + abs(tri.t) * rn
+        return num, r
 
 
 def fixed_view(num: int, frac_bits: int):
@@ -469,6 +515,13 @@ def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     Rounded up to a multiple of 64 so nearby (s, t) share one cached root set.
     """
     return -(-working_bits(n, abs(s) + abs(t), precision_bits + 32) // 64) * 64
+
+
+def candidate_precision(n: int, s: int, t: int, y_bound: int, precision_bits: int) -> int:
+    """The bits of the solver's first attempt: at least precision_bits, and the bits
+    the convergents up to y_bound need."""
+    need = 2 * math.log2(y_bound + 1) + _MARGIN_BITS
+    return max(precision_bits, working_bits(n, abs(s) + abs(t), need))
 
 
 def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int) -> AlphaTriple:

@@ -59,7 +59,6 @@ it compute the roots of n once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,10 +68,9 @@ from . import exact_field as ef
 from .asymptotics import cell_quantities
 from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
 from .forms import build_form, eval_form, form_of_unit
-from .roots import (AlphaTriple, attempts, compute_alphas, doublings, escalate, power_alphas,
-                    working_bits)
+from .roots import (AlphaTriple, attempts, candidate_precision, compute_alphas, doublings,
+                    escalate, power_alphas)
 
-_MARGIN_BITS = 64        # first attempt: bits beyond 2 log2(y_bound) + log2 max|alpha|
 SOLVER_FLOOR_BITS = 160  # solve_box's default least precision of the conjugates
 
 
@@ -211,19 +209,12 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     if y_bound < 1:
         raise ValueError("y_bound must be >= 1")
     unit = ef.alpha_element(n, s, t)
-    tri = compute_alphas(n, s, t, _first_bits(n, s, t, y_bound, precision_bits))
+    tri = compute_alphas(n, s, t, candidate_precision(n, s, t, y_bound, precision_bits))
     found, tri = _solve_form(form_of_unit(unit, s, t), y_bound, tri)
     records = [SolutionRecord(n, s, t, x, y, v, classify_type(x, y, tri), abs(y) <= 1, unit, tri)
                for (x, y), v in found.items()]
     records.sort(key=lambda r: (abs(r.y), r.y, r.x))
     return records
-
-
-def _first_bits(n: int, s: int, t: int, y_bound: int, precision_bits: int) -> int:
-    """The precision of the solver's first attempt: at least precision_bits, and
-    the bits the convergents up to y_bound need (see "Precision" in roots.py)."""
-    need = 2 * math.log2(y_bound + 1) + _MARGIN_BITS
-    return max(precision_bits, working_bits(n, abs(s) + abs(t), need))
 
 
 def _solve_form(form, y_bound: int, tri: AlphaTriple):
@@ -347,7 +338,7 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
         b_bar = None
         if with_b_bar and s * t != 0:
             tri = rec.alphas
-            b_bar = cell_quantities(tri, 0, {}, s, t, tri.precision_bits).b0 - b1 - b2
+            b_bar = cell_quantities(tri, 0, s, t, tri.precision_bits).b0 - b1 - b2
         return UnitDecomposition(b1, b2, sign, b_bar)
     raise RoundingAmbiguous(
         f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to "

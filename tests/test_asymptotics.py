@@ -294,8 +294,8 @@ def test_wbar_rows_agree_with_the_exact_absorption_test(n_grid, st_bound):
     exact = []
     for n in res.config["n_grid"]:
         man, exp = _absorb_rhs(n, 208).man_exp
-        for s, t, tri, shift, logs in asymptotics.orbit_triples(n, st_box(st_bound), 192):
-            num, den = asymptotics.cell_quantities(tri, shift, logs, s, t, 192).absorb_ratio()
+        for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(st_bound), 192):
+            num, den = asymptotics.cell_quantities(tri, shift, s, t, 192).absorb_ratio()
             exact.append((n, s, t, Fraction(num, den) <= man * Fraction(2) ** exp))
     assert [(r["n"], r["s"], r["t"], r["ok"]) for r in res.rows] == exact
     assert any(ok for *_, ok in exact) and not all(ok for *_, ok in exact)
@@ -335,7 +335,7 @@ def test_st_box_order_and_content():
 
 
 # ---------------------------------------------------------------------------
-# Difference logs derived from the mirror orbit (asymptotics._LogMemo)
+# Difference logs derived from the mirror orbit (roots.AlphaTriple.diff_log)
 # ---------------------------------------------------------------------------
 
 INDEX_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -356,15 +356,16 @@ def _assert_log_within_radius(pair, exact_difference, K):
 @pytest.mark.parametrize("n", [5, 100, 4999, 10**6, 10**20, 10**64])
 def test_mirrored_logs_lie_within_their_radius(n):
     derived, orbits = 0, set()
-    for s, t, tri, shift, logs in asymptotics.orbit_triples(n, st_box(4), 192):
+    for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(4), 192):
         orbits.add((tri.s, tri.t))
-        if shift or logs.mirror is None:
+        if shift or tri.mirror is None:
             continue
         K = tri.frac_bits
         with workprec(2 * K + 64):
             exact = _exact_conjugates(n, s, t)
             for a, b in INDEX_PAIRS:
-                pair = asymptotics._mirror_log(*logs.mirror, a, b)
+                pair = tri.diff_log(a, b)
+                assert pair == tri._mirror_log(a, b)   # the log derived from the mirror's
                 _assert_log_within_radius(pair, exact[a] - exact[b], K)
                 derived += 1
     # the 40 orbits of the box form 20 mirrored pairs at the same bits, and one
@@ -390,80 +391,84 @@ def test_mirrored_log_radius_covers_logs_at_the_edge_of_their_radii():
     roots_at_edge = dataclasses.replace(
         mirror.roots, log_fixed=tuple(_edge(g, width) for g in mirror.roots.log_fixed))
     mirror = dataclasses.replace(mirror, roots=roots_at_edge)
-    logs = {}
     for i, j in INDEX_PAIRS:
         d = (mirror.numerators[i] - mirror.numerators[j], mirror.radii[i] + mirror.radii[j])
         num, radius = fixed_log(d, K)
-        logs[(i, j)] = (num - width, radius + width)
+        mirror._diff_logs[(i, j)] = (num - width, radius + width)
+    tri = dataclasses.replace(tri, mirror=(mirror, 0))
     with workprec(2 * K + 64):
         exact = _exact_conjugates(n, -3, -2)
         for a, b in INDEX_PAIRS:
-            pair = asymptotics._mirror_log(mirror, 0, logs, a, b)
+            pair = tri.diff_log(a, b)
             _assert_log_within_radius(pair, exact[a] - exact[b], K)
 
 
 def _direct_logs(tri):
-    """fixed_log of each difference of tri, as the memo of a lone orbit holds them."""
+    """fixed_log of each difference of tri, as the triple of a lone orbit takes them."""
     return {(i, j): fixed_log((tri.numerators[i] - tri.numerators[j],
                                tri.radii[i] + tri.radii[j]), tri.frac_bits)
             for i, j in INDEX_PAIRS}
 
 
-def _filled_logs(n, pairs, solver_bits=None):
-    """(tri, memo) of each orbit of pairs at n, after the proof quantities of every cell."""
-    orbits = {}
-    for s, t, tri, shift, logs in asymptotics.orbit_triples(n, pairs, 192, solver_bits):
-        asymptotics._quantities(tri, shift, logs, s, t, 192)
-        orbits[(tri.s, tri.t)] = (tri, logs)
-    return orbits.values()
+def _filled_logs(n, pairs, y_bound=None):
+    """{cell: the triple of its orbit} of pairs at n, after the proof quantities of
+    every cell."""
+    cells = {}
+    for s, t, tri, shift in asymptotics.orbit_triples(n, pairs, 192, y_bound):
+        asymptotics._quantities(tri, shift, s, t, 192)
+        cells[(s, t)] = tri
+    return cells
 
 
 def test_orbits_without_a_mirror_take_their_logs_directly():
     # no orbit of the logdiff representatives holds the negation of another
-    for tri, logs in _filled_logs(10**5, logdiff_representatives()):
-        assert logs.mirror is None
+    for tri in _filled_logs(10**5, logdiff_representatives()).values():
+        assert tri.mirror is None
         direct = _direct_logs(tri)
-        assert logs == {key: direct[key] for key in logs}
+        assert tri._diff_logs == {key: direct[key] for key in tri._diff_logs}
 
 
 def test_mirror_difference_not_known_to_be_nonzero_falls_back():
     n, bits = 10**4, 256
     tri, mirror = compute_alphas(n, -2, 1, bits), compute_alphas(n, 2, -1, bits)
     blurred = dataclasses.replace(mirror, radii=tuple(abs(v) for v in mirror.numerators))
-    logs, mirror_logs = asymptotics._LogMemo(), {}
-    logs.mirror = (blurred, 0, mirror_logs)
+    linked = dataclasses.replace(tri, mirror=(blurred, 0))
     d = (tri.numerators[0] - tri.numerators[1], tri.radii[0] + tri.radii[1])
-    assert asymptotics._memo_log(logs, 0, 1, d, tri.frac_bits) == fixed_log(d, tri.frac_bits)
-    assert mirror_logs == {}
+    assert linked.diff_log(0, 1) == fixed_log(d, tri.frac_bits)
+    assert blurred._diff_logs == {}
 
 
 def test_mirrors_at_other_bits_take_their_logs_directly():
-    # the solver's first attempt at many more bits for s > 0 moves those triples
-    # to more fraction bits than their mirrors
-    orbits = {(tri.s, tri.t): (tri, logs)
-              for tri, logs in _filled_logs(10**5, st_box(2), lambda s, t: 2048 if s > 0 else 64)}
+    # a y_bound whose solver bits outweigh the differences' puts each triple at the
+    # fraction bits of its representative's |s| + |t|; in st_box(3) two pairs of
+    # mirrored orbits have representatives of unequal |s| + |t|, such as (-3, -1)
+    # and (-2, -3), so their triples land at other bits
+    n = 10**5
+    cells = _filled_logs(n, st_box(3), 2**160)
+    triples = {(tri.s, tri.t): tri for tri in cells.values()}
     apart = 0
-    for (s, t), (tri, logs) in orbits.items():
-        if logs.mirror is not None:
-            assert logs.mirror[0].frac_bits == tri.frac_bits
-        elif (-s, -t) in orbits and orbits[(-s, -t)][0].frac_bits != tri.frac_bits:
+    for (s, t), tri in triples.items():
+        partner = cells.get((-s, -t))
+        if tri.mirror is not None:
+            assert tri.mirror[0].frac_bits == tri.frac_bits
+        elif partner is not None and partner.frac_bits != tri.frac_bits:
             apart += 1
-            assert orbits[(-s, -t)][1].mirror is None
+            assert partner.mirror is None
             direct = _direct_logs(tri)
-            assert logs == {key: direct[key] for key in logs}
-    assert apart >= 2
+            assert tri._diff_logs == {key: direct[key] for key in tri._diff_logs}
+    assert apart == 4
 
 
 def test_mirrored_memos_are_freed_without_the_cycle_collector():
-    # each mirrored pair links one way only, so an n's memos and triples go with
-    # their last reference, not at the next collection
+    # each mirrored pair links one way only, so an n's triples, and the difference
+    # logs they hold, go with their last reference, not at the next collection
     gc.disable()
     try:
-        memos = []
-        for s, t, tri, shift, logs in asymptotics.orbit_triples(10**4, st_box(3), 192):
-            asymptotics._quantities(tri, shift, logs, s, t, 192)
-            memos.append(weakref.ref(logs))
-        del logs, tri
-        assert sum(ref() is not None for ref in memos) == 0
+        triples = []
+        for s, t, tri, shift in asymptotics.orbit_triples(10**4, st_box(3), 192):
+            asymptotics._quantities(tri, shift, s, t, 192)
+            triples.append(weakref.ref(tri))
+        del tri
+        assert sum(ref() is not None for ref in triples) == 0
     finally:
         gc.enable()

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -247,7 +248,7 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
 
     powering = counting("triples", roots.power_alphas)
     monkeypatch.setattr(roots, "power_alphas", powering)
-    monkeypatch.setattr(asymptotics, "fixed_log", counting("logs", roots.fixed_log))
+    monkeypatch.setattr(roots, "fixed_log", counting("logs", roots.fixed_log))
     forming = counting("forms", bounds.build_form)
     for mod in (bounds, cli, solver):
         monkeypatch.setattr(mod, "build_form", forming)
@@ -255,10 +256,11 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     roots.compute_alphas.cache_clear()
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3"])
     assert code == 0
-    # two n values: per n, one triple and one form per orbit, and three logs per
-    # orbit with two or three cells in the box and two for the others, taken for
-    # one orbit of each mirrored pair (s, t), (-s, -t) and derived for the other
-    assert counts == {"triples": 2 * 24, "logs": 2 * 27, "forms": 2 * 24}
+    # two n values: per n, one triple and one form per orbit, and three difference
+    # logs per orbit with two or three cells in the box and two for the others,
+    # taken for one orbit of each mirrored pair (s, t), (-s, -t) and derived for
+    # the other; besides them, each root set takes its two root logs
+    assert counts == {"triples": 2 * 24, "logs": 2 * 27 + 2 * 2, "forms": 2 * 24}
     # per n, one root set: the orbits' triples and the bound constants share it
     assert roots.compute_roots.cache_info().misses == 2
 
@@ -322,6 +324,15 @@ def test_scan_powers_each_root_once_per_exponent_and_bits(capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 27
 
 
+def _described_cells(err):
+    """The (n, s, t) cells of a refused box, from the n values and the box its
+    message names (the message gives no count, which may be too long to print)."""
+    n_values, smax, reps = re.search(
+        r"more than \d+ cells \((\d+) n values, (?:smax (\d+)|(\d+) branch representatives)\)",
+        err).groups()
+    return int(n_values) * (4 * int(smax) ** 2 if smax else int(reps))
+
+
 def test_grid_size_is_bounded_before_any_work(capsys):
     assert len(parse_grid(f"1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
     for spec in (f"0:{MAX_GRID_POINTS}", f"0:{2 * MAX_GRID_POINTS - 1}:2"):
@@ -329,10 +340,10 @@ def test_grid_size_is_bounded_before_any_work(capsys):
             parse_grid(spec)
     code, _, err = run(capsys, ["scan", "--n", "0:1000000000000"])
     assert code == 2
-    assert "1000000000001 points" in err
+    assert f"grid '0:1000000000000' has more than {MAX_GRID_POINTS} points" in err
     code, _, err = run(capsys, ["scan", "--n", "100", "--smax", "100000"])
     assert code == 2
-    assert "40000000000 cells" in err
+    assert _described_cells(err) == 40000000000
     code, _, err = run(capsys, ["scan", "--n", f"1:{MAX_GRID_POINTS // 4 + 1}", "--smax", "1"])
     assert code == 2
     assert "cells" in err
@@ -351,6 +362,46 @@ def test_huge_grid_values_exit_two_before_conversion(capsys):
         assert code == 2 and "grid value" in err
 
 
+def test_uncountable_grid_is_refused_without_printing_its_count(capsys):
+    # the number of points of these grids has more digits than Python converts to text
+    nines = "9" * MAX_VALUE_DIGITS
+    for argv in (["scan", "--n", f"0:{nines}"], ["lemma", "vbar", "--n", "1:1e40"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f" has more than {MAX_GRID_POINTS} points\n") and len(err) < 80
+        assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["form", "10", "5000", "1"], ["bound", "10", "5000", "1"], ["solve", "10", "5000", "1"],
+    ["form", "10", "10000000", "1"], ["form", "0", "1", "-20000"],
+    ["--format", "csv", "scan", "--n", "1e3000", "--smax", "1", "--ybound", "2"],
+    ["scan", "--n", "1:1e2200:log10", "--smax", "1"],
+])
+def test_forms_too_long_to_print_are_refused_before_any_work(capsys, monkeypatch, argv):
+    # 3 (n + 3)^D, D = max(|s|, |t|, |s - t|) (2 smax for a scan, at its largest n),
+    # bounds |A| and |B|; where it has more than MAX_VALUE_DIGITS digits, nothing is built
+    from cubicthue import bounds, cli, exact_field, roots
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for mod, name in ((cli, "build_form"), (exact_field, "alpha_element"),
+                      (roots, "compute_roots"), (bounds, "cell_reports"), (cli, "solver")):
+        monkeypatch.setattr(mod, name, refuse)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"more than {MAX_VALUE_DIGITS} digits" in err and "Exceeds the limit" not in err
+
+
+def test_forms_within_the_digit_bound_are_printed(capsys):
+    # D log10(n + 3) = 3000 log10(13), about 3342 digits: below the limit, so printed
+    code, out, _ = run(capsys, ["--format", "csv", "form", "10", "3000", "1"])
+    assert code == 0
+    a = out.splitlines()[1].split(",")[3]
+    assert 3000 < len(a.lstrip("-")) <= MAX_VALUE_DIGITS
+
+
 def test_lemma_box_is_bounded_before_any_work(capsys, monkeypatch):
     from cubicthue import asymptotics
 
@@ -360,10 +411,10 @@ def test_lemma_box_is_bounded_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(asymptotics, "st_box", no_box)
     code, _, err = run(capsys, ["lemma", "vbar", "--smax", "100000"])
     assert code == 2
-    assert "40000000000 cells" in err
+    assert _described_cells(err) == 40000000000
     code, _, err = run(capsys, ["lemma", "logdiff", "--n", "1:1000", "--smax", "20"])
     assert code == 2
-    assert "1600000 cells" in err
+    assert _described_cells(err) == 1600000
 
 
 @pytest.mark.parametrize("argv,cells", [
@@ -385,12 +436,13 @@ def test_lemma_default_box_is_bounded_before_any_work(capsys, monkeypatch, argv,
     monkeypatch.setattr(asymptotics, "st_box", refuse)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert f"lemma box has {cells} cells" in err
+    assert "lemma box has more than" in err and _described_cells(err) == cells
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["scan", "--n", "1:999999"], "scan has 35999964 cells (999999 n values, smax 3)"),
-    (["lemma", "vbar", "--n", "2:1000000"], "lemma box has 99999900 cells"),
+    (["scan", "--n", "1:999999"], "scan has more than 1000000 cells (999999 n values, smax 3)"),
+    (["lemma", "vbar", "--n", "2:1000000"],
+     "lemma box has more than 1000000 cells (999999 n values, smax 5)"),
 ])
 def test_refused_grid_is_counted_before_it_is_built(capsys, argv, message):
     # the cell limit is checked on the number of points: no list of them is built
@@ -433,17 +485,18 @@ def test_bound_computes_one_root_set(capsys, n):
 
 
 def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monkeypatch):
-    # solve and scan pass the same --precision-bits to solver._first_bits
-    from cubicthue import solver
+    # solve and scan pass the same --precision-bits to roots.candidate_precision
+    from cubicthue import asymptotics, roots, solver
 
     asked = []
-    real = solver._first_bits
+    real = roots.candidate_precision
 
     def spy(n, s, t, y_bound, precision_bits):
         asked.append(precision_bits)
         return real(n, s, t, y_bound, precision_bits)
 
-    monkeypatch.setattr(solver, "_first_bits", spy)
+    for mod in (solver, asymptotics):
+        monkeypatch.setattr(mod, "candidate_precision", spy)
     for command in (["solve", "100", "2", "1"], ["scan", "--n", "100", "--smax", "1"]):
         asked.clear()
         code, _, _ = run(capsys, ["--precision-bits", "64", *command])

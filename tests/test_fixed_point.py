@@ -16,7 +16,8 @@ from mpmath import mp, mpf, workprec
 
 from cubicthue import asymptotics, bounds, roots
 from cubicthue.asymptotics import (
-    _diff_precision, check_error_products, compute_proof_quantities, run_vbar, st_box,
+    _diff_precision, check_error_products, compute_proof_quantities, logdiff_representatives,
+    run_vbar, st_box, true_logdiffs,
 )
 from cubicthue.cli import main
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, PrecisionExhausted
@@ -221,10 +222,10 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
     absorb_rhs = bounds._absorb_rhs(n, 208)
     cells = 0
     orbit = asymptotics.orbit_triples(n, st_box(3), 192)
-    for (s, t, tri, shift, logs), (form, _, rep) in zip(orbit, bounds.cell_reports(n, st_box(3), 192)):
+    for (s, t, tri, shift), (form, _, rep) in zip(orbit, bounds.cell_reports(n, st_box(3), 192)):
         cells += 1
         assert (form.s, form.t) == (rep.s, rep.t) == (s, t)
-        q = asymptotics.cell_quantities(tri, shift, logs, s, t, 192)
+        q = asymptotics.cell_quantities(tri, shift, s, t, 192)
         ref = compute_proof_quantities(n, s, t, 192)
         assert (q.n, q.s, q.t, q.b0) == (ref.n, ref.s, ref.t, ref.b0)
         # the cell's conjugates are tri's from index shift on
@@ -259,20 +260,54 @@ def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(roots, "compute_alphas", spy)
-    for s, t, tri, shift, logs in asymptotics.orbit_triples(n, st_box(2), 192):
+    for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(2), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
-        assert asymptotics._quantities(wide, shift, {}, s, t, 192) is None
+        assert asymptotics._quantities(wide, shift, s, t, 192) is None
         asked.clear()
-        q = asymptotics.cell_quantities(wide, shift, {}, s, t, 192)
+        q = asymptotics.cell_quantities(wide, shift, s, t, 192)
         assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
         ref = compute_proof_quantities(n, s, t, 192)
         assert (q.n, q.s, q.t, q.precision_bits, q.b0) == (ref.n, ref.s, ref.t, 192, ref.b0)
 
 
+def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypatch):
+    # radii wider than the differences leave the orbit's triple undecided: the cell
+    # takes its logs from the representative's triple at twice its bits
+    n = 10**4
+    asked = []
+    real = roots.compute_alphas
+
+    def spy(*args):
+        asked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(roots, "compute_alphas", spy)
+    for s, t, tri, shift in asymptotics.orbit_triples(n, logdiff_representatives(), 192):
+        wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
+        asked.clear()
+        got = asymptotics._logdiffs(wide, shift)
+        assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
+        assert got == asymptotics._logdiffs(real(n, tri.s, tri.t, 2 * tri.precision_bits), shift)
+    # with radii that never shrink: PRECISION_ATTEMPTS triples, then PrecisionExhausted
+
+    def blurred(*args):
+        asked.append(args[-1])
+        tri = real(*args)
+        return dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
+
+    for mod in (asymptotics, roots):
+        monkeypatch.setattr(mod, "compute_alphas", blurred)
+    asked.clear()
+    with pytest.raises(PrecisionExhausted, match="undecided at"):
+        true_logdiffs(n, 2, 1)
+    assert asked == roots.doublings(_diff_precision(n, 2, 1, 192))
+    assert len(asked) == roots.PRECISION_ATTEMPTS
+
+
 def test_cell_with_s_or_t_zero_is_refused(capsys):
     tri = compute_alphas(100, 1, 0, 192)
     with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
-        asymptotics.cell_quantities(tri, 0, {}, 1, 0, 192)
+        asymptotics.cell_quantities(tri, 0, 1, 0, 192)
     with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
         compute_proof_quantities(100, 0, 1)
     # the bound command refuses such a cell after its upper bound: (5, 0, 0) has a
@@ -316,7 +351,7 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
     # with radii that never shrink, b0 is never certified: four attempts, then exit 3
     attempts = []
 
-    def never(tri, shift, logs, s, t, precision_bits):
+    def never(tri, shift, s, t, precision_bits):
         attempts.append(tri.precision_bits)
 
     monkeypatch.setattr(asymptotics, "_quantities", never)

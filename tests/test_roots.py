@@ -9,7 +9,6 @@ from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
 import cubicthue.roots as roots
-import cubicthue.solver as solver
 from cubicthue.asymptotics import _diff_precision, st_box
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.forms import build_form, discriminant
@@ -302,7 +301,7 @@ def test_working_bits_keeps_the_formulas_it_replaced(n):
             assert alpha_precision(n, s, t, bits) == written_alpha_precision(n, s, t, bits)
             assert _diff_precision(n, s, t, bits) == written_diff_precision(n, s, t, bits)
             for y_bound in (1, 10**4, 10**5, 10**100):
-                assert solver._first_bits(n, s, t, y_bound, bits) == \
+                assert roots.candidate_precision(n, s, t, y_bound, bits) == \
                     max(bits, math.ceil(written_first_bits_sum(n, s, t, y_bound)))
 
 

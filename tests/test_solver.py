@@ -234,7 +234,7 @@ def test_uncertified_conjugates_raise(monkeypatch, capsys):
     with pytest.raises(PrecisionExhausted) as err:
         solve_box(5, 1, 1, 100)
     # the candidate attempts double from the first bits, and the message names the last
-    first = solver._first_bits(5, 1, 1, 100, solver.SOLVER_FLOOR_BITS)
+    first = roots.candidate_precision(5, 1, 1, 100, solver.SOLVER_FLOOR_BITS)
     assert asked == [first, 2 * first, 4 * first, 8 * first]
     assert f"undecided at {8 * first} bits" in str(err.value)
     assert cli.main(["solve", "5", "1", "1"]) == 3
@@ -256,14 +256,14 @@ def test_undecided_candidates_double_from_the_first_triple(monkeypatch, capsys):
     monkeypatch.setattr(solver, "_candidates", undecided)
     monkeypatch.setattr(solver, "_solve_form", solve)
     assert cli.main(["solve", "5", "1", "1", "--ybound", "100"]) == 3
-    first = solver._first_bits(5, 1, 1, 100, 192)   # the command line's default bits
+    first = roots.candidate_precision(5, 1, 1, 100, 192)   # the command line's default bits
     assert firsts == [first] and tried == [first, 2 * first, 4 * first, 8 * first]
     tried.clear()
     firsts.clear()
     assert cli.main(["scan", "--n", "5", "--smax", "1", "--ybound", "100"]) == 3
     # the orbit triple's bits: more than the solver asked for, as the differences need more
     first, = firsts
-    assert first > solver._first_bits(5, -1, -1, 100, 192)
+    assert first > roots.candidate_precision(5, -1, -1, 100, 192)
     assert tried == [first, 2 * first, 4 * first, 8 * first]
     assert capsys.readouterr().err.count("precision exhausted") == 2
 
