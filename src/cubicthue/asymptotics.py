@@ -42,34 +42,34 @@ phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
 their differences are the three alpha_i - alpha_j of one triple, up to sign,
 and _quantities takes the triple and the shift of a cell; the triple takes
 each log |alpha_i - alpha_j| once (roots.AlphaTriple.diff_log).
-orbit_triples plans a grid's cells this way: one root set per n and one
-triple per orbit, so an orbit takes three difference logs in all.  The
-harnesses run_logdiff, run_errorbound, run_vbar and run_wbar go through it,
-as does bounds.cell_reports, the bound path of the bound command and the
-scans; true_logdiffs, check_error_products and compute_proof_quantities are
-the one-cell case, on compute_alphas's triple.
+roots.orbit_triples, the one planner of an n's cells, goes this way: one
+root set per n and one triple per orbit, at the bits of its cells' proof
+quantities (roots.proof_precision), so an orbit takes three difference logs
+in all.  The harnesses run_logdiff, run_errorbound, run_vbar and run_wbar go
+through it, as does bounds.cell_reports, the bound path of the bound command
+and the scans; true_logdiffs, check_error_products and
+compute_proof_quantities are the one-cell case, on compute_alphas's triple.
 
 The orbit of (-s, -t) holds the inverse conjugates, so its difference logs
 follow from those of (s, t) and the root logs, and a mirrored pair of orbits
-takes three logs, not six: orbit_triples makes the first triple of each pair
-the mirror of the other where both have the same frac_bits.  An orbit without
-its mirror among the cells (the logdiff representatives) and the one-cell
-case take their own logs.
+takes three logs, not six: orbit_triples links each pair as it powers the
+triples, one of the pair the mirror of the other where both have the same
+frac_bits.  An orbit without its mirror among the cells (the logdiff
+representatives) and the one-cell case take their own logs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from .forms import phi_transform
 from .roots import (
-    candidate_precision, compute_alphas, compute_roots, escalate, fixed_mul, fixed_view,
-    plan_triples, working_bits,
+    compute_alphas, compute_roots, escalate, fixed_mul, fixed_view, orbit_triples,
+    proof_precision,
 )
 
 DEFAULT_EPSILON = 0.25
@@ -214,12 +214,6 @@ def _predict12(nn, L, s: int, t: int, err: float) -> Prediction:
     return Prediction((-s) * L, mpf(t - s) / nn, err)
 
 
-def _diff_precision(n: int, s: int, t: int, precision_bits: int) -> int:
-    """Bits needed so the conjugate differences survive catastrophic cancellation
-    (see "Precision" in roots.py)."""
-    return working_bits(n, abs(s) + abs(t) + 2, precision_bits + 32)
-
-
 def _ordered_diffs(tri, shift: int):
     """alpha1 - alpha2 and alpha1 - alpha3, as (numerator, radius) pairs over 2^K,
     of the cell whose conjugates are those of tri from index shift on."""
@@ -227,50 +221,12 @@ def _ordered_diffs(tri, shift: int):
     return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
 
 
-def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
-    """Yield (s, t, tri, shift) for each (s, t) of pairs, in order, evaluated by
-    phi-orbit on one root set (roots.plan_triples).
-
-    The cells of pairs that phi maps into each other share one AlphaTriple,
-    powered for the first such cell, the orbit's representative (tri.s,
-    tri.t), at the bits of each cell's proof quantities (_diff_precision)
-    and, if y_bound is given, of tri's solver attempt (roots.candidate_precision);
-    a cell's conjugates are tri's from index shift on.  Of two mirrored orbits,
-    those of (s, t) and (-s, -t), whose triples have one frac_bits, the later
-    one's triple has the first's as its mirror (roots.AlphaTriple.diff_log).
-    """
-    in_box = set(pairs)
-    cells = {}     # cell -> (representative, shift)
-    asks = {}      # representative -> the (s, t, bits) its triple must serve
-    for rep in pairs:
-        if rep in cells:
-            continue
-        once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
-        members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
-        asks[rep] = [(*c, _diff_precision(n, *c, precision_bits)) for c, _ in members]
-        if y_bound is not None:
-            asks[rep].append((*rep, candidate_precision(n, *rep, y_bound, precision_bits)))
-        cells.update((c, (rep, shift)) for c, shift in members)
-    triples = plan_triples(n, asks)
-    for rep in asks:
-        # the cell (-s, -t) of the representative (s, t): the triple of its orbit
-        # holds the inverses of rep's triple, in the order its shift gives; one
-        # link per pair, so that no two triples refer to each other
-        partner, shift = cells.get((-rep[0], -rep[1]), (rep, 0))
-        if (triples[rep].mirror is None and partner != rep
-                and triples[partner].frac_bits == triples[rep].frac_bits):
-            triples[partner] = replace(triples[partner], mirror=(triples[rep], shift))
-    for s, t in pairs:
-        rep, shift = cells[(s, t)]
-        yield s, t, triples[rep], shift
-
-
 def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
-    """The triple of (n, s, t) alone at _diff_precision bits, as orbit_triples
-    plans it for pairs [(s, t)] (compute_alphas is that one-ask plan, cached)."""
+    """The triple of (n, s, t) alone at proof_precision bits, as orbit_triples
+    plans it for pairs [(s, t)] (compute_alphas is that one-cell plan, cached)."""
     if s * t == 0:
         raise DegenerateTwist(f"{what} need s*t != 0")
-    return compute_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
+    return compute_alphas(n, s, t, proof_precision(n, s, t, precision_bits))
 
 
 def _cell_logs(tri, shift: int):
@@ -460,7 +416,7 @@ def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
     """The proof quantities of (n, s, t), with b0 and the window certified:
-    cell_quantities on the one-cell triple, at _diff_precision(n, s, t,
+    cell_quantities on the one-cell triple, at proof_precision(n, s, t,
     precision_bits) bits."""
     return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"),
                            0, s, t, precision_bits)

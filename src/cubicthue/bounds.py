@@ -27,12 +27,11 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, round_nearest
 
 from .asymptotics import (
-    _absorb_rhs, cell_quantities, compute_proof_quantities, float_power, orbit_triples,
-    ratio_float, st_box,
+    _absorb_rhs, cell_quantities, compute_proof_quantities, float_power, ratio_float, st_box,
 )
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import BinaryCubicForm, build_form, height, is_reducible
-from .roots import compute_roots
+from .roots import compute_roots, orbit_triples
 
 
 _THREE = from_int(3)
@@ -184,12 +183,13 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
 
     The one per-cell bound path: bound_report is a batch of one, the scans
     batch the cells of an n.  b_abs >= 1 is checked before any root set.  The
-    cells go by phi-orbit (asymptotics.orbit_triples, which takes y_bound)
-    and share the form of their orbit's representative, built once; a form
-    carries the (s, t) of its cell.  The constants of n are built once, from
-    the first triple's root set, the upper bound once per mirrored pair of
-    forms, and the chain per cell on that cell's proof quantities.  tri is the
-    orbit's triple, in the order of the first cell of the orbit.
+    cells go by phi-orbit (roots.orbit_triples, which plans their triples, bits
+    and mirror links, and takes y_bound) and share the form of their orbit's
+    representative, built once; a form carries the (s, t) of its cell.  The
+    constants of n are built once, from the first triple's root set, the upper
+    bound once per mirrored pair of forms, and the chain per cell on that
+    cell's proof quantities.  tri is the orbit's triple, in the order of the
+    first cell of the orbit.
 
     The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
     (-B, -A), as its conjugates are the inverses: its height and its
@@ -249,39 +249,26 @@ def n0_scan(epsilon: float, n_grid, st_policy: int = 2, precision_bits: int = 19
         raise EmptyGrid("n0 scan needs a nonempty n grid")
 
     rows = []
-    by_pair = {}
     for n in n_grid:
         pairs = st_box(int(math.floor(min(st_policy, float_power(n, 0.5 - epsilon)))))
         for _, _, rep in cell_reports(n, pairs, precision_bits):
             rows.append({"n": n, "s": rep.s, "t": rep.t, **rep.row()})
-            by_pair.setdefault((rep.s, rep.t), []).append(rows[-1])
 
-    n_top = n_grid[-1]
-    inapplicable = sorted(
-        p for p, prows in by_pair.items()
-        if all(r["chain_failure"] for r in prows if r["n"] == n_top)
-    )
-    threshold = None
-    stabilised = []
-    for p, prows in by_pair.items():
-        if p in inapplicable:
+    # the box grows with n, so every pair has a row at the largest n
+    inapplicable = sorted((r["s"], r["t"]) for r in rows
+                          if r["n"] == n_grid[-1] and r["chain_failure"])
+    crossed_from, margins = {}, {}   # pair -> first n of its last run of crossovers
+    for r in rows:   # in n order
+        pair = (r["s"], r["t"])
+        if pair in inapplicable:
             continue
-        crossed_from = None
-        for r in sorted(prows, key=lambda r: r["n"]):
-            if r["crossover"]:
-                if crossed_from is None:
-                    crossed_from = r["n"]
-            else:
-                crossed_from = None
-        stabilised.append(crossed_from)
-    if stabilised and all(c is not None for c in stabilised):
-        threshold = max(stabilised)
-
-    margin_curve = []
-    for n in n_grid:
-        margins = [r["margin"] for r in rows
-                   if r["n"] == n and r["margin"] is not None
-                   and (r["s"], r["t"]) not in inapplicable]
-        if margins:
-            margin_curve.append((n, min(margins)))
+        if not r["crossover"]:
+            crossed_from[pair] = None
+        elif crossed_from.get(pair) is None:
+            crossed_from[pair] = r["n"]
+        if r["margin"] is not None:
+            margins.setdefault(r["n"], []).append(r["margin"])
+    stabilised = list(crossed_from.values())
+    threshold = max(stabilised) if stabilised and None not in stabilised else None
+    margin_curve = [(n, min(values)) for n, values in margins.items()]
     return N0ScanReport(epsilon, n_grid, rows, threshold, inapplicable, margin_curve)

@@ -16,8 +16,11 @@ MAX_GRID_POINTS (n, s, t) cells, a precision above MAX_PRECISION_BITS, and a
 form, solve, bound or scan whose forms may have a coefficient of more than
 MAX_VALUE_DIGITS digits (_check_form_digits), which could not be printed.
 Only lemma logdiff reads --epsilon.  Formats: human (default), json, csv.
-Exit codes: 0 ok, 1 a verification check failed, 2 usage error, 3 precision
-exhausted.  Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS.
+Exit codes: 0 ok, 1 a verification check failed, 2 usage error (an --output
+path that is a directory or in no existing directory is refused before any
+work, and a failed write ends there too), 3 precision exhausted.
+Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS; an empty
+value counts as unset, and one that is not an integer exits 2.
 
 The scan works one n at a time, and --jobs hands whole n values to the
 workers.  Within an n, the cells (s, t) and phi(s, t) = (-s + t, -s) have the
@@ -80,17 +83,14 @@ MAX_VALUE_DIGITS = 4300
 MAX_PRECISION_BITS = 2**16
 
 
-def _env_int(name, fallback):
+def _env_int(parser, name: str, fallback: int) -> int:
+    """The environment variable name as an int, fallback where it is unset or empty;
+    exit 2 naming it where it is set to anything else."""
+    text = os.environ.get(name, "")
     try:
-        return int(os.environ.get(name, ""))
+        return int(text) if text else fallback
     except ValueError:
-        return fallback
-
-
-def _env_defaults() -> dict:
-    """The defaults of the global options the environment overrides, as it is now."""
-    return {"precision_bits": _env_int("CUBICTHUE_PRECISION_BITS", 192),
-            "jobs": _env_int("CUBICTHUE_JOBS", 1)}
+        parser.exit(2, f"{name} must be an integer, got {_shown(text)}\n")
 
 
 def _shown(text: str) -> str:
@@ -220,10 +220,22 @@ def _render(args, doc, columns, rows, human):
     else:
         text = "\n".join(human()) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {_shown(args.output)}: "
+                             f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path):
+    """ValueError, before any work, where the report could not be written to path."""
+    if path and os.path.isdir(path):
+        raise ValueError(f"--output {_shown(path)} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--output {_shown(path)} is in no existing directory")
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "asymptotic verification, bound comparison.")
     p.add_argument("--precision-bits", type=int, dest="precision_bits")
     p.add_argument("--jobs", type=int)
-    p.set_defaults(**_env_defaults())
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--epsilon", type=float, default=0.25,
@@ -429,8 +440,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    # the parser outlives this call, so the environment is read again
-    parser.set_defaults(**_env_defaults())
+    # the parser outlives this call, so the environment is read on every call
+    parser.set_defaults(precision_bits=_env_int(parser, "CUBICTHUE_PRECISION_BITS", 192),
+                        jobs=_env_int(parser, "CUBICTHUE_JOBS", 1))
     args = parser.parse_args(argv)
     if not 0 < args.epsilon < 0.5:
         parser.exit(2, "epsilon must lie in (0, 1/2)\n")
@@ -439,6 +451,7 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.exit(2, "jobs must be >= 1\n")
     try:
+        _check_output(args.output)
         return args.func(args)
     except (DegenerateTwist, EmptyGrid, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -88,15 +88,16 @@ the base-2 log of n + 2, rounded up.  For a caller that asks for b bits,
 
   - the roots (alpha_precision) take weight |s| + |t| and need b + 32,
     rounded up to a multiple of 64 so that nearby (s, t) share a root set;
-  - b0 and the window (asymptotics._diff_precision) take |s| + |t| + 2 and
-    b + 32, as the conjugate differences lose bits to cancellation;
+  - b0 and the window (proof_precision) take |s| + |t| + 2 and b + 32, as
+    the conjugate differences lose bits to cancellation;
   - the candidates (candidate_precision) take |s| + |t| and the bits of the
     convergents, 2 log2(y_bound + 1) + 64, and at least b.
 
-The triples of one n asked for in one batch (a scan's or a lemma harness's,
-by phi-orbit) share one root set, at the batch's largest alpha_precision,
-floor-shifted once to each root_frac_bits its triples need (plan_triples;
-compute_alphas is a batch of one, whose root set needs no shift).  A decision
+The cells of one n evaluated together (a scan's or a lemma harness's) are
+planned by orbit_triples: one triple per phi-orbit, at the most bits its
+cells ask, and one root set, at the largest alpha_precision of any cell,
+floor-shifted once to each root_frac_bits the triples need (compute_alphas
+is an orbit of one cell, whose root set needs no shift).  A decision
 the radii can leave open (the solver's candidates, a solution's type, a
 difference's sign, b0, a unit's exponents) goes over attempts(first): its
 first triple (the solve's, an orbit's in the cell's order, the one that
@@ -115,6 +116,7 @@ from mpmath import mp
 from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
 from .errors import PrecisionExhausted
+from .forms import phi_transform
 
 _BASE_BITS = 32   # Newton runs to convergence at this precision, then doubles it
 _GUARD_BITS = 4   # kept in hand at each doubling, so the rounding of a step cannot compound
@@ -524,46 +526,86 @@ def candidate_precision(n: int, s: int, t: int, y_bound: int, precision_bits: in
     return max(precision_bits, working_bits(n, abs(s) + abs(t), need))
 
 
-def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int) -> AlphaTriple:
+def proof_precision(n: int, s: int, t: int, precision_bits: int) -> int:
+    """The bits of the proof quantities of (s, t): the conjugate differences lose bits
+    to cancellation, so two more powers of n + 2 than the conjugates (see "Precision")."""
+    return working_bits(n, abs(s) + abs(t) + 2, precision_bits + 32)
+
+
+def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int, mirror=None) -> AlphaTriple:
     """The twisted conjugates of (s, t), powered in fixed point from the root set rs.
 
     precision_bits is recorded as the triple's precision; rs must hold enough
-    fraction bits for it (plan_triples picks them by alpha_precision).
+    fraction bits for it (orbit_triples picks them by alpha_precision).
+    mirror is the triple's AlphaTriple.mirror.
     """
     K = rs.frac_bits
     powers = [(rs.power(j, s), rs.power(j, t)) for j in range(3)]
     # alpha1 = lam0^s lam1^t, alpha2 = lam1^s lam2^t, alpha3 = lam2^s lam0^t
     alphas = [fixed_mul(powers[j][0], powers[(j + 1) % 3][1], K) for j in range(3)]
     return AlphaTriple(rs.n, s, t, precision_bits, rs,
-                       tuple(a for a, _ in alphas), tuple(r for _, r in alphas))
+                       tuple(a for a, _ in alphas), tuple(r for _, r in alphas), mirror)
 
 
-def plan_triples(n: int, requests: dict) -> dict:
-    """{(s, t): AlphaTriple} for requests {(s, t): [(s', t', bits), ...]}, from one root set.
+def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
+    """Yield (s, t, tri, shift) for each (s, t) of pairs, in order: the cells of n
+    evaluated by phi-orbit on one root set.
 
-    A triple serves each of its asks: the conjugates of (s', t') at bits, in
-    another order for an (s', t') of its phi-orbit.  The roots are computed
-    once, at the largest alpha_precision of any ask, and floor-shifted once to
-    each root_frac_bits the triples need; each triple is powered from the shift
-    at its own root_frac_bits, at its asks' most bits, so the triples of one
-    shift share its powers of the roots (RootSet.power).
+    The cells of pairs that phi maps into each other share one AlphaTriple,
+    powered for the first such cell, the orbit's representative (tri.s, tri.t),
+    at the most bits of its cells' proof quantities (proof_precision) and, if
+    y_bound is given, of its solver attempt (candidate_precision); a cell's
+    conjugates are tri's from index shift on.  The roots are computed once, at
+    the largest alpha_precision of any cell, and floor-shifted once to each
+    root_frac_bits the triples need, so the triples of one shift share its
+    powers of the roots (RootSet.power).  Two mirrored orbits, those of (s, t)
+    and (-s, -t), at one frac_bits are linked once: the first representative
+    (s, t) in order, with no mirror yet, whose cell (-s, -t) lies in the other
+    orbit gives that orbit's triple its own as mirror (AlphaTriple.diff_log),
+    with that cell's shift.  The links are decided before any triple is
+    powered, and each source is powered before its target.
     """
-    plans = {st: (max(alpha_precision(n, s, t, bits) for s, t, bits in asks),
-                  max(bits for _, _, bits in asks))
-             for st, asks in requests.items()}
+    in_box = set(pairs)
+    cells = {}     # cell -> (representative, shift)
+    plans = {}     # representative -> (alpha_precision, bits) of its triple
+    for rep in pairs:
+        if rep in cells:
+            continue
+        once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
+        members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
+        asks = [(c, proof_precision(n, *c, precision_bits)) for c, _ in members]
+        if y_bound is not None:
+            asks.append((rep, candidate_precision(n, *rep, y_bound, precision_bits)))
+        plans[rep] = (max(alpha_precision(n, *c, bits) for c, bits in asks),
+                      max(bits for _, bits in asks))
+        cells.update((c, (rep, shift)) for c, shift in members)
     if not plans:
-        return {}
+        return
     rs = compute_roots(n, max(wp for wp, _ in plans.values()))
-    shifted = {K: shift_roots(rs, K) for K in {root_frac_bits(n, wp) for wp, _ in plans.values()}}
-    return {st: power_alphas(shifted[root_frac_bits(n, wp)], *st, bits)
-            for st, (wp, bits) in plans.items()}
+    frac = {rep: root_frac_bits(n, wp) for rep, (wp, _) in plans.items()}
+    shifted = {K: shift_roots(rs, K) for K in set(frac.values())}
+    # the orbit of the cell (-s, -t) holds the inverses of rep's conjugates, in the
+    # order its shift gives; one link per pair, so no two triples refer to each other
+    links = {}     # target representative -> (source representative, shift)
+    for rep in plans:
+        partner, shift = cells.get((-rep[0], -rep[1]), (rep, 0))
+        if rep not in links and partner != rep and frac[partner] == frac[rep]:
+            links[partner] = (rep, shift)
+    triples = {}
+    for rep in sorted(plans, key=links.__contains__):   # every source before its target
+        link = links.get(rep)
+        triples[rep] = power_alphas(shifted[frac[rep]], *rep, plans[rep][1],
+                                    link and (triples[link[0]], link[1]))
+    for s, t in pairs:
+        rep, shift = cells[(s, t)]
+        yield s, t, triples[rep], shift
 
 
 @lru_cache(maxsize=4096)
 def compute_alphas(n: int, s: int, t: int, precision_bits: int = 192) -> AlphaTriple:
     """The three twisted conjugate values with relative error < 2^-precision_bits,
-    each with its radius: what plan_triples gives for the one ask (s, t, precision_bits),
-    whose root set needs no shift."""
+    each with its radius: the triple orbit_triples powers for a lone cell (s, t) whose
+    bits are precision_bits, from a root set that needs no shift."""
     return power_alphas(compute_roots(n, alpha_precision(n, s, t, precision_bits)),
                         s, t, precision_bits)
 

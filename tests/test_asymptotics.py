@@ -13,7 +13,6 @@ from cubicthue import asymptotics
 from cubicthue.asymptotics import (
     Branch,
     _absorb_rhs,
-    _diff_precision,
     check_error_products,
     classify_case,
     compute_proof_quantities,
@@ -31,7 +30,9 @@ from cubicthue.asymptotics import (
     true_logdiffs,
 )
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from cubicthue.roots import compute_alphas, compute_roots, fixed_log, fixed_view
+from cubicthue.roots import (
+    compute_alphas, compute_roots, fixed_log, fixed_view, orbit_triples, proof_precision,
+)
 from conftest import exact_roots
 
 # Pairs on which the gap-product bounds and the w_bar absorption genuinely
@@ -227,7 +228,7 @@ def test_proof_quantities_keep_the_precision_of_the_differences():
     # d12 and d13 feed the w_bar absorption test, so they are the triple's exact
     # differences over 2^K, with no rounding to 53 bits
     _, _, d12, d13 = true_logdiffs(10**4, 2, 1, 192)
-    tri = compute_alphas(10**4, 2, 1, _diff_precision(10**4, 2, 1, 192))
+    tri = compute_alphas(10**4, 2, 1, proof_precision(10**4, 2, 1, 192))
     q = compute_proof_quantities(10**4, 2, 1)
     a1, a2, a3 = tri.numerators
     assert q.frac_bits == tri.frac_bits
@@ -426,6 +427,23 @@ def test_orbits_without_a_mirror_take_their_logs_directly():
         assert tri.mirror is None
         direct = _direct_logs(tri)
         assert tri._diff_logs == {key: direct[key] for key in tri._diff_logs}
+
+
+def test_an_earlier_orbit_takes_a_later_one_as_its_mirror():
+    # the cell (-1, -2) of (1, 2) is not in the box, but (1, -1), the cell of (1, 2)'s
+    # orbit at shift 2, is the negation of the later representative (-1, 1): the
+    # earlier orbit's triple derives its logs from the later one's
+    n = 10**4
+    cells = {(s, t): (tri, shift)
+             for s, t, tri, shift in orbit_triples(n, [(1, 2), (1, -1), (-1, 1)], 192)}
+    tri, source = cells[(1, 2)][0], cells[(-1, 1)][0]
+    assert cells[(1, -1)] == (tri, 2) and cells[(-1, 1)] == (source, 0)
+    assert tri.mirror[0] is source and tri.mirror[1] == 2 and source.mirror is None
+    direct = _direct_logs(tri)
+    for a, b in INDEX_PAIRS:
+        (num, radius), (want, r) = tri.diff_log(a, b), direct[(a, b)]
+        assert (num, radius) == tri._mirror_log(a, b)
+        assert abs(num - want) <= radius + r
 
 
 def test_mirror_difference_not_known_to_be_nonzero_falls_back():

@@ -166,6 +166,20 @@ def test_n0_scan_rows_are_pinned():
     assert digest.hexdigest() == N0_SCAN_ROWS_PIN
 
 
+# sha256 of repr of (threshold, inapplicable_pairs, margin_curve) of the same scan
+N0_SCAN_ANALYSIS_PIN = "f23a02612a9b091d30c2c323599f8ccc57ee5eeb7a3c82f5d8ed23b17ccde7d6"
+
+
+def test_n0_scan_analysis_is_pinned():
+    rep = n0_scan(0.25, [10**k for k in range(4, 65, 4)], 2)
+    assert rep.threshold == 10**56
+    assert rep.inapplicable_pairs == [(-2, -1), (-2, 2), (-1, 1), (-1, 2), (1, 2)]
+    assert [n for n, _ in rep.margin_curve] == [10**k for k in range(4, 65, 4)]
+    digest = hashlib.sha256(repr((rep.threshold, rep.inapplicable_pairs,
+                                  rep.margin_curve)).encode())
+    assert digest.hexdigest() == N0_SCAN_ANALYSIS_PIN
+
+
 def test_n0_scan_empty_grid():
     with pytest.raises(EmptyGrid):
         n0_scan(0.25, [])

@@ -265,6 +265,32 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     assert roots.compute_roots.cache_info().misses == 2
 
 
+def test_scan_builds_each_triple_once(capsys, monkeypatch):
+    # a triple is made with its mirror link as it is powered, never built again to
+    # add the link: as many AlphaTriple constructions as power_alphas calls
+    from cubicthue import roots
+
+    counts = {"built": 0, "powered": 0}
+    real_init, real_power = roots.AlphaTriple.__init__, roots.power_alphas
+
+    def init(self, *args, **kwargs):
+        counts["built"] += 1
+        real_init(self, *args, **kwargs)
+
+    def power(*args):
+        counts["powered"] += 1
+        return real_power(*args)
+
+    monkeypatch.setattr(roots.AlphaTriple, "__init__", init)
+    monkeypatch.setattr(roots, "power_alphas", power)
+    roots.compute_roots.cache_clear()
+    roots.compute_alphas.cache_clear()
+    code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3"])
+    roots.compute_alphas.cache_clear()
+    assert code == 0
+    assert counts == {"built": 2 * 24, "powered": 2 * 24}
+
+
 # scan --n 100 --smax 3: (s, t, precision_bits, frac_bits) of each triple powered,
 # one per phi-orbit, and the precision of each root set computed
 SCAN_100_TRIPLES = [
@@ -284,9 +310,9 @@ def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
     powered, computed = [], []
     real_power, raw_roots = roots.power_alphas, roots.compute_roots.__wrapped__
 
-    def power(rs, s, t, precision_bits):
+    def power(rs, s, t, precision_bits, mirror=None):
         powered.append((rs.n, s, t, precision_bits, rs.frac_bits))
-        return real_power(rs, s, t, precision_bits)
+        return real_power(rs, s, t, precision_bits, mirror)
 
     @functools.lru_cache(maxsize=None)
     def compute(n, precision_bits=192):
@@ -486,7 +512,7 @@ def test_bound_computes_one_root_set(capsys, n):
 
 def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monkeypatch):
     # solve and scan pass the same --precision-bits to roots.candidate_precision
-    from cubicthue import asymptotics, roots, solver
+    from cubicthue import roots, solver
 
     asked = []
     real = roots.candidate_precision
@@ -495,7 +521,7 @@ def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monk
         asked.append(precision_bits)
         return real(n, s, t, y_bound, precision_bits)
 
-    for mod in (solver, asymptotics):
+    for mod in (solver, roots):
         monkeypatch.setattr(mod, "candidate_precision", spy)
     for command in (["solve", "100", "2", "1"], ["scan", "--n", "100", "--smax", "1"]):
         asked.clear()
@@ -561,6 +587,59 @@ def test_env_override_precision(capsys, monkeypatch):
                                 "--ybound", "1"])
     assert code == 0
     assert json.loads(out)["config"]["precision_bits"] == 128
+
+
+@pytest.mark.parametrize("name,value", [("CUBICTHUE_PRECISION_BITS", "abc"),
+                                        ("CUBICTHUE_JOBS", "two"),
+                                        ("CUBICTHUE_JOBS", "1.5")])
+def test_env_override_that_is_not_an_integer_exits_two(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["form", "5", "1", "0"])
+    assert exc.value.code == 2
+    assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_empty_env_override_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("CUBICTHUE_PRECISION_BITS", "")
+    monkeypatch.setenv("CUBICTHUE_JOBS", "")
+    code, out, _ = run(capsys, ["--format", "json", "solve", "3", "1", "0", "--ybound", "1"])
+    assert code == 0
+    assert json.loads(out)["config"]["precision_bits"] == 192
+
+
+@pytest.mark.parametrize("argv", [
+    ["form", "5", "1", "0"],
+    ["lemma", "errorbound", "--n", "1000", "--smax", "1"],
+    ["scan", "--n", "100", "--smax", "1"],
+])
+def test_output_that_cannot_be_written_is_refused_before_any_work(capsys, monkeypatch,
+                                                                  tmp_path, argv):
+    from cubicthue import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("cmd_form", "cmd_lemma", "cmd_scan"):
+        monkeypatch.setattr(cli, name, refuse)
+    cli._parser.cache_clear()   # its subparsers hold the commands
+    try:
+        for path, why in ((tmp_path / "missing" / "x.csv", "is in no existing directory"),
+                          (tmp_path, "is a directory")):
+            code, out, err = run(capsys, ["--output", str(path), *argv])
+            assert code == 2 and out == ""
+            assert err.startswith("error: --output") and why in err
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_output_write_error_exits_two(capsys, tmp_path):
+    # the directory exists, but no file of that name can be made in it
+    path = tmp_path / ("x" * 300)
+    code, out, err = run(capsys, ["--output", str(path), "lemma", "errorbound",
+                                  "--n", "1000", "--smax", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --output") and "File name too long" in err
 
 
 def test_parser_is_built_once_and_reads_the_env_on_every_call(capsys, monkeypatch):

@@ -16,12 +16,12 @@ from mpmath import mp, mpf, workprec
 
 from cubicthue import asymptotics, bounds, roots
 from cubicthue.asymptotics import (
-    _diff_precision, check_error_products, compute_proof_quantities, logdiff_representatives,
-    run_vbar, st_box, true_logdiffs,
+    check_error_products, compute_proof_quantities, logdiff_representatives, run_vbar, st_box,
+    true_logdiffs,
 )
 from cubicthue.cli import main
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, PrecisionExhausted
-from cubicthue.roots import alpha_precision, compute_alphas, compute_roots
+from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, proof_precision
 from conftest import exact_roots
 
 
@@ -39,7 +39,7 @@ def oracle_alphas(n, s, t, precision_bits):
 
 
 def oracle_signed_diffs(n, s, t, precision_bits):
-    a1, a2, a3, rs = oracle_alphas(n, s, t, _diff_precision(n, s, t, precision_bits))
+    a1, a2, a3, rs = oracle_alphas(n, s, t, proof_precision(n, s, t, precision_bits))
     with workprec(rs.precision_bits):
         return a1 - a2, a1 - a3, rs
 
@@ -50,7 +50,7 @@ def oracle_quantities(n, s, t, precision_bits):
         a12, a13 = abs(d12), abs(d13)
         l12, l13 = mp.log(a12), mp.log(a13)
     la0, la1, la2 = rs.log_abs_lambda
-    with workprec(_diff_precision(n, s, t, precision_bits)):
+    with workprec(proof_precision(n, s, t, precision_bits)):
         reg = rs.regulator
         u1, u2 = la0 - la2, la1 - la2
         v1 = l12 * la0 - la2 * l13
@@ -229,7 +229,7 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
         ref = compute_proof_quantities(n, s, t, 192)
         assert (q.n, q.s, q.t, q.b0) == (ref.n, ref.s, ref.t, ref.b0)
         # the cell's conjugates are tri's from index shift on
-        own = compute_alphas(n, s, t, _diff_precision(n, s, t, 192))
+        own = compute_alphas(n, s, t, proof_precision(n, s, t, 192))
         top = max(tri.frac_bits, own.frac_bits)
         for j in range(3):
             a = _scaled((tri.numerators[(j + shift) % 3], tri.radii[(j + shift) % 3]),
@@ -300,7 +300,7 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
     asked.clear()
     with pytest.raises(PrecisionExhausted, match="undecided at"):
         true_logdiffs(n, 2, 1)
-    assert asked == roots.doublings(_diff_precision(n, 2, 1, 192))
+    assert asked == roots.doublings(proof_precision(n, 2, 1, 192))
     assert len(asked) == roots.PRECISION_ATTEMPTS
 
 
@@ -357,7 +357,7 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
     monkeypatch.setattr(asymptotics, "_quantities", never)
     with pytest.raises(PrecisionExhausted):
         compute_proof_quantities(10**4, 2, 1)
-    first = _diff_precision(10**4, 2, 1, 192)
+    first = proof_precision(10**4, 2, 1, 192)
     assert attempts == [first, 2 * first, 4 * first, 8 * first]
     assert main(["bound", "10000", "2", "1"]) == 3
 

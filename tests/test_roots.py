@@ -9,10 +9,12 @@ from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
 import cubicthue.roots as roots
-from cubicthue.asymptotics import _diff_precision, st_box
+from cubicthue.asymptotics import st_box
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.forms import build_form, discriminant
-from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, fixed_view
+from cubicthue.roots import (
+    alpha_precision, compute_alphas, compute_roots, fixed_view, orbit_triples, proof_precision,
+)
 from conftest import exact_roots
 
 
@@ -225,11 +227,12 @@ def test_alpha_matches_exact_field_embedding():
 
 @pytest.mark.parametrize("n", [0, 5, 1000, 10**6, 10**32])
 def test_compute_alphas_is_the_one_ask_plan(n):
-    # the direct body gives the numerators and radii plan_triples gives for the one ask
+    # the direct body gives the numerators and radii orbit_triples gives for a lone
+    # cell, whose one ask is its proof_precision
     for s, t in st_box(3):
         for bits in (64, 192, 333):
-            direct = compute_alphas(n, s, t, bits)
-            planned = roots.plan_triples(n, {(s, t): [(s, t, bits)]})[(s, t)]
+            direct = compute_alphas(n, s, t, proof_precision(n, s, t, bits))
+            (_, _, planned, _), = orbit_triples(n, [(s, t)], bits)
             assert (direct.numerators, direct.radii, direct.frac_bits, direct.precision_bits) == \
                 (planned.numerators, planned.radii, planned.frac_bits, planned.precision_bits)
 
@@ -299,7 +302,7 @@ def test_working_bits_keeps_the_formulas_it_replaced(n):
     for s, t in st_box(8):
         for bits in (64, 192, 1024):
             assert alpha_precision(n, s, t, bits) == written_alpha_precision(n, s, t, bits)
-            assert _diff_precision(n, s, t, bits) == written_diff_precision(n, s, t, bits)
+            assert proof_precision(n, s, t, bits) == written_diff_precision(n, s, t, bits)
             for y_bound in (1, 10**4, 10**5, 10**100):
                 assert roots.candidate_precision(n, s, t, y_bound, bits) == \
                     max(bits, math.ceil(written_first_bits_sum(n, s, t, y_bound)))
@@ -307,19 +310,27 @@ def test_working_bits_keeps_the_formulas_it_replaced(n):
 
 @pytest.mark.parametrize("n", [5, 10**6, 10**40])
 def test_planned_triples_are_powered_from_their_shift(n):
-    # asks at several bits, so the triples of one plan lie at several frac_bits
-    requests = {(s, t): [(s, t, 64 + 96 * ((3 * s + t) % 4))] for s, t in st_box(5)}
-    planned = roots.plan_triples(n, requests)
-    top = max(alpha_precision(n, s, t, bits) for (s, t, bits), in requests.values())
-    for (s, t, bits), in requests.values():
-        K = roots.root_frac_bits(n, alpha_precision(n, s, t, bits))
+    # the cells of st_box(5) and the solver's attempts at a large y_bound ask for
+    # several bits, so the triples lie at several frac_bits; each triple serves its
+    # orbit's asks at their most bits
+    y_bound, members = 2**160, {}
+    for s, t, tri, _ in orbit_triples(n, st_box(5), 192, y_bound):
+        members.setdefault(id(tri), (tri, []))[1].append((s, t, proof_precision(n, s, t, 192)))
+    plans = []
+    for tri, asks in members.values():
+        asks.append((tri.s, tri.t, roots.candidate_precision(n, tri.s, tri.t, y_bound, 192)))
+        plans.append((tri, max(alpha_precision(n, s, t, bits) for s, t, bits in asks),
+                      max(bits for _, _, bits in asks)))
+    top = max(wp for _, wp, _ in plans)
+    for tri, wp, bits in plans:
+        K = roots.root_frac_bits(n, wp)
         # a fresh root set, with no power taken yet
         fresh = roots.compute_roots.__wrapped__(n, top)
-        want = roots.power_alphas(roots.shift_roots(fresh, K), s, t, bits)
-        got = planned[(s, t)]
-        assert (got.numerators, got.radii, got.frac_bits) == (want.numerators, want.radii, K)
+        want = roots.power_alphas(roots.shift_roots(fresh, K), tri.s, tri.t, bits)
+        assert (tri.numerators, tri.radii, tri.frac_bits, tri.precision_bits) == \
+            (want.numerators, want.radii, K, bits)
     # one shifted root set per frac_bits, shared by its triples
     by_bits = {}
-    for tri in planned.values():
+    for tri, _, _ in plans:
         by_bits.setdefault(tri.frac_bits, set()).add(id(tri.roots))
     assert len(by_bits) > 1 and all(len(ids) == 1 for ids in by_bits.values())
