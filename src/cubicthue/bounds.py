@@ -30,7 +30,7 @@ from .asymptotics import (
     _absorb_rhs, cell_quantities, compute_proof_quantities, float_power, ratio_float, st_box,
 )
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
-from .forms import BinaryCubicForm, build_form, height, is_reducible
+from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform
 from .roots import compute_roots, orbit_triples
 
 
@@ -185,15 +185,17 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     batch the cells of an n.  b_abs >= 1 is checked before any root set.  The
     cells go by phi-orbit (roots.orbit_triples, which plans their triples, bits
     and mirror links, and takes y_bound) and share the form of their orbit's
-    representative, built once; a form carries the (s, t) of its cell.  The
-    constants of n are built once, from the first triple's root set, the upper
-    bound once per mirrored pair of forms, and the chain per cell on that
-    cell's proof quantities.  tri is the orbit's triple, in the order of the
-    first cell of the orbit.
+    representative, built once per mirrored pair of orbits; a form carries the
+    (s, t) of its cell.  The constants of n are built once, from the first
+    triple's root set, the upper bound once per mirrored pair of forms, and the
+    chain per cell on that cell's proof quantities.  tri is the orbit's triple,
+    in the order of the first cell of the orbit.
 
     The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
-    (-B, -A), as its conjugates are the inverses: its height and its
-    is_reducible answer are the same, so is its upper bound.
+    (-B, -A), as its conjugates are the inverses, alpha(-s, -t) = 1/alpha(s, t):
+    so the orbit of (-s, -t), phi being linear, takes the reversed form of the
+    orbit of (s, t) where that is built first.  Its height and its is_reducible
+    answer are the same, so is its upper bound.
     """
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
@@ -203,7 +205,11 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
         const = const or _n_constants(tri.roots, b_abs, precision_bits)
         orbit = (tri.s, tri.t)
         if orbit not in forms:
-            forms[orbit] = build_form(n, *orbit)
+            mirror = forms.get((-tri.s, -tri.t))
+            forms[orbit] = (BinaryCubicForm(n, *orbit, -mirror.B, -mirror.A) if mirror
+                            else build_form(n, *orbit))
+            once = phi_transform(*orbit)
+            forms[once] = forms[phi_transform(*once)] = forms[orbit]
         form = forms[orbit]
         if shift:
             form = BinaryCubicForm(n, s, t, form.A, form.B)

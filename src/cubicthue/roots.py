@@ -72,12 +72,15 @@ lam2 by an exact sign change of F between (N_j - r_j) / 2^K and
 is all a RootSet or an AlphaTriple stores; their mpf values are views made
 when first read: N / 2^K exactly, except lam1 and lam2, which are 1/x of the
 views of their inverses (of size at least 1), so that lam1 ~ -1/n keeps its
-relative accuracy where it is below one unit of 2^-K.
+relative accuracy where it is below one unit of 2^-K.  A root set's two root
+logs and its regulator are also taken when first read, and kept: a solve and
+its records read them only for a unit's log solve or b0.
 
 A root set at K serves every K' < K by a floor shift, with no second Newton
 run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
 floor moves the value by less than one unit of 2^-K', and the true value is
-within r / 2^K = (r / 2^d) / 2^K' of N / 2^K, so r' bounds the sum.
+within r / 2^K = (r / 2^d) / 2^K' of N / 2^K, so r' bounds the sum.  A
+shifted set's logs and regulator are its source's, shifted so when first read.
 
 Precision.  This is the one precision policy of the package.  The roots and
 their inverses are below n + 3 in size, so log2 |alpha_j| is at most about
@@ -109,7 +112,7 @@ takes the first decision, or raises PrecisionExhausted (exit code 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from mpmath import mp
@@ -125,6 +128,54 @@ PRECISION_ATTEMPTS = 4  # escalate tries this many precisions, doubling between 
 _MARGIN_BITS = 64       # the solver's first bits: beyond 2 log2(y_bound) + log2 max|alpha|
 
 
+class _WhenRead:
+    """A field of a frozen dataclass that, given as None, is made by make(obj) when
+    first read, and kept."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None     # the field's default
+        value = obj.__dict__[self.slot]
+        if value is None:
+            value = obj.__dict__[self.slot] = self.make(obj)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
+def _shifted(pairs, d: int) -> tuple:
+    """The pairs floor-shifted down by d bits (see the module docstring)."""
+    return tuple((num >> d, -(-r >> d) + 1) for num, r in pairs)
+
+
+def _root_logs(rs) -> tuple:
+    """log|lam0|, log|lam1|, log|lam2| of rs: fixed_log of lam0 and of lam0 + 1 (log|lam1|
+    = -log(lam0 + 1)), or its source's logs floor-shifted."""
+    if rs.source is not None:
+        return _shifted(rs.source.log_fixed, rs.source.frac_bits - rs.frac_bits)
+    K, lam0 = rs.frac_bits, rs.lam_fixed[0]
+    g0 = fixed_log(lam0, K)
+    log_plus_1, r_plus_1 = fixed_log((lam0[0] + (1 << K), lam0[1]), K)
+    g1 = (-log_plus_1, r_plus_1)
+    return g0, g1, (-g0[0] - g1[0], g0[1] + g1[1])
+
+
+def _regulator(rs) -> tuple:
+    """|log|lam1| log|lam0| - log|lam2|^2| of rs, or its source's floor-shifted."""
+    if rs.source is not None:
+        return _shifted([rs.source.reg_fixed], rs.source.frac_bits - rs.frac_bits)[0]
+    g0, g1, g2 = rs.log_fixed
+    p, q = fixed_mul(g1, g0, rs.frac_bits), fixed_mul(g2, g2, rs.frac_bits)
+    return abs(p[0] - q[0]), p[1] + q[1]
+
+
 @dataclass(frozen=True)
 class RootSet:
     """The fixed point of the module docstring, and its mpf views (made when first read)."""
@@ -135,8 +186,11 @@ class RootSet:
     frac_bits: int
     lam_fixed: tuple        # lam0, lam1, lam2; lam0's numerator is the Newton floor X times 2^(K - k)
     inv_fixed: tuple        # 1/lam0, 1/lam1, 1/lam2
-    log_fixed: tuple        # log|lam0|, log|lam1|, log|lam2|
-    reg_fixed: tuple        # the regulator
+    # taken when first read, unless given
+    log_fixed: tuple = _WhenRead(_root_logs)     # log|lam0|, log|lam1|, log|lam2|
+    reg_fixed: tuple = _WhenRead(_regulator)     # the regulator
+    # the set this one is floor-shifted from (shift_roots), or None
+    source: RootSet = field(default=None, compare=False, repr=False)
 
     @cached_property
     def lambdas(self):
@@ -189,6 +243,8 @@ class AlphaTriple:
     radii: tuple
     mirror: tuple = field(default=None, compare=False, repr=False)
     _diff_logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # solver.reduce_to_type1's checked targets: (s2, t2) -> (form, triple of (s2, t2))
+    _reductions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def alphas(self):
@@ -451,20 +507,15 @@ def root_frac_bits(n: int, precision_bits: int) -> int:
 
 def shift_roots(rs: RootSet, frac_bits: int) -> RootSet:
     """The root set rs at frac_bits <= rs.frac_bits, by the floor shift of the module
-    docstring; its precision_bits drops by the bits shifted out."""
+    docstring; its precision_bits drops by the bits shifted out.  Its logs and
+    regulator are rs's, shifted when first read."""
     d = rs.frac_bits - frac_bits
     if d < 0:
         raise ValueError("a root set shifts only to fewer fraction bits")
     if d == 0:
         return rs
-
-    def shift(pairs):
-        return tuple((num >> d, -(-r >> d) + 1) for num, r in pairs)
-
-    reg, = shift([rs.reg_fixed])
-    return replace(rs, precision_bits=rs.precision_bits - d, frac_bits=frac_bits,
-                   lam_fixed=shift(rs.lam_fixed), inv_fixed=shift(rs.inv_fixed),
-                   log_fixed=shift(rs.log_fixed), reg_fixed=reg)
+    return RootSet(rs.n, rs.precision_bits - d, frac_bits, _shifted(rs.lam_fixed, d),
+                   _shifted(rs.inv_fixed, d), source=rs)
 
 
 @lru_cache(maxsize=512)
@@ -494,20 +545,15 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
     inv2 = (-(lam1[0] + one), lam1[1])
     _certify_root(n, lam1, K, 1)
     _certify_root(n, lam2, K, 2)
-    # log|lam0| and log|lam1| = -log(lam0 + 1) by fixed_log, with its radius
-    g0 = fixed_log(lam0, K)
-    log_plus_1, r_plus_1 = fixed_log(lam0_plus_1, K)
-    g1 = (-log_plus_1, r_plus_1)
-    g2 = (-g0[0] - g1[0], g0[1] + g1[1])
-    p, q = fixed_mul(g1, g0, K), fixed_mul(g2, g2, K)
-    reg = (abs(p[0] - q[0]), p[1] + q[1])
-    return RootSet(n, precision_bits, K, (lam0, lam1, lam2), (inv0, inv1, inv2),
-                   (g0, g1, g2), reg)
+    return RootSet(n, precision_bits, K, (lam0, lam1, lam2), (inv0, inv1, inv2))
 
 
 def working_bits(n: int, weight: int, need) -> int:
     """The bits a decision on conjugates at n starts at: need, plus weight (at least
-    |s| + |t|) times the log2 of n + 2, rounded up (see "Precision" above)."""
+    |s| + |t|) times the log2 of n + 2, rounded up (see "Precision" above).  The
+    log is only defined for n >= 0, so a negative n is refused here."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return math.ceil(need + weight * math.log2(n + 2))
 
 

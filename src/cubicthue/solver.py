@@ -51,10 +51,17 @@ type is 1: with y != 0, |x - alpha_i y| = |x - alpha_j y| for i != j would
 make alpha_i + alpha_j = 2 x / y rational, hence alpha_k = -A - alpha_i -
 alpha_j rational too, but alpha is not +-1 (lam0 and lam1 are
 multiplicatively independent), so it generates the cubic field and its
-conjugates are irrational.  reduce_to_type1 re-types on a triple powered
-from the record's root set, and decompose_unit takes the record's unit and
-starts its log solve on the record's triple, so a solve and the steps after
-it compute the roots of n once.
+conjugates are irrational.  The two solutions of a pair have one type, as
+|-x - alpha_j (-y)| = |x - alpha_j y| for every j, so solve_box types one of
+each pair and gives the other the same type.
+
+reduce_to_type1 re-types on a triple powered from the record's root set, and
+decompose_unit takes the record's unit and starts its log solve on the
+record's triple, so a solve and the steps after it compute the roots of n
+once.  A reduction's form check and its target triple depend only on the
+certificate and the target pair, so they are made once per target pair and
+kept on the certificate's triple, which all records of a solve share; the
+value and the type 1 are still checked per record.
 """
 
 from __future__ import annotations
@@ -120,8 +127,7 @@ def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
     key = (alphas.n, alphas.s, alphas.t)
 
     def decide(tri):
-        den = 1 << tri.frac_bits
-        b = [abs(x * den - num * y) for num in tri.numerators]
+        b = [abs((x << tri.frac_bits) - num * y) for num in tri.numerators]
         e = [r * abs(y) for r in tri.radii]
         j = min(range(3), key=b.__getitem__)
         if y == 0 or all(b[j] + e[j] < b[i] - e[i] for i in range(3) if i != j):
@@ -131,22 +137,29 @@ def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
     return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}", alphas, decide)
 
 
+def _form_at_power(form, x: int, k: int) -> int:
+    """f(x, 2^k), by Horner's rule with shifts for the powers of 2^k:
+    ((x + A 2^k) x + B 2^(2k)) x - 2^(3k)."""
+    return ((x + (form.A << k)) * x + (form.B << 2 * k)) * x - (1 << 3 * k)
+
+
 def _brackets(form, tri: AlphaTriple):
     """Certified disjoint brackets around the roots of g, over one denominator.
 
-    Returns ([(lo_j, hi_j) for j = 1, 2, 3], den) with den = 2^K and
-    lo_j / den < alpha_j < hi_j / den, or None if they are not certified.
+    Returns ([(lo_j, hi_j) for j = 1, 2, 3], K) with lo_j / 2^K < alpha_j <
+    hi_j / 2^K, or None if they are not certified.
     """
     out = [(num - r - 1, num + r + 1) for num, r in zip(tri.numerators, tri.radii)]
-    den = 1 << tri.frac_bits
+    K = tri.frac_bits
     for lo, hi in out:
-        # f is homogeneous of degree 3 and den > 0: f(lo, den) has the sign of g(lo / den)
-        if eval_form(form, lo, den) * eval_form(form, hi, den) >= 0:
+        # f is homogeneous of degree 3 and 2^K > 0: f(lo, 2^K) has the sign of g(lo / 2^K)
+        at_lo, at_hi = _form_at_power(form, lo, K), _form_at_power(form, hi, K)
+        if not (at_lo < 0 < at_hi or at_hi < 0 < at_lo):
             return None
     ordered = sorted(out)
     if any(ordered[i][1] >= ordered[i + 1][0] for i in range(2)):
         return None
-    return out, den
+    return out, K
 
 
 def _convergents(lo: int, hi: int, den: int, q_max: int):
@@ -175,9 +188,10 @@ def _candidates(form, tri: AlphaTriple, y_bound: int):
     got = _brackets(form, tri)
     if got is None:
         return None
-    brackets, den = got
-    limit = 8 * den * den  # q g > limit gives q G_j > 8
-    radius = 4 * den ** 3  # 4 / (G_j y^2) <= 4 den^2 / (g y^2) = radius / (den g y^2)
+    brackets, K = got
+    den = 1 << K
+    limit = 8 << 2 * K     # q g > limit gives q G_j > 8
+    radius = 4 << 3 * K    # 4 / (G_j y^2) <= 4 den^2 / (g y^2) = radius / (den g y^2)
     out = set()
     for j, (lo, hi) in enumerate(brackets):
         g = 1  # G_j >= g / den^2, from the gaps between the brackets
@@ -190,7 +204,7 @@ def _candidates(form, tri: AlphaTriple, y_bound: int):
         out.update((p, q) for p, q in convergents if q * g > limit)
         for y in range(1, min(y_bound, limit // g) + 1):
             # x in [lo y / den - r, hi y / den + r] with r = radius / (den g y^2)
-            gy3, w = g * y ** 3, den * g * y * y
+            gy3, w = g * y ** 3, (g * y * y) << K
             out.update((x, y) for x in range(-((radius - lo * gy3) // w),
                                              (hi * gy3 + radius) // w + 1))
     return out
@@ -211,7 +225,11 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     unit = ef.alpha_element(n, s, t)
     tri = compute_alphas(n, s, t, candidate_precision(n, s, t, y_bound, precision_bits))
     found, tri = _solve_form(form_of_unit(unit, s, t), y_bound, tri)
-    records = [SolutionRecord(n, s, t, x, y, v, classify_type(x, y, tri), abs(y) <= 1, unit, tri)
+    types = {}
+    for x, y in found:
+        # one type per pair: |-x - alpha_j (-y)| = |x - alpha_j y|
+        types[(x, y)] = types.get((-x, -y)) or classify_type(x, y, tri)
+    records = [SolutionRecord(n, s, t, x, y, v, types[(x, y)], abs(y) <= 1, unit, tri)
                for (x, y), v in found.items()]
     records.sort(key=lambda r: (abs(r.y), r.y, r.x))
     return records
@@ -250,6 +268,8 @@ def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord):
     record's value at (x, y); and the record re-types as 1 on the new
     conjugates, powered from the record's root set on their own (not
     rotated from its triple), so that the orbit identity is checked too.
+    The first check and the powering are made once per target pair for the
+    records of one solve (_reduction_target); the other two, per record.
     """
     _check_record(n, s, t, rec)
     if rec.type_j not in (2, 3):
@@ -258,17 +278,30 @@ def reduce_to_type1(n: int, s: int, t: int, rec: SolutionRecord):
         new_st = (-t, s - t)
     else:
         new_st = (-s + t, -s)
-    s2, t2 = new_st
-    f_old = form_of_unit(rec.unit, s, t)
-    f_new = build_form(n, s2, t2)
-    if (f_new.A, f_new.B) != (f_old.A, f_old.B):
-        raise NotReducible(f"transformed form differs at (n,s,t)={(n, s, t)}")
+    f_new, tri = _reduction_target(rec, *new_st)
     if eval_form(f_new, rec.x, rec.y) != rec.value:
         raise NotReducible("record does not solve the transformed equation")
-    tri = power_alphas(rec.alphas.roots, s2, t2, rec.alphas.precision_bits)
     if classify_type(rec.x, rec.y, tri) != 1:
         raise NotReducible(f"record did not re-classify as type 1 under {new_st}")
     return new_st, True
+
+
+def _reduction_target(rec: SolutionRecord, s2: int, t2: int):
+    """The form of (rec.n, s2, t2), checked equal to that of rec's unit, and the
+    triple of (s2, t2) powered from rec's root set at rec's bits.
+
+    Both are made once per target pair and kept on rec's triple, the
+    certificate every record of a solve shares (Typing in the module docstring).
+    """
+    memo = rec.alphas._reductions
+    if (s2, t2) not in memo:
+        f_old = form_of_unit(rec.unit, rec.s, rec.t)
+        f_new = build_form(rec.n, s2, t2)
+        if (f_new.A, f_new.B) != (f_old.A, f_old.B):
+            raise NotReducible(f"transformed form differs at (n,s,t)={(rec.n, rec.s, rec.t)}")
+        memo[(s2, t2)] = f_new, power_alphas(rec.alphas.roots, s2, t2,
+                                             rec.alphas.precision_bits)
+    return memo[(s2, t2)]
 
 
 def _exponent_guesses(x: int, y: int, first: AlphaTriple):
@@ -321,7 +354,7 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
         raise ValueError("record is not a unit solution")
     x, y = rec.x, rec.y
     alpha = rec.unit
-    beta_exact = ef.FieldInt(n, x, 0, 0) - alpha * y
+    beta_exact = ef.FieldInt(n, x - alpha.c0 * y, -alpha.c1 * y, -alpha.c2 * y)
     for b1, b2 in _exponent_guesses(x, y, rec.alphas):
         if (b1, b2) == (s, t):
             power = alpha

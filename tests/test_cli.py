@@ -174,7 +174,9 @@ def test_scan_builds_one_form_per_cell(capsys, monkeypatch):
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "20:21", "--smax", "1",
                               "--ybound", "100"])
     assert code == 0
-    assert len(calls) == 8 == len(set(calls))
+    # per n, one form per mirrored pair of phi-orbits: the orbit of (-s, -t) takes the
+    # reversed form of that of (s, t)
+    assert len(calls) == 4 == len(set(calls))
 
 
 def test_scan_rows_equal_cell_by_cell_public_calls(capsys):
@@ -256,11 +258,11 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     roots.compute_alphas.cache_clear()
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3"])
     assert code == 0
-    # two n values: per n, one triple and one form per orbit, and three difference
-    # logs per orbit with two or three cells in the box and two for the others,
-    # taken for one orbit of each mirrored pair (s, t), (-s, -t) and derived for
-    # the other; besides them, each root set takes its two root logs
-    assert counts == {"triples": 2 * 24, "logs": 2 * 27 + 2 * 2, "forms": 2 * 24}
+    # two n values: per n, one triple per orbit and one form per mirrored pair of
+    # orbits (s, t), (-s, -t), and three difference logs per orbit with two or three
+    # cells in the box and two for the others, taken for one orbit of each mirrored
+    # pair and derived for the other; besides them, each root set takes its two root logs
+    assert counts == {"triples": 2 * 24, "logs": 2 * 27 + 2 * 2, "forms": 2 * 12}
     # per n, one root set: the orbits' triples and the bound constants share it
     assert roots.compute_roots.cache_info().misses == 2
 
@@ -495,6 +497,21 @@ def test_bad_bounds_are_refused_before_any_root_set(capsys, argv, message):
     roots.compute_roots.cache_clear()
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and message in err
+    assert roots.compute_roots.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "-2", "1", "1"], ["bound", "-5", "1", "1"], ["scan", "--n=-3:-1", "--smax", "1"],
+    ["lemma", "ubar", "--n=-5:-3"],
+])
+def test_negative_n_is_refused_before_any_precision_formula(capsys, argv):
+    # the precision policy takes log2(n + 2), which has no value below n = -1
+    from cubicthue import roots
+
+    roots.compute_roots.cache_clear()
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: n must be nonnegative\n"
     assert roots.compute_roots.cache_info().misses == 0
 
 

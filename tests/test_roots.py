@@ -172,6 +172,27 @@ def test_views_follow_the_shifted_bits():
         assert low.lambda1 == 1 / fixed_view(low.inv_fixed[1][0], K)
 
 
+def test_root_logs_are_taken_when_first_read(monkeypatch):
+    # two fixed_log calls per computed root set, at the first read of its logs or
+    # regulator; a shifted set floor-shifts its source's logs and regulator
+    calls = []
+    real = roots.fixed_log
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(roots, "fixed_log", counting)
+    roots.compute_roots.cache_clear()
+    rs = compute_roots(10**6, 256)
+    low = roots.shift_roots(rs, rs.frac_bits - 100)
+    assert calls == [] and low.lambda0 > 0
+    assert low.reg_fixed == ((rs.reg_fixed[0] >> 100), -(-rs.reg_fixed[1] >> 100) + 1)
+    assert low.log_fixed == tuple((num >> 100, -(-r >> 100) + 1) for num, r in rs.log_fixed)
+    assert len(calls) == 2
+    assert rs.regulator > 0 and len(calls) == 2
+
+
 @pytest.mark.parametrize("n", [0, 1, 10**6, 10**64])
 def test_alpha_triple_exact_self_checks(n):
     # each identity to relative 2^-(precision_bits-16), relative to the size of

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import brute_force_solutions
 from cubicthue import cli, roots, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.errors import DegenerateTwist, PrecisionExhausted, RoundingAmbiguous
-from cubicthue.forms import build_form, eval_form
+from cubicthue.forms import BinaryCubicForm, build_form, eval_form
 from cubicthue.roots import compute_alphas, power_alphas, shift_roots
 from cubicthue.solver import classify_type, decompose_unit, reduce_to_type1, solve_box
 
@@ -205,6 +206,15 @@ def test_candidates_match_the_fraction_oracle(n, st_pair, y_bound, extra_bits):
     assert solver._candidates(form, tri, y_bound) == oracle_candidates(form, tri, y_bound)
 
 
+@settings(max_examples=300, deadline=None)
+@given(A=st.integers(-10**40, 10**40), B=st.integers(-10**40, 10**40),
+       x=st.one_of(st.integers(-10**6, 10**6), st.integers(-2**600, 2**600)),
+       k=st.integers(0, 500))
+def test_bracket_signs_by_horner_equal_eval_form(A, B, x, k):
+    form = BinaryCubicForm(0, 1, 0, A, B)
+    assert solver._form_at_power(form, x, k) == eval_form(form, x, 1 << k)
+
+
 def test_candidates_grow_with_log_y_bound(monkeypatch):
     calls = []
 
@@ -381,6 +391,42 @@ def test_a_solve_and_its_records_compute_one_root_set(n):
                 reduce_to_type1(n, s, t, rec)
             decompose_unit(n, s, t, rec, with_b_bar=False)
         assert (s, t, roots.compute_roots.cache_info().misses) == (s, t, 1)
+
+
+@pytest.mark.parametrize("n,s,t", [(1000, -1, 3), (5, 1, 1), (10**6, 3, -2), (10, 1, 0)])
+def test_the_records_of_a_solve_share_their_certificate_work(n, s, t, monkeypatch):
+    # one type per pair (x, y), (-x, -y); one form check and one target triple per
+    # target pair; the two root logs only where a record's log solve reads them
+    counts = Counter()
+
+    def count(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for mod, name in ((roots, "fixed_log"), (solver, "classify_type"),
+                      (solver, "build_form"), (solver, "power_alphas")):
+        count(mod, name)
+    roots.compute_roots.cache_clear()
+    roots.compute_alphas.cache_clear()
+    records = solve_box(n, s, t, 10**5)
+    assert counts == {"classify_type": len(records) // 2}
+    targets = set()
+    for rec in records:
+        if rec.type_j in (2, 3):
+            new_st, ok = reduce_to_type1(n, s, t, rec)
+            targets.add(new_st)
+        decompose_unit(n, s, t, rec, with_b_bar=False)
+    reduced = sum(1 for rec in records if rec.type_j in (2, 3))
+    # the shape guesses decide every record with x y = 0 without the log solve
+    log_solved = any(rec.x * rec.y for rec in records)
+    assert (n, s, t, +counts) == (n, s, t, +Counter(
+        classify_type=len(records) // 2 + reduced, build_form=len(targets),
+        power_alphas=len(targets), fixed_log=2 * log_solved))
+    assert roots.compute_roots.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n,s,t", [(1000, -1, 3), (5, 1, 1), (10**6, 3, -2)])
