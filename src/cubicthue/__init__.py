@@ -7,6 +7,6 @@ log-difference asymptotics, and the comparison of the effective upper bound
 against the derived lower-bound chain.
 """
 
-from . import asymptotics, bounds, exact_field, forms, roots, solver
+from . import asymptotics, bounds, exact_field, forms, proof, roots, solver
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ is the delicate part.  Only its diff12 half is written out: six formulas,
 derived from the two-term power expansions of the roots and cross-checked
 against 400-bit numerics, each with residual O(n^-2) for fixed (s, t),
 measured as a clean -2 slope on log-log grids.  The diff13 half is derived
-from it.  phi(s, t) = (t - s, -s) rotates the conjugates (see below), so
+from it.  phi(s, t) = (t - s, -s) rotates the conjugates (see proof.py), so
 |alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t), and the
 diff13 branch of (s, t) is the mirror of the diff12 branch of phi(s, t):
 WIDE_ABOVE <-> WIDE_BELOW, EDGE_ABOVE <-> EDGE_BELOW, and each DOUBLED
@@ -18,44 +18,10 @@ branch is its own mirror.  A sign or parity slip in one half therefore shows
 in the other; tests/test_asymptotics.py keeps the six diff13 formulas
 written out as the check.
 
-The proof quantities are computed in the fixed point of roots.py: integers
-over 2^K, each with an integer error radius in units of 2^-K.  The
-conjugates come from a triple of numerators with radii, so alpha1 - alpha2
-and alpha1 - alpha3 are integer differences whose radii add.  Their logs are
-taken in integers too, by roots.fixed_log, with the radius proved there: the
-relative error of the difference (radius over |numerator| - radius) and the
-kernel's floors, log-2 error and series tail.  The root logs and the
-regulator carry the radii the root set gave them, and
-v1 + v2 = log|d12| u1 + log|d13| u2 is a sum of fixed-point products whose
-radius follows from those.  b0 and the window 0 < v_bar < R are decided only
-when (v1 + v2) mod R lies farther than that radius (plus b0 times the
-regulator's) from 0 and from R; otherwise cell_quantities retries at more
-bits by the precision policy of roots.py (its "Precision" paragraph).
-So a b0 this module reports is the true one, whatever the cancellation in
-v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
-(u_bar > 0, the w_bar absorption) are made on the same integers, without a
-division (see bounds._chain); they are not certified.
-
-The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
-one orbit have the same three conjugates in a cyclic order: those of
-phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
-their differences are the three alpha_i - alpha_j of one triple, up to sign,
-and _quantities takes the triple and the shift of a cell; the triple takes
-each log |alpha_i - alpha_j| once (roots.AlphaTriple.diff_log).
-roots.orbit_triples, the one planner of an n's cells, goes this way: one
-root set per n and one triple per orbit, at the bits of its cells' proof
-quantities (roots.proof_precision), so an orbit takes three difference logs
-in all.  The harnesses run_logdiff, run_errorbound, run_vbar and run_wbar go
-through it, as does bounds.cell_reports, the bound path of the bound command
-and the scans; true_logdiffs, check_error_products and
-compute_proof_quantities are the one-cell case, on compute_alphas's triple.
-
-The orbit of (-s, -t) holds the inverse conjugates, so its difference logs
-follow from those of (s, t) and the root logs, and a mirrored pair of orbits
-takes three logs, not six: orbit_triples links each pair as it powers the
-triples, one of the pair the mirror of the other where both have the same
-frac_bits.  An orbit without its mirror among the cells (the logdiff
-representatives) and the one-cell case take their own logs.
+The certified proof quantities, on which the lower-bound chain rests, are in
+proof.py; this module measures them.  The harnesses logdiff, errorbound, vbar
+and wbar take the cells of an n by phi-orbit (roots.orbit_triples), and
+true_logdiffs and check_error_products are the one-cell case (proof._one_cell).
 """
 
 from __future__ import annotations
@@ -66,11 +32,13 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
+from .bounds import float_power, ratio_float
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
-from .roots import (
-    compute_alphas, compute_roots, escalate, fixed_mul, fixed_view, orbit_triples,
-    proof_precision,
+from .forms import st_box
+from .proof import (
+    _absorb_rhs, _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities,
 )
+from .roots import compute_roots, escalate, fixed_view, orbit_triples
 
 DEFAULT_EPSILON = 0.25
 
@@ -214,31 +182,6 @@ def _predict12(nn, L, s: int, t: int, err: float) -> Prediction:
     return Prediction((-s) * L, mpf(t - s) / nn, err)
 
 
-def _ordered_diffs(tri, shift: int):
-    """alpha1 - alpha2 and alpha1 - alpha3, as (numerator, radius) pairs over 2^K,
-    of the cell whose conjugates are those of tri from index shift on."""
-    i, j, k, nums, radii = shift, (shift + 1) % 3, (shift + 2) % 3, tri.numerators, tri.radii
-    return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
-
-
-def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
-    """The triple of (n, s, t) alone at proof_precision bits, as orbit_triples
-    plans it for pairs [(s, t)] (compute_alphas is that one-cell plan, cached)."""
-    if s * t == 0:
-        raise DegenerateTwist(f"{what} need s*t != 0")
-    return compute_alphas(n, s, t, proof_precision(n, s, t, precision_bits))
-
-
-def _cell_logs(tri, shift: int):
-    """The logs and signed differences (l12, l13, d12, d13), as (numerator, radius)
-    pairs over 2^K, of the cell whose conjugates are tri's from index shift on;
-    None where a difference is not known to be nonzero."""
-    d12, d13 = _ordered_diffs(tri, shift)
-    if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
-        return None
-    return tri.diff_log(shift, (shift + 1) % 3), tri.diff_log(shift, (shift + 2) % 3), d12, d13
-
-
 def _logdiffs(tri, shift: int):
     """_cell_logs as exact mpf views of their numerators over 2^K, escalating
     from tri where a difference is not known to be nonzero."""
@@ -253,14 +196,6 @@ def _logdiffs(tri, shift: int):
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences."""
     return _logdiffs(_one_cell(n, s, t, precision_bits, "conjugate differences"), 0)
-
-
-def ratio_float(num: int, den: int) -> float:
-    """num / den for integers, correctly rounded to a float; +-inf beyond float range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
 @dataclass(frozen=True)
@@ -303,123 +238,6 @@ def _error_products(tri, shift: int, s: int, t: int) -> ErrorProductReport:
         ratio_float(3 * mixed[1], 2 * n * n * one3),
         (s, t) in ((1, 1), (-1, -1)),
     )
-
-
-@dataclass(frozen=True)
-class ProofQuantities:
-    """The six 2x2 determinants of the unit-exponent system plus derived scalars.
-
-    u_bar = -u1 - u2, w_bar = -w1 - w2, and b0 is the unique integer placing
-    v_bar = b0*R - v1 - v2 inside the window (0, R).
-
-    The fields ending in _num are the quantities in fixed point: integers
-    over 2^frac_bits (diff12_num and diff13_num are the signed differences
-    alpha1 - alpha2 and alpha1 - alpha3).  u_bar, v_bar and regulator read
-    u_bar_num, v_bar_num and regulator_num as exact mpf views; the other
-    quantities have no view.  w_bar enters the proof only through the
-    absorption ratio |w_bar| / (2 |d12| |d13|), which absorb_ratio gives as
-    a quotient of integers: bounds._chain decides the absorption on it, and
-    run_wbar reports it.
-    """
-
-    n: int
-    s: int
-    t: int
-    precision_bits: int
-    frac_bits: int
-    b0: int
-    u1_num: int
-    u2_num: int
-    v1_num: int
-    v2_num: int
-    v_bar_num: int
-    regulator_num: int
-    diff12_num: int
-    diff13_num: int
-
-    def _view(self, num):
-        return fixed_view(num, self.frac_bits)
-
-    v_bar = property(lambda self: self._view(self.v_bar_num))
-    regulator = property(lambda self: self._view(self.regulator_num))
-
-    @property
-    def u_bar_num(self) -> int:
-        return -self.u1_num - self.u2_num
-
-    @property
-    def u_bar(self):
-        return self._view(self.u_bar_num)
-
-    def absorb_ratio(self):
-        """|w_bar| / (2 |d12| |d13|) as (numerator, denominator), integers.
-
-        |w_bar| = |u1 d13 + u2 d12| / |d12 d13|, so over 2^K the ratio is
-        |U1 D13 + U2 D12| 2^(2K) / (2 (D12 D13)^2).
-        """
-        w = abs(self.u1_num * self.diff13_num + self.u2_num * self.diff12_num)
-        return w << 2 * self.frac_bits, 2 * (self.diff12_num * self.diff13_num) ** 2
-
-
-def _absorb_rhs(n: int, wp: int):
-    """The absorption threshold (3/4) log(n) / n at wp bits; None at n = 0."""
-    if n == 0:
-        return None
-    with workprec(wp):
-        return mpf(3) / 4 * mp.log(n) / n
-
-
-def _quantities(tri, shift: int, s: int, t: int, precision_bits: int):
-    """ProofQuantities of the cell (s, t) whose conjugates are those of tri from
-    index shift on, or None where the radii leave a difference's sign (see
-    _cell_logs) or b0 undecided.
-
-    v1 + v2 = V and R are known as integers over 2^K with radii r_V and r_R.
-    With m = floor(V / R) and rem = V - m R, the true value of v1 + v2 lies
-    strictly between m R and (m + 1) R, for the true R, when
-
-        rem > r_V + |m| r_R    and    R - rem > r_V + |m + 1| r_R.
-
-    Then b0 = m + 1 and v_bar = R - rem lies in (0, R).
-    """
-    got = _cell_logs(tri, shift)
-    if got is None:
-        return None
-    l12, l13, d12, d13 = got
-    rs, K = tri.roots, tri.frac_bits
-    g0, g1, g2 = rs.log_fixed
-    p1, p2 = fixed_mul(l12, g0, K), fixed_mul(g2, l13, K)
-    p3, p4 = fixed_mul(g1, l13, K), fixed_mul(l12, g2, K)
-    v1, v2 = p1[0] - p2[0], p3[0] - p4[0]
-    r_v = p1[1] + p2[1] + p3[1] + p4[1]
-    reg, r_reg = rs.reg_fixed
-    m, rem = divmod(v1 + v2, reg)
-    if rem <= r_v + abs(m) * r_reg or reg - rem <= r_v + abs(m + 1) * r_reg:
-        return None
-    return ProofQuantities(
-        tri.n, s, t, precision_bits, K, m + 1,
-        g0[0] - g2[0], g1[0] - g2[0], v1, v2, reg - rem, reg, d12[0], d13[0],
-    )
-
-
-def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
-    """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
-
-    Where the radii leave a difference's sign or b0 undecided, the cell
-    escalates from tri over roots.attempts(tri) (see "Precision" in roots.py).
-    """
-    if s * t == 0:
-        raise DegenerateTwist("proof quantities need s*t != 0")
-    return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", tri,
-                    lambda cur: _quantities(cur, shift, s, t, precision_bits))
-
-
-def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
-    """The proof quantities of (n, s, t), with b0 and the window certified:
-    cell_quantities on the one-cell triple, at proof_precision(n, s, t,
-    precision_bits) bits."""
-    return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"),
-                           0, s, t, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -499,21 +317,6 @@ def _require_least_n(name: str, n_grid, least: int):
         raise ValueError(f"lemma {name} needs n >= {least}, got n = {low}")
 
 
-def float_power(n: int, exponent: float) -> float:
-    """n ** exponent for an integer n >= 0 of any size; math.inf beyond float range.
-
-    Where n ** exponent is a float it is returned as it is; for an n beyond
-    float range the power is taken through math.log, which accepts any int.
-    """
-    try:
-        return n ** exponent
-    except OverflowError:
-        try:
-            return math.exp(exponent * math.log(n))
-        except OverflowError:
-            return math.inf
-
-
 def log_grid(lo: int, hi: int):
     """Deterministic log-spaced integer grid from lo to hi inclusive, two points a decade."""
     if lo <= 0 or hi < lo:
@@ -541,16 +344,6 @@ BRANCH_REPRESENTATIVES_13 = {
     Branch.EDGE_BELOW: (3, 2),
     Branch.WIDE_BELOW: (1, 2),
 }
-
-
-def st_box(bound: int):
-    """All (s, t) with 0 < max(|s|, |t|) <= bound and s*t != 0, in fixed order."""
-    return [
-        (s, t)
-        for s in range(-bound, bound + 1)
-        for t in range(-bound, bound + 1)
-        if s * t != 0
-    ]
 
 
 def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
@@ -760,9 +553,10 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
     for n in n_grid:
         rhs = _absorb_rhs(n, precision_bits + 16)
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
-            num, den = cell_quantities(tri, shift, s, t, precision_bits).absorb_ratio()
+            q = cell_quantities(tri, shift, s, t, precision_bits)
+            (num, den), k = q.absorb_ratio(), 2 * q.frac_bits
             with workprec(precision_bits + 16):
-                lhs = mpf(num) / den
+                lhs = mpf((num >> k, k)) / den   # num = w 2^k; from (w, k), no zeros to strip
                 margin = float(rhs / lhs) if lhs > 0 else math.inf
             ok_pt = margin >= 1.0
             if not ok_pt:

@@ -26,15 +26,36 @@ from typing import Optional
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, round_nearest
 
-from .asymptotics import (
-    _absorb_rhs, cell_quantities, compute_proof_quantities, float_power, ratio_float, st_box,
-)
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
-from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform
+from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform, st_box
+from .proof import _absorb_rhs, cell_quantities, compute_proof_quantities
 from .roots import compute_roots, orbit_triples
 
 
 _THREE = from_int(3)
+
+
+def ratio_float(num: int, den: int) -> float:
+    """num / den for integers, correctly rounded to a float; +-inf beyond float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
+
+
+def float_power(n: int, exponent: float) -> float:
+    """n ** exponent for an integer n >= 0 of any size; math.inf beyond float range.
+
+    Where n ** exponent is a float it is returned as it is; for an n beyond
+    float range the power is taken through math.log, which accepts any int.
+    """
+    try:
+        return n ** exponent
+    except OverflowError:
+        try:
+            return math.exp(exponent * math.log(n))
+        except OverflowError:
+            return math.inf
 
 
 def c3_constant(degree: int, rank: int) -> int:
@@ -188,8 +209,9 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     representative, built once per mirrored pair of orbits; a form carries the
     (s, t) of its cell.  The constants of n are built once, from the first
     triple's root set, the upper bound once per mirrored pair of forms, and the
-    chain per cell on that cell's proof quantities.  tri is the orbit's triple,
-    in the order of the first cell of the orbit.
+    chain per cell on that cell's proof quantities; a cell with s*t = 0 has
+    none, and reports its upper bound with the chain failure "s*t != 0".  tri
+    is the orbit's triple, in the order of the first cell of the orbit.
 
     The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
     (-B, -A), as its conjugates are the inverses, alpha(-s, -t) = 1/alpha(s, t):
@@ -216,9 +238,11 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
         key = min((form.A, form.B), (-form.B, -form.A))
         if key not in uppers:
             uppers[key] = _upper_bound(form, const)
-        q = cell_quantities(tri, shift, s, t, precision_bits)
         lower, failure, crossover = None, "", False
         try:
+            if s * t == 0:
+                raise ChainPreconditionFailed("s*t != 0")
+            q = cell_quantities(tri, shift, s, t, precision_bits)
             lower_mpf = _chain(n, q, const.absorb_rhs, precision_bits + 16)
             lower = _finite_float(lower_mpf)
             crossover = bool(lower_mpf > uppers[key])

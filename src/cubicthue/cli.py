@@ -54,7 +54,7 @@ from mpmath import mp, mpf
 
 from . import asymptotics, bounds, solver
 from .errors import DegenerateTwist, EmptyGrid, PrecisionExhausted
-from .forms import build_form
+from .forms import build_form, st_box
 
 LEMMA_RUNNERS = {
     "lapprox": asymptotics.run_lapprox,
@@ -369,7 +369,7 @@ def cmd_scan(args) -> int:
     _check_form_digits(n_grid[-1], args.smax, -args.smax)
     if args.ybound < 1:
         raise ValueError("y_bound must be >= 1")
-    pairs = asymptotics.st_box(args.smax)
+    pairs = st_box(args.smax)
     jobs = [(n, pairs, args.ybound, args.precision_bits) for n in n_grid]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -66,6 +66,12 @@ def phi_transform(s: int, t: int):
     return (-s + t, -s)
 
 
+def st_box(bound: int):
+    """All (s, t) with 0 < max(|s|, |t|) <= bound and s*t != 0, in fixed order."""
+    span = range(-bound, bound + 1)
+    return [(s, t) for s in span for t in span if s * t != 0]
+
+
 def discriminant(form: BinaryCubicForm) -> int:
     """Discriminant of the dehomogenised cubic z^3 + A z^2 + B z - 1."""
     a, b, c = form.A, form.B, -1

@@ -1,0 +1,180 @@
+"""The certified proof quantities of a cell: b0, the window of v_bar, u_bar and w_bar.
+
+The proof quantities are computed in the fixed point of roots.py: integers
+over 2^K, each with an integer error radius in units of 2^-K.  The
+conjugates come from a triple of numerators with radii, so alpha1 - alpha2
+and alpha1 - alpha3 are integer differences whose radii add.  Their logs are
+taken in integers too, by roots.fixed_log, with the radius proved there: the
+relative error of the difference (radius over |numerator| - radius) and the
+kernel's floors, log-2 error and series tail.  The root logs and the
+regulator carry the radii the root set gave them, and
+v1 + v2 = log|d12| u1 + log|d13| u2 is a sum of fixed-point products whose
+radius follows from those.  b0 and the window 0 < v_bar < R are decided only
+when (v1 + v2) mod R lies farther than that radius (plus b0 times the
+regulator's) from 0 and from R; otherwise cell_quantities retries at more
+bits by the precision policy of roots.py (its "Precision" paragraph).
+So a b0 this module reports is the true one, whatever the cancellation in
+v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
+(u_bar > 0, the w_bar absorption) are made on the same integers, without a
+division (see bounds._chain); they are not certified.
+
+The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
+one orbit have the same three conjugates in a cyclic order: those of
+phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
+_quantities takes the triple and the shift of a cell, and the triple takes
+each log |alpha_i - alpha_j| once (roots.AlphaTriple.diff_log), or from its
+mirror, the triple of the orbit of (-s, -t).  bounds.cell_reports and the
+harnesses plan the cells of an n by roots.orbit_triples; the one-cell case
+is compute_proof_quantities, on compute_alphas's triple.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from mpmath import mp, mpf, workprec
+
+from .errors import DegenerateTwist
+from .roots import compute_alphas, escalate, fixed_mul, fixed_view, proof_precision
+
+
+def _ordered_diffs(tri, shift: int):
+    """alpha1 - alpha2 and alpha1 - alpha3, as (numerator, radius) pairs over 2^K,
+    of the cell whose conjugates are those of tri from index shift on."""
+    i, j, k, nums, radii = shift, (shift + 1) % 3, (shift + 2) % 3, tri.numerators, tri.radii
+    return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
+
+
+def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
+    """The triple of (n, s, t) alone at proof_precision bits, as orbit_triples
+    plans it for pairs [(s, t)] (compute_alphas is that one-cell plan, cached)."""
+    if s * t == 0:
+        raise DegenerateTwist(f"{what} need s*t != 0")
+    return compute_alphas(n, s, t, proof_precision(n, s, t, precision_bits))
+
+
+def _cell_logs(tri, shift: int):
+    """The logs and signed differences (l12, l13, d12, d13), as (numerator, radius)
+    pairs over 2^K, of the cell whose conjugates are tri's from index shift on;
+    None where a difference is not known to be nonzero."""
+    d12, d13 = _ordered_diffs(tri, shift)
+    if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
+        return None
+    return tri.diff_log(shift, (shift + 1) % 3), tri.diff_log(shift, (shift + 2) % 3), d12, d13
+
+
+@dataclass(frozen=True)
+class ProofQuantities:
+    """The six 2x2 determinants of the unit-exponent system plus derived scalars.
+
+    u_bar = -u1 - u2, w_bar = -w1 - w2, and b0 is the unique integer placing
+    v_bar = b0*R - v1 - v2 inside the window (0, R).
+
+    The fields ending in _num are the quantities in fixed point: integers
+    over 2^frac_bits (diff12_num and diff13_num are the signed differences
+    alpha1 - alpha2 and alpha1 - alpha3).  u_bar, v_bar and regulator read
+    u_bar_num, v_bar_num and regulator_num as exact mpf views; the other
+    quantities have no view.  w_bar enters the proof only through the
+    absorption ratio |w_bar| / (2 |d12| |d13|), which absorb_ratio gives as
+    a quotient of integers: bounds._chain decides the absorption on it, and
+    asymptotics.run_wbar reports it.
+    """
+
+    n: int
+    s: int
+    t: int
+    precision_bits: int
+    frac_bits: int
+    b0: int
+    u1_num: int
+    u2_num: int
+    v1_num: int
+    v2_num: int
+    v_bar_num: int
+    regulator_num: int
+    diff12_num: int
+    diff13_num: int
+
+    def _view(self, num):
+        return fixed_view(num, self.frac_bits)
+
+    v_bar = property(lambda self: self._view(self.v_bar_num))
+    regulator = property(lambda self: self._view(self.regulator_num))
+
+    @property
+    def u_bar_num(self) -> int:
+        return -self.u1_num - self.u2_num
+
+    @property
+    def u_bar(self):
+        return self._view(self.u_bar_num)
+
+    def absorb_ratio(self):
+        """|w_bar| / (2 |d12| |d13|) as (numerator, denominator), integers.
+
+        |w_bar| = |u1 d13 + u2 d12| / |d12 d13|, so over 2^K the ratio is
+        |U1 D13 + U2 D12| 2^(2K) / (2 (D12 D13)^2).
+        """
+        w = abs(self.u1_num * self.diff13_num + self.u2_num * self.diff12_num)
+        return w << 2 * self.frac_bits, 2 * (self.diff12_num * self.diff13_num) ** 2
+
+
+def _absorb_rhs(n: int, wp: int):
+    """The absorption threshold (3/4) log(n) / n at wp bits; None at n = 0."""
+    if n == 0:
+        return None
+    with workprec(wp):
+        return mpf(3) / 4 * mp.log(n) / n
+
+
+def _quantities(tri, shift: int, s: int, t: int, precision_bits: int):
+    """ProofQuantities of the cell (s, t) whose conjugates are those of tri from
+    index shift on, or None where the radii leave a difference's sign (see
+    _cell_logs) or b0 undecided.
+
+    v1 + v2 = V and R are known as integers over 2^K with radii r_V and r_R.
+    With m = floor(V / R) and rem = V - m R, the true value of v1 + v2 lies
+    strictly between m R and (m + 1) R, for the true R, when
+
+        rem > r_V + |m| r_R    and    R - rem > r_V + |m + 1| r_R.
+
+    Then b0 = m + 1 and v_bar = R - rem lies in (0, R).
+    """
+    got = _cell_logs(tri, shift)
+    if got is None:
+        return None
+    l12, l13, d12, d13 = got
+    rs, K = tri.roots, tri.frac_bits
+    g0, g1, g2 = rs.log_fixed
+    p1, p2 = fixed_mul(l12, g0, K), fixed_mul(g2, l13, K)
+    p3, p4 = fixed_mul(g1, l13, K), fixed_mul(l12, g2, K)
+    v1, v2 = p1[0] - p2[0], p3[0] - p4[0]
+    r_v = p1[1] + p2[1] + p3[1] + p4[1]
+    reg, r_reg = rs.reg_fixed
+    m, rem = divmod(v1 + v2, reg)
+    if rem <= r_v + abs(m) * r_reg or reg - rem <= r_v + abs(m + 1) * r_reg:
+        return None
+    return ProofQuantities(
+        tri.n, s, t, precision_bits, K, m + 1,
+        g0[0] - g2[0], g1[0] - g2[0], v1, v2, reg - rem, reg, d12[0], d13[0],
+    )
+
+
+def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
+    """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
+
+    Where the radii leave a difference's sign or b0 undecided, the cell
+    escalates from tri over roots.attempts(tri) (see "Precision" in roots.py).
+    """
+    if s * t == 0:
+        raise DegenerateTwist("proof quantities need s*t != 0")
+    return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", tri,
+                    lambda cur: _quantities(cur, shift, s, t, precision_bits))
+
+
+def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
+    """The proof quantities of (n, s, t), with b0 and the window certified:
+    cell_quantities on the one-cell triple, at proof_precision(n, s, t,
+    precision_bits) bits."""
+    return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"),
+                           0, s, t, precision_bits)

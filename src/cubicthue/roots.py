@@ -104,7 +104,7 @@ is an orbit of one cell, whose root set needs no shift).  A decision
 the radii can leave open (the solver's candidates, a solution's type, a
 difference's sign, b0, a unit's exponents) goes over attempts(first): its
 first triple (the solve's, an orbit's in the cell's order, the one that
-certified a record's candidates, or _one_cell's), then compute_alphas at each
+certified a record's candidates, or proof._one_cell's), then compute_alphas at each
 doubling of that triple's bits, PRECISION_ATTEMPTS triples in all.  escalate
 takes the first decision, or raises PrecisionExhausted (exit code 3).
 """

@@ -40,6 +40,12 @@ This is the reduction step of Tzanakis and de Weger, "On the practical
 solution of the Thue equation", J. Number Theory 31 (1989).  Membership in
 the output is decided by exact integer evaluation of f at every candidate.
 
+Domain.  The argument needs only three distinct real conjugates, none of
+them rational: a totally real, irreducible form.  Every (s, t) but (0, 0)
+gives one, the once-twisted s*t = 0 included, as alpha = lam0^s lam1^t is
+then a unit other than +-1, which generates the totally real cubic field
+(see Typing).  (0, 0) gives alpha = 1 and (x - y)^3, and is refused.
+
 Typing.  Each record keeps its certificate: the exact unit alpha =
 lam0^s lam1^t, powered once by solve_box, and the AlphaTriple that certified
 the candidates.  The type is decided on the triple's numerators, in integers:
@@ -72,9 +78,9 @@ from typing import Optional
 from mpmath import mp, workprec
 
 from . import exact_field as ef
-from .asymptotics import cell_quantities
 from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
 from .forms import build_form, eval_form, form_of_unit
+from .proof import cell_quantities
 from .roots import (AlphaTriple, attempts, candidate_precision, compute_alphas, doublings,
                     escalate, power_alphas)
 
@@ -105,12 +111,12 @@ class UnitDecomposition:
     b1: int
     b2: int
     sign: int
-    b_bar: Optional[int]  # b0 - b1 - b2; None for the untwisted sanity cases (s*t = 0)
+    b_bar: Optional[int]  # b0 - b1 - b2; None where s*t = 0, which has no proof quantities
 
 
 def _validate_st(s: int, t: int):
-    if s * t == 0 and (s, t) not in ((1, 0), (0, 1)):
-        raise DegenerateTwist(f"(s, t) = {(s, t)} is outside the solver's domain")
+    if s == t == 0:
+        raise DegenerateTwist("(s, t) = (0, 0) gives the reducible form (x - y)^3")
 
 
 def _check_record(n: int, s: int, t: int, rec: SolutionRecord):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, workprec
 
-from cubicthue import asymptotics
+from cubicthue import asymptotics, proof
 from cubicthue.asymptotics import (
     Branch,
     _absorb_rhs,
@@ -416,7 +416,7 @@ def _filled_logs(n, pairs, y_bound=None):
     every cell."""
     cells = {}
     for s, t, tri, shift in asymptotics.orbit_triples(n, pairs, 192, y_bound):
-        asymptotics._quantities(tri, shift, s, t, 192)
+        proof._quantities(tri, shift, s, t, 192)
         cells[(s, t)] = tri
     return cells
 
@@ -484,7 +484,7 @@ def test_mirrored_memos_are_freed_without_the_cycle_collector():
     try:
         triples = []
         for s, t, tri, shift in asymptotics.orbit_triples(10**4, st_box(3), 192):
-            asymptotics._quantities(tri, shift, s, t, 192)
+            proof._quantities(tri, shift, s, t, 192)
             triples.append(weakref.ref(tri))
         del tri
         assert sum(ref() is not None for ref in triples) == 0

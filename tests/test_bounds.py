@@ -113,6 +113,19 @@ def test_chain_at_tiny_n_is_a_named_failure():
     assert {bound_report(1, s, t).chain_failure for s, t in st_box(2)} == {"w_bar absorption"}
 
 
+@pytest.mark.parametrize("n", [0, 5, 1000, 10**64])
+def test_once_twisted_cell_reports_its_upper_bound(monkeypatch, n):
+    # s*t = 0: the upper bound needs no proof quantities, and the chain names its failure
+    def refuse(*args):
+        raise AssertionError("proof quantities were computed")
+
+    monkeypatch.setattr(bounds, "cell_quantities", refuse)
+    for s, t in [(1, 0), (2, 0), (0, -3)]:
+        rep = bound_report(n, s, t)
+        assert (rep.lower_chain, rep.crossover, rep.chain_failure) == (None, False, "s*t != 0")
+        assert rep.B_rhs == float(bg_upper_bound(n, s, t)) == float(formula_upper(n, s, t))
+
+
 def test_chain_value_scale():
     n = 10**6
     val = lower_bound_chain(n, 2, 1)

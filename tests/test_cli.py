@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, grids, determinism."""
 
+import ast
 import functools
 import hashlib
 import io
@@ -834,6 +835,36 @@ SOLVE_PINS = (["0 1 0", "0 2 1", "5 1 1", "12 2 1", "1000 -1 3", "1000000 3 -2",
               "9c14588391d73c27917658da014003cb018c3cc0779a3c301ca345042f3469ec")
 
 
+# solve 0 2 0, a once-twisted form (s*t = 0): its nontrivial solutions are (3, 2),
+# (13, 4), (1, 5) and (14, 9), each with its negative
+ONCE_TWISTED_SOLVE_PIN = (
+    "n,s,t,x,y,value,type,trivial\n"
+    "0,2,0,-1,0,-1,1,true\n"
+    "0,2,0,1,0,1,1,true\n"
+    "0,2,0,-3,-1,1,3,true\n"
+    "0,2,0,-2,-1,1,1,true\n"
+    "0,2,0,-1,-1,-1,1,true\n"
+    "0,2,0,0,-1,1,2,true\n"
+    "0,2,0,0,1,-1,2,true\n"
+    "0,2,0,1,1,1,1,true\n"
+    "0,2,0,2,1,-1,1,true\n"
+    "0,2,0,3,1,-1,3,true\n"
+    "0,2,0,-3,-2,-1,1,false\n"
+    "0,2,0,3,2,1,1,false\n"
+    "0,2,0,-13,-4,-1,3,false\n"
+    "0,2,0,13,4,1,3,false\n"
+    "0,2,0,-1,-5,-1,2,false\n"
+    "0,2,0,1,5,1,2,false\n"
+    "0,2,0,-14,-9,1,1,false\n"
+    "0,2,0,14,9,-1,1,false\n"
+)
+
+
+def test_once_twisted_solve_output(capsys):
+    code, out, _ = run(capsys, ["--format", "csv", "solve", "0", "2", "0"])
+    assert code == 0 and out == ONCE_TWISTED_SOLVE_PIN
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", list(SCAN_PINS))
 def test_scan_output_bytes(capsys, monkeypatch, command, jobs):
@@ -884,10 +915,39 @@ def test_package_namespace_is_its_modules():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     loaded, names, version = json.loads(proc.stdout)
-    modules = ["asymptotics", "bounds", "errors", "exact_field", "forms", "roots", "solver"]
+    modules = ["asymptotics", "bounds", "errors", "exact_field", "forms", "proof", "roots",
+               "solver"]
     assert loaded == ["cubicthue"] + [f"cubicthue.{m}" for m in modules]
     assert names == modules
     assert version == "0.1.0"
+
+
+# the modules that decide a verdict; asymptotics (predictors, fits, lemma harnesses)
+# and cli import them, never the other way round
+TRUSTED_CORE = ["exact_field", "forms", "roots", "proof", "solver", "bounds"]
+
+
+def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
+    # parsed, not imported: __init__ imports every module, so sys.modules shows nothing
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "cubicthue")
+    found = []
+    for name in TRUSTED_CORE:
+        path = os.path.join(pkg, name + ".py")
+        if not os.path.exists(path):
+            found.append(f"{name}.py is missing")
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for a in node.names for p in a.name.split(".")]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno}" for p in parts if p in ("asymptotics", "cli")]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])

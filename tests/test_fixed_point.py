@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from cubicthue import asymptotics, bounds, roots
+from cubicthue import asymptotics, bounds, proof, roots
 from cubicthue.asymptotics import (
     check_error_products, compute_proof_quantities, logdiff_representatives, run_vbar, st_box,
     true_logdiffs,
@@ -262,7 +262,7 @@ def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop(monkeypatch):
     monkeypatch.setattr(roots, "compute_alphas", spy)
     for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(2), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
-        assert asymptotics._quantities(wide, shift, s, t, 192) is None
+        assert proof._quantities(wide, shift, s, t, 192) is None
         asked.clear()
         q = asymptotics.cell_quantities(wide, shift, s, t, 192)
         assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
@@ -295,7 +295,7 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
         tri = real(*args)
         return dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
 
-    for mod in (asymptotics, roots):
+    for mod in (proof, roots):
         monkeypatch.setattr(mod, "compute_alphas", blurred)
     asked.clear()
     with pytest.raises(PrecisionExhausted, match="undecided at"):
@@ -310,10 +310,10 @@ def test_cell_with_s_or_t_zero_is_refused(capsys):
         asymptotics.cell_quantities(tri, 0, 1, 0, 192)
     with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
         compute_proof_quantities(100, 0, 1)
-    # the bound command refuses such a cell after its upper bound: (5, 0, 0) has a
-    # rational root, which is reported first
-    assert main(["bound", "5", "1", "0"]) == 2
-    assert "error: proof quantities need s*t != 0" in capsys.readouterr().err
+    # the bound command prints such a cell's upper bound and names the chain's
+    # failure; (5, 0, 0) has a rational root, which is reported as an error
+    assert main(["bound", "5", "1", "0"]) == 0
+    assert "lower-bound chain inapplicable: s*t != 0" in capsys.readouterr().out
     assert main(["bound", "5", "0", "0"]) == 2
     assert "error: form for (n,s,t)=(5,0,0) has a rational root" in capsys.readouterr().err
 
@@ -354,7 +354,7 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
     def never(tri, shift, s, t, precision_bits):
         attempts.append(tri.precision_bits)
 
-    monkeypatch.setattr(asymptotics, "_quantities", never)
+    monkeypatch.setattr(proof, "_quantities", never)
     with pytest.raises(PrecisionExhausted):
         compute_proof_quantities(10**4, 2, 1)
     first = proof_precision(10**4, 2, 1, 192)

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, workprec
 
 from conftest import brute_force_solutions
@@ -64,10 +64,9 @@ def test_sign_symmetry():
 
 
 def test_degenerate_twists_refused():
+    # only (0, 0), whose form is (x - y)^3; the once-twisted s*t = 0 are solved
     with pytest.raises(DegenerateTwist):
         solve_box(100, 0, 0, 10)
-    with pytest.raises(DegenerateTwist):
-        solve_box(100, 2, 0, 10)
     with pytest.raises(ValueError):
         solve_box(100, 1, 1, 0)
 
@@ -80,19 +79,23 @@ def test_oracle_equivalence_sample(n, s, t):
     assert candidate == oracle
 
 
-# The oracle scans about max|alpha| * y_bound^2 points; each draw's y_bound is
-# capped to stay below this, and draws whose y_bound = 1 alone exceeds it are skipped.
-ORACLE_POINTS = 2 * 10**6
+# the once-twisted pairs (s*t = 0) with |s|, |t| <= 4, beside the box of twice-twisted ones
+AXIS_PAIRS = [(s, 0) for s in range(-4, 5) if s] + [(0, t) for t in range(-4, 5) if t]
+SOLVER_PAIRS = st_box(3) + AXIS_PAIRS
 
 
+@pytest.mark.parametrize("s,t", AXIS_PAIRS)
+def test_oracle_equivalence_once_twisted(s, t):
+    for n in range(25):
+        assert solution_set(solve_box(n, s, t, 60)) == brute_force_solutions(n, s, t, 60)
+
+
+# the oracle tries 18 x per y, so its cost does not grow with the size of the conjugates
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(0, 60), st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+@given(n=st.integers(0, 60), st_pair=st.sampled_from(SOLVER_PAIRS),
        y_bound=st.integers(1, 150))
 def test_oracle_equivalence_random(n, st_pair, y_bound):
     s, t = st_pair
-    max_alpha = max(abs(float(a)) for a in compute_alphas(n, s, t, 128).alphas)
-    y_bound = min(y_bound, math.isqrt(int(ORACLE_POINTS / max_alpha)))
-    assume(y_bound >= 1)
     assert solution_set(solve_box(n, s, t, y_bound)) == brute_force_solutions(n, s, t, y_bound)
 
 
@@ -192,7 +195,7 @@ def oracle_candidates(form, tri, y_bound):
 
 @settings(max_examples=400, deadline=None)
 @given(n=st.one_of(st.integers(0, 30), st.integers(0, 10**6), st.just(10**64)),
-       st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+       st_pair=st.sampled_from(SOLVER_PAIRS),
        y_bound=st.one_of(st.integers(1, 300), st.integers(1, 10**60)),
        extra_bits=st.integers(-48, 64))
 def test_candidates_match_the_fraction_oracle(n, st_pair, y_bound, extra_bits):
@@ -293,7 +296,7 @@ def test_classify_matches_nearest_conjugate():
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.one_of(st.integers(0, 100), st.integers(0, 10**64)),
-       st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+       st_pair=st.sampled_from(SOLVER_PAIRS),
        j=st.integers(0, 2), y=st.integers(-10**6, 10**6), dx=st.integers(-2, 2),
        bits=st.sampled_from([64, 160, 256]))
 def test_integer_type_matches_the_mpf_argmin(n, st_pair, j, y, dx, bits):
@@ -501,7 +504,7 @@ def oracle_decompose(n, s, t, rec, precision_bits=192, with_b_bar=True):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(0, 60), st_pair=st.sampled_from(st_box(3) + [(1, 0), (0, 1)]),
+@given(n=st.integers(0, 60), st_pair=st.sampled_from(SOLVER_PAIRS),
        y_bound=st.integers(1, 100), with_b_bar=st.booleans())
 def test_decompose_matches_the_log_solve_oracle(n, st_pair, y_bound, with_b_bar):
     s, t = st_pair
@@ -512,7 +515,7 @@ def test_decompose_matches_the_log_solve_oracle(n, st_pair, y_bound, with_b_bar)
 
 @pytest.mark.parametrize("n", [0, 1, 9, 10**6, 10**64])
 def test_records_with_x_or_y_zero_skip_the_log_solve(n, monkeypatch):
-    pairs = st_box(3) + [(1, 0), (0, 1)]
+    pairs = SOLVER_PAIRS
     records = {(s, t): [r for r in solve_box(n, s, t, 1) if r.x * r.y == 0] for s, t in pairs}
 
     def refused(*args, **kwargs):
