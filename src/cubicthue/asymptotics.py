@@ -326,6 +326,14 @@ def log_grid(lo: int, hi: int):
     return vals
 
 
+# the n grid of each runner when it is given none; the CLI counts its points
+_WIDE_GRID = tuple(log_grid(100, 10**6))
+DEFAULT_N_GRIDS = {"lapprox": _WIDE_GRID, "lpowers": _WIDE_GRID, "regulator": _WIDE_GRID,
+                   "ubar": _WIDE_GRID, "logdiff": tuple(log_grid(1000, 10**6)),
+                   "errorbound": (10**3, 10**4, 10**5, 10**6),
+                   "vbar": (10**4, 10**5, 10**6), "wbar": (10**4, 10**5, 10**6)}
+
+
 # One representative (s, t) per branch, small enough that max(|s|,|t|) <= n^(1/4)
 # holds on grids starting at n = 1000.
 BRANCH_REPRESENTATIVES_12 = {
@@ -348,7 +356,7 @@ BRANCH_REPRESENTATIVES_13 = {
 
 def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Root and log expansions: residual slopes vs the claimed orders."""
-    n_grid = n_grid or log_grid(100, 10**6)
+    n_grid = n_grid or DEFAULT_N_GRIDS["lapprox"]
     rows = []
     series = {(which, kind): [] for which in (0, 1, 2) for kind in ("value", "log")}
     for n in n_grid:
@@ -379,7 +387,7 @@ LPOWERS_EXPONENTS = (1, 2, 3, -1, -2)
 
 def run_lpowers(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Two-term power expansions: relative residual slopes."""
-    n_grid = n_grid or log_grid(100, 10**6)
+    n_grid = n_grid or DEFAULT_N_GRIDS["lpowers"]
     _require_least_n("lpowers", n_grid, 1)
     rows = []
     series = {}
@@ -403,7 +411,7 @@ def run_lpowers(n_grid=None, precision_bits: int = 192) -> LemmaResult:
 
 def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Regulator expansion: slope of (R - (log n)^2 - log(n)/n) / log n is -2 +- 0.3."""
-    n_grid = n_grid or log_grid(100, 10**6)
+    n_grid = n_grid or DEFAULT_N_GRIDS["regulator"]
     _require_least_n("regulator", n_grid, 2)
     rows, samples = [], []
     for n in n_grid:
@@ -432,7 +440,7 @@ def logdiff_representatives():
 def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
                 precision_bits: int = 192) -> LemmaResult:
     """12-branch table: residual * n^(1+2eps) must not grow (slope <= 0.3)."""
-    n_grid = n_grid or log_grid(1000, 10**6)
+    n_grid = n_grid or DEFAULT_N_GRIDS["logdiff"]
     pairs = pairs or logdiff_representatives()
     _require_least_n("logdiff", n_grid, 1)
     if float_power(max(n_grid), 1 + 2 * epsilon) == math.inf:
@@ -474,7 +482,7 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
 
 def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
     """Gap-product bounds with margins; first bound exempts (1,1) and (-1,-1)."""
-    n_grid = n_grid or [10**3, 10**4, 10**5, 10**6]
+    n_grid = n_grid or DEFAULT_N_GRIDS["errorbound"]
     _require_least_n("errorbound", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
@@ -498,7 +506,7 @@ def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) ->
 def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
     """Window and growth of v_bar = b0*R - v1 - v2: for n >= 10^4,
     v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05."""
-    n_grid = n_grid or [10**4, 10**5, 10**6]
+    n_grid = n_grid or DEFAULT_N_GRIDS["vbar"]
     _require_least_n("vbar", n_grid, 2)
     rows = []
     window_ok = True
@@ -531,7 +539,7 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> Lemma
 def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """u_bar * n approaches 3 at (s, t) = (2, 1); require within 0.1 at the largest
     grid point."""
-    n_grid = n_grid or log_grid(100, 10**6)
+    n_grid = n_grid or DEFAULT_N_GRIDS["ubar"]
     s, t = 2, 1
     rows = []
     for n in n_grid:
@@ -547,7 +555,7 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
 
 def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> LemmaResult:
     """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n."""
-    n_grid = n_grid or [10**4, 10**5, 10**6]
+    n_grid = n_grid or DEFAULT_N_GRIDS["wbar"]
     _require_least_n("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:

@@ -108,14 +108,14 @@ def _upper_bound(form, const: _NConstants):
         return const.upper_factor * (const.regulator + (mp.log(height(form)) + const.log_b))
 
 
-def lower_bound_chain(n: int, s: int, t: int, quantities=None, precision_bits: int = 192):
+def lower_bound_chain(n: int, s: int, t: int, precision_bits: int = 192):
     """Implied lower bound on log|y| under b_bar >= 1, as an mpf.
 
     Raises ChainPreconditionFailed (naming the violated inequality) where the
     chain's numeric hypotheses do not hold; some parameter pairs violate them
     at every n and are simply outside the chain's reach.
     """
-    q = quantities or compute_proof_quantities(n, s, t, precision_bits)
+    q = compute_proof_quantities(n, s, t, precision_bits)
     wp = max(precision_bits + 16, q.precision_bits)
     return _chain(n, q, _absorb_rhs(n, wp), wp)
 

@@ -9,11 +9,12 @@ Subcommands
 
 Grids are written start:stop[:step] where step is an integer stride or the
 word log10 (multiply by 10 each step).  Inputs whose work has no bound are
-refused with exit code 2 before any work starts: a grid value of more than
-MAX_VALUE_DIGITS digits, a grid of more than MAX_GRID_POINTS points, a scan or
-a lemma box (the --smax box, or else the runner's default one) of more than
-MAX_GRID_POINTS (n, s, t) cells, a precision above MAX_PRECISION_BITS, and a
-form, solve, bound or scan whose forms may have a coefficient of more than
+refused with exit code 2 before any work starts: a grid value that is not an
+integer or has more than MAX_VALUE_DIGITS digits, a grid of more than
+MAX_GRID_POINTS points, a scan or a lemma of more than MAX_GRID_POINTS
+(n, s, t) cells (a lemma's box and n grid are --smax and --n, or else the
+runner's own), a precision above MAX_PRECISION_BITS, and a form, solve,
+bound or scan whose forms may have a coefficient of more than
 MAX_VALUE_DIGITS digits (_check_form_digits), which could not be printed.
 Only lemma logdiff reads --epsilon.  Formats: human (default), json, csv.
 Exit codes: 0 ok, 1 a verification check failed, 2 usage error (an --output
@@ -53,7 +54,7 @@ from decimal import Decimal, InvalidOperation
 from mpmath import mp, mpf
 
 from . import asymptotics, bounds, solver
-from .errors import DegenerateTwist, EmptyGrid, PrecisionExhausted
+from .errors import EmptyGrid, PrecisionExhausted
 from .forms import build_form, st_box
 
 LEMMA_RUNNERS = {
@@ -100,7 +101,7 @@ def _shown(text: str) -> str:
 
 def _grid_value(text: str) -> int:
     """int(Decimal(text)); ValueError, before any conversion to int, unless text is
-    a finite number of at most MAX_VALUE_DIGITS digits."""
+    an integer (1e3 and 1000.0 are) of at most MAX_VALUE_DIGITS digits."""
     try:
         d = Decimal(text)
     except InvalidOperation:
@@ -108,6 +109,8 @@ def _grid_value(text: str) -> int:
     if not d.is_finite() or d.adjusted() >= MAX_VALUE_DIGITS:
         raise ValueError(f"grid value {_shown(text)} is not finite or has more than "
                          f"{MAX_VALUE_DIGITS} digits")
+    if d != d.to_integral_value():
+        raise ValueError(f"grid value {_shown(text)} is not an integer")
     return int(d)
 
 
@@ -298,7 +301,7 @@ def cmd_lemma(args) -> int:
     if args.n_grid:
         kwargs["n_grid"] = parse_grid(args.n_grid, check)
     else:
-        check(1)   # a runner's own default grid has a handful of points; it counts as one
+        check(len(asymptotics.DEFAULT_N_GRIDS[args.name]))
     if args.name == "logdiff":
         kwargs["epsilon"] = args.epsilon
     if args.smax:
@@ -453,7 +456,7 @@ def main(argv=None) -> int:
     try:
         _check_output(args.output)
         return args.func(args)
-    except (DegenerateTwist, EmptyGrid, ValueError) as exc:
+    except ValueError as exc:   # DegenerateTwist and EmptyGrid among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionExhausted as exc:

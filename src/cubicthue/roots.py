@@ -73,8 +73,9 @@ is all a RootSet or an AlphaTriple stores; their mpf values are views made
 when first read: N / 2^K exactly, except lam1 and lam2, which are 1/x of the
 views of their inverses (of size at least 1), so that lam1 ~ -1/n keeps its
 relative accuracy where it is below one unit of 2^-K.  A root set's two root
-logs and its regulator are also taken when first read, and kept: a solve and
-its records read them only for a unit's log solve or b0.
+logs and its regulator are also taken when first read, and kept, outside its
+==, hash and repr: a solve and its records read them only for a unit's log
+solve or b0.
 
 A root set at K serves every K' < K by a floor shift, with no second Newton
 run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
@@ -90,7 +91,8 @@ at n starts at working_bits(n, weight, need) bits: need, plus weight times
 the base-2 log of n + 2, rounded up.  For a caller that asks for b bits,
 
   - the roots (alpha_precision) take weight |s| + |t| and need b + 32,
-    rounded up to a multiple of 64 so that nearby (s, t) share a root set;
+    rounded up to a multiple of 64: at one n, nearby weights then share a
+    floor shift of the root set and its powers, or a cached root set;
   - b0 and the window (proof_precision) take |s| + |t| + 2 and b + 32, as
     the conjugate differences lose bits to cancellation;
   - the candidates (candidate_precision) take |s| + |t| and the bits of the
@@ -128,57 +130,15 @@ PRECISION_ATTEMPTS = 4  # escalate tries this many precisions, doubling between 
 _MARGIN_BITS = 64       # the solver's first bits: beyond 2 log2(y_bound) + log2 max|alpha|
 
 
-class _WhenRead:
-    """A field of a frozen dataclass that, given as None, is made by make(obj) when
-    first read, and kept."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None     # the field's default
-        value = obj.__dict__[self.slot]
-        if value is None:
-            value = obj.__dict__[self.slot] = self.make(obj)
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
-
-
 def _shifted(pairs, d: int) -> tuple:
     """The pairs floor-shifted down by d bits (see the module docstring)."""
     return tuple((num >> d, -(-r >> d) + 1) for num, r in pairs)
 
 
-def _root_logs(rs) -> tuple:
-    """log|lam0|, log|lam1|, log|lam2| of rs: fixed_log of lam0 and of lam0 + 1 (log|lam1|
-    = -log(lam0 + 1)), or its source's logs floor-shifted."""
-    if rs.source is not None:
-        return _shifted(rs.source.log_fixed, rs.source.frac_bits - rs.frac_bits)
-    K, lam0 = rs.frac_bits, rs.lam_fixed[0]
-    g0 = fixed_log(lam0, K)
-    log_plus_1, r_plus_1 = fixed_log((lam0[0] + (1 << K), lam0[1]), K)
-    g1 = (-log_plus_1, r_plus_1)
-    return g0, g1, (-g0[0] - g1[0], g0[1] + g1[1])
-
-
-def _regulator(rs) -> tuple:
-    """|log|lam1| log|lam0| - log|lam2|^2| of rs, or its source's floor-shifted."""
-    if rs.source is not None:
-        return _shifted([rs.source.reg_fixed], rs.source.frac_bits - rs.frac_bits)[0]
-    g0, g1, g2 = rs.log_fixed
-    p, q = fixed_mul(g1, g0, rs.frac_bits), fixed_mul(g2, g2, rs.frac_bits)
-    return abs(p[0] - q[0]), p[1] + q[1]
-
-
 @dataclass(frozen=True)
 class RootSet:
-    """The fixed point of the module docstring, and its mpf views (made when first read)."""
+    """The fixed point of the module docstring; its logs, regulator and mpf views are
+    taken when first read."""
 
     n: int
     precision_bits: int
@@ -186,11 +146,30 @@ class RootSet:
     frac_bits: int
     lam_fixed: tuple        # lam0, lam1, lam2; lam0's numerator is the Newton floor X times 2^(K - k)
     inv_fixed: tuple        # 1/lam0, 1/lam1, 1/lam2
-    # taken when first read, unless given
-    log_fixed: tuple = _WhenRead(_root_logs)     # log|lam0|, log|lam1|, log|lam2|
-    reg_fixed: tuple = _WhenRead(_regulator)     # the regulator
     # the set this one is floor-shifted from (shift_roots), or None
     source: RootSet = field(default=None, compare=False, repr=False)
+    _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def log_fixed(self) -> tuple:
+        """log|lam0|, log|lam1|, log|lam2|: fixed_log of lam0 and of lam0 + 1 (log|lam1|
+        = -log(lam0 + 1)), or the source's logs floor-shifted."""
+        if self.source is not None:
+            return _shifted(self.source.log_fixed, self.source.frac_bits - self.frac_bits)
+        K, lam0 = self.frac_bits, self.lam_fixed[0]
+        g0 = fixed_log(lam0, K)
+        log_plus_1, r_plus_1 = fixed_log((lam0[0] + (1 << K), lam0[1]), K)
+        g1 = (-log_plus_1, r_plus_1)
+        return g0, g1, (-g0[0] - g1[0], g0[1] + g1[1])
+
+    @cached_property
+    def reg_fixed(self) -> tuple:
+        """The regulator |log|lam1| log|lam0| - log|lam2|^2|, or the source's floor-shifted."""
+        if self.source is not None:
+            return _shifted([self.source.reg_fixed], self.source.frac_bits - self.frac_bits)[0]
+        g0, g1, g2 = self.log_fixed
+        p, q = fixed_mul(g1, g0, self.frac_bits), fixed_mul(g2, g2, self.frac_bits)
+        return abs(p[0] - q[0]), p[1] + q[1]
 
     @cached_property
     def lambdas(self):
@@ -210,10 +189,6 @@ class RootSet:
     @cached_property
     def regulator(self):
         return fixed_view(self.reg_fixed[0], self.frac_bits)
-
-    @cached_property
-    def _powers(self):
-        return {}
 
     def power(self, j: int, e: int):
         """lam_j^e as a pair over 2^frac_bits, powered once per (j, e) for this root set."""
@@ -243,8 +218,6 @@ class AlphaTriple:
     radii: tuple
     mirror: tuple = field(default=None, compare=False, repr=False)
     _diff_logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # solver.reduce_to_type1's checked targets: (s2, t2) -> (form, triple of (s2, t2))
-    _reductions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def alphas(self):
@@ -560,7 +533,8 @@ def working_bits(n: int, weight: int, need) -> int:
 def alpha_precision(n: int, s: int, t: int, precision_bits: int) -> int:
     """Internal bits for lam powers: powering multiplies relative error by ~|exponent|.
 
-    Rounded up to a multiple of 64 so nearby (s, t) share one cached root set.
+    Rounded up to a multiple of 64, so that within an n the triples of nearby
+    weights share one floor shift and its powers (see "Precision" above).
     """
     return -(-working_bits(n, abs(s) + abs(t), precision_bits + 32) // 64) * 64
 

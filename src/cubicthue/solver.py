@@ -66,7 +66,7 @@ decompose_unit takes the record's unit and starts its log solve on the
 record's triple, so a solve and the steps after it compute the roots of n
 once.  A reduction's form check and its target triple depend only on the
 certificate and the target pair, so they are made once per target pair and
-kept on the certificate's triple, which all records of a solve share; the
+kept in a memo that solve_box makes for the records of that solve; the
 value and the type 1 are still checked per record.
 """
 
@@ -100,6 +100,8 @@ class SolutionRecord:
     # the certificate (Typing in the module docstring): made only by solve_box
     unit: ef.FieldInt = field(compare=False, repr=False)
     alphas: AlphaTriple = field(compare=False, repr=False)
+    # the solve's checked reduction targets: (s2, t2) -> (form, triple of (s2, t2))
+    reductions: dict = field(compare=False, repr=False)
 
     def as_record(self) -> dict:
         return {"n": self.n, "s": self.s, "t": self.t, "x": self.x, "y": self.y,
@@ -223,7 +225,8 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     (|y| <= 1) are included and flagged.  precision_bits is the least
     precision of the conjugates; more is used as y_bound requires, and where
     the candidates or a type stay undecided (see "Precision" in roots.py).
-    Each record carries the unit and the triple that certified it.
+    Each record carries the unit, the triple that certified it and the solve's
+    reduction memo.
     """
     _validate_st(s, t)
     if y_bound < 1:
@@ -235,7 +238,8 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     for x, y in found:
         # one type per pair: |-x - alpha_j (-y)| = |x - alpha_j y|
         types[(x, y)] = types.get((-x, -y)) or classify_type(x, y, tri)
-    records = [SolutionRecord(n, s, t, x, y, v, types[(x, y)], abs(y) <= 1, unit, tri)
+    memo = {}
+    records = [SolutionRecord(n, s, t, x, y, v, types[(x, y)], abs(y) <= 1, unit, tri, memo)
                for (x, y), v in found.items()]
     records.sort(key=lambda r: (abs(r.y), r.y, r.x))
     return records
@@ -296,10 +300,10 @@ def _reduction_target(rec: SolutionRecord, s2: int, t2: int):
     """The form of (rec.n, s2, t2), checked equal to that of rec's unit, and the
     triple of (s2, t2) powered from rec's root set at rec's bits.
 
-    Both are made once per target pair and kept on rec's triple, the
-    certificate every record of a solve shares (Typing in the module docstring).
+    Both are made once per target pair and kept in rec.reductions, the memo
+    every record of a solve shares.
     """
-    memo = rec.alphas._reductions
+    memo = rec.reductions
     if (s2, t2) not in memo:
         f_old = form_of_unit(rec.unit, rec.s, rec.t)
         f_new = build_form(rec.n, s2, t2)

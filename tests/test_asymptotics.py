@@ -389,8 +389,8 @@ def test_mirrored_log_radius_covers_logs_at_the_edge_of_their_radii():
     tri = compute_alphas(n, -3, -2, bits)
     K = tri.frac_bits
     assert mirror.frac_bits == K
-    roots_at_edge = dataclasses.replace(
-        mirror.roots, log_fixed=tuple(_edge(g, width) for g in mirror.roots.log_fixed))
+    roots_at_edge = dataclasses.replace(mirror.roots)   # its logs set as if already read
+    vars(roots_at_edge).update(log_fixed=tuple(_edge(g, width) for g in mirror.roots.log_fixed))
     mirror = dataclasses.replace(mirror, roots=roots_at_edge)
     for i, j in INDEX_PAIRS:
         d = (mirror.numerators[i] - mirror.numerators[j], mirror.radii[i] + mirror.radii[j])

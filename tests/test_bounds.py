@@ -135,8 +135,9 @@ def test_chain_value_scale():
 def test_chain_guard_vbar_window():
     q = compute_proof_quantities(10**4, 2, 1)
     doctored = dataclasses.replace(q, v_bar_num=q.regulator_num * 2)
+    wp = max(192 + 16, q.precision_bits)   # lower_bound_chain's bits at its default 192
     with pytest.raises(ChainPreconditionFailed) as exc:
-        lower_bound_chain(10**4, 2, 1, quantities=doctored)
+        bounds._chain(10**4, doctored, bounds._absorb_rhs(10**4, wp), wp)
     assert "v_bar" in str(exc.value)
 
 

@@ -440,7 +440,7 @@ def test_lemma_box_is_bounded_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(asymptotics, "st_box", no_box)
     code, _, err = run(capsys, ["lemma", "vbar", "--smax", "100000"])
     assert code == 2
-    assert _described_cells(err) == 40000000000
+    assert _described_cells(err) == 3 * 40000000000   # vbar's own grid has 3 n values
     code, _, err = run(capsys, ["lemma", "logdiff", "--n", "1:1000", "--smax", "20"])
     assert code == 2
     assert _described_cells(err) == 1600000
@@ -466,6 +466,47 @@ def test_lemma_default_box_is_bounded_before_any_work(capsys, monkeypatch, argv,
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "lemma box has more than" in err and _described_cells(err) == cells
+
+
+@pytest.mark.parametrize("argv,n_values", [
+    # without --n, the runners' own n grids
+    (["lemma", "errorbound", "--smax", "500"], 4),
+    (["lemma", "vbar", "--smax", "289"], 3),
+    (["lemma", "wbar", "--smax", "289"], 3),
+    (["lemma", "logdiff", "--smax", "189"], 7),
+])
+def test_lemma_default_grid_counts_its_points(capsys, monkeypatch, argv, n_values):
+    from cubicthue import asymptotics, roots
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for mod in (roots, asymptotics):
+        monkeypatch.setattr(mod, "compute_roots", refuse)
+    monkeypatch.setattr(asymptotics, "st_box", refuse)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"({n_values} n values, smax {argv[-1]})" in err
+    assert n_values == len(asymptotics.DEFAULT_N_GRIDS[argv[1]])
+
+
+def test_fractional_grid_values_exit_two_before_any_work(capsys, monkeypatch):
+    # a grid value is an integer, however written: none is truncated to one
+    from cubicthue import asymptotics, bounds, roots
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for mod, name in ((roots, "compute_roots"), (asymptotics, "compute_roots"),
+                      (bounds, "cell_reports")):
+        monkeypatch.setattr(mod, name, refuse)
+    for argv, value in ((["--format", "csv", "scan", "--n", "50.9", "--smax", "1",
+                          "--ybound", "2"], "'50.9'"),
+                        (["lemma", "regulator", "--n", "99.99:1e6:log10"], "'99.99'"),
+                        (["scan", "--n", "1e-3:2", "--smax", "1"], "'1e-3'")):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: grid value {value} is not an integer\n")
+    assert parse_grid("1e3:1000.0") == [1000]
 
 
 @pytest.mark.parametrize("argv,message", [

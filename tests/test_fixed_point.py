@@ -202,8 +202,9 @@ def test_shift_radius_covers_values_at_the_edge_of_their_radius(n):
             for (num, r), x in zip(edge, exact):
                 assert abs(x * 2**K - num) <= r
             doctored = dataclasses.replace(rs, lam_fixed=tuple(edge[0:3]),
-                                           inv_fixed=tuple(edge[3:6]),
-                                           log_fixed=tuple(edge[6:9]), reg_fixed=edge[9])
+                                           inv_fixed=tuple(edge[3:6]))
+            # the logs and the regulator are cached properties: set as if already read
+            vars(doctored).update(log_fixed=tuple(edge[6:9]), reg_fixed=edge[9])
             low = roots.shift_roots(doctored, K - d)
             for (num, r), x in zip(_pairs(low), exact):
                 assert abs(x * 2**(K - d) - num) <= r

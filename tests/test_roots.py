@@ -1,5 +1,6 @@
 """Certified roots: localisation, algebraic identities, precision behaviour."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -191,6 +192,22 @@ def test_root_logs_are_taken_when_first_read(monkeypatch):
     assert low.log_fixed == tuple((num >> 100, -(-r >> 100) + 1) for num, r in rs.log_fixed)
     assert len(calls) == 2
     assert rs.regulator > 0 and len(calls) == 2
+
+
+def test_root_set_identity_takes_no_logs(monkeypatch):
+    # the logs and the regulator are derived values, outside ==, hash and repr of a
+    # root set and of the triples powered from it
+    calls = []
+    real = roots.fixed_log
+    monkeypatch.setattr(roots, "fixed_log", lambda *args: calls.append(args) or real(*args))
+    roots.compute_roots.cache_clear()
+    rs = compute_roots(10**6, 256)
+    copy = dataclasses.replace(rs)
+    tri, tri_copy = roots.power_alphas(rs, 2, 1, 192), roots.power_alphas(copy, 2, 1, 192)
+    assert rs == copy and hash(rs) == hash(copy) and repr(rs) == repr(copy)
+    assert tri == tri_copy and hash(tri) == hash(tri_copy) and repr(tri) == repr(tri_copy)
+    assert calls == []
+    assert rs.log_fixed == copy.log_fixed and len(calls) == 4
 
 
 @pytest.mark.parametrize("n", [0, 1, 10**6, 10**64])

@@ -432,6 +432,23 @@ def test_the_records_of_a_solve_share_their_certificate_work(n, s, t, monkeypatc
     assert roots.compute_roots.cache_info().misses == 1
 
 
+def test_each_solve_checks_its_own_reduction_targets(monkeypatch):
+    # the form check of a reduction target is made once per solve, also where two
+    # solves share the cached triple of their candidates
+    calls = []
+    real = solver.build_form
+    monkeypatch.setattr(solver, "build_form", lambda *args: calls.append(args) or real(*args))
+    triples = []
+    for _ in range(2):
+        calls.clear()
+        records = [r for r in solve_box(1, -2, -2, 100) if r.type_j in (2, 3)]
+        for rec in records:
+            reduce_to_type1(1, -2, -2, rec)
+        assert (len(records), len(calls)) == (6, 2)
+        triples.append(records[0].alphas)
+    assert triples[0] is triples[1]
+
+
 @pytest.mark.parametrize("n,s,t", [(1000, -1, 3), (5, 1, 1), (10**6, 3, -2)])
 def test_b_bar_is_decided_on_the_solve_root_set(n, s, t):
     # b0 comes from the record's own triple, not from a one-cell triple at other bits
