@@ -32,12 +32,10 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
-from .bounds import float_power, ratio_float
+from .bounds import _absorb_rhs, float_power, ratio_float
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from .forms import st_box
-from .proof import (
-    _absorb_rhs, _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities,
-)
+from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
 from .roots import compute_roots, escalate, fixed_view, orbit_triples
 
 DEFAULT_EPSILON = 0.25
@@ -516,16 +514,16 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> Lemma
         ln = math.log(n)
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, s, t, precision_bits)
-            v_bar, reg = q.v_bar, q.regulator
-            in_window = 0 < q.v_bar_num < q.regulator_num
-            ratio = float(v_bar * n / ln)
-            growth = float((reg - v_bar) / ln)
+            v_bar, reg, one = q.v_bar_num, q.regulator_num, 1 << q.frac_bits
+            in_window = 0 < v_bar < reg
+            ratio = ratio_float(v_bar * n, one) / ln
+            growth = ratio_float(reg - v_bar, one) / ln
             window_ok = window_ok and in_window
             if n >= 10**4:
                 ratio_ok = ratio_ok and ratio >= 0.5
                 growth_ok = growth_ok and growth >= 0.05
             rows.append({"n": n, "s": s, "t": t, "b0": q.b0,
-                         "v_bar": float(v_bar), "regulator": float(reg),
+                         "v_bar": ratio_float(v_bar, one), "regulator": ratio_float(reg, one),
                          "v_bar_n_over_logn": ratio, "growth_over_logn": growth,
                          "in_window": in_window, "precision_bits": precision_bits})
     ok = window_ok and ratio_ok and growth_ok
@@ -544,7 +542,8 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     rows = []
     for n in n_grid:
         q = compute_proof_quantities(n, s, t, precision_bits)
-        rows.append({"n": n, "s": s, "t": t, "u_bar_times_n": float(q.u_bar * n),
+        u_bar_n = ratio_float(q.u_bar_num * n, 1 << q.frac_bits)
+        rows.append({"n": n, "s": s, "t": t, "u_bar_times_n": u_bar_n,
                      "precision_bits": precision_bits})
     final = rows[-1]["u_bar_times_n"]
     ok = abs(final - 3.0) <= 0.1

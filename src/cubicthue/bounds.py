@@ -28,7 +28,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, 
 
 from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform, st_box
-from .proof import _absorb_rhs, cell_quantities, compute_proof_quantities
+from .proof import cell_quantities, compute_proof_quantities
 from .roots import compute_roots, orbit_triples
 
 
@@ -63,6 +63,14 @@ def c3_constant(degree: int, rank: int) -> int:
     if degree < 3 or rank < 1:
         raise ValueError("need degree >= 3 and rank >= 1")
     return 3 ** (rank + 27) * (rank + 1) ** (7 * rank + 19) * degree ** (2 * degree + 6 * rank + 14)
+
+
+def _absorb_rhs(n: int, wp: int):
+    """The absorption threshold (3/4) log(n) / n at wp bits; None at n = 0."""
+    if n == 0:
+        return None
+    with workprec(wp):
+        return mpf(3) / 4 * mp.log(n) / n
 
 
 @dataclass(frozen=True)
@@ -127,10 +135,12 @@ def _chain(n: int, q, absorb_rhs, wp: int):
     of q over 2^K; the value, and the test that it is positive, are the mpf
     expression of the module docstring at wp bits.
     """
+    one = 1 << q.frac_bits
     if q.u_bar_num <= 0:
-        raise ChainPreconditionFailed("u_bar > 0", f"u_bar = {float(q.u_bar):.3g}")
+        raise ChainPreconditionFailed("u_bar > 0", f"u_bar = {ratio_float(q.u_bar_num, one):.3g}")
     if not 0 < q.v_bar_num < q.regulator_num:
-        raise ChainPreconditionFailed("0 < v_bar < R", f"v_bar = {float(q.v_bar):.3g}")
+        raise ChainPreconditionFailed("0 < v_bar < R",
+                                      f"v_bar = {ratio_float(q.v_bar_num, one):.3g}")
     if absorb_rhs is None:
         raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
     # |w_bar| / (2 |d12| |d13|) = num / den <= absorb_rhs = man 2^exp, cross-multiplied

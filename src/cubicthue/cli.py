@@ -9,8 +9,8 @@ Subcommands
 
 Grids are written start:stop[:step] where step is an integer stride or the
 word log10 (multiply by 10 each step).  Inputs whose work has no bound are
-refused with exit code 2 before any work starts: a grid value that is not an
-integer or has more than MAX_VALUE_DIGITS digits, a grid of more than
+refused with exit code 2 before any work starts: a grid value or stride that is
+not an integer or has more than MAX_VALUE_DIGITS digits, a grid of more than
 MAX_GRID_POINTS points, a scan or a lemma of more than MAX_GRID_POINTS
 (n, s, t) cells (a lemma's box and n grid are --smax and --n, or else the
 runner's own), a precision above MAX_PRECISION_BITS, and a form, solve,
@@ -54,7 +54,7 @@ from decimal import Decimal, InvalidOperation
 from mpmath import mp, mpf
 
 from . import asymptotics, bounds, solver
-from .errors import EmptyGrid, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .forms import build_form, st_box
 
 LEMMA_RUNNERS = {
@@ -141,7 +141,7 @@ def parse_grid(spec: str, check=lambda points: None):
             vals.append(hi)
         check(len(vals))   # at most MAX_VALUE_DIGITS + 1 of them
         return vals
-    step = int(rule)
+    step = _grid_value(rule)
     if step < 1:
         raise ValueError(f"bad grid step in {spec!r}")
     points = -(-(hi - lo) // step) + 1  # the stride points, and hi if off the stride
@@ -363,11 +363,10 @@ def _scan_n(job):
 
 
 def cmd_scan(args) -> int:
-    def check(points):
-        if not _check_cells("scan", points, 4 * max(args.smax, 0) ** 2, f"smax {args.smax}"):
-            raise EmptyGrid("scan grid is empty")
-
-    n_grid = parse_grid(args.n_grid, check)
+    if args.smax < 1:
+        raise ValueError(f"--smax must be >= 1, got {args.smax}")
+    n_grid = parse_grid(args.n_grid, lambda points: _check_cells(
+        "scan", points, 4 * args.smax ** 2, f"smax {args.smax}"))
     # the largest D of st_box(smax) is |s - t| = 2 smax, at s = smax, t = -smax
     _check_form_digits(n_grid[-1], args.smax, -args.smax)
     if args.ybound < 1:

@@ -7,16 +7,18 @@ and alpha1 - alpha3 are integer differences whose radii add.  Their logs are
 taken in integers too, by roots.fixed_log, with the radius proved there: the
 relative error of the difference (radius over |numerator| - radius) and the
 kernel's floors, log-2 error and series tail.  The root logs and the
-regulator carry the radii the root set gave them, and
-v1 + v2 = log|d12| u1 + log|d13| u2 is a sum of fixed-point products whose
-radius follows from those.  b0 and the window 0 < v_bar < R are decided only
-when (v1 + v2) mod R lies farther than that radius (plus b0 times the
-regulator's) from 0 and from R; otherwise cell_quantities retries at more
-bits by the precision policy of roots.py (its "Precision" paragraph).
+regulator carry the radii the root set gave them, and v1 and v2 are the
+Cramer numerators of the unit-exponent system on log|d12| and log|d13|
+(log_system, which solver.decompose_unit shares): sums of fixed-point
+products whose radius follows from those.  b0 and the window 0 < v_bar < R
+are decided only when (v1 + v2) mod R lies farther than that radius (plus b0
+times the regulator's) from 0 and from R; otherwise cell_quantities retries
+at more bits by the precision policy of roots.py (its "Precision" paragraph).
 So a b0 this module reports is the true one, whatever the cancellation in
 v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
 (u_bar > 0, the w_bar absorption) are made on the same integers, without a
-division (see bounds._chain); they are not certified.
+division (see bounds._chain); they are not certified.  No quantity has an
+mpf view.
 
 The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
 one orbit have the same three conjugates in a cyclic order: those of
@@ -32,10 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, workprec
-
 from .errors import DegenerateTwist
-from .roots import compute_alphas, escalate, fixed_mul, fixed_view, proof_precision
+from .roots import compute_alphas, escalate, fixed_mul, proof_precision
 
 
 def _ordered_diffs(tri, shift: int):
@@ -72,9 +72,9 @@ class ProofQuantities:
 
     The fields ending in _num are the quantities in fixed point: integers
     over 2^frac_bits (diff12_num and diff13_num are the signed differences
-    alpha1 - alpha2 and alpha1 - alpha3).  u_bar, v_bar and regulator read
-    u_bar_num, v_bar_num and regulator_num as exact mpf views; the other
-    quantities have no view.  w_bar enters the proof only through the
+    alpha1 - alpha2 and alpha1 - alpha3), and every field is an integer: a
+    reader that wants a float rounds a numerator over 2^frac_bits with
+    bounds.ratio_float.  w_bar enters the proof only through the
     absorption ratio |w_bar| / (2 |d12| |d13|), which absorb_ratio gives as
     a quotient of integers: bounds._chain decides the absorption on it, and
     asymptotics.run_wbar reports it.
@@ -95,19 +95,9 @@ class ProofQuantities:
     diff12_num: int
     diff13_num: int
 
-    def _view(self, num):
-        return fixed_view(num, self.frac_bits)
-
-    v_bar = property(lambda self: self._view(self.v_bar_num))
-    regulator = property(lambda self: self._view(self.regulator_num))
-
     @property
     def u_bar_num(self) -> int:
         return -self.u1_num - self.u2_num
-
-    @property
-    def u_bar(self):
-        return self._view(self.u_bar_num)
 
     def absorb_ratio(self):
         """|w_bar| / (2 |d12| |d13|) as (numerator, denominator), integers.
@@ -119,12 +109,16 @@ class ProofQuantities:
         return w << 2 * self.frac_bits, 2 * (self.diff12_num * self.diff13_num) ** 2
 
 
-def _absorb_rhs(n: int, wp: int):
-    """The absorption threshold (3/4) log(n) / n at wp bits; None at n = 0."""
-    if n == 0:
-        return None
-    with workprec(wp):
-        return mpf(3) / 4 * mp.log(n) / n
+def log_system(rs, l2, l3):
+    """det e1, det e2 and their summed radius over 2^K, by Cramer's rule, for the
+    system l2 = e1 g1 + e2 g2, l3 = e1 g2 + e2 g0 in the root logs g of rs, which
+    log|beta'| and log|beta''| solve for a unit beta = +-lam0^e1 lam1^e2;
+    det = g1 g0 - g2^2 = -R, as g0 > 0 > g1."""
+    K = rs.frac_bits
+    g0, g1, g2 = rs.log_fixed
+    p1, p2 = fixed_mul(l2, g0, K), fixed_mul(g2, l3, K)
+    p3, p4 = fixed_mul(g1, l3, K), fixed_mul(l2, g2, K)
+    return p1[0] - p2[0], p3[0] - p4[0], p1[1] + p2[1] + p3[1] + p4[1]
 
 
 def _quantities(tri, shift: int, s: int, t: int, precision_bits: int):
@@ -144,20 +138,15 @@ def _quantities(tri, shift: int, s: int, t: int, precision_bits: int):
     if got is None:
         return None
     l12, l13, d12, d13 = got
-    rs, K = tri.roots, tri.frac_bits
-    g0, g1, g2 = rs.log_fixed
-    p1, p2 = fixed_mul(l12, g0, K), fixed_mul(g2, l13, K)
-    p3, p4 = fixed_mul(g1, l13, K), fixed_mul(l12, g2, K)
-    v1, v2 = p1[0] - p2[0], p3[0] - p4[0]
-    r_v = p1[1] + p2[1] + p3[1] + p4[1]
+    rs = tri.roots
+    v1, v2, r_v = log_system(rs, l12, l13)
     reg, r_reg = rs.reg_fixed
     m, rem = divmod(v1 + v2, reg)
     if rem <= r_v + abs(m) * r_reg or reg - rem <= r_v + abs(m + 1) * r_reg:
         return None
-    return ProofQuantities(
-        tri.n, s, t, precision_bits, K, m + 1,
-        g0[0] - g2[0], g1[0] - g2[0], v1, v2, reg - rem, reg, d12[0], d13[0],
-    )
+    (g0, _), (g1, _), (g2, _) = rs.log_fixed
+    return ProofQuantities(tri.n, s, t, precision_bits, tri.frac_bits, m + 1,
+                           g0 - g2, g1 - g2, v1, v2, reg - rem, reg, d12[0], d13[0])
 
 
 def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):

@@ -75,14 +75,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mpmath import mp, workprec
-
 from . import exact_field as ef
 from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
 from .forms import build_form, eval_form, form_of_unit
-from .proof import cell_quantities
+from .proof import cell_quantities, log_system
 from .roots import (AlphaTriple, attempts, candidate_precision, compute_alphas, doublings,
-                    escalate, power_alphas)
+                    escalate, fixed_log, power_alphas)
 
 SOLVER_FLOOR_BITS = 160  # solve_box's default least precision of the conjugates
 
@@ -318,26 +316,28 @@ def _exponent_guesses(x: int, y: int, first: AlphaTriple):
     """Candidate (b1, b2) for x - alpha1*y, in the order decompose_unit tries them.
 
     First the pair the record's shape fixes, if it has one: x - alpha1*y is x
-    when y = 0 and -y * lam0^s * lam1^t when x = 0, (s, t) being first's.  Then
-    the rounded real solution of the 2x2 log-linear system on each triple of
-    roots.attempts(first); a rounding that is not clear-cut yields no guess.
+    when y = 0 and -y * lam0^s * lam1^t when x = 0, (s, t) being first's.  Then,
+    on each triple of roots.attempts(first), in integers, proof.log_system on the
+    fixed_log of x 2^K - N_j y, x - alpha_j y over 2^K with radius r_j |y| (j = 2,
+    3), and each det e = -R e rounded to the nearest integer e.  A difference of
+    open sign, or an e farther than 1/4 from -det e / R, yields no guess.
     """
     if y == 0:
         yield 0, 0
     elif x == 0:
         yield first.s, first.t
     for tri in attempts(first):
-        with workprec(tri.roots.precision_bits):
-            la0, la1, la2 = tri.roots.log_abs_lambda
-            lb2 = mp.log(abs(x - tri.alpha2 * y))
-            lb3 = mp.log(abs(x - tri.alpha3 * y))
-            det = la1 * la0 - la2 * la2
-            b1_real = (lb2 * la0 - la2 * lb3) / det
-            b2_real = (la1 * lb3 - lb2 * la2) / det
-            b1, b2 = int(mp.nint(b1_real)), int(mp.nint(b2_real))
-            ambiguous = max(abs(b1_real - b1), abs(b2_real - b2)) > 0.25
-        if not ambiguous:
-            yield b1, b2
+        K = tri.frac_bits
+        diffs = [((x << K) - num * y, r * abs(y))
+                 for num, r in zip(tri.numerators[1:], tri.radii[1:])]
+        if any(abs(d) <= r for d, r in diffs):
+            continue
+        *dets, _ = log_system(tri.roots, *(fixed_log(d, K) for d in diffs))
+        reg = tri.roots.reg_fixed[0]
+        # e = -det e / R to the nearest integer; within 1/4 of it when 4 |det e + e R| <= R
+        guess = tuple((reg - 2 * v) // (2 * reg) for v in dets)
+        if all(4 * abs(v + e * reg) <= reg for v, e in zip(dets, guess)):
+            yield guess
 
 
 def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
@@ -346,7 +346,8 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
 
     The guesses of _exponent_guesses are tried in order: first the pair the
     record's shape fixes, (0, 0) when y = 0 and (s, t) when x = 0, then the
-    rounded solutions of the log-linear system, on the record's own triple
+    rounded solutions of the unit-exponent system that the proof quantities
+    solve too (proof.log_system), in integers, on the record's own triple
     and then at doubling precision.  The first guess for which x - alpha1*y
     equals +-lam0^b1 * lam1^b2 in the exact order Z[lam0] is returned, alpha1
     being the record's unit; RoundingAmbiguous is raised if none does.

@@ -22,7 +22,7 @@ from cubicthue.asymptotics import (
     run_logdiff, run_regulator, st_box,
     check_error_products, compute_proof_quantities,
 )
-from cubicthue.bounds import bg_upper_bound, c3_constant, n0_scan
+from cubicthue.bounds import bg_upper_bound, c3_constant, n0_scan, ratio_float
 from cubicthue.forms import build_form, discriminant, phi_transform
 from cubicthue.roots import compute_alphas
 from cubicthue.solver import decompose_unit, reduce_to_type1, solve_box
@@ -158,11 +158,12 @@ def test_criterion_06_vbar_window_and_growth(capsys):
         ln = math.log(n)
         for (s, t) in st_box(5):
             q = compute_proof_quantities(n, s, t)
-            if not 0 < q.v_bar < q.regulator:
+            one = 1 << q.frac_bits
+            if not 0 < q.v_bar_num < q.regulator_num:
                 window_violations.append((n, s, t))
-            if float(q.v_bar) * n / ln < 0.5:
+            if ratio_float(q.v_bar_num, one) * n / ln < 0.5:
                 ratio_violations.add((s, t))
-            g = float(q.regulator - q.v_bar) / ln
+            g = ratio_float(q.regulator_num - q.v_bar_num, one) / ln
             growth_floor[(s, t)] = min(growth_floor.get((s, t), math.inf), g)
     stalling = {p for p, g in growth_floor.items() if g < 0.05}
     elapsed = time.time() - t0

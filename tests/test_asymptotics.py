@@ -29,6 +29,7 @@ from cubicthue.asymptotics import (
     st_box,
     true_logdiffs,
 )
+from cubicthue.bounds import ratio_float
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from cubicthue.roots import (
     compute_alphas, compute_roots, fixed_log, fixed_view, orbit_triples, proof_precision,
@@ -221,7 +222,6 @@ def test_proof_quantities_definitions():
     assert q.u_bar_num == -q.u1_num - q.u2_num
     assert q.v_bar_num == q.b0 * q.regulator_num - q.v1_num - q.v2_num
     assert 0 < q.v_bar_num < q.regulator_num
-    assert 0 < q.v_bar < q.regulator
 
 
 def test_proof_quantities_keep_the_precision_of_the_differences():
@@ -258,7 +258,7 @@ def test_lemma_harness_computes_one_root_set_per_grid_n(harness):
 
 def test_ubar_limit():
     q = compute_proof_quantities(10**6, 2, 1)
-    assert abs(float(q.u_bar) * 10**6 - 3.0) < 1e-3
+    assert abs(ratio_float(q.u_bar_num, 1 << q.frac_bits) * 10**6 - 3.0) < 1e-3
     res = run_ubar(n_grid=[10**2, 10**3, 10**4, 10**5, 10**6])
     assert res.passed
 
@@ -268,9 +268,10 @@ def test_vbar_good_pairs():
     for (s, t) in [(2, 1), (1, 1), (-1, -1), (3, 1), (2, -2)]:
         for n in (10**4, 10**6):
             q = compute_proof_quantities(n, s, t)
-            assert 0 < q.v_bar < q.regulator
-            assert float(q.v_bar) * n / math.log(n) >= 0.5
-            assert float(q.regulator - q.v_bar) / math.log(n) > 0.3
+            one = 1 << q.frac_bits
+            assert 0 < q.v_bar_num < q.regulator_num
+            assert ratio_float(q.v_bar_num, one) * n / math.log(n) >= 0.5
+            assert ratio_float(q.regulator_num - q.v_bar_num, one) / math.log(n) > 0.3
 
 
 def test_vbar_collapse_pairs_documented():
@@ -278,11 +279,13 @@ def test_vbar_collapse_pairs_documented():
     # combination collapses onto an exact multiple of R and v_bar degenerates
     # to O(log n / n^2) from one side of the window or the other
     q = compute_proof_quantities(10**4, -2, 1)
-    assert 0 < q.v_bar < q.regulator
-    assert float(q.v_bar) * 10**4 / math.log(10**4) < 0.01      # far below 0.5
+    one = 1 << q.frac_bits
+    assert 0 < q.v_bar_num < q.regulator_num
+    assert ratio_float(q.v_bar_num, one) * 10**4 / math.log(10**4) < 0.01      # far below 0.5
     q = compute_proof_quantities(10**4, 1, 4)
-    assert 0 < q.v_bar < q.regulator
-    assert float(q.regulator - q.v_bar) / math.log(10**4) < 0.01
+    one = 1 << q.frac_bits
+    assert 0 < q.v_bar_num < q.regulator_num
+    assert ratio_float(q.regulator_num - q.v_bar_num, one) / math.log(10**4) < 0.01
 
 
 @pytest.mark.parametrize("n_grid,st_bound", [

@@ -12,7 +12,7 @@ from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.bounds import bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan
 from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from cubicthue.forms import build_form, height
-from cubicthue.roots import compute_roots
+from cubicthue.roots import compute_roots, fixed_view
 from cubicthue.solver import solve_box
 
 
@@ -78,7 +78,8 @@ def formula_chain(n, q, precision_bits=192):
     """The chain value of the module docstring, evaluated term by term."""
     with workprec(precision_bits + 16):
         absorb_rhs = mpf(3) / 4 * mp.log(n) / n
-        return (q.regulator - q.v_bar - absorb_rhs) * n / 3
+        reg, v_bar = fixed_view(q.regulator_num, q.frac_bits), fixed_view(q.v_bar_num, q.frac_bits)
+        return (reg - v_bar - absorb_rhs) * n / 3
 
 
 @pytest.mark.parametrize("n", [60, 4999, 10**6, 10**64])

@@ -509,6 +509,21 @@ def test_fractional_grid_values_exit_two_before_any_work(capsys, monkeypatch):
     assert parse_grid("1e3:1000.0") == [1000]
 
 
+def test_grid_stride_is_read_as_a_grid_value(capsys):
+    # 1e0 is a stride of 1, as it is a start or stop of 1; a fraction or a stride of
+    # too many digits is refused as a grid value is, not with Python's message
+    code, out, _ = run(capsys, ["--format", "csv", "scan", "--n", "1:10:1e0", "--smax", "1",
+                                "--ybound", "2"])
+    assert code == 0
+    assert sorted({int(row.split(",")[0]) for row in out.splitlines()[1:]}) == list(range(1, 11))
+    for stride, message in (("2.5", "error: grid value '2.5' is not an integer\n"),
+                            ("9" * 5000, f"more than {MAX_VALUE_DIGITS} digits"),
+                            ("0", "bad grid step"), ("-1", "bad grid step")):
+        code, out, err = run(capsys, ["scan", "--n", f"1:10:{stride}", "--smax", "1"])
+        assert code == 2 and out == ""
+        assert message in err and "Exceeds the limit" not in err and "invalid literal" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["scan", "--n", "1:999999"], "scan has more than 1000000 cells (999999 n values, smax 3)"),
     (["lemma", "vbar", "--n", "2:1000000"],
@@ -596,6 +611,18 @@ def test_lemma_at_tiny_n_names_the_least_n(capsys, name, n, least):
     code, _, err = run(capsys, ["lemma", name, "--n", str(n)])
     assert code == 2
     assert f"lemma {name} needs n >= {least}, got n = {n}" in err
+
+
+@pytest.mark.parametrize("smax", ["0", "-2"])
+def test_scan_smax_below_one_exits_two_before_reading_the_grid(capsys, monkeypatch, smax):
+    from cubicthue import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was read")
+
+    monkeypatch.setattr(cli, "parse_grid", refuse)
+    code, out, err = run(capsys, ["scan", "--n", "1:10", "--smax", smax])
+    assert (code, out, err) == (2, "", f"error: --smax must be >= 1, got {smax}\n")
 
 
 @pytest.mark.parametrize("smax", ["0", "-2"])
@@ -966,14 +993,18 @@ def test_package_namespace_is_its_modules():
 # the modules that decide a verdict; asymptotics (predictors, fits, lemma harnesses)
 # and cli import them, never the other way round
 TRUSTED_CORE = ["exact_field", "forms", "roots", "proof", "solver", "bounds"]
+# the core modules that compute in integers alone: no mpf, not even a view
+INTEGER_CORE = ["exact_field", "forms", "proof", "solver"]
 
 
-def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
-    # parsed, not imported: __init__ imports every module, so sys.modules shows nothing
+def imports_of(modules, banned):
+    """The "name.py:line" of each import in the package's modules that names a
+    banned module or name; parsed, not imported: __init__ imports every module,
+    so sys.modules shows nothing."""
     pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "cubicthue")
     found = []
-    for name in TRUSTED_CORE:
+    for name in modules:
         path = os.path.join(pkg, name + ".py")
         if not os.path.exists(path):
             found.append(f"{name}.py is missing")
@@ -987,8 +1018,18 @@ def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
                 parts = [p for a in node.names for p in a.name.split(".")]
             else:
                 continue
-            found += [f"{name}.py:{node.lineno}" for p in parts if p in ("asymptotics", "cli")]
-    assert found == []
+            found += [f"{name}.py:{node.lineno}" for p in parts if p in banned]
+    return found
+
+
+def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
+    assert imports_of(TRUSTED_CORE, ("asymptotics", "cli")) == []
+
+
+def test_integer_core_imports_nothing_from_mpmath():
+    # the proof quantities and the unit exponents are integer computations; mpmath
+    # stays in roots' views and bounds' printed values
+    assert imports_of(INTEGER_CORE, ("mpmath",)) == []
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])

@@ -539,7 +539,8 @@ def test_records_with_x_or_y_zero_skip_the_log_solve(n, monkeypatch):
         raise AssertionError("the log solve ran")
 
     monkeypatch.setattr(roots, "compute_alphas", refused)
-    monkeypatch.setattr(mp, "log", refused)
+    monkeypatch.setattr(solver, "fixed_log", refused)
+    monkeypatch.setattr(solver, "log_system", refused)
     for (s, t), recs in records.items():
         assert len(recs) == 4
         for rec in recs:
