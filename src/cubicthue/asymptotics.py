@@ -28,15 +28,17 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
-from .bounds import _absorb_rhs, float_power, ratio_float
+from .bounds import _absorb_rhs, fixed_view, float_power, ratio_float
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from .forms import st_box
 from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
-from .roots import compute_roots, escalate, fixed_view, orbit_triples
+from .roots import compute_roots, escalate, orbit_triples, working_bits
 
 DEFAULT_EPSILON = 0.25
 
@@ -307,12 +309,32 @@ def _fit_series(series: dict, names, claimed=None, two_sided: bool = False):
     return fits, all(f["ok"] for f in fits)
 
 
-def _require_least_n(name: str, n_grid, least: int):
-    """ValueError unless every n of the grid is at least `least`, the smallest n at
-    which the harness's formulas neither divide by zero nor take the log of zero."""
-    low = min(n_grid)
+def _require_grid(name: str, n_grid, least: int, exponent: float = 0, what: str = ""):
+    """ValueError unless every n of the grid is at least `least`, the least n the
+    harness's formulas hold at (none divides by zero or takes the log of zero), and
+    n^exponent at the largest n is a normal float: the harness `what`, as floats."""
+    low, top = min(n_grid), max(n_grid)
     if low < least:
         raise ValueError(f"lemma {name} needs n >= {least}, got n = {low}")
+    if not sys.float_info.min <= float_power(top, exponent) < math.inf:
+        raise ValueError(f"lemma {name} {what}, which is beyond float range "
+                         f"at n ~ 10^{len(str(top)) - 1}")
+
+
+def _expansion_bits(n: int, precision_bits: int) -> int:
+    """precision_bits, or more where residuals down to order n^-3 would fall below them."""
+    return max(precision_bits, working_bits(n, 3, 64))
+
+
+def root_values(rs):
+    """lam0, lam1, lam2 of the root set rs as mpf values: lam0 = N / 2^K exactly, lam1
+    and lam2 1/x of the exact values of their inverses (of size at least 1), rounded to
+    nearest at rs.precision_bits + 32 bits, so that lam1 ~ -1/n keeps its relative
+    accuracy where it is below one unit of 2^-K."""
+    K, prec = rs.frac_bits, rs.precision_bits + 32
+    return (fixed_view(rs.lam_fixed[0][0], K),
+            *(mp.make_mpf(mpf_div(fone, from_man_exp(num, -K), prec, round_nearest))
+              for num, _ in rs.inv_fixed[1:]))
 
 
 def log_grid(lo: int, hi: int):
@@ -355,23 +377,25 @@ BRANCH_REPRESENTATIVES_13 = {
 def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Root and log expansions: residual slopes vs the claimed orders."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lapprox"]
+    _require_grid("lapprox", n_grid, 4, -3, "fits residuals down to order n^-3")
     rows = []
     series = {(which, kind): [] for which in (0, 1, 2) for kind in ("value", "log")}
     for n in n_grid:
-        rs = compute_roots(n, precision_bits)
-        with workprec(precision_bits + 16):
+        bits = _expansion_bits(n, precision_bits)
+        rs = compute_roots(n, bits)
+        lams = root_values(rs)
+        with workprec(bits + 16):
             for which in (0, 1, 2):
                 val_p, log_p = predict_root_expansion(n, which)
-                lam = rs.lambdas[which]
-                rv = float(lam - val_p.value)
-                rl = float(rs.log_abs_lambda[which] - log_p.value)
+                rv = float(lams[which] - val_p.value)
+                rl = float(fixed_view(rs.log_fixed[which][0], rs.frac_bits) - log_p.value)
                 series[(which, "value")].append((n, rv))
                 series[(which, "log")].append((n, rl))
                 rows.append({
                     "n": n, "root": which,
                     "value_residual": rv, "log_residual": rl,
                     "value_order": val_p.error_order, "log_order": log_p.error_order,
-                    "precision_bits": precision_bits,
+                    "precision_bits": bits,
                 })
     claimed = {(0, "value"): -2.0, (1, "value"): -3.0, (2, "value"): -3.0,
                (0, "log"): -3.0, (1, "log"): -3.0, (2, "log"): -3.0}
@@ -386,21 +410,22 @@ LPOWERS_EXPONENTS = (1, 2, 3, -1, -2)
 def run_lpowers(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Two-term power expansions: relative residual slopes."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lpowers"]
-    _require_least_n("lpowers", n_grid, 1)
+    _require_grid("lpowers", n_grid, 1, -3, "fits relative residuals down to order n^-3")
     rows = []
     series = {}
     for n in n_grid:
-        rs = compute_roots(n, precision_bits + 64)
-        with workprec(precision_bits + 64):
+        bits = _expansion_bits(n, precision_bits)
+        lams = root_values(compute_roots(n, bits + 64))
+        with workprec(bits + 64):
             for a in LPOWERS_EXPONENTS:
                 for which in (0, 1, 2):
                     pred = predict_power(n, a, which)
-                    true = rs.lambdas[which] ** a
+                    true = lams[which] ** a
                     rel = float((true - pred.value) / abs(true))
                     series.setdefault((a, which), []).append((n, rel))
                     rows.append({"n": n, "a": a, "root": which,
                                  "relative_residual": rel,
-                                 "precision_bits": precision_bits})
+                                 "precision_bits": bits})
     claimed_rel = {0: -2.5, 1: -1.5, 2: -1.5}  # claimed orders relative to the leading term
     fits, ok = _fit_series(series, ("a", "root"), lambda key: claimed_rel[key[1]])
     return LemmaResult("lpowers", {"n_grid": n_grid, "exponents": list(LPOWERS_EXPONENTS),
@@ -410,16 +435,18 @@ def run_lpowers(n_grid=None, precision_bits: int = 192) -> LemmaResult:
 def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Regulator expansion: slope of (R - (log n)^2 - log(n)/n) / log n is -2 +- 0.3."""
     n_grid = n_grid or DEFAULT_N_GRIDS["regulator"]
-    _require_least_n("regulator", n_grid, 2)
+    _require_grid("regulator", n_grid, 2, -2, "fits residuals of order n^-2")
     rows, samples = [], []
     for n in n_grid:
-        rs = compute_roots(n, precision_bits)
-        with workprec(precision_bits + 16):
+        bits = _expansion_bits(n, precision_bits)
+        rs = compute_roots(n, bits)
+        reg = fixed_view(rs.reg_fixed[0], rs.frac_bits)
+        with workprec(bits + 16):
             L = mp.log(n)
-            resid = float((rs.regulator - L * L - L / n) / L)
+            resid = float((reg - L * L - L / n) / L)
         samples.append((n, resid))
-        rows.append({"n": n, "regulator": float(rs.regulator),
-                     "scaled_residual": resid, "precision_bits": precision_bits})
+        rows.append({"n": n, "regulator": float(reg),
+                     "scaled_residual": resid, "precision_bits": bits})
     fits, ok = _fit_series({("regulator",): samples}, ("kind",), lambda key: -2.0,
                            two_sided=True)
     return LemmaResult("regulator", {"n_grid": n_grid, "precision_bits": precision_bits},
@@ -440,10 +467,7 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
     """12-branch table: residual * n^(1+2eps) must not grow (slope <= 0.3)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["logdiff"]
     pairs = pairs or logdiff_representatives()
-    _require_least_n("logdiff", n_grid, 1)
-    if float_power(max(n_grid), 1 + 2 * epsilon) == math.inf:
-        raise ValueError(f"lemma logdiff scales residuals by n^(1+2 epsilon), "
-                         f"which is beyond float range at n ~ 10^{len(str(max(n_grid))) - 1}")
+    _require_grid("logdiff", n_grid, 1, 1 + 2 * epsilon, "scales residuals by n^(1+2 epsilon)")
     rows = []
     series = {}
     seen = set()
@@ -481,7 +505,7 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
 def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
     """Gap-product bounds with margins; first bound exempts (1,1) and (-1,-1)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["errorbound"]
-    _require_least_n("errorbound", n_grid, 1)
+    _require_grid("errorbound", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
@@ -505,7 +529,7 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> Lemma
     """Window and growth of v_bar = b0*R - v1 - v2: for n >= 10^4,
     v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05."""
     n_grid = n_grid or DEFAULT_N_GRIDS["vbar"]
-    _require_least_n("vbar", n_grid, 2)
+    _require_grid("vbar", n_grid, 2)
     rows = []
     window_ok = True
     ratio_ok = True
@@ -555,7 +579,7 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
 def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> LemmaResult:
     """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n."""
     n_grid = n_grid or DEFAULT_N_GRIDS["wbar"]
-    _require_least_n("wbar", n_grid, 1)
+    _require_grid("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
         rhs = _absorb_rhs(n, precision_bits + 16)

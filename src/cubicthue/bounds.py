@@ -58,6 +58,11 @@ def float_power(n: int, exponent: float) -> float:
             return math.inf
 
 
+def fixed_view(num: int, frac_bits: int):
+    """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
+    return mp.make_mpf(from_man_exp(num, -frac_bits))
+
+
 def c3_constant(degree: int, rank: int) -> int:
     """Exact integer value of the bound constant for (degree, rank)."""
     if degree < 3 or rank < 1:
@@ -80,7 +85,7 @@ class _NConstants:
 
     upper_factor is c3 * R * max(log R, 1), log_b is log max(b_abs, e) and
     absorb_rhs is (3/4) log(n) / n (None at n = 0, where it is undefined).
-    R is the view of the given root set's regulator: bg_upper_bound gives
+    R is fixed_view of the given root set's regulator: bg_upper_bound gives
     compute_roots(n, precision_bits), cell_reports the root set of its triples.
     """
 
@@ -92,7 +97,7 @@ class _NConstants:
 
 
 def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
-    reg = rs.regulator
+    reg = fixed_view(rs.reg_fixed[0], rs.frac_bits)
     with workprec(precision_bits + 16):
         log_b = mp.log(max(mpf(b_abs), mp.e))
         factor = c3_constant(3, 2) * reg * max(mp.log(reg), mpf(1))

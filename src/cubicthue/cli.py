@@ -8,13 +8,14 @@ Subcommands
     scan                  solver + bounds over an (n, s, t) grid, CSV-friendly
 
 Grids are written start:stop[:step] where step is an integer stride or the
-word log10 (multiply by 10 each step).  Inputs whose work has no bound are
-refused with exit code 2 before any work starts: a grid value or stride that is
-not an integer or has more than MAX_VALUE_DIGITS digits, a grid of more than
-MAX_GRID_POINTS points, a scan or a lemma of more than MAX_GRID_POINTS
-(n, s, t) cells (a lemma's box and n grid are --smax and --n, or else the
-runner's own), a precision above MAX_PRECISION_BITS, and a form, solve,
-bound or scan whose forms may have a coefficient of more than
+word log10 (multiply by 10 each step); N, S, T, --ybound, --babs and --smax
+are read as grid values are (1e4 is 10000).  Inputs whose work has no bound
+are refused with exit code 2 before any work starts: a grid value, stride or
+numeric argument that is not an integer or has more than MAX_VALUE_DIGITS
+digits, a grid of more than MAX_GRID_POINTS points, a scan or a lemma of more
+than MAX_GRID_POINTS (n, s, t) cells (a lemma's box and n grid are --smax and
+--n, or else the runner's own), a precision above MAX_PRECISION_BITS, and a
+form, solve, bound or scan whose forms may have a coefficient of more than
 MAX_VALUE_DIGITS digits (_check_form_digits), which could not be printed.
 Only lemma logdiff reads --epsilon.  Formats: human (default), json, csv.
 Exit codes: 0 ok, 1 a verification check failed, 2 usage error (an --output
@@ -48,7 +49,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
 
 from mpmath import mp, mpf
@@ -78,8 +78,8 @@ SCAN_COLUMNS = ["n", "s", "t", "A", "B", "solutions", "nontrivial", "upper",
 
 # most points a grid, and most (n, s, t) cells a scan or a lemma box, may have
 MAX_GRID_POINTS = 10**6
-# most digits of a grid value: the limit Python applies to int() of a string,
-# so to the positional N arguments
+# most digits of a grid value or numeric argument: the limit Python applies to
+# int() of a string
 MAX_VALUE_DIGITS = 4300
 MAX_PRECISION_BITS = 2**16
 
@@ -112,6 +112,14 @@ def _grid_value(text: str) -> int:
     if d != d.to_integral_value():
         raise ValueError(f"grid value {_shown(text)} is not an integer")
     return int(d)
+
+
+def _number(text: str) -> int:
+    """A numeric argument, read as a grid value is (an argparse type)."""
+    try:
+        return _grid_value(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_grid(spec: str, check=lambda points: None):
@@ -374,6 +382,7 @@ def cmd_scan(args) -> int:
     pairs = st_box(args.smax)
     jobs = [(n, pairs, args.ybound, args.precision_bits) for n in n_grid]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only scans with workers load it
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             per_n = list(pool.map(_scan_n, jobs))
     else:
@@ -414,23 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help_text, *positional):
         sp = sub.add_parser(name, help=help_text)
         for arg in positional:
-            sp.add_argument(arg, type=int)
+            sp.add_argument(arg, type=_number)
         sp.set_defaults(func=func)
         return sp
 
     command("form", cmd_form, "construct a form exactly", "n", "s", "t")
     sp = command("solve", cmd_solve, "bounded solution search", "n", "s", "t")
-    sp.add_argument("--ybound", type=int, default=10**4)
+    sp.add_argument("--ybound", type=_number, default=10**4)
     sp = command("lemma", cmd_lemma, "run a verification harness")
     sp.add_argument("name", choices=sorted(LEMMA_RUNNERS))
     sp.add_argument("--n", dest="n_grid", default=None, help="grid start:stop[:step|log10]")
-    sp.add_argument("--smax", type=int, default=None)
+    sp.add_argument("--smax", type=_number, default=None)
     sp = command("bound", cmd_bound, "upper bound vs lower-bound chain", "n", "s", "t")
-    sp.add_argument("--babs", type=int, default=1)
+    sp.add_argument("--babs", type=_number, default=1)
     sp = command("scan", cmd_scan, "solver + bounds over a grid")
     sp.add_argument("--n", dest="n_grid", required=True, help="grid start:stop[:step|log10]")
-    sp.add_argument("--smax", type=int, default=3)
-    sp.add_argument("--ybound", type=int, default=10**4)
+    sp.add_argument("--smax", type=_number, default=3)
+    sp.add_argument("--ybound", type=_number, default=10**4)
     return p
 
 

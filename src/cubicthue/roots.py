@@ -68,14 +68,12 @@ lam_j^e, each powered by squaring (of lam_j for e > 0, of 1/lam_j for
 e < 0) once per root set (RootSet.power), so the triples powered from one
 root set share them.  lam0 is certified by its exact bracket, and lam1 and
 lam2 by an exact sign change of F between (N_j - r_j) / 2^K and
-(N_j + r_j) / 2^K.  The fixed point
-is all a RootSet or an AlphaTriple stores; their mpf values are views made
-when first read: N / 2^K exactly, except lam1 and lam2, which are 1/x of the
-views of their inverses (of size at least 1), so that lam1 ~ -1/n keeps its
-relative accuracy where it is below one unit of 2^-K.  A root set's two root
-logs and its regulator are also taken when first read, and kept, outside its
-==, hash and repr: a solve and its records read them only for a unit's log
-solve or b0.
+(N_j + r_j) / 2^K.  The fixed point is all a RootSet or an AlphaTriple
+stores, and this module makes no multiprecision float: bounds and
+asymptotics make the ones they print and fit.  A root set's two root logs
+and its regulator are taken when first read, and kept, outside its ==, hash
+and repr: a solve and its records read them only for a unit's log solve or
+b0.
 
 A root set at K serves every K' < K by a floor shift, with no second Newton
 run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
@@ -117,9 +115,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from mpmath import mp
-from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
-
 from .errors import PrecisionExhausted
 from .forms import phi_transform
 
@@ -137,8 +132,7 @@ def _shifted(pairs, d: int) -> tuple:
 
 @dataclass(frozen=True)
 class RootSet:
-    """The fixed point of the module docstring; its logs, regulator and mpf views are
-    taken when first read."""
+    """The fixed point of the module docstring, its logs and regulator taken when first read."""
 
     n: int
     precision_bits: int
@@ -171,25 +165,6 @@ class RootSet:
         p, q = fixed_mul(g1, g0, self.frac_bits), fixed_mul(g2, g2, self.frac_bits)
         return abs(p[0] - q[0]), p[1] + q[1]
 
-    @cached_property
-    def lambdas(self):
-        K, prec = self.frac_bits, self.precision_bits + 32
-        return (fixed_view(self.lam_fixed[0][0], K),
-                *(mp.make_mpf(mpf_div(fone, from_man_exp(num, -K), prec, round_nearest))
-                  for num, _ in self.inv_fixed[1:]))
-
-    lambda0 = property(lambda self: self.lambdas[0])
-    lambda1 = property(lambda self: self.lambdas[1])
-    lambda2 = property(lambda self: self.lambdas[2])
-
-    @cached_property
-    def log_abs_lambda(self):
-        return tuple(fixed_view(num, self.frac_bits) for num, _ in self.log_fixed)
-
-    @cached_property
-    def regulator(self):
-        return fixed_view(self.reg_fixed[0], self.frac_bits)
-
     def power(self, j: int, e: int):
         """lam_j^e as a pair over 2^frac_bits, powered once per (j, e) for this root set."""
         if (j, e) not in self._powers:
@@ -204,9 +179,9 @@ class AlphaTriple:
 
     roots is the RootSet they were powered from; its precision_bits is the
     working precision for arithmetic on the conjugates.  numerators and radii
-    are the fixed-point values over 2^frac_bits, and alpha1..3 their exact
-    mpf views.  mirror is None, or (T', shift) for the triple T' of the
-    mirror orbit at the same frac_bits, from which diff_log derives its logs.
+    are the fixed-point values over 2^frac_bits.  mirror is None, or
+    (T', shift) for the triple T' of the mirror orbit at the same frac_bits,
+    from which diff_log derives its logs.
     """
 
     n: int
@@ -218,14 +193,6 @@ class AlphaTriple:
     radii: tuple
     mirror: tuple = field(default=None, compare=False, repr=False)
     _diff_logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @cached_property
-    def alphas(self):
-        return tuple(fixed_view(num, self.frac_bits) for num in self.numerators)
-
-    alpha1 = property(lambda self: self.alphas[0])
-    alpha2 = property(lambda self: self.alphas[1])
-    alpha3 = property(lambda self: self.alphas[2])
 
     @property
     def frac_bits(self) -> int:
@@ -274,11 +241,6 @@ class AlphaTriple:
             num -= tri.s * gk + tri.t * gn
             r += abs(tri.s) * rk + abs(tri.t) * rn
         return num, r
-
-
-def fixed_view(num: int, frac_bits: int):
-    """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
-    return mp.make_mpf(from_man_exp(num, -frac_bits))
 
 
 def fixed_mul(a, b, frac_bits: int):
@@ -497,8 +459,8 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
 
     Every value lies within its radius over 2^K; lam0 is certified by its
     Newton bracket, lam1 and lam2 by a sign change (PrecisionExhausted if
-    not).  The views lambda0..2 and the regulator have relative error, and
-    the logs absolute error, below 2^-precision_bits.
+    not).  As K >= precision_bits + 32, lam0, 1/lam1, 1/lam2 and the regulator
+    have relative error, and the logs absolute error, below 2^-precision_bits.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

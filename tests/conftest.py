@@ -1,8 +1,25 @@
-"""Shared test helpers: independent oracles for the roots and for the solutions."""
+"""Shared test helpers: independent oracles for the roots and for the solutions, and
+the mpf values of a root set's and a triple's fixed point."""
 
 from mpmath import mp
 
+from cubicthue.bounds import fixed_view
 from cubicthue.forms import build_form, eval_form
+
+
+def alpha_values(tri):
+    """The conjugates of the triple tri, as the exact mpf values of its numerators."""
+    return tuple(fixed_view(num, tri.frac_bits) for num in tri.numerators)
+
+
+def log_values(rs):
+    """log|lam0|, log|lam1|, log|lam2| of the root set rs, as exact mpf values."""
+    return tuple(fixed_view(num, rs.frac_bits) for num, _ in rs.log_fixed)
+
+
+def regulator_value(rs):
+    """The regulator of the root set rs, as an exact mpf value."""
+    return fixed_view(rs.reg_fixed[0], rs.frac_bits)
 
 
 def brute_force_solutions(n, s, t, y_bound):

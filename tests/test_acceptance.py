@@ -17,7 +17,7 @@ import pytest
 from mpmath import mp, workprec
 
 import cubicthue.exact_field as ef
-from conftest import brute_force_solutions
+from conftest import alpha_values, brute_force_solutions
 from cubicthue.asymptotics import (
     run_logdiff, run_regulator, st_box,
     check_error_products, compute_proof_quantities,
@@ -69,7 +69,7 @@ def test_criterion_01_exact_vs_numeric_forms(capsys):
                 f = build_form(n, s, t)
                 tri = compute_alphas(n, s, t, 256)
                 with workprec(300):
-                    a1, a2, a3 = tri.alphas
+                    a1, a2, a3 = alpha_values(tri)
                     e1 = a1 + a2 + a3
                     e2 = a1 * a2 + a1 * a3 + a2 * a3
                     e3 = a1 * a2 * a3

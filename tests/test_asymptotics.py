@@ -21,6 +21,7 @@ from cubicthue.asymptotics import (
     predict_logdiff,
     predict_power,
     predict_root_expansion,
+    root_values,
     run_errorbound,
     run_logdiff,
     run_ubar,
@@ -29,10 +30,10 @@ from cubicthue.asymptotics import (
     st_box,
     true_logdiffs,
 )
-from cubicthue.bounds import ratio_float
+from cubicthue.bounds import fixed_view, ratio_float
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from cubicthue.roots import (
-    compute_alphas, compute_roots, fixed_log, fixed_view, orbit_triples, proof_precision,
+    compute_alphas, compute_roots, fixed_log, orbit_triples, proof_precision,
 )
 from conftest import exact_roots
 
@@ -59,10 +60,10 @@ def test_root_expansion_formulas():
 def test_root_expansion_residual_scale():
     # lam0 - (n + 2/n) = -1/n^2 + O(n^-3)
     for n in (10**3, 10**4):
-        rs = compute_roots(n, 128)
+        lam0, _, _ = root_values(compute_roots(n, 128))
         with workprec(160):
             v0, _ = predict_root_expansion(n, 0)
-            assert abs(float(rs.lambda0 - v0.value) * n * n + 1.0) < 0.02
+            assert abs(float(lam0 - v0.value) * n * n + 1.0) < 0.02
 
 
 def test_predict_power_formulas():
@@ -76,12 +77,12 @@ def test_predict_power_formulas():
 
 
 def test_predict_power_accuracy():
-    rs = compute_roots(2000, 160)
+    lams = root_values(compute_roots(2000, 160))
     with workprec(192):
         for a in (2, -3):
             for which in (0, 1, 2):
                 pred = predict_power(2000, a, which)
-                true = rs.lambdas[which] ** a
+                true = lams[which] ** a
                 assert abs((true - pred.value) / true) < 1e-5
 
 

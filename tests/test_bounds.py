@@ -9,11 +9,14 @@ from mpmath import mp, mpf, workprec
 
 from cubicthue import bounds
 from cubicthue.asymptotics import compute_proof_quantities, st_box
-from cubicthue.bounds import bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan
+from cubicthue.bounds import (
+    bg_upper_bound, bound_report, c3_constant, fixed_view, lower_bound_chain, n0_scan,
+)
 from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from cubicthue.forms import build_form, height
-from cubicthue.roots import compute_roots, fixed_view
+from cubicthue.roots import compute_roots
 from cubicthue.solver import solve_box
+from conftest import regulator_value
 
 
 def test_c3_values():
@@ -39,7 +42,7 @@ def test_upper_bound_structure():
         assert ub > 0
         # exponent >= c3 * R^2 since max(log R, 1) >= 1 and log(H*B) > 0
         from cubicthue.roots import compute_roots
-        R = compute_roots(n, 192).regulator
+        R = regulator_value(compute_roots(n, 192))
         assert ub > c3_constant(3, 2) * R * R
 
 
@@ -50,7 +53,7 @@ def test_upper_bound_height_doubling():
     from cubicthue.forms import build_form, height
     from cubicthue.roots import compute_roots
     with workprec(224):
-        R = compute_roots(n, 192).regulator
+        R = regulator_value(compute_roots(n, 192))
         h = height(build_form(n, s, t))
         manual = c3_constant(3, 2) * R * max(mp.log(R), mpf(1)) * (R + mp.log(h * mp.e))
         assert abs(base - manual) < abs(base) * mpf(2) ** -120
@@ -68,7 +71,7 @@ def test_upper_bound_rejects_reducible():
 
 def formula_upper(n, s, t, precision_bits=192):
     """The upper bound of the module docstring at b_abs = 1, evaluated term by term."""
-    reg = compute_roots(n, precision_bits).regulator
+    reg = regulator_value(compute_roots(n, precision_bits))
     with workprec(precision_bits + 16):
         log_hb = mp.log(height(build_form(n, s, t))) + mp.log(max(mpf(1), mp.e))
         return c3_constant(3, 2) * reg * max(mp.log(reg), mpf(1)) * (reg + log_hb)

@@ -524,6 +524,66 @@ def test_grid_stride_is_read_as_a_grid_value(capsys):
         assert message in err and "Exceeds the limit" not in err and "invalid literal" not in err
 
 
+@pytest.mark.parametrize("argv,plain", [
+    ("solve 1e3 1 1", "solve 1000 1 1"),
+    ("scan --n 100 --ybound 1e4", "scan --n 100 --ybound 10000"),
+    ("scan --n 100 --smax 2.0 --ybound 100", "scan --n 100 --smax 2 --ybound 100"),
+    ("bound 1e2 2 1.0 --babs 1e1", "bound 100 2 1 --babs 10"),
+    ("lemma errorbound --n 1000 --smax 1e0", "lemma errorbound --n 1000 --smax 1"),
+    ("form 5 -1.0 1", "form 5 -1 1"),
+])
+def test_numeric_arguments_are_read_as_grid_values(capsys, argv, plain):
+    spelled = run(capsys, ["--format", "json", *argv.split()])
+    assert spelled[0] == 0 and spelled == run(capsys, ["--format", "json", *plain.split()])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "1.5", "1", "1"], "argument n: grid value '1.5' is not an integer"),
+    (["scan", "--n", "100", "--smax", "2.5"], "argument --smax: grid value '2.5' is not an integer"),
+    (["solve", "9" * 5000, "1", "1"], f"more than {MAX_VALUE_DIGITS} digits"),
+    (["bound", "100", "2", "1", "--babs", "1e5000"], f"more than {MAX_VALUE_DIGITS} digits"),
+])
+def test_numeric_argument_that_is_no_grid_value_exits_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert message in err and len(err) < 300
+
+
+@pytest.mark.parametrize("argv", [
+    "lemma regulator --n 1e30:1e36:log10", "lemma lapprox --n 1e20:1e26:log10",
+    "lemma lapprox --n 1e30:1e36:log10", "lemma lpowers --n 1e30:1e36:log10",
+])
+def test_root_expansion_harnesses_pass_at_large_n(capsys, argv):
+    # the residuals fall below the default bits here, so each n takes at least
+    # working_bits(n, 3, 64)
+    from cubicthue.roots import working_bits
+
+    code, out, _ = run(capsys, ["--format", "json", *argv.split()])
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert {r["precision_bits"] for r in doc["rows"]} == {
+        max(192, working_bits(n, 3, 64)) for n in doc["config"]["n_grid"]}
+
+
+@pytest.mark.parametrize("argv,order", [
+    ("lemma regulator --n 1e300:1e306:log10", "residuals of order n^-2"),
+    ("lemma lapprox --n 1e200:1e206:log10", "residuals down to order n^-3"),
+    ("lemma lpowers --n 1e200:1e206:log10", "relative residuals down to order n^-3"),
+])
+def test_root_expansion_harness_beyond_float_range_exits_two(capsys, monkeypatch, argv, order):
+    from cubicthue import asymptotics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(asymptotics, "compute_roots", refuse)
+    code, out, err = run(capsys, argv.split())
+    assert code == 2 and out == ""
+    assert f"fits {order}, which is beyond float range at n ~ 10^" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["scan", "--n", "1:999999"], "scan has more than 1000000 cells (999999 n values, smax 3)"),
     (["lemma", "vbar", "--n", "2:1000000"],
@@ -606,6 +666,7 @@ def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monk
 @pytest.mark.parametrize("name,n,least", [
     ("lpowers", 0, 1), ("errorbound", 0, 1), ("wbar", 0, 1), ("logdiff", 0, 1),
     ("regulator", 0, 2), ("regulator", 1, 2), ("vbar", 0, 2), ("vbar", 1, 2),
+    ("lapprox", 0, 4), ("lapprox", 3, 4),
 ])
 def test_lemma_at_tiny_n_names_the_least_n(capsys, name, n, least):
     code, _, err = run(capsys, ["lemma", name, "--n", str(n)])
@@ -990,11 +1051,23 @@ def test_package_namespace_is_its_modules():
     assert version == "0.1.0"
 
 
+def test_command_line_loads_no_process_pool():
+    # only a scan with --jobs > 1 imports the process pool, and with it multiprocessing
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = ("import json, sys, cubicthue.cli\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.startswith(('concurrent.futures.process',\n"
+             "                                         'multiprocessing')))))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert json.loads(proc.stdout) == []
+
+
 # the modules that decide a verdict; asymptotics (predictors, fits, lemma harnesses)
 # and cli import them, never the other way round
 TRUSTED_CORE = ["exact_field", "forms", "roots", "proof", "solver", "bounds"]
 # the core modules that compute in integers alone: no mpf, not even a view
-INTEGER_CORE = ["exact_field", "forms", "proof", "solver"]
+INTEGER_CORE = ["exact_field", "forms", "roots", "proof", "solver"]
 
 
 def imports_of(modules, banned):
@@ -1027,8 +1100,8 @@ def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
 
 
 def test_integer_core_imports_nothing_from_mpmath():
-    # the proof quantities and the unit exponents are integer computations; mpmath
-    # stays in roots' views and bounds' printed values
+    # the roots, the proof quantities and the unit exponents are integer computations;
+    # mpmath stays in bounds' printed values
     assert imports_of(INTEGER_CORE, ("mpmath",)) == []
 
 

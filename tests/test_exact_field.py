@@ -6,6 +6,7 @@ from mpmath import mp, workprec
 
 import cubicthue.exact_field as ef
 from cubicthue.errors import MismatchedParameters, NotAUnit
+from cubicthue.asymptotics import root_values
 from cubicthue.roots import compute_roots
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -43,9 +44,9 @@ def test_trace_examples():
 
 
 def test_trace_of_square_matches_numeric_root_sum():
-    rs = compute_roots(7, 128)
+    lams = root_values(compute_roots(7, 128))
     with workprec(160):
-        total = sum(l * l for l in rs.lambdas)
+        total = sum(l * l for l in lams)
         assert abs(total - 54) < mp.mpf(2) ** -100
     assert ef.trace(elem(7, 0, 0, 1)) == 54
 
@@ -96,10 +97,10 @@ def test_invert_lam0_plus_one_is_minus_lam1():
     inv = ef.invert_unit(ef.lam0(n) + 1)
     assert inv == -ef.lam1(n)
     # numeric cross-check of the basis representation of lam1
-    rs = compute_roots(n, 128)
+    lam0, lam1, _ = root_values(compute_roots(n, 128))
     with workprec(160):
-        val = ef.lam1(n).embed(rs.lambda0)
-        assert abs(val - rs.lambda1) < mp.mpf(2) ** -100
+        val = ef.lam1(n).embed(lam0)
+        assert abs(val - lam1) < mp.mpf(2) ** -100
 
 
 def test_invert_non_unit_rejected():
@@ -192,8 +193,8 @@ def test_alpha_element_products(monkeypatch):
 
 def test_embedded_alpha_matches_numeric_power():
     n, s, t = 10, 2, -1
-    rs = compute_roots(n, 160)
+    lam0, lam1, _ = root_values(compute_roots(n, 160))
     with workprec(200):
-        exact = ef.alpha_element(n, s, t).embed(rs.lambda0)
-        numeric = rs.lambda0**2 / rs.lambda1
+        exact = ef.alpha_element(n, s, t).embed(lam0)
+        numeric = lam0**2 / lam1
         assert abs(exact - numeric) < mp.mpf(2) ** -120

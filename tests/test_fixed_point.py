@@ -22,7 +22,7 @@ from cubicthue.asymptotics import (
 from cubicthue.cli import main
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, PrecisionExhausted
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, proof_precision
-from conftest import exact_roots
+from conftest import alpha_values, exact_roots, log_values, regulator_value
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +33,9 @@ def oracle_alphas(n, s, t, precision_bits):
     """alpha1, alpha2, alpha3 by mpf powers of the roots, and the root set."""
     wp = alpha_precision(n, s, t, precision_bits)
     rs = compute_roots(n, wp)
+    lam0, lam1, lam2 = asymptotics.root_values(rs)
     with workprec(wp + 16):
-        return (rs.lambda0**s * rs.lambda1**t, rs.lambda1**s * rs.lambda2**t,
-                rs.lambda2**s * rs.lambda0**t, rs)
+        return lam0**s * lam1**t, lam1**s * lam2**t, lam2**s * lam0**t, rs
 
 
 def oracle_signed_diffs(n, s, t, precision_bits):
@@ -49,9 +49,9 @@ def oracle_quantities(n, s, t, precision_bits):
     with workprec(rs.precision_bits):
         a12, a13 = abs(d12), abs(d13)
         l12, l13 = mp.log(a12), mp.log(a13)
-    la0, la1, la2 = rs.log_abs_lambda
+    la0, la1, la2 = log_values(rs)
     with workprec(proof_precision(n, s, t, precision_bits)):
-        reg = rs.regulator
+        reg = regulator_value(rs)
         u1, u2 = la0 - la2, la1 - la2
         v1 = l12 * la0 - la2 * l13
         v2 = la1 * l13 - l12 * la2
@@ -117,7 +117,7 @@ def test_kernel_matches_the_mpf_oracle_at_twice_the_bits(n, st_pair):
     K = tri.frac_bits
     *exact, _ = oracle_alphas(n, s, t, 2 * K)
     with workprec(4 * K):
-        for num, radius, view, a in zip(tri.numerators, tri.radii, tri.alphas, exact):
+        for num, radius, view, a in zip(tri.numerators, tri.radii, alpha_values(tri), exact):
             assert abs(a * 2**K - num) <= radius
             assert abs(view - a) < abs(a) * mpf(2) ** -pb
 

@@ -10,21 +10,22 @@ from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
 import cubicthue.roots as roots
-from cubicthue.asymptotics import st_box
+from cubicthue.asymptotics import root_values, st_box
+from cubicthue.bounds import fixed_view
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.forms import build_form, discriminant
 from cubicthue.roots import (
-    alpha_precision, compute_alphas, compute_roots, fixed_view, orbit_triples, proof_precision,
+    alpha_precision, compute_alphas, compute_roots, orbit_triples, proof_precision,
 )
-from conftest import exact_roots
+from conftest import alpha_values, exact_roots, log_values, regulator_value
 
 
 def test_localisation_brackets():
     for n in (4, 10, 1000, 10**6):
-        rs = compute_roots(n, 128)
-        assert n < rs.lambda0 < n + 1
-        assert -1 / mpf(n - 1) < rs.lambda1 < 0
-        assert -1 - mpf(2) / n < rs.lambda2 < -1
+        lam0, lam1, lam2 = root_values(compute_roots(n, 128))
+        assert n < lam0 < n + 1
+        assert -1 / mpf(n - 1) < lam1 < 0
+        assert -1 - mpf(2) / n < lam2 < -1
 
 
 def test_symmetric_function_identities():
@@ -32,56 +33,55 @@ def test_symmetric_function_identities():
         rs = compute_roots(n, 160)
         with workprec(192):
             eps = mpf(2) ** -140
-            l0, l1, l2 = rs.lambdas
+            l0, l1, l2 = root_values(rs)
             assert abs(l0 * l1 * l2 - 1) < eps * (n + 2) ** 2
             assert abs(l0 + l1 + l2 - (n - 1)) < eps * (n + 2) ** 2
-            assert abs(sum(rs.log_abs_lambda)) < eps * (n + 2)
+            assert abs(sum(log_values(rs))) < eps * (n + 2)
 
 
 def test_lambda0_expansion_value():
     # lam0(10) = 10.18754...; the gap below n + 2/n = 10.2 is the O(n^-2) term
-    rs = compute_roots(10, 128)
-    assert abs(float(rs.lambda0) - 10.2) < 0.02
+    lam0, _, _ = root_values(compute_roots(10, 128))
+    assert abs(float(lam0) - 10.2) < 0.02
 
 
 def test_regulator_expansion_value():
     rs = compute_roots(100, 128)
     with workprec(160):
         predicted = mp.log(100) ** 2 + mp.log(100) / 100
-        assert abs(rs.regulator - predicted) < 0.01
+        assert abs(regulator_value(rs) - predicted) < 0.01
 
 
 def test_regulator_positive_and_pair_invariant():
     # conjugation sends lam0 -> lam1 -> lam2; any fundamental pair gives |det| = R
     for n in (2, 30, 10**4):
         rs = compute_roots(n, 160)
-        la = rs.log_abs_lambda
+        la, reg = log_values(rs), regulator_value(rs)
         with workprec(192):
             d01 = la[0] * la[2] - la[1] * la[1]
             d12 = la[1] * la[0] - la[2] * la[2]
             d02 = la[0] * la[0] - la[1] * la[2]
             tol = mpf(2) ** -120 * (1 + mp.log(n + 2)) ** 2
-            assert rs.regulator > 0
+            assert reg > 0
             for d in (d01, d12, d02):
-                assert abs(abs(d) - rs.regulator) < tol
+                assert abs(abs(d) - reg) < tol
 
 
 def test_root_shuffle_identities():
     for n in (5, 80):
-        rs = compute_roots(n, 192)
+        lam0, lam1, lam2 = root_values(compute_roots(n, 192))
         with workprec(224):
             bound = mpf(2) ** -188 * n
-            assert abs(rs.lambda1 + 1 / (rs.lambda0 + 1)) < bound
-            assert abs(rs.lambda2 + (rs.lambda0 + 1) / rs.lambda0) < bound
+            assert abs(lam1 + 1 / (lam0 + 1)) < bound
+            assert abs(lam2 + (lam0 + 1) / lam0) < bound
 
 
 def test_precision_doubling_shrinks_residual():
     n = 57
 
     def residual(bits):
-        rs = compute_roots(n, bits)
+        _, x, _ = root_values(compute_roots(n, bits))
         with workprec(512):
-            x = rs.lambda1
             return abs(x**3 - (n - 1) * x * x - (n + 2) * x - 1)
 
     r_lo, r_hi = residual(96), residual(192)
@@ -129,19 +129,19 @@ def test_certificate_is_relative():
         roots._certify_root(n, (num - 2 * r - 1, r), K, 1)
     with workprec(4 * K):
         (_, lam1, _), _, _ = exact_roots(n)
-        assert abs(rs.lambda1 / lam1 - 1) < mpf(2) ** -160
+        assert abs(root_values(rs)[1] / lam1 - 1) < mpf(2) ** -160
         assert abs(fixed_view(num, K) / lam1 - 1) > mpf(2) ** -8
 
 
 def test_huge_n_certifies():
     n = 10**400
-    rs = compute_roots(n, 192)
+    lam0, lam1, lam2 = root_values(compute_roots(n, 192))
     with workprec(1600):
         # lam0 = n + 2/n + ..., so to 192 bits the three roots are n, -1/n and -1
         eps = mpf(2) ** -190
-        assert abs(rs.lambda0 / n - 1) < eps
-        assert abs(rs.lambda1 * n + 1) < eps
-        assert abs(rs.lambda2 + 1) < eps
+        assert abs(lam0 / n - 1) < eps
+        assert abs(lam1 * n + 1) < eps
+        assert abs(lam2 + 1) < eps
 
 
 # sha256 of repr((frac_bits, lam_fixed, inv_fixed, log_fixed, reg_fixed)) + newline,
@@ -162,15 +162,13 @@ def test_fixed_point_numerators_are_pinned():
 
 
 def test_views_follow_the_shifted_bits():
-    # a shifted root set's mpf values are the views of its own numerators
+    # a shifted root set's mpf values are those of its own numerators
     rs = compute_roots(10**6, 256)
     low = roots.shift_roots(rs, rs.frac_bits - 100)
     K = low.frac_bits
-    assert low.lambda0 == fixed_view(low.lam_fixed[0][0], K) != rs.lambda0
-    assert low.log_abs_lambda == tuple(fixed_view(num, K) for num, _ in low.log_fixed)
-    assert low.regulator == fixed_view(low.reg_fixed[0], K)
+    assert root_values(low)[0] == fixed_view(low.lam_fixed[0][0], K) != root_values(rs)[0]
     with workprec(low.precision_bits + 32):
-        assert low.lambda1 == 1 / fixed_view(low.inv_fixed[1][0], K)
+        assert root_values(low)[1] == 1 / fixed_view(low.inv_fixed[1][0], K)
 
 
 def test_root_logs_are_taken_when_first_read(monkeypatch):
@@ -187,11 +185,11 @@ def test_root_logs_are_taken_when_first_read(monkeypatch):
     roots.compute_roots.cache_clear()
     rs = compute_roots(10**6, 256)
     low = roots.shift_roots(rs, rs.frac_bits - 100)
-    assert calls == [] and low.lambda0 > 0
+    assert calls == [] and root_values(low)[0] > 0
     assert low.reg_fixed == ((rs.reg_fixed[0] >> 100), -(-rs.reg_fixed[1] >> 100) + 1)
     assert low.log_fixed == tuple((num >> 100, -(-r >> 100) + 1) for num, r in rs.log_fixed)
     assert len(calls) == 2
-    assert rs.regulator > 0 and len(calls) == 2
+    assert regulator_value(rs) > 0 and len(calls) == 2
 
 
 def test_root_set_identity_takes_no_logs(monkeypatch):
@@ -218,7 +216,7 @@ def test_alpha_triple_exact_self_checks(n):
     for s, t in st_box(3):
         tri = compute_alphas(n, s, t, bits)
         form = build_form(n, s, t)
-        a1, a2, a3 = tri.alphas
+        a1, a2, a3 = alpha_values(tri)
         with workprec(tri.roots.precision_bits):
             eps = mpf(2) ** (16 - bits)
             assert abs(a1 + a2 + a3 + form.A) <= eps * (abs(a1) + abs(a2) + abs(a3))
@@ -239,28 +237,28 @@ def test_alphas_carry_their_root_set():
 
 def test_compute_alphas_identity_twist():
     n = 12
-    rs = compute_roots(n, 128)
-    tri = compute_alphas(n, 1, 0, 128)
+    lam0, lam1, lam2 = root_values(compute_roots(n, 128))
+    a1, a2, a3 = alpha_values(compute_alphas(n, 1, 0, 128))
     with workprec(160):
-        assert abs(tri.alpha1 - rs.lambda0) < mpf(2) ** -100 * n
-        assert abs(tri.alpha2 - rs.lambda1) < mpf(2) ** -100
-        assert abs(tri.alpha3 - rs.lambda2) < mpf(2) ** -100
+        assert abs(a1 - lam0) < mpf(2) ** -100 * n
+        assert abs(a2 - lam1) < mpf(2) ** -100
+        assert abs(a3 - lam2) < mpf(2) ** -100
 
 
 def test_alpha_product_is_one():
     for (n, s, t) in [(5, 1, 1), (20, 3, -2), (11, -4, 5)]:
-        tri = compute_alphas(n, s, t, 192)
+        a1, a2, a3 = alpha_values(compute_alphas(n, s, t, 192))
         with workprec(256):
-            assert abs(tri.alpha1 * tri.alpha2 * tri.alpha3 - 1) < mpf(2) ** -150
+            assert abs(a1 * a2 * a3 - 1) < mpf(2) ** -150
 
 
 def test_alpha_matches_exact_field_embedding():
     n, s, t = 10, 2, -1
-    tri = compute_alphas(n, s, t, 192)
-    rs = compute_roots(n, 256)
+    a1, _, _ = alpha_values(compute_alphas(n, s, t, 192))
+    lam0, _, _ = root_values(compute_roots(n, 256))
     with workprec(256):
-        exact = ef.alpha_element(n, s, t).embed(rs.lambda0)
-        assert abs(tri.alpha1 - exact) < mpf(2) ** -150 * abs(exact)
+        exact = ef.alpha_element(n, s, t).embed(lam0)
+        assert abs(a1 - exact) < mpf(2) ** -150 * abs(exact)
 
 
 @pytest.mark.parametrize("n", [0, 5, 1000, 10**6, 10**32])

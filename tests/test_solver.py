@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, workprec
 
-from conftest import brute_force_solutions
+from conftest import alpha_values, brute_force_solutions, log_values
 from cubicthue import cli, roots, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.errors import DegenerateTwist, PrecisionExhausted, RoundingAmbiguous
@@ -53,7 +53,7 @@ def test_records_exactly_verified_and_sorted():
         assert r.trivial == (abs(r.y) <= 1)
         # the type minimises |x - alpha_j y| on the views of the record's triple
         with workprec(r.alphas.roots.precision_bits):
-            betas = [abs(r.x - a * r.y) for a in r.alphas.alphas]
+            betas = [abs(r.x - a * r.y) for a in alpha_values(r.alphas)]
         assert min(betas) == betas[r.type_j - 1]
 
 
@@ -306,7 +306,7 @@ def test_integer_type_matches_the_mpf_argmin(n, st_pair, j, y, dx, bits):
     x = (tri.numerators[j] * y >> tri.frac_bits) + dx
     fine = compute_alphas(n, s, t, 2 * bits)
     with workprec(fine.roots.precision_bits):
-        betas = [abs(x - a * y) for a in fine.alphas]
+        betas = [abs(x - a * y) for a in alpha_values(fine)]
     assert classify_type(x, y, tri) == min(range(3), key=betas.__getitem__) + 1
 
 
@@ -495,9 +495,10 @@ def oracle_decompose(n, s, t, rec, precision_bits=192, with_b_bar=True):
     for _ in range(4):
         tri = compute_alphas(n, s, t, pb)
         with workprec(tri.roots.precision_bits):
-            la0, la1, la2 = tri.roots.log_abs_lambda
-            lb2 = mp.log(abs(x - tri.alpha2 * y))
-            lb3 = mp.log(abs(x - tri.alpha3 * y))
+            la0, la1, la2 = log_values(tri.roots)
+            _, a2, a3 = alpha_values(tri)
+            lb2 = mp.log(abs(x - a2 * y))
+            lb3 = mp.log(abs(x - a3 * y))
             det = la1 * la0 - la2 * la2
             b1_real = (lb2 * la0 - la2 * lb3) / det
             b2_real = (la1 * lb3 - lb2 * la2) / det
