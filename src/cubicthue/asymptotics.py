@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
-from .bounds import _absorb_rhs, fixed_view, float_power, ratio_float
+from .bounds import fixed_view, float_power, ratio_float
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from .forms import st_box
 from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
@@ -574,6 +574,13 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     return LemmaResult("ubar", {"n_grid": n_grid, "st": [s, t],
                                 "precision_bits": precision_bits},
                        rows, [], ok, f"u_bar*n at n={n_grid[-1]}: {final:.6f}")
+
+
+def _absorb_rhs(n: int, wp: int):
+    """The absorption threshold (3/4) log(n) / n at wp bits, the value run_wbar
+    prints (bounds decides the absorption in the fixed point)."""
+    with workprec(wp):
+        return mpf(3) / 4 * mp.log(n) / n
 
 
 def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> LemmaResult:

@@ -15,6 +15,21 @@ valid when u_bar > 0, v_bar sits inside (0, R) with room R - v_bar above the
 absorbed w_bar term, and the w_bar absorption inequality itself holds.  The
 scan reports, per grid cell, whether the lower bound exceeds the upper one;
 the reported threshold is an EMPIRICAL surrogate, not a proof.
+
+Every decision and every value is made in the fixed point of roots.py:
+integers over a power of two, each with an integer radius.  The constants of
+n (R, c3 R max(log R, 1), log max(b, e) and log n) are held over
+2^(precision_bits + 48), their logs taken by roots.fixed_log with its proved
+radius, and the upper bound is their fixed-point combination with log H.  The
+chain's slack R - v_bar - (3/4) log(n)/n is an integer over the cell's 2^K,
+and the lower bound is slack * n / (3 * 2^K).  The w_bar absorption, the
+slack's sign and the crossover lower > upper are interval tests: each is
+certainly true, certainly false, or within the summed radii of the constants,
+where PrecisionExhausted names the cell and no side is picked.  The proof
+quantities' own integers (u1, u2, d12, d13, R and v_bar of the cell) carry no
+radius here yet.  mpmath only makes views: the mpf values bg_upper_bound and
+lower_bound_chain return, and a chain value beyond float range, the exact
+rational rounded to precision_bits + 16 bits.
 """
 
 from __future__ import annotations
@@ -23,16 +38,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul_int, mpf_sub, round_nearest
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
-from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
+from .errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
 from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform, st_box
 from .proof import cell_quantities, compute_proof_quantities
-from .roots import compute_roots, orbit_triples
+from .roots import _shifted, compute_roots, fixed_log, fixed_mul, orbit_triples
 
-
-_THREE = from_int(3)
+_CONST_GUARD = 48   # the constants of n carry precision_bits + 48 fraction bits
+_VIEW_GUARD = 16    # an mpf view of a chain value carries precision_bits + 16 bits
 
 
 def ratio_float(num: int, den: int) -> float:
@@ -63,6 +78,24 @@ def fixed_view(num: int, frac_bits: int):
     return mp.make_mpf(from_man_exp(num, -frac_bits))
 
 
+def _rounded_view(num: int, den: int, bits: int):
+    """num / den, for den > 0, as an mpf of `bits` bits, rounded to nearest with
+    ties to even, as mpmath rounds."""
+    if num == 0:
+        return fixed_view(0, 0)
+    size = abs(num)
+    # 2^(bits-1) <= size 2^shift / den < 2^(bits+1), so q has bits or bits + 1 bits
+    shift = bits - size.bit_length() + den.bit_length()
+    for shift in (shift, shift - 1):
+        top, bottom = (size << shift, den) if shift >= 0 else (size, den << -shift)
+        q, r = divmod(top, bottom)
+        if q.bit_length() == bits:
+            break
+    if 2 * r > bottom or (2 * r == bottom and q & 1):
+        q += 1
+    return fixed_view(-q if num < 0 else q, shift)
+
+
 def c3_constant(degree: int, rank: int) -> int:
     """Exact integer value of the bound constant for (degree, rank)."""
     if degree < 3 or rank < 1:
@@ -70,101 +103,178 @@ def c3_constant(degree: int, rank: int) -> int:
     return 3 ** (rank + 27) * (rank + 1) ** (7 * rank + 19) * degree ** (2 * degree + 6 * rank + 14)
 
 
-def _absorb_rhs(n: int, wp: int):
-    """The absorption threshold (3/4) log(n) / n at wp bits; None at n = 0."""
-    if n == 0:
-        return None
-    with workprec(wp):
-        return mpf(3) / 4 * mp.log(n) / n
+def _log_int(m: int, frac_bits: int):
+    """log m over 2^frac_bits with its radius, for an integer m >= 1 (roots.fixed_log)."""
+    return fixed_log((m << frac_bits, 0), frac_bits)
+
+
+def _log_n(n: int, frac_bits: int):
+    """log n over 2^frac_bits with its radius; None at n = 0, where (3/4) log(n)/n
+    is undefined."""
+    return _log_int(n, frac_bits) if n else None
+
+
+def _rescaled(pair, from_bits: int, to_bits: int):
+    """A (numerator, radius) pair over 2^from_bits, over 2^to_bits: exactly where
+    to_bits is larger, by the floor shift of roots.py where it is smaller."""
+    if to_bits >= from_bits:
+        return pair[0] << (to_bits - from_bits), pair[1] << (to_bits - from_bits)
+    return _shifted([pair], from_bits - to_bits)[0]
 
 
 @dataclass(frozen=True)
 class _NConstants:
     """The parts of the upper bound and of the lower-bound chain that depend on n
-    (and b_abs) alone, at precision_bits + 16 bits.
+    (and b_abs) alone: (numerator, radius) pairs over 2^frac_bits, frac_bits =
+    precision_bits + 48.
 
-    upper_factor is c3 * R * max(log R, 1), log_b is log max(b_abs, e) and
-    absorb_rhs is (3/4) log(n) / n (None at n = 0, where it is undefined).
-    R is fixed_view of the given root set's regulator: bg_upper_bound gives
-    compute_roots(n, precision_bits), cell_reports the root set of its triples.
+    regulator is R, upper_factor c3 * R * max(log R, 1), log_b log max(b_abs, e)
+    (exactly 1 for b_abs <= 2) and log_n log n (None at n = 0).  R is the
+    regulator of the given root set: bg_upper_bound gives compute_roots(n,
+    precision_bits), cell_reports the root set of its first triple.
     """
 
-    precision_bits: int
-    regulator: object
-    upper_factor: object
-    log_b: object
-    absorb_rhs: object
+    frac_bits: int
+    regulator: tuple
+    upper_factor: tuple
+    log_b: tuple
+    log_n: Optional[tuple]
 
 
 def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
-    reg = fixed_view(rs.reg_fixed[0], rs.frac_bits)
-    with workprec(precision_bits + 16):
-        log_b = mp.log(max(mpf(b_abs), mp.e))
-        factor = c3_constant(3, 2) * reg * max(mp.log(reg), mpf(1))
-    return _NConstants(precision_bits, reg, factor, log_b, _absorb_rhs(rs.n, precision_bits + 16))
+    F = precision_bits + _CONST_GUARD
+    one = 1 << F
+    reg = _rescaled(rs.reg_fixed, rs.frac_bits, F)
+    log_reg, r_log = fixed_log(reg, F)
+    # x -> max(x, 1) moves no two values farther apart, so the radius holds
+    num, r = fixed_mul(reg, (max(log_reg, one), r_log), F)
+    c3 = c3_constant(3, 2)
+    log_b = (one, 0) if b_abs <= 2 else _log_int(b_abs, F)
+    return _NConstants(F, reg, (c3 * num, c3 * r), log_b, _log_n(rs.n, F))
 
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
-    """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf."""
+    """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf: the
+    view of the fixed-point numerator of _upper_bound."""
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
     const = _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits)
-    return _upper_bound(build_form(n, s, t), const)
+    return fixed_view(_upper_bound(build_form(n, s, t), const)[0], const.frac_bits)
 
 
 def _upper_bound(form, const: _NConstants):
-    """bg_upper_bound for a form that is already built, from the constants of its n."""
+    """bg_upper_bound for a form that is already built, from the constants of its n:
+    (numerator, radius) over 2^const.frac_bits."""
     if is_reducible(form):
         raise ReducibleForm(f"form for (n,s,t)=({form.n},{form.s},{form.t}) has a rational root")
-    with workprec(const.precision_bits + 16):
-        # height is already floored at 3
-        return const.upper_factor * (const.regulator + (mp.log(height(form)) + const.log_b))
+    # height is already floored at 3
+    parts = (const.regulator, _log_int(height(form), const.frac_bits), const.log_b)
+    total = (sum(num for num, _ in parts), sum(r for _, r in parts))
+    return fixed_mul(const.upper_factor, total, const.frac_bits)
 
 
 def lower_bound_chain(n: int, s: int, t: int, precision_bits: int = 192):
-    """Implied lower bound on log|y| under b_bar >= 1, as an mpf.
+    """Implied lower bound on log|y| under b_bar >= 1, as an mpf of precision_bits
+    + 16 bits.
 
     Raises ChainPreconditionFailed (naming the violated inequality) where the
     chain's numeric hypotheses do not hold; some parameter pairs violate them
     at every n and are simply outside the chain's reach.
     """
     q = compute_proof_quantities(n, s, t, precision_bits)
-    wp = max(precision_bits + 16, q.precision_bits)
-    return _chain(n, q, _absorb_rhs(n, wp), wp)
+    F = precision_bits + _CONST_GUARD
+    slack, _ = _chain(q, _log_n(n, F), F)
+    return _rounded_view(slack * n, 3 << q.frac_bits, precision_bits + _VIEW_GUARD)
 
 
-def _chain(n: int, q, absorb_rhs, wp: int):
-    """lower_bound_chain for the quantities q, given (3/4) log(n) / n at wp bits.
+def _at_most(x: int, factors) -> bool:
+    """x <= the product of factors, for integers x >= 0 and factors >= 0.
 
-    u_bar > 0, the window and the w_bar absorption are decided on the integers
-    of q over 2^K; the value, and the test that it is positive, are the mpf
-    expression of the module docstring at wp bits.
+    Decided from bit lengths where they settle it: a product of k factors >= 1
+    whose lengths sum to l lies in [2^(l-k), 2^l), so x is at most it when x has
+    at most l - k bits, and above it when x has more than l bits.  Otherwise
+    the product is multiplied out.
     """
-    one = 1 << q.frac_bits
+    if not all(factors):
+        return x == 0
+    length = sum(f.bit_length() for f in factors)
+    if x.bit_length() <= length - len(factors):
+        return True
+    if x.bit_length() > length:
+        return False
+    return x <= math.prod(factors)
+
+
+def _absorb_threshold(log_n, frac_bits: int, n: int, K: int):
+    """(3/4) log(n)/n over 2^K with its radius, from log n over 2^frac_bits:
+    3 L 2^K // (4 n 2^frac_bits), which keeps its relative precision at every n."""
+    L, r = log_n
+    den = (4 * n) << frac_bits
+    return (3 * L << K) // den, -(-(3 * r << K) // den) + 1
+
+
+def _undecided(what: str, q) -> PrecisionExhausted:
+    return PrecisionExhausted(f"{what} for (n,s,t)={(q.n, q.s, q.t)} lies within the radii "
+                              f"of the bound constants")
+
+
+def _chain(q, log_n, frac_bits: int):
+    """The chain's slack R - v_bar - (3/4) log(n)/n for the proof quantities q, as
+    (numerator, radius) over 2^K, K = q.frac_bits, from log n over 2^frac_bits
+    (None at n = 0); the lower bound is slack * n / (3 * 2^K).
+
+    u_bar > 0 and the window are decided on q's integers.  The w_bar absorption
+    |w_bar| / (2 |d12| |d13|) <= (3/4) log(n)/n, cross-multiplied, is
+    |U1 D13 + U2 D12| 2^(3K) <= 2 D12^2 D13^2 A for the threshold A over 2^K
+    (q.absorb_ratio's quotient), decided at both ends of A's radius by
+    _at_most, which multiplies out only where bit lengths leave it open; so is
+    the slack's sign.  Where the two ends of a test disagree,
+    PrecisionExhausted names the cell.
+    """
+    K = q.frac_bits
+    one = 1 << K
     if q.u_bar_num <= 0:
         raise ChainPreconditionFailed("u_bar > 0", f"u_bar = {ratio_float(q.u_bar_num, one):.3g}")
     if not 0 < q.v_bar_num < q.regulator_num:
         raise ChainPreconditionFailed("0 < v_bar < R",
                                       f"v_bar = {ratio_float(q.v_bar_num, one):.3g}")
-    if absorb_rhs is None:
+    if log_n is None:
         raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
-    # |w_bar| / (2 |d12| |d13|) = num / den <= absorb_rhs = man 2^exp, cross-multiplied
-    num, den = q.absorb_ratio()
-    _, man, exp, _ = absorb_rhs._mpf_
-    absorbed = num <= (den * man) << exp if exp >= 0 else num << -exp <= den * man
-    if not absorbed:
+    a, r = _absorb_threshold(log_n, frac_bits, q.n, K)
+    w = abs(q.u1_num * q.diff13_num + q.u2_num * q.diff12_num) << 3 * K
+    d12, d13 = abs(q.diff12_num), abs(q.diff13_num)
+    if not _at_most(w, (2, d12, d12, d13, d13, max(a - r, 0))):
+        if _at_most(w, (2, d12, d12, d13, d13, a + r)):
+            raise _undecided("w_bar absorption", q)
         raise ChainPreconditionFailed(
             "w_bar absorption",
-            f"lhs = {ratio_float(num, den):.3g}, rhs = {float(absorb_rhs):.3g}")
-    # (R - v_bar - absorb_rhs) * n / 3 at wp bits, each step rounded to nearest as
-    # the mpf operators round it, on the exact views of q's integers
-    K = q.frac_bits
-    r_minus_v = from_man_exp(q.regulator_num - q.v_bar_num, -K, wp, round_nearest)
-    slack = mpf_sub(r_minus_v, absorb_rhs._mpf_, wp, round_nearest)
-    value = mp.make_mpf(mpf_div(mpf_mul_int(slack, n, wp, round_nearest), _THREE, wp, round_nearest))
-    if value <= 0:
+            f"lhs = {ratio_float(*q.absorb_ratio()):.3g}, rhs = {ratio_float(a, one):.3g}")
+    slack = q.regulator_num - q.v_bar_num - a
+    if slack <= r:
+        if slack >= -r:
+            raise _undecided("R - v_bar > (3/4) log(n)/n", q)
         raise ChainPreconditionFailed(
-            "R - v_bar > (3/4) log(n)/n", f"slack = {float(value):.3g}")
+            "R - v_bar > (3/4) log(n)/n", f"slack = {ratio_float(slack, one):.3g}")
+    return slack, r
+
+
+def _crosses(q, slack, upper, frac_bits: int) -> bool:
+    """lower > upper, for the lower bound slack * n / (3 * 2^K) of q's cell and the
+    upper bound over 2^frac_bits, each with its radius; PrecisionExhausted naming
+    the cell where the radii leave it open."""
+    (num, r), (u, ru), K = slack, upper, q.frac_bits
+    gap = (num * q.n << frac_bits) - (3 * u << K)
+    if abs(gap) <= (r * q.n << frac_bits) + (3 * ru << K):
+        raise _undecided("crossover lower > upper", q)
+    return gap > 0
+
+
+def _lower_value(n: int, slack: int, K: int, precision_bits: int):
+    """slack * n / (3 * 2^K) as a float, or beyond float range as an mpf of
+    precision_bits + 16 bits."""
+    value = ratio_float(slack * n, 3 << K)
+    if math.isinf(value):
+        return _rounded_view(slack * n, 3 << K, precision_bits + _VIEW_GUARD)
     return value
 
 
@@ -237,7 +347,7 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
     const = None
-    forms, uppers = {}, {}
+    forms, uppers = {}, {}   # uppers: key -> (upper, its float)
     for s, t, tri, shift in orbit_triples(n, pairs, precision_bits, y_bound):
         const = const or _n_constants(tri.roots, b_abs, precision_bits)
         orbit = (tri.s, tri.t)
@@ -252,18 +362,20 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
             form = BinaryCubicForm(n, s, t, form.A, form.B)
         key = min((form.A, form.B), (-form.B, -form.A))
         if key not in uppers:
-            uppers[key] = _upper_bound(form, const)
+            upper = _upper_bound(form, const)
+            uppers[key] = upper, ratio_float(upper[0], 1 << const.frac_bits)
+        upper, upper_float = uppers[key]
         lower, failure, crossover = None, "", False
         try:
             if s * t == 0:
                 raise ChainPreconditionFailed("s*t != 0")
             q = cell_quantities(tri, shift, s, t, precision_bits)
-            lower_mpf = _chain(n, q, const.absorb_rhs, precision_bits + 16)
-            lower = _finite_float(lower_mpf)
-            crossover = bool(lower_mpf > uppers[key])
+            slack = _chain(q, const.log_n, const.frac_bits)
+            lower = _lower_value(n, slack[0], q.frac_bits, precision_bits)
+            crossover = _crosses(q, slack, upper, const.frac_bits)
         except ChainPreconditionFailed as exc:
             failure = exc.inequality
-        yield form, tri, BoundReport(n, s, t, c3_constant(3, 2), height(form), float(uppers[key]),
+        yield form, tri, BoundReport(n, s, t, c3_constant(3, 2), height(form), upper_float,
                                      lower, crossover, failure, precision_bits)
 
 

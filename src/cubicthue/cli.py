@@ -8,8 +8,9 @@ Subcommands
     scan                  solver + bounds over an (n, s, t) grid, CSV-friendly
 
 Grids are written start:stop[:step] where step is an integer stride or the
-word log10 (multiply by 10 each step); N, S, T, --ybound, --babs and --smax
-are read as grid values are (1e4 is 10000).  Inputs whose work has no bound
+word log10 (multiply by 10 each step); N, S, T, --ybound, --babs, --smax,
+--precision-bits, --jobs and the environment overrides below are read as grid
+values are (1e4 is 10000).  Inputs whose work has no bound
 are refused with exit code 2 before any work starts: a grid value, stride or
 numeric argument that is not an integer or has more than MAX_VALUE_DIGITS
 digits, a grid of more than MAX_GRID_POINTS points, a scan or a lemma of more
@@ -85,11 +86,11 @@ MAX_PRECISION_BITS = 2**16
 
 
 def _env_int(parser, name: str, fallback: int) -> int:
-    """The environment variable name as an int, fallback where it is unset or empty;
-    exit 2 naming it where it is set to anything else."""
+    """The environment variable name read as a grid value is, fallback where it is
+    unset or empty; exit 2 naming it where it is set to anything else."""
     text = os.environ.get(name, "")
     try:
-        return int(text) if text else fallback
+        return _grid_value(text) if text else fallback
     except ValueError:
         parser.exit(2, f"{name} must be an integer, got {_shown(text)}\n")
 
@@ -412,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cubicthue",
         description="Twisted cubic Thue equations: exact forms, bounded solving, "
                     "asymptotic verification, bound comparison.")
-    p.add_argument("--precision-bits", type=int, dest="precision_bits")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--precision-bits", type=_number, dest="precision_bits")
+    p.add_argument("--jobs", type=_number)
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--epsilon", type=float, default=0.25,

@@ -91,8 +91,18 @@ the base-2 log of n + 2, rounded up.  For a caller that asks for b bits,
   - the roots (alpha_precision) take weight |s| + |t| and need b + 32,
     rounded up to a multiple of 64: at one n, nearby weights then share a
     floor shift of the root set and its powers, or a cached root set;
-  - b0 and the window (proof_precision) take |s| + |t| + 2 and b + 32, as
-    the conjugate differences lose bits to cancellation;
+  - b0 and the window (proof_precision) take weight 2 and need b + 32, as
+    the conjugate differences lose bits to cancellation.  Their triple is
+    powered at alpha_precision of those bits, so its roots sit at about
+    b + 64 + (|s| + |t| + 2) log2(n + 2), rounded up to a multiple of 64:
+    two more powers of n + 2 than the conjugates a caller asking b bits
+    gets.  The size of the conjugates is counted once, by alpha_precision,
+    which gives each conjugate a relative error below 2^-(its bits) however
+    small it is; a difference is then smaller than the larger of its two
+    conjugates by at most about one power of n (the doubled branches of
+    asymptotics' table; below 0.97 powers on st_box(8) up to n = 10^20), so
+    the weight 2 holds a power in hand.  It is a starting point, not the
+    guarantee: the radii decide, and escalate retries where they do not;
   - the candidates (candidate_precision) take |s| + |t| and the bits of the
     convergents, 2 log2(y_bound + 1) + 64, and at least b.
 
@@ -484,9 +494,9 @@ def compute_roots(n: int, precision_bits: int = 192) -> RootSet:
 
 
 def working_bits(n: int, weight: int, need) -> int:
-    """The bits a decision on conjugates at n starts at: need, plus weight (at least
-    |s| + |t|) times the log2 of n + 2, rounded up (see "Precision" above).  The
-    log is only defined for n >= 0, so a negative n is refused here."""
+    """The bits a decision on conjugates at n starts at: need, plus weight times the
+    log2 of n + 2, rounded up (see "Precision" above).  The log is only defined for
+    n >= 0, so a negative n is refused here."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return math.ceil(need + weight * math.log2(n + 2))
@@ -509,9 +519,11 @@ def candidate_precision(n: int, s: int, t: int, y_bound: int, precision_bits: in
 
 
 def proof_precision(n: int, s: int, t: int, precision_bits: int) -> int:
-    """The bits of the proof quantities of (s, t): the conjugate differences lose bits
-    to cancellation, so two more powers of n + 2 than the conjugates (see "Precision")."""
-    return working_bits(n, abs(s) + abs(t) + 2, precision_bits + 32)
+    """The bits of the proof quantities of (s, t): the caller's bits and two powers of
+    n + 2, for the bits the conjugate differences lose to cancellation.  The size of
+    the conjugates is counted once, by alpha_precision when their triple is powered;
+    the radii, with escalate, remain the guarantee (see "Precision")."""
+    return working_bits(n, 2, precision_bits + 32)
 
 
 def power_alphas(rs: RootSet, s: int, t: int, precision_bits: int, mirror=None) -> AlphaTriple:

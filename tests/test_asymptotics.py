@@ -24,6 +24,7 @@ from cubicthue.asymptotics import (
     root_values,
     run_errorbound,
     run_logdiff,
+    run_lpowers,
     run_ubar,
     run_vbar,
     run_wbar,
@@ -84,6 +85,15 @@ def test_predict_power_accuracy():
                 pred = predict_power(2000, a, which)
                 true = lams[which] ** a
                 assert abs((true - pred.value) / true) < 1e-5
+
+
+def test_lpowers_slopes_keep_their_measured_orders():
+    # the harness passes a slope up to 0.3 above -2.5 (root 0) or -1.5 (roots 1, 2);
+    # the expansions reach -3 and -2, so an expansion that loses an order of n fails here
+    fits = run_lpowers().fits
+    assert len(fits) == 3 * len(asymptotics.LPOWERS_EXPONENTS)
+    assert all(f["slope"] <= -1.95 for f in fits)
+    assert all(f["slope"] <= -2.95 for f in fits if f["root"] == 0)
 
 
 def test_classify_examples():
@@ -436,12 +446,14 @@ def test_orbits_without_a_mirror_take_their_logs_directly():
 def test_an_earlier_orbit_takes_a_later_one_as_its_mirror():
     # the cell (-1, -2) of (1, 2) is not in the box, but (1, -1), the cell of (1, 2)'s
     # orbit at shift 2, is the negation of the later representative (-1, 1): the
-    # earlier orbit's triple derives its logs from the later one's
-    n = 10**4
+    # earlier orbit's triple derives its logs from the later one's; at n = 1000 the
+    # two orbits' triples share frac_bits, which a link needs
+    n = 1000
     cells = {(s, t): (tri, shift)
              for s, t, tri, shift in orbit_triples(n, [(1, 2), (1, -1), (-1, 1)], 192)}
     tri, source = cells[(1, 2)][0], cells[(-1, 1)][0]
     assert cells[(1, -1)] == (tri, 2) and cells[(-1, 1)] == (source, 0)
+    assert tri.frac_bits == source.frac_bits
     assert tri.mirror[0] is source and tri.mirror[1] == 2 and source.mirror is None
     direct = _direct_logs(tri)
     for a, b in INDEX_PAIRS:

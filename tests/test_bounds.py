@@ -5,14 +5,16 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from cubicthue import bounds
+from cubicthue import bounds, cli
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.bounds import (
     bg_upper_bound, bound_report, c3_constant, fixed_view, lower_bound_chain, n0_scan,
+    ratio_float,
 )
-from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
+from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
 from cubicthue.forms import build_form, height
 from cubicthue.roots import compute_roots
 from cubicthue.solver import solve_box
@@ -85,30 +87,184 @@ def formula_chain(n, q, precision_bits=192):
         return (reg - v_bar - absorb_rhs) * n / 3
 
 
+def within(value, pair, frac_bits):
+    """value, an mpf, lies within the radius of the pair over 2^frac_bits."""
+    num, radius = pair
+    with workprec(4 * frac_bits + 256):
+        return abs(value * mpf(2) ** frac_bits - num) <= radius
+
+
 @pytest.mark.parametrize("n", [60, 4999, 10**6, 10**64])
 def test_per_n_constants_give_bit_identical_bounds(n):
-    # constants once per n on the public functions' root set, against those functions;
+    # constants once per n on the public functions' root set, against those functions
+    # (equal floats) and against the formulas at twice the bits (within the radius);
     # bound_report, a batch of one, against the batch of the whole box
     const = bounds._n_constants(compute_roots(n, 192), 1, 192)
+    F = const.frac_bits
     batch = {(rep.s, rep.t): rep for _, _, rep in bounds.cell_reports(n, st_box(3), 192)}
     applicable = 0
     for s, t in st_box(3):
         form = build_form(n, s, t)
         upper = bounds._upper_bound(form, const)
-        assert upper == bg_upper_bound(n, s, t) == formula_upper(n, s, t)
+        assert float(fixed_view(upper[0], F)) == float(bg_upper_bound(n, s, t)) \
+            == float(formula_upper(n, s, t))
+        assert within(formula_upper(n, s, t, 2 * F), upper, F)
         assert batch[(s, t)] == bound_report(n, s, t)
-        assert batch[(s, t)].B_rhs == float(upper)
+        assert batch[(s, t)].B_rhs == float(formula_upper(n, s, t))
         q = compute_proof_quantities(n, s, t, 192)
         try:
             public = lower_bound_chain(n, s, t)
         except ChainPreconditionFailed as exc:
             with pytest.raises(ChainPreconditionFailed) as per_n:
-                bounds._chain(n, q, const.absorb_rhs, 208)
+                bounds._chain(q, const.log_n, F)
             assert per_n.value.inequality == exc.inequality
             continue
         applicable += 1
-        assert bounds._chain(n, q, const.absorb_rhs, 208) == public == formula_chain(n, q)
+        (num, radius), K = bounds._chain(q, const.log_n, F), q.frac_bits
+        assert ratio_float(num * n, 3 << K) == float(public) == float(formula_chain(n, q)) \
+            == batch[(s, t)].lower_chain
+        # the lower bound num n / (3 2^K) within its radius, r n / (3 2^K)
+        with workprec(4 * K):
+            slack = formula_chain(n, q, 2 * K) * 3 / n
+        assert within(slack, (num, radius), K)
     assert applicable > 0
+
+
+@st.composite
+def near_products(draw):
+    """(x, factors): x anywhere, or within a few units of the product scaled by a
+    power of two up to 4, where bit lengths alone may not settle x <= product."""
+    factors = draw(st.lists(st.integers(0, 2**130), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2**400)), factors
+    product, shift = math.prod(factors), draw(st.integers(-2, 2))
+    scaled = product << shift if shift >= 0 else product >> -shift
+    return max(scaled + draw(st.integers(-8, 8)), 0), factors
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_products())
+def test_absorption_length_test_agrees_with_the_product(case):
+    x, factors = case
+    assert bounds._at_most(x, factors) == (x <= math.prod(factors))
+    assert bounds._at_most(x, [2, *factors]) == (x <= 2 * math.prod(factors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-2**700, 2**700), den=st.integers(1, 2**400),
+       bits=st.integers(53, 300))
+@example(num=(1 << 60) + (1 << 7) + (1 << 6), den=1, bits=54)   # a tie, rounded up to even
+@example(num=(1 << 60) + (1 << 6), den=3, bits=54)
+@example(num=-((1 << 60) + (1 << 6)), den=1, bits=54)           # a tie, rounded down to even
+def test_rounded_view_rounds_as_mpmath_divides(num, den, bits):
+    # the chain's view beyond float range is the exact ratio rounded once, to
+    # nearest with ties to even: the mpf that mpmath's division at those bits gives
+    from mpmath.libmp import from_int, mpf_div, round_nearest
+    want = mpf_div(from_int(num), from_int(den), bits, round_nearest)
+    assert bounds._rounded_view(num, den, bits)._mpf_ == want
+    assert bounds._rounded_view(num * den, den, bits)._mpf_ == from_int(num, bits, round_nearest)
+
+
+def _applicable(n, pairs):
+    """The proof quantities of the cells of pairs whose chain applies at n."""
+    F = 240
+    found = []
+    for s, t in pairs:
+        q = compute_proof_quantities(n, s, t, 192)
+        try:
+            bounds._chain(q, bounds._log_n(n, F), F)
+        except ChainPreconditionFailed:
+            continue
+        found.append(q)
+    assert found
+    return found
+
+
+@pytest.mark.parametrize("n", [60, 10**6, 10**64])
+def test_slack_radius_covers_log_n_anywhere_in_its_radius(n):
+    # log n at either end of its radius moves the slack by no more than the slack's
+    # radius: a radius that left out log n's would be one unit
+    F = 240
+    L, r = bounds._log_n(n, F)
+    for q in _applicable(n, st_box(2)):
+        mid, _ = bounds._chain(q, (L, r), F)
+        for end in (L - r, L + r):
+            num, radius = bounds._chain(q, (end, r), F)
+            assert abs(num - mid) <= radius
+        assert 0 < radius < mid >> 200
+
+
+@pytest.mark.parametrize("n", [1, 60, 10**6, 10**64, 10**400])
+@pytest.mark.parametrize("b_abs", [1, 2, 3, 10**9])
+def test_constants_of_n_lie_within_their_radii(n, b_abs):
+    # each constant against its value at twice the bits
+    const = bounds._n_constants(compute_roots(n, 192), b_abs, 192)
+    F = const.frac_bits
+    reg = regulator_value(compute_roots(n, 2 * F))
+    with workprec(4 * F):
+        assert within(reg, const.regulator, F)
+        assert within(c3_constant(3, 2) * reg * max(mp.log(reg), 1), const.upper_factor, F)
+        assert within(mp.log(max(b_abs, mp.e)), const.log_b, F)
+        assert within(mp.log(n), const.log_n, F)
+    if b_abs <= 2:
+        assert const.log_b == (1 << F, 0)   # log e, exactly
+
+
+@pytest.mark.parametrize("b_abs", [1, 10])
+def test_upper_radius_covers_each_log_anywhere_in_its_radius(monkeypatch, b_abs):
+    # with R and the factor taken as exact, log H and log b at either end of their
+    # radii move the upper bound by no more than its radius: a radius that left out
+    # either log's would not cover it
+    n = 10**6
+    const = bounds._n_constants(compute_roots(n, 192), b_abs, 192)
+    exact = dataclasses.replace(const, regulator=(const.regulator[0], 0),
+                                upper_factor=(const.upper_factor[0], 0))
+    form = build_form(n, 2, 1)
+    mid, _ = bounds._upper_bound(form, exact)
+    real = bounds.fixed_log
+    (lb, rb), moved = exact.log_b, 0
+    for sign in (-1, 1):
+        def edge(d, K, sign=sign):
+            num, r = real(d, K)
+            return num + sign * r, r
+
+        monkeypatch.setattr(bounds, "fixed_log", edge)
+        at_edge = dataclasses.replace(exact, log_b=(lb + sign * rb, rb))
+        num, radius = bounds._upper_bound(form, at_edge)
+        assert abs(num - mid) <= radius
+        moved = max(moved, abs(num - mid))
+    assert moved > 2   # the logs' radii, not the floors of the product, are what is covered
+
+
+def test_crossover_within_the_radii_raises_and_reports_no_verdict(monkeypatch, capsys):
+    # an upper bound whose radius straddles the lower bound decides no crossover:
+    # PrecisionExhausted names the cell, and bound prints nothing and exits 3
+    cells = [(10**64, 2, 1), (10**4, 2, 1)]
+    assert [bound_report(*cell).crossover for cell in cells] == [True, False]
+    real = bounds._n_constants
+
+    def straddling(rs, b_abs, precision_bits):
+        const = real(rs, b_abs, precision_bits)
+        num, _ = const.upper_factor
+        return dataclasses.replace(const, upper_factor=(num, num << 400))
+
+    monkeypatch.setattr(bounds, "_n_constants", straddling)
+    for n, s, t in cells:
+        with pytest.raises(PrecisionExhausted,
+                           match=rf"crossover lower > upper for \(n,s,t\)=\({n}, {s}, {t}\)"):
+            bound_report(n, s, t)
+        assert cli.main(["bound", str(n), str(s), str(t)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "precision exhausted: crossover" in err
+
+
+def test_absorption_within_the_radius_of_its_threshold_raises():
+    # a log n whose radius spans the absorption's edge decides neither way
+    n, F = 10**6, 240
+    L, _ = bounds._log_n(n, F)
+    for q in _applicable(n, st_box(2)):
+        with pytest.raises(PrecisionExhausted, match="w_bar absorption for"):
+            bounds._chain(q, (L, L), F)
 
 
 def test_chain_at_tiny_n_is_a_named_failure():
@@ -139,9 +295,9 @@ def test_chain_value_scale():
 def test_chain_guard_vbar_window():
     q = compute_proof_quantities(10**4, 2, 1)
     doctored = dataclasses.replace(q, v_bar_num=q.regulator_num * 2)
-    wp = max(192 + 16, q.precision_bits)   # lower_bound_chain's bits at its default 192
+    F = 192 + 48   # lower_bound_chain's constant bits at its default 192
     with pytest.raises(ChainPreconditionFailed) as exc:
-        bounds._chain(10**4, doctored, bounds._absorb_rhs(10**4, wp), wp)
+        bounds._chain(doctored, bounds._log_n(10**4, F), F)
     assert "v_bar" in str(exc.value)
 
 

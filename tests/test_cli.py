@@ -297,14 +297,14 @@ def test_scan_builds_each_triple_once(capsys, monkeypatch):
 # scan --n 100 --smax 3: (s, t, precision_bits, frac_bits) of each triple powered,
 # one per phi-orbit, and the precision of each root set computed
 SCAN_100_TRIPLES = [
-    (-3, -3, 278, 416), (-3, -2, 271, 416), (-3, -1, 271, 416), (-3, 1, 265, 416),
-    (-3, 2, 271, 416), (-3, 3, 278, 416), (-2, -3, 271, 416), (-2, -2, 265, 416),
-    (-2, -1, 258, 352), (-2, 1, 271, 416), (-2, 2, 265, 416), (-2, 3, 271, 416),
-    (-1, -2, 258, 352), (-1, -1, 251, 352), (-1, 3, 265, 416), (1, -3, 265, 416),
-    (1, 1, 251, 352), (2, -3, 271, 416), (2, -2, 265, 416), (2, 2, 265, 416),
-    (3, -3, 278, 416), (3, -2, 271, 416), (3, -1, 265, 416), (3, 3, 278, 416),
+    (-3, -3, 238, 352), (-3, -2, 238, 352), (-3, -1, 238, 352), (-3, 1, 238, 352),
+    (-3, 2, 238, 352), (-3, 3, 238, 352), (-2, -3, 238, 352), (-2, -2, 238, 352),
+    (-2, -1, 238, 352), (-2, 1, 238, 352), (-2, 2, 238, 352), (-2, 3, 238, 352),
+    (-1, -2, 238, 352), (-1, -1, 238, 352), (-1, 3, 238, 352), (1, -3, 238, 352),
+    (1, 1, 238, 352), (2, -3, 238, 352), (2, -2, 238, 352), (2, 2, 238, 352),
+    (3, -3, 238, 352), (3, -2, 238, 352), (3, -1, 238, 352), (3, 3, 238, 352),
 ]
-SCAN_100_ROOT_BITS = [384]
+SCAN_100_ROOT_BITS = [320]
 
 
 def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
@@ -334,8 +334,8 @@ def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
 
 
 def test_scan_powers_each_root_once_per_exponent_and_bits(capsys, monkeypatch):
-    # the 24 triples of scan --n 100 --smax 3 lie at frac_bits 352 and 416, and a
-    # root set shifted to each powers lam_j^e once per (j, e) for all its triples
+    # the 24 triples of scan --n 100 --smax 3 lie at frac_bits 352, and their root
+    # set powers lam_j^e once per (j, e), e = +-1, +-2, +-3, for all of them
     from cubicthue import roots
 
     calls = []
@@ -350,7 +350,7 @@ def test_scan_powers_each_root_once_per_exponent_and_bits(capsys, monkeypatch):
     roots.compute_alphas.cache_clear()
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100", "--smax", "3"])
     assert code == 0
-    assert len(calls) == len(set(calls)) == 27
+    assert len(calls) == len(set(calls)) == 3 * 6
 
 
 def _described_cells(err):
@@ -747,6 +747,38 @@ def test_env_override_that_is_not_an_integer_exits_two(capsys, monkeypatch, name
     assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--precision-bits", "CUBICTHUE_PRECISION_BITS"])
+def test_precision_bits_take_the_grid_value_grammar(capsys, monkeypatch, flag):
+    # 2.56e2 is the integer 256, as --ybound 1e4 is 10000
+    argv = ["--format", "json", "solve", "3", "1", "0", "--ybound", "1"]
+    if flag.startswith("--"):
+        argv = [flag, "2.56e2", *argv]
+    else:
+        monkeypatch.setenv(flag, "2.56e2")
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["config"]["precision_bits"] == 256
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "CUBICTHUE_JOBS"])
+def test_jobs_take_the_grid_value_grammar(capsys, monkeypatch, flag):
+    argv = ["--format", "json", "scan", "--n", "5", "--smax", "1", "--ybound", "1"]
+    if flag.startswith("--"):
+        argv = [flag, "2e0", *argv]
+    else:
+        monkeypatch.setenv(flag, "2e0")
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["config"]["jobs"] == 2
+
+
+def test_jobs_that_are_not_an_integer_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "1.5", "form", "5", "1", "0"])
+    assert exc.value.code == 2
+    assert "argument --jobs: grid value '1.5' is not an integer" in capsys.readouterr().err
+
+
 def test_empty_env_override_counts_as_unset(capsys, monkeypatch):
     monkeypatch.setenv("CUBICTHUE_PRECISION_BITS", "")
     monkeypatch.setenv("CUBICTHUE_JOBS", "")
@@ -941,12 +973,19 @@ OUTPUT_PINS = {
         "json": "792f11245fec11c9d041cc4f8b479b2f218e710b406a9f70b1eca104360eb2f8",
         "csv": "340187fdbdf7d753dd84f6db3a7c83a5a1b598878cdb4068d3175b4385b43fc3",
     }),
+    # a chain value beyond float range, printed as an mpf of 17 digits
+    "bound 1e320 2 1": (0, {
+        "human": "d093314847cd9ccfa27fb32a9060a7de98df5bdc05565d7b18207bc974aedc5c",
+        "json": "6b2dc49d3c0b5426a2e3f858914d5d36e33c0adb16cfb6499d2733ee30dc2326",
+        "csv": "f9eb691ab899af9bbdc14c1b246485cd07b11b2128deeb4f6c05547fc761cf0a",
+    }),
 }
 
 
 # scan command -> the sha256 of its stdout, the same at one and two workers: the
-# README scan in two formats, and the wide scan at huge n, where the bits of the
-# forms of one n differ most, at the default precision and at 512 bits
+# README scan in two formats, the wide scan at huge n, where the bits of the
+# forms of one n differ most, at the default precision and at 512 bits, and a
+# scan whose chain values lie beyond float range (printed as mpf values)
 SCAN_PINS = {
     "--format csv scan --n 50:200 --smax 3 --ybound 10000":
         "8b6d94f98fe86cf3c37d6ee75394481d0f722e7cc867323329e92214d188e24a",
@@ -956,6 +995,8 @@ SCAN_PINS = {
         "79e1ad87064d99522ee352eec46f01b900ddd32832aa0ef259165b8a52efe0d7",
     "--precision-bits 512 --format csv scan --n 1e16:1e64:log10 --smax 4 --ybound 100":
         "52fae4a39aab390f25771b26661a2a64142cfea02c898e839e59ff14ce7f273b",
+    "--format csv scan --n 1e300:1e320:log10 --smax 1 --ybound 10":
+        "0247fee4ee5171e86f3a7c478df0a5fdda6bf77e27eaeb74b52deb0952c1bedf",
 }
 
 # solve N S T --ybound 100000 for records of types 1, 2 and 3, typed in integers on
@@ -1103,6 +1144,30 @@ def test_integer_core_imports_nothing_from_mpmath():
     # the roots, the proof quantities and the unit exponents are integer computations;
     # mpmath stays in bounds' printed values
     assert imports_of(INTEGER_CORE, ("mpmath",)) == []
+
+
+def test_bounds_uses_mpmath_only_to_make_views():
+    # bounds decides in the fixed point: no mpf log, no working precision, and every
+    # name it takes from mpmath is read in fixed_view alone, which makes an mpf of a
+    # numerator over a power of two
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "cubicthue")
+    with open(os.path.join(pkg, "bounds.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            imported |= {a.asname or a.name for a in node.names}
+    assert imported == {"mp", "from_man_exp"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"workprec", "mpf_log", "mpf", "mpf_div", "mpf_sub"}
+    view, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "fixed_view"]
+    outside = [node for f in tree.body if f is not view for node in ast.walk(f)
+               if isinstance(node, ast.Name) and node.id in imported]
+    assert outside == []
+    assert {node.attr for node in ast.walk(view) if isinstance(node, ast.Attribute)} == {"make_mpf"}
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])

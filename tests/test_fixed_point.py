@@ -21,6 +21,7 @@ from cubicthue.asymptotics import (
 )
 from cubicthue.cli import main
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, PrecisionExhausted
+from cubicthue.forms import build_form
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, proof_precision
 from conftest import alpha_values, exact_roots, log_values, regulator_value
 
@@ -78,12 +79,24 @@ def oracle_chain(n, q, absorb_rhs, wp):
         return value
 
 
-def chain_outcome(chain, n, q, precision_bits):
-    """(failure name, lower as a float, crossover) of the chain on q."""
-    absorb_rhs = bounds._absorb_rhs(n, precision_bits + 16)
-    upper = bounds.bg_upper_bound(n, *q.st, precision_bits=precision_bits)
+def kernel_outcome(n, s, t, q, precision_bits):
+    """(failure name, lower as a float, crossover) of the bounds kernel on q."""
+    const = bounds._n_constants(compute_roots(n, precision_bits), 1, precision_bits)
+    upper = bounds._upper_bound(build_form(n, s, t), const)
     try:
-        value = chain(n, q.quantities, absorb_rhs, precision_bits + 16)
+        slack = bounds._chain(q, const.log_n, const.frac_bits)
+    except ChainPreconditionFailed as exc:
+        return exc.inequality, None, False
+    return ("", bounds.ratio_float(slack[0] * n, 3 << q.frac_bits),
+            bounds._crosses(q, slack, upper, const.frac_bits))
+
+
+def oracle_outcome(n, s, t, ref, precision_bits):
+    """The same of the oracle chain on its quantities ref, at precision_bits + 16 bits."""
+    wp = precision_bits + 16
+    upper = bounds.bg_upper_bound(n, s, t, precision_bits=precision_bits)
+    try:
+        value = oracle_chain(n, ref, asymptotics._absorb_rhs(n, wp), wp)
     except ChainPreconditionFailed as exc:
         return exc.inequality, None, False
     return "", float(value), bool(value > upper)
@@ -121,9 +134,7 @@ def test_kernel_matches_the_mpf_oracle_at_twice_the_bits(n, st_pair):
             assert abs(a * 2**K - num) <= radius
             assert abs(view - a) < abs(a) * mpf(2) ** -pb
 
-    mine = chain_outcome(bounds._chain, n, SimpleNamespace(quantities=q, st=(s, t)), pb)
-    theirs = chain_outcome(oracle_chain, n, SimpleNamespace(quantities=ref, st=(s, t)), pb)
-    assert mine == theirs
+    assert kernel_outcome(n, s, t, q, pb) == oracle_outcome(n, s, t, ref, pb)
 
     if n <= 10**6:
         d12, d13, _ = oracle_signed_diffs(n, s, t, oracle_pb)
@@ -220,7 +231,7 @@ def _scaled(pair, frac_bits, to_bits):
 
 @pytest.mark.parametrize("n", [5, 100, 5000, 10**6, 10**64])
 def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
-    absorb_rhs = bounds._absorb_rhs(n, 208)
+    log_n = bounds._log_n(n, 240)
     cells = 0
     orbit = asymptotics.orbit_triples(n, st_box(3), 192)
     for (s, t, tri, shift), (form, _, rep) in zip(orbit, bounds.cell_reports(n, st_box(3), 192)):
@@ -241,7 +252,7 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
         verdicts = []
         for quantities in (q, ref):
             try:
-                bounds._chain(n, quantities, absorb_rhs, 208)
+                bounds._chain(quantities, log_n, 240)
                 verdicts.append("")
             except ChainPreconditionFailed as exc:
                 verdicts.append(exc.inequality)

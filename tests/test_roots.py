@@ -323,7 +323,8 @@ def written_alpha_precision(n, s, t, precision_bits):
 
 
 def written_diff_precision(n, s, t, precision_bits):
-    return precision_bits + int(math.ceil((abs(s) + abs(t) + 2) * math.log2(n + 2))) + 32
+    # two powers of n + 2 for the cancellation; alpha_precision adds the conjugates' size
+    return precision_bits + int(math.ceil(2 * math.log2(n + 2))) + 32
 
 
 def written_first_bits_sum(n, s, t, y_bound):
@@ -333,8 +334,9 @@ def written_first_bits_sum(n, s, t, y_bound):
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 10**6, 2**64 - 2, 10**64, 10**400],
                          ids=["0", "1", "2", "6", "10^6", "2^64-2", "10^64", "10^400"])
 def test_working_bits_keeps_the_formulas_it_replaced(n):
-    # the roots' and the differences' bits are unchanged; the solver's first bits
-    # round the same sum up, where they took its floor
+    # the roots' bits are unchanged, and the differences' count the conjugates' size
+    # once (alpha_precision's); the solver's first bits round the same sum up, where
+    # they took its floor
     for s, t in st_box(8):
         for bits in (64, 192, 1024):
             assert alpha_precision(n, s, t, bits) == written_alpha_precision(n, s, t, bits)
@@ -342,6 +344,26 @@ def test_working_bits_keeps_the_formulas_it_replaced(n):
             for y_bound in (1, 10**4, 10**5, 10**100):
                 assert roots.candidate_precision(n, s, t, y_bound, bits) == \
                     max(bits, math.ceil(written_first_bits_sum(n, s, t, y_bound)))
+
+
+@pytest.mark.parametrize("n", [0, 5, 10**6, 10**64])
+def test_proof_roots_carry_two_more_powers_of_n_than_the_conjugates(n):
+    # the size of the conjugates is counted once, by alpha_precision: a proof ask of
+    # b bits powers its triple from roots at the bits the conjugates of a b-bit ask
+    # get, b + 32 + (|s| + |t|) log2(n + 2) rounded up to 64, plus two powers of n + 2
+    # and the 32 guard bits of the differences
+    log = math.log2(n + 2)
+    for s, t in st_box(4):
+        for bits in (64, 192, 1024):
+            want = -(-math.ceil(bits + 64 + math.ceil(2 * log) + (abs(s) + abs(t)) * log)
+                     // 64) * 64
+            assert alpha_precision(n, s, t, proof_precision(n, s, t, bits)) == want
+            # the documented b + 64 + (|s| + |t| + 2) log2(n + 2), up to the inner ceiling
+            assert want <= -(-math.ceil(bits + 65 + (abs(s) + abs(t) + 2) * log) // 64) * 64
+    for s, t in [(2, 1), (-3, 4)]:
+        tri = roots.compute_alphas(n, s, t, proof_precision(n, s, t, 192))
+        assert tri.roots.precision_bits == alpha_precision(n, s, t,
+                                                           proof_precision(n, s, t, 192))
 
 
 @pytest.mark.parametrize("n", [5, 10**6, 10**40])
