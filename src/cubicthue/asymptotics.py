@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
-from .bounds import fixed_view, float_power, ratio_float
+from .bounds import float_power, ratio_float
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from .forms import st_box
 from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
@@ -180,6 +180,11 @@ def _predict12(nn, L, s: int, t: int, err: float) -> Prediction:
     if b is Branch.EDGE_BELOW:
         return Prediction((-s) * L, mpf(t - s - _sgn_pow(s)) / nn, err)
     return Prediction((-s) * L, mpf(t - s) / nn, err)
+
+
+def fixed_view(num: int, frac_bits: int):
+    """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
+    return mp.make_mpf(from_man_exp(num, -frac_bits))
 
 
 def _logdiffs(tri, shift: int):

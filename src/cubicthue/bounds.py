@@ -27,9 +27,9 @@ slack's sign and the crossover lower > upper are interval tests: each is
 certainly true, certainly false, or within the summed radii of the constants,
 where PrecisionExhausted names the cell and no side is picked.  The proof
 quantities' own integers (u1, u2, d12, d13, R and v_bar of the cell) carry no
-radius here yet.  mpmath only makes views: the mpf values bg_upper_bound and
-lower_bound_chain return, and a chain value beyond float range, the exact
-rational rounded to precision_bits + 16 bits.
+radius here yet.  No value depends on a working precision: bg_upper_bound and
+lower_bound_chain return exact Fractions, a report's values are floats or,
+beyond float range, Fractions (a margin rounded to 53 bits), and cli prints them.
 """
 
 from __future__ import annotations
@@ -38,16 +38,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mpmath import mp
-from mpmath.libmp import from_man_exp
-
 from .errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
 from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform, st_box
 from .proof import cell_quantities, compute_proof_quantities
 from .roots import _shifted, compute_roots, fixed_log, fixed_mul, orbit_triples
 
 _CONST_GUARD = 48   # the constants of n carry precision_bits + 48 fraction bits
-_VIEW_GUARD = 16    # an mpf view of a chain value carries precision_bits + 16 bits
 
 
 def ratio_float(num: int, den: int) -> float:
@@ -73,27 +69,12 @@ def float_power(n: int, exponent: float) -> float:
             return math.inf
 
 
-def fixed_view(num: int, frac_bits: int):
-    """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
-    return mp.make_mpf(from_man_exp(num, -frac_bits))
-
-
-def _rounded_view(num: int, den: int, bits: int):
-    """num / den, for den > 0, as an mpf of `bits` bits, rounded to nearest with
-    ties to even, as mpmath rounds."""
-    if num == 0:
-        return fixed_view(0, 0)
-    size = abs(num)
-    # 2^(bits-1) <= size 2^shift / den < 2^(bits+1), so q has bits or bits + 1 bits
-    shift = bits - size.bit_length() + den.bit_length()
-    for shift in (shift, shift - 1):
-        top, bottom = (size << shift, den) if shift >= 0 else (size, den << -shift)
-        q, r = divmod(top, bottom)
-        if q.bit_length() == bits:
-            break
-    if 2 * r > bottom or (2 * r == bottom and q & 1):
-        q += 1
-    return fixed_view(-q if num < 0 else q, shift)
+def _exact(num: int, den: int):
+    """num / den as a Fraction."""
+    # fractions, with the decimal it loads, is imported here, not with the module:
+    # import cubicthue would pay for it on every start, for values few runs make
+    from fractions import Fraction
+    return Fraction(num, den)
 
 
 def c3_constant(degree: int, rank: int) -> int:
@@ -154,12 +135,12 @@ def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
 
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
-    """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as an mpf: the
-    view of the fixed-point numerator of _upper_bound."""
+    """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as a Fraction: the
+    fixed-point numerator of _upper_bound over its power of two."""
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
     const = _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits)
-    return fixed_view(_upper_bound(build_form(n, s, t), const)[0], const.frac_bits)
+    return _exact(_upper_bound(build_form(n, s, t), const)[0], 1 << const.frac_bits)
 
 
 def _upper_bound(form, const: _NConstants):
@@ -174,8 +155,7 @@ def _upper_bound(form, const: _NConstants):
 
 
 def lower_bound_chain(n: int, s: int, t: int, precision_bits: int = 192):
-    """Implied lower bound on log|y| under b_bar >= 1, as an mpf of precision_bits
-    + 16 bits.
+    """Implied lower bound on log|y| under b_bar >= 1, as an exact Fraction.
 
     Raises ChainPreconditionFailed (naming the violated inequality) where the
     chain's numeric hypotheses do not hold; some parameter pairs violate them
@@ -184,7 +164,7 @@ def lower_bound_chain(n: int, s: int, t: int, precision_bits: int = 192):
     q = compute_proof_quantities(n, s, t, precision_bits)
     F = precision_bits + _CONST_GUARD
     slack, _ = _chain(q, _log_n(n, F), F)
-    return _rounded_view(slack * n, 3 << q.frac_bits, precision_bits + _VIEW_GUARD)
+    return _exact(slack * n, 3 << q.frac_bits)
 
 
 def _at_most(x: int, factors) -> bool:
@@ -269,21 +249,6 @@ def _crosses(q, slack, upper, frac_bits: int) -> bool:
     return gap > 0
 
 
-def _lower_value(n: int, slack: int, K: int, precision_bits: int):
-    """slack * n / (3 * 2^K) as a float, or beyond float range as an mpf of
-    precision_bits + 16 bits."""
-    value = ratio_float(slack * n, 3 << K)
-    if math.isinf(value):
-        return _rounded_view(slack * n, 3 << K, precision_bits + _VIEW_GUARD)
-    return value
-
-
-def _finite_float(x):
-    """float(x) for a float or mpf x, or x itself where the float would be +-inf."""
-    f = float(x)
-    return x if math.isinf(f) else f
-
-
 @dataclass(frozen=True)
 class BoundReport:
     n: int
@@ -292,18 +257,29 @@ class BoundReport:
     c3: int
     H: int
     B_rhs: float               # upper-bound exponent
-    lower_chain: Optional[object]  # a float, or an mpf beyond float range
+    lower_chain: Optional[object]  # a float, or a Fraction beyond float range
     crossover: bool
     chain_failure: str = ""    # named precondition if the chain does not apply
     precision_bits: int = 192
 
     @property
     def margin(self):
-        """lower_chain / B_rhs (None where the chain does not apply), a float
-        wherever it is finite."""
+        """lower_chain / B_rhs (None where the chain does not apply), correctly
+        rounded to 53 bits: a float in float range, else a Fraction.  int / int
+        rounds correctly, so a quotient beyond float range is divided by 2^k into
+        it, and the float multiplied back by 2^k."""
         if not self.lower_chain:
             return None
-        return _finite_float(self.lower_chain / self.B_rhs)
+        if isinstance(self.lower_chain, float):   # IEEE division rounds correctly
+            return self.lower_chain / self.B_rhs
+        (num, den), (b_num, b_den) = (v.as_integer_ratio() for v in (self.lower_chain, self.B_rhs))
+        num, den = num * b_den, den * b_num
+        k = max(num.bit_length() - den.bit_length() - 1000, 0)
+        q = num / (den << k)
+        try:
+            return math.ldexp(q, k)
+        except OverflowError:
+            return _exact(int(q) << k, 1)
 
     def as_record(self) -> dict:
         return {"n": self.n, "s": self.s, "t": self.t, "c3": str(self.c3),
@@ -371,7 +347,9 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
                 raise ChainPreconditionFailed("s*t != 0")
             q = cell_quantities(tri, shift, s, t, precision_bits)
             slack = _chain(q, const.log_n, const.frac_bits)
-            lower = _lower_value(n, slack[0], q.frac_bits, precision_bits)
+            num, den = slack[0] * n, 3 << q.frac_bits
+            lower = ratio_float(num, den)
+            lower = _exact(num, den) if math.isinf(lower) else lower   # beyond float range
             crossover = _crosses(q, slack, upper, const.frac_bits)
         except ChainPreconditionFailed as exc:
             failure = exc.inequality

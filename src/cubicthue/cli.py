@@ -36,7 +36,8 @@ the triple in the cell's order, which takes each of its three difference
 logs once, for one orbit of a mirrored pair (roots.AlphaTriple.diff_log).
 
 Reports are deterministic: the same configuration yields byte-identical
-output regardless of worker count.
+output regardless of worker count.  bounds hands out floats and, beyond float
+range, exact Fractions, which _sci prints from integers, at no working precision.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ import math
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-
-from mpmath import mp, mpf
+from fractions import Fraction
 
 from . import asymptotics, bounds, solver
 from .errors import PrecisionExhausted
@@ -202,15 +202,30 @@ def _fmt(v):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, mpf):
+    if isinstance(v, Fraction):
         # a value beyond float range, with the 17 digits a float's repr has at most
-        return mp.nstr(v, 17)
+        return _sci(v, 17)
     return str(v)
 
 
 def _sig(v, digits: int) -> str:
-    """v to `digits` significant digits, a float or an mpf beyond float range."""
-    return f"{v:.{digits}g}" if isinstance(v, float) else mp.nstr(v, digits)
+    """v to `digits` significant digits, a float or a Fraction beyond float range."""
+    return f"{v:.{digits}g}" if isinstance(v, float) else _sci(v, digits)
+
+
+def _sci(v: Fraction, digits: int) -> str:
+    """A value v >= 10^digits as d.ddde+E, by mpmath's nstr rule for an mpf: the first
+    digits + 1 digits of floor(v), rounded up on a last digit of 5 to 9, cut to
+    digits, trailing zeros stripped.  floor(v) is cut by integer division, never
+    printed whole: str() refuses an int of more than 4300 digits."""
+    whole = v.numerator // v.denominator
+    cut = max(int(whole.bit_length() * math.log10(2)) - digits - 3, 0)
+    text = str(whole // 10 ** cut)   # digits + 1 to digits + 4 leading digits
+    lead, exponent = int(text[:digits]) + (text[digits] >= "5"), cut + len(text) - 1
+    if lead == 10 ** digits:   # rounded up to the next power of ten
+        lead, exponent = lead // 10, exponent + 1
+    text = str(lead)
+    return f"{text[0]}.{text[1:].rstrip('0') or '0'}e+{exponent}"
 
 
 def _write_csv(out, columns, rows):

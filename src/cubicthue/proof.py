@@ -18,7 +18,7 @@ So a b0 this module reports is the true one, whatever the cancellation in
 v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
 (u_bar > 0, the w_bar absorption) are made on the same integers, without a
 division (see bounds._chain); the radii of u1, u2, d12 and d13 are not kept,
-so those decisions are not certified.  No quantity has an mpf view.
+so those decisions are not certified.  No core module makes an mpf value.
 
 The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
 one orbit have the same three conjugates in a cyclic order: those of
@@ -50,7 +50,7 @@ def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
     plans it for pairs [(s, t)] (compute_alphas is that one-cell plan, cached)."""
     if s * t == 0:
         raise DegenerateTwist(f"{what} need s*t != 0")
-    return compute_alphas(n, s, t, proof_precision(n, s, t, precision_bits))
+    return compute_alphas(n, s, t, proof_precision(n, precision_bits))
 
 
 def _cell_logs(tri, shift: int):
@@ -163,7 +163,7 @@ def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
     """The proof quantities of (n, s, t), with b0 and the window certified:
-    cell_quantities on the one-cell triple, at proof_precision(n, s, t,
-    precision_bits) bits."""
+    cell_quantities on the one-cell triple, at proof_precision(n, precision_bits)
+    bits."""
     return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"),
                            0, s, t, precision_bits)

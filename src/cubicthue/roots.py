@@ -69,8 +69,8 @@ e < 0) once per root set (RootSet.power), so the triples powered from one
 root set share them.  lam0 is certified by its exact bracket, and lam1 and
 lam2 by an exact sign change of F between (N_j - r_j) / 2^K and
 (N_j + r_j) / 2^K.  The fixed point is all a RootSet or an AlphaTriple
-stores, and this module makes no multiprecision float: bounds and
-asymptotics make the ones they print and fit.  A root set's two root logs
+stores, and this module makes no multiprecision float: asymptotics alone
+makes the ones it fits and prints.  A root set's two root logs
 and its regulator are taken when first read, and kept, outside its ==, hash
 and repr: a solve and its records read them only for a unit's log solve or
 b0.
@@ -518,11 +518,11 @@ def candidate_precision(n: int, s: int, t: int, y_bound: int, precision_bits: in
     return max(precision_bits, working_bits(n, abs(s) + abs(t), need))
 
 
-def proof_precision(n: int, s: int, t: int, precision_bits: int) -> int:
-    """The bits of the proof quantities of (s, t): the caller's bits and two powers of
-    n + 2, for the bits the conjugate differences lose to cancellation.  The size of
-    the conjugates is counted once, by alpha_precision when their triple is powered;
-    the radii, with escalate, remain the guarantee (see "Precision")."""
+def proof_precision(n: int, precision_bits: int) -> int:
+    """The bits of the proof quantities of every cell of n: the caller's bits and two
+    powers of n + 2, for the bits the conjugate differences lose to cancellation.
+    The size of the conjugates is counted by alpha_precision when their triple is
+    powered; the radii, with escalate, remain the guarantee (see "Precision")."""
     return working_bits(n, 2, precision_bits + 32)
 
 
@@ -547,9 +547,9 @@ def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
 
     The cells of pairs that phi maps into each other share one AlphaTriple,
     powered for the first such cell, the orbit's representative (tri.s, tri.t),
-    at the most bits of its cells' proof quantities (proof_precision) and, if
-    y_bound is given, of its solver attempt (candidate_precision); a cell's
-    conjugates are tri's from index shift on.  The roots are computed once, at
+    at the proof bits of n (proof_precision, one number for every cell) or, if
+    y_bound is given, at those of its solver attempt (candidate_precision) where
+    more; a cell's conjugates are tri's from index shift on.  The roots are computed once, at
     the largest alpha_precision of any cell, and floor-shifted once to each
     root_frac_bits the triples need, so the triples of one shift share its
     powers of the roots (RootSet.power).  Two mirrored orbits, those of (s, t)
@@ -560,6 +560,7 @@ def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
     powered, and each source is powered before its target.
     """
     in_box = set(pairs)
+    proof_bits = proof_precision(n, precision_bits)
     cells = {}     # cell -> (representative, shift)
     plans = {}     # representative -> (alpha_precision, bits) of its triple
     for rep in pairs:
@@ -567,7 +568,7 @@ def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
             continue
         once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
         members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
-        asks = [(c, proof_precision(n, *c, precision_bits)) for c, _ in members]
+        asks = [(c, proof_bits) for c, _ in members]
         if y_bound is not None:
             asks.append((rep, candidate_precision(n, *rep, y_bound, precision_bits)))
         plans[rep] = (max(alpha_precision(n, *c, bits) for c, bits in asks),

@@ -1,9 +1,9 @@
 """Shared test helpers: independent oracles for the roots and for the solutions, and
-the mpf values of a root set's and a triple's fixed point."""
+the mpf values of a root set's and a triple's fixed point and of an upper bound."""
 
 from mpmath import mp
 
-from cubicthue.bounds import fixed_view
+from cubicthue.asymptotics import fixed_view
 from cubicthue.forms import build_form, eval_form
 
 
@@ -20,6 +20,13 @@ def log_values(rs):
 def regulator_value(rs):
     """The regulator of the root set rs, as an exact mpf value."""
     return fixed_view(rs.reg_fixed[0], rs.frac_bits)
+
+
+def dyadic_value(v):
+    """v, a Fraction over a power of two (bounds.bg_upper_bound's), as an exact mpf."""
+    bits = v.denominator.bit_length() - 1
+    assert v.denominator == 1 << bits
+    return fixed_view(v.numerator, bits)
 
 
 def brute_force_solutions(n, s, t, y_bound):

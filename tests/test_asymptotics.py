@@ -17,6 +17,7 @@ from cubicthue.asymptotics import (
     classify_case,
     compute_proof_quantities,
     fit_error_exponent,
+    fixed_view,
     logdiff_representatives,
     predict_logdiff,
     predict_power,
@@ -31,7 +32,7 @@ from cubicthue.asymptotics import (
     st_box,
     true_logdiffs,
 )
-from cubicthue.bounds import fixed_view, ratio_float
+from cubicthue.bounds import ratio_float
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from cubicthue.roots import (
     compute_alphas, compute_roots, fixed_log, orbit_triples, proof_precision,
@@ -239,7 +240,7 @@ def test_proof_quantities_keep_the_precision_of_the_differences():
     # d12 and d13 feed the w_bar absorption test, so they are the triple's exact
     # differences over 2^K, with no rounding to 53 bits
     _, _, d12, d13 = true_logdiffs(10**4, 2, 1, 192)
-    tri = compute_alphas(10**4, 2, 1, proof_precision(10**4, 2, 1, 192))
+    tri = compute_alphas(10**4, 2, 1, proof_precision(10**4, 192))
     q = compute_proof_quantities(10**4, 2, 1)
     a1, a2, a3 = tri.numerators
     assert q.frac_bits == tri.frac_bits

@@ -3,22 +3,23 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from cubicthue import bounds, cli
-from cubicthue.asymptotics import compute_proof_quantities, st_box
+from cubicthue.asymptotics import compute_proof_quantities, fixed_view, st_box
 from cubicthue.bounds import (
-    bg_upper_bound, bound_report, c3_constant, fixed_view, lower_bound_chain, n0_scan,
-    ratio_float,
+    bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan, ratio_float,
 )
 from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
 from cubicthue.forms import build_form, height
 from cubicthue.roots import compute_roots
 from cubicthue.solver import solve_box
-from conftest import regulator_value
+from conftest import dyadic_value, regulator_value
 
 
 def test_c3_values():
@@ -39,7 +40,7 @@ def test_c3_matches_repeated_multiplication():
 
 def test_upper_bound_structure():
     n = 100
-    ub = bg_upper_bound(n, 2, 1, b_abs=1)
+    ub = dyadic_value(bg_upper_bound(n, 2, 1, b_abs=1))
     with workprec(200):
         assert ub > 0
         # exponent >= c3 * R^2 since max(log R, 1) >= 1 and log(H*B) > 0
@@ -51,7 +52,7 @@ def test_upper_bound_structure():
 def test_upper_bound_height_doubling():
     # doubling H shifts the exponent by exactly c3 * R * max(log R, 1) * log 2
     n, s, t = 50, 2, 1
-    base = bg_upper_bound(n, s, t, b_abs=1)
+    base = dyadic_value(bg_upper_bound(n, s, t, b_abs=1))
     from cubicthue.forms import build_form, height
     from cubicthue.roots import compute_roots
     with workprec(224):
@@ -106,6 +107,7 @@ def test_per_n_constants_give_bit_identical_bounds(n):
     for s, t in st_box(3):
         form = build_form(n, s, t)
         upper = bounds._upper_bound(form, const)
+        assert bg_upper_bound(n, s, t) == Fraction(upper[0], 1 << F)
         assert float(fixed_view(upper[0], F)) == float(bg_upper_bound(n, s, t)) \
             == float(formula_upper(n, s, t))
         assert within(formula_upper(n, s, t, 2 * F), upper, F)
@@ -121,6 +123,7 @@ def test_per_n_constants_give_bit_identical_bounds(n):
             continue
         applicable += 1
         (num, radius), K = bounds._chain(q, const.log_n, F), q.frac_bits
+        assert public == Fraction(num * n, 3 << K)
         assert ratio_float(num * n, 3 << K) == float(public) == float(formula_chain(n, q)) \
             == batch[(s, t)].lower_chain
         # the lower bound num n / (3 2^K) within its radius, r n / (3 2^K)
@@ -151,18 +154,26 @@ def test_absorption_length_test_agrees_with_the_product(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(num=st.integers(-2**700, 2**700), den=st.integers(1, 2**400),
-       bits=st.integers(53, 300))
-@example(num=(1 << 60) + (1 << 7) + (1 << 6), den=1, bits=54)   # a tie, rounded up to even
-@example(num=(1 << 60) + (1 << 6), den=3, bits=54)
-@example(num=-((1 << 60) + (1 << 6)), den=1, bits=54)           # a tie, rounded down to even
-def test_rounded_view_rounds_as_mpmath_divides(num, den, bits):
-    # the chain's view beyond float range is the exact ratio rounded once, to
-    # nearest with ties to even: the mpf that mpmath's division at those bits gives
-    from mpmath.libmp import from_int, mpf_div, round_nearest
-    want = mpf_div(from_int(num), from_int(den), bits, round_nearest)
-    assert bounds._rounded_view(num, den, bits)._mpf_ == want
-    assert bounds._rounded_view(num * den, den, bits)._mpf_ == from_int(num, bits, round_nearest)
+@given(num=st.integers(1, 2**1500), den=st.integers(1, 2**400),
+       upper=st.floats(1.0, 1e80))
+@example(num=(1 << 1100) + (1 << 1048) + (1 << 1047), den=1, upper=1.0)  # a tie, up to even
+@example(num=(1 << 1100) + (1 << 1047), den=1, upper=1.0)            # a tie, down to even
+@example(num=(1 << 1024) - 1, den=1, upper=1.0)                      # up, out of float range
+def test_margin_rounds_as_mpmath_divides_at_53_bits(num, den, upper):
+    # a margin is the exact quotient lower / upper rounded once to 53 bits, to
+    # nearest with ties to even: the float in float range, beyond it the value of
+    # the mpf that mpmath's division at 53 bits gives
+    rep = bounds.BoundReport(1, 1, 1, 3**94, 3, upper, Fraction(num, den), True)
+    a, b = upper.as_integer_ratio()
+    _, man, exp, _ = mpf_div(from_int(num * b), from_int(den * a), 53, round_nearest)
+    want = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    if isinstance(rep.margin, float):
+        assert math.isfinite(rep.margin) and rep.margin == float(want)
+    else:
+        assert isinstance(rep.margin, Fraction) and rep.margin == want >= 2**1024
+    # a lower value in float range keeps the float quotient
+    if num < den << 1000:
+        assert dataclasses.replace(rep, lower_chain=num / den).margin == (num / den) / upper
 
 
 def _applicable(n, pairs):

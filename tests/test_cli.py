@@ -10,11 +10,15 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from cubicthue.cli import (
-    MAX_GRID_POINTS, MAX_PRECISION_BITS, MAX_VALUE_DIGITS, main, parse_grid,
+    MAX_GRID_POINTS, MAX_PRECISION_BITS, MAX_VALUE_DIGITS, _sci, main, parse_grid,
 )
 
 
@@ -973,7 +977,7 @@ OUTPUT_PINS = {
         "json": "792f11245fec11c9d041cc4f8b479b2f218e710b406a9f70b1eca104360eb2f8",
         "csv": "340187fdbdf7d753dd84f6db3a7c83a5a1b598878cdb4068d3175b4385b43fc3",
     }),
-    # a chain value beyond float range, printed as an mpf of 17 digits
+    # a chain value beyond float range, printed to 17 digits from an exact Fraction
     "bound 1e320 2 1": (0, {
         "human": "d093314847cd9ccfa27fb32a9060a7de98df5bdc05565d7b18207bc974aedc5c",
         "json": "6b2dc49d3c0b5426a2e3f858914d5d36e33c0adb16cfb6499d2733ee30dc2326",
@@ -985,7 +989,7 @@ OUTPUT_PINS = {
 # scan command -> the sha256 of its stdout, the same at one and two workers: the
 # README scan in two formats, the wide scan at huge n, where the bits of the
 # forms of one n differ most, at the default precision and at 512 bits, and a
-# scan whose chain values lie beyond float range (printed as mpf values)
+# scan whose chain values lie beyond float range (printed from exact Fractions)
 SCAN_PINS = {
     "--format csv scan --n 50:200 --smax 3 --ybound 10000":
         "8b6d94f98fe86cf3c37d6ee75394481d0f722e7cc867323329e92214d188e24a",
@@ -997,6 +1001,12 @@ SCAN_PINS = {
         "52fae4a39aab390f25771b26661a2a64142cfea02c898e839e59ff14ce7f273b",
     "--format csv scan --n 1e300:1e320:log10 --smax 1 --ybound 10":
         "0247fee4ee5171e86f3a7c478df0a5fdda6bf77e27eaeb74b52deb0952c1bedf",
+    # margins beyond float range
+    "--format csv scan --n 1e360:1e400:log10 --smax 1 --ybound 10":
+        "977978363424cdc389766b93a4ec348315d6d01e3f338ffd7d9291fb8907a54f",
+    # chain values above 2^3500
+    "--format csv scan --n 1e1100:1e1102:log10 --smax 1 --ybound 10":
+        "7104aec94e3fb46c85ad382cb7e18ace8affb4585193bb944cd1ea7f4ce1c0ca",
 }
 
 # solve N S T --ybound 100000 for records of types 1, 2 and 3, typed in integers on
@@ -1042,6 +1052,53 @@ def test_scan_output_bytes(capsys, monkeypatch, command, jobs):
     code, out, _ = run(capsys, ["--jobs", jobs, *command.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_PINS[command]
+
+
+@pytest.mark.parametrize("prec", [30, 200])
+def test_report_bytes_do_not_depend_on_mpmath_precision(capsys, monkeypatch, prec):
+    # margins beyond float range were once mpf quotients at mpmath's global precision
+    command = "--format csv scan --n 1e360:1e400:log10 --smax 1 --ybound 10"
+    monkeypatch.delenv("CUBICTHUE_PRECISION_BITS", raising=False)
+    monkeypatch.setattr(mp, "prec", prec)
+    code, out, _ = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_PINS[command]
+
+
+@st.composite
+def beyond_float(draw):
+    """An exact ratio num / den of 2^1024 to 2^3400, below mpmath's 3500 bits, above
+    which nstr finds the digits of an mpf approximately."""
+    den = draw(st.integers(1, 2**600))
+    return Fraction(draw(st.integers(den << 1024, den << 3400)), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=beyond_float(), digits=st.sampled_from([6, 17]), bits=st.sampled_from([208, 528]))
+def test_exact_values_print_as_mpmath_prints_them(value, digits, bits):
+    # mp.nstr applies the rule _sci applies to the exact value to an mpf rounded from
+    # it; the two differ only where a multiple of 10^(E - digits), E the decimal
+    # exponent, lies between the mpf and the exact value (a decimal tie is one
+    # such): the mpf's floor then has other leading digits
+    view = mp.make_mpf(mpf_div(from_int(value.numerator), from_int(value.denominator),
+                               bits, round_nearest))
+    _, man, exp, _ = view._mpf_
+    exact_view = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    unit = 10 ** (len(str(int(value))) - 1 - digits)
+    assume(int(exact_view) // unit == int(value) // unit)
+    assert _sci(value, digits) == mp.nstr(view, digits)
+
+
+def test_exact_values_beyond_the_digits_str_prints():
+    # floor(v) is cut to its leading digits by division: str() refuses an int of
+    # more than 4300 digits, and this one has 5000
+    value = Fraction(123456789012345678 * 10**4982 + 5, 1)
+    assert _sci(value, 17) == "1.2345678901234568e+4999"
+    assert _sci(value, 6) == "1.23457e+4999"
+    assert _sci(Fraction(10**5000 - 1, 3), 6) == "3.33333e+4999"
+    assert _sci(Fraction(10**5000 - 1, 1), 17) == "1.0e+5000"   # the carry into E + 1
+    # a decimal tie rounds up, as nstr's rule does on the exact value
+    assert _sci(Fraction(1234565 * 10**400), 6) == "1.23457e+406"
 
 
 def test_solve_output_bytes(capsys, monkeypatch):
@@ -1107,19 +1164,17 @@ def test_command_line_loads_no_process_pool():
 # the modules that decide a verdict; asymptotics (predictors, fits, lemma harnesses)
 # and cli import them, never the other way round
 TRUSTED_CORE = ["exact_field", "forms", "roots", "proof", "solver", "bounds"]
-# the core modules that compute in integers alone: no mpf, not even a view
-INTEGER_CORE = ["exact_field", "forms", "roots", "proof", "solver"]
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "cubicthue")
 
 
 def imports_of(modules, banned):
     """The "name.py:line" of each import in the package's modules that names a
     banned module or name; parsed, not imported: __init__ imports every module,
     so sys.modules shows nothing."""
-    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "cubicthue")
     found = []
     for name in modules:
-        path = os.path.join(pkg, name + ".py")
+        path = os.path.join(PACKAGE, name + ".py")
         if not os.path.exists(path):
             found.append(f"{name}.py is missing")
             continue
@@ -1141,33 +1196,12 @@ def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
 
 
 def test_integer_core_imports_nothing_from_mpmath():
-    # the roots, the proof quantities and the unit exponents are integer computations;
-    # mpmath stays in bounds' printed values
-    assert imports_of(INTEGER_CORE, ("mpmath",)) == []
-
-
-def test_bounds_uses_mpmath_only_to_make_views():
-    # bounds decides in the fixed point: no mpf log, no working precision, and every
-    # name it takes from mpmath is read in fixed_view alone, which makes an mpf of a
-    # numerator over a power of two
-    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "cubicthue")
-    with open(os.path.join(pkg, "bounds.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert not any(a.name.split(".")[0] == "mpmath" for a in node.names)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
-            imported |= {a.asname or a.name for a in node.names}
-    assert imported == {"mp", "from_man_exp"}
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert not names & {"workprec", "mpf_log", "mpf", "mpf_div", "mpf_sub"}
-    view, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "fixed_view"]
-    outside = [node for f in tree.body if f is not view for node in ast.walk(f)
-               if isinstance(node, ast.Name) and node.id in imported]
-    assert outside == []
-    assert {node.attr for node in ast.walk(view) if isinstance(node, ast.Attribute)} == {"make_mpf"}
+    # all six core modules compute in integers, and cli prints their exact values
+    # from integers: mpmath is left to the predictors, fits and harnesses
+    assert imports_of(TRUSTED_CORE, ("mpmath",)) == []
+    assert imports_of(["cli"], ("mpmath",)) == []
+    every = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    assert {site.split(".py")[0] for site in imports_of(every, ("mpmath",))} == {"asymptotics"}
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])

@@ -8,6 +8,7 @@ twice the bits the kernel worked at, so it is the more accurate of the two.
 """
 
 import dataclasses
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,7 @@ from cubicthue.cli import main
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, PrecisionExhausted
 from cubicthue.forms import build_form
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, proof_precision
-from conftest import alpha_values, exact_roots, log_values, regulator_value
+from conftest import alpha_values, dyadic_value, exact_roots, log_values, regulator_value
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +41,7 @@ def oracle_alphas(n, s, t, precision_bits):
 
 
 def oracle_signed_diffs(n, s, t, precision_bits):
-    a1, a2, a3, rs = oracle_alphas(n, s, t, proof_precision(n, s, t, precision_bits))
+    a1, a2, a3, rs = oracle_alphas(n, s, t, proof_precision(n, precision_bits))
     with workprec(rs.precision_bits):
         return a1 - a2, a1 - a3, rs
 
@@ -51,7 +52,7 @@ def oracle_quantities(n, s, t, precision_bits):
         a12, a13 = abs(d12), abs(d13)
         l12, l13 = mp.log(a12), mp.log(a13)
     la0, la1, la2 = log_values(rs)
-    with workprec(proof_precision(n, s, t, precision_bits)):
+    with workprec(proof_precision(n, precision_bits)):
         reg = regulator_value(rs)
         u1, u2 = la0 - la2, la1 - la2
         v1 = l12 * la0 - la2 * l13
@@ -99,7 +100,7 @@ def oracle_outcome(n, s, t, ref, precision_bits):
         value = oracle_chain(n, ref, asymptotics._absorb_rhs(n, wp), wp)
     except ChainPreconditionFailed as exc:
         return exc.inequality, None, False
-    return "", float(value), bool(value > upper)
+    return "", float(value), bool(value > dyadic_value(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
         ref = compute_proof_quantities(n, s, t, 192)
         assert (q.n, q.s, q.t, q.b0) == (ref.n, ref.s, ref.t, ref.b0)
         # the cell's conjugates are tri's from index shift on
-        own = compute_alphas(n, s, t, proof_precision(n, s, t, 192))
+        own = compute_alphas(n, s, t, proof_precision(n, 192))
         top = max(tri.frac_bits, own.frac_bits)
         for j in range(3):
             a = _scaled((tri.numerators[(j + shift) % 3], tri.radii[(j + shift) % 3]),
@@ -312,7 +313,7 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
     asked.clear()
     with pytest.raises(PrecisionExhausted, match="undecided at"):
         true_logdiffs(n, 2, 1)
-    assert asked == roots.doublings(proof_precision(n, 2, 1, 192))
+    assert asked == roots.doublings(proof_precision(n, 192))
     assert len(asked) == roots.PRECISION_ATTEMPTS
 
 
@@ -369,20 +370,26 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
     monkeypatch.setattr(proof, "_quantities", never)
     with pytest.raises(PrecisionExhausted):
         compute_proof_quantities(10**4, 2, 1)
-    first = proof_precision(10**4, 2, 1, 192)
+    first = proof_precision(10**4, 192)
     assert attempts == [first, 2 * first, 4 * first, 8 * first]
     assert main(["bound", "10000", "2", "1"]) == 3
 
 
-def test_chain_beyond_float_range_is_carried_as_mpf(capsys):
-    # the chain value near n/3 overflows a float at n = 10^400; it is rendered, not inf
+def test_chain_beyond_float_range_is_carried_exactly(capsys):
+    # the chain value near n/3 overflows a float at n = 10^400; it is the exact
+    # Fraction, and the margin the exact quotient rounded to 53 bits, rendered, not inf
     rep = bounds.bound_report(10**400, 2, 1)
-    assert not isinstance(rep.lower_chain, float) and rep.crossover
-    assert rep.lower_chain > 10**405 and isinstance(rep.margin, mpf)
+    assert isinstance(rep.lower_chain, Fraction) and rep.crossover
+    assert rep.lower_chain == bounds.lower_bound_chain(10**400, 2, 1)
+    assert rep.lower_chain > 10**405 and isinstance(rep.margin, Fraction)
+    quotient = rep.lower_chain / Fraction(rep.B_rhs)
+    assert rep.margin.denominator == 1 and rep.margin.numerator.bit_length() > 1024
+    assert abs(rep.margin - quotient) <= quotient / 2**53
     code, out = _cli(capsys, "bound", str(10**400), "2", "1")
     assert code == 0 and "inf" not in out and "lower-bound chain:    2.82555e+405" in out
     rows = bounds.n0_scan(0.25, [10**400], st_policy=1).rows
-    assert not any(mp.isinf(r[k]) for r in rows for k in ("lower", "margin") if r[k] is not None)
+    assert all(isinstance(r[k], Fraction) for r in rows for k in ("lower", "margin")
+               if r[k] is not None)
     # finite values stay the floats they are
     rep = bounds.bound_report(10**6, 2, 1)
     assert isinstance(rep.lower_chain, float) and rep.margin == rep.lower_chain / rep.B_rhs

@@ -10,8 +10,7 @@ from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
 import cubicthue.roots as roots
-from cubicthue.asymptotics import root_values, st_box
-from cubicthue.bounds import fixed_view
+from cubicthue.asymptotics import fixed_view, root_values, st_box
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.forms import build_form, discriminant
 from cubicthue.roots import (
@@ -267,7 +266,7 @@ def test_compute_alphas_is_the_one_ask_plan(n):
     # cell, whose one ask is its proof_precision
     for s, t in st_box(3):
         for bits in (64, 192, 333):
-            direct = compute_alphas(n, s, t, proof_precision(n, s, t, bits))
+            direct = compute_alphas(n, s, t, proof_precision(n, bits))
             (_, _, planned, _), = orbit_triples(n, [(s, t)], bits)
             assert (direct.numerators, direct.radii, direct.frac_bits, direct.precision_bits) == \
                 (planned.numerators, planned.radii, planned.frac_bits, planned.precision_bits)
@@ -340,7 +339,7 @@ def test_working_bits_keeps_the_formulas_it_replaced(n):
     for s, t in st_box(8):
         for bits in (64, 192, 1024):
             assert alpha_precision(n, s, t, bits) == written_alpha_precision(n, s, t, bits)
-            assert proof_precision(n, s, t, bits) == written_diff_precision(n, s, t, bits)
+            assert proof_precision(n, bits) == written_diff_precision(n, s, t, bits)
             for y_bound in (1, 10**4, 10**5, 10**100):
                 assert roots.candidate_precision(n, s, t, y_bound, bits) == \
                     max(bits, math.ceil(written_first_bits_sum(n, s, t, y_bound)))
@@ -357,13 +356,21 @@ def test_proof_roots_carry_two_more_powers_of_n_than_the_conjugates(n):
         for bits in (64, 192, 1024):
             want = -(-math.ceil(bits + 64 + math.ceil(2 * log) + (abs(s) + abs(t)) * log)
                      // 64) * 64
-            assert alpha_precision(n, s, t, proof_precision(n, s, t, bits)) == want
+            assert alpha_precision(n, s, t, proof_precision(n, bits)) == want
             # the documented b + 64 + (|s| + |t| + 2) log2(n + 2), up to the inner ceiling
             assert want <= -(-math.ceil(bits + 65 + (abs(s) + abs(t) + 2) * log) // 64) * 64
     for s, t in [(2, 1), (-3, 4)]:
-        tri = roots.compute_alphas(n, s, t, proof_precision(n, s, t, 192))
+        tri = roots.compute_alphas(n, s, t, proof_precision(n, 192))
         assert tri.roots.precision_bits == alpha_precision(n, s, t,
-                                                           proof_precision(n, s, t, 192))
+                                                           proof_precision(n, 192))
+
+
+def test_planner_takes_the_proof_bits_once(monkeypatch):
+    # the proof bits depend on n and the caller's bits alone: one call plans a box
+    calls, real = [], roots.proof_precision
+    monkeypatch.setattr(roots, "proof_precision", lambda *a: calls.append(a) or real(*a))
+    assert len(list(orbit_triples(10**6, st_box(5), 192))) == 100
+    assert calls == [(10**6, 192)]
 
 
 @pytest.mark.parametrize("n", [5, 10**6, 10**40])
@@ -373,7 +380,7 @@ def test_planned_triples_are_powered_from_their_shift(n):
     # orbit's asks at their most bits
     y_bound, members = 2**160, {}
     for s, t, tri, _ in orbit_triples(n, st_box(5), 192, y_bound):
-        members.setdefault(id(tri), (tri, []))[1].append((s, t, proof_precision(n, s, t, 192)))
+        members.setdefault(id(tri), (tri, []))[1].append((s, t, proof_precision(n, 192)))
     plans = []
     for tri, asks in members.values():
         asks.append((tri.s, tri.t, roots.candidate_precision(n, tri.s, tri.t, y_bound, 192)))
