@@ -270,8 +270,6 @@ class BoundReport:
         it, and the float multiplied back by 2^k."""
         if not self.lower_chain:
             return None
-        if isinstance(self.lower_chain, float):   # IEEE division rounds correctly
-            return self.lower_chain / self.B_rhs
         (num, den), (b_num, b_den) = (v.as_integer_ratio() for v in (self.lower_chain, self.B_rhs))
         num, den = num * b_den, den * b_num
         k = max(num.bit_length() - den.bit_length() - 1000, 0)
