@@ -1,9 +1,11 @@
-"""Asymptotic predictors and their measurement harnesses.
+"""Asymptotic predictors and their measurement harnesses, in the fixed point of roots.py.
 
-Each predictor returns a structured Prediction (leading term, correction
-term, claimed error order) so the harness can compare any of the pieces
-against certified numeric values and fit the actual decay exponent of the
-residual over a parameter grid.
+Each predictor returns a Prediction (leading term, correction term, claimed
+error order) of (numerator, radius) pairs over the caller's 2^K: rational terms
+floored, with radius 1 where inexact, and logs from roots.fixed_log.  A residual,
+an integer over 2^K with a radius, prints as the float both ends of its radius
+round to, the correctly rounded float of the value it certifies (Ziv, ACM TOMS
+17, 1991), or is retried at doubled bits.  The harnesses fit its decay exponent.
 
 The twelve-branch table for log|alpha1 - alpha2| and log|alpha1 - alpha3|
 is the delicate part.  Only its diff12 half is written out: six formulas,
@@ -30,15 +32,13 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
-
-from .bounds import float_power, ratio_float
-from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
+from .bounds import _CONST_GUARD, _absorb_threshold, _log_int, float_power, ratio_float
+from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
 from .forms import st_box
 from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
-from .roots import compute_roots, escalate, orbit_triples, working_bits
+from .roots import compute_roots, doublings, escalate, fixed_mul, orbit_triples, working_bits
 
 DEFAULT_EPSILON = 0.25
 
@@ -96,15 +96,30 @@ def classify_case(s: int, t: int):
 
 @dataclass(frozen=True)
 class Prediction:
-    """leading + correction, with the claimed decay order of the neglected error."""
+    """leading + correction, pairs over 2^K, and the claimed order of the neglected error."""
 
-    leading: object
-    correction: object
+    leading: tuple
+    correction: tuple
     error_order: float
 
     @property
     def value(self):
-        return self.leading + self.correction
+        return self.leading[0] + self.correction[0], self.leading[1] + self.correction[1]
+
+
+def _minus(a, b):
+    return a[0] - b[0], a[1] + b[1]
+
+
+def _ratio(p: int, q: int, frac_bits: int):
+    """p / q over 2^frac_bits for integers p and q > 0: its floor, radius 1 if inexact."""
+    num, rem = divmod(p << frac_bits, q)
+    return num, int(rem != 0)
+
+
+def _term(c: int, n: int, e: int, frac_bits: int):
+    """c n^e over 2^frac_bits, for an integer e of either sign."""
+    return _ratio(c * n ** max(e, 0), n ** max(-e, 0), frac_bits)
 
 
 def _sgn_pow(k: int) -> int:
@@ -112,95 +127,94 @@ def _sgn_pow(k: int) -> int:
     return 1 if k % 2 == 0 else -1
 
 
-def predict_root_expansion(n: int, which: int):
-    """Two-term value and log expansions of root `which` (0, 1 or 2)."""
-    if n < 4:
-        raise ValueError("expansions are for n >= 4")
-    nn = mpf(n)
-    if which == 0:
-        val = Prediction(nn, 2 / nn, -2.0)
-        logp = Prediction(mp.log(nn), 2 / nn**2, -3.0)
-    elif which == 1:
-        val = Prediction(-1 / nn, 1 / nn**2, -3.0)
-        logp = Prediction(-mp.log(nn), -1 / nn - 3 / (2 * nn**2), -3.0)
-    elif which == 2:
-        val = Prediction(mpf(-1), -1 / nn, -3.0)
-        logp = Prediction(mpf(0), 1 / nn - 1 / (2 * nn**2), -3.0)
-    else:
+def predict_root_expansion(n: int, which: int, frac_bits: int):
+    """Two-term value and log expansions of root `which` (0, 1 or 2), over 2^frac_bits."""
+    if n < 4 or which not in (0, 1, 2):
+        raise ValueError("expansions are for n >= 4 and the roots 0, 1 and 2")
+    # the value c n^e + c' n^e' and its order, and the log k log n + p / (2 n^2)
+    c, e, c2, e2, order = ((1, 1, 2, -1, -2.0), (-1, -1, 1, -2, -3.0), (-1, 0, -1, -1, -3.0))[which]
+    k, p = ((1, 4), (-1, -2 * n - 3), (0, 2 * n - 1))[which]
+    K, (L, r) = frac_bits, _log_int(n, frac_bits)
+    return (Prediction(_term(c, n, e, K), _term(c2, n, e2, K), order),
+            Prediction((k * L, abs(k) * r), _ratio(p, 2 * n * n, K), -3.0))
+
+
+def predict_power(n: int, a: int, which: int, frac_bits: int,
+                  epsilon: float = DEFAULT_EPSILON) -> Prediction:
+    """Two-term prediction of lam_which^a, signs folded in, over 2^frac_bits."""
+    if which not in (0, 1, 2):
         raise ValueError("root index must be 0, 1 or 2")
-    return val, logp
-
-
-def predict_power(n: int, a: int, which: int, epsilon: float = DEFAULT_EPSILON) -> Prediction:
-    """Two-term prediction of lam_which^a, signs folded in."""
-    nn = mpf(n)
     sg = _sgn_pow(a)
-    if which == 0:
-        return Prediction(nn**a, 2 * a * nn ** (a - 2), a - 2 - 2 * epsilon)
-    if which == 1:
-        return Prediction(sg * nn ** (-a), sg * (-a) * nn ** (-a - 1), -a - 1 - 2 * epsilon)
-    if which == 2:
-        return Prediction(mpf(sg), sg * mpf(a) / nn, -1 - 2 * epsilon)
-    raise ValueError("root index must be 0, 1 or 2")
+    # the leading term c n^e and the correction c' n^e', whose order is e' - 2 epsilon
+    c, e, c2, e2 = ((1, a, 2 * a, a - 2), (sg, -a, -sg * a, -a - 1), (sg, 0, sg * a, -1))[which]
+    return Prediction(_term(c, n, e, frac_bits), _term(c2, n, e2, frac_bits), e2 - 2 * epsilon)
 
 
-def predict_logdiff(n: int, s: int, t: int, epsilon: float = DEFAULT_EPSILON):
-    """Branch predictions for log|alpha1 - alpha2| and log|alpha1 - alpha3|.
+def predict_logdiff(n: int, s: int, t: int, frac_bits: int, epsilon: float = DEFAULT_EPSILON,
+                    log_n=None):
+    """Branch predictions for log|alpha1 - alpha2| and log|alpha1 - alpha3|, over
+    2^frac_bits, from log_n = log n over 2^frac_bits where the caller has it.
 
     Claimed error order is -(1 + 2*epsilon) for exponents up to n^(1/2-epsilon);
     for fixed (s, t) the measured residuals decay like n^-2.
     """
-    nn = mpf(n)
-    return _predict_logdiff(nn, mp.log(nn), s, t, epsilon)
-
-
-def _predict_logdiff(nn, L, s: int, t: int, epsilon: float):
-    """predict_logdiff from nn = mpf(n) and L = log(nn), which depend on n alone, at the
-    working precision."""
     if s * t == 0:
         raise DegenerateTwist("log-difference expansions need s*t != 0")
-    err = -(1 + 2 * epsilon)
+    L, err = log_n or _log_int(n, frac_bits), -(1 + 2 * epsilon)
     # |alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t) (module docstring)
-    return _predict12(nn, L, s, t, err), _predict12(nn, L, t - s, -s, err)
+    return _predict12(n, L, frac_bits, s, t, err), _predict12(n, L, frac_bits, t - s, -s, err)
 
 
-def _predict12(nn, L, s: int, t: int, err: float) -> Prediction:
-    """The diff12 prediction of predict_logdiff at (s, t), by its branch."""
-    b = _classify_one(2 * s, t, s)
-    if b is Branch.WIDE_ABOVE:
-        return Prediction((s - t) * L, mpf(-t) / nn, err)
-    if b is Branch.EDGE_ABOVE:
-        return Prediction((s - t) * L, mpf(-(t + _sgn_pow(s))) / nn, err)
-    if b is Branch.DOUBLED_ODD:
+def _predict12(n: int, log_n, K: int, s: int, t: int, err: float) -> Prediction:
+    """The diff12 prediction of predict_logdiff at (s, t), by its branch: the leading
+    term k log n + log m and the correction p / (q n), from log n over 2^K."""
+    k, m, p, q = {
+        Branch.WIDE_ABOVE: (s - t, 1, -t, 1),
+        Branch.EDGE_ABOVE: (s - t, 1, -(t + _sgn_pow(s)), 1),
         # |a1 - a2| = 2 n^(s-t) (1 + (s-t)/(2n) + ...)
-        return Prediction((s - t) * L + mp.log(2), mpf(s - t) / (2 * nn), err)
-    if b is Branch.DOUBLED_EVEN:
+        Branch.DOUBLED_ODD: (s - t, 2, s - t, 2),
         # leading coefficient |s + t| = 3|s|; next order -(s+1)/(2n)
-        return Prediction((s - t - 1) * L + mp.log(abs(s + t)), mpf(-(s + 1)) / (2 * nn), err)
-    if b is Branch.EDGE_BELOW:
-        return Prediction((-s) * L, mpf(t - s - _sgn_pow(s)) / nn, err)
-    return Prediction((-s) * L, mpf(t - s) / nn, err)
+        Branch.DOUBLED_EVEN: (s - t - 1, abs(s + t), -(s + 1), 2),
+        Branch.EDGE_BELOW: (-s, 1, t - s - _sgn_pow(s), 1),
+        Branch.WIDE_BELOW: (-s, 1, t - s, 1),
+    }[_classify_one(2 * s, t, s)]
+    (L, r), (g, rg) = log_n, _log_int(m, K) if m > 1 else (0, 0)
+    return Prediction((k * L + g, abs(k) * r + rg), _ratio(p, q * n, K), err)
 
 
-def fixed_view(num: int, frac_bits: int):
-    """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
-    return mp.make_mpf(from_man_exp(num, -frac_bits))
+def _rounded(pair, den: int):
+    """The float both ends of the radius of pair / den round to (den > 0), the
+    correctly rounded float of the value it certifies; None where they round apart."""
+    low = ratio_float(pair[0] - pair[1], den)
+    return low if low == ratio_float(pair[0] + pair[1], den) else None
 
 
-def _logdiffs(tri, shift: int):
-    """_cell_logs as exact mpf views of their numerators over 2^K, escalating
-    from tri where a difference is not known to be nonzero."""
-    def decide(cur):
-        got = _cell_logs(cur, shift)
-        return got and tuple(fixed_view(num, cur.frac_bits) for num, _ in got)
+def _relative(d, v, frac_bits: int):
+    """d / |v| over 2^K, for pairs d = (D, r_d) and v = (V, r_v) with |V| > r_v; its radius
+    is 2^K (r_d |V| + |D| r_v) / (|V| (|V| - r_v)), rounded up, plus one for the floor."""
+    (D, rd), (V, rv) = d, (abs(v[0]), v[1])
+    bound = (rd * V + abs(D) * rv) << frac_bits
+    return (D << frac_bits) // V, -(-bound // (V * (V - rv))) + 1
 
-    return escalate(lambda: f"the conjugate differences in the phi-orbit of (n,s,t)="
-                            f"{(tri.n, tri.s, tri.t)}", tri, decide)
+
+def _expansion_point(what: str, n: int, precision_bits: int, point, extra: int = 0):
+    """(bits, point(rs)), bits the bits residuals down to order n^-3 need, at least
+    precision_bits, and rs the first root set of n over doublings(bits + extra) whose
+    rounded values point(rs) hold no None; else PrecisionExhausted, as in escalate."""
+    bits = max(precision_bits, working_bits(n, 3, 64))
+    for b in doublings(bits + extra):
+        out = point(compute_roots(n, b))
+        if None not in out:
+            return bits, out
+    raise PrecisionExhausted(f"the {what} at n={n} undecided at {b} bits")
 
 
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
-    """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences."""
-    return _logdiffs(_one_cell(n, s, t, precision_bits, "conjugate differences"), 0)
+    """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences as
+    (K, (l12, l13, d12, d13)), pairs over 2^K of the first triple that decides them."""
+    tri = _one_cell(n, s, t, precision_bits, "conjugate differences")
+    return escalate(lambda: f"the conjugate differences of (n,s,t)={(n, s, t)}", tri,
+                    lambda cur: (got := _cell_logs(cur, 0)) and (cur.frac_bits, got))
 
 
 @dataclass(frozen=True)
@@ -326,22 +340,6 @@ def _require_grid(name: str, n_grid, least: int, exponent: float = 0, what: str 
                          f"at n ~ 10^{len(str(top)) - 1}")
 
 
-def _expansion_bits(n: int, precision_bits: int) -> int:
-    """precision_bits, or more where residuals down to order n^-3 would fall below them."""
-    return max(precision_bits, working_bits(n, 3, 64))
-
-
-def root_values(rs):
-    """lam0, lam1, lam2 of the root set rs as mpf values: lam0 = N / 2^K exactly, lam1
-    and lam2 1/x of the exact values of their inverses (of size at least 1), rounded to
-    nearest at rs.precision_bits + 32 bits, so that lam1 ~ -1/n keeps its relative
-    accuracy where it is below one unit of 2^-K."""
-    K, prec = rs.frac_bits, rs.precision_bits + 32
-    return (fixed_view(rs.lam_fixed[0][0], K),
-            *(mp.make_mpf(mpf_div(fone, from_man_exp(num, -K), prec, round_nearest))
-              for num, _ in rs.inv_fixed[1:]))
-
-
 def log_grid(lo: int, hi: int):
     """Deterministic log-spaced integer grid from lo to hi inclusive, two points a decade."""
     if lo <= 0 or hi < lo:
@@ -383,58 +381,61 @@ def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Root and log expansions: residual slopes vs the claimed orders."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lapprox"]
     _require_grid("lapprox", n_grid, 4, -3, "fits residuals down to order n^-3")
-    rows = []
-    series = {(which, kind): [] for which in (0, 1, 2) for kind in ("value", "log")}
+    rows, series, claimed = [], {}, {}
     for n in n_grid:
-        bits = _expansion_bits(n, precision_bits)
-        rs = compute_roots(n, bits)
-        lams = root_values(rs)
-        with workprec(bits + 16):
-            for which in (0, 1, 2):
-                val_p, log_p = predict_root_expansion(n, which)
-                rv = float(lams[which] - val_p.value)
-                rl = float(fixed_view(rs.log_fixed[which][0], rs.frac_bits) - log_p.value)
-                series[(which, "value")].append((n, rv))
-                series[(which, "log")].append((n, rl))
-                rows.append({
-                    "n": n, "root": which,
-                    "value_residual": rv, "log_residual": rl,
-                    "value_order": val_p.error_order, "log_order": log_p.error_order,
-                    "precision_bits": bits,
-                })
-    claimed = {(0, "value"): -2.0, (1, "value"): -3.0, (2, "value"): -3.0,
-               (0, "log"): -3.0, (1, "log"): -3.0, (2, "log"): -3.0}
+        bits, values = _expansion_point("lapprox residuals", n, precision_bits, _lapprox_point)
+        for which in (0, 1, 2):
+            rv, rl, value_order, log_order = values[4 * which: 4 * which + 4]
+            for kind, residual, order in (("value", rv, value_order), ("log", rl, log_order)):
+                series.setdefault((which, kind), []).append((n, residual))
+                claimed[(which, kind)] = order
+            rows.append({"n": n, "root": which, "value_residual": rv, "log_residual": rl,
+                         "value_order": value_order, "log_order": log_order,
+                         "precision_bits": bits})
     fits, ok = _fit_series(series, ("root", "kind"), claimed.__getitem__)
     return LemmaResult("lapprox", {"n_grid": n_grid, "precision_bits": precision_bits},
                        rows, fits, ok)
 
 
+def _lapprox_point(rs):
+    """The value and log residuals of each root of rs, rounded, each with their orders."""
+    K, out = rs.frac_bits, []
+    for which in (0, 1, 2):
+        val_p, log_p = predict_root_expansion(rs.n, which, K)
+        out += [_rounded(_minus(rs.lam_fixed[which], val_p.value), 1 << K),
+                _rounded(_minus(rs.log_fixed[which], log_p.value), 1 << K),
+                val_p.error_order, log_p.error_order]
+    return out
+
+
 LPOWERS_EXPONENTS = (1, 2, 3, -1, -2)
+_LPOWERS_CELLS = [(a, which) for a in LPOWERS_EXPONENTS for which in (0, 1, 2)]
 
 
 def run_lpowers(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Two-term power expansions: relative residual slopes."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lpowers"]
     _require_grid("lpowers", n_grid, 1, -3, "fits relative residuals down to order n^-3")
-    rows = []
-    series = {}
+    rows, series = [], {}
     for n in n_grid:
-        bits = _expansion_bits(n, precision_bits)
-        lams = root_values(compute_roots(n, bits + 64))
-        with workprec(bits + 64):
-            for a in LPOWERS_EXPONENTS:
-                for which in (0, 1, 2):
-                    pred = predict_power(n, a, which)
-                    true = lams[which] ** a
-                    rel = float((true - pred.value) / abs(true))
-                    series.setdefault((a, which), []).append((n, rel))
-                    rows.append({"n": n, "a": a, "root": which,
-                                 "relative_residual": rel,
-                                 "precision_bits": bits})
+        bits, rels = _expansion_point("lpowers residuals", n, precision_bits, _lpowers_point, 64)
+        for (a, which), rel in zip(_LPOWERS_CELLS, rels):
+            series.setdefault((a, which), []).append((n, rel))
+            rows.append({"n": n, "a": a, "root": which,
+                         "relative_residual": rel, "precision_bits": bits})
     claimed_rel = {0: -2.5, 1: -1.5, 2: -1.5}  # claimed orders relative to the leading term
     fits, ok = _fit_series(series, ("a", "root"), lambda key: claimed_rel[key[1]])
     return LemmaResult("lpowers", {"n_grid": n_grid, "exponents": list(LPOWERS_EXPONENTS),
                                    "precision_bits": precision_bits}, rows, fits, ok)
+
+
+def _lpowers_point(rs):
+    """The relative residuals (lam^a - prediction) / |lam^a| of rs, rounded, by row."""
+    K, out = rs.frac_bits, []
+    for a, which in _LPOWERS_CELLS:
+        true, pred = rs.power(which, a), predict_power(rs.n, a, which, K)
+        out.append(_rounded(_relative(_minus(true, pred.value), true, K), 1 << K))
+    return out
 
 
 def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
@@ -443,19 +444,21 @@ def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     _require_grid("regulator", n_grid, 2, -2, "fits residuals of order n^-2")
     rows, samples = [], []
     for n in n_grid:
-        bits = _expansion_bits(n, precision_bits)
-        rs = compute_roots(n, bits)
-        reg = fixed_view(rs.reg_fixed[0], rs.frac_bits)
-        with workprec(bits + 16):
-            L = mp.log(n)
-            resid = float((reg - L * L - L / n) / L)
+        bits, (reg, resid) = _expansion_point("regulator", n, precision_bits, _regulator_point)
         samples.append((n, resid))
-        rows.append({"n": n, "regulator": float(reg),
+        rows.append({"n": n, "regulator": reg,
                      "scaled_residual": resid, "precision_bits": bits})
     fits, ok = _fit_series({("regulator",): samples}, ("kind",), lambda key: -2.0,
                            two_sided=True)
     return LemmaResult("regulator", {"n_grid": n_grid, "precision_bits": precision_bits},
                        rows, fits, ok)
+
+
+def _regulator_point(rs):
+    """R and (R - (log n)^2 - log(n)/n) / log n of the root set rs, rounded."""
+    n, K, L = rs.n, rs.frac_bits, _log_int(rs.n, rs.frac_bits)
+    resid = _minus(_minus(rs.reg_fixed, fixed_mul(L, L, K)), (L[0] // n, -(-L[1] // n) + 1))
+    return [_rounded(rs.reg_fixed, 1 << K), _rounded(_relative(resid, L, K), 1 << K)]
 
 
 def logdiff_representatives():
@@ -473,24 +476,16 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
     n_grid = n_grid or DEFAULT_N_GRIDS["logdiff"]
     pairs = pairs or logdiff_representatives()
     _require_grid("logdiff", n_grid, 1, 1 + 2 * epsilon, "scales residuals by n^(1+2 epsilon)")
-    rows = []
-    series = {}
-    seen = set()
+    rows, series, seen = [], {}, set()
     for n in n_grid:
         bound = float_power(n, 0.5 - epsilon)
         cells = [(s, t) for s, t in pairs if max(abs(s), abs(t)) <= bound]
-        with workprec(precision_bits + 16):
-            nn = mpf(n)
-            L = mp.log(nn)
+        log_n = lru_cache(maxsize=None)(lambda K, n=n: _log_int(n, K))   # once per n and K
         for s, t, tri, shift in orbit_triples(n, cells, precision_bits):
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
             seen.add(lab13)
-            l12, l13, _, _ = _logdiffs(tri, shift)
-            with workprec(precision_bits + 16):
-                p12, p13 = _predict_logdiff(nn, L, s, t, epsilon)
-                r12 = float(l12 - p12.value)
-                r13 = float(l13 - p13.value)
+            r12, r13 = _logdiff_residuals(tri, shift, s, t, epsilon, log_n)
             scale = float(n ** (1 + 2 * epsilon))
             series.setdefault((s, t, 2), []).append((n, r12 * scale))
             series.setdefault((s, t, 3), []).append((n, r13 * scale))
@@ -505,6 +500,18 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
     notes = "all 12 branches exercised" if covered else "branch coverage incomplete"
     return LemmaResult("logdiff", {"n_grid": n_grid, "pairs": pairs, "epsilon": epsilon,
                                    "precision_bits": precision_bits}, rows, fits, ok, notes)
+
+
+def _logdiff_residuals(tri, shift: int, s: int, t: int, epsilon: float, log_n):
+    """The rounded residuals of log|alpha1 - alpha2| and log|alpha1 - alpha3| of the cell
+    (s, t) of tri at shift, with log_n(K) = log n over 2^K, escalating from tri."""
+    def decide(cur):
+        K = cur.frac_bits
+        got, preds = _cell_logs(cur, shift), predict_logdiff(cur.n, s, t, K, epsilon, log_n(K))
+        out = got and [_rounded(_minus(l, p.value), 1 << K) for l, p in zip(got, preds)]
+        return out if out and None not in out else None
+
+    return escalate(lambda: f"the log-difference residuals of (n,s,t)={(tri.n, s, t)}", tri, decide)
 
 
 def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
@@ -581,30 +588,27 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
                        rows, [], ok, f"u_bar*n at n={n_grid[-1]}: {final:.6f}")
 
 
-def _absorb_rhs(n: int, wp: int):
-    """The absorption threshold (3/4) log(n) / n at wp bits, the value run_wbar
-    prints (bounds decides the absorption in the fixed point)."""
-    with workprec(wp):
-        return mpf(3) / 4 * mp.log(n) / n
-
-
 def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> LemmaResult:
     """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n."""
     n_grid = n_grid or DEFAULT_N_GRIDS["wbar"]
     _require_grid("wbar", n_grid, 1)
     rows, failures = [], []
+    F = precision_bits + _CONST_GUARD
     for n in n_grid:
-        rhs = _absorb_rhs(n, precision_bits + 16)
+        log_n = _log_int(n, F)
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, s, t, precision_bits)
-            (num, den), k = q.absorb_ratio(), 2 * q.frac_bits
-            with workprec(precision_bits + 16):
-                lhs = mpf((num >> k, k)) / den   # num = w 2^k; from (w, k), no zeros to strip
-                margin = float(rhs / lhs) if lhs > 0 else math.inf
+            # the threshold bounds._chain decides with, and the exact absorption ratio
+            (num, den), K = q.absorb_ratio(), q.frac_bits
+            a, r = _absorb_threshold(log_n, F, n, K)
+            rhs = _rounded((a, r), 1 << K)
+            margin = _rounded((a * den, r * den), num << K) if num else math.inf
+            if None in (rhs, margin):
+                raise PrecisionExhausted(f"the w_bar margin of (n,s,t)={(n, s, t)} is undecided")
             ok_pt = margin >= 1.0
             if not ok_pt:
                 failures.append((n, s, t))
-            rows.append({"n": n, "s": s, "t": t, "lhs": float(lhs), "rhs": float(rhs),
+            rows.append({"n": n, "s": s, "t": t, "lhs": ratio_float(num, den), "rhs": rhs,
                          "margin": margin, "ok": ok_pt, "precision_bits": precision_bits})
     ok = not failures
     notes = "" if ok else f"{len(failures)} grid points fail absorption, e.g. {failures[:4]}"

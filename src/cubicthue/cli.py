@@ -214,7 +214,7 @@ def _sig(v, digits: int) -> str:
 
 
 def _sci(v: Fraction, digits: int) -> str:
-    """A value v >= 10^digits as d.ddde+E, by mpmath's nstr rule for an mpf: the first
+    """A value v >= 10^digits as d.ddde+E, by the digit rule of mpmath's nstr: the first
     digits + 1 digits of floor(v), rounded up on a last digit of 5 to 9, cut to
     digits, trailing zeros stripped.  floor(v) is cut by integer division, never
     printed whole: str() refuses an int of more than 4300 digits."""
@@ -418,7 +418,7 @@ def cmd_scan(args) -> int:
                         f" (crossover marks: X yes, - no, ! chain inapplicable)"]
 
     _render(args, {"config": {"n_grid": n_grid, "smax": args.smax, "y_bound": args.ybound,
-                              "jobs": args.jobs, "precision_bits": args.precision_bits},
+                              "precision_bits": args.precision_bits},
                    "rows": rows}, SCAN_COLUMNS, rows, human)
     return 0
 

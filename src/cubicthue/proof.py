@@ -18,7 +18,7 @@ So a b0 this module reports is the true one, whatever the cancellation in
 v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
 (u_bar > 0, the w_bar absorption) are made on the same integers, without a
 division (see bounds._chain); the radii of u1, u2, d12 and d13 are not kept,
-so those decisions are not certified.  No core module makes an mpf value.
+so those decisions are not certified.
 
 The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
 one orbit have the same three conjugates in a cyclic order: those of

@@ -69,11 +69,10 @@ e < 0) once per root set (RootSet.power), so the triples powered from one
 root set share them.  lam0 is certified by its exact bracket, and lam1 and
 lam2 by an exact sign change of F between (N_j - r_j) / 2^K and
 (N_j + r_j) / 2^K.  The fixed point is all a RootSet or an AlphaTriple
-stores, and this module makes no multiprecision float: asymptotics alone
-makes the ones it fits and prints.  A root set's two root logs
-and its regulator are taken when first read, and kept, outside its ==, hash
-and repr: a solve and its records read them only for a unit's log solve or
-b0.
+stores, and no module of the package makes a multiprecision float.  A root
+set's two root logs and its regulator are taken when first read, and kept,
+outside its ==, hash and repr: a solve and its records read them only for a
+unit's log solve or b0.
 
 A root set at K serves every K' < K by a floor shift, with no second Newton
 run: N' = floor(N / 2^d) and r' = ceil(r / 2^d) + 1 for d = K - K'.  The
@@ -91,18 +90,16 @@ the base-2 log of n + 2, rounded up.  For a caller that asks for b bits,
   - the roots (alpha_precision) take weight |s| + |t| and need b + 32,
     rounded up to a multiple of 64: at one n, nearby weights then share a
     floor shift of the root set and its powers, or a cached root set;
-  - b0 and the window (proof_precision) take weight 2 and need b + 32, as
-    the conjugate differences lose bits to cancellation.  Their triple is
-    powered at alpha_precision of those bits, so its roots sit at about
-    b + 64 + (|s| + |t| + 2) log2(n + 2), rounded up to a multiple of 64:
-    two more powers of n + 2 than the conjugates a caller asking b bits
-    gets.  The size of the conjugates is counted once, by alpha_precision,
-    which gives each conjugate a relative error below 2^-(its bits) however
-    small it is; a difference is then smaller than the larger of its two
-    conjugates by at most about one power of n (the doubled branches of
-    asymptotics' table; below 0.97 powers on st_box(8) up to n = 10^20), so
-    the weight 2 holds a power in hand.  It is a starting point, not the
-    guarantee: the radii decide, and escalate retries where they do not;
+  - b0 and the window (proof_precision) take weight 2 and need b + 32: their
+    triple, powered at alpha_precision of those bits (which counts the
+    conjugates' size), has two powers of n + 2 more than a caller's at b.  A
+    conjugate difference loses about one power of n at most (below 0.97 on
+    st_box(8) up to n = 10^20), but b0 is decided only where
+    min(v_bar, R - v_bar), about n^-k for the cell's depth k, lies beyond the
+    radius of v1 + v2, which takes about b + (k + 1) log2(n + 2) bits.  k <= 1
+    on 46 of the 64 cells of st_box(4) at n = 10^100 but is 13 at (-4, 4), and
+    109 triples of st_box(4) escalate over n = 10^4 .. 10^400.  So the weight 2
+    is a starting point: the radii decide, and escalate retries where they do not;
   - the candidates (candidate_precision) take |s| + |t| and the bits of the
     convergents, 2 log2(y_bound + 1) + 64, and at least b.
 
@@ -519,10 +516,9 @@ def candidate_precision(n: int, s: int, t: int, y_bound: int, precision_bits: in
 
 
 def proof_precision(n: int, precision_bits: int) -> int:
-    """The bits of the proof quantities of every cell of n: the caller's bits and two
-    powers of n + 2, for the bits the conjugate differences lose to cancellation.
-    The size of the conjugates is counted by alpha_precision when their triple is
-    powered; the radii, with escalate, remain the guarantee (see "Precision")."""
+    """The first bits of the proof quantities of every cell of n: the caller's bits
+    and two powers of n + 2.  A cell of depth k needs about k - 1 powers more for
+    b0; the radii, with escalate, are the guarantee (see "Precision")."""
     return working_bits(n, 2, precision_bits + 32)
 
 

@@ -1,10 +1,28 @@
 """Shared test helpers: independent oracles for the roots and for the solutions, and
-the mpf values of a root set's and a triple's fixed point and of an upper bound."""
+the mpf values of a root set's and a triple's fixed point and of an upper bound.
+
+mpmath is the tests' oracle: the package computes in integers only."""
 
 from mpmath import mp
+from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
-from cubicthue.asymptotics import fixed_view
 from cubicthue.forms import build_form, eval_form
+
+
+def fixed_view(num, frac_bits):
+    """num / 2^frac_bits as an mpf, exactly, whatever the working precision."""
+    return mp.make_mpf(from_man_exp(num, -frac_bits))
+
+
+def root_values(rs):
+    """lam0, lam1, lam2 of the root set rs as mpf values: lam0 = N / 2^K exactly, lam1
+    and lam2 1/x of the exact values of their inverses (of size at least 1), rounded to
+    nearest at rs.precision_bits + 32 bits, so that lam1 ~ -1/n keeps its relative
+    accuracy where it is below one unit of 2^-K."""
+    K, prec = rs.frac_bits, rs.precision_bits + 32
+    return (fixed_view(rs.lam_fixed[0][0], K),
+            *(mp.make_mpf(mpf_div(fone, from_man_exp(num, -K), prec, round_nearest))
+              for num, _ in rs.inv_fixed[1:]))
 
 
 def alpha_values(tri):

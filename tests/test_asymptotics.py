@@ -12,20 +12,19 @@ from mpmath import mp, mpf, workprec
 from cubicthue import asymptotics, proof
 from cubicthue.asymptotics import (
     Branch,
-    _absorb_rhs,
     check_error_products,
     classify_case,
     compute_proof_quantities,
     fit_error_exponent,
-    fixed_view,
     logdiff_representatives,
     predict_logdiff,
     predict_power,
     predict_root_expansion,
-    root_values,
     run_errorbound,
+    run_lapprox,
     run_logdiff,
     run_lpowers,
+    run_regulator,
     run_ubar,
     run_vbar,
     run_wbar,
@@ -33,11 +32,11 @@ from cubicthue.asymptotics import (
     true_logdiffs,
 )
 from cubicthue.bounds import ratio_float
-from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples
+from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
 from cubicthue.roots import (
-    compute_alphas, compute_roots, fixed_log, orbit_triples, proof_precision,
+    compute_alphas, compute_roots, doublings, fixed_log, orbit_triples, proof_precision,
 )
-from conftest import exact_roots
+from conftest import exact_roots, fixed_view, root_values
 
 # Pairs on which the gap-product bounds and the w_bar absorption genuinely
 # fail at every n (the doubled branches with |s| or |t| too small); measured,
@@ -45,37 +44,62 @@ from conftest import exact_roots
 GAP_BOUND_VIOLATORS = {(1, 2), (2, 4), (-2, -1), (-4, -2)}
 
 
+def view(pair, frac_bits):
+    """The value of a (numerator, radius) pair over 2^frac_bits, as an exact mpf."""
+    return fixed_view(pair[0], frac_bits)
+
+
+def assert_within_radius(pair, frac_bits, exact):
+    """exact, an mpf at the working precision, lies within the radius of pair."""
+    assert abs(exact * 2**frac_bits - pair[0]) <= pair[1]
+
+
 def test_root_expansion_formulas():
-    n = 1000
-    with workprec(96):
-        v0, l0 = predict_root_expansion(n, 0)
-        assert abs(v0.value - (n + 2 / mpf(n))) < 1e-12
-        assert abs(l0.value - (mp.log(n) + 2 / mpf(n) ** 2)) < 1e-12
-        v1, l1 = predict_root_expansion(n, 1)
-        assert abs(v1.value - (-1 / mpf(n) + 1 / mpf(n) ** 2)) < 1e-15
-        assert abs(l1.value - (-mp.log(n) - 1 / mpf(n) - 3 / (2 * mpf(n) ** 2))) < 1e-12
-        v2, l2 = predict_root_expansion(n, 2)
-        assert abs(v2.value - (-1 - 1 / mpf(n))) < 1e-15
-        assert abs(l2.value - (1 / mpf(n) - 1 / (2 * mpf(n) ** 2))) < 1e-15
+    n, K = 1000, 96
+    with workprec(256):
+        nn, L = mpf(n), mp.log(n)
+        v0, l0 = predict_root_expansion(n, 0, K)
+        assert abs(view(v0.value, K) - (n + 2 / nn)) < 1e-12
+        assert abs(view(l0.value, K) - (L + 2 / nn**2)) < 1e-12
+        v1, l1 = predict_root_expansion(n, 1, K)
+        assert abs(view(v1.value, K) - (-1 / nn + 1 / nn**2)) < 1e-15
+        assert abs(view(l1.value, K) - (-L - 1 / nn - 3 / (2 * nn**2))) < 1e-12
+        v2, l2 = predict_root_expansion(n, 2, K)
+        assert abs(view(v2.value, K) - (-1 - 1 / nn)) < 1e-15
+        assert abs(view(l2.value, K) - (1 / nn - 1 / (2 * nn**2))) < 1e-15
+        # each term holds its exact value within its radius
+        for p, lead, corr in ((v0, nn, 2 / nn), (l0, L, 2 / nn**2),
+                              (v1, -1 / nn, 1 / nn**2), (l1, -L, -1 / nn - 3 / (2 * nn**2)),
+                              (v2, mpf(-1), -1 / nn), (l2, mpf(0), 1 / nn - 1 / (2 * nn**2))):
+            assert_within_radius(p.leading, K, lead)
+            assert_within_radius(p.correction, K, corr)
 
 
 def test_root_expansion_residual_scale():
     # lam0 - (n + 2/n) = -1/n^2 + O(n^-3)
     for n in (10**3, 10**4):
-        lam0, _, _ = root_values(compute_roots(n, 128))
-        with workprec(160):
-            v0, _ = predict_root_expansion(n, 0)
-            assert abs(float(lam0 - v0.value) * n * n + 1.0) < 0.02
+        rs = compute_roots(n, 128)
+        v0, _ = predict_root_expansion(n, 0, rs.frac_bits)
+        residual = ratio_float(rs.lam_fixed[0][0] - v0.value[0], 1 << rs.frac_bits)
+        assert abs(residual * n * n + 1.0) < 0.02
 
 
 def test_predict_power_formulas():
-    n = 500
-    with workprec(96):
-        p = predict_power(n, 3, 0)
-        assert abs(p.value - (mpf(n) ** 3 + 6 * mpf(n))) < 1e-9
-        assert predict_power(n, 0, 2).value == 1
-        p11 = predict_power(n, 1, 1)
-        assert abs(p11.value - (-(1 / mpf(n) - 1 / mpf(n) ** 2))) < 1e-15
+    n, K = 500, 96
+    with workprec(256):
+        p = predict_power(n, 3, 0, K)
+        assert abs(view(p.value, K) - (mpf(n) ** 3 + 6 * mpf(n))) < 1e-9
+        assert predict_power(n, 0, 2, K).value == (1 << K, 0)
+        p11 = predict_power(n, 1, 1, K)
+        assert abs(view(p11.value, K) - (-(1 / mpf(n) - 1 / mpf(n) ** 2))) < 1e-15
+        for a in (1, 2, 3, -1, -2):
+            nn, sg = mpf(n), (-1) ** a
+            for which, lead, corr in ((0, nn**a, 2 * a * nn ** (a - 2)),
+                                      (1, sg * nn ** -a, -sg * a * nn ** (-a - 1)),
+                                      (2, mpf(sg), sg * a / nn)):
+                pred = predict_power(n, a, which, K)
+                assert_within_radius(pred.leading, K, lead)
+                assert_within_radius(pred.correction, K, corr)
 
 
 def test_predict_power_accuracy():
@@ -83,9 +107,50 @@ def test_predict_power_accuracy():
     with workprec(192):
         for a in (2, -3):
             for which in (0, 1, 2):
-                pred = predict_power(2000, a, which)
+                pred = predict_power(2000, a, which, 192)
                 true = lams[which] ** a
-                assert abs((true - pred.value) / true) < 1e-5
+                assert abs((true - view(pred.value, 192)) / true) < 1e-5
+
+
+def test_rounded_is_the_float_both_ends_of_the_radius_round_to():
+    one = 1 << 53
+    assert asymptotics._rounded((1, 0), 3) == 1 / 3
+    # 1 + 2^-53 is the tie between 1 and 1 + 2^-52: an exact tie rounds to even, but
+    # a radius of one unit straddles it, so the value is not known to round either way
+    assert asymptotics._rounded((one + 1, 0), one) == 1.0
+    assert asymptotics._rounded((one + 1, 1), one) is None
+    assert asymptotics._rounded((4 * one + 1, 1), 4 * one) == 1.0
+
+
+def _blurred(rs):
+    """The root set rs with radii so wide that no residual of its roots is decided."""
+    wide = 1 << (rs.frac_bits - 8)
+    return dataclasses.replace(rs, lam_fixed=tuple((num, wide) for num, _ in rs.lam_fixed))
+
+
+@pytest.mark.parametrize("harness,extra", [(run_lapprox, 0), (run_lpowers, 64),
+                                           (run_regulator, 0)])
+def test_undecided_expansion_point_retries_at_doubled_bits(monkeypatch, harness, extra):
+    # a point whose first root set leaves a residual undecided is taken again from the
+    # root set at twice the bits; its rows are the same, their precision_bits too
+    grid = [100, 1000, 10**4, 10**5, 10**6]
+    want = harness(n_grid=grid)
+    real, asked = asymptotics.compute_roots, []
+
+    def first_blurred(n, bits):
+        asked.append(bits)
+        return _blurred(real(n, bits)) if bits == 192 + extra else real(n, bits)
+
+    monkeypatch.setattr(asymptotics, "compute_roots", first_blurred)
+    assert harness(n_grid=grid).rows == want.rows
+    assert asked == doublings(192 + extra)[:2] * len(grid)
+    # radii that never shrink: every doubling, then PrecisionExhausted
+    asked.clear()
+    monkeypatch.setattr(asymptotics, "compute_roots",
+                        lambda n, bits: asked.append(bits) or _blurred(real(n, bits)))
+    with pytest.raises(PrecisionExhausted, match=f"at n=100 undecided at {8 * (192 + extra)} bits"):
+        harness(n_grid=grid)
+    assert asked == doublings(192 + extra)
 
 
 def test_lpowers_slopes_keep_their_measured_orders():
@@ -126,24 +191,26 @@ def test_classification_partitions_the_plane():
 
 
 def test_predict_logdiff_wide_branch():
-    n = 10**4
-    with workprec(96):
-        p12, p13 = predict_logdiff(n, 3, 1)
-        assert abs(p12.value - (2 * mp.log(n) - 1 / mpf(n))) < 1e-12
+    n, K = 10**4, 96
+    with workprec(256):
+        p12, p13 = predict_logdiff(n, 3, 1, K)
+        assert abs(view(p12.value, K) - (2 * mp.log(n) - 1 / mpf(n))) < 1e-12
         # second difference sits on the boundary s = 2t+1: correction -(t+1)/n
-        assert abs(p13.value - (2 * mp.log(n) - 2 / mpf(n))) < 1e-12
+        assert abs(view(p13.value, K) - (2 * mp.log(n) - 2 / mpf(n))) < 1e-12
+        assert_within_radius(p13.value, K, 2 * mp.log(n) - 2 / mpf(n))
 
 
 def test_predict_logdiff_doubled_even_branch():
     # (s,t) = (2,4): |a1 - a2| = 6 n^-3 (1 - 3/(2n) + ...); the coefficient is
     # |s + t| = 6, not |s| = 2 (measured; the 400-bit oracle below agrees)
     n = 10**4
-    with workprec(160):
-        p12, _ = predict_logdiff(n, 2, 4)
+    K, (l12, _, _, _) = true_logdiffs(n, 2, 4, 160)
+    p12, _ = predict_logdiff(n, 2, 4, K)
+    with workprec(2 * K):
         expected = -3 * mp.log(n) + mp.log(6) - mpf(3) / (2 * n)
-        assert abs(p12.value - expected) < 1e-12
-    l12, _, _, _ = true_logdiffs(n, 2, 4, 160)
-    assert abs(float(l12 - p12.value)) * n * n < 10
+        assert abs(view(p12.value, K) - expected) < 1e-12
+        assert_within_radius(p12.value, K, expected)
+    assert abs(ratio_float(l12[0] - p12.value[0], 1 << K)) * n * n < 10
 
 
 @pytest.mark.parametrize("s,t", sorted(set(
@@ -154,51 +221,64 @@ def test_logdiff_residuals_quadratic_decay(s, t):
     # every branch: residual * n^2 stays bounded (checked at two scales)
     vals = []
     for n in (10**3, 10**4):
-        l12, l13, _, _ = true_logdiffs(n, s, t, 192)
-        with workprec(224):
-            p12, p13 = predict_logdiff(n, s, t)
-            vals.append((abs(float(l12 - p12.value)) * n * n,
-                         abs(float(l13 - p13.value)) * n * n))
+        K, (l12, l13, _, _) = true_logdiffs(n, s, t, 192)
+        p12, p13 = predict_logdiff(n, s, t, K)
+        vals.append((abs(ratio_float(l12[0] - p12.value[0], 1 << K)) * n * n,
+                     abs(ratio_float(l13[0] - p13.value[0], 1 << K)) * n * n))
     for r12, r13 in vals:
         assert r12 < 20 and r13 < 20
 
 
 def reference_p13(n, s, t):
     """(leading, correction) of log|alpha1 - alpha3| by the six diff13 branches written
-    out, the reference for predict_logdiff, which derives them from the diff12 ones."""
-    nn = mpf(n)
-    L = mp.log(nn)
+    out, the reference for predict_logdiff, which derives them from the diff12 ones:
+    each as (k, m, p, q), for k log n + log m and p / q."""
     sg = 1 if t % 2 == 0 else -1
     b = classify_case(s, t)[1].branch
     if b is Branch.WIDE_ABOVE:
-        return (s - t) * L, mpf(-t) / nn
+        return (s - t, 1, -t, n)
     if b is Branch.EDGE_ABOVE:
-        return (s - t) * L, mpf(-(t - sg)) / nn
+        return (s - t, 1, -(t - sg), n)
     if b is Branch.DOUBLED_ODD:
-        return t * L + mp.log(2), mpf(s - t) / (2 * nn)
+        return (t, 2, s - t, 2 * n)
     if b is Branch.DOUBLED_EVEN:
         # leading coefficient |s + t| = 3|t|; next order +(t-1)/(2n)
-        return (t - 1) * L + mp.log(abs(s + t)), mpf(t - 1) / (2 * nn)
+        return (t - 1, abs(s + t), t - 1, 2 * n)
     if b is Branch.EDGE_BELOW:
-        return t * L, mpf(s + sg) / nn
-    return t * L, mpf(s) / nn
+        return (t, 1, s + sg, n)
+    return (t, 1, s, n)
+
+
+def reference_pairs(n, k, m, p, q, K):
+    """k log n + log m and p / q over 2^K, in the fixed point a Prediction holds: the
+    logs by fixed_log, the quotient floored, with radius 1 where that is inexact."""
+    L = fixed_log((n << K, 0), K)
+    leading = (k * L[0], abs(k) * L[1])
+    if m > 1:
+        g = fixed_log((m << K, 0), K)
+        leading = (leading[0] + g[0], leading[1] + g[1])
+    num, rem = divmod(p << K, q)
+    return leading, (num, int(rem != 0))
 
 
 @pytest.mark.parametrize("n", [10**3, 10**6, 10**20, 10**64])
 def test_diff13_predictions_match_the_written_out_branches_bit_for_bit(n):
-    branches = set()
-    with workprec(208):
-        for s, t in st_box(8):
-            _, p13 = predict_logdiff(n, s, t)
-            leading, correction = reference_p13(n, s, t)
-            assert (p13.leading._mpf_, p13.correction._mpf_) == (leading._mpf_, correction._mpf_)
-            branches.add(classify_case(s, t)[1].branch)
+    branches, K = set(), 208
+    for s, t in st_box(8):
+        _, p13 = predict_logdiff(n, s, t, K)
+        k, m, p, q = reference_p13(n, s, t)
+        assert (p13.leading, p13.correction) == reference_pairs(n, k, m, p, q, K)
+        branches.add(classify_case(s, t)[1].branch)
+        # and each pair holds the exact value of its written-out term
+        with workprec(2 * K + 256):
+            assert_within_radius(p13.leading, K, k * mp.log(n) + mp.log(m))
+            assert_within_radius(p13.correction, K, mpf(p) / q)
     assert branches == set(Branch)
 
 
 def test_predict_logdiff_rejects_degenerate():
     with pytest.raises(DegenerateTwist):
-        predict_logdiff(100, 0, 1)
+        predict_logdiff(100, 0, 1, 96)
 
 
 def test_error_products_pass_cases():
@@ -239,15 +319,15 @@ def test_proof_quantities_definitions():
 def test_proof_quantities_keep_the_precision_of_the_differences():
     # d12 and d13 feed the w_bar absorption test, so they are the triple's exact
     # differences over 2^K, with no rounding to 53 bits
-    _, _, d12, d13 = true_logdiffs(10**4, 2, 1, 192)
+    K, (_, _, d12, d13) = true_logdiffs(10**4, 2, 1, 192)
     tri = compute_alphas(10**4, 2, 1, proof_precision(10**4, 192))
     q = compute_proof_quantities(10**4, 2, 1)
     a1, a2, a3 = tri.numerators
-    assert q.frac_bits == tri.frac_bits
+    assert q.frac_bits == tri.frac_bits == K
     assert (q.diff12_num, q.diff13_num) == (a1 - a2, a1 - a3)
     for d, num in ((d12, q.diff12_num), (d13, q.diff13_num)):
-        assert d == fixed_view(num, q.frac_bits)
-        assert d._mpf_[3] > tri.precision_bits - 8 > 53
+        assert d[0] == num
+        assert fixed_view(num, K)._mpf_[3] > tri.precision_bits - 8 > 53
 
 
 def test_cold_proof_quantities_compute_one_root_set():
@@ -305,16 +385,34 @@ def test_vbar_collapse_pairs_documented():
 ])
 def test_wbar_rows_agree_with_the_exact_absorption_test(n_grid, st_bound):
     # each row's ok, from its float margin, is the exact comparison num/den <= rhs
-    # that bounds._chain makes on the cell's proof quantities
+    # that bounds._chain makes on the cell's proof quantities; rhs and lhs are the
+    # correctly rounded floats of (3/4) log(n)/n, from a 400-bit oracle, and of num/den
     res = run_wbar(n_grid=n_grid, st_bound=st_bound)
-    exact = []
+    exact, rounded = [], []
     for n in res.config["n_grid"]:
-        man, exp = _absorb_rhs(n, 208).man_exp
+        with workprec(400):
+            man, exp = (mpf(3) / 4 * mp.log(n) / n).man_exp
+        rhs = man * Fraction(2) ** exp
         for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(st_bound), 192):
             num, den = asymptotics.cell_quantities(tri, shift, s, t, 192).absorb_ratio()
-            exact.append((n, s, t, Fraction(num, den) <= man * Fraction(2) ** exp))
+            exact.append((n, s, t, Fraction(num, den) <= rhs))
+            rounded.append((float(rhs), float(Fraction(num, den))))
     assert [(r["n"], r["s"], r["t"], r["ok"]) for r in res.rows] == exact
+    assert [(r["rhs"], r["lhs"]) for r in res.rows] == rounded
     assert any(ok for *_, ok in exact) and not all(ok for *_, ok in exact)
+
+
+def test_wbar_margin_within_the_radius_of_the_threshold_is_precision_exhausted(monkeypatch):
+    # rhs and the margin print as correctly rounded floats or not at all
+    real = asymptotics._absorb_threshold
+
+    def wide(*args):
+        a, _ = real(*args)
+        return a, a // 2
+
+    monkeypatch.setattr(asymptotics, "_absorb_threshold", wide)
+    with pytest.raises(PrecisionExhausted, match=r"w_bar margin of \(n,s,t\)=\(10000, -1, -1\)"):
+        run_wbar(n_grid=[10**4], st_bound=1)
 
 
 def test_wbar_absorption_split():

@@ -11,7 +11,7 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from cubicthue import bounds, cli
-from cubicthue.asymptotics import compute_proof_quantities, fixed_view, st_box
+from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.bounds import (
     bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan, ratio_float,
 )
@@ -19,7 +19,7 @@ from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhaus
 from cubicthue.forms import build_form, height
 from cubicthue.roots import compute_roots
 from cubicthue.solver import solve_box
-from conftest import dyadic_value, regulator_value
+from conftest import dyadic_value, fixed_view, regulator_value
 
 
 def test_c3_values():

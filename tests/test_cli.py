@@ -1,6 +1,7 @@
 """CLI behaviour: formats, exit codes, grids, determinism."""
 
 import ast
+import csv
 import functools
 import hashlib
 import io
@@ -112,6 +113,14 @@ def test_scan_deterministic_across_jobs(capsys, tmp_path):
         lines = p1.read_text().splitlines()
         assert lines[0].startswith("n,s,t,A,B,solutions,nontrivial")
         assert len(lines) == 1 + len(parse_grid(grid)) * 4 * smax * smax
+
+
+def test_scan_json_deterministic_across_jobs(capsys):
+    # the JSON config records no worker count, so its bytes are those of one worker
+    args = ["--format", "json", "scan", "--n", "50:53", "--smax", "2", "--ybound", "1000"]
+    outs = [run(capsys, ["--jobs", jobs, *args]) for jobs in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert "jobs" not in json.loads(outs[0][1])["config"]
 
 
 def test_scan_rerun_byte_identical(capsys, tmp_path):
@@ -766,14 +775,33 @@ def test_precision_bits_take_the_grid_value_grammar(capsys, monkeypatch, flag):
 
 @pytest.mark.parametrize("flag", ["--jobs", "CUBICTHUE_JOBS"])
 def test_jobs_take_the_grid_value_grammar(capsys, monkeypatch, flag):
+    # 2e0 is read as 2 workers: the scan's process pool is asked for two
+    import concurrent.futures
+
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     argv = ["--format", "json", "scan", "--n", "5", "--smax", "1", "--ybound", "1"]
     if flag.startswith("--"):
         argv = [flag, "2e0", *argv]
     else:
         monkeypatch.setenv(flag, "2e0")
-    code, out, _ = run(capsys, argv)
+    code, _, _ = run(capsys, argv)
     assert code == 0
-    assert json.loads(out)["config"]["jobs"] == 2
+    assert asked == [2]
 
 
 def test_jobs_that_are_not_an_integer_exit_two(capsys):
@@ -937,7 +965,7 @@ OUTPUT_PINS = {
     }),
     "scan --n 50:53 --smax 2 --ybound 1000": (0, {
         "human": "c6d23919591191db8b4c628b4281663626054ecc41dc2739c0ea845b57a17be9",
-        "json": "12ac8f6c04ec8fdadda0209cf031b193236b17d47f144542e4582a4fe6fdd92e",
+        "json": "5681db81f110a6980acc132158d690ca420e31c255afdc37357cd038d6726764",
         "csv": "4629af1b0f0cd5862ec1095efd99a56dbcd4b1572195df091619a8264da00bc5",
     }),
     # the lemma harnesses on their default grids
@@ -972,10 +1000,11 @@ OUTPUT_PINS = {
         "json": "2fb43edfad24140f70e76cc53d6316548e6df09e2e1f57b3f1f2a6c968cf3c70",
         "csv": "1449ef7b6f29a9184d437aea52af957e4662f8d23ad3eaad4012a3291c0a2d75",
     }),
+    # (its lhs at n = 1e44, (1, -1) is 1.5e-308, correctly rounded into the subnormals)
     "lemma wbar --n 1e16:1e64:log10 --smax 2": (1, {
         "human": "549ac0757673354c8b46f39c17eea4c2bb7d4adc99d944f621578c7f9cf36598",
-        "json": "792f11245fec11c9d041cc4f8b479b2f218e710b406a9f70b1eca104360eb2f8",
-        "csv": "340187fdbdf7d753dd84f6db3a7c83a5a1b598878cdb4068d3175b4385b43fc3",
+        "json": "bfe9c033cd32b6cc63acfca41d2a7a8b3c307ccff669481eae28b529e397fc88",
+        "csv": "bc1bc7b59baf7a8da87ed6404e2dd1a9c46d3a20efc52978b6e29d55ac639ea1",
     }),
     # a chain value beyond float range, printed to 17 digits from an exact Fraction
     "bound 1e320 2 1": (0, {
@@ -1063,6 +1092,21 @@ def test_report_bytes_do_not_depend_on_mpmath_precision(capsys, monkeypatch, pre
     code, out, _ = run(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_PINS[command]
+
+
+@pytest.mark.parametrize("name", ["errorbound", "lapprox", "logdiff", "lpowers", "regulator",
+                                  "ubar", "vbar", "wbar"])
+def test_lemma_bytes_do_not_depend_on_precision(capsys, monkeypatch, name):
+    # each residual is the correctly rounded float of a certified value, so the rows
+    # differ only in their precision_bits column
+    monkeypatch.delenv("CUBICTHUE_PRECISION_BITS", raising=False)
+    outs = []
+    for bits in ("64", "192", "1024"):
+        code, out, _ = run(capsys, ["--precision-bits", bits, "--format", "csv", "lemma", name])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(row.pop("precision_bits") for row in rows)
+        outs.append((code, rows))
+    assert outs[0] == outs[1] == outs[2]
 
 
 @st.composite
@@ -1196,12 +1240,16 @@ def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
 
 
 def test_integer_core_imports_nothing_from_mpmath():
-    # all six core modules compute in integers, and cli prints their exact values
-    # from integers: mpmath is left to the predictors, fits and harnesses
-    assert imports_of(TRUSTED_CORE, ("mpmath",)) == []
-    assert imports_of(["cli"], ("mpmath",)) == []
+    # every module computes in integers, the harnesses too, and cli prints their
+    # values from integers: mpmath is the tests' oracle, not a dependency
     every = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
-    assert {site.split(".py")[0] for site in imports_of(every, ("mpmath",))} == {"asymptotics"}
+    assert set(TRUSTED_CORE) | {"asymptotics", "cli"} <= set(every)
+    assert imports_of(every, ("mpmath",)) == []
+    src = os.path.dirname(PACKAGE)
+    probe = "import sys, cubicthue, cubicthue.cli\nprint('mpmath' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert proc.stdout == b"False\n"
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])

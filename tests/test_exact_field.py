@@ -6,8 +6,8 @@ from mpmath import mp, workprec
 
 import cubicthue.exact_field as ef
 from cubicthue.errors import MismatchedParameters, NotAUnit
-from cubicthue.asymptotics import root_values
 from cubicthue.roots import compute_roots
+from conftest import root_values
 
 small_ints = st.integers(min_value=-50, max_value=50)
 small_n = st.integers(min_value=0, max_value=30)

@@ -24,7 +24,9 @@ from cubicthue.cli import main
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, PrecisionExhausted
 from cubicthue.forms import build_form
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, proof_precision
-from conftest import alpha_values, dyadic_value, exact_roots, log_values, regulator_value
+from conftest import (
+    alpha_values, dyadic_value, exact_roots, log_values, regulator_value, root_values,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +37,7 @@ def oracle_alphas(n, s, t, precision_bits):
     """alpha1, alpha2, alpha3 by mpf powers of the roots, and the root set."""
     wp = alpha_precision(n, s, t, precision_bits)
     rs = compute_roots(n, wp)
-    lam0, lam1, lam2 = asymptotics.root_values(rs)
+    lam0, lam1, lam2 = root_values(rs)
     with workprec(wp + 16):
         return lam0**s * lam1**t, lam1**s * lam2**t, lam2**s * lam0**t, rs
 
@@ -80,6 +82,12 @@ def oracle_chain(n, q, absorb_rhs, wp):
         return value
 
 
+def oracle_absorb_rhs(n, wp):
+    """The absorption threshold (3/4) log(n)/n at wp bits."""
+    with workprec(wp):
+        return mpf(3) / 4 * mp.log(n) / n
+
+
 def kernel_outcome(n, s, t, q, precision_bits):
     """(failure name, lower as a float, crossover) of the bounds kernel on q."""
     const = bounds._n_constants(compute_roots(n, precision_bits), 1, precision_bits)
@@ -97,7 +105,7 @@ def oracle_outcome(n, s, t, ref, precision_bits):
     wp = precision_bits + 16
     upper = bounds.bg_upper_bound(n, s, t, precision_bits=precision_bits)
     try:
-        value = oracle_chain(n, ref, asymptotics._absorb_rhs(n, wp), wp)
+        value = oracle_chain(n, ref, oracle_absorb_rhs(n, wp), wp)
     except ChainPreconditionFailed as exc:
         return exc.inequality, None, False
     return "", float(value), bool(value > dyadic_value(upper))
@@ -285,8 +293,10 @@ def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop(monkeypatch):
 
 def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypatch):
     # radii wider than the differences leave the orbit's triple undecided: the cell
-    # takes its logs from the representative's triple at twice its bits
+    # takes its logs from the representative's triple at twice its bits, and its
+    # residuals, correctly rounded, are those of the triple it came from
     n = 10**4
+    log_n = lambda K: bounds._log_int(n, K)
     asked = []
     real = roots.compute_alphas
 
@@ -298,9 +308,11 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
     for s, t, tri, shift in asymptotics.orbit_triples(n, logdiff_representatives(), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
         asked.clear()
-        got = asymptotics._logdiffs(wide, shift)
+        got = asymptotics._logdiff_residuals(wide, shift, s, t, 0.25, log_n)
         assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
-        assert got == asymptotics._logdiffs(real(n, tri.s, tri.t, 2 * tri.precision_bits), shift)
+        doubled = real(n, tri.s, tri.t, 2 * tri.precision_bits)
+        assert got == asymptotics._logdiff_residuals(doubled, shift, s, t, 0.25, log_n)
+        assert got == asymptotics._logdiff_residuals(tri, shift, s, t, 0.25, log_n)
     # with radii that never shrink: PRECISION_ATTEMPTS triples, then PrecisionExhausted
 
     def blurred(*args):

@@ -10,13 +10,15 @@ from mpmath import mp, mpf, workprec
 
 import cubicthue.exact_field as ef
 import cubicthue.roots as roots
-from cubicthue.asymptotics import fixed_view, root_values, st_box
+from cubicthue.asymptotics import st_box
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.forms import build_form, discriminant
 from cubicthue.roots import (
     alpha_precision, compute_alphas, compute_roots, orbit_triples, proof_precision,
 )
-from conftest import alpha_values, exact_roots, log_values, regulator_value
+from conftest import (
+    alpha_values, exact_roots, fixed_view, log_values, regulator_value, root_values,
+)
 
 
 def test_localisation_brackets():
