@@ -38,7 +38,8 @@ from .bounds import _CONST_GUARD, _absorb_threshold, _log_int, float_power, rati
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
 from .forms import st_box
 from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
-from .roots import compute_roots, doublings, escalate, fixed_mul, orbit_triples, working_bits
+from .roots import (attempts, compute_roots, doublings, escalate, fixed_mul, orbit_triples,
+                    working_bits)
 
 DEFAULT_EPSILON = 0.25
 
@@ -139,28 +140,28 @@ def predict_root_expansion(n: int, which: int, frac_bits: int):
             Prediction((k * L, abs(k) * r), _ratio(p, 2 * n * n, K), -3.0))
 
 
-def predict_power(n: int, a: int, which: int, frac_bits: int,
-                  epsilon: float = DEFAULT_EPSILON) -> Prediction:
-    """Two-term prediction of lam_which^a, signs folded in, over 2^frac_bits."""
+def predict_power(n: int, a: int, which: int, frac_bits: int) -> Prediction:
+    """Two-term prediction of lam_which^a, signs folded in, over 2^frac_bits; its
+    claimed error order is taken at DEFAULT_EPSILON."""
     if which not in (0, 1, 2):
         raise ValueError("root index must be 0, 1 or 2")
     sg = _sgn_pow(a)
     # the leading term c n^e and the correction c' n^e', whose order is e' - 2 epsilon
     c, e, c2, e2 = ((1, a, 2 * a, a - 2), (sg, -a, -sg * a, -a - 1), (sg, 0, sg * a, -1))[which]
-    return Prediction(_term(c, n, e, frac_bits), _term(c2, n, e2, frac_bits), e2 - 2 * epsilon)
+    return Prediction(_term(c, n, e, frac_bits), _term(c2, n, e2, frac_bits),
+                      e2 - 2 * DEFAULT_EPSILON)
 
 
-def predict_logdiff(n: int, s: int, t: int, frac_bits: int, epsilon: float = DEFAULT_EPSILON,
-                    log_n=None):
+def predict_logdiff(n: int, s: int, t: int, frac_bits: int, log_n=None):
     """Branch predictions for log|alpha1 - alpha2| and log|alpha1 - alpha3|, over
     2^frac_bits, from log_n = log n over 2^frac_bits where the caller has it.
 
-    Claimed error order is -(1 + 2*epsilon) for exponents up to n^(1/2-epsilon);
-    for fixed (s, t) the measured residuals decay like n^-2.
+    Claimed error order is -(1 + 2*epsilon) for exponents up to n^(1/2-epsilon),
+    taken at DEFAULT_EPSILON; for fixed (s, t) the measured residuals decay like n^-2.
     """
     if s * t == 0:
         raise DegenerateTwist("log-difference expansions need s*t != 0")
-    L, err = log_n or _log_int(n, frac_bits), -(1 + 2 * epsilon)
+    L, err = log_n or _log_int(n, frac_bits), -(1 + 2 * DEFAULT_EPSILON)
     # |alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t) (module docstring)
     return _predict12(n, L, frac_bits, s, t, err), _predict12(n, L, frac_bits, t - s, -s, err)
 
@@ -200,20 +201,18 @@ def _relative(d, v, frac_bits: int):
 def _expansion_point(what: str, n: int, precision_bits: int, point, extra: int = 0):
     """(bits, point(rs)), bits the bits residuals down to order n^-3 need, at least
     precision_bits, and rs the first root set of n over doublings(bits + extra) whose
-    rounded values point(rs) hold no None; else PrecisionExhausted, as in escalate."""
+    rounded values point(rs) hold no None: a decision that escalates over root sets."""
     bits = max(precision_bits, working_bits(n, 3, 64))
-    for b in doublings(bits + extra):
-        out = point(compute_roots(n, b))
-        if None not in out:
-            return bits, out
-    raise PrecisionExhausted(f"the {what} at n={n} undecided at {b} bits")
+    tries = (compute_roots(n, b) for b in doublings(bits + extra))
+    return bits, escalate(lambda: f"the {what} at n={n}", tries,
+                          lambda rs: None if None in (out := point(rs)) else out)
 
 
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences as
     (K, (l12, l13, d12, d13)), pairs over 2^K of the first triple that decides them."""
     tri = _one_cell(n, s, t, precision_bits, "conjugate differences")
-    return escalate(lambda: f"the conjugate differences of (n,s,t)={(n, s, t)}", tri,
+    return escalate(lambda: f"the conjugate differences of (n,s,t)={(n, s, t)}", attempts(tri),
                     lambda cur: (got := _cell_logs(cur, 0)) and (cur.frac_bits, got))
 
 
@@ -485,7 +484,7 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
             seen.add(lab13)
-            r12, r13 = _logdiff_residuals(tri, shift, s, t, epsilon, log_n)
+            r12, r13 = _logdiff_residuals(tri, shift, s, t, log_n)
             scale = float(n ** (1 + 2 * epsilon))
             series.setdefault((s, t, 2), []).append((n, r12 * scale))
             series.setdefault((s, t, 3), []).append((n, r13 * scale))
@@ -502,16 +501,17 @@ def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
                                    "precision_bits": precision_bits}, rows, fits, ok, notes)
 
 
-def _logdiff_residuals(tri, shift: int, s: int, t: int, epsilon: float, log_n):
+def _logdiff_residuals(tri, shift: int, s: int, t: int, log_n):
     """The rounded residuals of log|alpha1 - alpha2| and log|alpha1 - alpha3| of the cell
     (s, t) of tri at shift, with log_n(K) = log n over 2^K, escalating from tri."""
     def decide(cur):
         K = cur.frac_bits
-        got, preds = _cell_logs(cur, shift), predict_logdiff(cur.n, s, t, K, epsilon, log_n(K))
+        got, preds = _cell_logs(cur, shift), predict_logdiff(cur.n, s, t, K, log_n(K))
         out = got and [_rounded(_minus(l, p.value), 1 << K) for l, p in zip(got, preds)]
         return out if out and None not in out else None
 
-    return escalate(lambda: f"the log-difference residuals of (n,s,t)={(tri.n, s, t)}", tri, decide)
+    return escalate(lambda: f"the log-difference residuals of (n,s,t)={(tri.n, s, t)}",
+                    attempts(tri), decide)
 
 
 def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:

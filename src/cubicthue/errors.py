@@ -17,10 +17,6 @@ class DegenerateTwist(ValueError):
     """Operation refused for exponent pairs outside its domain (typically s*t == 0)."""
 
 
-class RoundingAmbiguous(ArithmeticError):
-    """Integer rounding of a real linear-system solution stayed ambiguous after retry."""
-
-
 class NotReducible(RuntimeError):
     """A type-2/3 record failed to re-classify as type 1 under the transformed parameters."""
 

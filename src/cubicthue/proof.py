@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateTwist
-from .roots import compute_alphas, escalate, fixed_mul, proof_precision
+from .roots import attempts, compute_alphas, escalate, fixed_mul, proof_precision
 
 
 def _ordered_diffs(tri, shift: int):
@@ -157,7 +157,7 @@ def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
     """
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
-    return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", tri,
+    return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", attempts(tri),
                     lambda cur: _quantities(cur, shift, s, t, precision_bits))
 
 

@@ -107,13 +107,17 @@ The cells of one n evaluated together (a scan's or a lemma harness's) are
 planned by orbit_triples: one triple per phi-orbit, at the most bits its
 cells ask, and one root set, at the largest alpha_precision of any cell,
 floor-shifted once to each root_frac_bits the triples need (compute_alphas
-is an orbit of one cell, whose root set needs no shift).  A decision
-the radii can leave open (the solver's candidates, a solution's type, a
-difference's sign, b0, a unit's exponents) goes over attempts(first): its
-first triple (the solve's, an orbit's in the cell's order, the one that
-certified a record's candidates, or proof._one_cell's), then compute_alphas at each
-doubling of that triple's bits, PRECISION_ATTEMPTS triples in all.  escalate
-takes the first decision, or raises PrecisionExhausted (exit code 3).
+is an orbit of one cell, whose root set needs no shift).  escalate is the
+one retry loop of every decision the radii can leave open: the solver's
+candidates, a solution's type and unit exponents, a difference's sign, b0
+and the lemma residuals.  It goes over attempts(first), the first triple
+(the solve's, an orbit's, the one that certified a record, or
+proof._one_cell's) and then compute_alphas at each doubling of its bits,
+PRECISION_ATTEMPTS in all, or for the root expansions over compute_roots at
+those doublings, and raises PrecisionExhausted (exit code 3) when they run
+out.  Two interval tests exit 3 with no retry, bounds._chain/_crosses and
+the w_bar margin of asymptotics.run_wbar: their radii are set by the
+constants of n at precision_bits + 48 bits, not by a triple's bits.
 """
 
 from __future__ import annotations
@@ -607,19 +611,20 @@ def doublings(first_bits: int) -> list:
 
 
 def attempts(first: AlphaTriple):
-    """The triples escalate tries: first, then the conjugates of its (n, s, t) at
-    each later bits of doublings(first.precision_bits)."""
+    """The triples of a decision on first's conjugates: first, then those of its (n, s,
+    t) at each later bits of doublings(first.precision_bits), each made when reached."""
     yield first
     for bits in doublings(first.precision_bits)[1:]:
         yield compute_alphas(first.n, first.s, first.t, bits)
 
 
-def escalate(what, first: AlphaTriple, decide):
-    """The first result of decide(tri) that is not None (a decision made on tri),
-    over attempts(first); else PrecisionExhausted naming what() (called only
-    then) and the last bits."""
-    for tri in attempts(first):
-        result = decide(tri)
+def escalate(what, tries, decide):
+    """The first result of decide(cur) that is not None, for cur over tries (attempts
+    of a triple, or root sets at doublings), the one retry loop of the package (see
+    "Precision" above); else PrecisionExhausted naming what() (called only then)
+    and the bits of the last attempt."""
+    for cur in tries:
+        result = decide(cur)
         if result is not None:
             return result
-    raise PrecisionExhausted(f"{what()} undecided at {tri.precision_bits} bits")
+    raise PrecisionExhausted(f"{what()} undecided at {cur.precision_bits} bits")

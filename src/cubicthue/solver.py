@@ -76,11 +76,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exact_field as ef
-from .errors import DegenerateTwist, NotReducible, RoundingAmbiguous
+from .errors import DegenerateTwist, NotReducible
 from .forms import build_form, eval_form, form_of_unit
 from .proof import cell_quantities, log_system
-from .roots import (AlphaTriple, attempts, candidate_precision, compute_alphas, doublings,
-                    escalate, fixed_log, power_alphas)
+from .roots import (AlphaTriple, attempts, candidate_precision, compute_alphas, escalate,
+                    fixed_log, power_alphas)
 
 SOLVER_FLOOR_BITS = 160  # solve_box's default least precision of the conjugates
 
@@ -140,7 +140,7 @@ def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
             return j + 1
         return None
 
-    return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}", alphas, decide)
+    return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}", attempts(alphas), decide)
 
 
 def _form_at_power(form, x: int, k: int) -> int:
@@ -253,7 +253,7 @@ def _solve_form(form, y_bound: int, tri: AlphaTriple):
         return None if candidates is None else (candidates, cur)
 
     candidates, tri = escalate(
-        lambda: f"solver candidates for (n,s,t)={(form.n, form.s, form.t)}", tri, decide)
+        lambda: f"solver candidates for (n,s,t)={(form.n, form.s, form.t)}", attempts(tri), decide)
 
     found = {}
     for x, y in candidates | {(1, 0)}:
@@ -312,47 +312,35 @@ def _reduction_target(rec: SolutionRecord, s2: int, t2: int):
     return memo[(s2, t2)]
 
 
-def _exponent_guesses(x: int, y: int, first: AlphaTriple):
-    """Candidate (b1, b2) for x - alpha1*y, in the order decompose_unit tries them.
-
-    First the pair the record's shape fixes, if it has one: x - alpha1*y is x
-    when y = 0 and -y * lam0^s * lam1^t when x = 0, (s, t) being first's.  Then,
-    on each triple of roots.attempts(first), in integers, proof.log_system on the
-    fixed_log of x 2^K - N_j y, x - alpha_j y over 2^K with radius r_j |y| (j = 2,
-    3), and each det e = -R e rounded to the nearest integer e.  A difference of
-    open sign, or an e farther than 1/4 from -det e / R, yields no guess.
-    """
-    if y == 0:
-        yield 0, 0
-    elif x == 0:
-        yield first.s, first.t
-    for tri in attempts(first):
-        K = tri.frac_bits
-        diffs = [((x << K) - num * y, r * abs(y))
-                 for num, r in zip(tri.numerators[1:], tri.radii[1:])]
-        if any(abs(d) <= r for d, r in diffs):
-            continue
-        *dets, _ = log_system(tri.roots, *(fixed_log(d, K) for d in diffs))
-        reg = tri.roots.reg_fixed[0]
-        # e = -det e / R to the nearest integer; within 1/4 of it when 4 |det e + e R| <= R
-        guess = tuple((reg - 2 * v) // (2 * reg) for v in dets)
-        if all(4 * abs(v + e * reg) <= reg for v, e in zip(dets, guess)):
-            yield guess
+def _exponent_guess(x: int, y: int, tri: AlphaTriple):
+    """(b1, b2) for x - alpha1*y decided on tri, or None: in integers, the
+    unit-exponent system of the proof quantities (proof.log_system) on the
+    fixed_log of x 2^K - N_j y, x - alpha_j y over 2^K with radius r_j |y|
+    (j = 2, 3), and each det e = -R e rounded to the nearest integer e.  A
+    difference of open sign, or an e farther than 1/4 from -det e / R, is None."""
+    K, ends = tri.frac_bits, zip(tri.numerators[1:], tri.radii[1:])
+    diffs = [((x << K) - num * y, r * abs(y)) for num, r in ends]
+    if any(abs(d) <= r for d, r in diffs):
+        return None
+    *dets, _ = log_system(tri.roots, *(fixed_log(d, K) for d in diffs))
+    reg = tri.roots.reg_fixed[0]
+    # e = -det e / R to the nearest integer; within 1/4 of it when 4 |det e + e R| <= R
+    guess = tuple((reg - 2 * v) // (2 * reg) for v in dets)
+    return guess if all(4 * abs(v + e * reg) <= reg for v, e in zip(dets, guess)) else None
 
 
 def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
                    with_b_bar: bool = True) -> UnitDecomposition:
     """Exponents (b1, b2) with x - alpha1*y = sign * lam0^b1 * lam1^b2, verified exactly.
 
-    The guesses of _exponent_guesses are tried in order: first the pair the
-    record's shape fixes, (0, 0) when y = 0 and (s, t) when x = 0, then the
-    rounded solutions of the unit-exponent system that the proof quantities
-    solve too (proof.log_system), in integers, on the record's own triple
-    and then at doubling precision.  The first guess for which x - alpha1*y
-    equals +-lam0^b1 * lam1^b2 in the exact order Z[lam0] is returned, alpha1
-    being the record's unit; RoundingAmbiguous is raised if none does.
-    b_bar takes the certified b0 of cell_quantities on the record's triple,
-    so no second root set is computed.
+    A guess counts only if x - alpha1*y equals +-lam0^b1 * lam1^b2 in the
+    exact order Z[lam0], alpha1 being the record's unit.  The first guess is
+    the pair the record's shape fixes: (0, 0) when y = 0, as x - alpha1*y is x,
+    and (s, t) when x = 0, as it is -y alpha1.  Then each triple of
+    roots.attempts(rec.alphas) gives one guess (_exponent_guess), through
+    escalate: PrecisionExhausted (exit code 3) if none passes.  b_bar takes the
+    certified b0 of cell_quantities on the record's triple, so no second root
+    set is computed.
 
     A guess that passes the exact test is the answer: lam0 and lam1 are
     multiplicatively independent (E. Thomas, J. reine angew. Math. 310, 1979),
@@ -366,25 +354,29 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     x, y = rec.x, rec.y
     alpha = rec.unit
     beta_exact = ef.FieldInt(n, x - alpha.c0 * y, -alpha.c1 * y, -alpha.c2 * y)
-    for b1, b2 in _exponent_guesses(x, y, rec.alphas):
-        if (b1, b2) == (s, t):
+
+    def checked(guess):
+        """(b1, b2, sign) if x - alpha1*y = sign * lam0^b1 * lam1^b2 exactly, else None."""
+        if guess is None:
+            return None
+        if guess == (s, t):
             power = alpha
-        elif (b1, b2) == (0, 0):
+        elif guess == (0, 0):
             power = ef.one(n)
         else:
-            power = ef.alpha_element(n, b1, b2)
+            power = ef.alpha_element(n, *guess)
         if beta_exact == power:
-            sign = 1
-        elif beta_exact == -power:
-            sign = -1
-        else:
-            continue
-        b_bar = None
-        if with_b_bar and s * t != 0:
-            tri = rec.alphas
-            b_bar = cell_quantities(tri, 0, s, t, tri.precision_bits).b0 - b1 - b2
-        return UnitDecomposition(b1, b2, sign, b_bar)
-    raise RoundingAmbiguous(
-        f"unit exponents for (x,y)=({x},{y}) stayed ambiguous up to "
-        f"{doublings(rec.alphas.precision_bits)[-1]} bits"
-    )
+            return (*guess, 1)
+        if beta_exact == -power:
+            return (*guess, -1)
+        return None
+
+    shape = (0, 0) if y == 0 else (s, t) if x == 0 else None
+    b1, b2, sign = checked(shape) or escalate(
+        lambda: f"unit exponents for (x,y)=({x},{y})", attempts(rec.alphas),
+        lambda tri: checked(_exponent_guess(x, y, tri)))
+    b_bar = None
+    if with_b_bar and s * t != 0:
+        tri = rec.alphas
+        b_bar = cell_quantities(tri, 0, s, t, tri.precision_bits).b0 - b1 - b2
+    return UnitDecomposition(b1, b2, sign, b_bar)

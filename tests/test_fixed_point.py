@@ -308,11 +308,11 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
     for s, t, tri, shift in asymptotics.orbit_triples(n, logdiff_representatives(), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
         asked.clear()
-        got = asymptotics._logdiff_residuals(wide, shift, s, t, 0.25, log_n)
+        got = asymptotics._logdiff_residuals(wide, shift, s, t, log_n)
         assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
         doubled = real(n, tri.s, tri.t, 2 * tri.precision_bits)
-        assert got == asymptotics._logdiff_residuals(doubled, shift, s, t, 0.25, log_n)
-        assert got == asymptotics._logdiff_residuals(tri, shift, s, t, 0.25, log_n)
+        assert got == asymptotics._logdiff_residuals(doubled, shift, s, t, log_n)
+        assert got == asymptotics._logdiff_residuals(tri, shift, s, t, log_n)
     # with radii that never shrink: PRECISION_ATTEMPTS triples, then PrecisionExhausted
 
     def blurred(*args):

@@ -311,9 +311,21 @@ def test_escalate_formats_what_only_when_it_raises():
         raise AssertionError("the message was built for a decided attempt")
 
     first = compute_alphas(5, 1, 1, 64)
-    assert roots.escalate(what, first, lambda tri: tri.precision_bits) == 64
+    assert roots.escalate(what, roots.attempts(first), lambda tri: tri.precision_bits) == 64
     with pytest.raises(PrecisionExhausted, match=r"^the roots undecided at 512 bits$"):
-        roots.escalate(lambda: "the roots", first, lambda tri: None)
+        roots.escalate(lambda: "the roots", roots.attempts(first), lambda tri: None)
+    # a sequence of root sets escalates the same way, each taken only when needed
+    asked = []
+
+    def root_sets():
+        for bits in roots.doublings(64):
+            asked.append(bits)
+            yield compute_roots(5, bits)
+
+    assert roots.escalate(what, root_sets(), lambda rs: rs.precision_bits > 64 or None)
+    assert asked == [64, 128]
+    with pytest.raises(PrecisionExhausted, match=r"^the root sets undecided at 512 bits$"):
+        roots.escalate(lambda: "the root sets", root_sets(), lambda rs: None)
 
 
 # the three starting-bit formulas that roots.working_bits replaced, as they were written

@@ -12,7 +12,7 @@ from mpmath import mp, workprec
 from conftest import alpha_values, brute_force_solutions, log_values
 from cubicthue import cli, roots, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
-from cubicthue.errors import DegenerateTwist, PrecisionExhausted, RoundingAmbiguous
+from cubicthue.errors import DegenerateTwist, PrecisionExhausted
 from cubicthue.forms import BinaryCubicForm, build_form, eval_form
 from cubicthue.roots import compute_alphas, power_alphas, shift_roots
 from cubicthue.solver import classify_type, decompose_unit, reduce_to_type1, solve_box
@@ -518,7 +518,7 @@ def oracle_decompose(n, s, t, rec, precision_bits=192, with_b_bar=True):
                 b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 - b1 - b2
             return solver.UnitDecomposition(b1, b2, sign, b_bar)
         pb *= 2
-    raise RoundingAmbiguous(f"unit exponents for (x,y)=({x},{y}) stayed ambiguous")
+    raise PrecisionExhausted(f"unit exponents for (x,y)=({x},{y}) undecided at {pb // 2} bits")
 
 
 @settings(max_examples=150, deadline=None)
@@ -553,23 +553,24 @@ def test_records_with_x_or_y_zero_skip_the_log_solve(n, monkeypatch):
 
 
 def test_every_guess_is_checked_exactly(monkeypatch):
-    # a wrong guess ahead of the real ones is passed over, and all wrong is an error
-    # that names the highest precision tried
-    real = solver._exponent_guesses
-
-    def wrong_first(x, y, first):
-        yield first.t, first.s
-        yield from real(x, y, first)
-
+    # a wrong guess on the record's triple is passed over for the guess at doubled
+    # bits, and all wrong is PrecisionExhausted naming the highest precision tried;
+    # a record with x = 0 or y = 0 is decided by its shape, before any guess
+    real = solver._exponent_guess
     n, s, t = 0, 2, 1
     records = solve_box(n, s, t, 20)
     expected = [decompose_unit(n, s, t, r) for r in records]
-    monkeypatch.setattr(solver, "_exponent_guesses", wrong_first)
+    firsts = {id(r.alphas) for r in records}
+
+    def wrong_first(x, y, tri):
+        return (tri.t, tri.s) if id(tri) in firsts else real(x, y, tri)
+
+    monkeypatch.setattr(solver, "_exponent_guess", wrong_first)
     assert [decompose_unit(n, s, t, r) for r in records] == expected
 
-    def all_wrong(x, y, first):
-        for b1, b2 in real(x, y, first):
-            yield b1 + 1, b2
+    def all_wrong(x, y, tri):
+        guess = real(x, y, tri)
+        return guess and (guess[0] + 1, guess[1])
 
     asked = []
     real_alphas = roots.compute_alphas
@@ -578,10 +579,18 @@ def test_every_guess_is_checked_exactly(monkeypatch):
         asked.append(precision_bits)
         return real_alphas(n, s, t, precision_bits)
 
-    monkeypatch.setattr(solver, "_exponent_guesses", all_wrong)
+    monkeypatch.setattr(solver, "_exponent_guess", all_wrong)
     monkeypatch.setattr(roots, "compute_alphas", spy)
-    for rec in records:
+    shaped = {i for i, r in enumerate(records) if r.x * r.y == 0}
+    assert 0 < len(shaped) < len(records)
+    for i, rec in enumerate(records):
+        if i in shaped:
+            assert decompose_unit(n, s, t, rec) == expected[i]
+            continue
         asked.clear()
-        with pytest.raises(RoundingAmbiguous) as err:
+        last = roots.doublings(rec.alphas.precision_bits)[-1]
+        with pytest.raises(PrecisionExhausted,
+                           match=rf"^unit exponents for \(x,y\)=\({rec.x},{rec.y}\) "
+                                 rf"undecided at {last} bits$"):
             decompose_unit(n, s, t, rec)
-        assert f"ambiguous up to {max(asked)} bits" in str(err.value)
+        assert asked == roots.doublings(rec.alphas.precision_bits)[1:]
