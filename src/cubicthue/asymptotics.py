@@ -8,17 +8,18 @@ round to, the correctly rounded float of the value it certifies (Ziv, ACM TOMS
 17, 1991), or is retried at doubled bits.  The harnesses fit its decay exponent.
 
 The twelve-branch table for log|alpha1 - alpha2| and log|alpha1 - alpha3|
-is the delicate part.  Only its diff12 half is written out: six formulas,
-derived from the two-term power expansions of the roots and cross-checked
-against 400-bit numerics, each with residual O(n^-2) for fixed (s, t),
-measured as a clean -2 slope on log-log grids.  The diff13 half is derived
-from it.  phi(s, t) = (t - s, -s) rotates the conjugates (see proof.py), so
-|alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t), and the
-diff13 branch of (s, t) is the mirror of the diff12 branch of phi(s, t):
-WIDE_ABOVE <-> WIDE_BELOW, EDGE_ABOVE <-> EDGE_BELOW, and each DOUBLED
-branch is its own mirror.  A sign or parity slip in one half therefore shows
-in the other; tests/test_asymptotics.py keeps the six diff13 formulas
-written out as the check.
+is the delicate part.  It is one table, _BRANCHES, with a row per branch:
+its condition, its diff12 terms and a representative (s, t) for each
+difference.  The terms are derived from the two-term power expansions of the
+roots and cross-checked against 400-bit numerics, each with residual O(n^-2)
+for fixed (s, t), measured as a clean -2 slope on log-log grids.  The diff13
+half is derived from them.  phi(s, t) = (t - s, -s) rotates the conjugates
+(see proof.py), so |alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at
+phi(s, t), and the diff13 branch of (s, t) is the mirror of the diff12 branch
+of phi(s, t): WIDE_ABOVE <-> WIDE_BELOW, EDGE_ABOVE <-> EDGE_BELOW, and each
+DOUBLED branch is its own mirror.  A sign or parity slip in one half
+therefore shows in the other; tests/test_asymptotics.py keeps the six diff13
+formulas written out as the check.
 
 The certified proof quantities, on which the lower-bound chain rests, are in
 proof.py; this module measures them.  The harnesses logdiff, errorbound, vbar
@@ -34,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import _CONST_GUARD, _absorb_threshold, _log_int, float_power, ratio_float
+from .bounds import _CONST_GUARD, _absorb_threshold, _absorbed, _log_int, float_power, ratio_float
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
 from .forms import st_box
 from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
@@ -45,7 +46,8 @@ DEFAULT_EPSILON = 0.25
 
 
 class Branch(enum.Enum):
-    """The six cases per difference, keyed by how 2s compares to t (or s to 2t)."""
+    """The six cases per difference, keyed by how 2s compares to t (or s to 2t);
+    _BRANCHES holds each one's row."""
 
     WIDE_ABOVE = "u>v+1"
     EDGE_ABOVE = "u=v+1"
@@ -63,16 +65,27 @@ class CaseLabel:
     branch: Branch
 
     def condition(self) -> str:
-        u, v = ("2s", "t") if self.difference == 2 else ("s", "2t")
-        parity = "s" if self.difference == 2 else "t"
-        return {
-            Branch.WIDE_ABOVE: f"{u} > {v}+1",
-            Branch.EDGE_ABOVE: f"{u} = {v}+1",
-            Branch.DOUBLED_ODD: f"{u} = {v}, {parity} odd",
-            Branch.DOUBLED_EVEN: f"{u} = {v}, {parity} even",
-            Branch.EDGE_BELOW: f"{u} = {v}-1",
-            Branch.WIDE_BELOW: f"{u} < {v}-1",
-        }[self.branch]
+        u, v, parity = ("2s", "t", "s") if self.difference == 2 else ("s", "2t", "t")
+        return _BRANCHES[self.branch][0].format(u=u, v=v, parity=parity)
+
+
+# One row per branch: its condition on (u, v) = (2s, t) or (s, 2t), the diff12 terms
+# (k, m, p, q) of log|alpha1 - alpha2| = k log n + log m + p / (q n) at (s, t), and its
+# representative (s, t) for each difference, with max(|s|, |t|) <= n^(1/4) from n = 1000.
+_BRANCHES = {
+    Branch.WIDE_ABOVE: ("{u} > {v}+1", lambda s, t: (s - t, 1, -t, 1), (2, 1), (4, 1)),
+    Branch.EDGE_ABOVE: ("{u} = {v}+1", lambda s, t: (s - t, 1, -(t + _sgn_pow(s)), 1),
+                        (1, 1), (3, 1)),
+    # |a1 - a2| = 2 n^(s-t) (1 + (s-t)/(2n) + ...)
+    Branch.DOUBLED_ODD: ("{u} = {v}, {parity} odd", lambda s, t: (s - t, 2, s - t, 2),
+                         (1, 2), (2, 1)),
+    # leading coefficient |s + t| = 3|s|; next order -(s+1)/(2n)
+    Branch.DOUBLED_EVEN: ("{u} = {v}, {parity} even",
+                          lambda s, t: (s - t - 1, abs(s + t), -(s + 1), 2), (2, 4), (4, 2)),
+    Branch.EDGE_BELOW: ("{u} = {v}-1", lambda s, t: (-s, 1, t - s - _sgn_pow(s), 1),
+                        (1, 3), (3, 2)),
+    Branch.WIDE_BELOW: ("{u} < {v}-1", lambda s, t: (-s, 1, t - s, 1), (1, 4), (1, 2)),
+}
 
 
 def _classify_one(u: int, v: int, parity_of: int) -> Branch:
@@ -167,18 +180,9 @@ def predict_logdiff(n: int, s: int, t: int, frac_bits: int, log_n=None):
 
 
 def _predict12(n: int, log_n, K: int, s: int, t: int, err: float) -> Prediction:
-    """The diff12 prediction of predict_logdiff at (s, t), by its branch: the leading
-    term k log n + log m and the correction p / (q n), from log n over 2^K."""
-    k, m, p, q = {
-        Branch.WIDE_ABOVE: (s - t, 1, -t, 1),
-        Branch.EDGE_ABOVE: (s - t, 1, -(t + _sgn_pow(s)), 1),
-        # |a1 - a2| = 2 n^(s-t) (1 + (s-t)/(2n) + ...)
-        Branch.DOUBLED_ODD: (s - t, 2, s - t, 2),
-        # leading coefficient |s + t| = 3|s|; next order -(s+1)/(2n)
-        Branch.DOUBLED_EVEN: (s - t - 1, abs(s + t), -(s + 1), 2),
-        Branch.EDGE_BELOW: (-s, 1, t - s - _sgn_pow(s), 1),
-        Branch.WIDE_BELOW: (-s, 1, t - s, 1),
-    }[_classify_one(2 * s, t, s)]
+    """The diff12 prediction of predict_logdiff at (s, t) from its row of _BRANCHES: the
+    leading term k log n + log m and the correction p / (q n), from log n over 2^K."""
+    k, m, p, q = _BRANCHES[_classify_one(2 * s, t, s)][1](s, t)
     (L, r), (g, rg) = log_n, _log_int(m, K) if m > 1 else (0, 0)
     return Prediction((k * L + g, abs(k) * r + rg), _ratio(p, q * n, K), err)
 
@@ -356,26 +360,6 @@ DEFAULT_N_GRIDS = {"lapprox": _WIDE_GRID, "lpowers": _WIDE_GRID, "regulator": _W
                    "vbar": (10**4, 10**5, 10**6), "wbar": (10**4, 10**5, 10**6)}
 
 
-# One representative (s, t) per branch, small enough that max(|s|,|t|) <= n^(1/4)
-# holds on grids starting at n = 1000.
-BRANCH_REPRESENTATIVES_12 = {
-    Branch.WIDE_ABOVE: (2, 1),
-    Branch.EDGE_ABOVE: (1, 1),
-    Branch.DOUBLED_ODD: (1, 2),
-    Branch.DOUBLED_EVEN: (2, 4),
-    Branch.EDGE_BELOW: (1, 3),
-    Branch.WIDE_BELOW: (1, 4),
-}
-BRANCH_REPRESENTATIVES_13 = {
-    Branch.WIDE_ABOVE: (4, 1),
-    Branch.EDGE_ABOVE: (3, 1),
-    Branch.DOUBLED_ODD: (2, 1),
-    Branch.DOUBLED_EVEN: (4, 2),
-    Branch.EDGE_BELOW: (3, 2),
-    Branch.WIDE_BELOW: (1, 2),
-}
-
-
 def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Root and log expansions: residual slopes vs the claimed orders."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lapprox"]
@@ -461,12 +445,10 @@ def _regulator_point(rs):
 
 
 def logdiff_representatives():
-    """Deterministic (s, t) list exercising all 12 branches."""
-    pairs = []
-    for rep in list(BRANCH_REPRESENTATIVES_12.values()) + list(BRANCH_REPRESENTATIVES_13.values()):
-        if rep not in pairs:
-            pairs.append(rep)
-    return pairs
+    """Deterministic (s, t) list exercising all 12 branches: the diff12 representatives
+    of _BRANCHES in row order, then the diff13 ones not already listed."""
+    rows = _BRANCHES.values()
+    return list(dict.fromkeys([r12 for _, _, r12, _ in rows] + [r13 for *_, r13 in rows]))
 
 
 def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
@@ -598,14 +580,14 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
         log_n = _log_int(n, F)
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, s, t, precision_bits)
-            # the threshold bounds._chain decides with, and the exact absorption ratio
+            # the threshold and the decision of bounds._chain, and the exact absorption ratio
             (num, den), K = q.absorb_ratio(), q.frac_bits
             a, r = _absorb_threshold(log_n, F, n, K)
             rhs = _rounded((a, r), 1 << K)
             margin = _rounded((a * den, r * den), num << K) if num else math.inf
             if None in (rhs, margin):
                 raise PrecisionExhausted(f"the w_bar margin of (n,s,t)={(n, s, t)} is undecided")
-            ok_pt = margin >= 1.0
+            ok_pt = _absorbed(q, a, r)
             if not ok_pt:
                 failures.append((n, s, t))
             rows.append({"n": n, "s": s, "t": t, "lhs": ratio_float(num, den), "rhs": rhs,

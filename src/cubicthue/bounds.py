@@ -193,6 +193,20 @@ def _absorb_threshold(log_n, frac_bits: int, n: int, K: int):
     return (3 * L << K) // den, -(-(3 * r << K) // den) + 1
 
 
+def _absorbed(q, a: int, r: int) -> bool:
+    """The w_bar absorption |w_bar| / (2 |d12| |d13|) <= A of q's cell, A = (a, r) over
+    2^K: |U1 D13 + U2 D12| 2^(3K) <= 2 D12^2 D13^2 A, decided by _at_most at A's lower
+    end and, where that fails, at its upper end (PrecisionExhausted if they disagree)."""
+    K = q.frac_bits
+    w = abs(q.u1_num * q.diff13_num + q.u2_num * q.diff12_num) << 3 * K
+    d12, d13 = abs(q.diff12_num), abs(q.diff13_num)
+    if _at_most(w, (2, d12, d12, d13, d13, max(a - r, 0))):
+        return True
+    if _at_most(w, (2, d12, d12, d13, d13, a + r)):
+        raise _undecided("w_bar absorption", q)
+    return False
+
+
 def _undecided(what: str, q) -> PrecisionExhausted:
     return PrecisionExhausted(f"{what} for (n,s,t)={(q.n, q.s, q.t)} lies within the radii "
                               f"of the bound constants")
@@ -203,12 +217,9 @@ def _chain(q, log_n, frac_bits: int):
     (numerator, radius) over 2^K, K = q.frac_bits, from log n over 2^frac_bits
     (None at n = 0); the lower bound is slack * n / (3 * 2^K).
 
-    u_bar > 0 and the window are decided on q's integers.  The w_bar absorption
-    |w_bar| / (2 |d12| |d13|) <= (3/4) log(n)/n, cross-multiplied, is
-    |U1 D13 + U2 D12| 2^(3K) <= 2 D12^2 D13^2 A for the threshold A over 2^K
-    (q.absorb_ratio's quotient), decided at both ends of A's radius by
-    _at_most, which multiplies out only where bit lengths leave it open; so is
-    the slack's sign.  Where the two ends of a test disagree,
+    u_bar > 0 and the window are decided on q's integers, and the w_bar
+    absorption at the threshold A = (3/4) log(n)/n by _absorbed.  The slack's sign
+    is decided at both ends of A's radius; where they disagree,
     PrecisionExhausted names the cell.
     """
     K = q.frac_bits
@@ -221,11 +232,7 @@ def _chain(q, log_n, frac_bits: int):
     if log_n is None:
         raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
     a, r = _absorb_threshold(log_n, frac_bits, q.n, K)
-    w = abs(q.u1_num * q.diff13_num + q.u2_num * q.diff12_num) << 3 * K
-    d12, d13 = abs(q.diff12_num), abs(q.diff13_num)
-    if not _at_most(w, (2, d12, d12, d13, d13, max(a - r, 0))):
-        if _at_most(w, (2, d12, d12, d13, d13, a + r)):
-            raise _undecided("w_bar absorption", q)
+    if not _absorbed(q, a, r):
         raise ChainPreconditionFailed(
             "w_bar absorption",
             f"lhs = {ratio_float(*q.absorb_ratio()):.3g}, rhs = {ratio_float(a, one):.3g}")

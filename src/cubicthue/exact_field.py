@@ -11,7 +11,6 @@ and the units the twists are built from have closed forms, each checked by
 multiplying out with the relation above:
 
     lam1 = -1/(lam0 + 1)     = lam0^2 - n*lam0 - 2,
-    lam2 = -(lam0 + 1)/lam0  = -lam0^2 + (n-1)*lam0 + (n+1),
     1/lam0                   = lam0^2 - (n-1)*lam0 - (n+2),
     1/lam1                   = -(lam0 + 1).
 
@@ -99,11 +98,6 @@ def lam0(n: int) -> FieldInt:
 def lam1(n: int) -> FieldInt:
     """lam1 = -1/(lam0 + 1) = lam0^2 - n*lam0 - 2."""
     return FieldInt(n, -2, -n, 1)
-
-
-def lam2(n: int) -> FieldInt:
-    """lam2 = -(lam0 + 1)/lam0 = -lam0^2 + (n-1)*lam0 + (n+1)."""
-    return FieldInt(n, n + 1, n - 1, -1)
 
 
 def inv_lam0(n: int) -> FieldInt:

@@ -76,8 +76,8 @@ class ProofQuantities:
     reader that wants a float rounds a numerator over 2^frac_bits with
     bounds.ratio_float.  w_bar enters the proof only through the
     absorption ratio |w_bar| / (2 |d12| |d13|), which absorb_ratio gives as
-    a quotient of integers: bounds._chain decides the absorption on it, and
-    asymptotics.run_wbar reports it.
+    a quotient of integers: bounds._absorbed decides the absorption on its
+    integers for both bounds._chain and asymptotics.run_wbar, which reports it.
     """
 
     n: int

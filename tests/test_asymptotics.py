@@ -190,6 +190,17 @@ def test_classification_partitions_the_plane():
             assert m13[list(Branch).index(c13.branch)]
 
 
+def test_branch_table_representatives_fall_in_their_rows():
+    # coverage of all 12 branches would still hold with two representatives swapped
+    # between rows; each must classify into its own row
+    assert list(asymptotics._BRANCHES) == list(Branch)
+    for branch, (_, _, rep12, rep13) in asymptotics._BRANCHES.items():
+        assert classify_case(*rep12)[0].branch is branch
+        assert classify_case(*rep13)[1].branch is branch
+    assert logdiff_representatives() == [(2, 1), (1, 1), (1, 2), (2, 4), (1, 3), (1, 4),
+                                         (4, 1), (3, 1), (4, 2), (3, 2)]
+
+
 def test_predict_logdiff_wide_branch():
     n, K = 10**4, 96
     with workprec(256):
@@ -413,6 +424,28 @@ def test_wbar_margin_within_the_radius_of_the_threshold_is_precision_exhausted(m
     monkeypatch.setattr(asymptotics, "_absorb_threshold", wide)
     with pytest.raises(PrecisionExhausted, match=r"w_bar margin of \(n,s,t\)=\(10000, -1, -1\)"):
         run_wbar(n_grid=[10**4], st_bound=1)
+
+
+def test_wbar_margin_just_below_one_is_not_ok(monkeypatch):
+    # the threshold floor(num 2^K / den) with radius 0 puts each cell's exact margin
+    # within 2^-K below 1, where its float rounds to 1.0; the absorption still fails
+    cells = []
+    real = asymptotics.cell_quantities
+
+    def recorded(*args):
+        cells.append(real(*args))
+        return cells[-1]
+
+    def floored(log_n, frac_bits, n, K):
+        num, den = cells[-1].absorb_ratio()
+        assert (num << K) % den
+        return (num << K) // den, 0
+
+    monkeypatch.setattr(asymptotics, "cell_quantities", recorded)
+    monkeypatch.setattr(asymptotics, "_absorb_threshold", floored)
+    res = run_wbar(n_grid=[10**4], st_bound=1)
+    assert [(r["margin"], r["ok"]) for r in res.rows] == [(1.0, False)] * len(cells)
+    assert not res.passed
 
 
 def test_wbar_absorption_split():
