@@ -35,7 +35,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import _CONST_GUARD, _absorb_threshold, _absorbed, _log_int, float_power, ratio_float
+from .bounds import (_CONST_GUARD, _absorb_threshold, _absorbed, _log_int, _log_n, float_power,
+                     ratio_float)
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
 from .forms import st_box
 from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
@@ -531,7 +532,7 @@ def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> Lemma
     for n in n_grid:
         ln = math.log(n)
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
-            q = cell_quantities(tri, shift, s, t, precision_bits)
+            q = cell_quantities(tri, shift, s, t)
             v_bar, reg, one = q.v_bar_num, q.regulator_num, 1 << q.frac_bits
             in_window = 0 < v_bar < reg
             ratio = ratio_float(v_bar * n, one) / ln
@@ -577,9 +578,9 @@ def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> Lemma
     rows, failures = [], []
     F = precision_bits + _CONST_GUARD
     for n in n_grid:
-        log_n = _log_int(n, F)
+        log_n = _log_n(n, F)
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
-            q = cell_quantities(tri, shift, s, t, precision_bits)
+            q = cell_quantities(tri, shift, s, t)
             # the threshold and the decision of bounds._chain, and the exact absorption ratio
             (num, den), K = q.absorb_ratio(), q.frac_bits
             a, r = _absorb_threshold(log_n, F, n, K)

@@ -90,9 +90,11 @@ def _log_int(m: int, frac_bits: int):
 
 
 def _log_n(n: int, frac_bits: int):
-    """log n over 2^frac_bits with its radius; None at n = 0, where (3/4) log(n)/n
-    is undefined."""
-    return _log_int(n, frac_bits) if n else None
+    """log n over 2^frac_bits with its radius: exact at n = 1, None at n = 0, where
+    (3/4) log(n)/n is undefined."""
+    if n <= 1:
+        return (0, 0) if n else None
+    return _log_int(n, frac_bits)
 
 
 def _rescaled(pair, from_bits: int, to_bits: int):
@@ -187,10 +189,12 @@ def _at_most(x: int, factors) -> bool:
 
 def _absorb_threshold(log_n, frac_bits: int, n: int, K: int):
     """(3/4) log(n)/n over 2^K with its radius, from log n over 2^frac_bits:
-    3 L 2^K // (4 n 2^frac_bits), which keeps its relative precision at every n."""
+    3 L 2^K // (4 n 2^frac_bits), which keeps its relative precision at every n.  The
+    floor adds a unit to the radius only where the division leaves a remainder."""
     L, r = log_n
     den = (4 * n) << frac_bits
-    return (3 * L << K) // den, -(-(3 * r << K) // den) + 1
+    a, rem = divmod(3 * L << K, den)
+    return a, -(-(3 * r << K) // den) + (rem != 0)
 
 
 def _absorbed(q, a: int, r: int) -> bool:
@@ -350,7 +354,7 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
         try:
             if s * t == 0:
                 raise ChainPreconditionFailed("s*t != 0")
-            q = cell_quantities(tri, shift, s, t, precision_bits)
+            q = cell_quantities(tri, shift, s, t)
             slack = _chain(q, const.log_n, const.frac_bits)
             num, den = slack[0] * n, 3 << q.frac_bits
             lower = ratio_float(num, den)

@@ -5,10 +5,6 @@ class MismatchedParameters(ValueError):
     """Two elements from orders with different family parameter n were combined."""
 
 
-class NotAUnit(ArithmeticError):
-    """Inversion requested for an element whose norm is not +-1."""
-
-
 class PrecisionExhausted(ArithmeticError):
     """A certified numeric computation could not be completed at the requested precision."""
 

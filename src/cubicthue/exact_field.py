@@ -19,9 +19,6 @@ sums of the three roots:
 
     Tr(c0 + c1*lam0 + c2*lam0^2) = 3*c0 + (n-1)*c1 + ((n-1)^2 + 2(n+2))*c2.
 
-The multiplication matrix, the norm and the adjugate inverse are the general
-path for any element, and the oracle the closed forms are tested against.
-
 Everything is immutable; all operations return fresh values.
 """
 
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MismatchedParameters, NotAUnit
+from .errors import MismatchedParameters
 
 
 @dataclass(frozen=True)
@@ -41,45 +38,8 @@ class FieldInt:
     c1: int
     c2: int
 
-    def __add__(self, other):
-        other = _coerce(other, self.n)
-        _check_same_n(self, other)
-        return FieldInt(self.n, self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce(other, self.n))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.n) + (-self)
-
     def __neg__(self):
         return FieldInt(self.n, -self.c0, -self.c1, -self.c2)
-
-    def __mul__(self, other):
-        other = _coerce(other, self.n)
-        return reduce_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return unit_power(self, k)
-
-    def coords(self):
-        return (self.c0, self.c1, self.c2)
-
-    def embed(self, root):
-        """Numeric value of the element at a numeric approximation of lam0."""
-        return self.c0 + root * (self.c1 + root * self.c2)
-
-
-def _coerce(value, n):
-    if isinstance(value, FieldInt):
-        return value
-    if isinstance(value, int):
-        return FieldInt(n, value, 0, 0)
-    raise TypeError(f"cannot mix FieldInt with {type(value).__name__}")
 
 
 def _check_same_n(a: FieldInt, b: FieldInt):
@@ -133,58 +93,22 @@ def reduce_mul(a: FieldInt, b: FieldInt) -> FieldInt:
     )
 
 
-def multiplication_matrix(a: FieldInt):
-    """3x3 integer matrix of y -> a*y in the basis (1, lam0, lam0^2), columns = images."""
-    n = a.n
-    cols = [a, reduce_mul(a, lam0(n)), reduce_mul(a, FieldInt(n, 0, 0, 1))]
-    return [[c.c0 for c in cols], [c.c1 for c in cols], [c.c2 for c in cols]]
-
-
 def trace(a: FieldInt) -> int:
     """Sum of the three conjugates, from the traces 3, n-1, (n-1)^2 + 2(n+2) of the basis."""
     p = a.n - 1
     return 3 * a.c0 + p * a.c1 + (p * p + 2 * (a.n + 2)) * a.c2
 
 
-def norm(a: FieldInt) -> int:
-    """Product of the three conjugates = determinant of the multiplication matrix."""
-    m = multiplication_matrix(a)
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def invert_unit(a: FieldInt) -> FieldInt:
-    """Exact inverse of a unit via the adjugate of the multiplication matrix.
-
-    Branch-free: coordinates of a^-1 are the first-row cofactors divided by
-    the determinant, which is +-1 for units.
-    """
-    m = multiplication_matrix(a)
-    c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    c01 = -(m[1][0] * m[2][2] - m[1][2] * m[2][0])
-    c02 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-    d = m[0][0] * c00 + m[0][1] * c01 + m[0][2] * c02
-    if d not in (1, -1):
-        raise NotAUnit(f"norm is {d}, not +-1")
-    return FieldInt(a.n, c00 * d, c01 * d, c02 * d)
-
-
 def unit_power(a: FieldInt, k: int) -> FieldInt:
-    """a**k by binary powering; negative k inverts the base once, then powers.
-
-    Inverting the base first (rather than the final power) keeps intermediate
-    coordinate growth linear in |k|.  The power starts from the base, not from
+    """a**k for k >= 0 by binary powering (alpha_element powers the closed-form
+    inverses for negative exponents).  The power starts from the base, not from
     one, and nothing is squared after the top bit, so k >= 1 costs
     bitlen(k) + popcount(k) - 2 products.
     """
+    if k < 0:
+        raise ValueError(f"unit_power needs k >= 0, got {k}")
     if k == 0:
         return one(a.n)
-    if k < 0:
-        a = invert_unit(a)
-        k = -k
     acc = None
     while True:
         if k & 1:

@@ -83,7 +83,6 @@ class ProofQuantities:
     n: int
     s: int
     t: int
-    precision_bits: int
     frac_bits: int
     b0: int
     u1_num: int
@@ -121,7 +120,7 @@ def log_system(rs, l2, l3):
     return p1[0] - p2[0], p3[0] - p4[0], p1[1] + p2[1] + p3[1] + p4[1]
 
 
-def _quantities(tri, shift: int, s: int, t: int, precision_bits: int):
+def _quantities(tri, shift: int, s: int, t: int):
     """ProofQuantities of the cell (s, t) whose conjugates are those of tri from
     index shift on, or None where the radii leave a difference's sign (see
     _cell_logs) or b0 undecided.
@@ -145,11 +144,11 @@ def _quantities(tri, shift: int, s: int, t: int, precision_bits: int):
     if rem <= r_v + abs(m) * r_reg or reg - rem <= r_v + abs(m + 1) * r_reg:
         return None
     (g0, _), (g1, _), (g2, _) = rs.log_fixed
-    return ProofQuantities(tri.n, s, t, precision_bits, tri.frac_bits, m + 1,
+    return ProofQuantities(tri.n, s, t, tri.frac_bits, m + 1,
                            g0 - g2, g1 - g2, v1, v2, reg - rem, reg, d12[0], d13[0])
 
 
-def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
+def cell_quantities(tri, shift: int, s: int, t: int):
     """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
 
     Where the radii leave a difference's sign or b0 undecided, the cell
@@ -158,12 +157,11 @@ def cell_quantities(tri, shift: int, s: int, t: int, precision_bits: int):
     if s * t == 0:
         raise DegenerateTwist("proof quantities need s*t != 0")
     return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", attempts(tri),
-                    lambda cur: _quantities(cur, shift, s, t, precision_bits))
+                    lambda cur: _quantities(cur, shift, s, t))
 
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
     """The proof quantities of (n, s, t), with b0 and the window certified:
     cell_quantities on the one-cell triple, at proof_precision(n, precision_bits)
     bits."""
-    return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"),
-                           0, s, t, precision_bits)
+    return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"), 0, s, t)

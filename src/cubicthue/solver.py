@@ -378,5 +378,5 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     b_bar = None
     if with_b_bar and s * t != 0:
         tri = rec.alphas
-        b_bar = cell_quantities(tri, 0, s, t, tri.precision_bits).b0 - b1 - b2
+        b_bar = cell_quantities(tri, 0, s, t).b0 - b1 - b2
     return UnitDecomposition(b1, b2, sign, b_bar)

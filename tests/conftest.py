@@ -1,11 +1,17 @@
-"""Shared test helpers: independent oracles for the roots and for the solutions, and
-the mpf values of a root set's and a triple's fixed point and of an upper bound.
+"""Shared test helpers: independent oracles for the roots, for the solutions and for
+the order Z[lam0], and the mpf values of a root set's and a triple's fixed point and
+of an upper bound.
 
-mpmath is the tests' oracle: the package computes in integers only."""
+mpmath is the tests' oracle: the package computes in integers only.  The package
+builds its units from the closed-form inverses of exact_field; the general path of
+the order (the multiplication matrix, the norm, the adjugate inverse of any unit and
+a signed power through it, sums and integer multiples) lives here, as the oracle the
+closed forms are tested against."""
 
 from mpmath import mp
 from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
+import cubicthue.exact_field as ef
 from cubicthue.forms import build_form, eval_form
 
 
@@ -89,3 +95,58 @@ def exact_roots(n):
     lams = (lam0, -1 / (lam0 + 1), -(lam0 + 1) / lam0)
     logs = tuple(mp.log(abs(v)) for v in lams)
     return lams, logs, abs(logs[1] * logs[0] - logs[2] * logs[2])
+
+
+def multiplication_matrix(a):
+    """3x3 integer matrix of y -> a*y in the basis (1, lam0, lam0^2), columns = images."""
+    n = a.n
+    cols = [a, ef.reduce_mul(a, ef.lam0(n)), ef.reduce_mul(a, ef.FieldInt(n, 0, 0, 1))]
+    return [[c.c0 for c in cols], [c.c1 for c in cols], [c.c2 for c in cols]]
+
+
+def _first_row_cofactors(m):
+    return (m[1][1] * m[2][2] - m[1][2] * m[2][1],
+            -(m[1][0] * m[2][2] - m[1][2] * m[2][0]),
+            m[1][0] * m[2][1] - m[1][1] * m[2][0])
+
+
+def norm(a):
+    """Product of the three conjugates = determinant of the multiplication matrix."""
+    m = multiplication_matrix(a)
+    return sum(x * c for x, c in zip(m[0], _first_row_cofactors(m)))
+
+
+def invert_unit(a):
+    """Exact inverse of a unit: the first-row cofactors of its multiplication matrix
+    divided by the determinant, which is +-1 for units."""
+    m = multiplication_matrix(a)
+    cof = _first_row_cofactors(m)
+    d = sum(x * c for x, c in zip(m[0], cof))
+    assert d in (1, -1), f"norm is {d}, not +-1"
+    return ef.FieldInt(a.n, *(c * d for c in cof))
+
+
+def power(a, k):
+    """a**k for any integer k; a negative k inverts the base through the matrix."""
+    return ef.unit_power(invert_unit(a), -k) if k < 0 else ef.unit_power(a, k)
+
+
+def field_sum(a, b):
+    """a + b, coordinatewise, for elements of one order."""
+    assert a.n == b.n
+    return ef.FieldInt(a.n, a.c0 + b.c0, a.c1 + b.c1, a.c2 + b.c2)
+
+
+def scaled(a, k):
+    """k*a for an integer k."""
+    return ef.FieldInt(a.n, k * a.c0, k * a.c1, k * a.c2)
+
+
+def beta_element(n, s, t, x, y):
+    """x - alpha1*y in Z[lam0], alpha1 = lam0^s lam1^t."""
+    return field_sum(ef.FieldInt(n, x, 0, 0), scaled(ef.alpha_element(n, s, t), -y))
+
+
+def embed(a, root):
+    """Numeric value of the element a at a numeric approximation of lam0."""
+    return a.c0 + root * (a.c1 + root * a.c2)

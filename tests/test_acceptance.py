@@ -17,7 +17,7 @@ import pytest
 from mpmath import mp, workprec
 
 import cubicthue.exact_field as ef
-from conftest import alpha_values, brute_force_solutions
+from conftest import alpha_values, beta_element, brute_force_solutions, scaled
 from cubicthue.asymptotics import (
     run_logdiff, run_regulator, st_box,
     check_error_products, compute_proof_quantities,
@@ -245,8 +245,8 @@ def test_criterion_10_unit_decomposition(capsys, small_scan, desk_scan):
                 d = decompose_unit(n, s, t, r, with_b_bar=False)
                 done += 1
                 if done % 9973 == 0:  # spot re-check of the exact identity
-                    beta = ef.FieldInt(n, r.x, 0, 0) - ef.alpha_element(n, s, t) * r.y
-                    assert beta == d.sign * ef.alpha_element(n, d.b1, d.b2)
+                    beta = beta_element(n, s, t, r.x, r.y)
+                    assert beta == scaled(ef.alpha_element(n, d.b1, d.b2), d.sign)
     elapsed = time.time() - t0
     report(capsys, 10, True, elapsed, budget, f"{done} records decomposed and verified exactly")
     assert elapsed < budget

@@ -405,7 +405,7 @@ def test_wbar_rows_agree_with_the_exact_absorption_test(n_grid, st_bound):
             man, exp = (mpf(3) / 4 * mp.log(n) / n).man_exp
         rhs = man * Fraction(2) ** exp
         for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(st_bound), 192):
-            num, den = asymptotics.cell_quantities(tri, shift, s, t, 192).absorb_ratio()
+            num, den = asymptotics.cell_quantities(tri, shift, s, t).absorb_ratio()
             exact.append((n, s, t, Fraction(num, den) <= rhs))
             rounded.append((float(rhs), float(Fraction(num, den))))
     assert [(r["n"], r["s"], r["t"], r["ok"]) for r in res.rows] == exact
@@ -562,7 +562,7 @@ def _filled_logs(n, pairs, y_bound=None):
     every cell."""
     cells = {}
     for s, t, tri, shift in asymptotics.orbit_triples(n, pairs, 192, y_bound):
-        proof._quantities(tri, shift, s, t, 192)
+        proof._quantities(tri, shift, s, t)
         cells[(s, t)] = tri
     return cells
 
@@ -632,7 +632,7 @@ def test_mirrored_memos_are_freed_without_the_cycle_collector():
     try:
         triples = []
         for s, t, tri, shift in asymptotics.orbit_triples(10**4, st_box(3), 192):
-            proof._quantities(tri, shift, s, t, 192)
+            proof._quantities(tri, shift, s, t)
             triples.append(weakref.ref(tri))
         del tri
         assert sum(ref() is not None for ref in triples) == 0

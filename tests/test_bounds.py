@@ -205,6 +205,16 @@ def test_slack_radius_covers_log_n_anywhere_in_its_radius(n):
         assert 0 < radius < mid >> 200
 
 
+def test_threshold_at_n_one_is_exactly_zero():
+    # log 1 = 0 exactly, and the threshold's floor adds a unit to its radius only
+    # where the division leaves a remainder
+    F, K = 240, 200
+    assert bounds._log_n(1, F) == (0, 0)
+    assert bounds._absorb_threshold((0, 0), F, 1, K) == (0, 0)
+    assert bounds._absorb_threshold((4 << F, 0), F, 3, K) == (1 << K, 0)
+    assert bounds._absorb_threshold((1 << F, 0), F, 5, K) == ((3 << K) // 20, 1)
+
+
 @pytest.mark.parametrize("n", [1, 60, 10**6, 10**64, 10**400])
 @pytest.mark.parametrize("b_abs", [1, 2, 3, 10**9])
 def test_constants_of_n_lie_within_their_radii(n, b_abs):

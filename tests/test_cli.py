@@ -687,6 +687,23 @@ def test_lemma_at_tiny_n_names_the_least_n(capsys, name, n, least):
     assert f"lemma {name} needs n >= {least}, got n = {n}" in err
 
 
+@pytest.mark.parametrize("bits", ["64", "1024"])
+def test_lemma_wbar_decides_n_one(capsys, bits):
+    # (3/4) log(1)/1 is exactly 0, so rhs and the margin print 0.0 and every cell
+    # fails the absorption, the chain failure scan --n 1 names on the same cells
+    code, out, _ = run(capsys, ["--format", "json", "--precision-bits", bits,
+                                "lemma", "wbar", "--n", "1", "--smax", "1"])
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert [(r["s"], r["t"], r["rhs"], r["margin"], r["ok"]) for r in rows] == [
+        (s, t, 0.0, 0.0, False) for s in (-1, 1) for t in (-1, 1)]
+    code, out, _ = run(capsys, ["--format", "json", "scan", "--n", "1", "--smax", "1",
+                                "--ybound", "10"])
+    assert code == 0
+    assert [(r["s"], r["t"], r["chain_failure"]) for r in json.loads(out)["rows"]] == [
+        (r["s"], r["t"], "w_bar absorption") for r in rows]
+
+
 @pytest.mark.parametrize("smax", ["0", "-2"])
 def test_scan_smax_below_one_exits_two_before_reading_the_grid(capsys, monkeypatch, smax):
     from cubicthue import cli

@@ -246,7 +246,7 @@ def test_orbit_path_gives_the_proof_quantities_of_each_cell(n):
     for (s, t, tri, shift), (form, _, rep) in zip(orbit, bounds.cell_reports(n, st_box(3), 192)):
         cells += 1
         assert (form.s, form.t) == (rep.s, rep.t) == (s, t)
-        q = asymptotics.cell_quantities(tri, shift, s, t, 192)
+        q = asymptotics.cell_quantities(tri, shift, s, t)
         ref = compute_proof_quantities(n, s, t, 192)
         assert (q.n, q.s, q.t, q.b0) == (ref.n, ref.s, ref.t, ref.b0)
         # the cell's conjugates are tri's from index shift on
@@ -283,12 +283,12 @@ def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop(monkeypatch):
     monkeypatch.setattr(roots, "compute_alphas", spy)
     for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(2), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
-        assert proof._quantities(wide, shift, s, t, 192) is None
+        assert proof._quantities(wide, shift, s, t) is None
         asked.clear()
-        q = asymptotics.cell_quantities(wide, shift, s, t, 192)
+        q = asymptotics.cell_quantities(wide, shift, s, t)
         assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
         ref = compute_proof_quantities(n, s, t, 192)
-        assert (q.n, q.s, q.t, q.precision_bits, q.b0) == (ref.n, ref.s, ref.t, 192, ref.b0)
+        assert (q.n, q.s, q.t, q.b0) == (ref.n, ref.s, ref.t, ref.b0)
 
 
 def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypatch):
@@ -332,7 +332,7 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
 def test_cell_with_s_or_t_zero_is_refused(capsys):
     tri = compute_alphas(100, 1, 0, 192)
     with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
-        asymptotics.cell_quantities(tri, 0, 1, 0, 192)
+        asymptotics.cell_quantities(tri, 0, 1, 0)
     with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
         compute_proof_quantities(100, 0, 1)
     # the bound command prints such a cell's upper bound and names the chain's
@@ -376,7 +376,7 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
     # with radii that never shrink, b0 is never certified: four attempts, then exit 3
     attempts = []
 
-    def never(tri, shift, s, t, precision_bits):
+    def never(tri, shift, s, t):
         attempts.append(tri.precision_bits)
 
     monkeypatch.setattr(proof, "_quantities", never)

@@ -9,7 +9,7 @@ from cubicthue.forms import (
     build_form, discriminant, eval_form, height, is_reducible, phi_transform,
 )
 from cubicthue.roots import compute_alphas
-from conftest import alpha_values
+from conftest import alpha_values, invert_unit, multiplication_matrix
 
 
 def test_untwisted_coefficients():
@@ -29,10 +29,10 @@ def test_coefficients_match_the_matrix_oracle():
         for s in range(-3, 4):
             for t in range(-3, 4):
                 alpha = ef.alpha_element(n, s, t)
-                m = ef.multiplication_matrix(alpha)
+                m = multiplication_matrix(alpha)
                 f = build_form(n, s, t)
                 assert f.A == -(m[0][0] + m[1][1] + m[2][2])
-                assert f.B == sum(ef.multiplication_matrix(ef.invert_unit(alpha))[i][i]
+                assert f.B == sum(multiplication_matrix(invert_unit(alpha))[i][i]
                                   for i in range(3))
 
 

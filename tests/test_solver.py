@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, workprec
 
-from conftest import alpha_values, brute_force_solutions, log_values
+from conftest import alpha_values, beta_element, brute_force_solutions, log_values, scaled
 from cubicthue import cli, roots, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
-from cubicthue.errors import DegenerateTwist, PrecisionExhausted
+from cubicthue.errors import DegenerateTwist, NotReducible, PrecisionExhausted
 from cubicthue.forms import BinaryCubicForm, build_form, eval_form
 from cubicthue.roots import compute_alphas, power_alphas, shift_roots
 from cubicthue.solver import classify_type, decompose_unit, reduce_to_type1, solve_box
@@ -371,8 +371,23 @@ def test_reduce_type3_to_type1():
 
 def test_reduce_rejects_type1():
     rec = next(r for r in solve_box(10, 1, 0, 1) if (r.x, r.y) == (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only type-2/3 records"):
         reduce_to_type1(10, 1, 0, rec)
+
+
+def test_reduce_refuses_doctored_records():
+    # each of the three checks refuses a record that breaks it; a foreign unit needs
+    # a fresh memo, as the solve's shared one would skip the form check
+    n, s, t = 10, 1, 0
+    recs = {(r.x, r.y): r for r in solve_box(n, s, t, 1)}
+    for rec in (recs[(0, 1)], recs[(-1, 1)]):
+        with pytest.raises(NotReducible, match="does not solve"):
+            reduce_to_type1(n, s, t, dataclasses.replace(rec, value=-rec.value))
+        with pytest.raises(NotReducible, match="did not re-classify"):
+            reduce_to_type1(n, s, t, dataclasses.replace(rec, type_j=5 - rec.type_j))
+        foreign = dataclasses.replace(rec, unit=ef.alpha_element(n, 2, 1), reductions={})
+        with pytest.raises(NotReducible, match="transformed form differs"):
+            reduce_to_type1(n, s, t, foreign)
 
 
 def test_records_are_used_with_their_own_parameters():
@@ -472,8 +487,8 @@ def test_decompose_nontrivial_exact_roundtrip():
     n, s, t = 0, 1, 0
     recs = {(r.x, r.y): r for r in solve_box(n, s, t, 10)}
     d = decompose_unit(n, s, t, recs[(-1, 2)])
-    beta = ef.FieldInt(n, -1, 0, 0) - ef.alpha_element(n, s, t) * 2
-    assert beta == d.sign * ef.alpha_element(n, d.b1, d.b2)
+    beta = beta_element(n, s, t, -1, 2)
+    assert beta == scaled(ef.alpha_element(n, d.b1, d.b2), d.sign)
     assert d.b_bar is None                        # untwisted sanity case has no b0
 
 
@@ -490,7 +505,7 @@ def test_decompose_twisted_has_b_bar():
 
 def oracle_decompose(n, s, t, rec, precision_bits=192, with_b_bar=True):
     x, y = rec.x, rec.y
-    beta_exact = ef.FieldInt(n, x, 0, 0) - ef.alpha_element(n, s, t) * y
+    beta_exact = beta_element(n, s, t, x, y)
     pb = precision_bits
     for _ in range(4):
         tri = compute_alphas(n, s, t, pb)
