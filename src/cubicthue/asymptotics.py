@@ -35,11 +35,11 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import (_CONST_GUARD, _absorb_threshold, _absorbed, _log_int, _log_n, float_power,
-                     ratio_float)
-from .errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
+from .bounds import _absorb_threshold, _absorbed, _level, _log_int, float_power, ratio_float
+from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from .forms import st_box
-from .proof import _cell_logs, _one_cell, _ordered_diffs, cell_quantities, compute_proof_quantities
+from .proof import (_cell_logs, _one_cell, _ordered_diffs, _quantities, cell_quantities,
+                    compute_proof_quantities)
 from .roots import (attempts, compute_roots, doublings, escalate, fixed_mul, orbit_triples,
                     working_bits)
 
@@ -572,26 +572,35 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
 
 
 def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> LemmaResult:
-    """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n."""
+    """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n.  A
+    cell's b0 and the threshold and absorption test of bounds._chain are one decision on
+    each attempt in turn, at the constants of n of its level (bounds._decided)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["wbar"]
     _require_grid("wbar", n_grid, 1)
     rows, failures = [], []
-    F = precision_bits + _CONST_GUARD
     for n in n_grid:
-        log_n = _log_n(n, F)
+        consts = {}
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
-            q = cell_quantities(tri, shift, s, t)
-            # the threshold and the decision of bounds._chain, and the exact absorption ratio
-            (num, den), K = q.absorb_ratio(), q.frac_bits
-            a, r = _absorb_threshold(log_n, F, n, K)
-            rhs = _rounded((a, r), 1 << K)
-            margin = _rounded((a * den, r * den), num << K) if num else math.inf
-            if None in (rhs, margin):
-                raise PrecisionExhausted(f"the w_bar margin of (n,s,t)={(n, s, t)} is undecided")
-            ok_pt = _absorbed(q, a, r)
+            def decide(cur):
+                nonlocal open_test
+                q = _quantities(cur, shift, s, t)
+                if q is None:
+                    return None
+                const = _level(consts, cur, tri, 1, precision_bits)
+                (num, den), K = q.absorb_ratio(), q.frac_bits
+                a, r = _absorb_threshold(const.log_n, const.frac_bits, n, K)
+                rhs = _rounded((a, r), 1 << K)
+                margin = _rounded((a * den, r * den), num << K) if num else math.inf
+                ok, open_test = _absorbed(q, a, r), "the w_bar margin"
+                return None if None in (rhs, margin, ok) else (ratio_float(num, den), rhs,
+                                                                margin, ok)
+
+            open_test = "b0"
+            lhs, rhs, margin, ok_pt = escalate(lambda: f"{open_test} of (n,s,t)={(n, s, t)}",
+                                               attempts(tri), decide)
             if not ok_pt:
                 failures.append((n, s, t))
-            rows.append({"n": n, "s": s, "t": t, "lhs": ratio_float(num, den), "rhs": rhs,
+            rows.append({"n": n, "s": s, "t": t, "lhs": lhs, "rhs": rhs,
                          "margin": margin, "ok": ok_pt, "precision_bits": precision_bits})
     ok = not failures
     notes = "" if ok else f"{len(failures)} grid points fail absorption, e.g. {failures[:4]}"

@@ -24,10 +24,10 @@ radius, and the upper bound is their fixed-point combination with log H.  The
 chain's slack R - v_bar - (3/4) log(n)/n is an integer over the cell's 2^K,
 and the lower bound is slack * n / (3 * 2^K).  The w_bar absorption, the
 slack's sign and the crossover lower > upper are interval tests: each is
-certainly true, certainly false, or within the summed radii of the constants,
-where PrecisionExhausted names the cell and no side is picked.  The proof
-quantities' own integers (u1, u2, d12, d13, R and v_bar of the cell) carry no
-radius here yet.  No value depends on a working precision: bg_upper_bound and
+certainly true, certainly false, or open within the summed radii, where the
+cell retries at doubled bits (_decided).  The proof quantities' own integers
+(u1, u2, d12, d13, R and v_bar of the cell) carry no radius here yet.  No
+value depends on a working precision: bg_upper_bound and
 lower_bound_chain return exact Fractions, a report's values are floats or,
 beyond float range, Fractions (a margin rounded to 53 bits), and cli prints them.
 """
@@ -38,10 +38,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
+from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
 from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform, st_box
-from .proof import cell_quantities, compute_proof_quantities
-from .roots import _shifted, compute_roots, fixed_log, fixed_mul, orbit_triples
+# compute_proof_quantities is re-exported: benchmarks/tracer.py wraps it here
+from .proof import _one_cell, _quantities, compute_proof_quantities  # noqa: F401
+from .roots import _shifted, attempts, compute_roots, escalate, fixed_log, fixed_mul, orbit_triples
 
 _CONST_GUARD = 48   # the constants of n carry precision_bits + 48 fraction bits
 
@@ -114,7 +115,7 @@ class _NConstants:
     regulator is R, upper_factor c3 * R * max(log R, 1), log_b log max(b_abs, e)
     (exactly 1 for b_abs <= 2) and log_n log n (None at n = 0).  R is the
     regulator of the given root set: bg_upper_bound gives compute_roots(n,
-    precision_bits), cell_reports the root set of its first triple.
+    precision_bits), _level the root set of the first attempt at its bits.
     """
 
     frac_bits: int
@@ -157,15 +158,15 @@ def _upper_bound(form, const: _NConstants):
 
 
 def lower_bound_chain(n: int, s: int, t: int, precision_bits: int = 192):
-    """Implied lower bound on log|y| under b_bar >= 1, as an exact Fraction.
+    """Implied lower bound on log|y| under b_bar = b0 + b1 + b2 >= 1, as an exact
+    Fraction: _decided on the one-cell triple, with no crossover.
 
     Raises ChainPreconditionFailed (naming the violated inequality) where the
     chain's numeric hypotheses do not hold; some parameter pairs violate them
     at every n and are simply outside the chain's reach.
     """
-    q = compute_proof_quantities(n, s, t, precision_bits)
-    F = precision_bits + _CONST_GUARD
-    slack, _ = _chain(q, _log_n(n, F), F)
+    tri = _one_cell(n, s, t, precision_bits, "proof quantities")
+    q, (slack, _), _ = _decided(tri, 0, s, t, {}, 1, precision_bits)
     return _exact(slack * n, 3 << q.frac_bits)
 
 
@@ -197,23 +198,16 @@ def _absorb_threshold(log_n, frac_bits: int, n: int, K: int):
     return a, -(-(3 * r << K) // den) + (rem != 0)
 
 
-def _absorbed(q, a: int, r: int) -> bool:
+def _absorbed(q, a: int, r: int):
     """The w_bar absorption |w_bar| / (2 |d12| |d13|) <= A of q's cell, A = (a, r) over
     2^K: |U1 D13 + U2 D12| 2^(3K) <= 2 D12^2 D13^2 A, decided by _at_most at A's lower
-    end and, where that fails, at its upper end (PrecisionExhausted if they disagree)."""
+    end and, where that fails, at its upper end; None where the two ends disagree."""
     K = q.frac_bits
     w = abs(q.u1_num * q.diff13_num + q.u2_num * q.diff12_num) << 3 * K
     d12, d13 = abs(q.diff12_num), abs(q.diff13_num)
     if _at_most(w, (2, d12, d12, d13, d13, max(a - r, 0))):
         return True
-    if _at_most(w, (2, d12, d12, d13, d13, a + r)):
-        raise _undecided("w_bar absorption", q)
-    return False
-
-
-def _undecided(what: str, q) -> PrecisionExhausted:
-    return PrecisionExhausted(f"{what} for (n,s,t)={(q.n, q.s, q.t)} lies within the radii "
-                              f"of the bound constants")
+    return None if _at_most(w, (2, d12, d12, d13, d13, a + r)) else False
 
 
 def _chain(q, log_n, frac_bits: int):
@@ -223,8 +217,8 @@ def _chain(q, log_n, frac_bits: int):
 
     u_bar > 0 and the window are decided on q's integers, and the w_bar
     absorption at the threshold A = (3/4) log(n)/n by _absorbed.  The slack's sign
-    is decided at both ends of A's radius; where they disagree,
-    PrecisionExhausted names the cell.
+    is decided at both ends of A's radius.  A certain failure raises
+    ChainPreconditionFailed; where the absorption or the sign is open, None.
     """
     K = q.frac_bits
     one = 1 << K
@@ -236,28 +230,57 @@ def _chain(q, log_n, frac_bits: int):
     if log_n is None:
         raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
     a, r = _absorb_threshold(log_n, frac_bits, q.n, K)
-    if not _absorbed(q, a, r):
+    if not (absorbed := _absorbed(q, a, r)):
+        if absorbed is None:
+            return None
         raise ChainPreconditionFailed(
             "w_bar absorption",
             f"lhs = {ratio_float(*q.absorb_ratio()):.3g}, rhs = {ratio_float(a, one):.3g}")
     slack = q.regulator_num - q.v_bar_num - a
     if slack <= r:
         if slack >= -r:
-            raise _undecided("R - v_bar > (3/4) log(n)/n", q)
+            return None
         raise ChainPreconditionFailed(
             "R - v_bar > (3/4) log(n)/n", f"slack = {ratio_float(slack, one):.3g}")
     return slack, r
 
 
-def _crosses(q, slack, upper, frac_bits: int) -> bool:
+def _crosses(q, slack, upper, frac_bits: int):
     """lower > upper, for the lower bound slack * n / (3 * 2^K) of q's cell and the
-    upper bound over 2^frac_bits, each with its radius; PrecisionExhausted naming
-    the cell where the radii leave it open."""
+    upper bound over 2^frac_bits, each with its radius; None where the radii leave
+    it open."""
     (num, r), (u, ru), K = slack, upper, q.frac_bits
     gap = (num * q.n << frac_bits) - (3 * u << K)
-    if abs(gap) <= (r * q.n << frac_bits) + (3 * ru << K):
-        raise _undecided("crossover lower > upper", q)
-    return gap > 0
+    return None if abs(gap) <= (r * q.n << frac_bits) + (3 * ru << K) else gap > 0
+
+
+def _level(consts: dict, cur, first, b_abs: int, precision_bits: int) -> _NConstants:
+    """The constants of n for the attempt cur of roots.attempts(first): at precision_bits
+    doubled as often as first's bits, built from cur's root set once per n and level."""
+    k = cur.precision_bits // first.precision_bits
+    return consts.get(k) or consts.setdefault(k, _n_constants(cur.roots, b_abs, precision_bits * k))
+
+
+def _decided(tri, shift: int, s: int, t: int, consts: dict, b_abs: int, precision_bits: int,
+             form=None, upper=None):
+    """(q, slack, crossover) of the cell (s, t) whose conjugates are tri's from index shift
+    on: b0, the chain and, given the form and its first upper bound, the crossover (else
+    False), decided on each of roots.attempts(tri) in turn with the constants of its level."""
+    open_test = "b0"
+
+    def decide(cur):
+        nonlocal open_test
+        const, q = _level(consts, cur, tri, b_abs, precision_bits), _quantities(cur, shift, s, t)
+        open_test = "b0" if q is None else "w_bar absorption or R - v_bar > (3/4) log(n)/n"
+        slack = q and _chain(q, const.log_n, const.frac_bits)
+        if slack is None or form is None:   # open, or no crossover asked
+            return slack and (q, slack, False)
+        open_test = "crossover lower > upper"
+        up = upper if cur is tri else _upper_bound(form, const)
+        crossover = _crosses(q, slack, up, const.frac_bits)
+        return None if crossover is None else (q, slack, crossover)
+
+    return escalate(lambda: f"{open_test} for (n,s,t)={(tri.n, s, t)}", attempts(tri), decide)
 
 
 @dataclass(frozen=True)
@@ -317,11 +340,12 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     cells go by phi-orbit (roots.orbit_triples, which plans their triples, bits
     and mirror links, and takes y_bound) and share the form of their orbit's
     representative, built once per mirrored pair of orbits; a form carries the
-    (s, t) of its cell.  The constants of n are built once, from the first
-    triple's root set, the upper bound once per mirrored pair of forms, and the
-    chain per cell on that cell's proof quantities; a cell with s*t = 0 has
-    none, and reports its upper bound with the chain failure "s*t != 0".  tri
-    is the orbit's triple, in the order of the first cell of the orbit.
+    (s, t) of its cell.  The constants of n are built once per level (_level),
+    the first from the first triple's root set, the upper bound once per
+    mirrored pair of forms, and b0, the chain and the crossover per cell
+    (_decided); a cell with s*t = 0 has none, and reports its upper bound with
+    the chain failure "s*t != 0".  tri is the orbit's triple, in the order of
+    the first cell of the orbit.
 
     The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
     (-B, -A), as its conjugates are the inverses, alpha(-s, -t) = 1/alpha(s, t):
@@ -331,10 +355,8 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     """
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
-    const = None
-    forms, uppers = {}, {}   # uppers: key -> (upper, its float)
+    consts, forms, uppers = {}, {}, {}
     for s, t, tri, shift in orbit_triples(n, pairs, precision_bits, y_bound):
-        const = const or _n_constants(tri.roots, b_abs, precision_bits)
         orbit = (tri.s, tri.t)
         if orbit not in forms:
             mirror = forms.get((-tri.s, -tri.t))
@@ -345,25 +367,23 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
         form = forms[orbit]
         if shift:
             form = BinaryCubicForm(n, s, t, form.A, form.B)
+        const = _level(consts, tri, tri, b_abs, precision_bits)
         key = min((form.A, form.B), (-form.B, -form.A))
-        if key not in uppers:
-            upper = _upper_bound(form, const)
-            uppers[key] = upper, ratio_float(upper[0], 1 << const.frac_bits)
-        upper, upper_float = uppers[key]
+        upper = uppers.get(key) or uppers.setdefault(key, _upper_bound(form, const))
         lower, failure, crossover = None, "", False
         try:
             if s * t == 0:
                 raise ChainPreconditionFailed("s*t != 0")
-            q = cell_quantities(tri, shift, s, t)
-            slack = _chain(q, const.log_n, const.frac_bits)
-            num, den = slack[0] * n, 3 << q.frac_bits
+            q, (slack, _), crossover = _decided(tri, shift, s, t, consts, b_abs, precision_bits,
+                                                form, upper)
+            num, den = slack * n, 3 << q.frac_bits
             lower = ratio_float(num, den)
             lower = _exact(num, den) if math.isinf(lower) else lower   # beyond float range
-            crossover = _crosses(q, slack, upper, const.frac_bits)
         except ChainPreconditionFailed as exc:
             failure = exc.inequality
-        yield form, tri, BoundReport(n, s, t, c3_constant(3, 2), height(form), upper_float,
-                                     lower, crossover, failure, precision_bits)
+        yield form, tri, BoundReport(n, s, t, c3_constant(3, 2), height(form),
+                                     ratio_float(upper[0], 1 << const.frac_bits), lower,
+                                     crossover, failure, precision_bits)
 
 
 @dataclass

@@ -72,12 +72,6 @@ def st_box(bound: int):
     return [(s, t) for s in span for t in span if s * t != 0]
 
 
-def discriminant(form: BinaryCubicForm) -> int:
-    """Discriminant of the dehomogenised cubic z^3 + A z^2 + B z - 1."""
-    a, b, c = form.A, form.B, -1
-    return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
-
-
 def is_reducible(form: BinaryCubicForm) -> bool:
     """True iff the form has a rational root; only z = +-1 is possible here."""
     return form.A + form.B == 0 or form.B - form.A + 2 == 0

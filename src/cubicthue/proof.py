@@ -12,13 +12,13 @@ Cramer numerators of the unit-exponent system on log|d12| and log|d13|
 (log_system, which solver.decompose_unit shares): sums of fixed-point
 products whose radius follows from those.  b0 and the window 0 < v_bar < R
 are decided only when (v1 + v2) mod R lies farther than that radius (plus b0
-times the regulator's) from 0 and from R; otherwise cell_quantities retries
-at more bits by the precision policy of roots.py (its "Precision" paragraph).
-So a b0 this module reports is the true one, whatever the cancellation in
-v_bar = b0 R - v1 - v2.  The other decisions of the lower-bound chain
-(u_bar > 0, the w_bar absorption) are made on the same integers, without a
-division (see bounds._chain); the radii of u1, u2, d12 and d13 are not kept,
-so those decisions are not certified.
+times the regulator's) from 0 and from R; otherwise _quantities returns None
+and its caller retries at doubled bits through roots.escalate, as every open
+interval does (the "Precision" paragraph of roots.py).  So a b0 this module
+reports is the true one, whatever the cancellation in v_bar = b0 R - v1 - v2.
+The other decisions of the lower-bound chain (u_bar > 0, the w_bar absorption)
+are made on the same integers, without a division (see bounds._chain); the
+radii of u1, u2, d12 and d13 are not kept, so those decisions are not certified.
 
 The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
 one orbit have the same three conjugates in a cyclic order: those of
@@ -56,11 +56,9 @@ def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
 def _cell_logs(tri, shift: int):
     """The logs and signed differences (l12, l13, d12, d13), as (numerator, radius)
     pairs over 2^K, of the cell whose conjugates are tri's from index shift on;
-    None where a difference is not known to be nonzero."""
-    d12, d13 = _ordered_diffs(tri, shift)
-    if abs(d12[0]) <= d12[1] or abs(d13[0]) <= d13[1]:
-        return None
-    return tri.diff_log(shift, (shift + 1) % 3), tri.diff_log(shift, (shift + 2) % 3), d12, d13
+    None where a difference is not known to be nonzero (AlphaTriple.diff_log)."""
+    logs = tri.diff_log(shift, (shift + 1) % 3), tri.diff_log(shift, (shift + 2) % 3)
+    return None if None in logs else (*logs, *_ordered_diffs(tri, shift))
 
 
 @dataclass(frozen=True)

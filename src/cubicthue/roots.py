@@ -109,15 +109,14 @@ cells ask, and one root set, at the largest alpha_precision of any cell,
 floor-shifted once to each root_frac_bits the triples need (compute_alphas
 is an orbit of one cell, whose root set needs no shift).  escalate is the
 one retry loop of every decision the radii can leave open: the solver's
-candidates, a solution's type and unit exponents, a difference's sign, b0
-and the lemma residuals.  It goes over attempts(first), the first triple
-(the solve's, an orbit's, the one that certified a record, or
-proof._one_cell's) and then compute_alphas at each doubling of its bits,
-PRECISION_ATTEMPTS in all, or for the root expansions over compute_roots at
-those doublings, and raises PrecisionExhausted (exit code 3) when they run
-out.  Two interval tests exit 3 with no retry, bounds._chain/_crosses and
-the w_bar margin of asymptotics.run_wbar: their radii are set by the
-constants of n at precision_bits + 48 bits, not by a triple's bits.
+candidates, a solution's type and unit exponents, a difference's sign, b0,
+the lemma residuals and the bound side's chain, crossover and w_bar margin
+(with the constants of n at as many doublings, bounds._level).  It goes over
+attempts(first), the first triple (the solve's, an orbit's, the one that
+certified a record, or proof._one_cell's) and then compute_alphas at each
+doubling of its bits, PRECISION_ATTEMPTS in all, or for the root expansions
+over compute_roots at those doublings, and only when they run out raises
+PrecisionExhausted (exit code 3), as no function but _certify_root also does.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ class UnitDecomposition:
     b1: int
     b2: int
     sign: int
-    b_bar: Optional[int]  # b0 - b1 - b2; None where s*t = 0, which has no proof quantities
+    b_bar: Optional[int]  # b0 + b1 + b2, the chain's integer; None where s*t = 0 (no b0)
 
 
 def _validate_st(s: int, t: int):
@@ -338,9 +338,9 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     the pair the record's shape fixes: (0, 0) when y = 0, as x - alpha1*y is x,
     and (s, t) when x = 0, as it is -y alpha1.  Then each triple of
     roots.attempts(rec.alphas) gives one guess (_exponent_guess), through
-    escalate: PrecisionExhausted (exit code 3) if none passes.  b_bar takes the
-    certified b0 of cell_quantities on the record's triple, so no second root
-    set is computed.
+    escalate: PrecisionExhausted (exit code 3) if none passes.  b_bar, the
+    chain's integer b0 + b1 + b2 (bounds.lower_bound_chain), takes the
+    certified b0 of cell_quantities on the record's triple: no second root set.
 
     A guess that passes the exact test is the answer: lam0 and lam1 are
     multiplicatively independent (E. Thomas, J. reine angew. Math. 310, 1979),
@@ -378,5 +378,5 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     b_bar = None
     if with_b_bar and s * t != 0:
         tri = rec.alphas
-        b_bar = cell_quantities(tri, 0, s, t).b0 - b1 - b2
+        b_bar = cell_quantities(tri, 0, s, t).b0 + b1 + b2
     return UnitDecomposition(b1, b2, sign, b_bar)

@@ -1,6 +1,6 @@
 """Shared test helpers: independent oracles for the roots, for the solutions and for
-the order Z[lam0], and the mpf values of a root set's and a triple's fixed point and
-of an upper bound.
+the order Z[lam0], a form's discriminant, and the mpf values of a root set's and a
+triple's fixed point and of an upper bound.
 
 mpmath is the tests' oracle: the package computes in integers only.  The package
 builds its units from the closed-form inverses of exact_field; the general path of
@@ -83,6 +83,12 @@ def brute_force_solutions(n, s, t, y_bound):
             for x in {int(mp.floor(a * y)) + d for a in alphas for d in range(-2, 4)}:
                 confirm(x, y)
     return out
+
+
+def discriminant(form):
+    """Discriminant of the dehomogenised cubic z^3 + A z^2 + B z - 1 of a form."""
+    a, b, c = form.A, form.B, -1
+    return 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
 
 
 def exact_roots(n):

@@ -17,13 +17,13 @@ import pytest
 from mpmath import mp, workprec
 
 import cubicthue.exact_field as ef
-from conftest import alpha_values, beta_element, brute_force_solutions, scaled
+from conftest import alpha_values, beta_element, brute_force_solutions, discriminant, scaled
 from cubicthue.asymptotics import (
     run_logdiff, run_regulator, st_box,
     check_error_products, compute_proof_quantities,
 )
 from cubicthue.bounds import bg_upper_bound, c3_constant, n0_scan, ratio_float
-from cubicthue.forms import build_form, discriminant, phi_transform
+from cubicthue.forms import build_form, phi_transform
 from cubicthue.roots import compute_alphas
 from cubicthue.solver import decompose_unit, reduce_to_type1, solve_box
 

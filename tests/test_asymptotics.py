@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, workprec
 
-from cubicthue import asymptotics, proof
+from cubicthue import asymptotics, bounds, cli, proof
 from cubicthue.asymptotics import (
     Branch,
     check_error_products,
@@ -34,7 +34,8 @@ from cubicthue.asymptotics import (
 from cubicthue.bounds import ratio_float
 from cubicthue.errors import DegenerateTwist, ExactMatch, InsufficientSamples, PrecisionExhausted
 from cubicthue.roots import (
-    compute_alphas, compute_roots, doublings, fixed_log, orbit_triples, proof_precision,
+    PRECISION_ATTEMPTS, compute_alphas, compute_roots, doublings, fixed_log, orbit_triples,
+    proof_precision,
 )
 from conftest import exact_roots, fixed_view, root_values
 
@@ -413,24 +414,44 @@ def test_wbar_rows_agree_with_the_exact_absorption_test(n_grid, st_bound):
     assert any(ok for *_, ok in exact) and not all(ok for *_, ok in exact)
 
 
-def test_wbar_margin_within_the_radius_of_the_threshold_is_precision_exhausted(monkeypatch):
-    # rhs and the margin print as correctly rounded floats or not at all
-    real = asymptotics._absorb_threshold
+@pytest.mark.parametrize("every", [False, True])
+def test_wbar_margin_within_the_radius_of_the_threshold_is_precision_exhausted(
+        monkeypatch, capsys, every):
+    # rhs and the margin print as correctly rounded floats or not at all: a threshold
+    # too wide to round at the first attempt retries on the cell's triple and the
+    # constants of n at doubled bits, which give the undoctored rows; one that no
+    # attempt narrows ends in PrecisionExhausted and exit 3
+    want = run_wbar(n_grid=[10**4], st_bound=1).rows
+    real, real_constants, levels = asymptotics._absorb_threshold, bounds._n_constants, []
 
-    def wide(*args):
-        a, _ = real(*args)
-        return a, a // 2
+    def wide(log_n, frac_bits, n, K):
+        a, r = real(log_n, frac_bits, n, K)
+        return (a, a // 2) if every or frac_bits == 192 + 48 else (a, r)
+
+    def constants(rs, b_abs, precision_bits):
+        levels.append(precision_bits)
+        return real_constants(rs, b_abs, precision_bits)
 
     monkeypatch.setattr(asymptotics, "_absorb_threshold", wide)
-    with pytest.raises(PrecisionExhausted, match=r"w_bar margin of \(n,s,t\)=\(10000, -1, -1\)"):
+    monkeypatch.setattr(bounds, "_n_constants", constants)
+    if not every:
+        assert run_wbar(n_grid=[10**4], st_bound=1).rows == want
+        assert levels == [192, 384]
+        return
+    with pytest.raises(PrecisionExhausted,
+                       match=r"w_bar margin of \(n,s,t\)=\(10000, -1, -1\) undecided at"):
         run_wbar(n_grid=[10**4], st_bound=1)
+    assert levels == [192 << k for k in range(PRECISION_ATTEMPTS)]
+    assert cli.main(["lemma", "wbar", "--n", "10000", "--smax", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "precision exhausted: the w_bar margin" in err
 
 
 def test_wbar_margin_just_below_one_is_not_ok(monkeypatch):
     # the threshold floor(num 2^K / den) with radius 0 puts each cell's exact margin
     # within 2^-K below 1, where its float rounds to 1.0; the absorption still fails
     cells = []
-    real = asymptotics.cell_quantities
+    real = asymptotics._quantities
 
     def recorded(*args):
         cells.append(real(*args))
@@ -441,7 +462,7 @@ def test_wbar_margin_just_below_one_is_not_ok(monkeypatch):
         assert (num << K) % den
         return (num << K) // den, 0
 
-    monkeypatch.setattr(asymptotics, "cell_quantities", recorded)
+    monkeypatch.setattr(asymptotics, "_quantities", recorded)
     monkeypatch.setattr(asymptotics, "_absorb_threshold", floored)
     res = run_wbar(n_grid=[10**4], st_bound=1)
     assert [(r["margin"], r["ok"]) for r in res.rows] == [(1.0, False)] * len(cells)

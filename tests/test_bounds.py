@@ -17,7 +17,7 @@ from cubicthue.bounds import (
 )
 from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
 from cubicthue.forms import build_form, height
-from cubicthue.roots import compute_roots
+from cubicthue.roots import PRECISION_ATTEMPTS, compute_roots
 from cubicthue.solver import solve_box
 from conftest import dyadic_value, fixed_view, regulator_value
 
@@ -257,35 +257,102 @@ def test_upper_radius_covers_each_log_anywhere_in_its_radius(monkeypatch, b_abs)
     assert moved > 2   # the logs' radii, not the floors of the product, are what is covered
 
 
-def test_crossover_within_the_radii_raises_and_reports_no_verdict(monkeypatch, capsys):
-    # an upper bound whose radius straddles the lower bound decides no crossover:
-    # PrecisionExhausted names the cell, and bound prints nothing and exits 3
-    cells = [(10**64, 2, 1), (10**4, 2, 1)]
-    assert [bound_report(*cell).crossover for cell in cells] == [True, False]
-    real = bounds._n_constants
+# the chain applies at both cells, and only the first crosses
+BOUND_CELLS = [(10**64, 2, 1), (10**4, 2, 1)]
+FIRST_BITS = 192   # the first level of the constants, at bound's default bits
 
-    def straddling(rs, b_abs, precision_bits):
-        const = real(rs, b_abs, precision_bits)
-        num, _ = const.upper_factor
-        return dataclasses.replace(const, upper_factor=(num, num << 400))
 
-    monkeypatch.setattr(bounds, "_n_constants", straddling)
-    for n, s, t in cells:
+def _open_at(monkeypatch, site, every):
+    """Open one interval test of the bound side at the first attempt only, or at
+    every attempt: the absorption by a log n whose radius is its value, the
+    slack's sign by a threshold just above R - v_bar with a wider radius, the
+    crossover by an upper factor whose radius dwarfs it.  Returns the list that
+    collects the precision_bits of each _n_constants call, a level each."""
+    levels, cells = [], []
+    real_constants, real_threshold = bounds._n_constants, bounds._absorb_threshold
+    real_quantities = bounds._quantities
+
+    def constants(rs, b_abs, precision_bits):
+        levels.append(precision_bits)
+        const = real_constants(rs, b_abs, precision_bits)
+        if site == "crossover" and (every or precision_bits == FIRST_BITS):
+            num, _ = const.upper_factor
+            const = dataclasses.replace(const, upper_factor=(num, num << 400))
+        return const
+
+    def quantities(*args):
+        cells.append(real_quantities(*args))
+        return cells[-1]
+
+    def threshold(log_n, frac_bits, n, K):
+        if site == "crossover" or not (every or frac_bits == FIRST_BITS + 48):
+            return real_threshold(log_n, frac_bits, n, K)
+        if site == "absorption":
+            return real_threshold((log_n[0], log_n[0]), frac_bits, n, K)
+        gap = cells[-1].regulator_num - cells[-1].v_bar_num
+        return gap + (gap >> 20), gap >> 10
+
+    monkeypatch.setattr(bounds, "_n_constants", constants)
+    monkeypatch.setattr(bounds, "_quantities", quantities)
+    monkeypatch.setattr(bounds, "_absorb_threshold", threshold)
+    return levels
+
+
+@pytest.mark.parametrize("site", ["absorption", "slack", "crossover"])
+def test_open_bound_test_is_decided_at_doubled_bits(monkeypatch, site):
+    # an interval test of the bound side that its first attempt leaves open retries
+    # on the cell's triple and the constants of n at doubled bits, which decide it:
+    # the report is the undoctored one.  A slack sign decided without its radius
+    # would report the first attempt's slack, below 0, as the failure instead
+    want = [bound_report(*cell) for cell in BOUND_CELLS]
+    assert [(rep.crossover, rep.chain_failure) for rep in want] == [(True, ""), (False, "")]
+    levels = _open_at(monkeypatch, site, every=False)
+    for cell, rep in zip(BOUND_CELLS, want):
+        levels.clear()
+        assert bound_report(*cell) == rep
+        assert levels == [FIRST_BITS, 2 * FIRST_BITS]
+        assert float(lower_bound_chain(*cell)) == rep.lower_chain
+
+
+def _exhausts(monkeypatch, capsys, site, name):
+    """With the site open at every attempt, bound_report raises PrecisionExhausted
+    naming the test and the cell after the last doubling, and bound exits 3."""
+    levels = _open_at(monkeypatch, site, every=True)
+    for n, s, t in BOUND_CELLS:
+        levels.clear()
         with pytest.raises(PrecisionExhausted,
-                           match=rf"crossover lower > upper for \(n,s,t\)=\({n}, {s}, {t}\)"):
+                           match=rf"{name}.*for \(n,s,t\)=\({n}, {s}, {t}\) undecided at"):
             bound_report(n, s, t)
+        assert levels == [FIRST_BITS << k for k in range(PRECISION_ATTEMPTS)]
         assert cli.main(["bound", str(n), str(s), str(t)]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "precision exhausted: crossover" in err
+        assert out == "" and "precision exhausted: " in err
 
 
-def test_absorption_within_the_radius_of_its_threshold_raises():
-    # a log n whose radius spans the absorption's edge decides neither way
+def test_crossover_within_the_radii_raises_and_reports_no_verdict(monkeypatch, capsys):
+    # an upper bound whose radius straddles the lower bound at every attempt decides
+    # no crossover: PrecisionExhausted names the cell, and bound prints nothing and exits 3
+    _exhausts(monkeypatch, capsys, "crossover", "crossover lower > upper")
+
+
+def test_absorption_within_the_radius_of_its_threshold_raises(monkeypatch, capsys):
+    # a log n whose radius spans the absorption's edge decides neither way: the
+    # chain leaves it open, and where no attempt narrows it, exit 3
     n, F = 10**6, 240
     L, _ = bounds._log_n(n, F)
     for q in _applicable(n, st_box(2)):
-        with pytest.raises(PrecisionExhausted, match="w_bar absorption for"):
-            bounds._chain(q, (L, L), F)
+        assert bounds._chain(q, (L, L), F) is None
+    _exhausts(monkeypatch, capsys, "absorption", "w_bar absorption")
+
+
+def test_slack_sign_within_its_radius_raises(monkeypatch, capsys):
+    # a threshold within its radius of R - v_bar leaves the slack's sign open
+    n, F = 10**6, 240
+    for q in _applicable(n, st_box(2)):
+        gap = q.regulator_num - q.v_bar_num
+        assert bounds._chain(q, bounds._log_n(n, F), F) is not None
+        assert bounds._chain(q, ((4 * n * gap << F) // (3 << q.frac_bits), 1 << F), F) is None
+    _exhausts(monkeypatch, capsys, "slack", r"R - v_bar > \(3/4\) log\(n\)/n")
 
 
 def test_chain_at_tiny_n_is_a_named_failure():
@@ -300,7 +367,7 @@ def test_once_twisted_cell_reports_its_upper_bound(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("proof quantities were computed")
 
-    monkeypatch.setattr(bounds, "cell_quantities", refuse)
+    monkeypatch.setattr(bounds, "_quantities", refuse)
     for s, t in [(1, 0), (2, 0), (0, -3)]:
         rep = bound_report(n, s, t)
         assert (rep.lower_chain, rep.crossover, rep.chain_failure) == (None, False, "s*t != 0")

@@ -1269,6 +1269,32 @@ def test_integer_core_imports_nothing_from_mpmath():
     assert proc.stdout == b"False\n"
 
 
+def test_only_the_retry_loop_and_the_root_certificate_raise_precision_exhausted():
+    # every open interval retries through roots.escalate: no other function makes or
+    # raises a PrecisionExhausted, so none ends a decision at exit 3 before the last
+    # doubling.  Parsed, so a helper that builds the exception for its caller counts
+    def named(expr):
+        return getattr(expr, "id", getattr(expr, "attr", None)) == "PrecisionExhausted"
+
+    def makers(node, owner, found):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and named(node.func)
+                or isinstance(node, ast.Raise) and named(node.exc)):
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            makers(child, owner, found)
+        return found
+
+    found = []
+    for name in sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [(name, owner, line) for owner, line in makers(tree, None, [])]
+    assert {(name, owner) for name, owner, _ in found} == {("roots", "escalate"),
+                                                           ("roots", "_certify_root")}, found
+
+
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])
 def test_lemma_smax_on_a_lemma_without_a_box_exits_two(capsys, monkeypatch, name):
     from cubicthue import cli

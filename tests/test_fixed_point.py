@@ -373,16 +373,22 @@ def test_vbar_lemma_at_1e64_gives_the_1024_bit_answer():
 
 
 def test_undecided_b0_doubles_then_exhausts(monkeypatch):
-    # with radii that never shrink, b0 is never certified: four attempts, then exit 3
+    # with radii that never shrink, b0 is never certified: four attempts, then exit 3,
+    # for the proof quantities alone and for bound, which decides b0 with the chain
     attempts = []
 
     def never(tri, shift, s, t):
         attempts.append(tri.precision_bits)
 
-    monkeypatch.setattr(proof, "_quantities", never)
-    with pytest.raises(PrecisionExhausted):
-        compute_proof_quantities(10**4, 2, 1)
+    for mod in (proof, bounds):
+        monkeypatch.setattr(mod, "_quantities", never)
     first = proof_precision(10**4, 192)
+    with pytest.raises(PrecisionExhausted, match=r"b0 for \(n,s,t\)=\(10000, 2, 1\)"):
+        compute_proof_quantities(10**4, 2, 1)
+    assert attempts == [first, 2 * first, 4 * first, 8 * first]
+    attempts.clear()
+    with pytest.raises(PrecisionExhausted, match=r"b0 for \(n,s,t\)=\(10000, 2, 1\)"):
+        bounds.bound_report(10**4, 2, 1)
     assert attempts == [first, 2 * first, 4 * first, 8 * first]
     assert main(["bound", "10000", "2", "1"]) == 3
 

@@ -6,10 +6,10 @@ from mpmath import mp, workprec
 
 import cubicthue.exact_field as ef
 from cubicthue.forms import (
-    build_form, discriminant, eval_form, height, is_reducible, phi_transform,
+    build_form, eval_form, height, is_reducible, phi_transform,
 )
 from cubicthue.roots import compute_alphas
-from conftest import alpha_values, invert_unit, multiplication_matrix
+from conftest import alpha_values, discriminant, invert_unit, multiplication_matrix
 
 
 def test_untwisted_coefficients():

@@ -12,12 +12,13 @@ import cubicthue.exact_field as ef
 import cubicthue.roots as roots
 from cubicthue.asymptotics import st_box
 from cubicthue.errors import PrecisionExhausted
-from cubicthue.forms import build_form, discriminant
+from cubicthue.forms import build_form
 from cubicthue.roots import (
     alpha_precision, compute_alphas, compute_roots, orbit_triples, proof_precision,
 )
 from conftest import (
-    alpha_values, embed, exact_roots, fixed_view, log_values, regulator_value, root_values,
+    alpha_values, discriminant, embed, exact_roots, fixed_view, log_values, regulator_value,
+    root_values,
 )
 
 

@@ -474,6 +474,27 @@ def test_b_bar_is_decided_on_the_solve_root_set(n, s, t):
     assert roots.compute_roots.cache_info().misses == 1
 
 
+# every type-1 solution with y >= 2 at n = 3..40, (s, t) in st_box(6), y <= 10^4
+TYPE1_SOLUTIONS = [(3, -1, -1, -9, 7), (3, 1, 1, -7, 9), (4, -2, -3, -57, 7), (4, -2, -2, 3, 2),
+                   (4, 2, 2, 2, 3), (4, 2, 3, -7, 57), (5, -2, -1, -2, 9), (5, 2, 1, -9, 2),
+                   (10, -1, -2, 86, 7), (10, 1, 2, 7, 86)]
+
+
+def test_b_bar_is_the_chain_integer_one_on_type_1_solutions():
+    # b_bar = b0 + b1 + b2, the integer of the lower-bound chain, which the chain
+    # assumes >= 1: on these solutions it is 1, while b0 - b1 - b2 ranges over -11..5
+    found = [(n, s, t, r.x, r.y) for n in range(3, 41) for s, t in st_box(6)
+             for r in solve_box(n, s, t, 10**4) if r.type_j == 1 and r.y >= 2]
+    assert found == TYPE1_SOLUTIONS
+    minus = set()
+    for n, s, t, x, y in TYPE1_SOLUTIONS:
+        rec = next(r for r in solve_box(n, s, t, y) if (r.x, r.y) == (x, y))
+        d = decompose_unit(n, s, t, rec)
+        assert d.b_bar == 1
+        minus.add(d.b_bar - 2 * (d.b1 + d.b2))
+    assert min(minus) == -11 and max(minus) == 5
+
+
 def test_decompose_trivial_records():
     n, s, t = 9, 1, 0
     recs = {(r.x, r.y): r for r in solve_box(n, s, t, 1)}
@@ -530,7 +551,7 @@ def oracle_decompose(n, s, t, rec, precision_bits=192, with_b_bar=True):
                 continue
             b_bar = None
             if with_b_bar and s * t != 0:
-                b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 - b1 - b2
+                b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 + b1 + b2
             return solver.UnitDecomposition(b1, b2, sign, b_bar)
         pb *= 2
     raise PrecisionExhausted(f"unit exponents for (x,y)=({x},{y}) undecided at {pb // 2} bits")
