@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Checks of the installed `cubicthue` console script, which no test runs: two
+# Checks of the installed `cubicthue` console script, which no test runs: three
 # pinned outputs (the second prints values beyond float range from exact
-# fractions) and every command line of the README's "Command-line usage" block.
+# fractions, the third is a once-twisted cell's crossover) and every command
+# line of the README's "Command-line usage" block.
 # Run from the repository root after `pip install -e .`.
 set -euo pipefail
 
@@ -10,6 +11,9 @@ want="$(printf 'n,s,t,A,B,degenerate\n5,1,0,-4,-7,false')"
 [ "$out" = "$want" ] || { echo "unexpected output: $out"; exit 1; }
 out="$(cubicthue --format csv scan --n 1e400 --smax 1 --ybound 10 | cut -d, -f2,3,9,10 | tail -n 1)"
 want="1,1,2.8276789922551456e+405,4.0671798891820596e+347"
+[ "$out" = "$want" ] || { echo "unexpected output: $out"; exit 1; }
+out="$(cubicthue --format csv bound 1e64 1 0 | cut -d, -f7,8,9 | tail -n 1)"
+want="7.238858220173173e+67,true,"
 [ "$out" = "$want" ] || { echo "unexpected output: $out"; exit 1; }
 usage="$(sed -n '/^## Command-line usage/,/^## /p' README.md | sed -n '/^```/,/^```/p' | grep '^cubicthue ')" \
   || { echo "no cubicthue lines in the README's usage block"; exit 1; }

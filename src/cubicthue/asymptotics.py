@@ -1,7 +1,7 @@
 """Asymptotic predictors and their measurement harnesses, in the fixed point of roots.py.
 
-Each predictor returns a Prediction (leading term, correction term, claimed
-error order) of (numerator, radius) pairs over the caller's 2^K: rational terms
+Each predictor returns a Prediction (leading term, correction term) of
+(numerator, radius) pairs over the caller's 2^K: rational terms
 floored, with radius 1 where inexact, and logs from roots.fixed_log.  A residual,
 an integer over 2^K with a radius, prints as the float both ends of its radius
 round to, the correctly rounded float of the value it certifies (Ziv, ACM TOMS
@@ -111,11 +111,10 @@ def classify_case(s: int, t: int):
 
 @dataclass(frozen=True)
 class Prediction:
-    """leading + correction, pairs over 2^K, and the claimed order of the neglected error."""
+    """leading + correction, pairs over 2^K."""
 
     leading: tuple
     correction: tuple
-    error_order: float
 
     @property
     def value(self):
@@ -146,46 +145,44 @@ def predict_root_expansion(n: int, which: int, frac_bits: int):
     """Two-term value and log expansions of root `which` (0, 1 or 2), over 2^frac_bits."""
     if n < 4 or which not in (0, 1, 2):
         raise ValueError("expansions are for n >= 4 and the roots 0, 1 and 2")
-    # the value c n^e + c' n^e' and its order, and the log k log n + p / (2 n^2)
-    c, e, c2, e2, order = ((1, 1, 2, -1, -2.0), (-1, -1, 1, -2, -3.0), (-1, 0, -1, -1, -3.0))[which]
+    # the value c n^e + c' n^e', and the log k log n + p / (2 n^2)
+    c, e, c2, e2 = ((1, 1, 2, -1), (-1, -1, 1, -2), (-1, 0, -1, -1))[which]
     k, p = ((1, 4), (-1, -2 * n - 3), (0, 2 * n - 1))[which]
     K, (L, r) = frac_bits, _log_int(n, frac_bits)
-    return (Prediction(_term(c, n, e, K), _term(c2, n, e2, K), order),
-            Prediction((k * L, abs(k) * r), _ratio(p, 2 * n * n, K), -3.0))
+    return (Prediction(_term(c, n, e, K), _term(c2, n, e2, K)),
+            Prediction((k * L, abs(k) * r), _ratio(p, 2 * n * n, K)))
 
 
 def predict_power(n: int, a: int, which: int, frac_bits: int) -> Prediction:
-    """Two-term prediction of lam_which^a, signs folded in, over 2^frac_bits; its
-    claimed error order is taken at DEFAULT_EPSILON."""
+    """Two-term prediction of lam_which^a, signs folded in, over 2^frac_bits."""
     if which not in (0, 1, 2):
         raise ValueError("root index must be 0, 1 or 2")
     sg = _sgn_pow(a)
-    # the leading term c n^e and the correction c' n^e', whose order is e' - 2 epsilon
+    # the leading term c n^e and the correction c' n^e'
     c, e, c2, e2 = ((1, a, 2 * a, a - 2), (sg, -a, -sg * a, -a - 1), (sg, 0, sg * a, -1))[which]
-    return Prediction(_term(c, n, e, frac_bits), _term(c2, n, e2, frac_bits),
-                      e2 - 2 * DEFAULT_EPSILON)
+    return Prediction(_term(c, n, e, frac_bits), _term(c2, n, e2, frac_bits))
 
 
 def predict_logdiff(n: int, s: int, t: int, frac_bits: int, log_n=None):
     """Branch predictions for log|alpha1 - alpha2| and log|alpha1 - alpha3|, over
     2^frac_bits, from log_n = log n over 2^frac_bits where the caller has it.
 
-    Claimed error order is -(1 + 2*epsilon) for exponents up to n^(1/2-epsilon),
-    taken at DEFAULT_EPSILON; for fixed (s, t) the measured residuals decay like n^-2.
+    The claimed error order is -(1 + 2*epsilon) for exponents up to n^(1/2-epsilon),
+    which run_logdiff checks; for fixed (s, t) the measured residuals decay like n^-2.
     """
     if s * t == 0:
         raise DegenerateTwist("log-difference expansions need s*t != 0")
-    L, err = log_n or _log_int(n, frac_bits), -(1 + 2 * DEFAULT_EPSILON)
+    L = log_n or _log_int(n, frac_bits)
     # |alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t) (module docstring)
-    return _predict12(n, L, frac_bits, s, t, err), _predict12(n, L, frac_bits, t - s, -s, err)
+    return _predict12(n, L, frac_bits, s, t), _predict12(n, L, frac_bits, t - s, -s)
 
 
-def _predict12(n: int, log_n, K: int, s: int, t: int, err: float) -> Prediction:
+def _predict12(n: int, log_n, K: int, s: int, t: int) -> Prediction:
     """The diff12 prediction of predict_logdiff at (s, t) from its row of _BRANCHES: the
     leading term k log n + log m and the correction p / (q n), from log n over 2^K."""
     k, m, p, q = _BRANCHES[_classify_one(2 * s, t, s)][1](s, t)
     (L, r), (g, rg) = log_n, _log_int(m, K) if m > 1 else (0, 0)
-    return Prediction((k * L + g, abs(k) * r + rg), _ratio(p, q * n, K), err)
+    return Prediction((k * L + g, abs(k) * r + rg), _ratio(p, q * n, K))
 
 
 def _rounded(pair, den: int):
@@ -216,7 +213,7 @@ def _expansion_point(what: str, n: int, precision_bits: int, point, extra: int =
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences as
     (K, (l12, l13, d12, d13)), pairs over 2^K of the first triple that decides them."""
-    tri = _one_cell(n, s, t, precision_bits, "conjugate differences")
+    tri = _one_cell(n, s, t, precision_bits)
     return escalate(lambda: f"the conjugate differences of (n,s,t)={(n, s, t)}", attempts(tri),
                     lambda cur: (got := _cell_logs(cur, 0)) and (cur.frac_bits, got))
 
@@ -242,7 +239,7 @@ class ErrorProductReport:
 def check_error_products(n: int, s: int, t: int, precision_bits: int = 192) -> ErrorProductReport:
     """The gap products of |alpha1 - alpha2| and |alpha1 - alpha3|, as integer
     ratios over powers of 2^K, each rounded once to a float."""
-    return _error_products(_one_cell(n, s, t, precision_bits, "error products"), 0, s, t)
+    return _error_products(_one_cell(n, s, t, precision_bits), 0, s, t)
 
 
 def _error_products(tri, shift: int, s: int, t: int) -> ErrorProductReport:
@@ -365,30 +362,30 @@ def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Root and log expansions: residual slopes vs the claimed orders."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lapprox"]
     _require_grid("lapprox", n_grid, 4, -3, "fits residuals down to order n^-3")
-    rows, series, claimed = [], {}, {}
+    # claimed orders of predict_root_expansion's neglected errors, by kind and root
+    claimed = {"value": (-2.0, -3.0, -3.0), "log": (-3.0, -3.0, -3.0)}
+    rows, series = [], {}
     for n in n_grid:
         bits, values = _expansion_point("lapprox residuals", n, precision_bits, _lapprox_point)
         for which in (0, 1, 2):
-            rv, rl, value_order, log_order = values[4 * which: 4 * which + 4]
-            for kind, residual, order in (("value", rv, value_order), ("log", rl, log_order)):
+            rv, rl = values[2 * which: 2 * which + 2]
+            for kind, residual in (("value", rv), ("log", rl)):
                 series.setdefault((which, kind), []).append((n, residual))
-                claimed[(which, kind)] = order
             rows.append({"n": n, "root": which, "value_residual": rv, "log_residual": rl,
-                         "value_order": value_order, "log_order": log_order,
-                         "precision_bits": bits})
-    fits, ok = _fit_series(series, ("root", "kind"), claimed.__getitem__)
+                         "value_order": claimed["value"][which],
+                         "log_order": claimed["log"][which], "precision_bits": bits})
+    fits, ok = _fit_series(series, ("root", "kind"), lambda key: claimed[key[1]][key[0]])
     return LemmaResult("lapprox", {"n_grid": n_grid, "precision_bits": precision_bits},
                        rows, fits, ok)
 
 
 def _lapprox_point(rs):
-    """The value and log residuals of each root of rs, rounded, each with their orders."""
+    """The value and log residuals of each root of rs, rounded."""
     K, out = rs.frac_bits, []
     for which in (0, 1, 2):
         val_p, log_p = predict_root_expansion(rs.n, which, K)
         out += [_rounded(_minus(rs.lam_fixed[which], val_p.value), 1 << K),
-                _rounded(_minus(rs.log_fixed[which], log_p.value), 1 << K),
-                val_p.error_order, log_p.error_order]
+                _rounded(_minus(rs.log_fixed[which], log_p.value), 1 << K)]
     return out
 
 

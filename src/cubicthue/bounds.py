@@ -165,7 +165,7 @@ def lower_bound_chain(n: int, s: int, t: int, precision_bits: int = 192):
     chain's numeric hypotheses do not hold; some parameter pairs violate them
     at every n and are simply outside the chain's reach.
     """
-    tri = _one_cell(n, s, t, precision_bits, "proof quantities")
+    tri = _one_cell(n, s, t, precision_bits)
     q, (slack, _), _ = _decided(tri, 0, s, t, {}, 1, precision_bits)
     return _exact(slack * n, 3 << q.frac_bits)
 
@@ -343,9 +343,8 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     (s, t) of its cell.  The constants of n are built once per level (_level),
     the first from the first triple's root set, the upper bound once per
     mirrored pair of forms, and b0, the chain and the crossover per cell
-    (_decided); a cell with s*t = 0 has none, and reports its upper bound with
-    the chain failure "s*t != 0".  tri is the orbit's triple, in the order of
-    the first cell of the orbit.
+    (_decided), the once-twisted cells (s, 0) and (0, t) as the others.  tri
+    is the orbit's triple, in the order of the first cell of the orbit.
 
     The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
     (-B, -A), as its conjugates are the inverses, alpha(-s, -t) = 1/alpha(s, t):
@@ -372,8 +371,6 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
         upper = uppers.get(key) or uppers.setdefault(key, _upper_bound(form, const))
         lower, failure, crossover = None, "", False
         try:
-            if s * t == 0:
-                raise ChainPreconditionFailed("s*t != 0")
             q, (slack, _), crossover = _decided(tri, shift, s, t, consts, b_abs, precision_bits,
                                                 form, upper)
             num, den = slack * n, 3 << q.frac_bits

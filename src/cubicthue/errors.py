@@ -10,7 +10,8 @@ class PrecisionExhausted(ArithmeticError):
 
 
 class DegenerateTwist(ValueError):
-    """Operation refused for exponent pairs outside its domain (typically s*t == 0)."""
+    """Operation refused for exponent pairs outside its domain: (s, t) = (0, 0), or
+    s*t == 0 for the log-difference expansions."""
 
 
 class NotReducible(RuntimeError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact_field as ef
+from .errors import DegenerateTwist
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,13 @@ class BinaryCubicForm:
         return {"n": self.n, "s": self.s, "t": self.t, "A": self.A, "B": self.B}
 
 
+def check_twist(s: int, t: int):
+    """Refuse (s, t) = (0, 0), the one pair outside the domain of the solver and
+    the proof quantities: its unit is 1 and its form (x - y)^3 (degenerate)."""
+    if s == t == 0:
+        raise DegenerateTwist("(s, t) = (0, 0) gives the reducible form (x - y)^3")
+
+
 def build_form(n: int, s: int, t: int) -> BinaryCubicForm:
     return form_of_unit(ef.alpha_element(n, s, t), s, t)
 
@@ -57,8 +65,8 @@ def eval_form(form: BinaryCubicForm, x: int, y: int) -> int:
 
 
 def height(form: BinaryCubicForm) -> int:
-    """max(|A|, |B|, 1), floored at 3 (the bound machinery requires H >= 3)."""
-    return max(abs(form.A), abs(form.B), 1, 3)
+    """max(|A|, |B|), floored at 3 (the bound machinery requires H >= 3)."""
+    return max(abs(form.A), abs(form.B), 3)
 
 
 def phi_transform(s: int, t: int):

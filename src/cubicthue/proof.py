@@ -25,16 +25,19 @@ one orbit have the same three conjugates in a cyclic order: those of
 phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
 _quantities takes the triple and the shift of a cell, and the triple takes
 each log |alpha_i - alpha_j| once (roots.AlphaTriple.diff_log), or from its
-mirror, the triple of the orbit of (-s, -t).  bounds.cell_reports and the
-harnesses plan the cells of an n by roots.orbit_triples; the one-cell case
-is compute_proof_quantities, on compute_alphas's triple.
+mirror, the triple of the orbit of (-s, -t).  The once-twisted cells (0, -s)
+and (-s, 0) are the rotations of the diagonal cell (s, s), so every cell but
+(0, 0), whose conjugates are all 1 (forms.check_twist), takes this one path.
+bounds.cell_reports and the harnesses plan the cells of an n by
+roots.orbit_triples; the one-cell case is compute_proof_quantities, on
+compute_alphas's triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateTwist
+from .forms import check_twist
 from .roots import attempts, compute_alphas, escalate, fixed_mul, proof_precision
 
 
@@ -45,11 +48,11 @@ def _ordered_diffs(tri, shift: int):
     return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
 
 
-def _one_cell(n: int, s: int, t: int, precision_bits: int, what: str):
+def _one_cell(n: int, s: int, t: int, precision_bits: int):
     """The triple of (n, s, t) alone at proof_precision bits, as orbit_triples
-    plans it for pairs [(s, t)] (compute_alphas is that one-cell plan, cached)."""
-    if s * t == 0:
-        raise DegenerateTwist(f"{what} need s*t != 0")
+    plans it for pairs [(s, t)] (compute_alphas is that one-cell plan, cached);
+    DegenerateTwist at (s, t) = (0, 0)."""
+    check_twist(s, t)
     return compute_alphas(n, s, t, proof_precision(n, precision_bits))
 
 
@@ -152,8 +155,6 @@ def cell_quantities(tri, shift: int, s: int, t: int):
     Where the radii leave a difference's sign or b0 undecided, the cell
     escalates from tri over roots.attempts(tri) (see "Precision" in roots.py).
     """
-    if s * t == 0:
-        raise DegenerateTwist("proof quantities need s*t != 0")
     return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", attempts(tri),
                     lambda cur: _quantities(cur, shift, s, t))
 
@@ -162,4 +163,4 @@ def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) 
     """The proof quantities of (n, s, t), with b0 and the window certified:
     cell_quantities on the one-cell triple, at proof_precision(n, precision_bits)
     bits."""
-    return cell_quantities(_one_cell(n, s, t, precision_bits, "proof quantities"), 0, s, t)
+    return cell_quantities(_one_cell(n, s, t, precision_bits), 0, s, t)

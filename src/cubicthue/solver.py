@@ -42,9 +42,10 @@ the output is decided by exact integer evaluation of f at every candidate.
 
 Domain.  The argument needs only three distinct real conjugates, none of
 them rational: a totally real, irreducible form.  Every (s, t) but (0, 0)
-gives one, the once-twisted s*t = 0 included, as alpha = lam0^s lam1^t is
-then a unit other than +-1, which generates the totally real cubic field
-(see Typing).  (0, 0) gives alpha = 1 and (x - y)^3, and is refused.
+gives one, the once-twisted (s, 0) and (0, t) included, as alpha = lam0^s lam1^t
+is then a unit other than +-1, which generates the totally real cubic field
+(see Typing).  (0, 0) gives alpha = 1 and (x - y)^3, and is refused
+(forms.check_twist).
 
 Typing.  Each record keeps its certificate: the exact unit alpha =
 lam0^s lam1^t, powered once by solve_box, and the AlphaTriple that certified
@@ -76,8 +77,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exact_field as ef
-from .errors import DegenerateTwist, NotReducible
-from .forms import build_form, eval_form, form_of_unit
+from .errors import NotReducible
+from .forms import build_form, check_twist, eval_form, form_of_unit
 from .proof import cell_quantities, log_system
 from .roots import (AlphaTriple, attempts, candidate_precision, compute_alphas, escalate,
                     fixed_log, power_alphas)
@@ -111,12 +112,7 @@ class UnitDecomposition:
     b1: int
     b2: int
     sign: int
-    b_bar: Optional[int]  # b0 + b1 + b2, the chain's integer; None where s*t = 0 (no b0)
-
-
-def _validate_st(s: int, t: int):
-    if s == t == 0:
-        raise DegenerateTwist("(s, t) = (0, 0) gives the reducible form (x - y)^3")
+    b_bar: Optional[int]  # b0 + b1 + b2, the chain's integer; None only if not asked for
 
 
 def _check_record(n: int, s: int, t: int, rec: SolutionRecord):
@@ -226,7 +222,7 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     Each record carries the unit, the triple that certified it and the solve's
     reduction memo.
     """
-    _validate_st(s, t)
+    check_twist(s, t)
     if y_bound < 1:
         raise ValueError("y_bound must be >= 1")
     unit = ef.alpha_element(n, s, t)
@@ -375,8 +371,5 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
     b1, b2, sign = checked(shape) or escalate(
         lambda: f"unit exponents for (x,y)=({x},{y})", attempts(rec.alphas),
         lambda tri: checked(_exponent_guess(x, y, tri)))
-    b_bar = None
-    if with_b_bar and s * t != 0:
-        tri = rec.alphas
-        b_bar = cell_quantities(tri, 0, s, t).b0 + b1 + b2
+    b_bar = cell_quantities(rec.alphas, 0, s, t).b0 + b1 + b2 if with_b_bar else None
     return UnitDecomposition(b1, b2, sign, b_bar)

@@ -76,6 +76,18 @@ def test_root_expansion_formulas():
             assert_within_radius(p.correction, K, corr)
 
 
+def test_predictors_refuse_their_arguments_out_of_range():
+    with pytest.raises(ValueError, match="expansions are for n >= 4"):
+        predict_root_expansion(3, 0, 96)
+    with pytest.raises(ValueError, match="expansions are for n >= 4"):
+        predict_root_expansion(100, 3, 96)
+    with pytest.raises(ValueError, match="root index must be 0, 1 or 2"):
+        predict_power(100, 1, 3, 96)
+    for lo, hi in ((0, 10), (10, 9)):
+        with pytest.raises(ValueError, match="need 0 < lo <= hi"):
+            asymptotics.log_grid(lo, hi)
+
+
 def test_root_expansion_residual_scale():
     # lam0 - (n + 2/n) = -1/n^2 + O(n^-3)
     for n in (10**3, 10**4):
@@ -447,6 +459,22 @@ def test_wbar_margin_within_the_radius_of_the_threshold_is_precision_exhausted(
     assert out == "" and "precision exhausted: the w_bar margin" in err
 
 
+def test_wbar_b0_open_at_the_first_attempt_retries_at_doubled_bits(monkeypatch):
+    # a b0 the first attempt leaves open is decided on the next, which gives the
+    # undoctored rows
+    want = run_wbar(n_grid=[10**4], st_bound=1).rows
+    real, asked = asymptotics._quantities, {}
+
+    def open_once(tri, shift, s, t):
+        asked.setdefault((s, t), []).append(tri.precision_bits)
+        return real(tri, shift, s, t) if len(asked[(s, t)]) > 1 else None
+
+    monkeypatch.setattr(asymptotics, "_quantities", open_once)
+    assert run_wbar(n_grid=[10**4], st_bound=1).rows == want
+    assert len(asked) == 4
+    assert all(len(bits) == 2 and bits[1] == 2 * bits[0] for bits in asked.values())
+
+
 def test_wbar_margin_just_below_one_is_not_ok(monkeypatch):
     # the threshold floor(num 2^K / den) with radius 0 puts each cell's exact margin
     # within 2^-K below 1, where its float rounds to 1.0; the absorption still fails
@@ -493,8 +521,12 @@ def test_fit_error_exponent_guards():
 
 
 def test_proof_quantities_reject_degenerate():
+    # only (0, 0); the once-twisted (1, 0) is the rotation of the diagonal cell (-1, -1)
     with pytest.raises(DegenerateTwist):
-        compute_proof_quantities(100, 1, 0)
+        compute_proof_quantities(100, 0, 0)
+    for s, t, tri, shift in orbit_triples(100, [(-1, -1), (0, 1), (1, 0)], 192):
+        q = asymptotics.cell_quantities(tri, shift, s, t)
+        assert (s, t, q.b0) == (s, t, compute_proof_quantities(100, s, t).b0)
 
 
 def test_st_box_order_and_content():

@@ -17,7 +17,7 @@ from cubicthue.bounds import (
 )
 from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
 from cubicthue.forms import build_form, height
-from cubicthue.roots import PRECISION_ATTEMPTS, compute_roots
+from cubicthue.roots import PRECISION_ATTEMPTS, compute_alphas, compute_roots, proof_precision
 from cubicthue.solver import solve_box
 from conftest import dyadic_value, fixed_view, regulator_value
 
@@ -65,6 +65,8 @@ def test_upper_bound_height_doubling():
 def test_upper_bound_monotone_in_b():
     vals = [bg_upper_bound(60, 1, 1, b_abs=b) for b in (1, 10, 1000)]
     assert vals[0] <= vals[1] <= vals[2]
+    with pytest.raises(ValueError, match="b_abs must be >= 1"):
+        bg_upper_bound(60, 1, 1, b_abs=0)
 
 
 def test_upper_bound_rejects_reducible():
@@ -361,17 +363,36 @@ def test_chain_at_tiny_n_is_a_named_failure():
     assert {bound_report(1, s, t).chain_failure for s, t in st_box(2)} == {"w_bar absorption"}
 
 
-@pytest.mark.parametrize("n", [0, 5, 1000, 10**64])
-def test_once_twisted_cell_reports_its_upper_bound(monkeypatch, n):
-    # s*t = 0: the upper bound needs no proof quantities, and the chain names its failure
-    def refuse(*args):
-        raise AssertionError("proof quantities were computed")
+# the four once-twisted orbits {(s, s), (0, -s), (-s, 0)} with |s| <= 2
+ONCE_TWISTED_ORBITS = [c for s in (-2, -1, 1, 2) for c in ((s, s), (0, -s), (-s, 0))]
 
-    monkeypatch.setattr(bounds, "_quantities", refuse)
-    for s, t in [(1, 0), (2, 0), (0, -3)]:
+
+@pytest.mark.parametrize("n", [0, 5, 1000, 10**64, 10**100])
+def test_once_twisted_cell_reports_its_upper_bound(n):
+    # s*t = 0 takes the one per-cell path: a cell's report is its report within its
+    # orbit, where it is a rotation of the diagonal cell, with the upper bound of its form
+    orbit = {(r.s, r.t): r for _, _, r in bounds.cell_reports(n, ONCE_TWISTED_ORBITS, 192)}
+    for s, t in ONCE_TWISTED_ORBITS:
         rep = bound_report(n, s, t)
-        assert (rep.lower_chain, rep.crossover, rep.chain_failure) == (None, False, "s*t != 0")
+        assert rep == orbit[(s, t)]
         assert rep.B_rhs == float(bg_upper_bound(n, s, t)) == float(formula_upper(n, s, t))
+    if n == 0:
+        assert {r.chain_failure for r in orbit.values()} == {"n >= 1"}
+    if n >= 10**64:   # 11 of the 12 cells cross
+        assert [(r.s, r.t, r.chain_failure) for r in orbit.values() if not r.crossover] == \
+            [(-2, 0, "R - v_bar > (3/4) log(n)/n")]
+
+
+@pytest.mark.parametrize("n,s,t", [(5, 2, 1), (10**6, -1, 3), (10**64, 1, 0)])
+def test_chain_names_a_u_bar_that_is_not_positive(n, s, t):
+    # u_bar = -u1 - u2 = 2 g2 - g0 - g1 is 3 log|lam2| exactly, as the root set takes
+    # g2 = -g0 - g1; a doctored q with u_bar = 0 is the chain's named failure
+    q = compute_proof_quantities(n, s, t)
+    g = compute_alphas(n, s, t, proof_precision(n, 192)).roots.log_fixed
+    assert q.u_bar_num == 3 * g[2][0] > 0
+    doctored = dataclasses.replace(q, u1_num=q.u1_num + q.u_bar_num)
+    with pytest.raises(ChainPreconditionFailed, match=r"u_bar > 0 \(u_bar = 0\)"):
+        bounds._chain(doctored, bounds._log_n(n, 240), 240)
 
 
 def test_chain_value_scale():
@@ -445,6 +466,9 @@ def test_n0_scan_analysis_is_pinned():
 def test_n0_scan_empty_grid():
     with pytest.raises(EmptyGrid):
         n0_scan(0.25, [])
+    # at n = 0 the box of floor(n^(1/2 - epsilon)) is empty, and so is the orbit plan
+    assert list(bounds.orbit_triples(0, [], 192)) == []
+    assert [r["n"] for r in n0_scan(0.25, [0, 1]).rows] == [1] * 4
     with pytest.raises(ValueError):
         n0_scan(0.7, [100])
 

@@ -142,6 +142,8 @@ def test_parse_grid():
     assert parse_grid("50:200:50") == [50, 100, 150, 200]
     assert parse_grid("100:1000000:log10") == [100, 1000, 10000, 100000, 1000000]
     assert parse_grid("100:5000:log10") == [100, 1000, 5000]
+    assert parse_grid("1:50:log10") == [1, 10, 50]
+    assert parse_grid("1:10:4") == [1, 5, 9, 10]     # a stop off the stride ends the grid
     with pytest.raises(ValueError):
         parse_grid("200:100")
     with pytest.raises(ValueError):
@@ -1269,12 +1271,11 @@ def test_integer_core_imports_nothing_from_mpmath():
     assert proc.stdout == b"False\n"
 
 
-def test_only_the_retry_loop_and_the_root_certificate_raise_precision_exhausted():
-    # every open interval retries through roots.escalate: no other function makes or
-    # raises a PrecisionExhausted, so none ends a decision at exit 3 before the last
-    # doubling.  Parsed, so a helper that builds the exception for its caller counts
+def makers_of(exception):
+    """(module, function, line) of each place in the package that makes or raises
+    exception.  Parsed, so a helper that builds the exception for its caller counts."""
     def named(expr):
-        return getattr(expr, "id", getattr(expr, "attr", None)) == "PrecisionExhausted"
+        return getattr(expr, "id", getattr(expr, "attr", None)) == exception
 
     def makers(node, owner, found):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -1291,8 +1292,24 @@ def test_only_the_retry_loop_and_the_root_certificate_raise_precision_exhausted(
         with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         found += [(name, owner, line) for owner, line in makers(tree, None, [])]
+    return found
+
+
+def test_only_the_retry_loop_and_the_root_certificate_raise_precision_exhausted():
+    # every open interval retries through roots.escalate: no other function makes or
+    # raises a PrecisionExhausted, so none ends a decision at exit 3 before the last
+    # doubling
+    found = makers_of("PrecisionExhausted")
     assert {(name, owner) for name, owner, _ in found} == {("roots", "escalate"),
                                                            ("roots", "_certify_root")}, found
+
+
+def test_only_the_0_0_guard_and_the_branch_table_raise_degenerate_twist():
+    # every cell but (0, 0) takes the one path of the solver and the proof quantities,
+    # once-twisted cells too; s*t != 0 is the domain of the 12-branch table alone
+    found = makers_of("DegenerateTwist")
+    assert {(name, owner) for name, owner, _ in found} == {("forms", "check_twist"),
+                                                           ("asymptotics", "predict_logdiff")}, found
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])

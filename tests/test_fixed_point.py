@@ -329,16 +329,29 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
     assert len(asked) == roots.PRECISION_ATTEMPTS
 
 
-def test_cell_with_s_or_t_zero_is_refused(capsys):
-    tri = compute_alphas(100, 1, 0, 192)
-    with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
-        asymptotics.cell_quantities(tri, 0, 1, 0)
-    with pytest.raises(DegenerateTwist, match=r"proof quantities need s\*t != 0"):
-        compute_proof_quantities(100, 0, 1)
-    # the bound command prints such a cell's upper bound and names the chain's
-    # failure; (5, 0, 0) has a rational root, which is reported as an error
+ONCE_TWISTED = [(s, 0) for s in range(-3, 4) if s] + [(0, t) for t in range(-3, 4) if t]
+
+
+@pytest.mark.parametrize("n", [2, 5, 100, 10**6, 10**64])
+def test_once_twisted_cells_match_the_mpf_oracle(n):
+    # a cell with s*t = 0 takes the path of every other: b0 and the chain's outcome
+    # are the oracle's
+    for s, t in ONCE_TWISTED:
+        q = compute_proof_quantities(n, s, t, 192)
+        ref = oracle_quantities(n, s, t, 2 * q.frac_bits)
+        assert (s, t, q.b0) == (s, t, ref.b0)
+        assert kernel_outcome(n, s, t, q, 192) == oracle_outcome(n, s, t, ref, 192)
+
+
+def test_only_the_cell_0_0_is_refused(capsys):
+    tri = compute_alphas(100, 1, 0, proof_precision(100, 192))
+    assert asymptotics.cell_quantities(tri, 0, 1, 0) == compute_proof_quantities(100, 1, 0)
+    with pytest.raises(DegenerateTwist, match=r"\(s, t\) = \(0, 0\) gives the reducible form"):
+        compute_proof_quantities(100, 0, 0)
+    # the bound command prints a once-twisted cell's chain; (5, 0, 0) has a
+    # rational root, which is reported as an error
     assert main(["bound", "5", "1", "0"]) == 0
-    assert "lower-bound chain inapplicable: s*t != 0" in capsys.readouterr().out
+    assert "lower-bound chain:    2.76854\n  crossover: no" in capsys.readouterr().out
     assert main(["bound", "5", "0", "0"]) == 2
     assert "error: form for (n,s,t)=(5,0,0) has a rational root" in capsys.readouterr().err
 

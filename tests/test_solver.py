@@ -396,6 +396,17 @@ def test_records_are_used_with_their_own_parameters():
         reduce_to_type1(11, 1, 0, rec)
     with pytest.raises(ValueError):
         decompose_unit(10, 0, 1, rec)
+    with pytest.raises(ValueError, match="record is not a unit solution"):
+        decompose_unit(10, 1, 0, dataclasses.replace(rec, value=2))
+
+
+def test_exponent_guess_is_none_on_a_difference_of_open_sign():
+    n, s, t = 10, 2, 1
+    rec = next(r for r in solve_box(n, s, t, 100) if r.x * r.y)
+    assert solver._exponent_guess(rec.x, rec.y, rec.alphas) is not None
+    # radii as wide as the numerators leave the sign of x 2^K - N_j y open
+    blurred = dataclasses.replace(rec.alphas, radii=tuple(abs(v) for v in rec.alphas.numerators))
+    assert solver._exponent_guess(rec.x, rec.y, blurred) is None
 
 
 @pytest.mark.parametrize("n", [10, 1000, 10**6])
@@ -495,6 +506,20 @@ def test_b_bar_is_the_chain_integer_one_on_type_1_solutions():
     assert min(minus) == -11 and max(minus) == 5
 
 
+# every once-twisted type-1 solution with y >= 2 at n = 3, |s|, |t| <= 6, y <= 10^4
+ONCE_TWISTED_TYPE1 = [(3, -1, 0, 2, 7), (3, 0, -1, -9, 2), (3, 0, 1, -2, 9), (3, 1, 0, 7, 2)]
+
+
+def test_b_bar_is_one_on_the_once_twisted_type_1_solutions():
+    pairs = [(s, 0) for s in range(-6, 7) if s] + [(0, t) for t in range(-6, 7) if t]
+    found = sorted((3, s, t, r.x, r.y) for s, t in pairs
+                   for r in solve_box(3, s, t, 10**4) if r.type_j == 1 and r.y >= 2)
+    assert found == ONCE_TWISTED_TYPE1
+    for n, s, t, x, y in ONCE_TWISTED_TYPE1:
+        rec = next(r for r in solve_box(n, s, t, y) if (r.x, r.y) == (x, y))
+        assert decompose_unit(n, s, t, rec).b_bar == 1
+
+
 def test_decompose_trivial_records():
     n, s, t = 9, 1, 0
     recs = {(r.x, r.y): r for r in solve_box(n, s, t, 1)}
@@ -510,7 +535,8 @@ def test_decompose_nontrivial_exact_roundtrip():
     d = decompose_unit(n, s, t, recs[(-1, 2)])
     beta = beta_element(n, s, t, -1, 2)
     assert beta == scaled(ef.alpha_element(n, d.b1, d.b2), d.sign)
-    assert d.b_bar is None                        # untwisted sanity case has no b0
+    # the once-twisted record has its b_bar, the chain's b0 + b1 + b2
+    assert d.b_bar == compute_proof_quantities(n, s, t).b0 + d.b1 + d.b2 == -2
 
 
 def test_decompose_twisted_has_b_bar():
@@ -550,7 +576,7 @@ def oracle_decompose(n, s, t, rec, precision_bits=192, with_b_bar=True):
                 pb *= 2
                 continue
             b_bar = None
-            if with_b_bar and s * t != 0:
+            if with_b_bar:
                 b_bar = compute_proof_quantities(n, s, t, precision_bits).b0 + b1 + b2
             return solver.UnitDecomposition(b1, b2, sign, b_bar)
         pb *= 2
