@@ -356,6 +356,9 @@ DEFAULT_N_GRIDS = {"lapprox": _WIDE_GRID, "lpowers": _WIDE_GRID, "regulator": _W
                    "ubar": _WIDE_GRID, "logdiff": tuple(log_grid(1000, 10**6)),
                    "errorbound": (10**3, 10**4, 10**5, 10**6),
                    "vbar": (10**4, 10**5, 10**6), "wbar": (10**4, 10**5, 10**6)}
+# the st_bound of each box runner when it is given none, st_box(st_bound) its
+# box; None is logdiff's branch representatives
+DEFAULT_BOXES = {"logdiff": None, "errorbound": 5, "vbar": 5, "wbar": 3}
 
 
 def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
@@ -449,11 +452,13 @@ def logdiff_representatives():
     return list(dict.fromkeys([r12 for _, _, r12, _ in rows] + [r13 for *_, r13 in rows]))
 
 
-def run_logdiff(n_grid=None, pairs=None, epsilon: float = DEFAULT_EPSILON,
+def run_logdiff(n_grid=None, st_bound=None, epsilon: float = DEFAULT_EPSILON,
                 precision_bits: int = 192) -> LemmaResult:
-    """12-branch table: residual * n^(1+2eps) must not grow (slope <= 0.3)."""
+    """12-branch table: residual * n^(1+2eps) must not grow (slope <= 0.3), on
+    st_box(st_bound) or the branch representatives."""
     n_grid = n_grid or DEFAULT_N_GRIDS["logdiff"]
-    pairs = pairs or logdiff_representatives()
+    st_bound = st_bound or DEFAULT_BOXES["logdiff"]
+    pairs = st_box(st_bound) if st_bound else logdiff_representatives()
     _require_grid("logdiff", n_grid, 1, 1 + 2 * epsilon, "scales residuals by n^(1+2 epsilon)")
     rows, series, seen = [], {}, set()
     for n in n_grid:
@@ -494,9 +499,10 @@ def _logdiff_residuals(tri, shift: int, s: int, t: int, log_n):
                     attempts(tri), decide)
 
 
-def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
+def run_errorbound(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResult:
     """Gap-product bounds with margins; first bound exempts (1,1) and (-1,-1)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["errorbound"]
+    st_bound = st_bound or DEFAULT_BOXES["errorbound"]
     _require_grid("errorbound", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:
@@ -517,10 +523,11 @@ def run_errorbound(n_grid=None, st_bound: int = 5, precision_bits: int = 192) ->
                                       "precision_bits": precision_bits}, rows, [], ok, notes)
 
 
-def run_vbar(n_grid=None, st_bound: int = 5, precision_bits: int = 192) -> LemmaResult:
+def run_vbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResult:
     """Window and growth of v_bar = b0*R - v1 - v2: for n >= 10^4,
     v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05."""
     n_grid = n_grid or DEFAULT_N_GRIDS["vbar"]
+    st_bound = st_bound or DEFAULT_BOXES["vbar"]
     _require_grid("vbar", n_grid, 2)
     rows = []
     window_ok = True
@@ -568,11 +575,12 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
                        rows, [], ok, f"u_bar*n at n={n_grid[-1]}: {final:.6f}")
 
 
-def run_wbar(n_grid=None, st_bound: int = 3, precision_bits: int = 192) -> LemmaResult:
+def run_wbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResult:
     """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n.  A
     cell's b0 and the threshold and absorption test of bounds._chain are one decision on
     each attempt in turn, at the constants of n of its level (bounds._decided)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["wbar"]
+    st_bound = st_bound or DEFAULT_BOXES["wbar"]
     _require_grid("wbar", n_grid, 1)
     rows, failures = [], []
     for n in n_grid:

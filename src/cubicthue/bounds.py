@@ -38,8 +38,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ChainPreconditionFailed, EmptyGrid, ReducibleForm
-from .forms import BinaryCubicForm, build_form, height, is_reducible, phi_transform, st_box
+from .errors import ChainPreconditionFailed, EmptyGrid
+from .forms import BinaryCubicForm, build_form, check_twist, height, phi_transform, st_box
 # compute_proof_quantities is re-exported: benchmarks/tracer.py wraps it here
 from .proof import _one_cell, _quantities, compute_proof_quantities  # noqa: F401
 from .roots import _shifted, attempts, compute_roots, escalate, fixed_log, fixed_mul, orbit_triples
@@ -139,7 +139,9 @@ def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
     """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as a Fraction: the
-    fixed-point numerator of _upper_bound over its power of two."""
+    fixed-point numerator of _upper_bound over its power of two.  DegenerateTwist at
+    (s, t) = (0, 0) before any root set."""
+    check_twist(s, t)
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
     const = _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits)
@@ -149,8 +151,6 @@ def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int =
 def _upper_bound(form, const: _NConstants):
     """bg_upper_bound for a form that is already built, from the constants of its n:
     (numerator, radius) over 2^const.frac_bits."""
-    if is_reducible(form):
-        raise ReducibleForm(f"form for (n,s,t)=({form.n},{form.s},{form.t}) has a rational root")
     # height is already floored at 3
     parts = (const.regulator, _log_int(height(form), const.frac_bits), const.log_b)
     total = (sum(num for num, _ in parts), sum(r for _, r in parts))
@@ -336,21 +336,22 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     """Yield (form, tri, BoundReport) for each (s, t) of pairs, in order.
 
     The one per-cell bound path: bound_report is a batch of one, the scans
-    batch the cells of an n.  b_abs >= 1 is checked before any root set.  The
-    cells go by phi-orbit (roots.orbit_triples, which plans their triples, bits
-    and mirror links, and takes y_bound) and share the form of their orbit's
-    representative, built once per mirrored pair of orbits; a form carries the
-    (s, t) of its cell.  The constants of n are built once per level (_level),
-    the first from the first triple's root set, the upper bound once per
-    mirrored pair of forms, and b0, the chain and the crossover per cell
-    (_decided), the once-twisted cells (s, 0) and (0, t) as the others.  tri
-    is the orbit's triple, in the order of the first cell of the orbit.
+    batch the cells of an n.  b_abs >= 1, and (s, t) != (0, 0) by check_twist in
+    orbit_triples, are checked before any root set.  The cells go by phi-orbit
+    (roots.orbit_triples, which plans their triples, bits and mirror links, and
+    takes y_bound) and share the form of their orbit's representative, built
+    once per mirrored pair of orbits; a form carries the (s, t) of its cell.
+    The constants of n are built once per level (_level), the first from the
+    first triple's root set, the upper bound once per mirrored pair of forms,
+    and b0, the chain and the crossover per cell (_decided), the once-twisted
+    cells (s, 0) and (0, t) as the others.  tri is the orbit's triple, in the
+    order of the first cell of the orbit.
 
     The form of (-s, -t) is the reversed cubic of that of (s, t), (A, B) ->
     (-B, -A), as its conjugates are the inverses, alpha(-s, -t) = 1/alpha(s, t):
     so the orbit of (-s, -t), phi being linear, takes the reversed form of the
-    orbit of (s, t) where that is built first.  Its height and its is_reducible
-    answer are the same, so is its upper bound.
+    orbit of (s, t) where that is built first.  Its height is the same, so is its
+    upper bound.
     """
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")

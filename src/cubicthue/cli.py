@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import inspect
 import io
 import json
 import math
@@ -68,9 +67,6 @@ LEMMA_RUNNERS = {
     "ubar": asymptotics.run_ubar,
     "wbar": asymptotics.run_wbar,
 }
-# the runners that check a box of (s, t) pairs -> the keyword --smax sets the box by
-LEMMA_BOXES = {"logdiff": "pairs", "errorbound": "st_bound", "vbar": "st_bound",
-               "wbar": "st_bound"}
 
 # fixed column orders for the csv format
 SOLUTION_COLUMNS = ["n", "s", "t", "x", "y", "value", "type", "trivial"]
@@ -303,15 +299,15 @@ def cmd_solve(args) -> int:
 
 def cmd_lemma(args) -> int:
     runner = LEMMA_RUNNERS[args.name]
-    box = LEMMA_BOXES.get(args.name)
+    box = args.name in asymptotics.DEFAULT_BOXES
     if args.smax is not None and args.smax < 1:
         raise ValueError(f"--smax must be >= 1, got {args.smax}")
-    if args.smax is not None and box is None:
+    if args.smax is not None and not box:
         raise ValueError(f"lemma {args.name} takes no --smax: it checks no box of (s, t) pairs")
     kwargs = {"precision_bits": args.precision_bits}
-    if box is not None:
+    if box:
         # without --smax, the box the runner defaults to
-        smax = args.smax or inspect.signature(runner).parameters[box].default
+        smax = args.smax or asymptotics.DEFAULT_BOXES[args.name]
         if smax is None:   # run_logdiff's default pairs: its branch representatives
             pairs = len(asymptotics.logdiff_representatives())
             described = f"{pairs} branch representatives"
@@ -319,7 +315,7 @@ def cmd_lemma(args) -> int:
             pairs, described = 4 * smax**2, f"smax {smax}"
 
     def check(points):
-        if box is not None:
+        if box:
             _check_cells("lemma box", points, pairs, described)
 
     if args.n_grid:
@@ -328,8 +324,8 @@ def cmd_lemma(args) -> int:
         check(len(asymptotics.DEFAULT_N_GRIDS[args.name]))
     if args.name == "logdiff":
         kwargs["epsilon"] = args.epsilon
-    if args.smax:
-        kwargs[box] = asymptotics.st_box(args.smax) if box == "pairs" else args.smax
+    if box:
+        kwargs["st_bound"] = args.smax   # None: the runner's DEFAULT_BOXES entry
     result = runner(**kwargs)
 
     def human():

@@ -10,16 +10,12 @@ class PrecisionExhausted(ArithmeticError):
 
 
 class DegenerateTwist(ValueError):
-    """Operation refused for exponent pairs outside its domain: (s, t) = (0, 0), or
-    s*t == 0 for the log-difference expansions."""
+    """Operation refused for exponent pairs outside its domain: (s, t) = (0, 0), the one
+    reducible form (forms.check_twist), or s*t == 0 for the log-difference expansions."""
 
 
 class NotReducible(RuntimeError):
     """A type-2/3 record failed to re-classify as type 1 under the transformed parameters."""
-
-
-class ReducibleForm(ValueError):
-    """The binary form has a rational root, so the bound machinery does not apply."""
 
 
 class ChainPreconditionFailed(ValueError):

@@ -10,6 +10,14 @@ exact traces:
 (the second elementary symmetric function of the conjugates of a norm-1 unit
 equals the trace of its inverse, and Newton's identity gives it from the
 first two power sums).
+
+Every (s, t) but (0, 0) gives an irreducible form, for every n >= 0.  lam0
+and lam1 are multiplicatively independent (E. Thomas, J. reine angew. Math.
+310, 1979), so alpha is then a unit other than +-1, hence irrational, and
+generates the totally real cubic field, which has no other subfield than Q.
+Its minimal polynomial, g(z) = f(z, 1), is then irreducible, and f has no
+rational root.  (0, 0) gives alpha = 1 and the reducible (x - y)^3, the one
+degenerate cell, refused by check_twist before any root is computed.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ class BinaryCubicForm:
 
 
 def check_twist(s: int, t: int):
-    """Refuse (s, t) = (0, 0), the one pair outside the domain of the solver and
-    the proof quantities: its unit is 1 and its form (x - y)^3 (degenerate)."""
+    """Refuse (s, t) = (0, 0), the one reducible cell (see above), which no bound, root
+    set, solver or proof quantity takes: its unit is 1 and its form (x - y)^3."""
     if s == t == 0:
         raise DegenerateTwist("(s, t) = (0, 0) gives the reducible form (x - y)^3")
 
@@ -64,6 +72,12 @@ def eval_form(form: BinaryCubicForm, x: int, y: int) -> int:
     return x**3 + form.A * x * x * y + form.B * x * y * y - y**3
 
 
+def at_power(A: int, B: int, x: int, k: int) -> int:
+    """f(x, 2^k) for the form of (A, B), k >= 0, by Horner's rule with shifts for the
+    powers of 2^k: ((x + A 2^k) x + B 2^(2k)) x - 2^(3k)."""
+    return ((x + (A << k)) * x + (B << 2 * k)) * x - (1 << 3 * k)
+
+
 def height(form: BinaryCubicForm) -> int:
     """max(|A|, |B|), floored at 3 (the bound machinery requires H >= 3)."""
     return max(abs(form.A), abs(form.B), 3)
@@ -78,8 +92,3 @@ def st_box(bound: int):
     """All (s, t) with 0 < max(|s|, |t|) <= bound and s*t != 0, in fixed order."""
     span = range(-bound, bound + 1)
     return [(s, t) for s in span for t in span if s * t != 0]
-
-
-def is_reducible(form: BinaryCubicForm) -> bool:
-    """True iff the form has a rational root; only z = +-1 is possible here."""
-    return form.A + form.B == 0 or form.B - form.A + 2 == 0

@@ -9,11 +9,12 @@ It is computed in integers as X = floor(lam0 * 2^k), by Newton's method on
 
     F(X) = 2^(3k) f(X / 2^k) = X^3 - (n-1) 2^k X^2 - (n+2) 2^(2k) X - 2^(3k),
 
-with the step X - floor(F(X) / F'(X)).  f is increasing and convex to the
-right of its inflection point (n-1)/3 < lam0, so from any start there (the
-seed is n + 1, within 1 of lam0) every step lands at or above lam0, the
-floor only adding to that, and the iterates fall to lam0 from above.  At
-the lowest precision the steps run until they stop moving X, which leaves
+forms.at_power of the form of (1, 0) at (X, 2^k), with the step
+X - floor(F(X) / F'(X)).  f is increasing and convex to the right of its
+inflection point (n-1)/3 < lam0, so from any start there (the seed is
+n + 1, within 1 of lam0) every step lands at or above lam0, the floor only
+adding to that, and the iterates fall to lam0 from above.  At the lowest
+precision the steps run until they stop moving X, which leaves
 X less than two units above lam0 * 2^k.  Each later level doubles the
 precision, less four guard bits: with an error e < 2^(1-p) at p bits, the
 Newton error is C e^2 with C = f''/(2 f') < 0.92 near lam0 for every n >= 0,
@@ -126,7 +127,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import PrecisionExhausted
-from .forms import phi_transform
+from .forms import at_power, check_twist, phi_transform
 
 _BASE_BITS = 32   # Newton runs to convergence at this precision, then doubles it
 _GUARD_BITS = 4   # kept in hand at each doubling, so the rounding of a step cannot compound
@@ -400,11 +401,6 @@ def fixed_log(d, frac_bits: int):
             -(-(r << frac_bits) // (num - r)) - (-err >> _LOG_GUARD) + 1)
 
 
-def _scaled_f(n: int, x: int, k: int) -> int:
-    """F(x) = 2^(3k) f(x / 2^k), exactly, for integers x and k >= 0."""
-    return ((x - ((n - 1) << k)) * x - ((n + 2) << 2 * k)) * x - (1 << 3 * k)
-
-
 def _scaled_fprime(n: int, x: int, k: int) -> int:
     """F'(x) = 2^(2k) f'(x / 2^k)."""
     return (3 * x - ((n - 1) << (k + 1))) * x - ((n + 2) << 2 * k)
@@ -416,6 +412,7 @@ def _lam0_floor(n: int, k: int) -> int:
     The precision doubles from step to step, less _GUARD_BITS, and the last
     step is followed by the exact bracket F(x) <= 0 < F(x + 1).
     """
+    A, B = 1 - n, -(n + 2)
     levels = []
     while k > _BASE_BITS:
         levels.append(k)
@@ -423,15 +420,15 @@ def _lam0_floor(n: int, k: int) -> int:
     x = (n + 1) << k
     step = None
     while step != 0:
-        step = _scaled_f(n, x, k) // _scaled_fprime(n, x, k)
+        step = at_power(A, B, x, k) // _scaled_fprime(n, x, k)
         x -= step
     for q in reversed(levels):
         x <<= q - k
         k = q
-        x -= _scaled_f(n, x, k) // _scaled_fprime(n, x, k)
+        x -= at_power(A, B, x, k) // _scaled_fprime(n, x, k)
     # x now lies above lam0 * 2^k by less than two units
     x -= 1
-    while _scaled_f(n, x, k) > 0:
+    while at_power(A, B, x, k) > 0:
         x -= 1
     return x
 
@@ -439,7 +436,8 @@ def _lam0_floor(n: int, k: int) -> int:
 def _certify_root(n: int, pair, frac_bits: int, j: int):
     """Exact sign change of F between the ends of the radius of the pair of lam_j."""
     num, r = pair
-    if _scaled_f(n, num - r, frac_bits) * _scaled_f(n, num + r, frac_bits) < 0:
+    A, B = 1 - n, -(n + 2)
+    if at_power(A, B, num - r, frac_bits) * at_power(A, B, num + r, frac_bits) < 0:
         return
     raise PrecisionExhausted(f"could not certify lam{j} of f_{n} within its radius over 2^{frac_bits}")
 
@@ -556,7 +554,8 @@ def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
     (s, t) in order, with no mirror yet, whose cell (-s, -t) lies in the other
     orbit gives that orbit's triple its own as mirror (AlphaTriple.diff_log),
     with that cell's shift.  The links are decided before any triple is
-    powered, and each source is powered before its target.
+    powered, and each source is powered before its target.  A cell (0, 0) is
+    refused while the orbits are planned (forms.check_twist), before any root.
     """
     in_box = set(pairs)
     proof_bits = proof_precision(n, precision_bits)
@@ -565,6 +564,7 @@ def orbit_triples(n: int, pairs, precision_bits: int, y_bound=None):
     for rep in pairs:
         if rep in cells:
             continue
+        check_twist(*rep)
         once, twice = phi_transform(*rep), phi_transform(*phi_transform(*rep))
         members = [(c, shift) for c, shift in ((rep, 0), (once, 2), (twice, 1)) if c in in_box]
         asks = [(c, proof_bits) for c, _ in members]

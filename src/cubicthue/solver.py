@@ -42,10 +42,8 @@ the output is decided by exact integer evaluation of f at every candidate.
 
 Domain.  The argument needs only three distinct real conjugates, none of
 them rational: a totally real, irreducible form.  Every (s, t) but (0, 0)
-gives one, the once-twisted (s, 0) and (0, t) included, as alpha = lam0^s lam1^t
-is then a unit other than +-1, which generates the totally real cubic field
-(see Typing).  (0, 0) gives alpha = 1 and (x - y)^3, and is refused
-(forms.check_twist).
+gives one, the once-twisted (s, 0) and (0, t) included (the argument is in
+forms); (0, 0) gives (x - y)^3, and is refused (forms.check_twist).
 
 Typing.  Each record keeps its certificate: the exact unit alpha =
 lam0^s lam1^t, powered once by solve_box, and the AlphaTriple that certified
@@ -78,7 +76,7 @@ from typing import Optional
 
 from . import exact_field as ef
 from .errors import NotReducible
-from .forms import build_form, check_twist, eval_form, form_of_unit
+from .forms import at_power, build_form, check_twist, eval_form, form_of_unit
 from .proof import cell_quantities, log_system
 from .roots import (AlphaTriple, attempts, candidate_precision, compute_alphas, escalate,
                     fixed_log, power_alphas)
@@ -139,12 +137,6 @@ def classify_type(x: int, y: int, alphas: AlphaTriple) -> int:
     return escalate(lambda: f"type of (x,y)=({x},{y}) for (n,s,t)={key}", attempts(alphas), decide)
 
 
-def _form_at_power(form, x: int, k: int) -> int:
-    """f(x, 2^k), by Horner's rule with shifts for the powers of 2^k:
-    ((x + A 2^k) x + B 2^(2k)) x - 2^(3k)."""
-    return ((x + (form.A << k)) * x + (form.B << 2 * k)) * x - (1 << 3 * k)
-
-
 def _brackets(form, tri: AlphaTriple):
     """Certified disjoint brackets around the roots of g, over one denominator.
 
@@ -155,7 +147,7 @@ def _brackets(form, tri: AlphaTriple):
     K = tri.frac_bits
     for lo, hi in out:
         # f is homogeneous of degree 3 and 2^K > 0: f(lo, 2^K) has the sign of g(lo / 2^K)
-        at_lo, at_hi = _form_at_power(form, lo, K), _form_at_power(form, hi, K)
+        at_lo, at_hi = at_power(form.A, form.B, lo, K), at_power(form.A, form.B, hi, K)
         if not (at_lo < 0 < at_hi or at_hi < 0 < at_lo):
             return None
     ordered = sorted(out)
@@ -355,12 +347,7 @@ def decompose_unit(n: int, s: int, t: int, rec: SolutionRecord,
         """(b1, b2, sign) if x - alpha1*y = sign * lam0^b1 * lam1^b2 exactly, else None."""
         if guess is None:
             return None
-        if guess == (s, t):
-            power = alpha
-        elif guess == (0, 0):
-            power = ef.one(n)
-        else:
-            power = ef.alpha_element(n, *guess)
+        power = alpha if guess == (s, t) else ef.alpha_element(n, *guess)
         if beta_exact == power:
             return (*guess, 1)
         if beta_exact == -power:

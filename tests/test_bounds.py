@@ -15,7 +15,7 @@ from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.bounds import (
     bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan, ratio_float,
 )
-from cubicthue.errors import ChainPreconditionFailed, EmptyGrid, PrecisionExhausted, ReducibleForm
+from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, EmptyGrid, PrecisionExhausted
 from cubicthue.forms import build_form, height
 from cubicthue.roots import PRECISION_ATTEMPTS, compute_alphas, compute_roots, proof_precision
 from cubicthue.solver import solve_box
@@ -70,8 +70,34 @@ def test_upper_bound_monotone_in_b():
 
 
 def test_upper_bound_rejects_reducible():
-    with pytest.raises(ReducibleForm):
+    with pytest.raises(DegenerateTwist, match=r"\(s, t\) = \(0, 0\) gives the reducible form"):
         bg_upper_bound(10, 0, 0)
+
+
+def test_the_cell_0_0_is_refused_before_any_root_work(capsys, monkeypatch):
+    # forms.check_twist decides (0, 0) before any root set or triple, on every path
+    # that takes a cell: the bound side, the chain, the proof quantities and the solver
+    from cubicthue import asymptotics, proof, roots, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("root work started")
+
+    for mod in (roots, bounds, proof, solver, asymptotics):
+        for name in ("compute_roots", "compute_alphas"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    refusals = [lambda: bound_report(5, 0, 0),
+                lambda: list(bounds.cell_reports(5, [(1, 1), (0, 0)], 192)),
+                lambda: bg_upper_bound(10, 0, 0),
+                lambda: lower_bound_chain(10, 0, 0),
+                lambda: compute_proof_quantities(10, 0, 0),
+                lambda: solve_box(10, 0, 0, 100)]
+    for call in refusals:
+        with pytest.raises(DegenerateTwist, match=r"\(s, t\) = \(0, 0\) gives the reducible"):
+            call()
+    assert cli.main(["bound", "5", "0", "0"]) == 2
+    assert ("error: (s, t) = (0, 0) gives the reducible form (x - y)^3"
+            in capsys.readouterr().err)
 
 
 def formula_upper(n, s, t, precision_bits=192):

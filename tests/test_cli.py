@@ -505,6 +505,21 @@ def test_lemma_default_grid_counts_its_points(capsys, monkeypatch, argv, n_value
     assert n_values == len(asymptotics.DEFAULT_N_GRIDS[argv[1]])
 
 
+def test_lemma_smax_is_the_st_bound_of_every_box_runner(capsys):
+    # --smax k runs the box st_box(k) through the runner's st_bound, logdiff too, whose
+    # config prints the resolved pairs
+    from cubicthue import asymptotics
+
+    grid = [10**4, 10**5, 10**6, 10**7, 10**8]
+    code, out, _ = run(capsys, ["--format", "json", "lemma", "logdiff", "--n", "1e4:1e8:log10",
+                                "--smax", "1"])
+    assert code == 1
+    assert json.loads(out)["config"]["pairs"] == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    res = asymptotics.run_logdiff(n_grid=grid, st_bound=1)
+    assert json.loads(out)["rows"] == json.loads(json.dumps(res.rows))
+    assert set(asymptotics.DEFAULT_BOXES) == {"logdiff", "errorbound", "vbar", "wbar"}
+
+
 def test_fractional_grid_values_exit_two_before_any_work(capsys, monkeypatch):
     # a grid value is an integer, however written: none is truncated to one
     from cubicthue import asymptotics, bounds, roots

@@ -348,12 +348,13 @@ def test_only_the_cell_0_0_is_refused(capsys):
     assert asymptotics.cell_quantities(tri, 0, 1, 0) == compute_proof_quantities(100, 1, 0)
     with pytest.raises(DegenerateTwist, match=r"\(s, t\) = \(0, 0\) gives the reducible form"):
         compute_proof_quantities(100, 0, 0)
-    # the bound command prints a once-twisted cell's chain; (5, 0, 0) has a
-    # rational root, which is reported as an error
+    # the bound command prints a once-twisted cell's chain, and refuses (5, 0, 0)
+    # with the solver's message
     assert main(["bound", "5", "1", "0"]) == 0
     assert "lower-bound chain:    2.76854\n  crossover: no" in capsys.readouterr().out
     assert main(["bound", "5", "0", "0"]) == 2
-    assert "error: form for (n,s,t)=(5,0,0) has a rational root" in capsys.readouterr().err
+    assert ("error: (s, t) = (0, 0) gives the reducible form (x - y)^3"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

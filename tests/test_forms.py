@@ -6,7 +6,7 @@ from mpmath import mp, workprec
 
 import cubicthue.exact_field as ef
 from cubicthue.forms import (
-    build_form, eval_form, height, is_reducible, phi_transform,
+    build_form, eval_form, height, phi_transform,
 )
 from cubicthue.roots import compute_alphas
 from conftest import alpha_values, discriminant, invert_unit, multiplication_matrix
@@ -114,13 +114,21 @@ def test_degenerate_form():
     f = build_form(3, 0, 0)
     assert f.degenerate
     assert (f.A, f.B) == (-3, 3)  # (x - y)^3
-    assert is_reducible(f)
+    assert eval_form(f, 1, 1) == 0
 
 
 def test_twisted_forms_irreducible():
-    for n in (0, 2, 50):
-        for (s, t) in [(1, 0), (0, 1), (1, 1), (2, -1), (-2, 3)]:
-            assert not is_reducible(build_form(n, s, t))
+    # a rational root of a monic cubic with constant term -1 is +-1, so the form has
+    # none iff f(1, 1) != 0 != f(-1, 1): every cell of the box |s|, |t| <= 6 but
+    # (0, 0) gives an irreducible form, as the forms docstring argues, and only
+    # forms.check_twist has a cell to refuse
+    span = range(-6, 7)
+    for n in [*range(200), 10**6, 10**20, 10**64]:
+        for s in span:
+            for t in span:
+                f = build_form(n, s, t)
+                rooted = eval_form(f, 1, 1) == 0 or eval_form(f, -1, 1) == 0
+                assert rooted == (s == t == 0), (n, s, t)
 
 
 def test_height_growth_bound():

@@ -13,7 +13,7 @@ from conftest import alpha_values, beta_element, brute_force_solutions, log_valu
 from cubicthue import cli, roots, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.errors import DegenerateTwist, NotReducible, PrecisionExhausted
-from cubicthue.forms import BinaryCubicForm, build_form, eval_form
+from cubicthue.forms import BinaryCubicForm, at_power, build_form, eval_form
 from cubicthue.roots import compute_alphas, power_alphas, shift_roots
 from cubicthue.solver import classify_type, decompose_unit, reduce_to_type1, solve_box
 
@@ -215,7 +215,7 @@ def test_candidates_match_the_fraction_oracle(n, st_pair, y_bound, extra_bits):
        k=st.integers(0, 500))
 def test_bracket_signs_by_horner_equal_eval_form(A, B, x, k):
     form = BinaryCubicForm(0, 1, 0, A, B)
-    assert solver._form_at_power(form, x, k) == eval_form(form, x, 1 << k)
+    assert at_power(A, B, x, k) == eval_form(form, x, 1 << k)
 
 
 def test_candidates_grow_with_log_y_bound(monkeypatch):
