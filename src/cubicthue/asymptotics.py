@@ -268,18 +268,26 @@ class FitResult:
     count: int
 
 
+def _require_samples(ns) -> None:
+    """InsufficientSamples unless the n of a series are >= 5 samples spanning >= 2
+    decades: the fit's conditions, which a harness checks on its series' n before
+    any root work."""
+    ns = [float(n) for n in ns]
+    if len(ns) < 5:
+        raise InsufficientSamples(f"need >= 5 samples, got {len(ns)}")
+    if max(ns) < 100.0 * min(ns):
+        raise InsufficientSamples("samples must span at least two decades of n")
+
+
 def fit_error_exponent(samples) -> FitResult:
     """Least-squares slope of log|residual| against log n.
 
     samples: iterable of (n, residual).  Needs >= 5 samples spanning >= 2
-    decades of n; exact-zero residuals abort the fit (nothing to measure).
+    decades of n (_require_samples); exact-zero residuals abort the fit (nothing
+    to measure).
     """
     pts = [(float(n), float(r)) for n, r in samples]
-    if len(pts) < 5:
-        raise InsufficientSamples(f"need >= 5 samples, got {len(pts)}")
-    ns = [p[0] for p in pts]
-    if max(ns) < 100.0 * min(ns):
-        raise InsufficientSamples("samples must span at least two decades of n")
+    _require_samples([p[0] for p in pts])
     if any(p[1] == 0.0 for p in pts):
         raise ExactMatch("residuals are exactly zero; no exponent to fit")
     x = [math.log(p[0]) for p in pts]
@@ -365,6 +373,7 @@ def run_lapprox(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Root and log expansions: residual slopes vs the claimed orders."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lapprox"]
     _require_grid("lapprox", n_grid, 4, -3, "fits residuals down to order n^-3")
+    _require_samples(n_grid)
     # claimed orders of predict_root_expansion's neglected errors, by kind and root
     claimed = {"value": (-2.0, -3.0, -3.0), "log": (-3.0, -3.0, -3.0)}
     rows, series = [], {}
@@ -400,6 +409,7 @@ def run_lpowers(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Two-term power expansions: relative residual slopes."""
     n_grid = n_grid or DEFAULT_N_GRIDS["lpowers"]
     _require_grid("lpowers", n_grid, 1, -3, "fits relative residuals down to order n^-3")
+    _require_samples(n_grid)
     rows, series = [], {}
     for n in n_grid:
         bits, rels = _expansion_point("lpowers residuals", n, precision_bits, _lpowers_point, 64)
@@ -426,6 +436,7 @@ def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """Regulator expansion: slope of (R - (log n)^2 - log(n)/n) / log n is -2 +- 0.3."""
     n_grid = n_grid or DEFAULT_N_GRIDS["regulator"]
     _require_grid("regulator", n_grid, 2, -2, "fits residuals of order n^-2")
+    _require_samples(n_grid)
     rows, samples = [], []
     for n in n_grid:
         bits, (reg, resid) = _expansion_point("regulator", n, precision_bits, _regulator_point)
@@ -460,12 +471,16 @@ def run_logdiff(n_grid=None, st_bound=None, epsilon: float = DEFAULT_EPSILON,
     st_bound = st_bound or DEFAULT_BOXES["logdiff"]
     pairs = st_box(st_bound) if st_bound else logdiff_representatives()
     _require_grid("logdiff", n_grid, 1, 1 + 2 * epsilon, "scales residuals by n^(1+2 epsilon)")
+    # a pair enters at the n with max(|s|, |t|) <= n^(1/2 - epsilon); its series are those n
+    cells = {n: [(s, t) for s, t in pairs if max(abs(s), abs(t)) <= float_power(n, 0.5 - epsilon)]
+             for n in n_grid}
+    for pair in sorted(pairs):
+        if entering := [n for n in n_grid if pair in cells[n]]:
+            _require_samples(entering)
     rows, series, seen = [], {}, set()
     for n in n_grid:
-        bound = float_power(n, 0.5 - epsilon)
-        cells = [(s, t) for s, t in pairs if max(abs(s), abs(t)) <= bound]
         log_n = lru_cache(maxsize=None)(lambda K, n=n: _log_int(n, K))   # once per n and K
-        for s, t, tri, shift in orbit_triples(n, cells, precision_bits):
+        for s, t, tri, shift in orbit_triples(n, cells[n], precision_bits):
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
             seen.add(lab13)
@@ -504,7 +519,7 @@ def run_errorbound(n_grid=None, st_bound=None, precision_bits: int = 192) -> Lem
     n_grid = n_grid or DEFAULT_N_GRIDS["errorbound"]
     st_bound = st_bound or DEFAULT_BOXES["errorbound"]
     _require_grid("errorbound", n_grid, 1)
-    rows, failures = [], []
+    rows = []
     for n in n_grid:
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             rep = _error_products(tri, shift, s, t)
@@ -515,8 +530,7 @@ def run_errorbound(n_grid=None, st_bound=None, precision_bits: int = 192) -> Lem
                          "exempt_first": rep.exempt_first,
                          "passed": rep.passed,
                          "precision_bits": precision_bits})
-            if not rep.passed:
-                failures.append((n, s, t))
+    failures = [(r["n"], r["s"], r["t"]) for r in rows if not r["passed"]]
     ok = not failures
     notes = "" if ok else f"{len(failures)} grid points violate the bounds, e.g. {failures[:4]}"
     return LemmaResult("errorbound", {"n_grid": n_grid, "st_bound": st_bound,
@@ -525,30 +539,26 @@ def run_errorbound(n_grid=None, st_bound=None, precision_bits: int = 192) -> Lem
 
 def run_vbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResult:
     """Window and growth of v_bar = b0*R - v1 - v2: for n >= 10^4,
-    v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05."""
+    v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05.  The window
+    0 < v_bar < R holds at every cell, as its b0 is certified (see proof.py)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["vbar"]
     st_bound = st_bound or DEFAULT_BOXES["vbar"]
     _require_grid("vbar", n_grid, 2)
     rows = []
-    window_ok = True
-    ratio_ok = True
-    growth_ok = True
     for n in n_grid:
         ln = math.log(n)
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             q = cell_quantities(tri, shift, s, t)
             v_bar, reg, one = q.v_bar_num, q.regulator_num, 1 << q.frac_bits
-            in_window = 0 < v_bar < reg
-            ratio = ratio_float(v_bar * n, one) / ln
-            growth = ratio_float(reg - v_bar, one) / ln
-            window_ok = window_ok and in_window
-            if n >= 10**4:
-                ratio_ok = ratio_ok and ratio >= 0.5
-                growth_ok = growth_ok and growth >= 0.05
             rows.append({"n": n, "s": s, "t": t, "b0": q.b0,
                          "v_bar": ratio_float(v_bar, one), "regulator": ratio_float(reg, one),
-                         "v_bar_n_over_logn": ratio, "growth_over_logn": growth,
-                         "in_window": in_window, "precision_bits": precision_bits})
+                         "v_bar_n_over_logn": ratio_float(v_bar * n, one) / ln,
+                         "growth_over_logn": ratio_float(reg - v_bar, one) / ln,
+                         "in_window": 0 < v_bar < reg, "precision_bits": precision_bits})
+    large = [r for r in rows if r["n"] >= 10**4]
+    window_ok = all(r["in_window"] for r in rows)
+    ratio_ok = all(r["v_bar_n_over_logn"] >= 0.5 for r in large)
+    growth_ok = all(r["growth_over_logn"] >= 0.05 for r in large)
     ok = window_ok and ratio_ok and growth_ok
     notes = (f"window {'100%' if window_ok else 'violated'}, "
              f"ratio>=0.5 {'ok' if ratio_ok else 'violated'}, "
@@ -559,7 +569,8 @@ def run_vbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResu
 
 def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     """u_bar * n approaches 3 at (s, t) = (2, 1); require within 0.1 at the largest
-    grid point."""
+    grid point.  u_bar = 3 log|lam2| is the same at every cell of an n (see
+    proof.py), so the one cell measures it."""
     n_grid = n_grid or DEFAULT_N_GRIDS["ubar"]
     s, t = 2, 1
     rows = []
@@ -582,7 +593,7 @@ def run_wbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResu
     n_grid = n_grid or DEFAULT_N_GRIDS["wbar"]
     st_bound = st_bound or DEFAULT_BOXES["wbar"]
     _require_grid("wbar", n_grid, 1)
-    rows, failures = [], []
+    rows = []
     for n in n_grid:
         consts = {}
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
@@ -603,10 +614,9 @@ def run_wbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResu
             open_test = "b0"
             lhs, rhs, margin, ok_pt = escalate(lambda: f"{open_test} of (n,s,t)={(n, s, t)}",
                                                attempts(tri), decide)
-            if not ok_pt:
-                failures.append((n, s, t))
             rows.append({"n": n, "s": s, "t": t, "lhs": lhs, "rhs": rhs,
                          "margin": margin, "ok": ok_pt, "precision_bits": precision_bits})
+    failures = [(r["n"], r["s"], r["t"]) for r in rows if not r["ok"]]
     ok = not failures
     notes = "" if ok else f"{len(failures)} grid points fail absorption, e.g. {failures[:4]}"
     return LemmaResult("wbar", {"n_grid": n_grid, "st_bound": st_bound,

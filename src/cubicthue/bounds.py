@@ -9,12 +9,15 @@ F(x, y) = b over a field with regulator R, unit rank r and form height H:
 The lower-bound chain turns the measured proof quantities into the implied
 lower bound on log|y| for a hypothetical nontrivial solution:
 
-    log|y| >= (R - v_bar - (3/4) log(n)/n) * n / 3,
+    log|y| >= (R - v_bar - (3/4) log(n)/n) * n / 3.
 
-valid when u_bar > 0, v_bar sits inside (0, R) with room R - v_bar above the
-absorbed w_bar term, and the w_bar absorption inequality itself holds.  The
-scan reports, per grid cell, whether the lower bound exceeds the upper one;
-the reported threshold is an EMPIRICAL surrogate, not a proof.
+Two of its hypotheses, u_bar > 0 and 0 < v_bar < R, hold for every
+ProofQuantities (proof.py proves both), so a cell can fail only the other
+three, and the chain names them: n >= 1, as log(n)/n is undefined at n = 0
+(refused before b0 is computed), the w_bar absorption inequality, and room
+R - v_bar > (3/4) log(n)/n above the absorbed w_bar term.  The scan reports,
+per grid cell, whether the lower bound exceeds the upper one; the reported
+threshold is an EMPIRICAL surrogate, not a proof.
 
 Every decision and every value is made in the fixed point of roots.py:
 integers over a power of two, each with an integer radius.  The constants of
@@ -211,24 +214,18 @@ def _absorbed(q, a: int, r: int):
 
 
 def _chain(q, log_n, frac_bits: int):
-    """The chain's slack R - v_bar - (3/4) log(n)/n for the proof quantities q, as
-    (numerator, radius) over 2^K, K = q.frac_bits, from log n over 2^frac_bits
-    (None at n = 0); the lower bound is slack * n / (3 * 2^K).
+    """The chain's slack R - v_bar - (3/4) log(n)/n for the proof quantities q of a
+    cell at n >= 1, as (numerator, radius) over 2^K, K = q.frac_bits, from log n over
+    2^frac_bits; the lower bound is slack * n / (3 * 2^K).
 
-    u_bar > 0 and the window are decided on q's integers, and the w_bar
-    absorption at the threshold A = (3/4) log(n)/n by _absorbed.  The slack's sign
-    is decided at both ends of A's radius.  A certain failure raises
-    ChainPreconditionFailed; where the absorption or the sign is open, None.
+    It tests the two hypotheses a cell at n >= 1 can fail: the w_bar absorption
+    at the threshold A = (3/4) log(n)/n, by _absorbed, and the slack's sign, at both
+    ends of A's radius.  A certain failure raises ChainPreconditionFailed; where
+    the absorption or the sign is open, None.  u_bar > 0 and 0 < v_bar < R hold
+    for every ProofQuantities (see proof.py), and _decided refuses n = 0.
     """
     K = q.frac_bits
     one = 1 << K
-    if q.u_bar_num <= 0:
-        raise ChainPreconditionFailed("u_bar > 0", f"u_bar = {ratio_float(q.u_bar_num, one):.3g}")
-    if not 0 < q.v_bar_num < q.regulator_num:
-        raise ChainPreconditionFailed("0 < v_bar < R",
-                                      f"v_bar = {ratio_float(q.v_bar_num, one):.3g}")
-    if log_n is None:
-        raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
     a, r = _absorb_threshold(log_n, frac_bits, q.n, K)
     if not (absorbed := _absorbed(q, a, r)):
         if absorbed is None:
@@ -265,7 +262,10 @@ def _decided(tri, shift: int, s: int, t: int, consts: dict, b_abs: int, precisio
              form=None, upper=None):
     """(q, slack, crossover) of the cell (s, t) whose conjugates are tri's from index shift
     on: b0, the chain and, given the form and its first upper bound, the crossover (else
-    False), decided on each of roots.attempts(tri) in turn with the constants of its level."""
+    False), decided on each of roots.attempts(tri) in turn with the constants of its level.
+    A cell at n = 0 fails the chain's n >= 1 before its b0 is computed."""
+    if tri.n == 0:
+        raise ChainPreconditionFailed("n >= 1", "(3/4) log(n)/n is undefined at n = 0")
     open_test = "b0"
 
     def decide(cur):

@@ -16,9 +16,28 @@ times the regulator's) from 0 and from R; otherwise _quantities returns None
 and its caller retries at doubled bits through roots.escalate, as every open
 interval does (the "Precision" paragraph of roots.py).  So a b0 this module
 reports is the true one, whatever the cancellation in v_bar = b0 R - v1 - v2.
-The other decisions of the lower-bound chain (u_bar > 0, the w_bar absorption)
-are made on the same integers, without a division (see bounds._chain); the
-radii of u1, u2, d12 and d13 are not kept, so those decisions are not certified.
+
+Two hypotheses of the lower-bound chain hold for every ProofQuantities that
+_quantities returns, so bounds._chain does not test them.  With g_j = log|lam_j|
+the root logs of the cell's root set and G_j their numerators over 2^K:
+
+  - 0 < v_bar < R.  _quantities returns v_bar = R - rem only when rem and
+    R - rem both exceed their radii, which are >= 0; so 0 < rem < R, and
+    0 < v_bar < R as integers.
+  - u_bar > 0.  u_bar = -u1 - u2 = 3 g2 - (g0 + g1 + g2), and g0 + g1 + g2 =
+    log|lam0 lam1 lam2| = 0.  A computed root set takes G2 = -G0 - G1, so
+    u_bar_num = 3 G2 exactly; a floor-shifted one floors three integers whose
+    sum is 0, so G0 + G1 + G2 lies in {-2, -1, 0} and u_bar_num is 3 G2 plus
+    0 to 2 units.  And g2 = log(1 + 1/lam0) >= 1/(lam0 + 1) > 1/(n + 3), as
+    lam0 < n + 2, so G2 is at least 2^K / (n + 3) less its radius, a few units
+    (the two root logs' radii: 30 at n = 10^400, below 2^8 up to 4,300 digits).
+    A triple's K is at least its bits + 64 + log2(n + 2): alpha_precision adds
+    32 guard bits and |s| + |t| >= 1 powers of n + 2 to the triple's bits, and
+    root_frac_bits 32 more.  So 2^K / (n + 3) > 2^63, and G2 > 2^63 - 2^8 > 0.
+
+The chain's other decisions (the w_bar absorption and the slack's sign) are
+made on the same integers, without a division (see bounds._chain); the radii
+of u1, u2, d12 and d13 are not kept, so those decisions are not certified.
 
 The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
 one orbit have the same three conjugates in a cyclic order: those of

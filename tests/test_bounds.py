@@ -17,7 +17,10 @@ from cubicthue.bounds import (
 )
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, EmptyGrid, PrecisionExhausted
 from cubicthue.forms import build_form, height
-from cubicthue.roots import PRECISION_ATTEMPTS, compute_alphas, compute_roots, proof_precision
+from cubicthue.proof import cell_quantities
+from cubicthue.roots import (
+    PRECISION_ATTEMPTS, compute_alphas, compute_roots, orbit_triples, proof_precision,
+)
 from cubicthue.solver import solve_box
 from conftest import dyadic_value, fixed_view, regulator_value
 
@@ -389,6 +392,17 @@ def test_chain_at_tiny_n_is_a_named_failure():
     assert {bound_report(1, s, t).chain_failure for s, t in st_box(2)} == {"w_bar absorption"}
 
 
+def test_n_0_is_refused_before_b0(monkeypatch):
+    # so an undecided b0 cannot end a cell at n = 0 at exit 3
+    def refuse(*args):
+        raise AssertionError("b0 computed at n = 0")
+
+    monkeypatch.setattr(bounds, "_quantities", refuse)
+    assert {bound_report(0, s, t).chain_failure for s, t in st_box(1)} == {"n >= 1"}
+    with pytest.raises(ChainPreconditionFailed, match="n >= 1"):
+        lower_bound_chain(0, 2, 1)
+
+
 # the four once-twisted orbits {(s, s), (0, -s), (-s, 0)} with |s| <= 2
 ONCE_TWISTED_ORBITS = [c for s in (-2, -1, 1, 2) for c in ((s, s), (0, -s), (-s, 0))]
 
@@ -409,31 +423,36 @@ def test_once_twisted_cell_reports_its_upper_bound(n):
             [(-2, 0, "R - v_bar > (3/4) log(n)/n")]
 
 
-@pytest.mark.parametrize("n,s,t", [(5, 2, 1), (10**6, -1, 3), (10**64, 1, 0)])
-def test_chain_names_a_u_bar_that_is_not_positive(n, s, t):
-    # u_bar = -u1 - u2 = 2 g2 - g0 - g1 is 3 log|lam2| exactly, as the root set takes
-    # g2 = -g0 - g1; a doctored q with u_bar = 0 is the chain's named failure
-    q = compute_proof_quantities(n, s, t)
-    g = compute_alphas(n, s, t, proof_precision(n, 192)).roots.log_fixed
-    assert q.u_bar_num == 3 * g[2][0] > 0
-    doctored = dataclasses.replace(q, u1_num=q.u1_num + q.u_bar_num)
-    with pytest.raises(ChainPreconditionFailed, match=r"u_bar > 0 \(u_bar = 0\)"):
-        bounds._chain(doctored, bounds._log_n(n, 240), 240)
+# n = 0..40 and ten powers of 10 up to 10^400: 50 n, 168 cells each
+IDENTITY_N = list(range(41)) + [10**k for k in (3, 6, 12, 20, 32, 64, 100, 200, 400)]
+
+
+def test_u_bar_and_the_v_bar_window_hold_at_every_cell():
+    # the two hypotheses of the chain that proof.py proves and bounds._chain does not
+    # test: u_bar = 3 log|lam2| > 0 and 0 < v_bar < R, over st_box(6) and its 24
+    # once-twisted cells, escalated cells among them (58 of the 8,400)
+    once = [c for a in range(1, 7) for c in ((a, 0), (-a, 0), (0, a), (0, -a))]
+    cells, escalated = 0, 0
+    for n in IDENTITY_N:
+        for s, t, tri, shift in orbit_triples(n, st_box(6) + once, 192):
+            q = cell_quantities(tri, shift, s, t)
+            assert q.u_bar_num > 0 and 0 < q.v_bar_num < q.regulator_num, (n, s, t)
+            cells += 1
+            if q.frac_bits != tri.frac_bits:
+                escalated += 1
+            else:   # 3 G2 plus 0 to 2 units, as the orbit's root set is floor-shifted
+                assert 0 <= q.u_bar_num - 3 * tri.roots.log_fixed[2][0] <= 2, (n, s, t)
+    assert cells == 8400 and escalated > 0
+    # on the one-cell triple's computed root set, g2 = -g0 - g1 makes it exact
+    for n, s, t in [(5, 2, 1), (10**6, -1, 3), (10**64, 1, 0)]:
+        g = compute_alphas(n, s, t, proof_precision(n, 192)).roots.log_fixed
+        assert compute_proof_quantities(n, s, t).u_bar_num == 3 * g[2][0]
 
 
 def test_chain_value_scale():
     n = 10**6
     val = lower_bound_chain(n, 2, 1)
     assert float(val) > 0.5 * n * math.log(n)
-
-
-def test_chain_guard_vbar_window():
-    q = compute_proof_quantities(10**4, 2, 1)
-    doctored = dataclasses.replace(q, v_bar_num=q.regulator_num * 2)
-    F = 192 + 48   # lower_bound_chain's constant bits at its default 192
-    with pytest.raises(ChainPreconditionFailed) as exc:
-        bounds._chain(doctored, bounds._log_n(10**4, F), F)
-    assert "v_bar" in str(exc.value)
 
 
 def test_chain_inapplicable_pair_named():

@@ -1287,17 +1287,23 @@ def test_integer_core_imports_nothing_from_mpmath():
 
 
 def makers_of(exception):
-    """(module, function, line) of each place in the package that makes or raises
-    exception.  Parsed, so a helper that builds the exception for its caller counts."""
+    """(module, function, line, first) of each place in the package that makes or
+    raises exception, first the literal value of the call's first argument (else
+    None).  Parsed, so a helper that builds the exception for its caller counts."""
     def named(expr):
         return getattr(expr, "id", getattr(expr, "attr", None)) == exception
+
+    def first(call):
+        arg = call.args[0] if call.args else None
+        return arg.value if isinstance(arg, ast.Constant) else None
 
     def makers(node, owner, found):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Call) and named(node.func)
-                or isinstance(node, ast.Raise) and named(node.exc)):
-            found.append((owner, node.lineno))
+        if isinstance(node, ast.Call) and named(node.func):
+            found.append((owner, node.lineno, first(node)))
+        elif isinstance(node, ast.Raise) and named(node.exc):
+            found.append((owner, node.lineno, None))
         for child in ast.iter_child_nodes(node):
             makers(child, owner, found)
         return found
@@ -1306,7 +1312,7 @@ def makers_of(exception):
     for name in sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py")):
         with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        found += [(name, owner, line) for owner, line in makers(tree, None, [])]
+        found += [(name, *made) for made in makers(tree, None, [])]
     return found
 
 
@@ -1315,7 +1321,7 @@ def test_only_the_retry_loop_and_the_root_certificate_raise_precision_exhausted(
     # raises a PrecisionExhausted, so none ends a decision at exit 3 before the last
     # doubling
     found = makers_of("PrecisionExhausted")
-    assert {(name, owner) for name, owner, _ in found} == {("roots", "escalate"),
+    assert {(name, owner) for name, owner, *_ in found} == {("roots", "escalate"),
                                                            ("roots", "_certify_root")}, found
 
 
@@ -1323,8 +1329,39 @@ def test_only_the_0_0_guard_and_the_branch_table_raise_degenerate_twist():
     # every cell but (0, 0) takes the one path of the solver and the proof quantities,
     # once-twisted cells too; s*t != 0 is the domain of the 12-branch table alone
     found = makers_of("DegenerateTwist")
-    assert {(name, owner) for name, owner, _ in found} == {("forms", "check_twist"),
+    assert {(name, owner) for name, owner, *_ in found} == {("forms", "check_twist"),
                                                            ("asymptotics", "predict_logdiff")}, found
+
+
+def test_the_chain_names_only_the_three_failures_a_cell_can_have():
+    # u_bar > 0 and 0 < v_bar < R hold for every cell's proof quantities (proof.py):
+    # the chain tests the absorption and the slack, and the cell's path refuses n = 0
+    found = makers_of("ChainPreconditionFailed")
+    assert sorted((name, owner, first) for name, owner, _, first in found) == [
+        ("bounds", "_chain", "R - v_bar > (3/4) log(n)/n"),
+        ("bounds", "_chain", "w_bar absorption"),
+        ("bounds", "_decided", "n >= 1"),
+    ], found
+
+
+@pytest.mark.parametrize("argv, got", [(["logdiff", "--n", "1:1e6:log10"], 4),
+                                       (["lapprox", "--n", "1e100"], 1),
+                                       (["regulator", "--n", "1e2:1e4:log10"], 3)])
+def test_a_series_too_short_to_fit_is_refused_before_any_root_work(capsys, monkeypatch,
+                                                                   argv, got):
+    # the fit's sample conditions are checked on the grid (on each pair's entering n
+    # for logdiff, whose pairs with max(|s|, |t|) = 4 enter at n >= 256) first
+    from cubicthue import asymptotics, bounds, proof, roots, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("root work started")
+
+    for mod in (roots, bounds, proof, solver, asymptotics):
+        for name in ("compute_roots", "compute_alphas"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    code, out, err = run(capsys, ["lemma", *argv])
+    assert (code, out, err) == (2, "", f"error: need >= 5 samples, got {got}\n")
 
 
 @pytest.mark.parametrize("name", ["lapprox", "lpowers", "regulator", "ubar"])
