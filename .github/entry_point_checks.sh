@@ -2,8 +2,9 @@
 # Checks of the installed `cubicthue` console script, which no test runs: three
 # pinned outputs (the second prints values beyond float range from exact
 # fractions, the third is a once-twisted cell's crossover), the chain's failure
-# names over two scans, the exit code 2 and message of the refused cell (0, 0),
-# and every command line of the README's "Command-line usage" block.
+# names over two scans, the exit code 2 and message of the refused cell (0, 0)
+# and of lemma ubar below its least n, and every command line of the README's
+# "Command-line usage" block.
 # Run from the repository root after `pip install -e .`.
 set -euo pipefail
 
@@ -26,6 +27,10 @@ code=0
 err="$(cubicthue bound 5 0 0 2>&1 > /dev/null)" || code=$?
 [ "$code" = 2 ] && [ "$err" = "error: (s, t) = (0, 0) gives the reducible form (x - y)^3" ] \
   || { echo "unexpected exit $code for bound 5 0 0: $err"; exit 1; }
+code=0
+err="$(cubicthue lemma ubar --n 0 2>&1 > /dev/null)" || code=$?
+[ "$code" = 2 ] && [ "$err" = "error: lemma ubar needs n >= 1, got n = 0" ] \
+  || { echo "unexpected exit $code for lemma ubar --n 0: $err"; exit 1; }
 usage="$(sed -n '/^## Command-line usage/,/^## /p' README.md | sed -n '/^```/,/^```/p' | grep '^cubicthue ')" \
   || { echo "no cubicthue lines in the README's usage block"; exit 1; }
 while read -r line; do

@@ -24,7 +24,7 @@ formulas written out as the check.
 The certified proof quantities, on which the lower-bound chain rests, are in
 proof.py; this module measures them.  The harnesses logdiff, errorbound, vbar
 and wbar take the cells of an n by phi-orbit (roots.orbit_triples), and
-true_logdiffs and check_error_products are the one-cell case (proof._one_cell).
+true_logdiffs and check_error_products are the one-cell case (proof.one_cell).
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import _absorb_threshold, _absorbed, _level, _log_int, float_power, ratio_float
+from .bounds import absorb_threshold, absorbed, float_power, level_constants, ratio_float
 from .errors import DegenerateTwist, ExactMatch, InsufficientSamples
 from .forms import st_box
-from .proof import (_cell_logs, _one_cell, _ordered_diffs, _quantities, cell_quantities,
-                    compute_proof_quantities)
-from .roots import (attempts, compute_roots, doublings, escalate, fixed_mul, orbit_triples,
-                    working_bits)
+from .proof import (attempt_quantities, cell_logs, cell_quantities, compute_proof_quantities,
+                    one_cell, ordered_diffs)
+from .roots import (attempts, compute_roots, doublings, escalate, fixed_mul, log_int,
+                    orbit_triples, working_bits)
 
 DEFAULT_EPSILON = 0.25
 
@@ -148,7 +148,7 @@ def predict_root_expansion(n: int, which: int, frac_bits: int):
     # the value c n^e + c' n^e', and the log k log n + p / (2 n^2)
     c, e, c2, e2 = ((1, 1, 2, -1), (-1, -1, 1, -2), (-1, 0, -1, -1))[which]
     k, p = ((1, 4), (-1, -2 * n - 3), (0, 2 * n - 1))[which]
-    K, (L, r) = frac_bits, _log_int(n, frac_bits)
+    K, (L, r) = frac_bits, log_int(n, frac_bits)
     return (Prediction(_term(c, n, e, K), _term(c2, n, e2, K)),
             Prediction((k * L, abs(k) * r), _ratio(p, 2 * n * n, K)))
 
@@ -172,7 +172,7 @@ def predict_logdiff(n: int, s: int, t: int, frac_bits: int, log_n=None):
     """
     if s * t == 0:
         raise DegenerateTwist("log-difference expansions need s*t != 0")
-    L = log_n or _log_int(n, frac_bits)
+    L = log_n or log_int(n, frac_bits)
     # |alpha1 - alpha3| at (s, t) is |alpha1 - alpha2| at phi(s, t) (module docstring)
     return _predict12(n, L, frac_bits, s, t), _predict12(n, L, frac_bits, t - s, -s)
 
@@ -181,7 +181,7 @@ def _predict12(n: int, log_n, K: int, s: int, t: int) -> Prediction:
     """The diff12 prediction of predict_logdiff at (s, t) from its row of _BRANCHES: the
     leading term k log n + log m and the correction p / (q n), from log n over 2^K."""
     k, m, p, q = _BRANCHES[_classify_one(2 * s, t, s)][1](s, t)
-    (L, r), (g, rg) = log_n, _log_int(m, K) if m > 1 else (0, 0)
+    (L, r), (g, rg) = log_n, log_int(m, K) if m > 1 else (0, 0)
     return Prediction((k * L + g, abs(k) * r + rg), _ratio(p, q * n, K))
 
 
@@ -213,9 +213,9 @@ def _expansion_point(what: str, n: int, precision_bits: int, point, extra: int =
 def true_logdiffs(n: int, s: int, t: int, precision_bits: int = 192):
     """Certified log|alpha1 - alpha2|, log|alpha1 - alpha3| and the signed differences as
     (K, (l12, l13, d12, d13)), pairs over 2^K of the first triple that decides them."""
-    tri = _one_cell(n, s, t, precision_bits)
+    tri = one_cell(n, s, t, precision_bits)
     return escalate(lambda: f"the conjugate differences of (n,s,t)={(n, s, t)}", attempts(tri),
-                    lambda cur: (got := _cell_logs(cur, 0)) and (cur.frac_bits, got))
+                    lambda cur: (got := cell_logs(cur, 0)) and (cur.frac_bits, got))
 
 
 @dataclass(frozen=True)
@@ -239,13 +239,13 @@ class ErrorProductReport:
 def check_error_products(n: int, s: int, t: int, precision_bits: int = 192) -> ErrorProductReport:
     """The gap products of |alpha1 - alpha2| and |alpha1 - alpha3|, as integer
     ratios over powers of 2^K, each rounded once to a float."""
-    return _error_products(_one_cell(n, s, t, precision_bits), 0, s, t)
+    return _error_products(one_cell(n, s, t, precision_bits), 0, s, t)
 
 
 def _error_products(tri, shift: int, s: int, t: int) -> ErrorProductReport:
     """check_error_products for the cell (s, t) whose conjugates are those of tri
     from index shift on."""
-    d12, d13 = _ordered_diffs(tri, shift)
+    d12, d13 = ordered_diffs(tri, shift)
     K, n = tri.frac_bits, tri.n
     a12, a13 = abs(d12[0]), abs(d13[0])
     product = a12 * a13                       # over 2^(2K)
@@ -354,8 +354,7 @@ def log_grid(lo: int, hi: int):
     if lo <= 0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
     count = max(2, int(round(2 * math.log10(hi / lo))) + 1)
-    vals = sorted({int(round(lo * (hi / lo) ** (i / (count - 1)))) for i in range(count)})
-    return vals
+    return sorted({int(round(lo * (hi / lo) ** (i / (count - 1)))) for i in range(count)})
 
 
 # the n grid of each runner when it is given none; the CLI counts its points
@@ -451,7 +450,7 @@ def run_regulator(n_grid=None, precision_bits: int = 192) -> LemmaResult:
 
 def _regulator_point(rs):
     """R and (R - (log n)^2 - log(n)/n) / log n of the root set rs, rounded."""
-    n, K, L = rs.n, rs.frac_bits, _log_int(rs.n, rs.frac_bits)
+    n, K, L = rs.n, rs.frac_bits, log_int(rs.n, rs.frac_bits)
     resid = _minus(_minus(rs.reg_fixed, fixed_mul(L, L, K)), (L[0] // n, -(-L[1] // n) + 1))
     return [_rounded(rs.reg_fixed, 1 << K), _rounded(_relative(resid, L, K), 1 << K)]
 
@@ -479,7 +478,7 @@ def run_logdiff(n_grid=None, st_bound=None, epsilon: float = DEFAULT_EPSILON,
             _require_samples(entering)
     rows, series, seen = [], {}, set()
     for n in n_grid:
-        log_n = lru_cache(maxsize=None)(lambda K, n=n: _log_int(n, K))   # once per n and K
+        log_n = lru_cache(maxsize=None)(lambda K, n=n: log_int(n, K))   # once per n and K
         for s, t, tri, shift in orbit_triples(n, cells[n], precision_bits):
             lab12, lab13 = classify_case(s, t)
             seen.add(lab12)
@@ -506,7 +505,7 @@ def _logdiff_residuals(tri, shift: int, s: int, t: int, log_n):
     (s, t) of tri at shift, with log_n(K) = log n over 2^K, escalating from tri."""
     def decide(cur):
         K = cur.frac_bits
-        got, preds = _cell_logs(cur, shift), predict_logdiff(cur.n, s, t, K, log_n(K))
+        got, preds = cell_logs(cur, shift), predict_logdiff(cur.n, s, t, K, log_n(K))
         out = got and [_rounded(_minus(l, p.value), 1 << K) for l, p in zip(got, preds)]
         return out if out and None not in out else None
 
@@ -572,6 +571,7 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
     grid point.  u_bar = 3 log|lam2| is the same at every cell of an n (see
     proof.py), so the one cell measures it."""
     n_grid = n_grid or DEFAULT_N_GRIDS["ubar"]
+    _require_grid("ubar", n_grid, 1)
     s, t = 2, 1
     rows = []
     for n in n_grid:
@@ -579,17 +579,19 @@ def run_ubar(n_grid=None, precision_bits: int = 192) -> LemmaResult:
         u_bar_n = ratio_float(q.u_bar_num * n, 1 << q.frac_bits)
         rows.append({"n": n, "s": s, "t": t, "u_bar_times_n": u_bar_n,
                      "precision_bits": precision_bits})
-    final = rows[-1]["u_bar_times_n"]
-    ok = abs(final - 3.0) <= 0.1
+    # the note names n by its magnitude past the 17 digits of a float
+    final, top = rows[-1]["u_bar_times_n"], str(n_grid[-1])
+    top = top if len(top) <= 17 else f"~10^{len(top) - 1}"
     return LemmaResult("ubar", {"n_grid": n_grid, "st": [s, t],
                                 "precision_bits": precision_bits},
-                       rows, [], ok, f"u_bar*n at n={n_grid[-1]}: {final:.6f}")
+                       rows, [], abs(final - 3.0) <= 0.1, f"u_bar*n at n={top}: {final:.6f}")
 
 
 def run_wbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResult:
     """Absorption check: |w_bar| / (2 |d12| |d13|) must stay below (3/4) log(n)/n.  A
-    cell's b0 and the threshold and absorption test of bounds._chain are one decision on
-    each attempt in turn, at the constants of n of its level (bounds._decided)."""
+    cell's b0 and the threshold and absorption test of bounds._chain
+    (bounds.absorb_threshold and bounds.absorbed) are one decision on each attempt
+    in turn, at the constants of n of its level (bounds.level_constants)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["wbar"]
     st_bound = st_bound or DEFAULT_BOXES["wbar"]
     _require_grid("wbar", n_grid, 1)
@@ -599,15 +601,15 @@ def run_wbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResu
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             def decide(cur):
                 nonlocal open_test
-                q = _quantities(cur, shift, s, t)
+                q = attempt_quantities(cur, shift, s, t)
                 if q is None:
                     return None
-                const = _level(consts, cur, tri, 1, precision_bits)
+                const = level_constants(consts, cur, tri, 1, precision_bits)
                 (num, den), K = q.absorb_ratio(), q.frac_bits
-                a, r = _absorb_threshold(const.log_n, const.frac_bits, n, K)
+                a, r = absorb_threshold(const.log_n, const.frac_bits, n, K)
                 rhs = _rounded((a, r), 1 << K)
                 margin = _rounded((a * den, r * den), num << K) if num else math.inf
-                ok, open_test = _absorbed(q, a, r), "the w_bar margin"
+                ok, open_test = absorbed(q, a, r), "the w_bar margin"
                 return None if None in (rhs, margin, ok) else (ratio_float(num, den), rhs,
                                                                 margin, ok)
 
@@ -617,7 +619,6 @@ def run_wbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResu
             rows.append({"n": n, "s": s, "t": t, "lhs": lhs, "rhs": rhs,
                          "margin": margin, "ok": ok_pt, "precision_bits": precision_bits})
     failures = [(r["n"], r["s"], r["t"]) for r in rows if not r["ok"]]
-    ok = not failures
-    notes = "" if ok else f"{len(failures)} grid points fail absorption, e.g. {failures[:4]}"
+    notes = f"{len(failures)} grid points fail absorption, e.g. {failures[:4]}" if failures else ""
     return LemmaResult("wbar", {"n_grid": n_grid, "st_bound": st_bound,
-                                "precision_bits": precision_bits}, rows, [], ok, notes)
+                                "precision_bits": precision_bits}, rows, [], not failures, notes)

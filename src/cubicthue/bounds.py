@@ -44,8 +44,9 @@ from typing import Optional
 from .errors import ChainPreconditionFailed, EmptyGrid
 from .forms import BinaryCubicForm, build_form, check_twist, height, phi_transform, st_box
 # compute_proof_quantities is re-exported: benchmarks/tracer.py wraps it here
-from .proof import _one_cell, _quantities, compute_proof_quantities  # noqa: F401
-from .roots import _shifted, attempts, compute_roots, escalate, fixed_log, fixed_mul, orbit_triples
+from .proof import attempt_quantities, compute_proof_quantities, one_cell  # noqa: F401
+from .roots import (attempts, compute_roots, escalate, fixed_log, fixed_mul, log_int,
+                    orbit_triples, rescaled)
 
 _CONST_GUARD = 48   # the constants of n carry precision_bits + 48 fraction bits
 
@@ -88,9 +89,7 @@ def c3_constant(degree: int, rank: int) -> int:
     return 3 ** (rank + 27) * (rank + 1) ** (7 * rank + 19) * degree ** (2 * degree + 6 * rank + 14)
 
 
-def _log_int(m: int, frac_bits: int):
-    """log m over 2^frac_bits with its radius, for an integer m >= 1 (roots.fixed_log)."""
-    return fixed_log((m << frac_bits, 0), frac_bits)
+_C3 = c3_constant(3, 2)   # every form of the family is a cubic of unit rank 2
 
 
 def _log_n(n: int, frac_bits: int):
@@ -98,15 +97,7 @@ def _log_n(n: int, frac_bits: int):
     (3/4) log(n)/n is undefined."""
     if n <= 1:
         return (0, 0) if n else None
-    return _log_int(n, frac_bits)
-
-
-def _rescaled(pair, from_bits: int, to_bits: int):
-    """A (numerator, radius) pair over 2^from_bits, over 2^to_bits: exactly where
-    to_bits is larger, by the floor shift of roots.py where it is smaller."""
-    if to_bits >= from_bits:
-        return pair[0] << (to_bits - from_bits), pair[1] << (to_bits - from_bits)
-    return _shifted([pair], from_bits - to_bits)[0]
+    return log_int(n, frac_bits)
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,8 @@ class _NConstants:
     regulator is R, upper_factor c3 * R * max(log R, 1), log_b log max(b_abs, e)
     (exactly 1 for b_abs <= 2) and log_n log n (None at n = 0).  R is the
     regulator of the given root set: bg_upper_bound gives compute_roots(n,
-    precision_bits), _level the root set of the first attempt at its bits.
+    precision_bits), level_constants the root set of the first attempt at its
+    bits.
     """
 
     frac_bits: int
@@ -131,13 +123,12 @@ class _NConstants:
 def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
     F = precision_bits + _CONST_GUARD
     one = 1 << F
-    reg = _rescaled(rs.reg_fixed, rs.frac_bits, F)
+    reg = rescaled(rs.reg_fixed, rs.frac_bits, F)
     log_reg, r_log = fixed_log(reg, F)
     # x -> max(x, 1) moves no two values farther apart, so the radius holds
     num, r = fixed_mul(reg, (max(log_reg, one), r_log), F)
-    c3 = c3_constant(3, 2)
-    log_b = (one, 0) if b_abs <= 2 else _log_int(b_abs, F)
-    return _NConstants(F, reg, (c3 * num, c3 * r), log_b, _log_n(rs.n, F))
+    log_b = (one, 0) if b_abs <= 2 else log_int(b_abs, F)
+    return _NConstants(F, reg, (_C3 * num, _C3 * r), log_b, _log_n(rs.n, F))
 
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
@@ -155,7 +146,7 @@ def _upper_bound(form, const: _NConstants):
     """bg_upper_bound for a form that is already built, from the constants of its n:
     (numerator, radius) over 2^const.frac_bits."""
     # height is already floored at 3
-    parts = (const.regulator, _log_int(height(form), const.frac_bits), const.log_b)
+    parts = (const.regulator, log_int(height(form), const.frac_bits), const.log_b)
     total = (sum(num for num, _ in parts), sum(r for _, r in parts))
     return fixed_mul(const.upper_factor, total, const.frac_bits)
 
@@ -168,7 +159,7 @@ def lower_bound_chain(n: int, s: int, t: int, precision_bits: int = 192):
     chain's numeric hypotheses do not hold; some parameter pairs violate them
     at every n and are simply outside the chain's reach.
     """
-    tri = _one_cell(n, s, t, precision_bits)
+    tri = one_cell(n, s, t, precision_bits)
     q, (slack, _), _ = _decided(tri, 0, s, t, {}, 1, precision_bits)
     return _exact(slack * n, 3 << q.frac_bits)
 
@@ -191,7 +182,7 @@ def _at_most(x: int, factors) -> bool:
     return x <= math.prod(factors)
 
 
-def _absorb_threshold(log_n, frac_bits: int, n: int, K: int):
+def absorb_threshold(log_n, frac_bits: int, n: int, K: int):
     """(3/4) log(n)/n over 2^K with its radius, from log n over 2^frac_bits:
     3 L 2^K // (4 n 2^frac_bits), which keeps its relative precision at every n.  The
     floor adds a unit to the radius only where the division leaves a remainder."""
@@ -201,7 +192,7 @@ def _absorb_threshold(log_n, frac_bits: int, n: int, K: int):
     return a, -(-(3 * r << K) // den) + (rem != 0)
 
 
-def _absorbed(q, a: int, r: int):
+def absorbed(q, a: int, r: int):
     """The w_bar absorption |w_bar| / (2 |d12| |d13|) <= A of q's cell, A = (a, r) over
     2^K: |U1 D13 + U2 D12| 2^(3K) <= 2 D12^2 D13^2 A, decided by _at_most at A's lower
     end and, where that fails, at its upper end; None where the two ends disagree."""
@@ -219,16 +210,16 @@ def _chain(q, log_n, frac_bits: int):
     2^frac_bits; the lower bound is slack * n / (3 * 2^K).
 
     It tests the two hypotheses a cell at n >= 1 can fail: the w_bar absorption
-    at the threshold A = (3/4) log(n)/n, by _absorbed, and the slack's sign, at both
-    ends of A's radius.  A certain failure raises ChainPreconditionFailed; where
+    at the threshold A = (3/4) log(n)/n, by absorbed, and the slack's sign, at
+    both ends of A's radius.  A certain failure raises ChainPreconditionFailed; where
     the absorption or the sign is open, None.  u_bar > 0 and 0 < v_bar < R hold
     for every ProofQuantities (see proof.py), and _decided refuses n = 0.
     """
     K = q.frac_bits
     one = 1 << K
-    a, r = _absorb_threshold(log_n, frac_bits, q.n, K)
-    if not (absorbed := _absorbed(q, a, r)):
-        if absorbed is None:
+    a, r = absorb_threshold(log_n, frac_bits, q.n, K)
+    if not (ok := absorbed(q, a, r)):
+        if ok is None:
             return None
         raise ChainPreconditionFailed(
             "w_bar absorption",
@@ -251,7 +242,7 @@ def _crosses(q, slack, upper, frac_bits: int):
     return None if abs(gap) <= (r * q.n << frac_bits) + (3 * ru << K) else gap > 0
 
 
-def _level(consts: dict, cur, first, b_abs: int, precision_bits: int) -> _NConstants:
+def level_constants(consts: dict, cur, first, b_abs: int, precision_bits: int) -> _NConstants:
     """The constants of n for the attempt cur of roots.attempts(first): at precision_bits
     doubled as often as first's bits, built from cur's root set once per n and level."""
     k = cur.precision_bits // first.precision_bits
@@ -270,7 +261,8 @@ def _decided(tri, shift: int, s: int, t: int, consts: dict, b_abs: int, precisio
 
     def decide(cur):
         nonlocal open_test
-        const, q = _level(consts, cur, tri, b_abs, precision_bits), _quantities(cur, shift, s, t)
+        const = level_constants(consts, cur, tri, b_abs, precision_bits)
+        q = attempt_quantities(cur, shift, s, t)
         open_test = "b0" if q is None else "w_bar absorption or R - v_bar > (3/4) log(n)/n"
         slack = q and _chain(q, const.log_n, const.frac_bits)
         if slack is None or form is None:   # open, or no crossover asked
@@ -341,9 +333,9 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
     (roots.orbit_triples, which plans their triples, bits and mirror links, and
     takes y_bound) and share the form of their orbit's representative, built
     once per mirrored pair of orbits; a form carries the (s, t) of its cell.
-    The constants of n are built once per level (_level), the first from the
-    first triple's root set, the upper bound once per mirrored pair of forms,
-    and b0, the chain and the crossover per cell (_decided), the once-twisted
+    The constants of n are built once per level (level_constants), the first
+    from the first triple's root set, the upper bound once per mirrored pair of
+    forms, and b0, the chain and the crossover per cell (_decided), the once-twisted
     cells (s, 0) and (0, t) as the others.  tri is the orbit's triple, in the
     order of the first cell of the orbit.
 
@@ -367,7 +359,7 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
         form = forms[orbit]
         if shift:
             form = BinaryCubicForm(n, s, t, form.A, form.B)
-        const = _level(consts, tri, tri, b_abs, precision_bits)
+        const = level_constants(consts, tri, tri, b_abs, precision_bits)
         key = min((form.A, form.B), (-form.B, -form.A))
         upper = uppers.get(key) or uppers.setdefault(key, _upper_bound(form, const))
         lower, failure, crossover = None, "", False
@@ -379,7 +371,7 @@ def cell_reports(n: int, pairs, precision_bits: int, y_bound=None, b_abs: int = 
             lower = _exact(num, den) if math.isinf(lower) else lower   # beyond float range
         except ChainPreconditionFailed as exc:
             failure = exc.inequality
-        yield form, tri, BoundReport(n, s, t, c3_constant(3, 2), height(form),
+        yield form, tri, BoundReport(n, s, t, _C3, height(form),
                                      ratio_float(upper[0], 1 << const.frac_bits), lower,
                                      crossover, failure, precision_bits)
 

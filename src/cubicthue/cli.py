@@ -374,7 +374,7 @@ def _scan_n(job):
     for form, tri, rep in bounds.cell_reports(n, pairs, precision_bits, y_bound):
         key = (form.A, form.B)
         if key not in solved:
-            found, _ = solver._solve_form(form, y_bound, tri)
+            found, _ = solver.solve_form(form, y_bound, tri)
             solved[key] = (len(found), sum(1 for _, y in found if abs(y) > 1))
         solutions, nontrivial = solved[key]
         rows.append({"n": n, "s": rep.s, "t": rep.t, "A": form.A, "B": form.B,

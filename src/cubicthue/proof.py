@@ -12,17 +12,18 @@ Cramer numerators of the unit-exponent system on log|d12| and log|d13|
 (log_system, which solver.decompose_unit shares): sums of fixed-point
 products whose radius follows from those.  b0 and the window 0 < v_bar < R
 are decided only when (v1 + v2) mod R lies farther than that radius (plus b0
-times the regulator's) from 0 and from R; otherwise _quantities returns None
-and its caller retries at doubled bits through roots.escalate, as every open
+times the regulator's) from 0 and from R; otherwise attempt_quantities returns
+None and its caller retries at doubled bits through roots.escalate, as every open
 interval does (the "Precision" paragraph of roots.py).  So a b0 this module
 reports is the true one, whatever the cancellation in v_bar = b0 R - v1 - v2.
 
 Two hypotheses of the lower-bound chain hold for every ProofQuantities that
-_quantities returns, so bounds._chain does not test them.  With g_j = log|lam_j|
-the root logs of the cell's root set and G_j their numerators over 2^K:
+attempt_quantities returns, so bounds._chain does not test them.  With
+g_j = log|lam_j| the root logs of the cell's root set and G_j their numerators
+over 2^K:
 
-  - 0 < v_bar < R.  _quantities returns v_bar = R - rem only when rem and
-    R - rem both exceed their radii, which are >= 0; so 0 < rem < R, and
+  - 0 < v_bar < R.  attempt_quantities returns v_bar = R - rem only when rem
+    and R - rem both exceed their radii, which are >= 0; so 0 < rem < R, and
     0 < v_bar < R as integers.
   - u_bar > 0.  u_bar = -u1 - u2 = 3 g2 - (g0 + g1 + g2), and g0 + g1 + g2 =
     log|lam0 lam1 lam2| = 0.  A computed root set takes G2 = -G0 - G1, so
@@ -42,8 +43,8 @@ of u1, u2, d12 and d13 are not kept, so those decisions are not certified.
 The cells (s, t), phi(s, t) = (t - s, -s) and phi^2(s, t) = (-t, s - t) of
 one orbit have the same three conjugates in a cyclic order: those of
 phi^m(s, t) are alpha_(j + shift) of (s, t), with shift = 2m mod 3.  So
-_quantities takes the triple and the shift of a cell, and the triple takes
-each log |alpha_i - alpha_j| once (roots.AlphaTriple.diff_log), or from its
+attempt_quantities takes the triple and the shift of a cell, and the triple
+takes each log |alpha_i - alpha_j| once (roots.AlphaTriple.diff_log), or from its
 mirror, the triple of the orbit of (-s, -t).  The once-twisted cells (0, -s)
 and (-s, 0) are the rotations of the diagonal cell (s, s), so every cell but
 (0, 0), whose conjugates are all 1 (forms.check_twist), takes this one path.
@@ -60,14 +61,14 @@ from .forms import check_twist
 from .roots import attempts, compute_alphas, escalate, fixed_mul, proof_precision
 
 
-def _ordered_diffs(tri, shift: int):
+def ordered_diffs(tri, shift: int):
     """alpha1 - alpha2 and alpha1 - alpha3, as (numerator, radius) pairs over 2^K,
     of the cell whose conjugates are those of tri from index shift on."""
     i, j, k, nums, radii = shift, (shift + 1) % 3, (shift + 2) % 3, tri.numerators, tri.radii
     return (nums[i] - nums[j], radii[i] + radii[j]), (nums[i] - nums[k], radii[i] + radii[k])
 
 
-def _one_cell(n: int, s: int, t: int, precision_bits: int):
+def one_cell(n: int, s: int, t: int, precision_bits: int):
     """The triple of (n, s, t) alone at proof_precision bits, as orbit_triples
     plans it for pairs [(s, t)] (compute_alphas is that one-cell plan, cached);
     DegenerateTwist at (s, t) = (0, 0)."""
@@ -75,12 +76,12 @@ def _one_cell(n: int, s: int, t: int, precision_bits: int):
     return compute_alphas(n, s, t, proof_precision(n, precision_bits))
 
 
-def _cell_logs(tri, shift: int):
+def cell_logs(tri, shift: int):
     """The logs and signed differences (l12, l13, d12, d13), as (numerator, radius)
     pairs over 2^K, of the cell whose conjugates are tri's from index shift on;
     None where a difference is not known to be nonzero (AlphaTriple.diff_log)."""
     logs = tri.diff_log(shift, (shift + 1) % 3), tri.diff_log(shift, (shift + 2) % 3)
-    return None if None in logs else (*logs, *_ordered_diffs(tri, shift))
+    return None if None in logs else (*logs, *ordered_diffs(tri, shift))
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class ProofQuantities:
     reader that wants a float rounds a numerator over 2^frac_bits with
     bounds.ratio_float.  w_bar enters the proof only through the
     absorption ratio |w_bar| / (2 |d12| |d13|), which absorb_ratio gives as
-    a quotient of integers: bounds._absorbed decides the absorption on its
+    a quotient of integers: bounds.absorbed decides the absorption on its
     integers for both bounds._chain and asymptotics.run_wbar, which reports it.
     """
 
@@ -140,10 +141,10 @@ def log_system(rs, l2, l3):
     return p1[0] - p2[0], p3[0] - p4[0], p1[1] + p2[1] + p3[1] + p4[1]
 
 
-def _quantities(tri, shift: int, s: int, t: int):
+def attempt_quantities(tri, shift: int, s: int, t: int):
     """ProofQuantities of the cell (s, t) whose conjugates are those of tri from
     index shift on, or None where the radii leave a difference's sign (see
-    _cell_logs) or b0 undecided.
+    cell_logs) or b0 undecided.
 
     v1 + v2 = V and R are known as integers over 2^K with radii r_V and r_R.
     With m = floor(V / R) and rem = V - m R, the true value of v1 + v2 lies
@@ -153,8 +154,7 @@ def _quantities(tri, shift: int, s: int, t: int):
 
     Then b0 = m + 1 and v_bar = R - rem lies in (0, R).
     """
-    got = _cell_logs(tri, shift)
-    if got is None:
+    if (got := cell_logs(tri, shift)) is None:
         return None
     l12, l13, d12, d13 = got
     rs = tri.roots
@@ -169,17 +169,18 @@ def _quantities(tri, shift: int, s: int, t: int):
 
 
 def cell_quantities(tri, shift: int, s: int, t: int):
-    """The proof quantities of a cell of tri's orbit (see _quantities), with b0 certified.
+    """The proof quantities of a cell of tri's orbit (see attempt_quantities), with
+    b0 certified.
 
     Where the radii leave a difference's sign or b0 undecided, the cell
     escalates from tri over roots.attempts(tri) (see "Precision" in roots.py).
     """
     return escalate(lambda: f"b0 for (n,s,t)={(tri.n, s, t)}", attempts(tri),
-                    lambda cur: _quantities(cur, shift, s, t))
+                    lambda cur: attempt_quantities(cur, shift, s, t))
 
 
 def compute_proof_quantities(n: int, s: int, t: int, precision_bits: int = 192) -> ProofQuantities:
     """The proof quantities of (n, s, t), with b0 and the window certified:
     cell_quantities on the one-cell triple, at proof_precision(n, precision_bits)
     bits."""
-    return cell_quantities(_one_cell(n, s, t, precision_bits), 0, s, t)
+    return cell_quantities(one_cell(n, s, t, precision_bits), 0, s, t)

@@ -112,9 +112,9 @@ is an orbit of one cell, whose root set needs no shift).  escalate is the
 one retry loop of every decision the radii can leave open: the solver's
 candidates, a solution's type and unit exponents, a difference's sign, b0,
 the lemma residuals and the bound side's chain, crossover and w_bar margin
-(with the constants of n at as many doublings, bounds._level).  It goes over
-attempts(first), the first triple (the solve's, an orbit's, the one that
-certified a record, or proof._one_cell's) and then compute_alphas at each
+(with the constants of n at as many doublings, bounds.level_constants).  It
+goes over attempts(first), the first triple (the solve's, an orbit's, the one
+that certified a record, or proof.one_cell's) and then compute_alphas at each
 doubling of its bits, PRECISION_ATTEMPTS in all, or for the root expansions
 over compute_roots at those doublings, and only when they run out raises
 PrecisionExhausted (exit code 3), as no function but _certify_root also does.
@@ -139,6 +139,14 @@ _MARGIN_BITS = 64       # the solver's first bits: beyond 2 log2(y_bound) + log2
 def _shifted(pairs, d: int) -> tuple:
     """The pairs floor-shifted down by d bits (see the module docstring)."""
     return tuple((num >> d, -(-r >> d) + 1) for num, r in pairs)
+
+
+def rescaled(pair, from_bits: int, to_bits: int):
+    """A (numerator, radius) pair over 2^from_bits, over 2^to_bits: exactly where
+    to_bits is larger, by the floor shift of _shifted where it is smaller."""
+    if to_bits >= from_bits:
+        return pair[0] << (to_bits - from_bits), pair[1] << (to_bits - from_bits)
+    return _shifted([pair], from_bits - to_bits)[0]
 
 
 @dataclass(frozen=True)
@@ -399,6 +407,11 @@ def fixed_log(d, frac_bits: int):
     err += 3 * (k - 1) - (-3 * (power + 2) // k)
     return (total >> _LOG_GUARD,
             -(-(r << frac_bits) // (num - r)) - (-err >> _LOG_GUARD) + 1)
+
+
+def log_int(m: int, frac_bits: int):
+    """log m over 2^frac_bits with its radius, for an integer m >= 1 (fixed_log)."""
+    return fixed_log((m << frac_bits, 0), frac_bits)
 
 
 def _scaled_fprime(n: int, x: int, k: int) -> int:

@@ -219,7 +219,7 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
         raise ValueError("y_bound must be >= 1")
     unit = ef.alpha_element(n, s, t)
     tri = compute_alphas(n, s, t, candidate_precision(n, s, t, y_bound, precision_bits))
-    found, tri = _solve_form(form_of_unit(unit, s, t), y_bound, tri)
+    found, tri = solve_form(form_of_unit(unit, s, t), y_bound, tri)
     types = {}
     for x, y in found:
         # one type per pair: |-x - alpha_j (-y)| = |x - alpha_j y|
@@ -231,7 +231,7 @@ def solve_box(n: int, s: int, t: int, y_bound: int, precision_bits: int = SOLVER
     return records
 
 
-def _solve_form(form, y_bound: int, tri: AlphaTriple):
+def solve_form(form, y_bound: int, tri: AlphaTriple):
     """The exact solution map {(x, y): f(x, y)} with |y| <= y_bound, for a form
     already built from a valid (s, t) and y_bound >= 1, and the AlphaTriple that
     certified it: tri, the form's conjugates, or a later attempt (roots.attempts).

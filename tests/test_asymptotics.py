@@ -434,7 +434,7 @@ def test_wbar_margin_within_the_radius_of_the_threshold_is_precision_exhausted(
     # constants of n at doubled bits, which give the undoctored rows; one that no
     # attempt narrows ends in PrecisionExhausted and exit 3
     want = run_wbar(n_grid=[10**4], st_bound=1).rows
-    real, real_constants, levels = asymptotics._absorb_threshold, bounds._n_constants, []
+    real, real_constants, levels = asymptotics.absorb_threshold, bounds._n_constants, []
 
     def wide(log_n, frac_bits, n, K):
         a, r = real(log_n, frac_bits, n, K)
@@ -444,7 +444,7 @@ def test_wbar_margin_within_the_radius_of_the_threshold_is_precision_exhausted(
         levels.append(precision_bits)
         return real_constants(rs, b_abs, precision_bits)
 
-    monkeypatch.setattr(asymptotics, "_absorb_threshold", wide)
+    monkeypatch.setattr(asymptotics, "absorb_threshold", wide)
     monkeypatch.setattr(bounds, "_n_constants", constants)
     if not every:
         assert run_wbar(n_grid=[10**4], st_bound=1).rows == want
@@ -463,13 +463,13 @@ def test_wbar_b0_open_at_the_first_attempt_retries_at_doubled_bits(monkeypatch):
     # a b0 the first attempt leaves open is decided on the next, which gives the
     # undoctored rows
     want = run_wbar(n_grid=[10**4], st_bound=1).rows
-    real, asked = asymptotics._quantities, {}
+    real, asked = asymptotics.attempt_quantities, {}
 
     def open_once(tri, shift, s, t):
         asked.setdefault((s, t), []).append(tri.precision_bits)
         return real(tri, shift, s, t) if len(asked[(s, t)]) > 1 else None
 
-    monkeypatch.setattr(asymptotics, "_quantities", open_once)
+    monkeypatch.setattr(asymptotics, "attempt_quantities", open_once)
     assert run_wbar(n_grid=[10**4], st_bound=1).rows == want
     assert len(asked) == 4
     assert all(len(bits) == 2 and bits[1] == 2 * bits[0] for bits in asked.values())
@@ -479,7 +479,7 @@ def test_wbar_margin_just_below_one_is_not_ok(monkeypatch):
     # the threshold floor(num 2^K / den) with radius 0 puts each cell's exact margin
     # within 2^-K below 1, where its float rounds to 1.0; the absorption still fails
     cells = []
-    real = asymptotics._quantities
+    real = asymptotics.attempt_quantities
 
     def recorded(*args):
         cells.append(real(*args))
@@ -490,8 +490,8 @@ def test_wbar_margin_just_below_one_is_not_ok(monkeypatch):
         assert (num << K) % den
         return (num << K) // den, 0
 
-    monkeypatch.setattr(asymptotics, "_quantities", recorded)
-    monkeypatch.setattr(asymptotics, "_absorb_threshold", floored)
+    monkeypatch.setattr(asymptotics, "attempt_quantities", recorded)
+    monkeypatch.setattr(asymptotics, "absorb_threshold", floored)
     res = run_wbar(n_grid=[10**4], st_bound=1)
     assert [(r["margin"], r["ok"]) for r in res.rows] == [(1.0, False)] * len(cells)
     assert not res.passed
@@ -615,7 +615,7 @@ def _filled_logs(n, pairs, y_bound=None):
     every cell."""
     cells = {}
     for s, t, tri, shift in asymptotics.orbit_triples(n, pairs, 192, y_bound):
-        proof._quantities(tri, shift, s, t)
+        proof.attempt_quantities(tri, shift, s, t)
         cells[(s, t)] = tri
     return cells
 
@@ -685,7 +685,7 @@ def test_mirrored_memos_are_freed_without_the_cycle_collector():
     try:
         triples = []
         for s, t, tri, shift in asymptotics.orbit_triples(10**4, st_box(3), 192):
-            proof._quantities(tri, shift, s, t)
+            proof.attempt_quantities(tri, shift, s, t)
             triples.append(weakref.ref(tri))
         del tri
         assert sum(ref() is not None for ref in triples) == 0

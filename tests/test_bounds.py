@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
-from cubicthue import bounds, cli
+from cubicthue import bounds, cli, roots
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.bounds import (
     bg_upper_bound, bound_report, c3_constant, lower_bound_chain, n0_scan, ratio_float,
@@ -241,9 +241,9 @@ def test_threshold_at_n_one_is_exactly_zero():
     # where the division leaves a remainder
     F, K = 240, 200
     assert bounds._log_n(1, F) == (0, 0)
-    assert bounds._absorb_threshold((0, 0), F, 1, K) == (0, 0)
-    assert bounds._absorb_threshold((4 << F, 0), F, 3, K) == (1 << K, 0)
-    assert bounds._absorb_threshold((1 << F, 0), F, 5, K) == ((3 << K) // 20, 1)
+    assert bounds.absorb_threshold((0, 0), F, 1, K) == (0, 0)
+    assert bounds.absorb_threshold((4 << F, 0), F, 3, K) == (1 << K, 0)
+    assert bounds.absorb_threshold((1 << F, 0), F, 5, K) == ((3 << K) // 20, 1)
 
 
 @pytest.mark.parametrize("n", [1, 60, 10**6, 10**64, 10**400])
@@ -273,14 +273,14 @@ def test_upper_radius_covers_each_log_anywhere_in_its_radius(monkeypatch, b_abs)
                                 upper_factor=(const.upper_factor[0], 0))
     form = build_form(n, 2, 1)
     mid, _ = bounds._upper_bound(form, exact)
-    real = bounds.fixed_log
+    real = roots.fixed_log   # log H is roots.log_int, which takes it
     (lb, rb), moved = exact.log_b, 0
     for sign in (-1, 1):
         def edge(d, K, sign=sign):
             num, r = real(d, K)
             return num + sign * r, r
 
-        monkeypatch.setattr(bounds, "fixed_log", edge)
+        monkeypatch.setattr(roots, "fixed_log", edge)
         at_edge = dataclasses.replace(exact, log_b=(lb + sign * rb, rb))
         num, radius = bounds._upper_bound(form, at_edge)
         assert abs(num - mid) <= radius
@@ -300,8 +300,8 @@ def _open_at(monkeypatch, site, every):
     crossover by an upper factor whose radius dwarfs it.  Returns the list that
     collects the precision_bits of each _n_constants call, a level each."""
     levels, cells = [], []
-    real_constants, real_threshold = bounds._n_constants, bounds._absorb_threshold
-    real_quantities = bounds._quantities
+    real_constants, real_threshold = bounds._n_constants, bounds.absorb_threshold
+    real_quantities = bounds.attempt_quantities
 
     def constants(rs, b_abs, precision_bits):
         levels.append(precision_bits)
@@ -324,8 +324,8 @@ def _open_at(monkeypatch, site, every):
         return gap + (gap >> 20), gap >> 10
 
     monkeypatch.setattr(bounds, "_n_constants", constants)
-    monkeypatch.setattr(bounds, "_quantities", quantities)
-    monkeypatch.setattr(bounds, "_absorb_threshold", threshold)
+    monkeypatch.setattr(bounds, "attempt_quantities", quantities)
+    monkeypatch.setattr(bounds, "absorb_threshold", threshold)
     return levels
 
 
@@ -397,7 +397,7 @@ def test_n_0_is_refused_before_b0(monkeypatch):
     def refuse(*args):
         raise AssertionError("b0 computed at n = 0")
 
-    monkeypatch.setattr(bounds, "_quantities", refuse)
+    monkeypatch.setattr(bounds, "attempt_quantities", refuse)
     assert {bound_report(0, s, t).chain_failure for s, t in st_box(1)} == {"n >= 1"}
     with pytest.raises(ChainPreconditionFailed, match="n >= 1"):
         lower_bound_chain(0, 2, 1)

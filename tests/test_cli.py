@@ -226,7 +226,7 @@ def test_scan_solves_and_bounds_each_distinct_form_once(capsys, monkeypatch):
     from cubicthue import bounds, solver
 
     calls = {"solve": 0, "upper": 0}
-    real_solve, real_upper = solver._solve_form, bounds._upper_bound
+    real_solve, real_upper = solver.solve_form, bounds._upper_bound
 
     def solve(*args):
         calls["solve"] += 1
@@ -239,7 +239,7 @@ def test_scan_solves_and_bounds_each_distinct_form_once(capsys, monkeypatch):
     def no_records(*args):
         raise AssertionError("the scan built a solution record")
 
-    monkeypatch.setattr(solver, "_solve_form", solve)
+    monkeypatch.setattr(solver, "solve_form", solve)
     monkeypatch.setattr(bounds, "_upper_bound", upper)
     monkeypatch.setattr(solver, "classify_type", no_records)
     code, out, _ = run(capsys, ["--format", "csv", "scan", "--n", "100", "--smax", "3",
@@ -277,8 +277,9 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     # two n values: per n, one triple per orbit and one form per mirrored pair of
     # orbits (s, t), (-s, -t), and three difference logs per orbit with two or three
     # cells in the box and two for the others, taken for one orbit of each mirrored
-    # pair and derived for the other; besides them, each root set takes its two root logs
-    assert counts == {"triples": 2 * 24, "logs": 2 * 27 + 2 * 2, "forms": 2 * 12}
+    # pair and derived for the other; besides them, each root set takes its two root logs,
+    # and the bound constants take log n and, per upper bound, log H (roots.log_int)
+    assert counts == {"triples": 2 * 24, "logs": 2 * 27 + 2 * 2 + 2 * (1 + 12), "forms": 2 * 12}
     # per n, one root set: the orbits' triples and the bound constants share it
     assert roots.compute_roots.cache_info().misses == 2
 
@@ -652,13 +653,15 @@ def test_bad_bounds_are_refused_before_any_root_set(capsys, argv, message):
     ["lemma", "ubar", "--n=-5:-3"],
 ])
 def test_negative_n_is_refused_before_any_precision_formula(capsys, argv):
-    # the precision policy takes log2(n + 2), which has no value below n = -1
+    # the precision policy takes log2(n + 2), which has no value below n = -1; a lemma
+    # refuses its grid below its least n first
     from cubicthue import roots
 
     roots.compute_roots.cache_clear()
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == "error: n must be nonnegative\n"
+    want = "lemma ubar needs n >= 1, got n = -5" if argv[0] == "lemma" else "n must be nonnegative"
+    assert err == f"error: {want}\n"
     assert roots.compute_roots.cache_info().misses == 0
 
 
@@ -696,12 +699,23 @@ def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monk
 @pytest.mark.parametrize("name,n,least", [
     ("lpowers", 0, 1), ("errorbound", 0, 1), ("wbar", 0, 1), ("logdiff", 0, 1),
     ("regulator", 0, 2), ("regulator", 1, 2), ("vbar", 0, 2), ("vbar", 1, 2),
-    ("lapprox", 0, 4), ("lapprox", 3, 4),
+    ("lapprox", 0, 4), ("lapprox", 3, 4), ("ubar", 0, 1),
 ])
 def test_lemma_at_tiny_n_names_the_least_n(capsys, name, n, least):
+    from cubicthue import roots
+
+    roots.compute_roots.cache_clear()
     code, _, err = run(capsys, ["lemma", name, "--n", str(n)])
     assert code == 2
     assert f"lemma {name} needs n >= {least}, got n = {n}" in err
+    assert roots.compute_roots.cache_info().misses == 0
+
+
+def test_lemma_ubar_names_a_huge_n_by_its_magnitude(capsys):
+    # past the 17 digits of a float the note gives n as ~10^k, not its 301 digits
+    code, out, _ = run(capsys, ["lemma", "ubar", "--n", "1e300"])
+    note, = [line for line in out.splitlines() if "note:" in line]
+    assert code == 0 and "n=~10^300:" in note and len(note) < 80
 
 
 @pytest.mark.parametrize("bits", ["64", "1024"])
@@ -1270,7 +1284,7 @@ def imports_of(modules, banned):
 
 
 def test_trusted_core_imports_neither_the_harness_nor_the_command_line():
-    assert imports_of(TRUSTED_CORE, ("asymptotics", "cli")) == []
+    assert imports_of(TRUSTED_CORE + ["errors"], ("asymptotics", "cli")) == []
 
 
 def test_integer_core_imports_nothing_from_mpmath():
@@ -1284,6 +1298,39 @@ def test_integer_core_imports_nothing_from_mpmath():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert proc.stdout == b"False\n"
+
+
+def private_reads():
+    """The "name.py:line attr" of each underscore name a module of the package takes
+    from a sibling: by `from .m import _x`, or as `m._x` on a sibling module m it
+    imported.  Parsed, not imported; dunder names are exempt."""
+    def private(attr):
+        return attr.startswith("_") and not (attr.startswith("__") and attr.endswith("__"))
+
+    found = []
+    for name in sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, name + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        siblings = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").split(".")[0] == "cubicthue"):
+                continue
+            if node.module in (None, "cubicthue"):   # from . import m [as alias]
+                siblings |= {a.asname or a.name for a in node.names}
+            else:
+                found += [f"{name}.py:{node.lineno} {a.name}" for a in node.names
+                          if private(a.name)]
+        found += [f"{name}.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and private(node.attr)]
+    return found
+
+
+def test_no_module_reads_an_underscore_name_of_another():
+    # the modules meet at public names only: the trusted core has a stated interface,
+    # which the lemma harnesses and the command line read as any caller would
+    assert private_reads() == []
 
 
 def makers_of(exception):

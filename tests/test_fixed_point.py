@@ -283,7 +283,7 @@ def test_orbit_cell_with_undecided_b0_goes_to_the_doubling_loop(monkeypatch):
     monkeypatch.setattr(roots, "compute_alphas", spy)
     for s, t, tri, shift in asymptotics.orbit_triples(n, st_box(2), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
-        assert proof._quantities(wide, shift, s, t) is None
+        assert proof.attempt_quantities(wide, shift, s, t) is None
         asked.clear()
         q = asymptotics.cell_quantities(wide, shift, s, t)
         assert asked == [(n, tri.s, tri.t, 2 * tri.precision_bits)]
@@ -296,7 +296,7 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
     # takes its logs from the representative's triple at twice its bits, and its
     # residuals, correctly rounded, are those of the triple it came from
     n = 10**4
-    log_n = lambda K: bounds._log_int(n, K)
+    log_n = lambda K: roots.log_int(n, K)
     asked = []
     real = roots.compute_alphas
 
@@ -395,7 +395,7 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
         attempts.append(tri.precision_bits)
 
     for mod in (proof, bounds):
-        monkeypatch.setattr(mod, "_quantities", never)
+        monkeypatch.setattr(mod, "attempt_quantities", never)
     first = proof_precision(10**4, 192)
     with pytest.raises(PrecisionExhausted, match=r"b0 for \(n,s,t\)=\(10000, 2, 1\)"):
         compute_proof_quantities(10**4, 2, 1)

@@ -257,7 +257,7 @@ def test_uncertified_conjugates_raise(monkeypatch, capsys):
 def test_undecided_candidates_double_from_the_first_triple(monkeypatch, capsys):
     # solve and scan try the same four precisions, from the bits of their first triple
     tried, firsts = [], []
-    real_solve = solver._solve_form
+    real_solve = solver.solve_form
 
     def undecided(form, tri, y_bound):
         tried.append(tri.precision_bits)
@@ -267,7 +267,7 @@ def test_undecided_candidates_double_from_the_first_triple(monkeypatch, capsys):
         return real_solve(form, y_bound, tri)
 
     monkeypatch.setattr(solver, "_candidates", undecided)
-    monkeypatch.setattr(solver, "_solve_form", solve)
+    monkeypatch.setattr(solver, "solve_form", solve)
     assert cli.main(["solve", "5", "1", "1", "--ybound", "100"]) == 3
     first = roots.candidate_precision(5, 1, 1, 100, 192)   # the command line's default bits
     assert firsts == [first] and tried == [first, 2 * first, 4 * first, 8 * first]
@@ -314,7 +314,7 @@ def test_integer_type_matches_the_mpf_argmin(n, st_pair, j, y, dx, bits):
 def test_undecided_type_escalates_then_exits_3(wide, monkeypatch, capsys):
     # (0, 1) at (10, 1, 0) is type 2: |alpha2| ~ 0.09, |alpha3| ~ 1.10, |alpha1| ~ 10.2.
     # A radius of 2 on alpha2, or on alpha3, leaves it undecided at every precision.
-    real_alphas, real_solve = roots.compute_alphas, solver._solve_form
+    real_alphas, real_solve = roots.compute_alphas, solver.solve_form
     asked = []
 
     def doctor(tri):
@@ -338,7 +338,7 @@ def test_undecided_type_escalates_then_exits_3(wide, monkeypatch, capsys):
         found, tri = real_solve(form, y_bound, tri)
         return found, doctor(tri)
 
-    monkeypatch.setattr(solver, "_solve_form", doctored_solve)
+    monkeypatch.setattr(solver, "solve_form", doctored_solve)
     assert cli.main(["solve", "10", "1", "0", "--ybound", "1"]) == 3
     assert "precision exhausted" in capsys.readouterr().err
 
