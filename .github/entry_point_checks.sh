@@ -2,9 +2,11 @@
 # Checks of the installed `cubicthue` console script, which no test runs: three
 # pinned outputs (the second prints values beyond float range from exact
 # fractions, the third is a once-twisted cell's crossover), the chain's failure
-# names over two scans, the exit code 2 and message of the refused cell (0, 0)
-# and of lemma ubar below its least n, and every command line of the README's
-# "Command-line usage" block.
+# names over two scans, the exit code 2, empty stdout and one error line of the
+# refused cell (0, 0), of lemma ubar below its least n, of --jobs 0 and of a
+# CUBICTHUE_JOBS that is not an integer, the exit code 2 of lemma vbar on a grid
+# below the n its growth bounds are tested at, and every command line of the
+# README's "Command-line usage" block.
 # Run from the repository root after `pip install -e .`.
 set -euo pipefail
 
@@ -23,14 +25,23 @@ out="$(for grid in 0:1 1e60:1e64:log10; do
 done | LC_ALL=C sort | uniq -c | sed 's/^ *//')"
 want="$(printf '55 \n15 R - v_bar > (3/4) log(n)/n\n16 n >= 1\n26 w_bar absorption')"
 [ "$out" = "$want" ] || { echo "unexpected chain failures: $out"; exit 1; }
-code=0
-err="$(cubicthue bound 5 0 0 2>&1 > /dev/null)" || code=$?
-[ "$code" = 2 ] && [ "$err" = "error: (s, t) = (0, 0) gives the reducible form (x - y)^3" ] \
-  || { echo "unexpected exit $code for bound 5 0 0: $err"; exit 1; }
-code=0
-err="$(cubicthue lemma ubar --n 0 2>&1 > /dev/null)" || code=$?
-[ "$code" = 2 ] && [ "$err" = "error: lemma ubar needs n >= 1, got n = 0" ] \
-  || { echo "unexpected exit $code for lemma ubar --n 0: $err"; exit 1; }
+# refused MESSAGE COMMAND...: exit 2, nothing on stdout, "error: MESSAGE" on stderr
+err_file="$(mktemp)"
+trap 'rm -f "$err_file"' EXIT
+refused() {
+  local want="$1" code=0 out err
+  shift
+  out="$("$@" 2> "$err_file")" || code=$?
+  err="$(cat "$err_file")"
+  [ "$code" = 2 ] && [ -z "$out" ] && [ "$err" = "error: $want" ] \
+    || { echo "unexpected exit $code for $*: stdout '$out', stderr '$err'"; exit 1; }
+}
+refused "(s, t) = (0, 0) gives the reducible form (x - y)^3" cubicthue bound 5 0 0
+refused "lemma ubar needs n >= 1, got n = 0" cubicthue lemma ubar --n 0
+refused "jobs must be >= 1" cubicthue --jobs 0 form 5 1 0
+refused "CUBICTHUE_JOBS must be an integer, got 'two'" env CUBICTHUE_JOBS=two cubicthue form 5 1 0
+refused "lemma vbar tests its growth bounds at n >= 10000, got largest n = 9999" \
+  cubicthue lemma vbar --n 2:9999:log10
 usage="$(sed -n '/^## Command-line usage/,/^## /p' README.md | sed -n '/^```/,/^```/p' | grep '^cubicthue ')" \
   || { echo "no cubicthue lines in the README's usage block"; exit 1; }
 while read -r line; do

@@ -522,13 +522,7 @@ def run_errorbound(n_grid=None, st_bound=None, precision_bits: int = 192) -> Lem
     for n in n_grid:
         for s, t, tri, shift in orbit_triples(n, st_box(st_bound), precision_bits):
             rep = _error_products(tri, shift, s, t)
-            rows.append({"n": n, "s": s, "t": t,
-                         "margin_product": rep.margin_product,
-                         "margin_min": rep.margin_min,
-                         "margin_max": rep.margin_max,
-                         "exempt_first": rep.exempt_first,
-                         "passed": rep.passed,
-                         "precision_bits": precision_bits})
+            rows.append({**vars(rep), "passed": rep.passed, "precision_bits": precision_bits})
     failures = [(r["n"], r["s"], r["t"]) for r in rows if not r["passed"]]
     ok = not failures
     notes = "" if ok else f"{len(failures)} grid points violate the bounds, e.g. {failures[:4]}"
@@ -538,11 +532,15 @@ def run_errorbound(n_grid=None, st_bound=None, precision_bits: int = 192) -> Lem
 
 def run_vbar(n_grid=None, st_bound=None, precision_bits: int = 192) -> LemmaResult:
     """Window and growth of v_bar = b0*R - v1 - v2: for n >= 10^4,
-    v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05.  The window
-    0 < v_bar < R holds at every cell, as its b0 is certified (see proof.py)."""
+    v_bar n / log n >= 0.5 and (R - v_bar) / log n >= 0.05, so a grid with no
+    n >= 10^4 is refused before any root set.  The window 0 < v_bar < R holds
+    at every cell, as its b0 is certified (see proof.py)."""
     n_grid = n_grid or DEFAULT_N_GRIDS["vbar"]
     st_bound = st_bound or DEFAULT_BOXES["vbar"]
     _require_grid("vbar", n_grid, 2)
+    if (top := max(n_grid)) < 10**4:   # else the growth bounds hold over no rows
+        raise ValueError(f"lemma vbar tests its growth bounds at n >= 10000, "
+                         f"got largest n = {top}")
     rows = []
     for n in n_grid:
         ln = math.log(n)

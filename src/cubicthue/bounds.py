@@ -42,11 +42,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ChainPreconditionFailed, EmptyGrid
-from .forms import BinaryCubicForm, build_form, check_twist, height, phi_transform, st_box
+from .forms import BinaryCubicForm, build_form, height, phi_transform, st_box
 # compute_proof_quantities is re-exported: benchmarks/tracer.py wraps it here
 from .proof import attempt_quantities, compute_proof_quantities, one_cell  # noqa: F401
-from .roots import (attempts, compute_roots, escalate, fixed_log, fixed_mul, log_int,
-                    orbit_triples, rescaled)
+from .roots import attempts, escalate, fixed_log, fixed_mul, log_int, orbit_triples, rescaled
 
 _CONST_GUARD = 48   # the constants of n carry precision_bits + 48 fraction bits
 
@@ -108,8 +107,8 @@ class _NConstants:
 
     regulator is R, upper_factor c3 * R * max(log R, 1), log_b log max(b_abs, e)
     (exactly 1 for b_abs <= 2) and log_n log n (None at n = 0).  R is the
-    regulator of the given root set: bg_upper_bound gives compute_roots(n,
-    precision_bits), level_constants the root set of the first attempt at its
+    regulator of the given root set: bg_upper_bound gives that of the lone
+    cell's triple, level_constants the root set of the first attempt at its
     bits.
     """
 
@@ -133,12 +132,12 @@ def _n_constants(rs, b_abs: int, precision_bits: int) -> _NConstants:
 
 def bg_upper_bound(n: int, s: int, t: int, b_abs: int = 1, precision_bits: int = 192):
     """Upper bound on log max(|x|, |y|) for |f(x, y)| <= b_abs, as a Fraction: the
-    fixed-point numerator of _upper_bound over its power of two.  DegenerateTwist at
-    (s, t) = (0, 0) before any root set."""
-    check_twist(s, t)
+    fixed-point numerator of _upper_bound over its power of two, on the root set of
+    the lone cell's triple (proof.one_cell), the one bound_report and
+    lower_bound_chain read.  DegenerateTwist at (s, t) = (0, 0) before any root set."""
     if b_abs < 1:
         raise ValueError("b_abs must be >= 1")
-    const = _n_constants(compute_roots(n, precision_bits), b_abs, precision_bits)
+    const = _n_constants(one_cell(n, s, t, precision_bits).roots, b_abs, precision_bits)
     return _exact(_upper_bound(build_form(n, s, t), const)[0], 1 << const.frac_bits)
 
 

@@ -19,11 +19,17 @@ than MAX_GRID_POINTS (n, s, t) cells (a lemma's box and n grid are --smax and
 form, solve, bound or scan whose forms may have a coefficient of more than
 MAX_VALUE_DIGITS digits (_check_form_digits), which could not be printed.
 Only lemma logdiff reads --epsilon.  Formats: human (default), json, csv.
-Exit codes: 0 ok, 1 a verification check failed, 2 usage error (an --output
-path that is a directory or in no existing directory is refused before any
-work, and a failed write ends there too), 3 precision exhausted.
+Exit codes: 0 ok, 1 a verification check failed, 2 usage error, 3 precision
+exhausted.  Every refusal main decides is a ValueError, printed as the one
+line "error: <message>" with exit code 2, before any root work: those above,
+an --epsilon outside (0, 1/2), a --precision-bits outside [64,
+MAX_PRECISION_BITS], a --jobs below 1, an environment override that is not
+an integer, and an --output path that is a directory or in no existing
+directory (a failed write ends there too).  A command line argparse cannot
+read (an unknown option or choice, a missing argument, a numeric argument
+that is not a grid value) exits 2 with argparse's usage instead.
 Environment overrides: CUBICTHUE_PRECISION_BITS, CUBICTHUE_JOBS; an empty
-value counts as unset, and one that is not an integer exits 2.
+value counts as unset.
 
 The scan works one n at a time, and --jobs hands whole n values to the
 workers.  Within an n, the cells (s, t) and phi(s, t) = (-s + t, -s) have the
@@ -81,14 +87,14 @@ MAX_VALUE_DIGITS = 4300
 MAX_PRECISION_BITS = 2**16
 
 
-def _env_int(parser, name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: int) -> int:
     """The environment variable name read as a grid value is, fallback where it is
-    unset or empty; exit 2 naming it where it is set to anything else."""
+    unset or empty; ValueError naming it where it is set to anything else."""
     text = os.environ.get(name, "")
     try:
         return _grid_value(text) if text else fallback
     except ValueError:
-        parser.exit(2, f"{name} must be an integer, got {_shown(text)}\n")
+        raise ValueError(f"{name} must be an integer, got {_shown(text)}") from None
 
 
 def _shown(text: str) -> str:
@@ -428,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_number)
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--output", default=None, help="write the report to this path")
-    p.add_argument("--epsilon", type=float, default=0.25,
+    p.add_argument("--epsilon", type=float, default=asymptotics.DEFAULT_EPSILON,
                    help="the epsilon of lemma logdiff; no other command reads it")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -463,17 +469,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    # the parser outlives this call, so the environment is read on every call
-    parser.set_defaults(precision_bits=_env_int(parser, "CUBICTHUE_PRECISION_BITS", 192),
-                        jobs=_env_int(parser, "CUBICTHUE_JOBS", 1))
-    args = parser.parse_args(argv)
-    if not 0 < args.epsilon < 0.5:
-        parser.exit(2, "epsilon must lie in (0, 1/2)\n")
-    if not 64 <= args.precision_bits <= MAX_PRECISION_BITS:
-        parser.exit(2, f"precision-bits must lie in [64, {MAX_PRECISION_BITS}]\n")
-    if args.jobs < 1:
-        parser.exit(2, "jobs must be >= 1\n")
     try:
+        # the parser outlives this call, so the environment is read on every call
+        parser.set_defaults(precision_bits=_env_int("CUBICTHUE_PRECISION_BITS", 192),
+                            jobs=_env_int("CUBICTHUE_JOBS", 1))
+        args = parser.parse_args(argv)
+        if not 0 < args.epsilon < 0.5:
+            raise ValueError("epsilon must lie in (0, 1/2)")
+        if not 64 <= args.precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(f"precision-bits must lie in [64, {MAX_PRECISION_BITS}]")
+        if args.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         _check_output(args.output)
         return args.func(args)
     except ValueError as exc:   # DegenerateTwist and EmptyGrid among them

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles for the roots, for the solutions and for
-the order Z[lam0], a form's discriminant, and the mpf values of a root set's and a
-triple's fixed point and of an upper bound.
+the order Z[lam0], a form's discriminant, the mpf values of a root set's and a
+triple's fixed point and of an upper bound, and patch_everywhere, which replaces a
+package function at every module binding its callers look it up in.
 
 mpmath is the tests' oracle: the package computes in integers only.  The package
 builds its units from the closed-form inverses of exact_field; the general path of
@@ -8,11 +9,28 @@ the order (the multiplication matrix, the norm, the adjugate inverse of any unit
 a signed power through it, sums and integer multiples) lives here, as the oracle the
 closed forms are tested against."""
 
+import sys
+
 from mpmath import mp
 from mpmath.libmp import fone, from_man_exp, mpf_div, round_nearest
 
 import cubicthue.exact_field as ef
 from cubicthue.forms import build_form, eval_form
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Set replacement, by monkeypatch, at every global of a cubicthue module bound to
+    fn, as the module-globals half of benchmarks/tracer.py's _bindings finds them:
+    every call of fn then reaches replacement, whichever module's binding the
+    caller reads.  Fails where no module binds fn."""
+    import cubicthue.cli  # noqa: F401  (with it, every module of the package is loaded)
+
+    bound = [(mod, key) for name, mod in list(sys.modules.items())
+             if name == "cubicthue" or name.startswith("cubicthue.")
+             for key, value in vars(mod).items() if value is fn]
+    assert bound, f"no cubicthue module binds {fn!r}"
+    for mod, key in bound:
+        monkeypatch.setattr(mod, key, replacement)
 
 
 def fixed_view(num, frac_bits):

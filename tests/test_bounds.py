@@ -17,12 +17,12 @@ from cubicthue.bounds import (
 )
 from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, EmptyGrid, PrecisionExhausted
 from cubicthue.forms import build_form, height
-from cubicthue.proof import cell_quantities
+from cubicthue.proof import cell_quantities, one_cell
 from cubicthue.roots import (
     PRECISION_ATTEMPTS, compute_alphas, compute_roots, orbit_triples, proof_precision,
 )
 from cubicthue.solver import solve_box
-from conftest import dyadic_value, fixed_view, regulator_value
+from conftest import dyadic_value, fixed_view, patch_everywhere, regulator_value
 
 
 def test_c3_values():
@@ -80,15 +80,11 @@ def test_upper_bound_rejects_reducible():
 def test_the_cell_0_0_is_refused_before_any_root_work(capsys, monkeypatch):
     # forms.check_twist decides (0, 0) before any root set or triple, on every path
     # that takes a cell: the bound side, the chain, the proof quantities and the solver
-    from cubicthue import asymptotics, proof, roots, solver
-
     def refuse(*args, **kwargs):
         raise AssertionError("root work started")
 
-    for mod in (roots, bounds, proof, solver, asymptotics):
-        for name in ("compute_roots", "compute_alphas"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, refuse)
+    for fn in (compute_roots, compute_alphas):
+        patch_everywhere(monkeypatch, fn, refuse)
     refusals = [lambda: bound_report(5, 0, 0),
                 lambda: list(bounds.cell_reports(5, [(1, 1), (0, 0)], 192)),
                 lambda: bg_upper_bound(10, 0, 0),
@@ -101,6 +97,22 @@ def test_the_cell_0_0_is_refused_before_any_root_work(capsys, monkeypatch):
     assert cli.main(["bound", "5", "0", "0"]) == 2
     assert ("error: (s, t) = (0, 0) gives the reducible form (x - y)^3"
             in capsys.readouterr().err)
+
+
+def test_a_lone_cell_computes_one_root_set():
+    # the upper bound, the chain and the proof quantities of one cell, by the report
+    # and by each public function, read the one root set of the lone cell's triple
+    n, s, t = 10**6, 2, 1
+    compute_roots.cache_clear()
+    compute_alphas.cache_clear()
+    rep = bound_report(n, s, t)
+    upper = bg_upper_bound(n, s, t)
+    lower_bound_chain(n, s, t)
+    compute_proof_quantities(n, s, t)
+    assert compute_roots.cache_info().misses == 1
+    lone = bounds._n_constants(one_cell(n, s, t, 192).roots, 1, 192)
+    num, _ = bounds._upper_bound(build_form(n, s, t), lone)
+    assert upper == Fraction(num, 1 << (192 + 48)) and float(upper) == rep.B_rhs
 
 
 def formula_upper(n, s, t, precision_bits=192):
@@ -128,9 +140,10 @@ def within(value, pair, frac_bits):
 
 @pytest.mark.parametrize("n", [60, 4999, 10**6, 10**64])
 def test_per_n_constants_give_bit_identical_bounds(n):
-    # constants once per n on the public functions' root set, against those functions
+    # constants once per n on compute_roots(n, 192), against the public functions
     # (equal floats) and against the formulas at twice the bits (within the radius);
-    # bound_report, a batch of one, against the batch of the whole box
+    # bg_upper_bound exactly against the constants of the root set it reads, the lone
+    # cell's; bound_report, a batch of one, against the batch of the whole box
     const = bounds._n_constants(compute_roots(n, 192), 1, 192)
     F = const.frac_bits
     batch = {(rep.s, rep.t): rep for _, _, rep in bounds.cell_reports(n, st_box(3), 192)}
@@ -138,7 +151,8 @@ def test_per_n_constants_give_bit_identical_bounds(n):
     for s, t in st_box(3):
         form = build_form(n, s, t)
         upper = bounds._upper_bound(form, const)
-        assert bg_upper_bound(n, s, t) == Fraction(upper[0], 1 << F)
+        lone = bounds._n_constants(one_cell(n, s, t, 192).roots, 1, 192)
+        assert bg_upper_bound(n, s, t) == Fraction(bounds._upper_bound(form, lone)[0], 1 << F)
         assert float(fixed_view(upper[0], F)) == float(bg_upper_bound(n, s, t)) \
             == float(formula_upper(n, s, t))
         assert within(formula_upper(n, s, t, 2 * F), upper, F)

@@ -21,6 +21,7 @@ from mpmath.libmp import from_int, mpf_div, round_nearest
 from cubicthue.cli import (
     MAX_GRID_POINTS, MAX_PRECISION_BITS, MAX_VALUE_DIGITS, _sci, main, parse_grid,
 )
+from conftest import patch_everywhere
 
 
 def run(capsys, argv):
@@ -177,16 +178,16 @@ def test_solve_huge_n(capsys):
 
 
 def test_scan_builds_one_form_per_cell(capsys, monkeypatch):
-    from cubicthue import bounds, cli, forms, solver
+    from cubicthue import forms
 
     calls = []
+    real = forms.build_form
 
     def counting(n, s, t):
         calls.append((n, s, t))
-        return forms.build_form(n, s, t)
+        return real(n, s, t)
 
-    for mod in (cli, solver, bounds):
-        monkeypatch.setattr(mod, "build_form", counting)
+    patch_everywhere(monkeypatch, real, counting)
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "20:21", "--smax", "1",
                               "--ybound", "100"])
     assert code == 0
@@ -254,7 +255,7 @@ def test_scan_solves_and_bounds_each_distinct_form_once(capsys, monkeypatch):
 
 def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     # st_box(3) holds 24 phi-orbits: 6 with all three cells in the box, 18 with one
-    from cubicthue import asymptotics, bounds, cli, roots, solver
+    from cubicthue import forms, roots
 
     counts = {"triples": 0, "logs": 0, "forms": 0}
 
@@ -262,14 +263,11 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
         def wrapper(*args):
             counts[key] += 1
             return real(*args)
-        return wrapper
+        patch_everywhere(monkeypatch, real, wrapper)
 
-    powering = counting("triples", roots.power_alphas)
-    monkeypatch.setattr(roots, "power_alphas", powering)
-    monkeypatch.setattr(roots, "fixed_log", counting("logs", roots.fixed_log))
-    forming = counting("forms", bounds.build_form)
-    for mod in (bounds, cli, solver):
-        monkeypatch.setattr(mod, "build_form", forming)
+    counting("triples", roots.power_alphas)
+    counting("logs", roots.fixed_log)
+    counting("forms", forms.build_form)
     roots.compute_roots.cache_clear()
     roots.compute_alphas.cache_clear()
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100:101", "--smax", "3"])
@@ -278,8 +276,10 @@ def test_scan_goes_by_phi_orbit_on_one_root_set_per_n(capsys, monkeypatch):
     # orbits (s, t), (-s, -t), and three difference logs per orbit with two or three
     # cells in the box and two for the others, taken for one orbit of each mirrored
     # pair and derived for the other; besides them, each root set takes its two root logs,
-    # and the bound constants take log n and, per upper bound, log H (roots.log_int)
-    assert counts == {"triples": 2 * 24, "logs": 2 * 27 + 2 * 2 + 2 * (1 + 12), "forms": 2 * 12}
+    # and the bound constants take log R, log n and, per upper bound, log H (the last
+    # two by roots.log_int)
+    assert counts == {"triples": 2 * 24, "logs": 2 * 27 + 2 * 2 + 2 * (1 + 1 + 12),
+                      "forms": 2 * 12}
     # per n, one root set: the orbits' triples and the bound constants share it
     assert roots.compute_roots.cache_info().misses == 2
 
@@ -324,7 +324,7 @@ SCAN_100_ROOT_BITS = [320]
 
 
 def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
-    from cubicthue import asymptotics, bounds, roots
+    from cubicthue import roots
 
     powered, computed = [], []
     real_power, raw_roots = roots.power_alphas, roots.compute_roots.__wrapped__
@@ -339,8 +339,7 @@ def test_scan_root_and_triple_precisions_are_pinned(capsys, monkeypatch):
         return raw_roots(n, precision_bits)
 
     monkeypatch.setattr(roots, "power_alphas", power)
-    for mod in (roots, asymptotics, bounds):
-        monkeypatch.setattr(mod, "compute_roots", compute)
+    patch_everywhere(monkeypatch, roots.compute_roots, compute)
     roots.compute_alphas.cache_clear()
     code, _, _ = run(capsys, ["--format", "csv", "scan", "--n", "100", "--smax", "3"])
     roots.compute_alphas.cache_clear()
@@ -476,8 +475,7 @@ def test_lemma_default_box_is_bounded_before_any_work(capsys, monkeypatch, argv,
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for mod in (roots, asymptotics):
-        monkeypatch.setattr(mod, "compute_roots", refuse)
+    patch_everywhere(monkeypatch, roots.compute_roots, refuse)
     monkeypatch.setattr(asymptotics, "st_box", refuse)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -497,8 +495,7 @@ def test_lemma_default_grid_counts_its_points(capsys, monkeypatch, argv, n_value
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for mod in (roots, asymptotics):
-        monkeypatch.setattr(mod, "compute_roots", refuse)
+    patch_everywhere(monkeypatch, roots.compute_roots, refuse)
     monkeypatch.setattr(asymptotics, "st_box", refuse)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -523,14 +520,13 @@ def test_lemma_smax_is_the_st_bound_of_every_box_runner(capsys):
 
 def test_fractional_grid_values_exit_two_before_any_work(capsys, monkeypatch):
     # a grid value is an integer, however written: none is truncated to one
-    from cubicthue import asymptotics, bounds, roots
+    from cubicthue import bounds, roots
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for mod, name in ((roots, "compute_roots"), (asymptotics, "compute_roots"),
-                      (bounds, "cell_reports")):
-        monkeypatch.setattr(mod, name, refuse)
+    for fn in (roots.compute_roots, bounds.cell_reports):
+        patch_everywhere(monkeypatch, fn, refuse)
     for argv, value in ((["--format", "csv", "scan", "--n", "50.9", "--smax", "1",
                           "--ybound", "2"], "'50.9'"),
                         (["lemma", "regulator", "--n", "99.99:1e6:log10"], "'99.99'"),
@@ -679,7 +675,7 @@ def test_bound_computes_one_root_set(capsys, n):
 
 def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monkeypatch):
     # solve and scan pass the same --precision-bits to roots.candidate_precision
-    from cubicthue import roots, solver
+    from cubicthue import roots
 
     asked = []
     real = roots.candidate_precision
@@ -688,8 +684,7 @@ def test_scan_asks_the_solver_for_the_precision_of_the_command_line(capsys, monk
         asked.append(precision_bits)
         return real(n, s, t, y_bound, precision_bits)
 
-    for mod in (solver, roots):
-        monkeypatch.setattr(mod, "candidate_precision", spy)
+    patch_everywhere(monkeypatch, real, spy)
     for command in (["solve", "100", "2", "1"], ["scan", "--n", "100", "--smax", "1"]):
         asked.clear()
         code, _, _ = run(capsys, ["--precision-bits", "64", *command])
@@ -762,10 +757,8 @@ def test_lemma_logdiff_beyond_float_range_exits_two(capsys):
 
 def test_precision_bits_upper_limit(capsys):
     for bits in (MAX_PRECISION_BITS + 1, 10**9):
-        with pytest.raises(SystemExit) as exc:
-            main(["--precision-bits", str(bits), "form", "5", "1", "0"])
-        assert exc.value.code == 2
-    assert f"[64, {MAX_PRECISION_BITS}]" in capsys.readouterr().err
+        assert run(capsys, ["--precision-bits", str(bits), "form", "5", "1", "0"]) == (
+            2, "", f"error: precision-bits must lie in [64, {MAX_PRECISION_BITS}]\n")
     assert main(["--precision-bits", str(MAX_PRECISION_BITS), "form", "5", "1", "0"]) == 0
     for bits in ("1024", "2048"):
         code, out, _ = run(capsys, ["--precision-bits", bits, "bound", "100", "2", "1"])
@@ -802,10 +795,8 @@ def test_env_override_precision(capsys, monkeypatch):
                                         ("CUBICTHUE_JOBS", "1.5")])
 def test_env_override_that_is_not_an_integer_exits_two(capsys, monkeypatch, name, value):
     monkeypatch.setenv(name, value)
-    with pytest.raises(SystemExit) as exc:
-        main(["form", "5", "1", "0"])
-    assert exc.value.code == 2
-    assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert run(capsys, ["form", "5", "1", "0"]) == (
+        2, "", f"error: {name} must be an integer, got {value!r}\n")
 
 
 @pytest.mark.parametrize("flag", ["--precision-bits", "CUBICTHUE_PRECISION_BITS"])
@@ -926,19 +917,87 @@ def test_parser_is_built_once_and_reads_the_env_on_every_call(capsys, monkeypatc
         seen.append(json.loads(out)["config"]["precision_bits"])
         assert seen == [128, 256, 192]
         monkeypatch.setenv("CUBICTHUE_JOBS", "0")
-        with pytest.raises(SystemExit) as exc:
-            main(["form", "5", "1", "0"])
-        assert exc.value.code == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert run(capsys, ["form", "5", "1", "0"]) == (2, "", "error: jobs must be >= 1\n")
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
 
 
-def test_epsilon_validation():
-    with pytest.raises(SystemExit) as exc:
-        main(["--epsilon", "0.9", "form", "5", "1", "0"])
-    assert exc.value.code == 2
+def test_epsilon_validation(capsys):
+    assert run(capsys, ["--epsilon", "0.9", "form", "5", "1", "0"]) == (
+        2, "", "error: epsilon must lie in (0, 1/2)\n")
+
+
+_FORM_DIGITS = (f"3 (n + 3)^D, D = max(|s|, |t|, |s - t|), may have more than "
+                f"{MAX_VALUE_DIGITS} digits: a form's coefficient may not print")
+
+# every kind of refusal main decides: (environment, argv, message); each is one
+# "error: <message>" line and exit code 2, with no root set computed
+REFUSALS = [
+    ({}, ["scan", "--n", "50.9", "--smax", "1"], "grid value '50.9' is not an integer"),
+    ({}, ["lemma", "regulator", "--n", "1e4300"],
+     f"grid value '1e4300' is not finite or has more than {MAX_VALUE_DIGITS} digits"),
+    ({}, ["lemma", "regulator", "--n", "1:1000001"],
+     f"grid '1:1000001' has more than {MAX_GRID_POINTS} points"),
+    ({}, ["scan", "--n", "1:30000", "--smax", "3"],
+     f"scan has more than {MAX_GRID_POINTS} cells (30000 n values, smax 3)"),
+    ({}, ["lemma", "wbar", "--n", "1:30000"],
+     f"lemma box has more than {MAX_GRID_POINTS} cells (30000 n values, smax 3)"),
+    ({}, ["form", "10", "5000", "1"], _FORM_DIGITS),
+    ({}, ["scan", "--n", "1e3000", "--smax", "1"], _FORM_DIGITS),
+    ({}, ["scan", "--n", "1:10", "--smax", "0"], "--smax must be >= 1, got 0"),
+    ({}, ["lemma", "errorbound", "--n", "1000", "--smax", "-2"], "--smax must be >= 1, got -2"),
+    ({}, ["lemma", "ubar", "--smax", "3"],
+     "lemma ubar takes no --smax: it checks no box of (s, t) pairs"),
+    ({}, ["solve", "5", "1", "1", "--ybound", "0"], "y_bound must be >= 1"),
+    ({}, ["scan", "--n", "5", "--smax", "1", "--ybound", "0"], "y_bound must be >= 1"),
+    ({}, ["bound", "5", "1", "1", "--babs", "0"], "b_abs must be >= 1"),
+    ({}, ["bound", "5", "0", "0"], "(s, t) = (0, 0) gives the reducible form (x - y)^3"),
+    ({}, ["solve", "5", "0", "0"], "(s, t) = (0, 0) gives the reducible form (x - y)^3"),
+    ({}, ["form", "-2", "1", "1"], "n must be nonnegative"),
+    ({}, ["solve", "-2", "1", "1"], "n must be nonnegative"),
+    ({}, ["bound", "-2", "1", "1"], "n must be nonnegative"),
+    ({}, ["scan", "--n", "-2", "--smax", "1"], "n must be nonnegative"),
+    ({}, ["lemma", "ubar", "--n", "0"], "lemma ubar needs n >= 1, got n = 0"),
+    ({}, ["lemma", "vbar", "--n", "1"], "lemma vbar needs n >= 2, got n = 1"),
+    ({}, ["lemma", "lapprox", "--n", "1e100"], "need >= 5 samples, got 1"),
+    ({}, ["lemma", "logdiff", "--n", "1e400"], "lemma logdiff scales residuals by "
+     "n^(1+2 epsilon), which is beyond float range at n ~ 10^400"),
+    ({}, ["lemma", "vbar", "--n", "2:9999:log10"],
+     "lemma vbar tests its growth bounds at n >= 10000, got largest n = 9999"),
+    ({}, ["--output", ".", "form", "5", "1", "0"], "--output '.' is a directory"),
+    ({}, ["--output", "missing/x.csv", "form", "5", "1", "0"],
+     "--output 'missing/x.csv' is in no existing directory"),
+    ({}, ["--epsilon", "0.9", "lemma", "logdiff"], "epsilon must lie in (0, 1/2)"),
+    ({}, ["--epsilon", "0", "form", "5", "1", "0"], "epsilon must lie in (0, 1/2)"),
+    ({}, ["--precision-bits", "63", "form", "5", "1", "0"],
+     f"precision-bits must lie in [64, {MAX_PRECISION_BITS}]"),
+    ({}, ["--precision-bits", "65537", "form", "5", "1", "0"],
+     f"precision-bits must lie in [64, {MAX_PRECISION_BITS}]"),
+    ({}, ["--jobs", "0", "form", "5", "1", "0"], "jobs must be >= 1"),
+    ({"CUBICTHUE_PRECISION_BITS": "abc"}, ["form", "5", "1", "0"],
+     "CUBICTHUE_PRECISION_BITS must be an integer, got 'abc'"),
+    ({"CUBICTHUE_JOBS": "two"}, ["form", "5", "1", "0"],
+     "CUBICTHUE_JOBS must be an integer, got 'two'"),
+]
+
+
+@pytest.mark.parametrize("env,argv,message", REFUSALS,
+                         ids=[" ".join([*(f"{k}={v}" for k, v in env.items()), *argv])
+                              for env, argv, _ in REFUSALS])
+def test_every_refusal_is_one_error_line_before_any_root_work(capsys, monkeypatch, tmp_path,
+                                                              env, argv, message):
+    from cubicthue import roots
+
+    monkeypatch.chdir(tmp_path)   # where the --output paths are read
+    for name in ("CUBICTHUE_PRECISION_BITS", "CUBICTHUE_JOBS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    roots.compute_roots.cache_clear()
+    roots.compute_alphas.cache_clear()
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert roots.compute_roots.cache_info().misses == 0
 
 
 def test_precision_exhausted_exit_three(capsys, monkeypatch):
@@ -1398,15 +1457,13 @@ def test_a_series_too_short_to_fit_is_refused_before_any_root_work(capsys, monke
                                                                    argv, got):
     # the fit's sample conditions are checked on the grid (on each pair's entering n
     # for logdiff, whose pairs with max(|s|, |t|) = 4 enter at n >= 256) first
-    from cubicthue import asymptotics, bounds, proof, roots, solver
+    from cubicthue import roots
 
     def refuse(*args, **kwargs):
         raise AssertionError("root work started")
 
-    for mod in (roots, bounds, proof, solver, asymptotics):
-        for name in ("compute_roots", "compute_alphas"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, refuse)
+    for fn in (roots.compute_roots, roots.compute_alphas):
+        patch_everywhere(monkeypatch, fn, refuse)
     code, out, err = run(capsys, ["lemma", *argv])
     assert (code, out, err) == (2, "", f"error: need >= 5 samples, got {got}\n")
 

@@ -25,7 +25,8 @@ from cubicthue.errors import ChainPreconditionFailed, DegenerateTwist, Precision
 from cubicthue.forms import build_form
 from cubicthue.roots import alpha_precision, compute_alphas, compute_roots, proof_precision
 from conftest import (
-    alpha_values, dyadic_value, exact_roots, log_values, regulator_value, root_values,
+    alpha_values, dyadic_value, exact_roots, log_values, patch_everywhere, regulator_value,
+    root_values,
 )
 
 
@@ -304,7 +305,7 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
         asked.append(args)
         return real(*args)
 
-    monkeypatch.setattr(roots, "compute_alphas", spy)
+    patch_everywhere(monkeypatch, real, spy)
     for s, t, tri, shift in asymptotics.orbit_triples(n, logdiff_representatives(), 192):
         wide = dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
         asked.clear()
@@ -320,8 +321,7 @@ def test_logdiff_cell_not_known_to_be_nonzero_goes_to_the_doubling_loop(monkeypa
         tri = real(*args)
         return dataclasses.replace(tri, radii=tuple(abs(a) for a in tri.numerators))
 
-    for mod in (proof, roots):
-        monkeypatch.setattr(mod, "compute_alphas", blurred)
+    patch_everywhere(monkeypatch, spy, blurred)   # spy is every binding of compute_alphas
     asked.clear()
     with pytest.raises(PrecisionExhausted, match="undecided at"):
         true_logdiffs(n, 2, 1)
@@ -394,8 +394,7 @@ def test_undecided_b0_doubles_then_exhausts(monkeypatch):
     def never(tri, shift, s, t):
         attempts.append(tri.precision_bits)
 
-    for mod in (proof, bounds):
-        monkeypatch.setattr(mod, "attempt_quantities", never)
+    patch_everywhere(monkeypatch, proof.attempt_quantities, never)
     first = proof_precision(10**4, 192)
     with pytest.raises(PrecisionExhausted, match=r"b0 for \(n,s,t\)=\(10000, 2, 1\)"):
         compute_proof_quantities(10**4, 2, 1)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, workprec
 
-from conftest import alpha_values, beta_element, brute_force_solutions, log_values, scaled
+from conftest import (
+    alpha_values, beta_element, brute_force_solutions, log_values, patch_everywhere, scaled,
+)
 from cubicthue import cli, roots, solver
 from cubicthue.asymptotics import compute_proof_quantities, st_box
 from cubicthue.errors import DegenerateTwist, NotReducible, PrecisionExhausted
@@ -242,8 +244,7 @@ def test_uncertified_conjugates_raise(monkeypatch, capsys):
         return dataclasses.replace(tri, numerators=(nums[0] + (1 << tri.frac_bits), *nums[1:]))
 
     # the first triple is made by solve_box, the later ones by roots.attempts
-    for mod in (solver, roots):
-        monkeypatch.setattr(mod, "compute_alphas", shifted)
+    patch_everywhere(monkeypatch, real, shifted)
     with pytest.raises(PrecisionExhausted) as err:
         solve_box(5, 1, 1, 100)
     # the candidate attempts double from the first bits, and the message names the last
@@ -436,6 +437,8 @@ def test_the_records_of_a_solve_share_their_certificate_work(n, s, t, monkeypatc
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
 
+    # one module's calls each: fixed_log through roots' binding counts the root logs,
+    # not the log solve's through solver's; the other three are the solver's own
     for mod, name in ((roots, "fixed_log"), (solver, "classify_type"),
                       (solver, "build_form"), (solver, "power_alphas")):
         count(mod, name)
@@ -601,6 +604,8 @@ def test_records_with_x_or_y_zero_skip_the_log_solve(n, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the log solve ran")
 
+    # one module's calls each: the log solve takes its later triples through roots'
+    # binding (roots.attempts), its logs and its system through solver's
     monkeypatch.setattr(roots, "compute_alphas", refused)
     monkeypatch.setattr(solver, "fixed_log", refused)
     monkeypatch.setattr(solver, "log_system", refused)
